@@ -21,7 +21,6 @@ so that every design decision can be ablated.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,20 +76,6 @@ class TreecodeParams:
     #: :class:`~repro.core.backends.Backend` instance (one carrying its
     #: own state) is accepted directly and passes through the resolver.
     backend: object = "numpy"
-    #: Deprecated no-op.  Plans always de-duplicate their source
-    #: buffers now (clusters referenced by many batches are stored once
-    #: and aliased through per-segment offsets; bitwise-identical
-    #: results, strictly smaller buffers).  Passing any non-None value
-    #: emits a :class:`DeprecationWarning`; the field will be removed.
-    shared_sources: bool | None = None
-    #: Compile plans with the shape-bucketed batched execution layout
-    #: attached (identically shaped far-field segment runs grouped into
-    #: dense index buckets; see :mod:`repro.core.plan`).  The
-    #: ``"batched"`` backend builds the layout lazily when absent, so
-    #: this knob only moves the (geometry-only) build into the compile /
-    #: prepare phase; it changes no results.  Off by default: other
-    #: backends never read the layout.
-    batched: bool = False
     #: Dynamic-geometry sessions (``update_geometry``): once the fraction
     #: of particles that changed leaf membership in one update exceeds
     #: this threshold, the incremental re-bin/patch path is abandoned and
@@ -102,7 +87,7 @@ class TreecodeParams:
     #: Failure handling for prepared-session applies.  ``"degrade"``
     #: (the default) lets the session fall back along the backend
     #: chain (``"multiprocessing"`` -> ``"fused"`` -> ``"numpy"``;
-    #: ``"numba"``/``"cupy"``/``"batched"`` degrade to ``"fused"``)
+    #: ``"numba"``/``"batched"`` degrade to ``"fused"``)
     #: when a backend fails or cannot be resolved in this process --
     #: one :class:`~repro.errors.BackendDegradedWarning` per
     #: transition, the event recorded in ``health_stats()``, results
@@ -112,13 +97,6 @@ class TreecodeParams:
     fallback: str = "degrade"
 
     def __post_init__(self) -> None:
-        if self.shared_sources is not None:
-            warnings.warn(
-                "TreecodeParams.shared_sources is deprecated and ignored: "
-                "plans always de-duplicate their source buffers now",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
         if self.degree < 1:

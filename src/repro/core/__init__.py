@@ -11,8 +11,8 @@
 * :mod:`~repro.core.backends` -- pluggable plan-evaluation backends
   (numpy reference, fused, multiprocessing, numba-JIT, model-only)
   behind one registry.
-* :mod:`~repro.core.executor` -- standalone per-batch evaluation
-  primitives (the pre-plan form, still useful for direct experiments).
+* :mod:`~repro.core.session` -- the prepare/apply session core shared
+  by every driver.
 * :mod:`~repro.core.direct` -- the O(N^2) direct-summation baseline.
 * :mod:`~repro.core.treecode` -- the single-device BLTC driver.
 """

@@ -21,9 +21,9 @@ a geometry that is almost unchanged.  This module holds the
   replay-ordered group patch) makes every post-update ``apply()``
   bitwise equal to a cold ``prepare()`` at the new positions.
 * :class:`RebuildGeometryUpdater` -- the fallback used by the Sec. 5
-  extension sessions: every update rebuilds the driver's geometry state
-  wholesale on the session's device and swaps it in.  Same seam, same
-  result object, no incremental machinery.
+  extension sessions: every update re-runs the driver's geometry
+  builder on the session's device and swaps the state in.  Same seam,
+  same result object, no incremental machinery.
 
 Both updaters fall back to a full rebuild automatically: the
 incremental path bails when the re-bin cannot preserve the tree
@@ -73,9 +73,7 @@ class GeometryUpdateResult:
     the incremental work: particles whose leaf changed, batches whose
     lists were re-traversed, MAC evaluations spent on them, plan groups
     recompiled and moment grids rebuilt.  ``phases`` carries the
-    simulated device cost of the update (a setup-phase charge);
-    ``basis`` is the refreshed downward-pass basis for extension shells
-    that cache one (None elsewhere).
+    simulated device cost of the update (a setup-phase charge).
     """
 
     rebuilt: bool
@@ -89,7 +87,6 @@ class GeometryUpdateResult:
     n_moments_rebuilt: int = 0
     phases: PhaseTimes | None = None
     wall_seconds: float = 0.0
-    basis: dict | None = None
 
 
 def _as_positions(arr, n: int, what: str) -> np.ndarray:
@@ -386,11 +383,10 @@ class RebuildGeometryUpdater:
 
     The Sec. 5 schemes compile their plans from driver-private traversal
     records with no incremental patch path, so every update re-runs the
-    driver's geometry build (through its ``_rebuild_geometry_state``
-    hook) on the session's device and swaps the state in; the zero-
-    motion no-op and position validation still short-circuit.  The hook
-    returns ``(GeometryState, basis)`` -- shells that cache a
-    downward-pass basis adopt the fresh one from the result.
+    driver's ``_build_geometry_state`` -- the builder ``prepare()`` runs,
+    position upload included -- on the session's device and swaps the
+    state in: an update costs exactly a cold prepare's setup phase.  The
+    zero-motion no-op and position validation still short-circuit.
     """
 
     def __init__(self, driver) -> None:
@@ -419,14 +415,12 @@ class RebuildGeometryUpdater:
         phases = PhaseTimes()
         watch = Stopwatch()
         with watch:
-            state, basis = self.driver._rebuild_geometry_state(
-                core, new_src, new_tgt, phases
+            core.geometry = self.driver._build_geometry_state(
+                new_src, new_tgt, core.device, phases,
+                numerics=core.plan.has_numerics,
             )
-            core.geometry = state
-            core.device.upload(new_src.nbytes, label="source data")
-            phases.setup += core.device.take_phase()
             core.update_scratch_bytes = 0
         return GeometryUpdateResult(
             rebuilt=True, reason="extension sessions rebuild wholesale",
-            phases=phases, wall_seconds=watch.elapsed, basis=basis,
+            phases=phases, wall_seconds=watch.elapsed,
         )

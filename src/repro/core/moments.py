@@ -192,6 +192,32 @@ class ClusterMoments:
         return out
 
 
+def _qualifying_nodes(tree: ClusterTree, params: TreecodeParams):
+    """The clusters that carry moments: those passing the size condition
+    ``(n+1)^3 < N_C`` (all of them when ``size_check`` is off).  The
+    criterion is parameter-only, so every rank makes the same decision.
+    """
+    n_ip = params.n_interpolation_points
+    return [
+        node for node in tree.nodes
+        if not params.size_check or n_ip < node.count
+    ]
+
+
+def _build_cluster_grid(moments, tree, node, params, cache_basis) -> None:
+    """Build ``node``'s Chebyshev grid and, with ``cache_basis``, the
+    Lagrange basis of eq. 12 at the cluster's own source coordinates."""
+    grid = cluster_grid(node, params.degree)
+    moments.grids[node.index] = grid
+    if cache_basis:
+        pts = tree.positions[tree.node_indices(node)]
+        moments.basis[node.index] = (
+            lagrange_basis(pts[:, 0], grid.points_1d[0], grid.weights),
+            lagrange_basis(pts[:, 1], grid.points_1d[1], grid.weights),
+            lagrange_basis(pts[:, 2], grid.points_1d[2], grid.weights),
+        )
+
+
 def precompute_moments(
     tree: ClusterTree,
     charges: np.ndarray,
@@ -206,35 +232,21 @@ def precompute_moments(
     cluster before any traversal -- required in the distributed setting,
     where remote ranks may request any cluster's moments.  Clusters that
     can never be approximated under the size condition
-    (``(n+1)^3 >= N_C``) are skipped; the criterion is parameter-only, so
-    every rank makes the same decision.
+    (``(n+1)^3 >= N_C``) are skipped.
 
-    ``device`` (optional) is charged for the paper's two preprocessing
-    kernels per cluster: kernel 1 with one thread block per source
-    particle, kernel 2 with one block per grid point (Sec. 3.2).
-
-    ``numerics=False`` (driven by a model-only backend's
-    ``needs_numerics``) records the qualifying clusters and charges the
-    device but skips the numerical tensor contractions; used by the
-    large-scale benchmark harnesses where only the timing model is
-    exercised.
+    This is :func:`prepare_moment_grids` (without the basis cache: a
+    one-shot run uses each cluster's basis once) followed by
+    :func:`refresh_moments`, which charges ``device`` (optional) for the
+    paper's two preprocessing kernels per cluster and honours
+    ``numerics=False`` (model-only runs: qualifying clusters recorded,
+    kernels charged, no tensor contractions).
     """
-    charges = _as_moment_charges(charges, tree.n_particles, "particles")
-    moments = ClusterMoments(params.degree)
-    n_ip = params.n_interpolation_points
-    for node in tree.nodes:
-        if params.size_check and not (n_ip < node.count):
-            continue
-        moments.node_ids.add(node.index)
-        if numerics:
-            grid = cluster_grid(node, params.degree)
-            idx = tree.node_indices(node)
-            qhat = modified_charges(tree.positions[idx], charges[idx], grid)
-            moments.grids[node.index] = grid
-            moments.qhat[node.index] = qhat
-        if device is not None:
-            _charge_moment_kernels(device, node, params, n_ip)
-    return moments
+    moments = prepare_moment_grids(
+        tree, params, numerics=numerics, cache_basis=False
+    )
+    return refresh_moments(
+        moments, tree, charges, params, device=device, numerics=numerics
+    )
 
 
 def _charge_moment_kernels(device, node, params, n_ip) -> None:
@@ -274,21 +286,10 @@ def prepare_moment_grids(
     model-only pipeline.
     """
     moments = ClusterMoments(params.degree)
-    n_ip = params.n_interpolation_points
-    for node in tree.nodes:
-        if params.size_check and not (n_ip < node.count):
-            continue
+    for node in _qualifying_nodes(tree, params):
         moments.node_ids.add(node.index)
         if numerics:
-            grid = cluster_grid(node, params.degree)
-            moments.grids[node.index] = grid
-            if cache_basis:
-                pts = tree.positions[tree.node_indices(node)]
-                moments.basis[node.index] = (
-                    lagrange_basis(pts[:, 0], grid.points_1d[0], grid.weights),
-                    lagrange_basis(pts[:, 1], grid.points_1d[1], grid.weights),
-                    lagrange_basis(pts[:, 2], grid.points_1d[2], grid.weights),
-                )
+            _build_cluster_grid(moments, tree, node, params, cache_basis)
     return moments
 
 
@@ -308,18 +309,13 @@ def refresh_moment_geometry(
     the session caches one -- for every *dirty* qualifying cluster
     (``dirty`` is a per-node bool mask; ``None`` refreshes all).  Newly
     qualifying clusters are always built.  Grids and basis are rebuilt
-    with exactly the calls :func:`prepare_moment_grids` makes, so a
+    by the helper :func:`prepare_moment_grids` uses, so a
     refreshed session's next :func:`refresh_moments` produces bitwise
     what a cold prepare at the new positions would.  Stale ``qhat``
     entries are left in place -- every apply overwrites them.  Returns
     the number of clusters rebuilt.
     """
-    n_ip = params.n_interpolation_points
-    new_ids: set[int] = set()
-    for node in tree.nodes:
-        if params.size_check and not (n_ip < node.count):
-            continue
-        new_ids.add(node.index)
+    new_ids = {node.index for node in _qualifying_nodes(tree, params)}
     for i in moments.node_ids - new_ids:
         moments.grids.pop(i, None)
         moments.qhat.pop(i, None)
@@ -333,16 +329,7 @@ def refresh_moment_geometry(
     for i in sorted(new_ids):
         if i not in added and dirty is not None and not dirty[i]:
             continue
-        node = tree.nodes[i]
-        grid = cluster_grid(node, params.degree)
-        moments.grids[i] = grid
-        if cache_basis:
-            pts = tree.positions[tree.node_indices(node)]
-            moments.basis[i] = (
-                lagrange_basis(pts[:, 0], grid.points_1d[0], grid.weights),
-                lagrange_basis(pts[:, 1], grid.points_1d[1], grid.weights),
-                lagrange_basis(pts[:, 2], grid.points_1d[2], grid.weights),
-            )
+        _build_cluster_grid(moments, tree, tree.nodes[i], params, cache_basis)
         rebuilt += 1
     return rebuilt
 
@@ -360,12 +347,14 @@ def refresh_moments(
 
     Re-runs eq. 12 on the grids cached by :func:`prepare_moment_grids`
     (contracting the cached basis matrices when present -- the same
-    einsum on the same operands, so the resulting ``qhat`` is bitwise
-    identical to a fresh :func:`precompute_moments`), charging
-    ``device`` for the paper's two moment kernels per cluster exactly
-    as the fresh path does: re-momenting is real per-step device work,
-    only the geometry bookkeeping is amortized.  ``numerics=False``
-    charges the kernels without computing values (model-only applies).
+    einsum on the same operands as evaluating the basis afresh, so the
+    resulting ``qhat`` is bitwise identical with or without the cache),
+    charging ``device`` (optional) for the paper's two moment kernels
+    per cluster -- kernel 1 with one thread block per source particle,
+    kernel 2 with one block per grid point (Sec. 3.2): re-momenting is
+    real per-step device work, only the geometry bookkeeping is
+    amortized.  ``numerics=False`` charges the kernels without
+    computing values (model-only applies).
     A ``(N, n_rhs)`` charge block re-moments every column in this one
     pass, reusing each cluster's cached basis for all columns.
     """

@@ -51,7 +51,7 @@ A numerics plan stores its gathered source rows in the **shared**
 physical copy via the per-segment ``seg_src_lo`` offsets.  The buffers
 hold O(distinct source rows) instead of O(total interaction rows) --
 60-115x smaller on shared workloads -- and segments added without a
-repeated key still occupy consecutive physical rows, so unshared plans
+repeated key still take consecutive physical rows, so unshared plans
 stay fully contiguous.  (The historical *duplicated* layout, which
 materialized every segment's rows once per referencing segment and let
 ``seg_ptr`` double as the physical offset table, has been retired: it
@@ -101,10 +101,11 @@ interactions: every approximation segment of a degree-``p`` plan carries
 exactly ``(p+1)^3`` source rows.  The near field is *almost* uniform --
 per-cluster particle counts vary, so its runs are ragged -- but the same
 stacked-GEMM execution applies once the gathered source rows are padded
-to a common width with **zero weights**.  ``compile_plan(...,
-batched=True)`` (or :meth:`ExecutionPlan.ensure_batched_layout`, which
-any backend may call lazily) derives a :class:`BatchedLayout` covering
-both from the index arrays:
+to a common width with **zero weights**.
+:meth:`ExecutionPlan.ensure_batched_layout` -- the one way to get a
+layout; the ``"batched"`` backend calls it on first use, callers that
+want the build up front call it themselves -- derives a
+:class:`BatchedLayout` covering both from the index arrays:
 
 * runs whose segments all share one size are classified by the
   signature ``(n_segments, rows_per_segment, kind)`` and collected into
@@ -154,7 +155,7 @@ of plan row slots executed inside buckets (the default benchmark
 regimes sit above 0.95), :meth:`BatchedLayout.padding_waste` the
 fraction of stacked cells that is padding, and
 :meth:`BatchedLayout.padding_nbytes` the bytes those pad slots (plus
-masks and scatter maps) occupy -- surfaced per session through
+masks and scatter maps) take up -- surfaced per session through
 ``memory_stats()``.  Every ``(group, segment)`` pair lands in exactly
 one bucket entry or ragged run, so the layout is a partition of the
 plan's work; launch accounting never reads it.
@@ -529,9 +530,8 @@ class ExecutionPlan:
     #: Bumped by :meth:`patch_groups`: the index arrays (shapes, CSR
     #: structure, weight slots) changed; shipped copies must re-pack.
     structure_version: int = 0
-    #: Shape-bucketed execution layout, or None until built.  Compiled
-    #: eagerly by ``compile_plan(..., batched=True)``; built lazily (and
-    #: cached) by :meth:`ensure_batched_layout` otherwise.
+    #: Shape-bucketed execution layout, or None until
+    #: :meth:`ensure_batched_layout` builds (and caches) it.
     batched_layout: "BatchedLayout | None" = None
     #: dtype-keyed cache of cast copies of the geometry-constant buffers
     #: (targets / src_points); see :meth:`targets_as`.
@@ -567,15 +567,6 @@ class ExecutionPlan:
     @property
     def has_numerics(self) -> bool:
         return self.src_points is not None
-
-    @property
-    def shared_sources(self) -> bool:
-        """True when segments alias de-duplicated source buffers.
-
-        Every numerics plan is compiled this way now; the property is
-        kept for introspection (model-only plans report False).
-        """
-        return self.seg_src_lo is not None
 
     @property
     def source_buffer_rows(self) -> int:
@@ -674,11 +665,10 @@ class ExecutionPlan:
     def ensure_batched_layout(self) -> "BatchedLayout":
         """The plan's :class:`BatchedLayout`, building and caching it.
 
-        Plans compiled with ``batched=True`` carry the layout already;
-        otherwise the first call derives it from the index arrays (pure
-        geometry -- safe to build at any point of a session, including
-        after weight refreshes, since the bucket weight matrices gather
-        from the current flat buffer).
+        The first call derives it from the index arrays (pure geometry
+        -- safe to build at any point of a session, including after
+        weight refreshes, since the bucket weight matrices gather from
+        the current flat buffer); later calls return the cached layout.
         """
         if not self.has_numerics:
             raise ValueError("model-only plan has no batched layout")
@@ -1224,9 +1214,7 @@ class PlanBuilder:
     the same ``share_key`` store their rows once and alias them through
     per-segment offsets.  Callers can skip re-gathering a cluster's
     arrays entirely by checking :meth:`has_shared` first -- a repeated
-    key needs no ``points``/``weights`` at all.  (``shared_sources`` is
-    accepted as a deprecated no-op; the duplicated-rows layout it used
-    to toggle has been retired.)
+    key needs no ``points``/``weights`` at all.
 
     ``deferred_weights=True`` compiles a geometry-only skeleton: every
     stored segment supplies ``points`` and a ``share_key`` but no
@@ -1240,16 +1228,11 @@ class PlanBuilder:
         out_size: int,
         *,
         numerics: bool = True,
-        shared_sources: bool | None = None,  # deprecated no-op
         deferred_weights: bool = False,
-        batched: bool = False,
     ) -> None:
         self.out_size = int(out_size)
         self.numerics = bool(numerics)
         self.deferred_weights = bool(deferred_weights) and self.numerics
-        #: Attach the shape-bucketed execution layout at build time
-        #: (numerics plans only; backends can also build it lazily).
-        self.batched = bool(batched) and self.numerics
         self._kind_names: list[str] = []
         self._kind_index: dict[str, int] = {}
         self._group_sizes: list[int] = []
@@ -1377,7 +1360,7 @@ class PlanBuilder:
             seg_src_lo = np.asarray(self._seg_src_lo, dtype=np.intp)
             if self._refreshable:
                 weight_slots = tuple(self._weight_slots)
-        plan = ExecutionPlan(
+        return ExecutionPlan(
             kind_names=tuple(self._kind_names),
             group_ptr=group_ptr,
             seg_group_ptr=seg_group_ptr,
@@ -1391,9 +1374,6 @@ class PlanBuilder:
             seg_src_lo=seg_src_lo,
             weight_slots=weight_slots,
         )
-        if self.batched:
-            plan.ensure_batched_layout()
-        return plan
 
 
 def _concat(arrays: Sequence[np.ndarray], empty_shape, dtype) -> np.ndarray:
@@ -1411,9 +1391,7 @@ def compile_plan(
     params: "TreecodeParams",
     *,
     numerics: bool = True,
-    shared_sources: bool | None = None,  # deprecated no-op
     deferred_weights: bool = False,
-    batched: bool = False,
 ) -> ExecutionPlan:
     """Compile the BLTC's (tree, batches, moments, lists) into a plan.
 
@@ -1427,8 +1405,7 @@ def compile_plan(
 
     The source buffers are always de-duplicated: each cluster's rows
     are stored once however many batches reference it (per-segment
-    offsets alias the single copy).  ``shared_sources`` is accepted as
-    a deprecated no-op.
+    offsets alias the single copy).
 
     ``deferred_weights=True`` compiles the geometry-only skeleton used
     by :meth:`~repro.core.treecode.BarycentricTreecode.prepare`:
@@ -1436,16 +1413,11 @@ def compile_plan(
     weight buffer stays zeroed until
     :meth:`ExecutionPlan.refresh_weights` fills it (keys are the same
     ``("approx"|"direct", cluster)`` pairs recorded here).
-
-    ``batched=True`` additionally derives the shape-bucketed execution
-    layout at compile time (see the module docstring); backends that
-    exploit it (``"batched"``) otherwise build it lazily on first use.
     """
     n_ip = params.n_interpolation_points
     deferred = bool(deferred_weights) and numerics
     builder = PlanBuilder(
-        batches.n_targets, numerics=numerics,
-        deferred_weights=deferred, batched=batched,
+        batches.n_targets, numerics=numerics, deferred_weights=deferred,
     )
     if charges is not None:
         # (N,) or (N, n_rhs): a charge matrix compiles a widened weight

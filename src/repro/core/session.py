@@ -19,6 +19,10 @@ once:
   distributed shell adds the LET re-ship between precompute and
   execute, the extension shells add their downward interpolation
   passes after it.
+* :class:`PreparedSession` is the base of the three single-device
+  shells (BLTC, cluster-particle, dual-tree): the core delegation, the
+  ``update_geometry`` bookkeeping and the repr live there once; the
+  distributed shell (a list of cores) stays separate.
 * The weight-source classes translate each driver's weight-slot key
   vocabulary into refreshed weight rows.  They are stateless and
   picklable -- the closures handed to
@@ -41,12 +45,12 @@ numba session restored where numba is absent) -- does not have to kill
 the session.  Under ``TreecodeParams(fallback="degrade")`` (the
 default) :meth:`SessionCore.execute_plan` walks the backend's fallback
 chain (:data:`FALLBACK_CHAIN`: ``"multiprocessing"`` -> ``"fused"`` ->
-``"numpy"``; ``"numba"``/``"cupy"``/``"batched"`` -> ``"fused"`` ->
-``"numpy"``), emits exactly one
-:class:`~repro.errors.BackendDegradedWarning` per transition, records
-the event (visible in :meth:`SessionCore.health_stats` and every
-``Prepared*`` repr) and keeps serving correct results through the
-fallback -- sticky, so later applies skip the broken backend.
+``"numpy"``; ``"numba"``/``"batched"`` -> ``"fused"`` -> ``"numpy"``),
+emits exactly one :class:`~repro.errors.BackendDegradedWarning` per
+transition, records the event (visible in
+:meth:`SessionCore.health_stats` and every ``Prepared*`` repr) and
+keeps serving correct results through the fallback -- sticky, so later
+applies skip the broken backend.
 ``fallback="strict"`` restores raise-on-failure with the original
 cause chained.
 """
@@ -73,6 +77,7 @@ from .plan import ExecutionPlan
 __all__ = [
     "GeometryState",
     "SessionCore",
+    "PreparedSession",
     "TreecodeWeightSource",
     "DistributedWeightSource",
     "BatchChargeWeightSource",
@@ -93,7 +98,6 @@ FLOAT_BYTES = 8
 FALLBACK_CHAIN: dict = {
     "multiprocessing": ("fused", "numpy"),
     "numba": ("fused", "numpy"),
-    "cupy": ("fused", "numpy"),
     "batched": ("fused", "numpy"),
     "fused": ("numpy",),
 }
@@ -695,6 +699,90 @@ class SessionCore:
                 + update_bytes + pad_bytes
             ),
         }
+
+
+class PreparedSession:
+    """Base of the single-device ``Prepared*`` shells.
+
+    A shell is one driver's view of a :class:`SessionCore`: everything
+    that only forwards to the core lives here once; subclasses add their
+    ``apply()`` and the accessors of their own geometry (and provide
+    ``n_sources`` / ``n_targets`` for the repr).  ``phases`` is the
+    setup-phase cost charged at prepare time plus every later
+    ``update_geometry``.
+    """
+
+    def __init__(self, *, driver, core: SessionCore, phases, wall_seconds):
+        self.driver = driver
+        self.core = core
+        #: Setup-phase cost charged once at prepare time.
+        self.phases = phases
+        self.wall_seconds = wall_seconds
+
+    @property
+    def backend(self) -> Backend:
+        return self.core.backend
+
+    @property
+    def device(self):
+        return self.core.device
+
+    @property
+    def plan(self) -> ExecutionPlan:
+        return self.core.geometry.plan
+
+    @property
+    def n_applies(self) -> int:
+        return self.core.n_applies
+
+    def geometry_key(self) -> str:
+        """Stable content hash of the prepared geometry (cache key)."""
+        return self.core.geometry_key()
+
+    def memory_stats(self) -> dict:
+        """Resident bytes by category (see ``SessionCore.memory_stats``)."""
+        return self.core.memory_stats()
+
+    def health_stats(self) -> dict:
+        """Fault-tolerance counters (see ``SessionCore.health_stats``)."""
+        return self.core.health_stats()
+
+    def update_geometry(self, new_positions, *, targets=None):
+        """Move the session to new particle positions in place.
+
+        The warm-start path for MD time-stepping (see
+        :mod:`repro.core.dynamic`): the BLTC session re-bins only
+        particles that left their leaf box, rebuilds only dirtied moment
+        grids, re-traverses only batches whose recorded MAC decisions no
+        longer hold and patches only the touched plan groups -- falling
+        back to a wholesale rebuild when the tree topology cannot be
+        preserved or more than ``params.rebuild_threshold`` of the
+        particles re-binned; the extension sessions always rebuild
+        wholesale (the result says which happened and why).  Either way
+        every subsequent ``apply()`` is bitwise equal to a cold
+        ``prepare()`` at the new positions, on every backend and dtype.
+        Sessions prepared with targets defaulted to the sources move
+        both sets together; pass ``targets`` to move a disjoint target
+        set explicitly (omitting it leaves disjoint targets where they
+        are).
+
+        The simulated setup cost of the update accrues to
+        ``self.phases``; :meth:`geometry_key` changes whenever any
+        position moved.
+        """
+        result = self.core.update_geometry(new_positions, targets=targets)
+        if result.phases is not None:
+            self.phases += result.phases
+        self.wall_seconds += result.wall_seconds
+        return result
+
+    def __repr__(self) -> str:
+        return (
+            f"<{type(self).__name__} n_sources={self.n_sources} "
+            f"n_targets={self.n_targets} n_applies={self.n_applies} "
+            f"{format_memory_stats(self.memory_stats())} "
+            f"{format_health_stats(self.health_stats())}>"
+        )
 
 
 def format_memory_stats(stats: dict) -> str:

@@ -61,17 +61,16 @@ from ..perf.timer import PhaseTimes, Stopwatch
 from ..tree.batches import TargetBatches
 from ..tree.octree import ClusterTree
 from ..workloads import ParticleSet
-from .backends import Backend, get_backend
-from .dynamic import GeometryUpdateResult, TreecodeGeometryUpdater
+from .backends import get_backend
+from .dynamic import TreecodeGeometryUpdater
 from .interaction_lists import InteractionLists, build_interaction_lists
 from .moments import ClusterMoments, prepare_moment_grids
-from .plan import ExecutionPlan, compile_plan
+from .plan import compile_plan
 from .session import (
     GeometryState,
+    PreparedSession,
     SessionCore,
     TreecodeWeightSource,
-    format_health_stats,
-    format_memory_stats,
 )
 
 __all__ = ["BarycentricTreecode", "PreparedTreecode", "TreecodeResult"]
@@ -312,7 +311,6 @@ class BarycentricTreecode:
             tree, batches, moments, lists, None, params,
             numerics=numerics,
             deferred_weights=True,
-            batched=params.batched,
         )
         return GeometryState(
             plan=plan, tree=tree, batches=batches,
@@ -375,7 +373,7 @@ class BarycentricTreecode:
         }
 
 
-class PreparedTreecode:
+class PreparedTreecode(PreparedSession):
     """A treecode session with fixed geometry and refreshable charges.
 
     Produced by :meth:`BarycentricTreecode.prepare`; holds the tree,
@@ -393,34 +391,13 @@ class PreparedTreecode:
     prepare), ``n_applies``, and the captured ``tree`` / ``batches`` /
     ``lists`` / ``plan``.  All session state lives in the shared
     :class:`~repro.core.session.SessionCore` (``.core``); this class is
-    the driver-specific shell (stats + result assembly), and the whole
-    session pickles through the core's process-local-state-dropping
+    the driver-specific shell (stats + result assembly) over
+    :class:`~repro.core.session.PreparedSession`, and the whole session
+    pickles through the core's process-local-state-dropping
     ``__getstate__``.
     """
 
-    def __init__(
-        self,
-        *,
-        driver: BarycentricTreecode,
-        core: SessionCore,
-        phases: PhaseTimes,
-        wall_seconds: float,
-    ) -> None:
-        self.driver = driver
-        self.core = core
-        #: Setup-phase cost charged once at prepare time.
-        self.phases = phases
-        self.wall_seconds = wall_seconds
-
-    # -- session-core delegation ---------------------------------------
-    @property
-    def backend(self) -> Backend:
-        return self.core.backend
-
-    @property
-    def device(self) -> Device:
-        return self.core.device
-
+    # -- this driver's geometry -----------------------------------------
     @property
     def tree(self) -> ClusterTree:
         return self.core.geometry.tree
@@ -438,14 +415,6 @@ class PreparedTreecode:
         return self.core.geometry.lists
 
     @property
-    def plan(self) -> ExecutionPlan:
-        return self.core.geometry.plan
-
-    @property
-    def n_applies(self) -> int:
-        return self.core.n_applies
-
-    @property
     def kernel(self) -> Kernel:
         return self.driver.kernel
 
@@ -460,59 +429,6 @@ class PreparedTreecode:
     @property
     def n_targets(self) -> int:
         return self.batches.n_targets
-
-    def geometry_key(self) -> str:
-        """Stable content hash of the prepared geometry (cache key)."""
-        return self.core.geometry_key()
-
-    def memory_stats(self) -> dict:
-        """Resident bytes by category (see ``SessionCore.memory_stats``)."""
-        return self.core.memory_stats()
-
-    def health_stats(self) -> dict:
-        """Fault-tolerance counters (see ``SessionCore.health_stats``)."""
-        return self.core.health_stats()
-
-    def update_geometry(
-        self,
-        new_positions: np.ndarray,
-        *,
-        targets: np.ndarray | None = None,
-    ) -> GeometryUpdateResult:
-        """Move the session to new particle positions in place.
-
-        The warm-start path for MD time-stepping: instead of a cold
-        ``prepare()`` per step, the session re-bins only particles that
-        left their leaf box, rebuilds only dirtied moment grids,
-        re-traverses only batches whose recorded MAC decisions no
-        longer hold, and patches only the touched plan groups -- then
-        every subsequent :meth:`apply` is bitwise equal to a cold
-        prepare at the new positions, on every backend and dtype.  When
-        the re-bin cannot preserve the tree topology, or the re-binned
-        fraction exceeds ``params.rebuild_threshold``, the geometry is
-        rebuilt wholesale on the same session (the result says which
-        happened and why).  Sessions prepared with targets defaulted to
-        the sources move both sets together; pass ``targets`` to move a
-        disjoint target set explicitly (omitting it leaves disjoint
-        targets where they are).
-
-        The simulated setup cost of the update accrues to
-        ``self.phases``; :meth:`geometry_key` changes whenever any
-        position actually moved.
-        """
-        result = self.core.update_geometry(new_positions, targets=targets)
-        if result.phases is not None:
-            self.phases += result.phases
-        self.wall_seconds += result.wall_seconds
-        return result
-
-    def __repr__(self) -> str:
-        return (
-            f"<PreparedTreecode n_sources={self.n_sources} "
-            f"n_targets={self.n_targets} n_applies={self.n_applies} "
-            f"{format_memory_stats(self.memory_stats())} "
-            f"{format_health_stats(self.health_stats())}>"
-        )
 
     # ------------------------------------------------------------------
     def apply(

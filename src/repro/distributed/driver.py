@@ -161,6 +161,58 @@ class DistributedBLTC:
         self.axis_policy = axis_policy
 
     # ------------------------------------------------------------------
+    def _setup_local(self, particles: ParticleSet):
+        """Steps 1-2 of the procedure, shared by :meth:`compute` and
+        :meth:`prepare`: the RCB partition, one communicator slot and
+        device per rank, and each rank's local source tree and target
+        batches -- charged to the rank's setup phase (the
+        ``setup_local`` half of the barrier split).
+        """
+        params = self.params
+        n_ranks = self.n_ranks
+        if particles.n < n_ranks:
+            raise ValueError(
+                f"{particles.n} particles cannot be split over "
+                f"{n_ranks} ranks"
+            )
+        comm = SimComm(n_ranks, comm_model=self.comm_model)
+        labels = rcb_partition(
+            particles.positions, n_ranks, axis_policy=self.axis_policy
+        )
+        rank_idx = [np.nonzero(labels == r)[0] for r in range(n_ranks)]
+        devices = [
+            make_device(self.machine, async_streams=self.async_streams)
+            for _ in range(n_ranks)
+        ]
+        phases = [PhaseTimes() for _ in range(n_ranks)]
+        split = [
+            {"setup_local": 0.0, "let_setup": 0.0} for _ in range(n_ranks)
+        ]
+        trees: list[ClusterTree] = []
+        batch_sets: list[TargetBatches] = []
+        for r in range(n_ranks):
+            local = particles.subset(rank_idx[r])
+            tree = ClusterTree(
+                local.positions,
+                params.max_leaf_size,
+                aspect_ratio_splitting=params.aspect_ratio_splitting,
+                shrink_to_fit=params.shrink_to_fit,
+            )
+            batches = TargetBatches(
+                local.positions,
+                params.max_batch_size,
+                aspect_ratio_splitting=params.aspect_ratio_splitting,
+                shrink_to_fit=params.shrink_to_fit,
+            )
+            devices[r].host_work(local.n * 2 * (tree.max_level + 1))
+            dt = devices[r].take_phase()
+            phases[r].setup += dt
+            split[r]["setup_local"] += dt
+            trees.append(tree)
+            batch_sets.append(batches)
+        return comm, rank_idx, devices, phases, split, trees, batch_sets
+
+    # ------------------------------------------------------------------
     def compute(
         self,
         particles: ParticleSet,
@@ -183,54 +235,12 @@ class DistributedBLTC:
         params = self.params
         backend = get_backend("model" if dry_run else params.backend)
         n = particles.n
-        if n < self.n_ranks:
-            raise ValueError(
-                f"{n} particles cannot be split over {self.n_ranks} ranks"
-            )
         watch = Stopwatch()
         with watch:
-            comm = SimComm(self.n_ranks, comm_model=self.comm_model)
-            labels = rcb_partition(
-                particles.positions, self.n_ranks, axis_policy=self.axis_policy
-            )
-            rank_idx = [
-                np.nonzero(labels == r)[0] for r in range(self.n_ranks)
-            ]
-            devices = [
-                make_device(self.machine, async_streams=self.async_streams)
-                for _ in range(self.n_ranks)
-            ]
-            phases = [PhaseTimes() for _ in range(self.n_ranks)]
-            split = [
-                {"setup_local": 0.0, "let_setup": 0.0}
-                for _ in range(self.n_ranks)
-            ]
-            trees: list[ClusterTree] = []
-            batch_sets: list[TargetBatches] = []
+            # -- phase A: partition, local trees and batches (setup) ----
+            (comm, rank_idx, devices, phases, split, trees,
+             batch_sets) = self._setup_local(particles)
             moment_sets = []
-
-            # -- phase A: local trees and batches (setup) ---------------
-            for r in range(self.n_ranks):
-                local = particles.subset(rank_idx[r])
-                tree = ClusterTree(
-                    local.positions,
-                    params.max_leaf_size,
-                    aspect_ratio_splitting=params.aspect_ratio_splitting,
-                    shrink_to_fit=params.shrink_to_fit,
-                )
-                batches = TargetBatches(
-                    local.positions,
-                    params.max_batch_size,
-                    aspect_ratio_splitting=params.aspect_ratio_splitting,
-                    shrink_to_fit=params.shrink_to_fit,
-                )
-                dev = devices[r]
-                dev.host_work(local.n * 2 * (tree.max_level + 1))
-                dt = dev.take_phase()
-                phases[r].setup += dt
-                split[r]["setup_local"] += dt
-                trees.append(tree)
-                batch_sets.append(batches)
 
             # -- phase B: moments on-device (precompute) ----------------
             for r in range(self.n_ranks):
@@ -364,60 +374,17 @@ class DistributedBLTC:
         backend_spec = "model" if dry_run else params.backend
         backend = get_backend(backend_spec)
         numerics = backend.needs_numerics
-        n = particles.n
-        if n < self.n_ranks:
-            raise ValueError(
-                f"{n} particles cannot be split over {self.n_ranks} ranks"
-            )
         watch = Stopwatch()
         with watch:
-            comm = SimComm(self.n_ranks, comm_model=self.comm_model)
-            labels = rcb_partition(
-                particles.positions, self.n_ranks, axis_policy=self.axis_policy
-            )
-            rank_idx = [
-                np.nonzero(labels == r)[0] for r in range(self.n_ranks)
+            # -- phase A: partition, local trees and batches (setup) ----
+            (comm, rank_idx, devices, phases, split, trees,
+             batch_sets) = self._setup_local(particles)
+            # Charge-independent moment state (grids + cached basis;
+            # the moment kernels themselves are charged per apply).
+            moment_sets = [
+                prepare_moment_grids(tree, params, numerics=numerics)
+                for tree in trees
             ]
-            devices = [
-                make_device(self.machine, async_streams=self.async_streams)
-                for _ in range(self.n_ranks)
-            ]
-            phases = [PhaseTimes() for _ in range(self.n_ranks)]
-            split = [
-                {"setup_local": 0.0, "let_setup": 0.0}
-                for _ in range(self.n_ranks)
-            ]
-            trees: list[ClusterTree] = []
-            batch_sets: list[TargetBatches] = []
-            moment_sets = []
-
-            # -- phase A: local trees and batches (setup) ---------------
-            for r in range(self.n_ranks):
-                local = particles.subset(rank_idx[r])
-                tree = ClusterTree(
-                    local.positions,
-                    params.max_leaf_size,
-                    aspect_ratio_splitting=params.aspect_ratio_splitting,
-                    shrink_to_fit=params.shrink_to_fit,
-                )
-                batches = TargetBatches(
-                    local.positions,
-                    params.max_batch_size,
-                    aspect_ratio_splitting=params.aspect_ratio_splitting,
-                    shrink_to_fit=params.shrink_to_fit,
-                )
-                dev = devices[r]
-                dev.host_work(local.n * 2 * (tree.max_level + 1))
-                dt = dev.take_phase()
-                phases[r].setup += dt
-                split[r]["setup_local"] += dt
-                trees.append(tree)
-                batch_sets.append(batches)
-                # Charge-independent moment state (grids + cached basis;
-                # the moment kernels themselves are charged per apply).
-                moment_sets.append(
-                    prepare_moment_grids(tree, params, numerics=numerics)
-                )
 
             # -- expose the geometry windows ----------------------------
             for r in range(self.n_ranks):
@@ -534,7 +501,6 @@ class DistributedBLTC:
             batches.n_targets,
             numerics=numerics,
             deferred_weights=deferred,
-            batched=self.params.batched,
         )
         for b in range(len(batches)):
             if numerics:

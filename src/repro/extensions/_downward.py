@@ -1,20 +1,41 @@
-"""Shared helpers of the Sec. 5 extension schemes.
+"""What the two Sec. 5 extension schemes share.
 
-Both the cluster-particle and the dual-tree treecodes end with the same
-downward step: each target cluster's accumulated grid potentials are
-interpolated to its own particles with the barycentric basis, one
-simulated "interpolate" launch per cluster.  Target normalization and
-that pass live here once so the two schemes cannot drift apart.
+Both the cluster-particle and the dual-tree treecodes are the same
+driver around a different traversal: build the scheme's geometry once,
+execute its plan per charge vector, then run the same downward step --
+each target cluster's accumulated grid potentials are interpolated to
+its own particles with the barycentric basis, one simulated
+"interpolate" launch per cluster.  :class:`ExtensionTreecode` and
+:class:`PreparedExtension` hold that driver and its session shell once;
+a scheme supplies ``_build_geometry_state`` (trees, traversal, plan,
+downward basis -- the one place its pipeline lives, reached from
+``prepare()``, ``compute()`` and the rebuild updater alike),
+``_session_positions``, ``_downward_pass`` and ``_stats``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..config import DEFAULT_PARAMS, TreecodeParams
+from ..core.backends import get_backend
+from ..core.dynamic import RebuildGeometryUpdater
+from ..core.session import PreparedSession, SessionCore
+from ..core.treecode import TreecodeResult
+from ..gpu.device import make_device
 from ..interpolation.barycentric import lagrange_basis
+from ..kernels.base import Kernel
+from ..perf.machine import GPU_TITAN_V, MachineSpec
+from ..perf.timer import PhaseTimes, Stopwatch
 from ..workloads import ParticleSet
 
-__all__ = ["target_positions", "downward_basis", "downward_pass"]
+__all__ = [
+    "ExtensionTreecode",
+    "PreparedExtension",
+    "target_positions",
+    "downward_basis",
+    "downward_pass",
+]
 
 
 def target_positions(sources, targets) -> np.ndarray:
@@ -87,4 +108,156 @@ def downward_pass(
             blocks=idx.shape[0],
             kind="interpolate",
             flops_per_interaction=7.0,
+        )
+
+
+class PreparedExtension(PreparedSession):
+    """An extension-scheme session with fixed geometry (see ``prepare``).
+
+    Session state lives in the shared
+    :class:`~repro.core.session.SessionCore` (``.core``); this shell
+    adds the downward interpolation pass after the plan execution.
+    """
+
+    @property
+    def geometry(self):
+        """The scheme's traversal/grouping record (``_CPGeometry`` /
+        ``_DTGeometry``), downward basis included."""
+        return self.core.geometry.aux
+
+    @property
+    def n_sources(self) -> int:
+        return self.core.n_charges
+
+    @property
+    def n_targets(self) -> int:
+        return self.geometry.n_targets
+
+    def apply(self, charges: np.ndarray) -> TreecodeResult:
+        """Evaluate the prepared geometry for one or many charge vectors.
+
+        Uploads the charges, re-moments the source clusters on the
+        cached grids where the scheme has a moment stage (charged per
+        apply), rewrites the plan's weight buffer in place and runs the
+        accumulation + downward interpolation; no setup time is
+        charged.  An ``(N, n_rhs)`` block evaluates every column in one
+        pass and returns an ``(M, n_rhs)`` potential, column ``j``
+        bitwise equal to a solo apply of ``charges[:, j]``.
+        """
+        driver = self.driver
+        core = self.core
+        g = self.geometry
+        charges, multi, n_rhs = core.charge_block(charges)
+        device = core.device
+        numerics = core.plan.has_numerics
+        phases = PhaseTimes()
+        watch = Stopwatch()
+
+        with watch:
+            core.precompute(charges, phases, numerics=numerics, n_rhs=n_rhs)
+            out_flat, _ = core.execute_plan(
+                charges, phases, numerics=numerics,
+                multi=multi, n_rhs=n_rhs, download_potentials=False,
+            )
+            out = out_flat[:g.n_targets].copy()
+
+            driver._downward_pass(
+                g, out_flat, out, device, numerics=numerics
+            )
+            device.download(out.nbytes)
+            phases.compute += device.take_phase()
+
+        core.n_applies += 1
+        stats = driver._stats(g, self.n_sources, device)
+        stats["n_applies"] = core.n_applies
+        return TreecodeResult(
+            potential=out,
+            phases=phases,
+            wall_seconds=watch.elapsed,
+            stats=stats,
+        )
+
+
+class ExtensionTreecode:
+    """Driver shared by the cluster-particle and dual-tree schemes.
+
+    API mirrors :class:`~repro.core.treecode.BarycentricTreecode`:
+    ``prepare(sources, targets)`` opens a charge-refreshable session and
+    ``compute(sources, targets)`` is ``prepare()`` + one ``apply()``.
+    """
+
+    #: The scheme's weight-source class (see :mod:`repro.core.session`)
+    #: and session shell.
+    _weight_source = None
+    _session_cls = PreparedExtension
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        params: TreecodeParams = DEFAULT_PARAMS,
+        *,
+        machine: MachineSpec = GPU_TITAN_V,
+        async_streams: bool = True,
+    ) -> None:
+        self.kernel = kernel
+        self.params = params
+        self.machine = machine
+        self.async_streams = bool(async_streams)
+
+    def compute(
+        self,
+        sources: ParticleSet,
+        targets: np.ndarray | ParticleSet | None = None,
+    ) -> TreecodeResult:
+        """Potential at every target due to all sources."""
+        prepared = self.prepare(sources, targets)
+        result = prepared.apply(sources.charges)
+        return TreecodeResult(
+            potential=result.potential,
+            phases=prepared.phases + result.phases,
+            wall_seconds=prepared.wall_seconds + result.wall_seconds,
+            stats=result.stats,
+        )
+
+    def prepare(
+        self,
+        sources: ParticleSet,
+        targets: np.ndarray | ParticleSet | None = None,
+    ) -> PreparedExtension:
+        """Capture the charge-independent state for repeated evaluation.
+
+        Builds the scheme's trees, runs its traversal, ships the
+        positions, compiles the geometry-only plan skeleton and caches
+        the downward interpolation basis; the setup phase is charged
+        here once.  Each :meth:`PreparedExtension.apply` then costs only
+        the charge upload, the moment kernels (dual-tree), the
+        accumulation launches and the downward pass.
+        """
+        params = self.params
+        backend = get_backend(params.backend)
+        device = make_device(self.machine, async_streams=self.async_streams)
+        phases = PhaseTimes()
+        watch = Stopwatch()
+        with watch:
+            geometry = self._build_geometry_state(
+                sources.positions, target_positions(sources, targets),
+                device, phases, numerics=backend.needs_numerics,
+            )
+        core = SessionCore(
+            kernel=self.kernel,
+            params=params,
+            backend=params.backend,
+            device=device,
+            geometry=geometry,
+            weight_source=self._weight_source(),
+            n_charges=sources.n,
+            # Modified charges (dual-tree) are consumed on-device.
+            moments_download=False,
+            geometry_updater=RebuildGeometryUpdater(self),
+        )
+        return self._session_cls(
+            driver=self,
+            core=core,
+            phases=phases,
+            wall_seconds=watch.elapsed,
         )

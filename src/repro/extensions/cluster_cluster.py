@@ -42,28 +42,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import DEFAULT_PARAMS, TreecodeParams
-from ..core.backends import get_backend
-from ..core.dynamic import GeometryUpdateResult, RebuildGeometryUpdater
 from ..core.mac import mac_geometric
-from ..core.moments import precompute_moments, prepare_moment_grids
+from ..core.moments import prepare_moment_grids
 from ..core.plan import PlanBuilder
-from ..core.session import (
-    DualTreeWeightSource,
-    GeometryState,
-    SessionCore,
-    format_health_stats,
-    format_memory_stats,
-)
-from ..core.treecode import TreecodeResult
-from ..gpu.device import make_device
+from ..core.session import DualTreeWeightSource, GeometryState
+from ..gpu.device import Device
 from ..interpolation.grid import ChebyshevGrid3D
-from ..kernels.base import Kernel
-from ..perf.machine import GPU_TITAN_V, MachineSpec
-from ..perf.timer import PhaseTimes, Stopwatch
+from ..perf.timer import PhaseTimes
 from ..tree.octree import ClusterTree
-from ..workloads import ParticleSet
-from ._downward import downward_basis, downward_pass, target_positions
+from ._downward import (
+    ExtensionTreecode,
+    PreparedExtension,
+    downward_basis,
+    downward_pass,
+)
 
 __all__ = ["DualTreeTreecode", "PreparedDualTree"]
 
@@ -75,11 +67,19 @@ class _DTGeometry:
         "s_tree", "t_tree", "cc_pairs", "pc_pairs", "cp_pairs",
         "direct_pairs", "mac_evals", "t_grids", "grid_groups",
         "node_groups", "group_keys", "group_segs", "grid_slot",
-        "n_targets", "target_pos", "source_pos",
+        "n_targets", "target_pos", "source_pos", "basis",
     )
 
 
-class DualTreeTreecode:
+class PreparedDualTree(PreparedExtension):
+    """A dual-tree session with fixed geometry (see ``prepare``)."""
+
+    @property
+    def moments(self):
+        return self.core.geometry.moments
+
+
+class DualTreeTreecode(ExtensionTreecode):
     """Barycentric cluster-cluster treecode (dual tree traversal).
 
     ``max_leaf_size`` caps the source tree, ``max_batch_size`` the target
@@ -88,22 +88,57 @@ class DualTreeTreecode:
     along the charge-dependence boundary for repeated evaluation.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        params: TreecodeParams = DEFAULT_PARAMS,
-        *,
-        machine: MachineSpec = GPU_TITAN_V,
-        async_streams: bool = True,
-    ) -> None:
-        self.kernel = kernel
-        self.params = params
-        self.machine = machine
-        self.async_streams = bool(async_streams)
+    _weight_source = DualTreeWeightSource
+    _session_cls = PreparedDualTree
 
     # ------------------------------------------------------------------
     # Geometry: trees, dual traversal, receiving-group structure
     # ------------------------------------------------------------------
+    def _build_geometry_state(
+        self,
+        source_pos: np.ndarray,
+        target_pos: np.ndarray,
+        device: Device,
+        phases: PhaseTimes,
+        *,
+        numerics: bool,
+    ) -> GeometryState:
+        """Build the full charge-independent geometry on ``device``.
+
+        The scheme's whole setup pipeline -- both trees, the position
+        upload, the dual traversal, the source clusters' Chebyshev
+        grids (with Lagrange basis), the receiving groups, the
+        geometry-only plan skeleton and the downward basis -- charged
+        to ``phases.setup``.  ``prepare()`` (hence ``compute()``) runs
+        it on a fresh device, the rebuild updater on the session's, so
+        a rebuilt session costs and holds exactly what a cold prepare
+        at the positions does.  Charges travel, and the moment kernels
+        run, per apply.
+        """
+        g = self._build_trees(source_pos, target_pos)
+        device.host_work(
+            source_pos.shape[0] * (g.s_tree.max_level + 1)
+            + target_pos.shape[0] * (g.t_tree.max_level + 1)
+        )
+        phases.setup += device.take_phase()
+
+        device.upload(source_pos.nbytes + target_pos.nbytes)
+        self._traverse(g)
+        device.host_work(g.mac_evals * 4)
+        phases.setup += device.take_phase()
+
+        moments = prepare_moment_grids(g.s_tree, self.params,
+                                       numerics=numerics)
+        self._build_groups(g)
+        plan = self._compile_plan(g, moments, numerics=numerics)
+        g.basis = (
+            downward_basis(g.t_tree, g.t_grids, target_pos)
+            if numerics else {}
+        )
+        return GeometryState(
+            plan=plan, tree=g.s_tree, moments=moments, aux=g
+        )
+
     def _build_trees(self, source_pos, target_pos) -> _DTGeometry:
         params = self.params
         g = _DTGeometry()
@@ -222,23 +257,14 @@ class DualTreeTreecode:
                 ("direct", ("particles", si), g.s_tree.nodes[si].count)
             )
 
-    def _compile_plan(
-        self,
-        g: _DTGeometry,
-        moments,
-        charges: np.ndarray | None,
-        *,
-        numerics: bool,
-        deferred: bool = False,
-    ):
-        """Compile the four pair classes into one execution plan."""
-        params = self.params
-        n_ip = params.n_interpolation_points
+    def _compile_plan(self, g: _DTGeometry, moments, *, numerics: bool):
+        """Compile the four pair classes into one geometry-only plan
+        skeleton (the session's weight refresh fills the weights)."""
+        n_ip = self.params.n_interpolation_points
         builder = PlanBuilder(
             g.n_targets + n_ip * len(g.t_grids),
             numerics=numerics,
-            deferred_weights=deferred and numerics,
-            batched=params.batched,
+            deferred_weights=True,
         )
         g.grid_slot = {}
         next_row = g.n_targets
@@ -271,61 +297,22 @@ class DualTreeTreecode:
                 what, si = skey
                 if what == "moments":
                     pts = moments.grid(si).points
-                    wts = None if deferred else moments.charges(si)
                 else:
-                    s_idx = g.s_tree.node_indices(si)
-                    pts = g.source_pos[s_idx]
-                    wts = None if deferred else charges[s_idx]
-                builder.add_segment(
-                    kind, points=pts, weights=wts, share_key=skey
-                )
+                    pts = g.source_pos[g.s_tree.node_indices(si)]
+                builder.add_segment(kind, points=pts, share_key=skey)
         return builder.build()
 
-    def _downward_basis(self, g: _DTGeometry) -> dict:
-        return downward_basis(g.t_tree, g.t_grids, g.target_pos)
-
-    # -- dynamic-geometry hooks (see repro.core.dynamic) ----------------
+    # -- hooks of the shared driver / the rebuild updater ----------------
     def _session_positions(self, core):
         """(source, target) position arrays of a prepared session."""
         g = core.geometry.aux
         return g.source_pos, g.target_pos
 
-    def _rebuild_geometry_state(self, core, source_pos, target_pos, phases):
-        """Rebuild the full geometry on the session's device.
-
-        Charges the same setup work as :meth:`prepare` (the updater
-        adds the source-position upload) and returns the new state plus
-        the refreshed downward basis for the shell to adopt.
-        """
-        device = core.device
-        numerics = core.geometry.plan.has_numerics
-        g = self._build_trees(source_pos, target_pos)
-        device.host_work(
-            source_pos.shape[0] * (g.s_tree.max_level + 1)
-            + target_pos.shape[0] * (g.t_tree.max_level + 1)
-        )
-        phases.setup += device.take_phase()
-        device.upload(target_pos.nbytes)
-        self._traverse(g)
-        device.host_work(g.mac_evals * 4)
-        phases.setup += device.take_phase()
-        moments = prepare_moment_grids(g.s_tree, self.params,
-                                       numerics=numerics)
-        self._build_groups(g)
-        plan = self._compile_plan(
-            g, moments, None, numerics=numerics, deferred=True
-        )
-        basis = self._downward_basis(g) if numerics else {}
-        state = GeometryState(
-            plan=plan, tree=g.s_tree, moments=moments, aux=g
-        )
-        return state, basis
-
     def _downward_pass(
-        self, g, basis, out_flat, out, device, *, numerics: bool = True
+        self, g, out_flat, out, device, *, numerics: bool = True
     ) -> None:
         downward_pass(
-            self.params, g.t_tree, g.t_grids, g.grid_slot, basis,
+            self.params, g.t_tree, g.t_grids, g.grid_slot, g.basis,
             out_flat, out, device, numerics=numerics,
         )
 
@@ -349,274 +336,3 @@ class DualTreeTreecode:
             "by_kind": {k: tuple(v) for k, v in c.by_kind.items()},
             "busy_by_kind": dict(c.busy_by_kind),
         }
-
-
-    # ------------------------------------------------------------------
-    def compute(
-        self,
-        sources: ParticleSet,
-        targets: np.ndarray | ParticleSet | None = None,
-    ) -> TreecodeResult:
-        """Potential at every target due to all sources."""
-        params = self.params
-        target_pos = target_positions(sources, targets)
-        backend = get_backend(params.backend)
-        device = make_device(self.machine, async_streams=self.async_streams)
-        phases = PhaseTimes()
-        watch = Stopwatch()
-
-        with watch:
-            # -- setup: both trees ---------------------------------------
-            g = self._build_trees(sources.positions, target_pos)
-            device.host_work(
-                sources.n * (g.s_tree.max_level + 1)
-                + target_pos.shape[0] * (g.t_tree.max_level + 1)
-            )
-            phases.setup += device.take_phase()
-
-            # -- precompute: source-side modified charges ----------------
-            device.upload(sources.nbytes() + target_pos.nbytes)
-            moments = precompute_moments(
-                g.s_tree, sources.charges, params, device=device,
-                numerics=backend.needs_numerics,
-            )
-            phases.precompute += device.take_phase()
-
-            # -- setup: dual traversal -> classified pair lists ----------
-            self._traverse(g)
-            device.host_work(g.mac_evals * 4)
-            phases.setup += device.take_phase()
-
-            # -- plan + compute: backend evaluates the plan --------------
-            self._build_groups(g)
-            plan = self._compile_plan(
-                g, moments, sources.charges,
-                numerics=backend.needs_numerics,
-            )
-            out_flat, _ = backend.execute(
-                plan, self.kernel, device, dtype=params.dtype
-            )
-            phases.compute += device.take_phase()
-            out = out_flat[:g.n_targets].copy()
-
-            # -- compute: downward interpolation of grid potentials ------
-            numerics = backend.needs_numerics
-            basis = self._downward_basis(g) if numerics else {}
-            self._downward_pass(
-                g, basis, out_flat, out, device, numerics=numerics
-            )
-            device.download(out.nbytes)
-            phases.compute += device.take_phase()
-
-        return TreecodeResult(
-            potential=out,
-            phases=phases,
-            wall_seconds=watch.elapsed,
-            stats=self._stats(g, sources.n, device),
-        )
-
-    # ------------------------------------------------------------------
-    def prepare(
-        self,
-        sources: ParticleSet,
-        targets: np.ndarray | ParticleSet | None = None,
-    ) -> "PreparedDualTree":
-        """Capture the charge-independent state for repeated evaluation.
-
-        Builds both trees, runs the dual traversal, caches the source
-        clusters' Chebyshev grids (with Lagrange basis), the receiving
-        groups, the geometry-only plan skeleton and the downward
-        interpolation basis; setup is charged here once.  Each
-        :meth:`PreparedDualTree.apply` then charges the charge upload,
-        the moment kernels and the compute phase.
-        """
-        params = self.params
-        backend = get_backend(params.backend)
-        target_pos = target_positions(sources, targets)
-        device = make_device(self.machine, async_streams=self.async_streams)
-        phases = PhaseTimes()
-        watch = Stopwatch()
-
-        with watch:
-            g = self._build_trees(sources.positions, target_pos)
-            device.host_work(
-                sources.n * (g.s_tree.max_level + 1)
-                + target_pos.shape[0] * (g.t_tree.max_level + 1)
-            )
-            phases.setup += device.take_phase()
-
-            # Geometry upload (positions only; charges travel per apply)
-            # + traversal.
-            device.upload(sources.positions.nbytes + target_pos.nbytes)
-            self._traverse(g)
-            device.host_work(g.mac_evals * 4)
-            phases.setup += device.take_phase()
-
-            moments = prepare_moment_grids(
-                g.s_tree, params, numerics=backend.needs_numerics
-            )
-            self._build_groups(g)
-            plan = self._compile_plan(
-                g, moments, None,
-                numerics=backend.needs_numerics, deferred=True,
-            )
-            basis = (
-                self._downward_basis(g) if backend.needs_numerics else {}
-            )
-
-        core = SessionCore(
-            kernel=self.kernel,
-            params=params,
-            backend=params.backend,
-            device=device,
-            geometry=GeometryState(
-                plan=plan, tree=g.s_tree, moments=moments, aux=g
-            ),
-            weight_source=DualTreeWeightSource(),
-            n_charges=sources.n,
-            # The dual-tree scheme consumes modified charges on-device.
-            moments_download=False,
-            geometry_updater=RebuildGeometryUpdater(self),
-        )
-        return PreparedDualTree(
-            driver=self,
-            core=core,
-            basis=basis,
-            phases=phases,
-            wall_seconds=watch.elapsed,
-        )
-
-
-class PreparedDualTree:
-    """A dual-tree session with fixed geometry (see ``prepare``).
-
-    Session state lives in the shared
-    :class:`~repro.core.session.SessionCore` (``.core``); this shell
-    adds the downward interpolation pass after the plan execution.
-    """
-
-    def __init__(
-        self, *, driver, core, basis, phases, wall_seconds,
-    ) -> None:
-        self.driver = driver
-        self.core = core
-        self.basis = basis
-        #: Setup-phase cost charged once at prepare time.
-        self.phases = phases
-        self.wall_seconds = wall_seconds
-
-    # -- session-core delegation ---------------------------------------
-    @property
-    def backend(self):
-        return self.core.backend
-
-    @property
-    def device(self):
-        return self.core.device
-
-    @property
-    def geometry(self):
-        return self.core.geometry.aux
-
-    @property
-    def moments(self):
-        return self.core.geometry.moments
-
-    @property
-    def plan(self):
-        return self.core.geometry.plan
-
-    @property
-    def n_sources(self) -> int:
-        return self.core.n_charges
-
-    @property
-    def n_applies(self) -> int:
-        return self.core.n_applies
-
-    def geometry_key(self) -> str:
-        """Stable content hash of the prepared geometry (cache key)."""
-        return self.core.geometry_key()
-
-    def memory_stats(self) -> dict:
-        """Resident bytes by category (see ``SessionCore.memory_stats``)."""
-        return self.core.memory_stats()
-
-    def health_stats(self) -> dict:
-        """Fault-tolerance counters (see ``SessionCore.health_stats``)."""
-        return self.core.health_stats()
-
-    def update_geometry(
-        self,
-        new_positions: np.ndarray,
-        *,
-        targets: np.ndarray | None = None,
-    ) -> GeometryUpdateResult:
-        """Move the session to new particle positions.
-
-        The dual-tree scheme rebuilds its geometry wholesale (see
-        :class:`~repro.core.dynamic.RebuildGeometryUpdater`) -- same
-        bitwise-parity guarantee as the BLTC's incremental path,
-        without the patching machinery.  The refreshed downward basis
-        replaces ``self.basis``.
-        """
-        result = self.core.update_geometry(new_positions, targets=targets)
-        if result.basis is not None:
-            self.basis = result.basis
-        if result.phases is not None:
-            self.phases += result.phases
-        self.wall_seconds += result.wall_seconds
-        return result
-
-    def __repr__(self) -> str:
-        g = self.geometry
-        return (
-            f"<PreparedDualTree n_sources={self.n_sources} "
-            f"n_targets={g.n_targets} n_applies={self.n_applies} "
-            f"{format_memory_stats(self.memory_stats())} "
-            f"{format_health_stats(self.health_stats())}>"
-        )
-
-    def apply(self, charges: np.ndarray) -> TreecodeResult:
-        """Evaluate the prepared geometry for one or many charge vectors.
-
-        Re-moments the source clusters on the cached grids (the moment
-        kernels are charged per apply, as in the monolithic pipeline),
-        rewrites the plan's weight buffer in place and runs the
-        accumulation + downward interpolation; no setup time is
-        charged.  An ``(N, n_rhs)`` block evaluates every column in one
-        pass and returns an ``(M, n_rhs)`` potential, column ``j``
-        bitwise equal to a solo apply of ``charges[:, j]``.
-        """
-        driver = self.driver
-        core = self.core
-        g = self.geometry
-        charges, multi, n_rhs = core.charge_block(charges)
-        device = core.device
-        numerics = core.plan.has_numerics
-        phases = PhaseTimes()
-        watch = Stopwatch()
-
-        with watch:
-            core.precompute(charges, phases, numerics=numerics, n_rhs=n_rhs)
-            out_flat, _ = core.execute_plan(
-                charges, phases, numerics=numerics,
-                multi=multi, n_rhs=n_rhs, download_potentials=False,
-            )
-            out = out_flat[:g.n_targets].copy()
-
-            driver._downward_pass(
-                g, self.basis, out_flat, out, device, numerics=numerics
-            )
-            device.download(out.nbytes)
-            phases.compute += device.take_phase()
-
-        core.n_applies += 1
-        stats = driver._stats(g, self.n_sources, device)
-        stats["n_applies"] = core.n_applies
-        return TreecodeResult(
-            potential=out,
-            phases=phases,
-            wall_seconds=watch.elapsed,
-            stats=stats,
-        )

@@ -45,28 +45,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import DEFAULT_PARAMS, TreecodeParams
-from ..core.backends import get_backend
-from ..core.dynamic import GeometryUpdateResult, RebuildGeometryUpdater
 from ..core.interaction_lists import LocalTreeAdapter, traverse_batch
-from ..core.treecode import TreecodeResult
 from ..core.plan import PlanBuilder
-from ..core.session import (
-    BatchChargeWeightSource,
-    GeometryState,
-    SessionCore,
-    format_health_stats,
-    format_memory_stats,
-)
-from ..gpu.device import make_device
+from ..core.session import BatchChargeWeightSource, GeometryState
+from ..gpu.device import Device
 from ..interpolation.grid import ChebyshevGrid3D
-from ..kernels.base import Kernel
-from ..perf.machine import GPU_TITAN_V, MachineSpec
-from ..perf.timer import PhaseTimes, Stopwatch
+from ..perf.timer import PhaseTimes
 from ..tree.batches import TargetBatches
 from ..tree.octree import ClusterTree
-from ..workloads import ParticleSet
-from ._downward import downward_basis, downward_pass, target_positions
+from ._downward import (
+    ExtensionTreecode,
+    PreparedExtension,
+    downward_basis,
+    downward_pass,
+)
 
 __all__ = ["ClusterParticleTreecode", "PreparedClusterParticle"]
 
@@ -77,36 +69,70 @@ class _CPGeometry:
     __slots__ = (
         "tree", "batches", "lists", "mac_evals", "grids",
         "group_keys", "group_batches", "grid_groups", "direct_groups",
-        "grid_slot", "n_targets", "target_pos",
+        "grid_slot", "n_targets", "target_pos", "basis",
     )
 
 
-class ClusterParticleTreecode:
+class PreparedClusterParticle(PreparedExtension):
+    """A cluster-particle session with fixed geometry (see ``prepare``)."""
+
+
+class ClusterParticleTreecode(ExtensionTreecode):
     """Kernel-independent barycentric cluster-particle treecode.
 
     API mirrors :class:`~repro.core.treecode.BarycentricTreecode`:
-    ``compute(sources, targets)`` returns a :class:`TreecodeResult`, and
+    ``compute(sources, targets)`` returns a
+    :class:`~repro.core.treecode.TreecodeResult`, and
     ``prepare(sources, targets)`` opens a charge-refreshable session.
     ``max_leaf_size`` caps *target* clusters; ``max_batch_size`` caps
     *source* batches.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        params: TreecodeParams = DEFAULT_PARAMS,
-        *,
-        machine: MachineSpec = GPU_TITAN_V,
-        async_streams: bool = True,
-    ) -> None:
-        self.kernel = kernel
-        self.params = params
-        self.machine = machine
-        self.async_streams = bool(async_streams)
+    _weight_source = BatchChargeWeightSource
+    _session_cls = PreparedClusterParticle
 
     # ------------------------------------------------------------------
     # Geometry: traversal + receiving-group structure (charge-free)
     # ------------------------------------------------------------------
+    def _build_geometry_state(
+        self,
+        source_pos: np.ndarray,
+        target_pos: np.ndarray,
+        device: Device,
+        phases: PhaseTimes,
+        *,
+        numerics: bool,
+    ) -> GeometryState:
+        """Build the full charge-independent geometry on ``device``.
+
+        The scheme's whole setup pipeline -- TARGET cluster tree +
+        SOURCE batches, the traversal of every source batch against the
+        target tree, the position upload, the geometry-only plan
+        skeleton and the downward basis -- charged to ``phases.setup``.
+        ``prepare()`` (hence ``compute()``) runs it on a fresh device,
+        the rebuild updater on the session's, so a rebuilt session
+        costs and holds exactly what a cold prepare at the positions
+        does.  Charges travel per apply.
+        """
+        g = self._build_geometry(source_pos, target_pos)
+        device.host_work(
+            g.n_targets * (g.tree.max_level + 1)
+            + source_pos.shape[0] * (g.batches.max_level + 1)
+        )
+        phases.setup += device.take_phase()
+
+        device.upload(source_pos.nbytes + target_pos.nbytes)
+        device.host_work(g.mac_evals * 4)
+        phases.setup += device.take_phase()
+
+        plan = self._compile_plan(g, numerics=numerics)
+        g.basis = (
+            downward_basis(g.tree, g.grids, target_pos) if numerics else {}
+        )
+        return GeometryState(
+            plan=plan, tree=g.tree, batches=g.batches, lists=g.lists, aux=g
+        )
+
     def _build_geometry(
         self, source_pos: np.ndarray, target_pos: np.ndarray
     ) -> _CPGeometry:
@@ -170,31 +196,19 @@ class ClusterParticleTreecode:
                 g.group_batches[grp].append(b)
         return g
 
-    def _compile_plan(
-        self,
-        g: _CPGeometry,
-        charges: np.ndarray | None,
-        *,
-        numerics: bool,
-        deferred: bool = False,
-    ):
-        """Compile the accumulation plan over the receiving groups.
+    def _compile_plan(self, g: _CPGeometry, *, numerics: bool):
+        """Compile the geometry-only accumulation plan skeleton.
 
         The share key of every segment is its source-batch index (the
         same rows serve approx and direct receivers), which doubles as
-        the weight-refresh key of a prepared session; ``deferred``
-        compiles the geometry-only skeleton.
+        the weight-refresh key of the session.
         """
-        params = self.params
-        n_ip = params.n_interpolation_points
-        grid_rows = n_ip * len(g.grids)
+        n_ip = self.params.n_interpolation_points
         builder = PlanBuilder(
-            g.n_targets + grid_rows,
+            g.n_targets + n_ip * len(g.grids),
             numerics=numerics,
-            deferred_weights=deferred and numerics,
-            batched=params.batched,
+            deferred_weights=True,
         )
-        src_points_cache: dict[int, np.ndarray] = {}
         g.grid_slot = {}
         next_row = g.n_targets
         for grp, (kind, c) in enumerate(g.group_keys):
@@ -222,59 +236,22 @@ class ClusterParticleTreecode:
                 elif builder.has_shared(b):
                     builder.add_segment(kind, share_key=b)
                 else:
-                    pts = src_points_cache.get(b)
-                    if pts is None:
-                        pts = g.batches.batch_points(b)
-                        src_points_cache[b] = pts
-                    wts = (
-                        None
-                        if deferred
-                        else charges[g.batches.batch_indices(b)]
-                    )
                     builder.add_segment(
-                        kind, points=pts, weights=wts, share_key=b
+                        kind, points=g.batches.batch_points(b), share_key=b
                     )
         return builder.build()
 
-    def _downward_basis(self, g: _CPGeometry) -> dict:
-        return downward_basis(g.tree, g.grids, g.target_pos)
-
-    # -- dynamic-geometry hooks (see repro.core.dynamic) ----------------
+    # -- hooks of the shared driver / the rebuild updater ----------------
     def _session_positions(self, core):
         """(source, target) position arrays of a prepared session."""
         g = core.geometry.aux
         return g.batches.positions, g.target_pos
 
-    def _rebuild_geometry_state(self, core, source_pos, target_pos, phases):
-        """Rebuild the full geometry on the session's device.
-
-        Charges the same setup work as :meth:`prepare` (the updater
-        adds the source-position upload) and returns the new state plus
-        the refreshed downward basis for the shell to adopt.
-        """
-        device = core.device
-        numerics = core.geometry.plan.has_numerics
-        g = self._build_geometry(source_pos, target_pos)
-        device.host_work(
-            g.n_targets * (g.tree.max_level + 1)
-            + source_pos.shape[0] * (g.batches.max_level + 1)
-        )
-        phases.setup += device.take_phase()
-        device.upload(target_pos.nbytes)
-        device.host_work(g.mac_evals * 4)
-        phases.setup += device.take_phase()
-        plan = self._compile_plan(g, None, numerics=numerics, deferred=True)
-        basis = self._downward_basis(g) if numerics else {}
-        state = GeometryState(
-            plan=plan, tree=g.tree, batches=g.batches, lists=g.lists, aux=g
-        )
-        return state, basis
-
     def _downward_pass(
-        self, g, basis, out_flat, out, device, *, numerics: bool = True
+        self, g, out_flat, out, device, *, numerics: bool = True
     ) -> None:
         downward_pass(
-            self.params, g.tree, g.grids, g.grid_slot, basis,
+            self.params, g.tree, g.grids, g.grid_slot, g.basis,
             out_flat, out, device, numerics=numerics,
         )
 
@@ -303,251 +280,3 @@ class ClusterParticleTreecode:
             "by_kind": {k: tuple(v) for k, v in c.by_kind.items()},
             "busy_by_kind": dict(c.busy_by_kind),
         }
-
-
-    # ------------------------------------------------------------------
-    def compute(
-        self,
-        sources: ParticleSet,
-        targets: np.ndarray | ParticleSet | None = None,
-    ) -> TreecodeResult:
-        """Potential at every target due to all sources."""
-        params = self.params
-        backend = get_backend(params.backend)
-        target_pos = target_positions(sources, targets)
-        device = make_device(self.machine, async_streams=self.async_streams)
-        phases = PhaseTimes()
-        watch = Stopwatch()
-
-        with watch:
-            # -- setup: TARGET cluster tree + SOURCE batches -------------
-            g = self._build_geometry(sources.positions, target_pos)
-            device.host_work(
-                g.n_targets * (g.tree.max_level + 1)
-                + sources.n * (g.batches.max_level + 1)
-            )
-            phases.setup += device.take_phase()
-
-            # -- setup: traversal (source batch vs target tree) ---------
-            device.upload(sources.nbytes() + target_pos.nbytes)
-            device.host_work(g.mac_evals * 4)
-            phases.setup += device.take_phase()
-
-            # -- plan + compute: backend runs the accumulation plan ------
-            plan = self._compile_plan(
-                g, sources.charges, numerics=backend.needs_numerics
-            )
-            out_flat, _ = backend.execute(
-                plan, self.kernel, device, dtype=params.dtype
-            )
-            phases.compute += device.take_phase()
-            out = out_flat[:g.n_targets].copy()
-
-            # -- compute: downward barycentric interpolation -------------
-            numerics = backend.needs_numerics
-            basis = self._downward_basis(g) if numerics else {}
-            self._downward_pass(
-                g, basis, out_flat, out, device, numerics=numerics
-            )
-            device.download(out.nbytes)
-            phases.compute += device.take_phase()
-
-        return TreecodeResult(
-            potential=out,
-            phases=phases,
-            wall_seconds=watch.elapsed,
-            stats=self._stats(g, sources.n, device),
-        )
-
-    # ------------------------------------------------------------------
-    def prepare(
-        self,
-        sources: ParticleSet,
-        targets: np.ndarray | ParticleSet | None = None,
-    ) -> "PreparedClusterParticle":
-        """Capture the charge-independent state for repeated evaluation.
-
-        Ships the positions, runs the traversal, compiles the
-        geometry-only plan skeleton and caches the downward
-        interpolation basis; the setup phase is charged here once.
-        Each :meth:`PreparedClusterParticle.apply` then costs only the
-        charge upload, the accumulation launches and the downward pass.
-        """
-        params = self.params
-        backend = get_backend(params.backend)
-        device = make_device(self.machine, async_streams=self.async_streams)
-        target_pos = target_positions(sources, targets)
-        phases = PhaseTimes()
-        watch = Stopwatch()
-
-        with watch:
-            g = self._build_geometry(sources.positions, target_pos)
-            device.host_work(
-                g.n_targets * (g.tree.max_level + 1)
-                + sources.n * (g.batches.max_level + 1)
-            )
-            phases.setup += device.take_phase()
-
-            # Geometry upload: source/target positions only; charges
-            # travel per apply.
-            device.upload(sources.positions.nbytes + target_pos.nbytes)
-            device.host_work(g.mac_evals * 4)
-            phases.setup += device.take_phase()
-
-            plan = self._compile_plan(
-                g, None, numerics=backend.needs_numerics, deferred=True
-            )
-            basis = (
-                self._downward_basis(g) if backend.needs_numerics else {}
-            )
-
-        core = SessionCore(
-            kernel=self.kernel,
-            params=params,
-            backend=params.backend,
-            device=device,
-            geometry=GeometryState(
-                plan=plan, tree=g.tree, batches=g.batches,
-                lists=g.lists, aux=g,
-            ),
-            weight_source=BatchChargeWeightSource(),
-            n_charges=sources.n,
-            geometry_updater=RebuildGeometryUpdater(self),
-        )
-        return PreparedClusterParticle(
-            driver=self,
-            core=core,
-            basis=basis,
-            phases=phases,
-            wall_seconds=watch.elapsed,
-        )
-
-
-class PreparedClusterParticle:
-    """A cluster-particle session with fixed geometry (see ``prepare``).
-
-    Session state lives in the shared
-    :class:`~repro.core.session.SessionCore` (``.core``); this shell
-    adds the downward interpolation pass after the plan execution.
-    """
-
-    def __init__(
-        self, *, driver, core, basis, phases, wall_seconds,
-    ) -> None:
-        self.driver = driver
-        self.core = core
-        self.basis = basis
-        #: Setup-phase cost charged once at prepare time.
-        self.phases = phases
-        self.wall_seconds = wall_seconds
-
-    # -- session-core delegation ---------------------------------------
-    @property
-    def backend(self):
-        return self.core.backend
-
-    @property
-    def device(self):
-        return self.core.device
-
-    @property
-    def geometry(self):
-        return self.core.geometry.aux
-
-    @property
-    def plan(self):
-        return self.core.geometry.plan
-
-    @property
-    def n_sources(self) -> int:
-        return self.core.n_charges
-
-    @property
-    def n_applies(self) -> int:
-        return self.core.n_applies
-
-    def geometry_key(self) -> str:
-        """Stable content hash of the prepared geometry (cache key)."""
-        return self.core.geometry_key()
-
-    def memory_stats(self) -> dict:
-        """Resident bytes by category (see ``SessionCore.memory_stats``)."""
-        return self.core.memory_stats()
-
-    def health_stats(self) -> dict:
-        """Fault-tolerance counters (see ``SessionCore.health_stats``)."""
-        return self.core.health_stats()
-
-    def update_geometry(
-        self,
-        new_positions: np.ndarray,
-        *,
-        targets: np.ndarray | None = None,
-    ) -> GeometryUpdateResult:
-        """Move the session to new particle positions.
-
-        The cluster-particle scheme rebuilds its geometry wholesale
-        (see :class:`~repro.core.dynamic.RebuildGeometryUpdater`) --
-        same bitwise-parity guarantee as the BLTC's incremental path,
-        without the patching machinery.  The refreshed downward basis
-        replaces ``self.basis``.
-        """
-        result = self.core.update_geometry(new_positions, targets=targets)
-        if result.basis is not None:
-            self.basis = result.basis
-        if result.phases is not None:
-            self.phases += result.phases
-        self.wall_seconds += result.wall_seconds
-        return result
-
-    def __repr__(self) -> str:
-        g = self.geometry
-        return (
-            f"<PreparedClusterParticle n_sources={self.n_sources} "
-            f"n_targets={g.n_targets} n_applies={self.n_applies} "
-            f"{format_memory_stats(self.memory_stats())} "
-            f"{format_health_stats(self.health_stats())}>"
-        )
-
-    def apply(self, charges: np.ndarray) -> TreecodeResult:
-        """Evaluate the prepared geometry for one or many charge vectors.
-
-        Uploads the charges, rewrites the plan's weight buffer in place
-        (a segment's weights are its source batch's charges) and runs
-        the accumulation + downward interpolation; no setup time is
-        charged.  An ``(N, n_rhs)`` block evaluates every column in one
-        pass and returns an ``(M, n_rhs)`` potential, column ``j``
-        bitwise equal to a solo apply of ``charges[:, j]``.
-        """
-        driver = self.driver
-        core = self.core
-        g = self.geometry
-        charges, multi, n_rhs = core.charge_block(charges)
-        device = core.device
-        phases = PhaseTimes()
-        watch = Stopwatch()
-        numerics = core.plan.has_numerics
-
-        with watch:
-            core.precompute(charges, phases, numerics=numerics, n_rhs=n_rhs)
-            out_flat, _ = core.execute_plan(
-                charges, phases, numerics=numerics,
-                multi=multi, n_rhs=n_rhs, download_potentials=False,
-            )
-            out = out_flat[:g.n_targets].copy()
-
-            driver._downward_pass(
-                g, self.basis, out_flat, out, device, numerics=numerics
-            )
-            device.download(out.nbytes)
-            phases.compute += device.take_phase()
-
-        core.n_applies += 1
-        stats = driver._stats(g, self.n_sources, device)
-        stats["n_applies"] = core.n_applies
-        return TreecodeResult(
-            potential=out,
-            phases=phases,
-            wall_seconds=watch.elapsed,
-            stats=stats,
-        )

@@ -1,10 +1,11 @@
 """Discrete cost simulation of CPU and GPU execution devices.
 
-The executor (:mod:`repro.core.executor`) drives a :class:`Device` through
-the same sequence of operations the paper's OpenACC code performs: HtD
-copies, kernel launches on asynchronous streams, DtH copies, and
-synchronization points.  The device converts these events into simulated
-seconds via its :class:`~repro.perf.machine.MachineSpec`.
+The drivers and the plan backends (:mod:`repro.core.backends`) drive a
+:class:`Device` through the same sequence of operations the paper's
+OpenACC code performs: HtD copies, kernel launches on asynchronous
+streams, DtH copies, and synchronization points.  The device converts
+these events into simulated seconds via its
+:class:`~repro.perf.machine.MachineSpec`.
 
 Stream model
 ------------

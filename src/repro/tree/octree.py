@@ -136,7 +136,7 @@ class ClusterTree:
         n = self.positions.shape[0]
         # Breadth-first work queue of (start, end, parent, level,
         # inherited_box).  BFS assigns node indices in level order, which
-        # guarantees the children of any node occupy *consecutive*
+        # guarantees the children of any node receive *consecutive*
         # indices: they are appended to the queue together and nothing is
         # ever inserted between them.  The packed tree array exploits this
         # by storing only (first_child, n_children).

@@ -45,8 +45,8 @@ from repro.core.backends.numba_backend import (
 from repro.core.interaction_lists import build_interaction_lists
 from repro.core.moments import precompute_moments
 from repro.core.plan import PlanBuilder, build_batched_layout
-from repro.gpu.device import GpuDevice
-from repro.perf.machine import GPU_TITAN_V
+from repro.gpu.device import CpuDevice, GpuDevice
+from repro.perf.machine import CPU_XEON_X5650, GPU_TITAN_V
 from repro.tree.batches import TargetBatches
 from repro.tree.octree import ClusterTree
 
@@ -243,11 +243,94 @@ class TestPlanLevelEquivalence:
         assert busy32 == pytest.approx(0.5 * busy64)
 
 
+def _hand_plan(tgt, approx_pairs, direct_pairs):
+    """One group of ``tgt`` rows; one segment per (points, weights) pair."""
+    b = PlanBuilder(tgt.shape[0], numerics=True)
+    b.add_group(targets=tgt, out_index=np.arange(tgt.shape[0]))
+    for kind, pairs in (("approx", approx_pairs), ("direct", direct_pairs)):
+        for pts, wts in pairs:
+            b.add_segment(kind, points=pts, weights=wts)
+    return b.build()
+
+
+class TestNumpyBackendHandBuiltPlan:
+    """The reference backend on hand-built one-group plans (ported from
+    the retired per-batch executor's tests).  Its "model charging ==
+    real execution" case is ``TestPlanLevelEquivalence.
+    test_identical_counters``."""
+
+    def test_launch_accounting(self):
+        # One launch per (batch, cluster) pair; potentials == manual sum.
+        rng = np.random.default_rng(0)
+        tgt = rng.uniform(-1, 1, (8, 3))
+        pairs_a = [(rng.uniform(2, 3, (5, 3)), rng.normal(size=5))
+                   for _ in range(3)]
+        pairs_d = [(rng.uniform(-3, -2, (7, 3)), rng.normal(size=7))
+                   for _ in range(2)]
+        kernel = CoulombKernel()
+        dev = GpuDevice(GPU_TITAN_V)
+        phi, _ = NumpyBackend().execute(
+            _hand_plan(tgt, pairs_a, pairs_d), kernel, dev
+        )
+        assert dev.counters.by_kind["approx"][0] == 3
+        assert dev.counters.by_kind["direct"][0] == 2
+        assert dev.counters.by_kind["approx"][1] == 8 * 5 * 3
+        assert dev.counters.by_kind["direct"][1] == 8 * 7 * 2
+        manual = sum(
+            kernel.potential(tgt, pts, q) for pts, q in pairs_a + pairs_d
+        )
+        assert np.allclose(phi, manual)
+
+    def test_empty_batch(self):
+        # Zero targets, or targets with empty lists: no launch, zeros.
+        src = (np.ones((5, 3)), np.ones(5))
+        dev = GpuDevice(GPU_TITAN_V)
+        phi, _ = NumpyBackend().execute(
+            _hand_plan(np.zeros((0, 3)), [src], [src]), CoulombKernel(), dev
+        )
+        assert phi.shape == (0,)
+        assert dev.counters.launches == 0
+        tgt = np.random.default_rng(0).uniform(size=(4, 3))
+        phi, _ = NumpyBackend().execute(
+            _hand_plan(tgt, [], []), CoulombKernel(), dev
+        )
+        assert np.array_equal(phi, np.zeros(4))
+        assert dev.counters.launches == 0
+
+    def test_float32_mode_close_to_float64(self):
+        rng = np.random.default_rng(0)
+        plan = _hand_plan(
+            rng.uniform(-1, 1, (30, 3)), [],
+            [(rng.uniform(2, 4, (40, 3)), rng.normal(size=40))],
+        )
+        dev = CpuDevice(CPU_XEON_X5650)
+        full, _ = NumpyBackend().execute(
+            plan, CoulombKernel(), dev, dtype=np.float64
+        )
+        single, _ = NumpyBackend().execute(
+            plan, CoulombKernel(), dev, dtype=np.float32
+        )
+        assert np.allclose(full, single, rtol=1e-4)
+        assert not np.array_equal(full, single)
+        assert single.dtype == np.float64  # accumulator stays double
+
+    def test_yukawa_cost_multiplier_charged(self):
+        rng = np.random.default_rng(0)
+        plan = _hand_plan(
+            rng.uniform(-1, 1, (10, 3)), [],
+            [(rng.uniform(2, 3, (10, 3)), rng.normal(size=10))],
+        )
+        dev_c = CpuDevice(CPU_XEON_X5650)
+        dev_y = CpuDevice(CPU_XEON_X5650)
+        NumpyBackend().execute(plan, CoulombKernel(), dev_c)
+        NumpyBackend().execute(plan, YukawaKernel(), dev_y)
+        assert dev_y.elapsed() > dev_c.elapsed()
+
+
 class TestSharedSourceGather:
     """The single plan layout: de-duplicated source buffers."""
 
     def test_buffers_deduplicated_on_shared_workload(self, shared_plan):
-        assert shared_plan.shared_sources
         # Clusters referenced by many batches are stored once: strictly
         # fewer physical rows than logical (aliased) rows.
         assert shared_plan.source_buffer_rows < shared_plan.n_source_rows
@@ -277,12 +360,6 @@ class TestSharedSourceGather:
             assert np.array_equal(pts, np.concatenate(parts_p))
             assert np.array_equal(wts, np.concatenate(parts_w))
 
-    def test_params_shared_sources_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="shared_sources"):
-            _params(shared_sources=True)
-        with pytest.warns(DeprecationWarning, match="shared_sources"):
-            _params(shared_sources=False)
-
     def test_builder_reuse_skips_regather(self):
         b = PlanBuilder(4, numerics=True)
         pts = np.arange(6.0).reshape(2, 3)
@@ -294,7 +371,6 @@ class TestSharedSourceGather:
         assert b.has_shared(("direct", 7))
         b.add_segment("direct", share_key=("direct", 7))
         plan = b.build()
-        assert plan.shared_sources
         assert plan.n_segments == 2
         assert plan.n_source_rows == 4          # logical: 2 rows x 2 aliases
         assert plan.source_buffer_rows == 2     # physical: stored once
@@ -481,20 +557,13 @@ class TestBatchedLayout:
     """The shape-bucketed layout: partition, padding rule, fallbacks."""
 
     def test_compile_time_layout_and_lazy_build(self, cube):
-        eager = _compile(cube)
-        assert eager.batched_layout is None
-        lazy = eager.ensure_batched_layout()
-        assert eager.batched_layout is lazy
-        assert eager.ensure_batched_layout() is lazy  # cached
-        params = _params()
-        tree = ClusterTree(cube.positions, params.max_leaf_size)
-        batches = TargetBatches(cube.positions, params.max_batch_size)
-        moments = precompute_moments(tree, cube.charges, params)
-        lists = build_interaction_lists(batches, tree, params)
-        compiled = compile_plan(
-            tree, batches, moments, lists, cube.charges, params, batched=True
-        )
-        assert compiled.batched_layout is not None
+        # Compiling attaches no layout; ensure_batched_layout() is the
+        # one way to get one (built on demand, then cached).
+        plan = _compile(cube)
+        assert plan.batched_layout is None
+        layout = plan.ensure_batched_layout()
+        assert plan.batched_layout is layout
+        assert plan.ensure_batched_layout() is layout  # cached
 
     def test_layout_partitions_all_interactions(self, shared_plan):
         # Buckets + ragged runs must cover every (group, segment) pair
@@ -777,7 +846,7 @@ class TestBatchedBackend:
         assert np.allclose(f_f, f_b, rtol=1e-8, atol=1e-11)
 
     def test_pipeline_compute(self, cube):
-        params = _params(backend="batched", batched=True)
+        params = _params(backend="batched")
         res = BarycentricTreecode(YukawaKernel(0.5), params).compute(
             cube, compute_forces=True
         )
@@ -867,9 +936,9 @@ class TestPaddedBucketNaNSafety:
         )
         prep = BarycentricTreecode(
             CoulombKernel(),
-            TreecodeParams(backend="batched", batched=True, **kw),
+            TreecodeParams(backend="batched", **kw),
         ).prepare(ps)
-        layout = prep.plan.batched_layout
+        layout = prep.plan.ensure_batched_layout()
         assert any(
             b.kind == "direct" and b.is_padded for b in layout.buckets
         )
@@ -1034,22 +1103,6 @@ class TestPipelineEquivalence:
             CoulombKernel(), _params(backend="fused")
         ).compute(cube, dry_run=True)
         assert np.all(res.potential == 0.0)
-
-    def test_shared_sources_flag_deprecated_noop(self, cube):
-        # The retired flag still round-trips through with_() (warning
-        # included) and changes nothing about the results.
-        params = _params(degree=5)
-        ref = BarycentricTreecode(YukawaKernel(0.5), params).compute(
-            cube, compute_forces=True
-        )
-        with pytest.warns(DeprecationWarning, match="shared_sources"):
-            dep_params = params.with_(shared_sources=True)
-        shared = BarycentricTreecode(
-            YukawaKernel(0.5), dep_params
-        ).compute(cube, compute_forces=True)
-        assert np.array_equal(ref.potential, shared.potential)
-        assert np.array_equal(ref.forces, shared.forces)
-        assert shared.phases.compute == pytest.approx(ref.phases.compute)
 
     def test_distributed_backend_param(self, cube):
         params = _params()

@@ -217,10 +217,10 @@ class TestWeightStateTransitions:
         # re-allocation.
         params = _params(
             theta=0.6, max_leaf_size=60, max_batch_size=60,
-            backend="batched", batched=True,
+            backend="batched",
         )
         prep = BarycentricTreecode(CoulombKernel(), params).prepare(cube)
-        layout = prep.plan.batched_layout
+        layout = prep.plan.ensure_batched_layout()
         padded = [b for b in layout.buckets if b.src_valid is not None]
         assert padded, "regime must produce padded near-field buckets"
         rng = np.random.default_rng(77)

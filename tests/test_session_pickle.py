@@ -123,7 +123,7 @@ class TestDroppedState:
         assert restored.plan._cast_cache  # repopulated by the apply
 
     def test_batched_bucket_stacks_dropped(self, cube, new_charges):
-        live = _prepare("treecode", "batched", cube, batched=True)
+        live = _prepare("treecode", "batched", cube)
         live.apply(cube.charges)
         restored = pickle.loads(pickle.dumps(live))
         layout = restored.plan.batched_layout
