@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...util import chunk_ranges
-from .groupeval import run_source_slices
+from .groupeval import RunOperands
 
 __all__ = ["BUCKET_BLOCK_ELEMENTS", "eval_bucket", "eval_ragged_runs"]
 
@@ -71,6 +71,10 @@ def eval_bucket(
     column copy.  Chunk boundaries never depend on ``n_rhs`` (the
     coincidence noise floor derives from the chunk), so column ``j``
     is bitwise the single-vector result on weight column ``j``.
+
+    Each chunk's coincident pairs are geometry too: the bucket keeps
+    them beside its stacks, so only the first execution on a geometry
+    scans for them.
     """
     tgt, src = bucket.stacks(targets, src_points, dtype)
     w = bucket.weights
@@ -91,7 +95,8 @@ def eval_bucket(
     per_entry = m_max * max(k, 1) * (2 if compute_forces else 1)
     chunk = max(1, block_elements // per_entry)
     for lo, hi in chunk_ranges(n, chunk):
-        mat = kernel.pairwise_batched(tgt[lo:hi], src[lo:hi])
+        coincident = bucket.coincident_slot(dtype, lo, hi)
+        mat = kernel.pairwise_batched(tgt[lo:hi], src[lo:hi], coincident)
         if multi:
             for r in range(n_rhs):
                 w_col = np.ascontiguousarray(w[lo:hi, :, r])
@@ -100,7 +105,7 @@ def eval_bucket(
             phi[lo:hi] = np.matmul(mat, w[lo:hi, :, None])[..., 0]
         if f_stack is not None:
             f_stack[lo:hi] = kernel.force_batched(
-                tgt[lo:hi], src[lo:hi], w[lo:hi]
+                tgt[lo:hi], src[lo:hi], w[lo:hi], coincident
             )
     vals = phi.reshape((-1, n_rhs) if multi else -1)
     if bucket.scatter_pos is not None:
@@ -133,37 +138,20 @@ def eval_ragged_runs(
     """
     if runs.size == 0:
         return
-    fused = np.dtype(dtype) == np.float64
     group_ptr = arrays["group_ptr"]
     out_index = arrays["out_index"]
-    targets = arrays["targets"]
-    src_all = np.ascontiguousarray(arrays["src_points"], dtype=dtype)
-    q_all = np.ascontiguousarray(arrays["src_weights"], dtype=dtype)
-    for g, s_lo, s_hi in runs:
-        t_lo, t_hi = int(group_ptr[g]), int(group_ptr[g + 1])
-        m = t_hi - t_lo
-        if m == 0:
+    operands = RunOperands(arrays, dtype)
+    fused = operands.fused
+    for g, s_lo, s_hi in runs.tolist():
+        ops = operands(g, s_lo, s_hi)
+        if ops is None:
             continue
-        slices = [
-            (lo, hi)
-            for lo, hi in run_source_slices(arrays, int(s_lo), int(s_hi))
-            if hi > lo
-        ]
-        contiguous = len(slices) == 1 or all(
-            slices[i][1] == slices[i + 1][0] for i in range(len(slices) - 1)
+        tgt, src, q, coincident = ops
+        idx = out_index[int(group_ptr[g]):int(group_ptr[g + 1])]
+        out[idx] += kernel.potential(
+            tgt, src, q, fused=fused, coincident=coincident
         )
-        if not slices:
-            continue
-        if contiguous:
-            lo, hi = slices[0][0], slices[-1][1]
-            src, q = src_all[lo:hi], q_all[lo:hi]
-        else:
-            src = np.concatenate([src_all[lo:hi] for lo, hi in slices], axis=0)
-            q = np.concatenate([q_all[lo:hi] for lo, hi in slices])
-        if src.shape[0] == 0:
-            continue
-        tgt = np.ascontiguousarray(targets[t_lo:t_hi], dtype=dtype)
-        idx = out_index[t_lo:t_hi]
-        out[idx] += kernel.potential(tgt, src, q, fused=fused)
         if forces is not None:
-            forces[idx] += kernel.force(tgt, src, q, fused=fused)
+            forces[idx] += kernel.force(
+                tgt, src, q, fused=fused, coincident=coincident
+            )

@@ -16,7 +16,7 @@ import numpy as np
 __all__ = [
     "PLAN_ARRAY_FIELDS",
     "plan_arrays",
-    "run_source_slices",
+    "RunOperands",
     "eval_group_range",
 ]
 
@@ -36,13 +36,15 @@ PLAN_ARRAY_FIELDS = (
 def plan_arrays(plan, *, cast_geometry=None) -> dict:
     """The plan's non-None flat arrays keyed by field name.
 
-    ``cast_geometry`` swaps in the plan's dtype-keyed cast caches for
-    the geometry-constant buffers (targets / source points), so
-    mixed-precision executions cast once per plan instead of per call;
-    the in-process backends pass their evaluation dtype here.  Leave it
-    None when shipping buffers elsewhere (the multiprocessing
-    shipment): workers cast their own shard slices, which is
-    elementwise-identical.
+    ``cast_geometry`` is the evaluation dtype of an in-process
+    execution: it swaps in the plan's dtype-keyed cast caches for the
+    geometry-constant buffers (targets / source points), so
+    mixed-precision executions cast once per plan instead of per call,
+    and adds the plan's coincident-pair cache under ``"coincident"``,
+    so each block's noise-floor scan runs once per geometry instead of
+    once per apply.  Leave it None when shipping buffers elsewhere (the
+    multiprocessing shipment): workers cast their own shard slices and
+    scan every block, which is elementwise-identical.
     """
     arrays = {
         f: getattr(plan, f)
@@ -52,6 +54,7 @@ def plan_arrays(plan, *, cast_geometry=None) -> dict:
     if cast_geometry is not None:
         arrays["targets"] = plan.targets_as(cast_geometry)
         arrays["src_points"] = plan.src_points_as(cast_geometry)
+        arrays["coincident"] = plan.coincident_cache
     return arrays
 
 
@@ -59,9 +62,7 @@ def run_source_slices(arrays, s_lo: int, s_hi: int):
     """Physical (lo, hi) source row ranges of segments ``[s_lo, s_hi)``.
 
     One range per segment, resolved through the per-segment
-    ``seg_src_lo`` offsets (aliases may scatter).  Shared by the
-    per-group evaluation here and the batched backend's ragged
-    fallback.
+    ``seg_src_lo`` offsets (aliases may scatter).
     """
     seg_ptr = arrays["seg_ptr"]
     seg_src_lo = arrays["seg_src_lo"]
@@ -72,12 +73,70 @@ def run_source_slices(arrays, s_lo: int, s_hi: int):
     return out
 
 
-def _group_source_slices(arrays, g):
-    """Physical (lo, hi) source row ranges of group ``g``, in order."""
-    seg_group_ptr = arrays["seg_group_ptr"]
-    return run_source_slices(
-        arrays, int(seg_group_ptr[g]), int(seg_group_ptr[g + 1])
-    )
+class RunOperands:
+    """Kernel operands of the fused per-group arithmetic.
+
+    What :func:`eval_group_range` (whole groups) and the batched
+    backend's ragged remainder (explicit segment runs) share: which r^2
+    arithmetic the dtype gets, the once-per-execution cast of the source
+    buffers, and per (group, segment run) the gathered rows plus the
+    slot the kernel keeps that block's coincident pairs in.
+    """
+
+    def __init__(self, arrays, dtype):
+        self.arrays = arrays
+        self.dtype = np.dtype(dtype)
+        # The temporary-free r^2 primitive reorders the three-term sum;
+        # at double precision the difference sits at the coincidence
+        # noise floor, but at single precision that cancellation
+        # dominates the mixed-precision error budget -- so float32 keeps
+        # the reference operation order and only the float64 path opts
+        # in (on kernels that provide the primitive; the reference numpy
+        # backend never asks, keeping the byte-stable path untouched).
+        self.fused = self.dtype == np.float64
+        # Cast once; float64 passes through as views.  The shared
+        # layout's physical rows are scattered through ``seg_src_lo``
+        # aliases (and already de-duplicated), so the cast covers the
+        # full -- compact -- buffers.
+        self.src_all = np.ascontiguousarray(arrays["src_points"], dtype=dtype)
+        self.q_all = np.ascontiguousarray(arrays["src_weights"], dtype=dtype)
+
+    def __call__(self, g: int, s_lo: int, s_hi: int):
+        """``(targets, sources, weights, coincident)`` of group ``g``
+        against its segments ``[s_lo, s_hi)``; None when either side is
+        empty.  ``coincident`` is the dict ``Kernel.potential`` /
+        ``force`` take (None without a plan-side cache, i.e. in pool
+        workers)."""
+        arrays = self.arrays
+        group_ptr = arrays["group_ptr"]
+        t_lo, t_hi = int(group_ptr[g]), int(group_ptr[g + 1])
+        if t_hi == t_lo:
+            return None
+        slices = [
+            (lo, hi)
+            for lo, hi in run_source_slices(arrays, s_lo, s_hi)
+            if hi > lo
+        ]
+        if not slices:
+            return None
+        # Contiguity fast path: one run of rows needs no gather at all.
+        if all(a[1] == b[0] for a, b in zip(slices, slices[1:])):
+            lo, hi = slices[0][0], slices[-1][1]
+            src, q = self.src_all[lo:hi], self.q_all[lo:hi]
+        else:
+            src = np.concatenate([self.src_all[lo:hi] for lo, hi in slices])
+            q = np.concatenate([self.q_all[lo:hi] for lo, hi in slices])
+        tgt = np.ascontiguousarray(
+            arrays["targets"][t_lo:t_hi], dtype=self.dtype
+        )
+        cache = arrays.get("coincident")
+        coincident = (
+            None if cache is None
+            else cache.setdefault(
+                (self.dtype.str, self.fused, g, s_lo, s_hi), {}
+            )
+        )
+        return tgt, src, q, coincident
 
 
 def eval_group_range(arrays, kernel, dtype, compute_forces, g_lo, g_hi):
@@ -94,68 +153,31 @@ def eval_group_range(arrays, kernel, dtype, compute_forces, g_lo, g_hi):
     it -- this is where the per-group GEMV grows into a GEMM.
     """
     group_ptr = arrays["group_ptr"]
+    seg_group_ptr = arrays["seg_group_ptr"]
     t_lo_all = int(group_ptr[g_lo])
     t_hi_all = int(group_ptr[g_hi])
-    # The temporary-free r^2 primitive reorders the three-term sum; at
-    # double precision the difference sits at the coincidence noise
-    # floor, but at single precision that cancellation dominates the
-    # mixed-precision error budget -- so float32 keeps the reference
-    # operation order and only the float64 path opts in.
-    fused = np.dtype(dtype) == np.float64
     rows = t_hi_all - t_lo_all
-    rhs_width = (
-        arrays["src_weights"].shape[1]
-        if arrays["src_weights"].ndim == 2
-        else None
-    )
-    phi = np.zeros(
-        rows if rhs_width is None else (rows, rhs_width), dtype=np.float64
-    )
+    rhs = arrays["src_weights"].shape[1:]
+    phi = np.zeros((rows,) + rhs, dtype=np.float64)
     f_out = (
-        np.zeros(
-            (rows, 3) if rhs_width is None else (rows, 3, rhs_width),
-            dtype=np.float64,
-        )
-        if compute_forces
-        else None
+        np.zeros((rows, 3) + rhs, dtype=np.float64) if compute_forces else None
     )
-    # Cast once per range; float64 passes through as views.  The shared
-    # layout's physical rows are scattered through ``seg_src_lo``
-    # aliases (and already de-duplicated), so the cast covers the full
-    # -- compact -- buffers.
-    base = 0
-    src_all = np.ascontiguousarray(arrays["src_points"], dtype=dtype)
-    q_all = np.ascontiguousarray(arrays["src_weights"], dtype=dtype)
+    operands = RunOperands(arrays, dtype)
     for g in range(g_lo, g_hi):
-        t_lo, t_hi = int(group_ptr[g]), int(group_ptr[g + 1])
-        m = t_hi - t_lo
-        if m == 0:
+        ops = operands(g, int(seg_group_ptr[g]), int(seg_group_ptr[g + 1]))
+        if ops is None:
             continue
-        slices = [
-            (lo - base, hi - base)
-            for lo, hi in _group_source_slices(arrays, g)
-            if hi > lo
-        ]
-        if not slices:
-            continue
-        # Contiguity fast path: a single run needs no gather at all.
-        contiguous = len(slices) == 1 or all(
-            slices[i][1] == slices[i + 1][0] for i in range(len(slices) - 1)
+        tgt, src, q, coincident = ops
+        rows_g = slice(
+            int(group_ptr[g]) - t_lo_all, int(group_ptr[g + 1]) - t_lo_all
         )
-        if contiguous:
-            lo, hi = slices[0][0], slices[-1][1]
-            src, q = src_all[lo:hi], q_all[lo:hi]
-        else:
-            src = np.concatenate([src_all[lo:hi] for lo, hi in slices], axis=0)
-            q = np.concatenate([q_all[lo:hi] for lo, hi in slices])
-        tgt = np.ascontiguousarray(
-            arrays["targets"][t_lo:t_hi], dtype=dtype
+        kernel.potential(
+            tgt, src, q, out=phi[rows_g],
+            fused=operands.fused, coincident=coincident,
         )
-        o_lo = t_lo - t_lo_all
-        # fused selects the temporary-free r^2 primitive on kernels
-        # that provide one (RadialKernel); the reference numpy backend
-        # never passes it, keeping the byte-stable path untouched.
-        kernel.potential(tgt, src, q, out=phi[o_lo:o_lo + m], fused=fused)
         if f_out is not None:
-            kernel.force(tgt, src, q, out=f_out[o_lo:o_lo + m], fused=fused)
+            kernel.force(
+                tgt, src, q, out=f_out[rows_g],
+                fused=operands.fused, coincident=coincident,
+            )
     return t_lo_all, t_hi_all, phi, f_out

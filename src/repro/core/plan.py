@@ -278,15 +278,20 @@ class BatchedBucket:
     src_valid: np.ndarray | None = None
     #: dtype-keyed cache of the gathered (targets, sources) stacks.
     _stacks: dict = field(default_factory=dict, repr=False)
+    #: (dtype, chunk)-keyed coincident pairs of the stacks, as the
+    #: kernel recorded them; see :meth:`coincident_slot`.
+    _coincident: dict = field(default_factory=dict, repr=False)
     #: cached flat source rows of the valid positions (padded buckets).
     _valid_rows: np.ndarray | None = field(default=None, repr=False)
 
     def __getstate__(self):
-        # The stack cache and the valid-row gather are process-local
-        # (rebuilt on demand from the index matrices); shipping them
-        # would duplicate the geometry buffers in every pickle.
+        # The stack cache, the coincident pairs found on it and the
+        # valid-row gather are process-local (rebuilt on demand from
+        # the index matrices); shipping them would duplicate the
+        # geometry buffers in every pickle.
         state = self.__dict__.copy()
         state["_stacks"] = {}
+        state["_coincident"] = {}
         state["_valid_rows"] = None
         return state
 
@@ -375,6 +380,14 @@ class BatchedBucket:
             self._stacks[key] = cached
         return cached
 
+    def coincident_slot(self, dtype, lo: int, hi: int) -> dict:
+        """Where the kernel keeps the coincident pairs of stack entries
+        ``[lo, hi)`` (the ``coincident`` dict of ``pairwise_batched`` /
+        ``force_batched``).  The chunk is part of the key because it
+        sets the noise floor; it lives as long as the stacks do.
+        """
+        return self._coincident.setdefault((np.dtype(dtype).str, lo, hi), {})
+
     def refresh_weights(self, src_weights: np.ndarray) -> None:
         """Re-gather this bucket's weight matrix from the flat buffer.
 
@@ -410,15 +423,17 @@ class BatchedBucket:
     def refresh_geometry(self, out_index: np.ndarray) -> None:
         """Invalidate after an in-place plan geometry rewrite.
 
-        Drops the gathered coordinate stacks (they re-gather from the
-        new buffers on the next execute) and re-derives ``out_slots``
-        from the new output index -- the gather *indices* are structure
-        and stay valid, but the slots they point at may have changed.
+        Drops the gathered coordinate stacks and the coincident pairs
+        found on them (they re-gather from the new buffers on the next
+        execute) and re-derives ``out_slots`` from the new output index
+        -- the gather *indices* are structure and stay valid, but the
+        slots they point at may have changed.
         """
         flat = self.tgt_index.reshape(-1)
         rows = flat if self.scatter_pos is None else flat[self.scatter_pos]
         self.out_slots[...] = out_index[rows]
         self._stacks.clear()
+        self._coincident.clear()
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,14 +551,25 @@ class ExecutionPlan:
     #: dtype-keyed cache of cast copies of the geometry-constant buffers
     #: (targets / src_points); see :meth:`targets_as`.
     _cast_cache: dict = field(default_factory=dict, repr=False)
+    #: Coincident target/source pairs of the blocks the in-process
+    #: per-group evaluation has met at the current geometry: ``(dtype,
+    #: fused r^2?, group, seg_lo, seg_hi)`` -> the ``coincident`` dict of
+    #: ``Kernel.potential`` / ``force``.  Filled by the first execution
+    #: on a geometry (the scan costs ten times a ``prepare()`` of the
+    #: paper's test case, so not at compile time) and emptied with the
+    #: cast cache; the buckets hold their own (see
+    #: :meth:`coincident_nbytes`).
+    coincident_cache: dict = field(default_factory=dict, repr=False)
 
     def __getstate__(self):
         # Cast caches are process-local: unpickled in another process
         # they would be stale-by-identity (no longer views of anything
         # shared) and they double the pickle size for no benefit.  They
-        # repopulate lazily on the first mixed-precision execution.
+        # repopulate lazily on the first mixed-precision execution, as
+        # the coincident pairs do on the first execution of any kind.
         state = self.__dict__.copy()
         state["_cast_cache"] = {}
+        state["coincident_cache"] = {}
         return state
 
     # -- structure queries ----------------------------------------------
@@ -661,6 +687,15 @@ class ExecutionPlan:
         """The source-point buffer cast to ``dtype`` (cached; geometry)."""
         return self._cast_geometry("src_points", self.src_points, dtype)
 
+    def coincident_nbytes(self) -> int:
+        """Bytes of coincident-pair indices held for this geometry, the
+        plan's own and its buckets'."""
+        slots = list(self.coincident_cache.values())
+        if self.batched_layout is not None:
+            for bucket in self.batched_layout.buckets:
+                slots.extend(bucket._coincident.values())
+        return int(sum(idx.nbytes for slot in slots for idx in slot.values()))
+
     # -- batched layout -------------------------------------------------
     def ensure_batched_layout(self) -> "BatchedLayout":
         """The plan's :class:`BatchedLayout`, building and caching it.
@@ -776,8 +811,9 @@ class ExecutionPlan:
         contents, ``src_rows`` is an iterable of ``(lo, values)`` row
         blocks written into ``src_points``.  Shapes must match -- a
         structural change goes through :meth:`patch_groups` first.
-        Drops the dtype cast cache, refreshes the batched buckets'
-        output slots and stacks, and bumps ``geometry_version``.
+        Drops the dtype cast cache and the coincident pairs, refreshes
+        the batched buckets' output slots and stacks, and bumps
+        ``geometry_version``.
         """
         if not self.has_numerics:
             raise ValueError("model-only plan has no geometry buffers")
@@ -788,6 +824,7 @@ class ExecutionPlan:
         for lo, values in src_rows:
             self.src_points[lo:lo + len(values)] = values
         self._cast_cache.clear()
+        self.coincident_cache.clear()
         if self.batched_layout is not None:
             self.batched_layout.refresh_geometry(self.out_index)
         object.__setattr__(self, "geometry_version", self.geometry_version + 1)
@@ -893,6 +930,7 @@ class ExecutionPlan:
         set_(self, "seg_src_lo", np.asarray(seg_src_lo, dtype=np.intp))
         set_(self, "weight_slots", tuple(weight_slots))
         self._cast_cache.clear()
+        self.coincident_cache.clear()
         if self.batched_layout is not None:
             set_(self, "batched_layout", None)
             self.ensure_batched_layout()

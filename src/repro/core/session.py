@@ -35,7 +35,8 @@ the pickle never ships worker pools, locks or shared-memory handles;
 the first post-unpickle apply re-resolves through the process-wide
 shared store in :mod:`repro.registry` (two restored sessions selecting
 ``"multiprocessing"`` therefore share one pool), and dropped caches
-(plan cast caches, bucket stacks, SHM shipments) repopulate lazily.
+(plan cast caches, bucket stacks, coincident pairs, SHM shipments)
+repopulate lazily.
 
 Fault tolerance: a backend failure inside an apply -- a worker pool
 whose bounded crash recovery was exhausted
@@ -658,7 +659,11 @@ class SessionCore:
         ``update_geometry``); ``batched_pad_bytes`` the padding
         overhead of the batched layout's zero-weight-padded buckets
         (pad index/weight slots, validity masks, scatter maps; 0 when
-        no layout is attached).
+        no layout is attached); ``coincident_cache_bytes`` the
+        coincident-pair indices the fused / batched evaluation keeps
+        from its first apply on a geometry so later ones skip the
+        noise-floor scan (0 before that apply and again after
+        ``update_geometry``).
         """
         plan = self.plan
         plan_bytes = 0
@@ -687,6 +692,7 @@ class SessionCore:
             0 if plan.batched_layout is None
             else int(plan.batched_layout.padding_nbytes())
         )
+        coincident_bytes = plan.coincident_nbytes()
         return {
             "plan_bytes": plan_bytes,
             "weight_slot_bytes": weight_bytes,
@@ -694,9 +700,10 @@ class SessionCore:
             "moment_bytes": moment_bytes,
             "update_scratch_bytes": update_bytes,
             "batched_pad_bytes": pad_bytes,
+            "coincident_cache_bytes": coincident_bytes,
             "total_bytes": (
                 plan_bytes + weight_bytes + shipment_bytes + moment_bytes
-                + update_bytes + pad_bytes
+                + update_bytes + pad_bytes + coincident_bytes
             ),
         }
 
@@ -794,7 +801,8 @@ def format_memory_stats(stats: dict) -> str:
         f"shipments={stats['shipment_bytes']}B "
         f"moments={stats['moment_bytes']}B "
         f"update={stats.get('update_scratch_bytes', 0)}B "
-        f"pad={stats.get('batched_pad_bytes', 0)}B"
+        f"pad={stats.get('batched_pad_bytes', 0)}B "
+        f"coincident={stats.get('coincident_cache_bytes', 0)}B"
     )
 
 

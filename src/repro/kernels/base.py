@@ -101,7 +101,10 @@ class Kernel(abc.ABC):
         )
 
     def pairwise_batched(
-        self, targets: np.ndarray, sources: np.ndarray
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        coincident: dict | None = None,
     ) -> np.ndarray:
         """Stacked :meth:`pairwise`: ``(G, m, 3) x (G, k, 3) -> (G, m, k)``.
 
@@ -111,7 +114,9 @@ class Kernel(abc.ABC):
         instead of ``G`` Python-level kernel calls.  Values agree with
         the per-block reference to floating-point roundoff (fused-path
         arithmetic).  Only kernels advertising
-        ``supports_batched_pairwise`` implement it.
+        ``supports_batched_pairwise`` implement it.  ``coincident`` is
+        :meth:`potential`'s, the whole stack being one block; pass the
+        same dict to :meth:`force_batched` on the same stack.
         """
         raise NotImplementedError(
             f"kernel {self.name!r} has no batched pairwise primitive"
@@ -130,6 +135,7 @@ class Kernel(abc.ABC):
         targets: np.ndarray,
         sources: np.ndarray,
         weights: np.ndarray,
+        coincident: dict | None = None,
     ) -> np.ndarray:
         """Stacked force blocks ``F[b,i] = -sum_j grad G(t_bi, s_bj) w_bj``.
 
@@ -168,6 +174,7 @@ class Kernel(abc.ABC):
         block_elements: int = DEFAULT_BLOCK_ELEMENTS,
         out: np.ndarray | None = None,
         fused: bool = False,
+        coincident: dict | None = None,
     ) -> np.ndarray:
         """Accumulate ``phi_i = sum_j G(x_i, y_j) q_j`` blockwise.
 
@@ -185,6 +192,14 @@ class Kernel(abc.ABC):
         ``j`` of the result is bitwise what a single-vector call on
         ``charges[:, j]`` produces.  Block boundaries never depend on
         ``n_rhs`` (they feed the coincidence noise floor).
+
+        ``coincident`` is for callers that evaluate the same
+        ``(targets, sources)`` geometry repeatedly: a dict the kernel
+        owns the contents of, mapping each row block ``(lo, hi)`` to the
+        flat indices of its coincident entries.  A block found there
+        skips the noise-floor scan, a block that is not is scanned and
+        recorded -- same values either way.  Kernels without a
+        coincidence scan ignore it.
         """
         targets = np.atleast_2d(targets)
         sources = np.atleast_2d(sources)
@@ -200,21 +215,22 @@ class Kernel(abc.ABC):
             out = np.zeros(shape, dtype=np.result_type(targets, sources, charges))
         if k == 0 or m == 0:
             return out
-        pairwise = (
-            self.pairwise_fused
-            if fused and self.supports_fused_pairwise
-            else self.pairwise
-        )
+        fused = fused and self.supports_fused_pairwise
         rows_per_block = max(1, block_elements // max(k, 1))
         if not multi:
             for lo, hi in chunk_ranges(m, rows_per_block):
-                out[lo:hi] += pairwise(targets[lo:hi], sources) @ charges
+                mat = self._pairwise_block(
+                    targets[lo:hi], sources, fused, coincident, (lo, hi)
+                )
+                out[lo:hi] += mat @ charges
             return out
         cols = [
             np.ascontiguousarray(charges[:, r]) for r in range(charges.shape[1])
         ]
         for lo, hi in chunk_ranges(m, rows_per_block):
-            mat = pairwise(targets[lo:hi], sources)
+            mat = self._pairwise_block(
+                targets[lo:hi], sources, fused, coincident, (lo, hi)
+            )
             for r, col in enumerate(cols):
                 out[lo:hi, r] += mat @ col
         return out
@@ -243,6 +259,7 @@ class Kernel(abc.ABC):
         block_elements: int = DEFAULT_BLOCK_ELEMENTS,
         out: np.ndarray | None = None,
         fused: bool = False,
+        coincident: dict | None = None,
     ) -> np.ndarray:
         """Accumulate ``F_i = -sum_j grad_x G(x_i, y_j) q_j`` blockwise.
 
@@ -253,7 +270,9 @@ class Kernel(abc.ABC):
 
         Multi-RHS: a ``(K, n_rhs)`` charge matrix yields ``(M, 3, n_rhs)``
         forces, hoisting the gradient block once and contracting per
-        column exactly as :meth:`potential` does.
+        column exactly as :meth:`potential` does.  ``coincident`` is
+        :meth:`potential`'s (one dict serves both: a row block the two
+        share is scanned once).
         """
         targets = np.atleast_2d(targets)
         sources = np.atleast_2d(sources)
@@ -268,25 +287,42 @@ class Kernel(abc.ABC):
             out = np.zeros(shape, dtype=np.result_type(targets, sources, charges))
         if k == 0 or m == 0:
             return out
-        gradient = (
-            self.pairwise_gradient_fused
-            if fused and self.supports_fused_pairwise
-            else self.pairwise_gradient
-        )
+        fused = fused and self.supports_fused_pairwise
         rows_per_block = max(1, block_elements // max(3 * k, 1))
         if not multi:
             for lo, hi in chunk_ranges(m, rows_per_block):
-                grad = gradient(targets[lo:hi], sources)
+                grad = self._gradient_block(
+                    targets[lo:hi], sources, fused, coincident, (lo, hi)
+                )
                 out[lo:hi] -= np.einsum("mkd,k->md", grad, charges)
             return out
         cols = [
             np.ascontiguousarray(charges[:, r]) for r in range(charges.shape[1])
         ]
         for lo, hi in chunk_ranges(m, rows_per_block):
-            grad = gradient(targets[lo:hi], sources)
+            grad = self._gradient_block(
+                targets[lo:hi], sources, fused, coincident, (lo, hi)
+            )
             for r, col in enumerate(cols):
                 out[lo:hi, :, r] -= np.einsum("mkd,k->md", grad, col)
         return out
+
+    def _pairwise_block(self, targets, sources, fused, coincident, key):
+        """One row block of :meth:`potential`'s kernel matrix.
+
+        The generic kernel has no coincidence scan to save, so
+        ``coincident`` / ``key`` go unused; :class:`RadialKernel`
+        overrides both block hooks.
+        """
+        if fused:
+            return self.pairwise_fused(targets, sources)
+        return self.pairwise(targets, sources)
+
+    def _gradient_block(self, targets, sources, fused, coincident, key):
+        """One row block of :meth:`force`'s gradient tensor."""
+        if fused:
+            return self.pairwise_gradient_fused(targets, sources)
+        return self.pairwise_gradient(targets, sources)
 
     def scalar_functions(self):
         """Scalar ``(eval_r, eval_dr_over_r_or_None)`` for JIT backends.
@@ -394,29 +430,32 @@ class RadialKernel(Kernel):
 
     def _finish_pairwise(self, r2, zero_idx) -> np.ndarray:
         """sqrt + kernel + sparse coincidence patch on an owned r2."""
-        if zero_idx[0].size:
-            r2[zero_idx] = 1.0
+        r2.put(zero_idx, 1.0)
         np.sqrt(r2, out=r2)
         g = self.evaluate_r(r2)
-        if zero_idx[0].size:
-            g[zero_idx] = self.evaluate_r0()
+        g.put(zero_idx, self.evaluate_r0())
         return g
 
     def _pairwise_r2(
-        self, targets: np.ndarray, sources: np.ndarray
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Squared distances and the coincident-entry indices (shared)."""
+        self, targets: np.ndarray, sources: np.ndarray, zero_idx=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Squared distances and the coincident entries' flat indices.
+
+        The indices come from the noise-floor scan unless the caller
+        already holds them (``zero_idx``, from an earlier call on the
+        same coordinates), in which case they pass straight through.
+        """
         t2 = np.einsum("md,md->m", targets, targets)
         s2 = np.einsum("kd,kd->k", sources, sources)
         r2 = t2[:, None] + s2[None, :]
         r2 -= 2.0 * (targets @ sources.T)
-        scale = float(t2.max(initial=0.0) + s2.max(initial=0.0))
-        noise_floor = 16.0 * np.finfo(r2.dtype).eps * max(scale, 1e-300)
-        return r2, np.nonzero(r2 <= noise_floor)
+        if zero_idx is None:
+            zero_idx = _scan_coincident(r2, t2, s2)
+        return r2, zero_idx
 
     def _pairwise_r2_fused(
-        self, targets: np.ndarray, sources: np.ndarray
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        self, targets: np.ndarray, sources: np.ndarray, zero_idx=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_pairwise_r2` without the O(M K) temporaries.
 
         The reference allocates three (M, K) arrays (broadcast sum, GEMM
@@ -438,23 +477,33 @@ class RadialKernel(Kernel):
         r2 = targets @ (sources * -2.0).swapaxes(-1, -2)
         r2 += t2[..., :, None]
         r2 += s2[..., None, :]
-        scale = float(t2.max(initial=0.0) + s2.max(initial=0.0))
-        noise_floor = 16.0 * np.finfo(r2.dtype).eps * max(scale, 1e-300)
-        if r2.ndim >= 3 and float(r2.min(initial=np.inf)) > noise_floor:
-            # Far-field stacked (batched) chunks have no pair at the
-            # coincidence floor: one min-reduce then replaces the bool
-            # materialization + index scan with an identical outcome
-            # (nonzero would have found nothing).  Near-field (direct)
-            # stacked chunks -- self-target groups, coincident
-            # zero-weight pad rows -- fail the min test and take the
-            # full scan below, exactly like the 2-D fused path, whose
-            # groups routinely contain their own targets.
-            empty = np.empty(0, dtype=np.intp)
-            return r2, (empty,) * r2.ndim
-        return r2, np.nonzero(r2 <= noise_floor)
+        if zero_idx is None:
+            zero_idx = _scan_coincident(r2, t2, s2)
+        return r2, zero_idx
+
+    def _r2_block(self, targets, sources, fused, coincident, key):
+        """r^2 and coincident indices of one block, scanned at most once
+        per ``coincident`` dict (every time when there is none)."""
+        r2_of = self._pairwise_r2_fused if fused else self._pairwise_r2
+        if coincident is None:
+            return r2_of(targets, sources)
+        r2, zero_idx = r2_of(targets, sources, coincident.get(key))
+        coincident[key] = zero_idx
+        return r2, zero_idx
+
+    def _pairwise_block(self, targets, sources, fused, coincident, key):
+        r2, zero_idx = self._r2_block(targets, sources, fused, coincident, key)
+        return self._finish_pairwise(r2, zero_idx)
+
+    def _gradient_block(self, targets, sources, fused, coincident, key):
+        r2, zero_idx = self._r2_block(targets, sources, fused, coincident, key)
+        return self._finish_gradient(targets, sources, r2, zero_idx)
 
     def pairwise_batched(
-        self, targets: np.ndarray, sources: np.ndarray
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        coincident: dict | None = None,
     ) -> np.ndarray:
         """Stacked kernel matrices on the fused r^2 accumulation.
 
@@ -463,8 +512,9 @@ class RadialKernel(Kernel):
         place, and the sqrt/kernel/coincidence passes run over the whole
         ``(G, m, k)`` stack at once.
         """
-        r2, zero_idx = self._pairwise_r2_fused(targets, sources)
-        return self._finish_pairwise(r2, zero_idx)
+        return self._pairwise_block(
+            targets, sources, True, coincident, (0, len(targets))
+        )
 
     def pairwise_gradient_batched(
         self, targets: np.ndarray, sources: np.ndarray
@@ -478,6 +528,7 @@ class RadialKernel(Kernel):
         targets: np.ndarray,
         sources: np.ndarray,
         weights: np.ndarray,
+        coincident: dict | None = None,
     ) -> np.ndarray:
         """Factored radial force: no ``(G, m, k, 3)`` gradient tensor.
 
@@ -500,13 +551,10 @@ class RadialKernel(Kernel):
         output column of the ``(..., m, 3, n_rhs)`` stack is bitwise the
         single-vector result for that column.
         """
-        r2, zero_idx = self._pairwise_r2_fused(targets, sources)
-        if zero_idx[0].size:
-            r2[zero_idx] = 1.0
-        np.sqrt(r2, out=r2)
-        factor = self.evaluate_dr_over_r(r2)
-        if zero_idx[0].size:
-            factor[zero_idx] = 0.0
+        r2, zero_idx = self._r2_block(
+            targets, sources, True, coincident, (0, len(targets))
+        )
+        factor = self._gradient_factor(r2, zero_idx)
         if weights.ndim == np.ndim(targets):
             outs = []
             for r in range(weights.shape[-1]):
@@ -541,14 +589,39 @@ class RadialKernel(Kernel):
         r2, zero_idx = self._pairwise_r2_fused(targets, sources)
         return self._finish_gradient(targets, sources, r2, zero_idx)
 
+    def _gradient_factor(self, r2, zero_idx) -> np.ndarray:
+        """``g'(r)/r`` on an owned r2, zero at the coincident entries."""
+        r2.put(zero_idx, 1.0)
+        np.sqrt(r2, out=r2)
+        factor = self.evaluate_dr_over_r(r2)
+        factor.put(zero_idx, 0.0)
+        return factor
+
     def _finish_gradient(self, targets, sources, r2, zero_idx) -> np.ndarray:
         # Ellipsis indexing serves both the 2-D blocks ((M,1,3)-(1,K,3),
         # exactly the old broadcast) and the stacked batched blocks.
-        if zero_idx[0].size:
-            r2[zero_idx] = 1.0
-        np.sqrt(r2, out=r2)
-        factor = self.evaluate_dr_over_r(r2)
-        if zero_idx[0].size:
-            factor[zero_idx] = 0.0
+        factor = self._gradient_factor(r2, zero_idx)
         diff = targets[..., :, None, :] - sources[..., None, :, :]
         return factor[..., None] * diff
+
+
+def _scan_coincident(
+    r2: np.ndarray, t2: np.ndarray, s2: np.ndarray
+) -> np.ndarray:
+    """Flat (C-order) indices of the entries of ``r2`` at the noise floor.
+
+    ``t2`` / ``s2`` are the squared norms ``r2`` was expanded from; they
+    set the scale of its cancellation error.
+    """
+    scale = float(t2.max(initial=0.0) + s2.max(initial=0.0))
+    noise_floor = 16.0 * np.finfo(r2.dtype).eps * max(scale, 1e-300)
+    if r2.ndim >= 3 and float(r2.min(initial=np.inf)) > noise_floor:
+        # Far-field stacked (batched) chunks have no pair at the
+        # coincidence floor: one min-reduce then replaces the bool
+        # materialization + index scan with an identical outcome
+        # (nothing found).  Near-field (direct) stacked chunks --
+        # self-target groups, coincident zero-weight pad rows -- fail
+        # the min test and take the full scan below, exactly like the
+        # 2-D blocks, whose groups routinely contain their own targets.
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(r2 <= noise_floor)

@@ -267,3 +267,59 @@ class TestProperties:
         lhs = k.potential(t, s, q1 + q2)
         rhs = k.potential(t, s, q1) + k.potential(t, s, q2)
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t=hnp.arrays(np.float64, (7, 3), elements=coords),
+        s=hnp.arrays(np.float64, (6, 3), elements=coords),
+        q=hnp.arrays(np.float64, (6,), elements=st.floats(-2, 2)),
+        dup=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 5)), max_size=5
+        ),
+        fused=st.booleans(),
+        rows_per_block=st.integers(1, 8),
+        kernel=st.sampled_from(
+            [CoulombKernel(), YukawaKernel(kappa=0.5), GaussianKernel(0.7)]
+        ),
+    )
+    def test_supplied_coincident_indices_equal_the_scan(
+        self, t, s, q, dup, fused, rows_per_block, kernel
+    ):
+        # Injected duplicates: target i sits exactly on source j.
+        for i, j in dup:
+            t[i] = s[j]
+        blocks = dict(block_elements=rows_per_block * len(s))
+        scanned = (
+            kernel.potential(t, s, q, fused=fused, **blocks),
+            kernel.force(t, s, q, fused=fused, **blocks),
+        )
+        found: dict = {}
+        for _ in range(2):  # the first call records, the second is handed
+            recorded = {key: idx.copy() for key, idx in found.items()}
+            supplied = (
+                kernel.potential(
+                    t, s, q, fused=fused, coincident=found, **blocks
+                ),
+                kernel.force(
+                    t, s, q, fused=fused, coincident=found, **blocks
+                ),
+            )
+            assert np.array_equal(supplied[0], scanned[0])
+            assert np.array_equal(supplied[1], scanned[1])
+        assert recorded.keys() == found.keys()
+        assert all(np.array_equal(recorded[k], found[k]) for k in found)
+        # every moved target row coincides with at least one source
+        assert sum(idx.size for idx in found.values()) >= len(
+            {i for i, _ in dup}
+        )
+
+        # the stacked primitives: one stack, one entry, shared
+        ts, ss = np.stack([t, t[::-1]]), np.stack([s, s])
+        w = np.stack([q, -q])
+        mat = kernel.pairwise_batched(ts, ss)
+        frc = kernel.force_batched(ts, ss, w)
+        slot: dict = {}
+        for _ in range(2):
+            assert np.array_equal(kernel.pairwise_batched(ts, ss, slot), mat)
+            assert np.array_equal(kernel.force_batched(ts, ss, w, slot), frc)
+        assert list(slot) == [(0, 2)]
