@@ -1,19 +1,19 @@
-"""Shared infrastructure for the figure-regeneration benchmarks.
+"""Shared infrastructure for the paper-model harnesses.
 
-Each benchmark regenerates one table/figure of the paper: it runs the
-corresponding harness once (``benchmark.pedantic(rounds=1)`` -- these are
-experiment harnesses, not micro-benchmarks), prints the same rows/series
-the figure plots, writes them to ``benchmarks/results/``, and asserts the
-paper's qualitative findings (who wins, by roughly what factor, where the
-crossovers fall).
+Each test module regenerates one table of the paper (Figs. 4-6), one
+model ablation or the direct-sum crossover: a module-scoped fixture runs
+the harness once, a ``*_regenerate`` test writes the rendered table to
+``benchmarks/results/`` (tracked; the timings are simulated-device
+seconds, so a rerun reproduces the file byte for byte), and the other
+tests assert the paper's qualitative findings (who wins, by roughly what
+factor, where the crossovers fall).  Nothing here measures wall-clock:
+that is ``benchmarks/e2e``.
 
-Environment knobs:
-
-* ``REPRO_BENCH_SCALE=full`` -- run the full parameter sweeps (the
-  default ``quick`` trims sweep points, not scales).
+Figs. 4-6 run their trimmed sweeps (fewer sweep points, same scales),
+which is what the tracked tables hold; ``python -m repro.figures fig4
+--full`` prints the complete sweep.
 """
 
-import json
 import os
 import sys
 
@@ -28,19 +28,10 @@ import pytest
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
 
-def bench_scale() -> str:
-    return os.environ.get("REPRO_BENCH_SCALE", "quick")
-
-
 @pytest.fixture(scope="session")
 def results_dir() -> str:
     os.makedirs(RESULTS_DIR, exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def full_scale() -> bool:
-    return bench_scale() == "full"
 
 
 def write_result(results_dir: str, name: str, text: str) -> None:
@@ -51,20 +42,3 @@ def write_result(results_dir: str, name: str, text: str) -> None:
     print()
     print(text)
     print(f"[written to {path}]")
-
-
-def write_json(results_dir: str, name: str, payload) -> None:
-    """Persist a machine-readable result (``BENCH_*.json``).
-
-    The JSON sibling of :func:`write_result`: one file per benchmark
-    holding a ``{"scale": ..., "rows": [...]}`` document whose rows
-    carry at least regime / backend / wall-clock seconds / speedup, so
-    the perf trajectory can be diffed across PRs without re-parsing the
-    rendered tables.
-    """
-    path = os.path.join(results_dir, name)
-    document = {"scale": bench_scale(), "rows": payload}
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[json written to {path}]")

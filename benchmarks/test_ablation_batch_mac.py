@@ -42,10 +42,9 @@ def ablation():
     return out
 
 
-def test_batch_mac_regenerate(benchmark, ablation, results_dir):
-    result = benchmark.pedantic(lambda: ablation, rounds=1, iterations=1)
+def test_batch_mac_regenerate(ablation, results_dir):
     rows = []
-    for label, d in result.items():
+    for label, d in ablation.items():
         res = d["res"]
         rows.append(
             [label, d["err"], res.phases.compute,

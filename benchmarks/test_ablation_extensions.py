@@ -54,23 +54,19 @@ def overlap_runs():
     return out
 
 
-def test_extensions_regenerate(benchmark, precision_runs, overlap_runs, results_dir):
-    result = benchmark.pedantic(
-        lambda: (precision_runs, overlap_runs), rounds=1, iterations=1
-    )
-    prec, over = result
+def test_extensions_regenerate(precision_runs, overlap_runs, results_dir):
     lines = [
         format_table(
             ["precision", "error", "simulated time (s)"],
             [[label, d["err"], d["res"].phases.total]
-             for label, d in prec.items()],
+             for label, d in precision_runs.items()],
             title="Mixed-precision extension (Sec. 5 future work)",
         ),
         "",
         format_table(
             ["mode", "total (s)", "max setup (s)", "comm (s, rank 0)"],
             [[label, r.total_seconds, r.aggregate_phases().setup,
-              r.comm_seconds[0]] for label, r in over.items()],
+              r.comm_seconds[0]] for label, r in overlap_runs.items()],
             title="Communication/computation overlap extension (8 ranks)",
         ),
     ]

@@ -42,14 +42,13 @@ def ablation():
     return out
 
 
-def test_mac_size_condition_regenerate(benchmark, ablation, results_dir):
-    result = benchmark.pedantic(lambda: ablation, rounds=1, iterations=1)
+def test_mac_size_condition_regenerate(ablation, results_dir):
     rows = [
         [label, d["err"], d["res"].phases.compute,
          d["res"].stats["kernel_evaluations"],
          d["res"].stats["n_approx_interactions"],
          d["res"].stats["n_direct_interactions"]]
-        for label, d in result.items()
+        for label, d in ablation.items()
     ]
     write_result(
         results_dir,

@@ -46,14 +46,13 @@ def crossover():
     return rows
 
 
-def test_direct_sum_regenerate(benchmark, crossover, results_dir):
-    rows = benchmark.pedantic(lambda: crossover, rounds=1, iterations=1)
+def test_direct_sum_regenerate(crossover, results_dir):
     write_result(
         results_dir,
         "direct_sum_crossover.txt",
         format_table(
             ["N", "BLTC GPU (s)", "direct GPU (s)", "direct CPU (s)"],
-            [list(r) for r in rows],
+            [list(r) for r in crossover],
             title="Direct summation vs BLTC (device model, theta=0.8, n=8)",
         ),
     )
@@ -75,16 +74,10 @@ def test_treecode_overtakes_direct_sum(crossover):
     assert ratios[-1] > ratios[0]
 
 
-def test_measured_direct_sum_numerics(benchmark):
-    """Wall-clock micro-benchmark of the real (NumPy) direct sum."""
+def test_measured_direct_sum_numerics():
+    """The real (NumPy) direct sum returns one potential per target."""
     from repro import direct_sum
 
     p = random_cube(4000, seed=10)
-
-    def run():
-        return direct_sum(
-            p.positions, p.positions, p.charges, CoulombKernel()
-        )
-
-    phi = benchmark(run)
+    phi = direct_sum(p.positions, p.positions, p.charges, CoulombKernel())
     assert phi.shape == (4000,)

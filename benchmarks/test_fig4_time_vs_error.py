@@ -21,9 +21,8 @@ from repro.experiments import Fig4Config, run_fig4
 
 
 @pytest.fixture(scope="module")
-def fig4(full_scale):
-    cfg = Fig4Config() if full_scale else Fig4Config().quick()
-    return run_fig4(cfg)
+def fig4():
+    return run_fig4(Fig4Config().quick())
 
 
 def _curves(rows):
@@ -35,8 +34,7 @@ def _curves(rows):
     return curves
 
 
-def test_fig4_regenerate(benchmark, fig4, results_dir):
-    result = benchmark.pedantic(lambda: fig4, rounds=1, iterations=1)
+def test_fig4_regenerate(fig4, results_dir):
     headers = [
         "kernel", "theta", "n", "error", "GPU time (s)", "CPU time (s)",
         "speedup", "approx", "direct",
@@ -44,9 +42,9 @@ def test_fig4_regenerate(benchmark, fig4, results_dir):
     rows = [
         [r.kernel, r.theta, r.degree, r.error, r.gpu_time, r.cpu_time,
          r.speedup, r.n_approx, r.n_direct]
-        for r in result["rows"]
+        for r in fig4["rows"]
     ]
-    direct = result["direct"]
+    direct = fig4["direct"]
     lines = [
         format_table(
             headers,
@@ -54,7 +52,7 @@ def test_fig4_regenerate(benchmark, fig4, results_dir):
             title=(
                 "Fig. 4 -- BLTC run time vs error, 1M-particle model scale "
                 "(times: calibrated device model; errors: measured at "
-                f"N={result['config'].n_error})"
+                f"N={fig4['config'].n_error})"
             ),
         ),
         "",

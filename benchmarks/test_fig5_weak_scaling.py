@@ -20,9 +20,8 @@ from repro.experiments import Fig5Config, run_fig5
 
 
 @pytest.fixture(scope="module")
-def fig5(full_scale):
-    cfg = Fig5Config() if full_scale else Fig5Config().quick()
-    return run_fig5(cfg)
+def fig5():
+    return run_fig5(Fig5Config().quick())
 
 
 def _curves(rows):
@@ -34,9 +33,8 @@ def _curves(rows):
     return curves
 
 
-def test_fig5_regenerate(benchmark, fig5, results_dir):
-    result = benchmark.pedantic(lambda: fig5, rounds=1, iterations=1)
-    cfg = result["config"]
+def test_fig5_regenerate(fig5, results_dir):
+    cfg = fig5["config"]
     headers = [
         "kernel", "paper N/GPU", "model N/GPU", "GPUs", "N total",
         "time (s)", "setup", "precompute", "compute", "RMA bytes",
@@ -45,7 +43,7 @@ def test_fig5_regenerate(benchmark, fig5, results_dir):
         [r.kernel, f"{r.paper_per_gpu // 1_000_000}M", r.n_per_gpu,
          r.n_gpus, r.n_total, r.time, r.setup, r.precompute, r.compute,
          r.rma_bytes]
-        for r in result["rows"]
+        for r in fig5["rows"]
     ]
     lines = [
         format_table(
@@ -61,7 +59,7 @@ def test_fig5_regenerate(benchmark, fig5, results_dir):
         "Accuracy verification at paper parameters (real numerics, "
         f"N={cfg.n_verify}, {cfg.verify_ranks} ranks):",
     ]
-    for kname, err in result["verify_error"].items():
+    for kname, err in fig5["verify_error"].items():
         lines.append(f"  {kname:>8s}: relative 2-norm error {err:.2e}")
     write_result(results_dir, "fig5_weak_scaling.txt", "\n".join(lines))
 

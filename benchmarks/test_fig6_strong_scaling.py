@@ -19,9 +19,8 @@ from repro.experiments import Fig6Config, run_fig6
 
 
 @pytest.fixture(scope="module")
-def fig6(full_scale):
-    cfg = Fig6Config() if full_scale else Fig6Config().quick()
-    return run_fig6(cfg)
+def fig6():
+    return run_fig6(Fig6Config().quick())
 
 
 def _curves(rows):
@@ -33,9 +32,8 @@ def _curves(rows):
     return curves
 
 
-def test_fig6_regenerate(benchmark, fig6, results_dir):
-    result = benchmark.pedantic(lambda: fig6, rounds=1, iterations=1)
-    cfg = result["config"]
+def test_fig6_regenerate(fig6, results_dir):
+    cfg = fig6["config"]
     headers = [
         "kernel", "paper N", "model N", "GPUs", "time (s)", "efficiency",
         "setup %", "precompute %", "compute %",
@@ -45,7 +43,7 @@ def test_fig6_regenerate(benchmark, fig6, results_dir):
          r.time, f"{r.efficiency * 100:.0f}%",
          f"{r.setup_frac * 100:.1f}", f"{r.precompute_frac * 100:.1f}",
          f"{r.compute_frac * 100:.1f}"]
-        for r in result["rows"]
+        for r in fig6["rows"]
     ]
     write_result(
         results_dir,

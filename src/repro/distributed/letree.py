@@ -223,8 +223,8 @@ def build_let_geometry(
             )
             lists.approx.append(np.asarray(approx, dtype=np.intp))
             lists.direct.append(np.asarray(direct, dtype=np.intp))
-            mac_evals += evals
-        lists.mac_evals = mac_evals
+            lists.mac_evals += evals
+        mac_evals += lists.mac_evals
         let.lists[s] = lists
 
         # Step 2 (geometry part): referenced remote positions + grids.

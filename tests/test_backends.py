@@ -243,6 +243,87 @@ class TestPlanLevelEquivalence:
         assert busy32 == pytest.approx(0.5 * busy64)
 
 
+class TestSelfTargetRegimes:
+    """Every backend on self-target plans from many small shallow
+    batches (the overhead-bound case of the paper's Sec. 3.2 batching
+    discussion) to larger, deeper ones."""
+
+    #: (n, theta, degree, NB=NL, compute_forces)
+    REGIMES = {
+        "small batches": (6_000, 0.8, 2, 60, False),
+        "balanced": (6_000, 0.8, 3, 100, False),
+        "small + forces": (4_000, 0.8, 2, 60, True),
+    }
+    BACKENDS = ("numpy", "fused", "batched", "multiprocessing") + (
+        ("numba",) if NUMBA_AVAILABLE else ()
+    ) + ("model",)
+
+    @pytest.fixture(scope="class", params=list(REGIMES))
+    def regime_run(self, request):
+        """``(plan, forces, {backend: (phi, f, device)})`` per regime."""
+        n, theta, degree, leaf, forces = self.REGIMES[request.param]
+        p = random_cube(n, seed=900)
+        params = _params(
+            theta=theta, degree=degree, max_leaf_size=leaf,
+            max_batch_size=leaf,
+        )
+        tree = ClusterTree(p.positions, leaf)
+        batches = TargetBatches(p.positions, leaf)
+        moments = precompute_moments(tree, p.charges, params)
+        lists = build_interaction_lists(batches, tree, params)
+        plan = compile_plan(tree, batches, moments, lists, p.charges, params)
+        runs = {}
+        for name in self.BACKENDS:
+            device = GpuDevice(GPU_TITAN_V)
+            phi, f = get_backend(name).execute(
+                plan, CoulombKernel(), device, compute_forces=forces
+            )
+            runs[name] = (phi, f, device)
+        return plan, forces, runs
+
+    def test_executing_backends_match_numpy_reference(self, regime_run):
+        # Roundoff-level agreement with the blocked reference, amplified
+        # on targets whose potential nearly cancels -- far below the
+        # treecode approximation error these regimes carry.
+        _, forces, runs = regime_run
+        phi_np, f_np, _ = runs["numpy"]
+        for name in self.BACKENDS:
+            if name in ("numpy", "model"):
+                continue
+            phi, f, _ = runs[name]
+            assert np.allclose(phi_np, phi, rtol=1e-8, atol=1e-10), name
+            if forces:
+                assert np.allclose(f_np, f, rtol=1e-7, atol=1e-8), name
+
+    def test_multiprocessing_matches_fused_bitwise(self, regime_run):
+        _, forces, runs = regime_run
+        phi_fu, f_fu, _ = runs["fused"]
+        phi_mp, f_mp, _ = runs["multiprocessing"]
+        assert np.array_equal(phi_fu, phi_mp)
+        if forces:
+            assert np.array_equal(f_fu, f_mp)
+
+    def test_counters_and_simulated_time_identical(self, regime_run):
+        # The model backend returns zeros but charges the same launches,
+        # interactions and simulated time as the executing backends.
+        _, _, runs = regime_run
+        assert np.all(runs["model"][0] == 0.0)
+        ref = runs["numpy"][2]
+        for name in self.BACKENDS:
+            dev = runs[name][2]
+            assert dev.counters.launches == ref.counters.launches, name
+            assert (
+                dev.counters.interactions == ref.counters.interactions
+            ), name
+            assert dev.elapsed() == pytest.approx(ref.elapsed()), name
+
+    def test_shared_gather_shrinks_buffers(self, regime_run):
+        # Clusters shared across batches are stored once: strictly fewer
+        # physical rows than logical (per-segment aliased) rows.
+        plan, _, _ = regime_run
+        assert plan.source_buffer_rows < plan.n_source_rows
+
+
 def _hand_plan(tgt, approx_pairs, direct_pairs):
     """One group of ``tgt`` rows; one segment per (points, weights) pair."""
     b = PlanBuilder(tgt.shape[0], numerics=True)
@@ -529,6 +610,37 @@ def _uniform_groups_plan(m_sizes, *, seg_rows=5, n_segs=1, ragged_group=False):
     return b.build()
 
 
+#: (n, theta, degree, NB=NL, target x-shift): disjoint [-1,1]^3 clouds at
+#: shift 2.5 (pure far field, shallow and deeper degree), a near-field
+#: sliver at 2.2 and fully overlapping clouds at 0.0 -- the last one
+#: carried by zero-weight-padded near-field buckets.
+LAYOUT_REGIMES = {
+    "far-field": (40_000, 0.8, 2, 50, 2.5),
+    "far-field deep": (30_000, 0.8, 3, 100, 2.5),
+    "near-far mix": (30_000, 0.8, 2, 60, 2.2),
+    "near-field heavy": (20_000, 0.6, 2, 40, 0.0),
+    "far-field NB=60": (15_000, 0.8, 2, 60, 2.5),
+}
+
+
+@pytest.fixture(scope="module", params=list(LAYOUT_REGIMES))
+def layout_regime_plan(request):
+    """``(regime, plan)``: one displaced-target plan with its layout."""
+    n, theta, degree, leaf, shift = LAYOUT_REGIMES[request.param]
+    sources = random_cube(n, seed=900)
+    targets = random_cube(n, seed=901).positions + [shift, 0.0, 0.0]
+    params = _params(
+        theta=theta, degree=degree, max_leaf_size=leaf, max_batch_size=leaf
+    )
+    tree = ClusterTree(sources.positions, leaf)
+    batches = TargetBatches(targets, leaf)
+    moments = precompute_moments(tree, sources.charges, params)
+    lists = build_interaction_lists(batches, tree, params)
+    plan = compile_plan(tree, batches, moments, lists, sources.charges, params)
+    plan.ensure_batched_layout()
+    return request.param, plan
+
+
 def _ragged_groups_plan(shapes, *, kind="direct", seed=13):
     """Synthetic plan of ragged runs: ``shapes = [(m, [seg sizes]), ...]``.
 
@@ -746,6 +858,19 @@ class TestBatchedLayout:
         assert lone.coverage() == 0.0  # one run, nothing bucketable
         assert lone.ragged_rows == 6
 
+    def test_bucketed_rows_dominate_on_far_and_near_field_plans(
+        self, layout_regime_plan
+    ):
+        # The ragged fused path is a thin remainder, not a second
+        # execution path, and the zero-weight padding stays bounded.
+        regime, plan = layout_regime_plan
+        layout = plan.ensure_batched_layout()
+        assert layout.coverage() >= 0.95
+        assert 0.0 <= layout.padding_waste() <= 0.25
+        if regime == "far-field":
+            batched = layout.batched_interactions()
+            assert batched > 0.9 * plan.interactions_total()
+
     def test_model_plan_has_no_layout(self, cube):
         plan = _compile(cube, numerics=False)
         with pytest.raises(ValueError, match="model-only"):
@@ -844,6 +969,37 @@ class TestBatchedBackend:
         phi_b, f_b, _ = self._run("batched", plan, kernel=CoulombKernel())
         assert np.allclose(phi_f, phi_b, rtol=1e-9, atol=1e-12)
         assert np.allclose(f_f, f_b, rtol=1e-8, atol=1e-11)
+
+    def test_layout_regime_matches_fused(self, layout_regime_plan):
+        # Displaced targets: the stacked far-field GEMMs and, on the
+        # overlapping clouds, the padded near-field buckets.
+        regime, plan = layout_regime_plan
+        forces = regime == "far-field NB=60"
+        kernel = CoulombKernel()
+        phi_f, f_f, _ = self._run("fused", plan, forces=forces, kernel=kernel)
+        phi_b, f_b, _ = self._run(
+            "batched", plan, forces=forces, kernel=kernel
+        )
+        assert np.allclose(phi_f, phi_b, rtol=1e-8, atol=1e-10)
+        if forces:
+            assert np.allclose(f_f, f_b, rtol=1e-7, atol=1e-8)
+
+    def test_layout_regime_float32_tracks_fused(self, layout_regime_plan):
+        # The f32 error itself is regime-dependent (the overlapping
+        # clouds cancel heavily, so any f32 evaluation sits near 3e-2
+        # relative there); padded buckets must stay finite and as
+        # accurate against the f64 result as fused f32, within 2x.
+        _, plan = layout_regime_plan
+        kernel = CoulombKernel()
+        phi64, _, _ = self._run("fused", plan, forces=False, kernel=kernel)
+        rel = {}
+        for name in ("fused", "batched"):
+            phi32, _, _ = self._run(
+                name, plan, forces=False, dtype=np.float32, kernel=kernel
+            )
+            assert np.isfinite(phi32).all(), name
+            rel[name] = relative_l2_error(phi64, phi32)
+        assert rel["batched"] < 2 * rel["fused"] + 1e-7, rel
 
     def test_pipeline_compute(self, cube):
         params = _params(backend="batched")

@@ -14,7 +14,10 @@ from repro import (
     relative_l2_error,
 )
 from repro.distributed.letree import RemoteTreeAdapter, build_let
-from repro.core.interaction_lists import LocalTreeAdapter
+from repro.core.interaction_lists import (
+    LocalTreeAdapter,
+    build_interaction_lists,
+)
 from repro.tree import ClusterTree
 
 
@@ -98,32 +101,37 @@ class TestCorrectness:
             DistributedBLTC(CoulombKernel(), _params(), n_ranks=5).compute(p)
 
 
+def _rank_windows(particles, n_ranks, params):
+    """RCB-partition ``particles`` and expose each rank's LET windows."""
+    from repro.core.moments import precompute_moments
+    from repro.mpi import SimComm
+    from repro.partition import rcb_partition
+    from repro.tree import TargetBatches
+
+    labels = rcb_partition(particles.positions, n_ranks)
+    comm = SimComm(n_ranks)
+    trees, batch_sets = [], []
+    for r in range(n_ranks):
+        loc = particles.subset(np.nonzero(labels == r)[0])
+        tree = ClusterTree(loc.positions, params.max_leaf_size)
+        batches = TargetBatches(loc.positions, params.max_batch_size)
+        m = precompute_moments(tree, loc.charges, params)
+        h = comm.rank_handle(r)
+        h.create_window("tree", tree.tree_array())
+        h.create_window("srcpos", loc.positions[tree.perm])
+        h.create_window("srcq", loc.charges[tree.perm])
+        h.create_window("moments", m.packed(len(tree)))
+        trees.append(tree)
+        batch_sets.append(batches)
+    return comm, trees, batch_sets
+
+
 class TestLetConstruction:
     def test_let_contains_exactly_referenced_nodes(self, cube):
         """The LET holds data for precisely the clusters the interaction
         lists reference -- no more, no less (Sec. 3.1)."""
-        from repro.mpi import SimComm
-        from repro.partition import rcb_partition
-        from repro.core.moments import precompute_moments
-        from repro.tree import TargetBatches
-
         params = _params()
-        labels = rcb_partition(cube.positions, 2)
-        comm = SimComm(2)
-        trees, batch_sets = [], []
-        for r in range(2):
-            loc = cube.subset(np.nonzero(labels == r)[0])
-            tree = ClusterTree(loc.positions, params.max_leaf_size)
-            batches = TargetBatches(loc.positions, params.max_batch_size)
-            m = precompute_moments(tree, loc.charges, params)
-            h = comm.rank_handle(r)
-            h.create_window("tree", tree.tree_array())
-            h.create_window("srcpos", loc.positions[tree.perm])
-            h.create_window("srcq", loc.charges[tree.perm])
-            h.create_window("moments", m.packed(len(tree)))
-            trees.append(tree)
-            batch_sets.append(batches)
-
+        comm, _, batch_sets = _rank_windows(cube, 2, params)
         let, _ = build_let(comm.rank_handle(0), batch_sets[0], params)
         lists = let.lists[1]
         referenced_direct = {int(c) for d in lists.direct for c in d}
@@ -134,6 +142,20 @@ class TestLetConstruction:
             referenced_approx
         )
         assert let.nbytes() > 0
+
+    def test_per_remote_mac_evals_sum_to_the_total(self, cube):
+        """Each remote's lists count only the MAC evaluations of their
+        own traversal -- the same count a traversal of that rank's tree
+        gives -- and together they make up the returned total."""
+        params = _params()
+        comm, trees, batch_sets = _rank_windows(cube, 4, params)
+        let, mac_evals = build_let(comm.rank_handle(0), batch_sets[0], params)
+        per_remote = {s: lists.mac_evals for s, lists in let.lists.items()}
+        assert sorted(per_remote) == [1, 2, 3]
+        assert sum(per_remote.values()) == mac_evals
+        for s, evals in per_remote.items():
+            own = build_interaction_lists(batch_sets[0], trees[s], params)
+            assert evals == own.mac_evals, s
 
     def test_let_grows_sublinearly_with_ranks(self):
         """Well-separated ranks exchange few clusters: total RMA bytes per

@@ -20,6 +20,7 @@ from repro import (
     CoulombKernel,
     DistributedBLTC,
     DualTreeTreecode,
+    InverseMultiquadricKernel,
     TreecodeParams,
     random_cube,
 )
@@ -269,6 +270,37 @@ class TestMultiStepStress:
             assert np.array_equal(warm.potential, cold.potential)
             assert np.isfinite(warm.potential).all()
         assert seen_incremental and seen_rebuild
+
+    def test_velocity_verlet_drift_stays_incremental(self):
+        # Small-drift MD: a per-step displacement of ~2e-5 against leaf
+        # boxes of ~0.2.  Every step matches a cold prepare bitwise, each
+        # re-bins at most 5% of the particles, and at most one step may
+        # rebuild (a cluster count sitting exactly at the leaf threshold
+        # can legitimately flip the topology).
+        n, dt = 1000, 0.002
+        drv = BarycentricTreecode(
+            InverseMultiquadricKernel(c=0.05),
+            _params(theta=0.3, degree=2, max_leaf_size=30, max_batch_size=30),
+        )
+        pos = random_cube(n, seed=700).positions.copy()
+        vel = np.random.default_rng(701).normal(0.0, 0.01, size=pos.shape)
+        mass = np.full(n, 1.0 / n)
+        sess = drv.prepare(ParticleSet(pos, mass))
+        acc = -sess.apply(mass, compute_forces=True).forces
+        results = []
+        for _ in range(4):
+            vel += 0.5 * dt * acc
+            pos = pos + dt * vel
+            results.append(sess.update_geometry(pos))
+            warm = sess.apply(mass, compute_forces=True)
+            cold = drv.prepare(ParticleSet(pos, mass)).apply(
+                mass, compute_forces=True
+            )
+            assert np.array_equal(warm.potential, cold.potential)
+            acc = -warm.forces
+            vel += 0.5 * dt * acc
+        assert sum(r.rebuilt for r in results) <= 1
+        assert max(r.rebinned_fraction for r in results) <= 0.05
 
 
 class TestExtensions:

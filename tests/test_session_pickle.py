@@ -196,6 +196,14 @@ class TestSessionAccounting:
         text = repr(live)
         assert f"plan={stats['plan_bytes']}B" in text
 
+    def test_pickle_payload_bounded_by_resident_bytes(self, cube):
+        # The pickle carries the session's data, not its caches: the
+        # payload stays within a small factor of the resident bytes.
+        live = _prepare("treecode", "fused", cube, degree=4)
+        live.apply(cube.charges)
+        payload = pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL)
+        assert 0 < len(payload) < 4 * live.memory_stats()["total_bytes"]
+
 
 class TestDynamicGeometryAcrossPickle:
     """update_geometry composes with the pickle seam in either order."""
