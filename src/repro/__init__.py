@@ -48,7 +48,6 @@ from .core import (
     FusedBackend,
     ModelBackend,
     MultiprocessingBackend,
-    NumbaBackend,
     NumpyBackend,
     TreecodeResult,
     available_backends,
@@ -107,7 +106,6 @@ __all__ = [
     "BatchedBackend",
     "FusedBackend",
     "MultiprocessingBackend",
-    "NumbaBackend",
     "ModelBackend",
     "available_backends",
     "get_backend",

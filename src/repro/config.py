@@ -68,8 +68,7 @@ class TreecodeParams:
     #: (shape-bucketed stacked GEMMs over the uniform far field, fused
     #: fallback for ragged work -- the fastest serial path),
     #: ``"multiprocessing"`` (plan groups sharded over a persistent worker
-    #: pool), ``"numba"`` (JIT-compiled per-group loops; registered only
-    #: when numba is installed) or ``"model"`` (launch accounting only).
+    #: pool) or ``"model"`` (launch accounting only).
     #: Names are validated against the registry at construction time and
     #: resolved through :mod:`repro.core.backends` at compute time, so
     #: custom registered backends are selectable by name; a ready-made
@@ -86,10 +85,9 @@ class TreecodeParams:
     rebuild_threshold: float = 0.25
     #: Failure handling for prepared-session applies.  ``"degrade"``
     #: (the default) lets the session fall back along the backend
-    #: chain (``"multiprocessing"`` -> ``"fused"`` -> ``"numpy"``;
-    #: ``"numba"``/``"batched"`` degrade to ``"fused"``)
-    #: when a backend fails or cannot be resolved in this process --
-    #: one :class:`~repro.errors.BackendDegradedWarning` per
+    #: chain (``"multiprocessing"``/``"batched"`` -> ``"fused"`` ->
+    #: ``"numpy"``) when a backend fails or cannot be resolved in this
+    #: process -- one :class:`~repro.errors.BackendDegradedWarning` per
     #: transition, the event recorded in ``health_stats()``, results
     #: still correct.  ``"strict"`` restores raise-on-failure: the
     #: structured error (e.g. :class:`~repro.errors.WorkerCrashError`

@@ -9,7 +9,7 @@
 * :mod:`~repro.core.plan` -- compiles (tree, batches, moments, lists)
   into a flat :class:`~repro.core.plan.ExecutionPlan`.
 * :mod:`~repro.core.backends` -- pluggable plan-evaluation backends
-  (numpy reference, fused, multiprocessing, numba-JIT, model-only)
+  (numpy reference, fused, batched, multiprocessing, model-only)
   behind one registry.
 * :mod:`~repro.core.session` -- the prepare/apply session core shared
   by every driver.
@@ -23,7 +23,6 @@ from .backends import (
     FusedBackend,
     ModelBackend,
     MultiprocessingBackend,
-    NumbaBackend,
     NumpyBackend,
     available_backends,
     get_backend,
@@ -62,7 +61,6 @@ __all__ = [
     "BatchedBackend",
     "FusedBackend",
     "MultiprocessingBackend",
-    "NumbaBackend",
     "ModelBackend",
     "available_backends",
     "get_backend",

@@ -18,8 +18,6 @@ backends:
   plan's groups across a persistent worker pool, shipping the flat
   buffers through POSIX shared memory; the paper's outer (multi-rank)
   parallelism on one host.
-* :class:`NumbaBackend` (``"numba"``) -- JIT-compiled per-group
-  gather+GEMV loops; registered only when ``numba`` is importable.
 * :class:`ModelBackend` (``"model"``) -- launch accounting only (the
   old ``dry_run`` mode); runs the timing model at paper scale.
 
@@ -47,7 +45,6 @@ from .batched import BatchedBackend
 from .fused import FusedBackend
 from .model import ModelBackend
 from .multiproc import MultiprocessingBackend
-from .numba_backend import NUMBA_AVAILABLE, NumbaBackend
 from .numpy_backend import NumpyBackend
 
 __all__ = [
@@ -56,7 +53,6 @@ __all__ = [
     "FusedBackend",
     "BatchedBackend",
     "MultiprocessingBackend",
-    "NumbaBackend",
     "ModelBackend",
     "available_backends",
     "get_backend",
@@ -111,9 +107,3 @@ register_backend(FusedBackend)
 register_backend(BatchedBackend)
 register_backend(ModelBackend)
 register_backend(MultiprocessingBackend)
-if NUMBA_AVAILABLE:
-    # Gated registration: without numba the name is absent from the
-    # registry (selection fails with the standard unknown-backend error
-    # listing what *is* available) and constructing NumbaBackend directly
-    # raises a clean RuntimeError.
-    register_backend(NumbaBackend)

@@ -19,9 +19,6 @@ site                    effect at the injection point
                         shipment falls back to pickle shipping
 ``shipment_pack_fatal`` shared-memory packing raises ``OSError`` outside the
                         guarded region -- surfaces as ``ShipmentError``
-``numba_import``        numba is treated as unimportable (registration is
-                        skipped at import time; construction raises
-                        ``BackendUnavailableError``)
 ``batched_layout``      building the batched execution layout raises --
                         surfaces as ``BackendExecutionError``
 ======================  =====================================================
@@ -61,7 +58,6 @@ __all__ = [
     "RetryPolicy",
     "get_fault_injector",
     "configure_faults",
-    "fault_active",
 ]
 
 FAULT_ENV_VAR = "REPRO_FAULT"
@@ -210,11 +206,6 @@ def configure_faults(
         else:
             _INJECTOR = FaultInjector.from_string(spec)
     return _INJECTOR
-
-
-def fault_active(site: str) -> bool:
-    """Whether the global injector has an armed spec for ``site``."""
-    return get_fault_injector().active(site)
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,12 @@ Fault tolerance: a backend failure inside an apply -- a worker pool
 whose bounded crash recovery was exhausted
 (:class:`~repro.errors.WorkerCrashError`), a backend that cannot exist
 in this process (:class:`~repro.errors.BackendUnavailableError`, e.g. a
-numba session restored where numba is absent) -- does not have to kill
-the session.  Under ``TreecodeParams(fallback="degrade")`` (the
-default) :meth:`SessionCore.execute_plan` walks the backend's fallback
-chain (:data:`FALLBACK_CHAIN`: ``"multiprocessing"`` -> ``"fused"`` ->
-``"numpy"``; ``"numba"``/``"batched"`` -> ``"fused"`` -> ``"numpy"``),
+session restored where its registered backend cannot be constructed)
+-- does not have to kill the session.  Under
+``TreecodeParams(fallback="degrade")`` (the default)
+:meth:`SessionCore.execute_plan` walks the backend's fallback chain
+(:data:`FALLBACK_CHAIN`: ``"multiprocessing"``/``"batched"`` ->
+``"fused"`` -> ``"numpy"``),
 emits exactly one :class:`~repro.errors.BackendDegradedWarning` per
 transition, records the event (visible in
 :meth:`SessionCore.health_stats` and every ``Prepared*`` repr) and
@@ -98,7 +99,6 @@ FLOAT_BYTES = 8
 #: registrations) have no fallback: their failures always raise.
 FALLBACK_CHAIN: dict = {
     "multiprocessing": ("fused", "numpy"),
-    "numba": ("fused", "numpy"),
     "batched": ("fused", "numpy"),
     "fused": ("numpy",),
 }
@@ -326,8 +326,9 @@ class SessionCore:
         after unpickling, through the process-wide shared store).
 
         A failed by-name resolution -- the registered name raising
-        :class:`~repro.errors.BackendUnavailableError` (numba session
-        restored without numba), or a name unknown in this process --
+        :class:`~repro.errors.BackendUnavailableError` (a session
+        restored where its backend cannot be constructed), or a name
+        unknown in this process --
         degrades along :data:`FALLBACK_CHAIN` under
         ``fallback="degrade"`` instead of raising.
         """

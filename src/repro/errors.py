@@ -24,8 +24,8 @@ Hierarchy
       (pool rebuild + shipment re-pack under the
       :class:`~repro.core.resilience.RetryPolicy`) did not restore it.
     * :class:`BackendUnavailableError` -- the backend cannot run in
-      this process at all (numba not importable); raised at
-      construction/resolution time.
+      this process at all (e.g. a dependency or device it needs is
+      missing); raised at construction/resolution time.
     * :class:`ShipmentError` -- packing or refreshing a plan's
       shared-memory shipment failed in a way the pickle fallback could
       not absorb.

@@ -324,21 +324,6 @@ class Kernel(abc.ABC):
             return self.pairwise_gradient_fused(targets, sources)
         return self.pairwise_gradient(targets, sources)
 
-    def scalar_functions(self):
-        """Scalar ``(eval_r, eval_dr_over_r_or_None)`` for JIT backends.
-
-        Both are plain Python functions of one positive scalar distance
-        (any parameters baked in as closure constants), restricted to
-        arithmetic and NumPy scalar math so ``numba.njit`` can compile
-        and inline them into the per-group accumulation loop.  The
-        second entry is None for kernels without an analytic gradient.
-        Kernels that cannot provide jittable scalars raise
-        ``NotImplementedError``; the numba backend then refuses cleanly.
-        """
-        raise NotImplementedError(
-            f"kernel {self.name!r} does not provide scalar functions"
-        )
-
     def cost_multiplier(self, transcendental_penalty: float) -> float:
         """Per-device cost factor relative to a pure-arithmetic kernel.
 
@@ -358,6 +343,25 @@ class RadialKernel(Kernel):
     Subclasses implement :meth:`evaluate_r` on strictly positive distances;
     this class handles pairwise distance computation and the ``r == 0``
     (self-interaction / removable) entries.
+
+    Every evaluation path (:meth:`pairwise`, :meth:`pairwise_fused`, the
+    stacked ``*_batched`` forms and :meth:`potential` / :meth:`force`)
+    classifies coincident pairs through one rule,
+    :func:`_scan_coincident`: ``r^2`` at or below ``16 eps`` times the
+    block's squared coordinate scale counts as ``r == 0``.
+
+    Domain: any pair above that floor is evaluated as it stands.  For
+    the singular kernels the force factor ``g'(r)/r ~ r^-3`` leaves the
+    representable range once a non-coincident separation falls below
+    about ``np.finfo(dtype).tiny ** (1/3)`` (2.8e-103 in float64, 2.3e-13
+    in float32; ``-1/r^3`` alone overflows at 0.63 of that, and a charge
+    of magnitude ``q`` scales the edge by ``q^(1/3)``), and the forces
+    then come back non-finite.  Inputs must keep every non-coincident
+    separation at least 10x above that edge.  Only geometries whose
+    whole extent is that small can reach it: in a unit-scale geometry
+    such a pair lies under the noise floor and is coincident.  The
+    smooth kernels (Gaussian, inverse multiquadric, thin-plate) stay
+    finite at every separation.
     """
 
     supports_fused_pairwise = True

@@ -31,12 +31,3 @@ class CoulombKernel(RadialKernel):
     def evaluate_dr_over_r(self, r: np.ndarray) -> np.ndarray:
         # d/dr (1/r) = -1/r^2, divided by r.
         return -1.0 / (r * r * r)
-
-    def scalar_functions(self):
-        def eval_r(r):
-            return 1.0 / r
-
-        def eval_dr_over_r(r):
-            return -1.0 / (r * r * r)
-
-        return eval_r, eval_dr_over_r

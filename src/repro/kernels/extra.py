@@ -41,17 +41,6 @@ class InverseMultiquadricKernel(RadialKernel):
     def evaluate_r0(self) -> float:
         return 1.0 / self.c
 
-    def scalar_functions(self):
-        c2 = self.c * self.c
-
-        def eval_r(r):
-            return 1.0 / np.sqrt(r * r + c2)
-
-        def eval_dr_over_r(r):
-            return -((r * r + c2) ** -1.5)
-
-        return eval_r, eval_dr_over_r
-
 
 class GaussianKernel(RadialKernel):
     """Gaussian kernel ``exp(-r^2 / (2 sigma^2))``, smooth everywhere."""
@@ -75,18 +64,6 @@ class GaussianKernel(RadialKernel):
     def evaluate_r0(self) -> float:
         return 1.0
 
-    def scalar_functions(self):
-        sigma = self.sigma
-        inv_var = 1.0 / (sigma * sigma)
-
-        def eval_r(r):
-            return np.exp(-0.5 * (r / sigma) ** 2)
-
-        def eval_dr_over_r(r):
-            return -np.exp(-0.5 * (r / sigma) ** 2) * inv_var
-
-        return eval_r, eval_dr_over_r
-
 
 class ThinPlateKernel(RadialKernel):
     """Thin-plate spline kernel ``r^2 log r`` (zero at the origin)."""
@@ -103,10 +80,3 @@ class ThinPlateKernel(RadialKernel):
 
     def evaluate_r0(self) -> float:
         return 0.0
-
-    def scalar_functions(self):
-        def eval_r(r):
-            return r * r * np.log(r)
-
-        # No analytic gradient implemented for the potential-only kernel.
-        return eval_r, None

@@ -37,16 +37,5 @@ class YukawaKernel(RadialKernel):
         # d/dr (e^{-kr}/r) = -e^{-kr} (k r + 1) / r^2, divided by r.
         return -np.exp(-self.kappa * r) * (self.kappa * r + 1.0) / (r**3)
 
-    def scalar_functions(self):
-        kappa = self.kappa
-
-        def eval_r(r):
-            return np.exp(-kappa * r) / r
-
-        def eval_dr_over_r(r):
-            return -np.exp(-kappa * r) * (kappa * r + 1.0) / (r * r * r)
-
-        return eval_r, eval_dr_over_r
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"YukawaKernel(kappa={self.kappa})"

@@ -2,20 +2,21 @@
 
 The contract of :mod:`repro.core.backends`: on the same compiled plan,
 every backend records identical device counters (launches, interactions,
-bytes, per-kind breakdown), the numpy / fused / multiprocessing (and,
-when installed, numba) backends return roundoff-close potentials *and
-forces* (the fused-family arithmetic evaluates the temporary-free
+bytes, per-kind breakdown), the numpy / fused / batched /
+multiprocessing backends return roundoff-close potentials *and forces*
+(the fused-family arithmetic evaluates the temporary-free
 ``pairwise_fused`` r^2 accumulation, so it matches the blocked
-reference to the same tolerance as the numba loops, not bitwise), the
-multiprocessing backend matches fused *bitwise* (shared per-group
-arithmetic), and the model backend returns zeros while charging the
-same simulated time.  The de-duplicated (shared-segment) source layout
+reference to ``rtol=1e-9`` on potentials and ``rtol=1e-8`` on forces,
+not bitwise), the multiprocessing backend matches fused *bitwise*
+(shared per-group arithmetic), and the model backend returns zeros
+while charging the same simulated time.  The de-duplicated (shared-segment) source layout
 must reproduce the duplicated layout bitwise on every executing backend.
 """
 
 import numpy as np
 import pytest
 
+from repro import registry
 from repro import (
     BarycentricTreecode,
     BatchedBackend,
@@ -36,12 +37,6 @@ from repro import (
     relative_l2_error,
 )
 from repro.core.backends import Backend
-from repro.core.backends.numba_backend import (
-    NUMBA_AVAILABLE,
-    NumbaBackend,
-    build_group_loops,
-    run_plan_loops,
-)
 from repro.core.interaction_lists import build_interaction_lists
 from repro.core.moments import precompute_moments
 from repro.core.plan import PlanBuilder, build_batched_layout
@@ -49,10 +44,6 @@ from repro.gpu.device import CpuDevice, GpuDevice
 from repro.perf.machine import CPU_XEON_X5650, GPU_TITAN_V
 from repro.tree.batches import TargetBatches
 from repro.tree.octree import ClusterTree
-
-needs_numba = pytest.mark.skipif(
-    not NUMBA_AVAILABLE, reason="numba is not installed"
-)
 
 
 def _params(**kw):
@@ -88,11 +79,9 @@ def shared_plan(cube):
 
 class TestRegistry:
     def test_builtin_backends(self):
-        names = available_backends()
-        assert {"numpy", "fused", "model", "multiprocessing"} <= set(names)
-
-    def test_numba_registered_iff_importable(self):
-        assert ("numba" in available_backends()) == NUMBA_AVAILABLE
+        assert set(available_backends()) == {
+            "numpy", "fused", "batched", "multiprocessing", "model"
+        }
 
     def test_lookup_returns_instances(self):
         assert isinstance(get_backend("numpy"), NumpyBackend)
@@ -126,23 +115,19 @@ class TestRegistry:
         params = _params(backend=FusedBackend())
         assert isinstance(params.backend, FusedBackend)
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
-    def test_numba_backend_clean_error_when_absent(self):
-        with pytest.raises(RuntimeError, match="numba is not installed"):
-            NumbaBackend()
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("numba")
-
     def test_register_custom_backend(self, cube):
         class EchoBackend(ModelBackend):
             name = "test-echo"
 
         register_backend(EchoBackend)
-        assert "test-echo" in available_backends()
-        res = BarycentricTreecode(
-            CoulombKernel(), _params(backend="test-echo")
-        ).compute(cube)
-        assert np.all(res.potential == 0.0)
+        try:
+            assert "test-echo" in available_backends()
+            res = BarycentricTreecode(
+                CoulombKernel(), _params(backend="test-echo")
+            ).compute(cube)
+            assert np.all(res.potential == 0.0)
+        finally:
+            registry.unregister_backend_type("test-echo")
 
     def test_register_rejects_anonymous(self):
         with pytest.raises(ValueError):
@@ -187,8 +172,8 @@ class TestPlanLevelEquivalence:
 
     def test_numpy_fused_roundoff_close(self, shared_plan):
         # The fused path evaluates the temporary-free pairwise_fused r^2
-        # accumulation: same tolerance as the numba loops (which use the
-        # same expanded form), not bitwise vs the blocked reference.
+        # accumulation: roundoff-close, not bitwise vs the blocked
+        # reference.
         phi_np, f_np, _ = self._run(
             get_backend("numpy"), shared_plan, forces=True
         )
@@ -254,9 +239,7 @@ class TestSelfTargetRegimes:
         "balanced": (6_000, 0.8, 3, 100, False),
         "small + forces": (4_000, 0.8, 2, 60, True),
     }
-    BACKENDS = ("numpy", "fused", "batched", "multiprocessing") + (
-        ("numba",) if NUMBA_AVAILABLE else ()
-    ) + ("model",)
+    BACKENDS = ("numpy", "fused", "batched", "multiprocessing", "model")
 
     @pytest.fixture(scope="class", params=list(REGIMES))
     def regime_run(self, request):
@@ -1107,108 +1090,6 @@ class TestPaddedBucketNaNSafety:
         tol = 1e-12 if dtype == np.float64 else 1e-4
         assert relative_l2_error(ref.potential, res.potential) < tol
         assert relative_l2_error(ref.forces, res.forces) < tol * 10
-
-
-class TestNumbaLoops:
-    """The JIT'd loop bodies, validated un-jitted (no numba needed)."""
-
-    def _loops(self, kernel):
-        return build_group_loops(kernel, jit=lambda f: f)
-
-    def test_loops_match_numpy_backend(self, shared_plan):
-        plan = shared_plan
-        kernel = YukawaKernel(0.5)
-        pot, force = self._loops(kernel)
-        phi, f = run_plan_loops(plan, pot, force)
-        dev = GpuDevice(GPU_TITAN_V)
-        phi_ref, f_ref = get_backend("numpy").execute(
-            plan, kernel, dev, compute_forces=True
-        )
-        assert np.allclose(phi, phi_ref, rtol=1e-9, atol=1e-12)
-        assert np.allclose(f, f_ref, rtol=1e-8, atol=1e-11)
-
-    def test_coincident_targets_use_r0_convention(self):
-        # One batch whose target coincides with a source: the loop must
-        # classify the pair through the same noise floor and yield the
-        # kernel's r==0 value (zero for singular kernels).
-        b = PlanBuilder(2, numerics=True)
-        tgt = np.array([[0.25, 0.25, 0.25], [0.75, 0.5, 0.5]])
-        src = np.array([[0.25, 0.25, 0.25], [0.5, 0.5, 0.5]])
-        q = np.array([2.0, 3.0])
-        b.add_group(targets=tgt, out_index=np.array([0, 1]))
-        b.add_segment("direct", points=src, weights=q)
-        plan = b.build()
-        kernel = CoulombKernel()
-        pot, force = self._loops(kernel)
-        phi, f = run_plan_loops(plan, pot, force)
-        dev = GpuDevice(GPU_TITAN_V)
-        phi_ref, f_ref = get_backend("numpy").execute(
-            plan, kernel, dev, compute_forces=True
-        )
-        assert np.allclose(phi, phi_ref, rtol=1e-12, atol=1e-14)
-        assert np.allclose(f, f_ref, rtol=1e-12, atol=1e-14)
-        assert np.isfinite(phi).all() and np.isfinite(f).all()
-
-    def test_unsupported_kernel_clean_error(self):
-        class NoScalars(CoulombKernel):
-            def scalar_functions(self):
-                raise NotImplementedError("nope")
-
-        with pytest.raises(ValueError, match="scalar functions"):
-            self._loops(NoScalars())
-
-
-@needs_numba
-class TestNumbaBackend:
-    """JIT-compiled execution (runs only where numba is installed)."""
-
-    def test_matches_numpy_within_fused_tolerance(self, shared_plan):
-        dev = GpuDevice(GPU_TITAN_V)
-        phi, f = get_backend("numba").execute(
-            shared_plan, YukawaKernel(0.5), dev, compute_forces=True
-        )
-        ref_dev = GpuDevice(GPU_TITAN_V)
-        phi_ref, f_ref = get_backend("numpy").execute(
-            shared_plan, YukawaKernel(0.5), ref_dev, compute_forces=True
-        )
-        assert np.allclose(phi, phi_ref, rtol=1e-9, atol=1e-12)
-        assert np.allclose(f, f_ref, rtol=1e-8, atol=1e-11)
-        assert dev.counters.launches == ref_dev.counters.launches
-        assert dev.counters.interactions == ref_dev.counters.interactions
-        assert dev.elapsed() == pytest.approx(ref_dev.elapsed())
-
-    def test_parallel_prange_bitwise_equal_serial(self, shared_plan):
-        # prange over groups writes disjoint output rows, so the thread
-        # schedule cannot change a bit of the result.
-        serial = NumbaBackend(parallel=False)
-        par = NumbaBackend(parallel=True)
-        dev_s, dev_p = GpuDevice(GPU_TITAN_V), GpuDevice(GPU_TITAN_V)
-        phi_s, f_s = serial.execute(
-            shared_plan, YukawaKernel(0.5), dev_s, compute_forces=True
-        )
-        phi_p, f_p = par.execute(
-            shared_plan, YukawaKernel(0.5), dev_p, compute_forces=True
-        )
-        assert np.array_equal(phi_s, phi_p)
-        assert np.array_equal(f_s, f_p)
-        assert dev_s.counters.launches == dev_p.counters.launches
-
-    def test_shared_layout_and_pipeline(self, cube, shared_plan):
-        dev = GpuDevice(GPU_TITAN_V)
-        phi, _ = get_backend("numba").execute(
-            shared_plan, CoulombKernel(), dev
-        )
-        ref_dev = GpuDevice(GPU_TITAN_V)
-        phi_ref, _ = get_backend("numpy").execute(
-            shared_plan, CoulombKernel(), ref_dev
-        )
-        assert np.allclose(phi, phi_ref, rtol=1e-9, atol=1e-12)
-        res = BarycentricTreecode(
-            CoulombKernel(), _params(backend="numba")
-        ).compute(cube)
-        ref = BarycentricTreecode(CoulombKernel(), _params()).compute(cube)
-        assert np.allclose(res.potential, ref.potential, rtol=1e-9, atol=1e-12)
-        assert res.phases.compute == pytest.approx(ref.phases.compute)
 
 
 class TestPipelineEquivalence:

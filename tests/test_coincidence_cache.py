@@ -25,7 +25,6 @@ from repro import (
     random_cube,
 )
 from repro.core.backends import get_backend
-from repro.core.backends.numba_backend import NUMBA_AVAILABLE
 from repro.core.session import format_memory_stats
 from repro.perf.timer import PhaseTimes
 from repro.workloads import ParticleSet
@@ -117,24 +116,13 @@ class TestWarmEqualsFirstEqualsCold:
         cold = drv.prepare(cube).apply(cube.charges, compute_forces=True)
         assert _same(warm, first) and _same(warm, cold)
 
-    @pytest.mark.parametrize(
-        "reference",
-        (
-            "numpy",
-            pytest.param(
-                "numba",
-                marks=pytest.mark.skipif(
-                    not NUMBA_AVAILABLE, reason="numba is not installed"
-                ),
-            ),
-        ),
-    )
+    @pytest.mark.parametrize("reference", ("numpy",))
     @pytest.mark.parametrize("backend", CACHING)
     def test_scanning_backends_agree_to_roundoff(
         self, backend, reference, cube
     ):
-        # numpy (reference order) and numba (scalar r2 <= noise test)
-        # keep scanning; they classify the same pairs.
+        # numpy (reference order) keeps scanning on every apply; it
+        # classifies the same pairs the cached indices hold.
         sess = _driver(backend).prepare(cube)
         sess.apply(cube.charges, compute_forces=True)
         warm = sess.apply(cube.charges, compute_forces=True)

@@ -24,20 +24,9 @@ from repro import (
     TreecodeParams,
     random_cube,
 )
-from repro.core.backends.numba_backend import NUMBA_AVAILABLE
 from repro.workloads import ParticleSet
 
-needs_numba = pytest.mark.skipif(
-    not NUMBA_AVAILABLE, reason="numba is not installed"
-)
-
-BACKENDS = (
-    "numpy",
-    "fused",
-    "batched",
-    "multiprocessing",
-    pytest.param("numba", marks=needs_numba),
-)
+BACKENDS = ("numpy", "fused", "batched", "multiprocessing")
 
 
 def _params(backend="fused", **kw):

@@ -41,7 +41,6 @@ from repro.core.resilience import (
     FaultSpec,
     RetryPolicy,
     configure_faults,
-    fault_active,
     get_fault_injector,
 )
 from repro.core.session import FALLBACK_CHAIN, format_health_stats
@@ -143,9 +142,9 @@ class TestFaultSpecs:
 
     def test_configure_and_clear_global_injector(self):
         configure_faults("mp_pool_broken:times=1")
-        assert fault_active("mp_pool_broken")
+        assert get_fault_injector().active("mp_pool_broken")
         assert get_fault_injector().fire("mp_pool_broken") is not None
-        assert not fault_active("mp_pool_broken")
+        assert not get_fault_injector().active("mp_pool_broken")
         configure_faults(None)
         assert not get_fault_injector().specs
 
@@ -488,39 +487,36 @@ class TestFallbackChain:
         assert np.array_equal(ref, out)  # degraded to fused == ref
         assert sess.health_stats()["degraded_to"] == "fused"
 
-    def test_unavailable_backend_instance_degrades(self, cube):
+    @pytest.mark.parametrize("name", ("multiprocessing", "batched", "fused"))
+    def test_unavailable_backend_instance_degrades(
+        self, cube, name, monkeypatch
+    ):
+        # A registered backend whose construction fails in this process
+        # (e.g. a session restored on a host without the dependency it
+        # needs) resolves to the first member of its chain instead.
         class UnavailableBackend:
-            name = "numba"
             share_instance = False
 
             def __init__(self):
                 raise BackendUnavailableError(
-                    "numba is not importable", backend="numba"
+                    f"{name} cannot run here", backend=name
                 )
 
-        try:
-            prev = registry.backend_type("numba")
-        except KeyError:
-            prev = None
-        registry.register_backend_type("numba", UnavailableBackend)
-        try:
-            sess = _prepare(cube, "fused")
-            ref = sess.apply(cube.charges).potential
-            sess.core._backend_spec = "numba"
-            sess.core._backend = None
-            sess.core._degraded = None
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                out = sess.apply(cube.charges).potential
-            assert [
-                w for w in caught
-                if issubclass(w.category, BackendDegradedWarning)
-            ]
-            assert np.array_equal(ref, out)
-        finally:
-            registry.unregister_backend_type("numba")
-            if prev is not None:
-                registry.register_backend_type("numba", prev)
+        fallback = FALLBACK_CHAIN[name][0]
+        sess = _prepare(cube, fallback)
+        ref = sess.apply(cube.charges).potential
+        monkeypatch.setitem(registry._BACKEND_TYPES, name, UnavailableBackend)
+        sess.core._backend_spec = name
+        sess.core._backend = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = sess.apply(cube.charges).potential
+        assert [
+            w for w in caught
+            if issubclass(w.category, BackendDegradedWarning)
+        ]
+        assert sess.health_stats()["degraded_to"] == fallback
+        assert np.array_equal(ref, out)
 
     def test_strict_resolution_failure_raises(self, cube, monkeypatch):
         monkeypatch.setitem(FALLBACK_CHAIN, "ghost", ("fused", "numpy"))

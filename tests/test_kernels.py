@@ -165,20 +165,34 @@ class TestMixedDtypePromotion:
         assert k.force(t, s, q).dtype == np.float32
 
 
-class TestScalarFunctions:
-    """Scalar forms consumed by the numba backend match the array forms."""
+class TestDomain:
+    """The ``RadialKernel`` domain: finite results while every
+    non-coincident separation stays 10x above
+    ``finfo(dtype).tiny ** (1/3)``.  Checked at 100x that edge on a
+    geometry whose whole extent is that small, so no pair hides under
+    the relative noise floor (the pinned ``@example`` in
+    ``TestProperties`` is the out-of-domain case)."""
 
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.float32], ids=["f64", "f32"]
+    )
     @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
-    def test_scalar_matches_vectorized(self, kernel, rng):
-        r = np.abs(rng.normal(size=64)) + 0.05
-        eval_r, eval_dr = kernel.scalar_functions()
-        scalar = np.array([eval_r(float(x)) for x in r])
-        assert np.allclose(scalar, kernel.evaluate_r(r), rtol=1e-13)
-        if eval_dr is not None:
-            scalar_dr = np.array([eval_dr(float(x)) for x in r])
-            assert np.allclose(
-                scalar_dr, kernel.evaluate_dr_over_r(r), rtol=1e-13
-            )
+    def test_finite_above_domain_edge(self, kernel, dtype):
+        d = 100.0 * float(np.finfo(dtype).tiny) ** (1.0 / 3.0)
+        # Target 0 sits on source 0; every other pair is >= d apart.
+        t = (d * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1]])).astype(dtype)
+        s = (
+            d * np.array([[0, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]])
+        ).astype(dtype)
+        w = np.array([1.0, -1.0, 0.5, 2.0], dtype=dtype)
+        ref = kernel.pairwise(t, s)
+        fused = kernel.pairwise_fused(t, s)
+        assert np.isfinite(ref).all() and np.isfinite(fused).all()
+        assert ref[0, 0] == fused[0, 0] == dtype(kernel.evaluate_r0())
+        np.testing.assert_allclose(fused, ref, rtol=1e-5)
+        if not isinstance(kernel, ThinPlateKernel):  # potential-only
+            force = kernel.force_batched(t[None], s[None], w[None])
+            assert np.isfinite(force).all()
 
 
 class TestCostModel:

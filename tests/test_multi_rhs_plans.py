@@ -15,8 +15,8 @@ Contracts under test:
   path (float32 geometry x float64 charge columns -> float64 output);
 * malformed charge blocks fail fast with a clear ``ValueError`` instead
   of deep inside ``refresh_weights``;
-* moments, the model backend (``dry_run``) and the pure-Python numba
-  loops all honor the trailing RHS axis.
+* moments and the model backend (``dry_run``) honor the trailing RHS
+  axis.
 """
 
 import numpy as np
@@ -31,17 +31,10 @@ from repro import (
     TreecodeParams,
     random_cube,
 )
-from repro.core.backends.numba_backend import (
-    NUMBA_AVAILABLE,
-    build_group_loops,
-    run_plan_loops,
-)
 from repro.core.moments import refresh_moments
 from repro.util import as_charge_block
 
-EXEC_BACKENDS = ["numpy", "fused", "batched", "multiprocessing"] + (
-    ["numba"] if NUMBA_AVAILABLE else []
-)
+EXEC_BACKENDS = ["numpy", "fused", "batched", "multiprocessing"]
 
 N = 900
 N_RHS = 3
@@ -363,7 +356,7 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
-# Moments, dry runs, pure-Python numba loops
+# Moments, dry runs
 # ---------------------------------------------------------------------------
 
 
@@ -411,31 +404,3 @@ class TestInnerLayers:
             b_launches, b_inter = blk.stats["by_kind"][kind]
             assert b_launches == v_launches
             assert b_inter == v_inter * N_RHS
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_pure_python_loops_multi(self, cube, charge_block, dtype):
-        params = _params()
-        tc = BarycentricTreecode(CoulombKernel(), params)
-        prep = tc.prepare(cube)
-        ident = lambda f: f  # noqa: E731
-        kernel = CoulombKernel()
-        solo = []
-        for col in _columns(charge_block[:, :2]):
-            refresh_moments(
-                prep.moments, prep.tree, col, params,
-                device=prep.device, numerics=True,
-            )
-            prep.core.refresh_weights(col)
-            pl, fl = build_group_loops(kernel, ident)
-            solo.append(run_plan_loops(prep.plan, pl, fl, dtype=dtype))
-        block = charge_block[:, :2]
-        refresh_moments(
-            prep.moments, prep.tree, block, params,
-            device=prep.device, numerics=True,
-        )
-        prep.core.refresh_weights(block)
-        pl, fl = build_group_loops(kernel, ident, multi=True)
-        out, forces = run_plan_loops(prep.plan, pl, fl, dtype=dtype)
-        for j in range(2):
-            np.testing.assert_array_equal(out[:, j], solo[j][0])
-            np.testing.assert_array_equal(forces[:, :, j], solo[j][1])

@@ -34,12 +34,9 @@ from repro import (
     charge_waveform,
     random_cube,
 )
-from repro.core.backends.numba_backend import NUMBA_AVAILABLE
 from repro.core.plan import PlanBuilder
 
-EXEC_BACKENDS = ["numpy", "fused", "batched", "multiprocessing"] + (
-    ["numba"] if NUMBA_AVAILABLE else []
-)
+EXEC_BACKENDS = ["numpy", "fused", "batched", "multiprocessing"]
 
 
 def _params(**kw):
