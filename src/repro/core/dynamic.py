@@ -249,9 +249,8 @@ class TreecodeGeometryUpdater:
         # Prefix sum over the permuted moved mask: a node is dirty iff
         # any particle in its contiguous [start, end) slice moved.
         cum = np.concatenate(([0], np.cumsum(moved[tree.perm])))
-        for nd in tree.nodes:
-            if not dirty_nodes[nd.index] and cum[nd.end] > cum[nd.start]:
-                dirty_nodes[nd.index] = True
+        view = tree.view()
+        dirty_nodes |= cum[view.ends] > cum[view.starts]
         n_moments = refresh_moment_geometry(
             moments, tree, params,
             numerics=plan.has_numerics, dirty=dirty_nodes,

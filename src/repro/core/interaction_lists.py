@@ -15,27 +15,28 @@ clusters each batch approximates, which it sums directly) and a phase that
 The MAC is applied to the batch as a whole (Sec. 3.2) so all targets in a
 batch share one interaction list -- no thread divergence on the GPU.
 
-The traversal is written against a minimal *tree adapter* interface so the
-same code runs over a local :class:`~repro.tree.octree.ClusterTree` and
-over the packed tree arrays fetched from remote ranks during LET
-construction (Sec. 3.1).
+Every traversal reads the source tree as a
+:class:`~repro.tree.octree.TreeView` -- the packed tree array of Sec. 3.1
+-- so the same code runs over a local
+:class:`~repro.tree.octree.ClusterTree` (its cached view) and over the
+tree arrays fetched from remote ranks during LET construction.  One
+per-batch loop drives it for building lists, recording the decision
+trace and re-traversing the batches a geometry update dirtied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..config import TreecodeParams
 from ..tree.batches import TargetBatches
-from ..tree.octree import ClusterTree
+from ..tree.octree import ClusterTree, TreeView
 from .mac import mac_geometric
 
 __all__ = [
-    "TreeAdapter",
-    "LocalTreeAdapter",
     "InteractionLists",
     "TraversalRecord",
     "traverse_batch",
@@ -53,42 +54,6 @@ TRAV_APPROX = 0           # MAC passed (both conditions)
 TRAV_DIRECT_LEAF = 1      # leaf summed directly (either failure mode)
 TRAV_DIRECT_INTERNAL = 2  # geometric passed, size condition failed
 TRAV_RECURSED = 3         # geometric failed on an internal node
-
-
-class TreeAdapter(Protocol):
-    """Read-only view of a cluster tree, local or remote."""
-
-    def n_nodes(self) -> int: ...
-    def center(self, i: int) -> np.ndarray: ...
-    def radius(self, i: int) -> float: ...
-    def count(self, i: int) -> int: ...
-    def is_leaf(self, i: int) -> bool: ...
-    def children(self, i: int) -> Sequence[int]: ...
-
-
-class LocalTreeAdapter:
-    """Adapter over an in-memory :class:`ClusterTree`."""
-
-    def __init__(self, tree: ClusterTree) -> None:
-        self._tree = tree
-
-    def n_nodes(self) -> int:
-        return len(self._tree)
-
-    def center(self, i: int) -> np.ndarray:
-        return self._tree.nodes[i].center
-
-    def radius(self, i: int) -> float:
-        return self._tree.nodes[i].radius
-
-    def count(self, i: int) -> int:
-        return self._tree.nodes[i].count
-
-    def is_leaf(self, i: int) -> bool:
-        return self._tree.nodes[i].is_leaf
-
-    def children(self, i: int) -> Sequence[int]:
-        return self._tree.nodes[i].children
 
 
 @dataclass
@@ -148,13 +113,12 @@ class InteractionLists:
 def traverse_batch(
     batch_center: np.ndarray,
     batch_radius: float,
-    adapter: TreeAdapter,
+    view: TreeView,
     params: TreecodeParams,
     *,
-    root: int = 0,
     record: list | None = None,
 ) -> tuple[list[int], list[int], int]:
-    """Traverse one batch against a cluster tree.
+    """Traverse one batch against a cluster tree's packed view.
 
     Returns ``(approx_ids, direct_ids, mac_evals)``.  The logic follows the
     BLTC algorithm exactly; see the module docstring for the case split.
@@ -163,28 +127,35 @@ def traverse_batch(
     full decision trace for later :func:`verify_traversal` checks.
     """
     n_ip = params.n_interpolation_points
+    centers = view.centers
+    radii = view.radii
+    counts = view.counts
+    is_leaf = view.is_leaf
+    first_child = view.first_child
+    n_children = view.n_children
     approx: list[int] = []
     direct: list[int] = []
     mac_evals = 0
-    stack = [root]
+    stack = [0]
     while stack:
         c = stack.pop()
-        dist = float(np.linalg.norm(batch_center - adapter.center(c)))
+        dist = float(np.linalg.norm(batch_center - centers[c]))
         mac_evals += 1
         geometric_ok = mac_geometric(
-            batch_radius, adapter.radius(c), dist, params.theta
+            batch_radius, radii[c], dist, params.theta
         )
-        if geometric_ok and (not params.size_check or n_ip < adapter.count(c)):
+        if geometric_ok and (not params.size_check or n_ip < counts[c]):
             approx.append(c)
             if record is not None:
                 record.append((c, TRAV_APPROX))
         elif not geometric_ok:
-            if adapter.is_leaf(c):
+            if is_leaf[c]:
                 direct.append(c)
                 if record is not None:
                     record.append((c, TRAV_DIRECT_LEAF))
             else:
-                stack.extend(adapter.children(c))
+                first = first_child[c]
+                stack.extend(range(first, first + n_children[c]))
                 if record is not None:
                     record.append((c, TRAV_RECURSED))
         else:
@@ -194,33 +165,53 @@ def traverse_batch(
             if record is not None:
                 record.append((
                     c,
-                    TRAV_DIRECT_LEAF
-                    if adapter.is_leaf(c)
-                    else TRAV_DIRECT_INTERNAL,
+                    TRAV_DIRECT_LEAF if is_leaf[c] else TRAV_DIRECT_INTERNAL,
                 ))
     return approx, direct, mac_evals
 
 
-def build_interaction_lists(
+def _traverse_batches(
     batches: TargetBatches,
-    tree: ClusterTree | TreeAdapter,
+    tree: ClusterTree | TreeView,
     params: TreecodeParams,
-) -> InteractionLists:
-    """Build interaction lists for every batch against one source tree."""
-    adapter: TreeAdapter
-    if isinstance(tree, ClusterTree):
-        adapter = LocalTreeAdapter(tree)
-    else:
-        adapter = tree
+    batch_ids: Sequence[int],
+    *,
+    record: bool,
+) -> tuple[InteractionLists, TraversalRecord | None]:
+    """The one per-batch loop behind every traversal of a batch set.
+
+    Entry ``k`` of the returned lists (and trace, when ``record``) is
+    batch ``batch_ids[k]``'s.
+    """
+    view = tree.view() if isinstance(tree, ClusterTree) else tree
+    b_centers = batches.centers()
+    b_radii = batches.radii()
     lists = InteractionLists()
-    for b in range(len(batches)):
-        node = batches.batch(b)
+    trace = TraversalRecord(nodes=[], cats=[]) if record else None
+    for b in batch_ids:
+        rec: list[tuple[int, int]] | None = [] if record else None
         approx, direct, evals = traverse_batch(
-            node.center, node.radius, adapter, params
+            b_centers[b], float(b_radii[b]), view, params, record=rec
         )
         lists.approx.append(np.asarray(approx, dtype=np.intp))
         lists.direct.append(np.asarray(direct, dtype=np.intp))
         lists.mac_evals += evals
+        if trace is not None:
+            trace.nodes.append(np.array([r[0] for r in rec], dtype=np.intp))
+            trace.cats.append(np.array([r[1] for r in rec], dtype=np.int8))
+    return lists, trace
+
+
+def build_interaction_lists(
+    batches: TargetBatches,
+    tree: ClusterTree | TreeView,
+    params: TreecodeParams,
+) -> InteractionLists:
+    """Build interaction lists for every batch against one source tree
+    (a local tree or the view of a fetched remote tree array)."""
+    lists, _ = _traverse_batches(
+        batches, tree, params, range(len(batches)), record=False
+    )
     return lists
 
 
@@ -257,7 +248,7 @@ class TraversalRecord:
 
 def record_traversal(
     batches: TargetBatches,
-    tree: ClusterTree | TreeAdapter,
+    tree: ClusterTree | TreeView,
     params: TreecodeParams,
 ) -> TraversalRecord:
     """Re-run the full traversal, capturing the decision trace.
@@ -266,20 +257,10 @@ def record_traversal(
     by construction identical to the session's stored lists; only the
     trace is new information.
     """
-    adapter: TreeAdapter
-    if isinstance(tree, ClusterTree):
-        adapter = LocalTreeAdapter(tree)
-    else:
-        adapter = tree
-    nodes: list[np.ndarray] = []
-    cats: list[np.ndarray] = []
-    for b in range(len(batches)):
-        node = batches.batch(b)
-        rec: list[tuple[int, int]] = []
-        traverse_batch(node.center, node.radius, adapter, params, record=rec)
-        nodes.append(np.array([r[0] for r in rec], dtype=np.intp))
-        cats.append(np.array([r[1] for r in rec], dtype=np.int8))
-    return TraversalRecord(nodes=nodes, cats=cats)
+    _, trace = _traverse_batches(
+        batches, tree, params, range(len(batches)), record=True
+    )
+    return trace
 
 
 def verify_traversal(
@@ -311,9 +292,10 @@ def verify_traversal(
     flat_cats = np.concatenate(record.cats)
     batch_ids = np.repeat(np.arange(n_batches, dtype=np.intp), lengths)
 
-    centers = np.array([nd.center for nd in tree.nodes])
-    radii = np.array([nd.radius for nd in tree.nodes])
-    counts = tree.node_counts
+    view = tree.view()
+    centers = view.centers
+    radii = view.radii
+    counts = view.counts
     b_centers = batches.centers()
     b_radii = batches.radii()
 
@@ -367,18 +349,14 @@ def patch_interaction_lists(
     geometry would report (clean batches' traversals are
     decision-identical by the verify guarantee).
     """
-    adapter = LocalTreeAdapter(tree)
-    redone = 0
-    for b in np.nonzero(dirty)[0]:
-        node = batches.batch(int(b))
-        rec: list[tuple[int, int]] = []
-        approx, direct, evals = traverse_batch(
-            node.center, node.radius, adapter, params, record=rec
-        )
-        lists.approx[b] = np.asarray(approx, dtype=np.intp)
-        lists.direct[b] = np.asarray(direct, dtype=np.intp)
-        record.nodes[b] = np.array([r[0] for r in rec], dtype=np.intp)
-        record.cats[b] = np.array([r[1] for r in rec], dtype=np.int8)
-        redone += evals
+    dirty_ids = np.flatnonzero(dirty)
+    redone, trace = _traverse_batches(
+        batches, tree, params, dirty_ids, record=True
+    )
+    for k, b in enumerate(dirty_ids):
+        lists.approx[b] = redone.approx[k]
+        lists.direct[b] = redone.direct[k]
+        record.nodes[b] = trace.nodes[k]
+        record.cats[b] = trace.cats[k]
     lists.mac_evals = record.n_rows
-    return redone
+    return redone.mac_evals

@@ -453,10 +453,6 @@ class BatchedLayout:
     #: merged run counts its group's rows once).
     ragged_rows: int = 0
 
-    @property
-    def n_batched_entries(self) -> int:
-        return sum(b.n_entries for b in self.buckets)
-
     def batched_interactions(self) -> int:
         """Plan kernel evaluations covered by buckets (valid cells only;
         zero-weight pad columns are flops but not plan interactions)."""
@@ -620,46 +616,6 @@ class ExecutionPlan:
     def segment_weights(self, s: int) -> np.ndarray:
         lo, hi = self.segment_source_range(s)
         return self.src_weights[lo:hi]
-
-    def group_source_range(self, g: int) -> tuple[int, int] | None:
-        """Physical row range covering group ``g``, if contiguous.
-
-        Aliased segments generally scatter their ranges, in which case
-        callers fall back to :meth:`group_sources`; a group of
-        first-occurrence segments stays one contiguous block (the
-        builder stores new rows consecutively).  Returns None when not
-        contiguous.
-        """
-        s_lo = int(self.seg_group_ptr[g])
-        s_hi = int(self.seg_group_ptr[g + 1])
-        lo, pos = self.segment_source_range(s_lo) if s_hi > s_lo else (0, 0)
-        for s in range(s_lo + 1, s_hi):
-            nxt_lo, nxt_hi = self.segment_source_range(s)
-            if nxt_lo != pos:
-                return None
-            pos = nxt_hi
-        return lo, pos
-
-    def group_sources(self, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(points, weights)`` of group ``g``'s rows in segment order.
-
-        Contiguous views when the layout allows; otherwise a gather
-        (concatenation of the aliased segment slices) -- the values are
-        exact copies of the same cluster arrays either way.
-        """
-        rng = self.group_source_range(g)
-        if rng is not None:
-            lo, hi = rng
-            return self.src_points[lo:hi], self.src_weights[lo:hi]
-        s_lo = int(self.seg_group_ptr[g])
-        s_hi = int(self.seg_group_ptr[g + 1])
-        pts = np.concatenate(
-            [self.segment_points(s) for s in range(s_lo, s_hi)], axis=0
-        )
-        wts = np.concatenate(
-            [self.segment_weights(s) for s in range(s_lo, s_hi)]
-        )
-        return pts, wts
 
     # -- geometry-constant dtype casts ----------------------------------
     def _cast_geometry(self, name: str, arr: np.ndarray, dtype) -> np.ndarray:
@@ -1084,7 +1040,7 @@ def _build_padded_bucket(
     )
 
 
-def _partition_padded_pool(entries, max_waste: float, min_groups: int):
+def _partition_padded_pool(entries):
     """Greedy slab partition of one kind's ragged pool.
 
     ``entries`` are ``(k, m, g, t_lo, s_lo, s_hi)`` tuples; they are
@@ -1093,12 +1049,13 @@ def _partition_padded_pool(entries, max_waste: float, min_groups: int):
     widely, so majoring on ``m`` keeps both paddings small), then
     sliced into slabs: an entry joins the open slab while the combined
     stack waste ``1 - sum(m_i k_i) / (n m_max k_max)`` stays within
-    ``max_waste`` and its group is not already in the slab (the bucket
-    scatter must stay injective).  Uniform same-shape runs are the
-    zero-waste special case, so this rule subsumes an equal-``k``
-    split.  Entries stranded by a slab boundary are re-swept until no
-    new slab forms; the rest return as leftovers for the ragged path
-    (always fewer than ``min_groups`` per surviving shape).
+    :data:`BATCHED_MAX_SOURCE_PADDING_WASTE` and its group is not
+    already in the slab (the bucket scatter must stay injective).
+    Uniform same-shape runs are the zero-waste special case, so this
+    rule subsumes an equal-``k`` split.  Entries stranded by a slab
+    boundary are re-swept until no new slab forms; the rest return as
+    leftovers for the ragged path (always fewer than
+    :data:`BATCHED_MIN_GROUPS` per surviving shape).
     """
     slabs: list[list] = []
     remaining = sorted(entries, key=lambda e: (e[1], e[0], e[2]))
@@ -1110,7 +1067,7 @@ def _partition_padded_pool(entries, max_waste: float, min_groups: int):
 
         def flush():
             nonlocal slab, groups, m_max, k_max, area
-            if len(slab) >= min_groups:
+            if len(slab) >= BATCHED_MIN_GROUPS:
                 slabs.append(slab)
             else:
                 leftovers.extend(slab)
@@ -1123,7 +1080,7 @@ def _partition_padded_pool(entries, max_waste: float, min_groups: int):
                 nm, nk = max(m_max, m), max(k_max, k)
                 n = len(slab) + 1
                 waste = 1.0 - (area + m * k) / (n * nm * nk)
-                if g in groups or waste > max_waste:
+                if g in groups or waste > BATCHED_MAX_SOURCE_PADDING_WASTE:
                     flush()
             slab.append(e)
             groups.add(g)
@@ -1136,13 +1093,7 @@ def _partition_padded_pool(entries, max_waste: float, min_groups: int):
     return slabs, []
 
 
-def build_batched_layout(
-    plan: ExecutionPlan,
-    *,
-    max_padding_waste: float = BATCHED_MAX_PADDING_WASTE,
-    min_bucket_groups: int = BATCHED_MIN_GROUPS,
-    max_source_padding_waste: float = BATCHED_MAX_SOURCE_PADDING_WASTE,
-) -> BatchedLayout:
+def build_batched_layout(plan: ExecutionPlan) -> BatchedLayout:
     """Bucket every equal-kind segment run of the plan, padded or not.
 
     Pure geometry: derived entirely from the index arrays, the output
@@ -1150,15 +1101,17 @@ def build_batched_layout(
     gathered from the current flat weight buffer and kept refreshable).
     Runs whose segments all share one size are bucketed under
     ``(n_segments, rows_per_segment, kind)``; a bucket whose single
-    ``m_max`` padding would waste more than ``max_padding_waste`` of its
-    target rows is split into equal-``m`` sub-buckets.  Everything else
+    ``m_max`` padding would waste more than
+    :data:`BATCHED_MAX_PADDING_WASTE` of its target rows is split into
+    equal-``m`` sub-buckets.  Everything else
     -- ragged runs (unequal segment sizes, the near field), sub-minimum
     uniform leftovers, and repeated same-signature runs within one group
     (which would collide in a bucket's single fancy-indexed scatter) --
     enters a per-kind pool that :func:`_partition_padded_pool` slices
-    into zero-weight-padded buckets under ``max_source_padding_waste``.
-    Only pool slabs below ``min_bucket_groups`` fall back to the
-    per-group ``ragged_runs`` path.
+    into zero-weight-padded buckets under
+    :data:`BATCHED_MAX_SOURCE_PADDING_WASTE`.  Only pool slabs below
+    :data:`BATCHED_MIN_GROUPS` fall back to the per-group
+    ``ragged_runs`` path.
     """
     if not plan.has_numerics:
         raise ValueError("model-only plan has no batched layout")
@@ -1197,7 +1150,7 @@ def build_batched_layout(
         m_sizes = np.array([e[2] for e in entries], dtype=np.intp)
         m_max = int(m_sizes.max())
         waste = 1.0 - float(m_sizes.sum()) / (len(entries) * m_max)
-        if waste > max_padding_waste:
+        if waste > BATCHED_MAX_PADDING_WASTE:
             sub: dict[int, list] = {}
             for e in entries:
                 sub.setdefault(e[2], []).append(e)
@@ -1205,7 +1158,7 @@ def build_batched_layout(
         else:
             partitions = [entries]
         for part in partitions:
-            if len(part) < min_bucket_groups:
+            if len(part) < BATCHED_MIN_GROUPS:
                 # Too few same-shape runs to stack alone; let the padded
                 # pool absorb them next to similarly sized ragged work.
                 pool.setdefault(sig[2], []).extend(
@@ -1215,9 +1168,7 @@ def build_batched_layout(
             else:
                 buckets.append(_build_bucket(plan, sig, part))
     for kind in sorted(pool):
-        slabs, leftovers = _partition_padded_pool(
-            pool[kind], max_source_padding_waste, min_bucket_groups
-        )
+        slabs, leftovers = _partition_padded_pool(pool[kind])
         for slab in slabs:
             buckets.append(_build_padded_bucket(plan, kind, slab))
         ragged.extend((e[2], e[4], e[5]) for e in leftovers)

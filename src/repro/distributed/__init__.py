@@ -8,7 +8,7 @@ tree arrays, building interaction lists against them, and fetching exactly
 the remote clusters those lists reference.
 """
 
-from .letree import LocallyEssentialTree, RemoteTreeAdapter
+from .letree import LocallyEssentialTree
 from .driver import (
     DistributedBLTC,
     DistributedResult,
@@ -16,7 +16,6 @@ from .driver import (
 )
 
 __all__ = [
-    "RemoteTreeAdapter",
     "LocallyEssentialTree",
     "DistributedBLTC",
     "PreparedDistributedBLTC",

@@ -714,10 +714,11 @@ class PreparedDistributedBLTC:
 
     def health_stats(self) -> dict:
         """Aggregated per-rank fault-tolerance counters (see
-        ``SessionCore.health_stats``): numeric counters sum, fallback
-        events concatenate, ``degraded_to``/``last_error`` report the
-        first degraded rank (ranks share one backend instance, so they
-        degrade together in practice)."""
+        ``SessionCore.health_stats``): numeric counters are rank 0's
+        (the ranks share one backend instance, so summing would count
+        its counters once per rank), fallback events concatenate, and
+        ``degraded_to``/``last_error`` report the first degraded rank
+        (the shared backend degrades them together in practice)."""
         per_rank = [core.health_stats() for core in self.cores]
         stats = dict(per_rank[0])
         stats["fallbacks"] = [

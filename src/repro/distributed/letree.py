@@ -1,10 +1,11 @@
-"""Remote tree views and locally essential trees (paper Sec. 3.1).
+"""Locally essential trees (paper Sec. 3.1).
 
 LET construction happens in two steps (paper's two-rank example):
 
 1. the origin rank *gets* each remote rank's packed tree array (cluster
-   midpoints, radii, counts, topology -- no particle data) and runs the
-   batch/cluster traversal against it, producing per-remote interaction
+   midpoints, radii, counts, topology -- no particle data), reads it as a
+   :class:`~repro.tree.octree.TreeView` and runs the same batch/cluster
+   traversal local lists come from, producing per-remote interaction
    lists;
 2. the origin *gets* exactly the data those lists reference: source
    particles and charges of directly-summed remote clusters, and modified
@@ -18,83 +19,22 @@ evaluate its targets with no further communication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from ..config import TreecodeParams
-from ..core.interaction_lists import InteractionLists, traverse_batch
+from ..core.interaction_lists import InteractionLists, build_interaction_lists
 from ..interpolation.grid import ChebyshevGrid3D
 from ..mpi.comm import RankHandle
 from ..tree.batches import TargetBatches
-from ..tree.octree import ClusterTree
+from ..tree.octree import TreeView
 
 __all__ = [
-    "RemoteTreeAdapter",
     "LocallyEssentialTree",
     "build_let",
     "build_let_geometry",
     "refresh_let_charges",
 ]
-
-# Field offsets in the packed tree array (ClusterTree.tree_array layout).
-_CENTER = slice(0, 3)
-_RADIUS = 3
-_LO = slice(4, 7)
-_HI = slice(7, 10)
-_COUNT = 10
-_START = 11
-_END = 12
-_IS_LEAF = 13
-_FIRST_CHILD = 14
-_N_CHILDREN = 15
-
-
-class RemoteTreeAdapter:
-    """Tree-adapter view over a packed tree array fetched via RMA.
-
-    Implements the :class:`~repro.core.interaction_lists.TreeAdapter`
-    protocol, so the same traversal code used locally builds the
-    interaction lists against remote trees.
-    """
-
-    def __init__(self, tree_array: np.ndarray) -> None:
-        arr = np.asarray(tree_array, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != ClusterTree.TREE_ARRAY_FIELDS:
-            raise ValueError(
-                f"tree array must be (M, {ClusterTree.TREE_ARRAY_FIELDS}), "
-                f"got {arr.shape}"
-            )
-        self._arr = arr
-
-    def n_nodes(self) -> int:
-        return self._arr.shape[0]
-
-    def center(self, i: int) -> np.ndarray:
-        return self._arr[i, _CENTER]
-
-    def radius(self, i: int) -> float:
-        return float(self._arr[i, _RADIUS])
-
-    def count(self, i: int) -> int:
-        return int(self._arr[i, _COUNT])
-
-    def is_leaf(self, i: int) -> bool:
-        return self._arr[i, _IS_LEAF] != 0.0
-
-    def children(self, i: int) -> Sequence[int]:
-        first = int(self._arr[i, _FIRST_CHILD])
-        n = int(self._arr[i, _N_CHILDREN])
-        if first < 0 or n == 0:
-            return ()
-        return range(first, first + n)
-
-    def box(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._arr[i, _LO], self._arr[i, _HI]
-
-    def particle_slice(self, i: int) -> slice:
-        """Slice into the owner's permuted particle arrays for node ``i``."""
-        return slice(int(self._arr[i, _START]), int(self._arr[i, _END]))
 
 
 @dataclass
@@ -214,16 +154,8 @@ def build_let_geometry(
     mac_evals = 0
     for s in handle.remote_ranks():
         # Step 1: get the remote tree array, build interaction lists.
-        remote = RemoteTreeAdapter(handle.get(s, tree_window))
-        lists = InteractionLists()
-        for b in range(len(batches)):
-            node = batches.batch(b)
-            approx, direct, evals = traverse_batch(
-                node.center, node.radius, remote, params
-            )
-            lists.approx.append(np.asarray(approx, dtype=np.intp))
-            lists.direct.append(np.asarray(direct, dtype=np.intp))
-            lists.mac_evals += evals
+        remote = TreeView(handle.get(s, tree_window))
+        lists = build_interaction_lists(batches, remote, params)
         mac_evals += lists.mac_evals
         let.lists[s] = lists
 
@@ -237,15 +169,16 @@ def build_let_geometry(
         dd: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         slices: dict[int, slice] = {}
         for c in direct_nodes:
-            sl = remote.particle_slice(c)
+            sl = slice(int(remote.starts[c]), int(remote.ends[c]))
             slices[c] = sl
             dd[c] = (handle.get(s, pos_window, sl), None)
         ad: dict[int, tuple[ChebyshevGrid3D, np.ndarray]] = {}
         for c in approx_nodes:
             grid = None
             if numerics:
-                lo, hi = remote.box(c)
-                grid = ChebyshevGrid3D.for_box(lo, hi, params.degree)
+                grid = ChebyshevGrid3D.for_box(
+                    remote.lo[c], remote.hi[c], params.degree
+                )
             ad[c] = (grid, None)
         let.direct_data[s] = dd
         let.approx_data[s] = ad

@@ -168,16 +168,16 @@ class DualTreeTreecode(ExtensionTreecode):
         g.cp_pairs = []
         g.direct_pairs = []
         g.mac_evals = 0
+        tv = g.t_tree.view()
+        sv = g.s_tree.view()
         stack = [(0, 0)]
         while stack:
             ti, si = stack.pop()
-            t_nd = g.t_tree.nodes[ti]
-            s_nd = g.s_tree.nodes[si]
-            dist = float(np.linalg.norm(t_nd.center - s_nd.center))
+            dist = float(np.linalg.norm(tv.centers[ti] - sv.centers[si]))
             g.mac_evals += 1
-            if mac_geometric(t_nd.radius, s_nd.radius, dist, params.theta):
-                s_ok = (not params.size_check) or n_ip < s_nd.count
-                t_ok = (not params.size_check) or n_ip < t_nd.count
+            if mac_geometric(tv.radii[ti], sv.radii[si], dist, params.theta):
+                s_ok = (not params.size_check) or n_ip < sv.counts[si]
+                t_ok = (not params.size_check) or n_ip < tv.counts[ti]
                 if s_ok and t_ok:
                     g.cc_pairs.append((ti, si))
                 elif s_ok:
@@ -187,14 +187,20 @@ class DualTreeTreecode(ExtensionTreecode):
                 else:
                     g.direct_pairs.append((ti, si))
                 continue
-            t_leaf = t_nd.is_leaf
-            s_leaf = s_nd.is_leaf
+            t_leaf = tv.is_leaf[ti]
+            s_leaf = sv.is_leaf[si]
             if t_leaf and s_leaf:
                 g.direct_pairs.append((ti, si))
-            elif s_leaf or (not t_leaf and t_nd.radius >= s_nd.radius):
-                stack.extend((c, si) for c in t_nd.children)
+            elif s_leaf or (not t_leaf and tv.radii[ti] >= sv.radii[si]):
+                first = tv.first_child[ti]
+                stack.extend(
+                    (c, si) for c in range(first, first + tv.n_children[ti])
+                )
             else:
-                stack.extend((ti, c) for c in s_nd.children)
+                first = sv.first_child[si]
+                stack.extend(
+                    (ti, c) for c in range(first, first + sv.n_children[si])
+                )
 
     def _build_groups(self, g: _DTGeometry) -> None:
         """Group the four pair classes by receiving target block.
@@ -211,6 +217,8 @@ class DualTreeTreecode(ExtensionTreecode):
         """
         params = self.params
         n_ip = params.n_interpolation_points
+        tv = g.t_tree.view()
+        s_counts = g.s_tree.view().counts.tolist()
         g.t_grids = {}
         g.grid_groups = {}
         g.node_groups = {}
@@ -220,9 +228,8 @@ class DualTreeTreecode(ExtensionTreecode):
         def grid_group(ti: int) -> int:
             grp = g.grid_groups.get(ti)
             if grp is None:
-                nd = g.t_tree.nodes[ti]
                 g.t_grids[ti] = ChebyshevGrid3D.for_box(
-                    nd.box.lo, nd.box.hi, params.degree
+                    tv.lo[ti], tv.hi[ti], params.degree
                 )
                 grp = len(g.group_keys)
                 g.grid_groups[ti] = grp
@@ -249,12 +256,11 @@ class DualTreeTreecode(ExtensionTreecode):
             )
         for ti, si in g.cp_pairs:
             g.group_segs[grid_group(ti)].append(
-                ("cluster-particle", ("particles", si),
-                 g.s_tree.nodes[si].count)
+                ("cluster-particle", ("particles", si), s_counts[si])
             )
         for ti, si in g.direct_pairs:
             g.group_segs[node_group(ti)].append(
-                ("direct", ("particles", si), g.s_tree.nodes[si].count)
+                ("direct", ("particles", si), s_counts[si])
             )
 
     def _compile_plan(self, g: _DTGeometry, moments, *, numerics: bool):
@@ -286,7 +292,7 @@ class DualTreeTreecode(ExtensionTreecode):
                         targets=g.target_pos[idx], out_index=idx
                     )
                 else:
-                    builder.add_group(size=g.t_tree.nodes[ti].count)
+                    builder.add_group(size=int(g.t_tree.node_counts[ti]))
             for kind, skey, size in g.group_segs[grp]:
                 if not numerics:
                     builder.add_segment(kind, size=size)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.interaction_lists import LocalTreeAdapter, traverse_batch
+from ..core.interaction_lists import build_interaction_lists
 from ..core.plan import PlanBuilder
 from ..core.session import BatchChargeWeightSource, GeometryState
 from ..gpu.device import Device
@@ -153,16 +153,8 @@ class ClusterParticleTreecode(ExtensionTreecode):
             aspect_ratio_splitting=params.aspect_ratio_splitting,
             shrink_to_fit=params.shrink_to_fit,
         )
-        adapter = LocalTreeAdapter(g.tree)
-        g.lists = []
-        g.mac_evals = 0
-        for b in range(len(g.batches)):
-            node = g.batches.batch(b)
-            approx, direct, evals = traverse_batch(
-                node.center, node.radius, adapter, params
-            )
-            g.lists.append((approx, direct))
-            g.mac_evals += evals
+        g.lists = build_interaction_lists(g.batches, g.tree, params)
+        g.mac_evals = g.lists.mac_evals
 
         # Group the accepted pairs by receiving target block.
         # Approximated target clusters receive on their Chebyshev grids
@@ -173,20 +165,22 @@ class ClusterParticleTreecode(ExtensionTreecode):
         g.direct_groups = {}
         g.group_keys = []
         g.group_batches = []
-        for b, (approx, direct) in enumerate(g.lists):
-            for c in approx:
+        view = g.tree.view()
+        for b, (approx, direct) in enumerate(
+            zip(g.lists.approx, g.lists.direct)
+        ):
+            for c in approx.tolist():
                 grp = g.grid_groups.get(c)
                 if grp is None:
-                    nd = g.tree.nodes[c]
                     g.grids[c] = ChebyshevGrid3D.for_box(
-                        nd.box.lo, nd.box.hi, params.degree
+                        view.lo[c], view.hi[c], params.degree
                     )
                     grp = len(g.group_keys)
                     g.grid_groups[c] = grp
                     g.group_keys.append(("approx", c))
                     g.group_batches.append([])
                 g.group_batches[grp].append(b)
-            for c in direct:
+            for c in direct.tolist():
                 grp = g.direct_groups.get(c)
                 if grp is None:
                     grp = len(g.group_keys)

@@ -6,13 +6,15 @@
   source clusters: recursive midpoint subdivision of minimal bounding
   boxes, terminating at ``NL`` particles, with the sqrt(2) aspect-ratio
   rule deciding how many children (2/4/8) a node gets.
+* :class:`~repro.tree.octree.TreeView` -- the packed tree array read as
+  per-field columns; every traversal, local or LET, reads this view.
 * :class:`~repro.tree.batches.TargetBatches` -- geometrically localized
   batches of at most ``NB`` targets, built with the same partitioning
   routine.
 """
 
 from .box import Box, bounding_box
-from .octree import ClusterTree, TreeNode
+from .octree import ClusterTree, TreeNode, TreeView
 from .batches import TargetBatches
 
 __all__ = [
@@ -20,5 +22,6 @@ __all__ = [
     "bounding_box",
     "ClusterTree",
     "TreeNode",
+    "TreeView",
     "TargetBatches",
 ]

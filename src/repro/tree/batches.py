@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .box import Box
 from .octree import ClusterTree, RebinResult, TreeNode
 
 __all__ = ["TargetBatches"]
@@ -42,10 +41,11 @@ class TargetBatches:
             aspect_ratio_splitting=aspect_ratio_splitting,
             shrink_to_fit=shrink_to_fit,
         )
-        self._leaves: list[TreeNode] = self._tree.leaves()
+        #: Node index of every batch (the batch tree's leaves, in order).
+        self._leaf_ids = np.flatnonzero(self._tree.view().is_leaf)
 
     def __len__(self) -> int:
-        return len(self._leaves)
+        return len(self._leaf_ids)
 
     @property
     def n_targets(self) -> int:
@@ -74,41 +74,37 @@ class TargetBatches:
     def rebin(self, new_positions: np.ndarray) -> RebinResult:
         """Incrementally re-bin the batch tree for moved targets.
 
-        Delegates to :meth:`ClusterTree.rebin`; on success the cached
-        leaf list stays valid because the tree mutates its ``TreeNode``
-        objects in place.  Batch ``b``'s node index in the masks is
-        ``self.batch(b).index``.
+        Delegates to :meth:`ClusterTree.rebin`; on success the batch
+        node indices stay valid because a rebin preserves the topology.
+        Batch ``b``'s node index in the masks is ``self.batch(b).index``.
         """
         return self._tree.rebin(new_positions)
 
     def batch(self, b: int) -> TreeNode:
         """The ``b``-th batch node."""
-        return self._leaves[b]
+        return self._tree.nodes[self._leaf_ids[b]]
 
     def batch_indices(self, b: int) -> np.ndarray:
         """Original target indices of batch ``b``."""
-        return self._tree.node_indices(self._leaves[b])
+        return self._tree.node_indices(self._leaf_ids[b])
 
     def batch_points(self, b: int) -> np.ndarray:
         """Coordinates of the targets in batch ``b``."""
-        return self._tree.node_points(self._leaves[b])
-
-    def batch_box(self, b: int) -> Box:
-        return self._leaves[b].box
+        return self._tree.node_points(self._leaf_ids[b])
 
     def centers(self) -> np.ndarray:
-        """(n_batches, 3) batch centers."""
-        return np.array([nd.center for nd in self._leaves])
+        """(n_batches, 3) batch centers (read from the batch tree's view)."""
+        return self._tree.view().centers[self._leaf_ids]
 
     def radii(self) -> np.ndarray:
-        """(n_batches,) batch radii."""
-        return np.array([nd.radius for nd in self._leaves])
+        """(n_batches,) batch radii (read from the batch tree's view)."""
+        return self._tree.view().radii[self._leaf_ids]
 
     def sizes(self) -> np.ndarray:
         """(n_batches,) number of targets per batch."""
-        return np.array([nd.count for nd in self._leaves], dtype=np.intp)
+        return self._tree.view().counts[self._leaf_ids]
 
     def validate(self) -> None:
         """Structural invariants (delegates to the underlying tree)."""
         self._tree.validate()
-        assert sum(nd.count for nd in self._leaves) == self.n_targets
+        assert int(self.sizes().sum()) == self.n_targets

@@ -12,6 +12,14 @@ owns a contiguous slice ``[start, end)`` -- the array-structure style that
 GPU treecodes favour over pointer chasing (the paper cites Burtscher &
 Pingali for this idea), and which makes serializing the tree for RMA
 communication trivial.
+
+This module also owns the *packed tree array*: one float64 row per node
+holding its center, radius, box, particle slice and topology -- the
+"tree array (containing cluster midpoints and radii for all tree nodes)"
+each rank exposes for LET construction (Sec. 3.1).  :class:`TreeView`
+reads that array as a struct of per-field columns, and it is the one
+form every traversal reads: a local tree's cached
+:meth:`ClusterTree.view` and a remote rank's fetched array alike.
 """
 
 from __future__ import annotations
@@ -24,7 +32,65 @@ import numpy as np
 from ..config import ASPECT_RATIO_LIMIT
 from .box import Box, bounding_box
 
-__all__ = ["TreeNode", "ClusterTree", "RebinResult"]
+__all__ = ["TreeNode", "ClusterTree", "RebinResult", "TreeView"]
+
+# Field offsets of one node's row in the packed tree array.
+CENTER = slice(0, 3)
+RADIUS = 3
+LO = slice(4, 7)
+HI = slice(7, 10)
+COUNT = 10
+START = 11
+END = 12
+IS_LEAF = 13
+FIRST_CHILD = 14
+N_CHILDREN = 15
+#: Number of float64 fields per node in the packed tree array.
+TREE_ARRAY_FIELDS = 16
+
+
+class TreeView:
+    """Struct-of-arrays view of a packed tree array, local or fetched.
+
+    Columns: ``centers`` (M, 3), ``radii``, ``lo`` / ``hi`` (M, 3) and
+    the integer columns ``counts``, ``starts``, ``ends``,
+    ``first_child``, ``n_children`` plus the bool ``is_leaf``.  Children
+    of a node are consecutive, so node ``i``'s children are
+    ``range(first_child[i], first_child[i] + n_children[i])``.  The
+    array's shape is checked here because a fetched array is input from
+    another rank.
+    """
+
+    __slots__ = (
+        "array", "centers", "radii", "lo", "hi", "counts", "starts",
+        "ends", "is_leaf", "first_child", "n_children",
+    )
+
+    def __init__(self, array: np.ndarray) -> None:
+        arr = np.asarray(array, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != TREE_ARRAY_FIELDS:
+            raise ValueError(
+                f"tree array must be (M, {TREE_ARRAY_FIELDS}), "
+                f"got {arr.shape}"
+            )
+        self.array = arr
+        self.centers = arr[:, CENTER]
+        self.radii = arr[:, RADIUS]
+        self.lo = arr[:, LO]
+        self.hi = arr[:, HI]
+        self.counts = arr[:, COUNT].astype(np.intp)
+        self.starts = arr[:, START].astype(np.intp)
+        self.ends = arr[:, END].astype(np.intp)
+        self.is_leaf = arr[:, IS_LEAF] != 0.0
+        self.first_child = arr[:, FIRST_CHILD].astype(np.intp)
+        self.n_children = arr[:, N_CHILDREN].astype(np.intp)
+
+    def __len__(self) -> int:
+        return self.array.shape[0]
+
+    def __reduce__(self):
+        # Pickle the packed array once, not every column beside it.
+        return TreeView, (self.array,)
 
 
 @dataclass
@@ -76,14 +142,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.box.center
-
-    @property
-    def radius(self) -> float:
-        return self.box.radius
-
 
 class ClusterTree:
     """Adaptive octree over a fixed set of points.
@@ -121,7 +179,7 @@ class ClusterTree:
         self.shrink_to_fit = bool(shrink_to_fit)
         self.perm = np.arange(positions.shape[0], dtype=np.intp)
         self.nodes: list[TreeNode] = []
-        self._node_counts: np.ndarray | None = None
+        self._view: TreeView | None = None
         self._build()
 
     # ------------------------------------------------------------------
@@ -219,15 +277,8 @@ class ClusterTree:
 
     @property
     def node_counts(self) -> np.ndarray:
-        """(n_nodes,) particle count per node (cached; vectorized users
-        index this instead of walking ``nodes[i].count`` in Python)."""
-        if self._node_counts is None:
-            self._node_counts = np.fromiter(
-                (nd.end - nd.start for nd in self.nodes),
-                dtype=np.intp,
-                count=len(self.nodes),
-            )
-        return self._node_counts
+        """(n_nodes,) particle count per node (the view's column)."""
+        return self.view().counts
 
     def leaves(self) -> list[TreeNode]:
         """All leaf nodes, in node-index order."""
@@ -253,26 +304,6 @@ class ClusterTree:
             if nd.is_leaf:
                 lm[self.perm[nd.start:nd.end]] = nd.index
         return lm
-
-    def escaped_mask(self, new_positions: np.ndarray) -> np.ndarray:
-        """(N,) bool: which particles left their current leaf box.
-
-        The leaf-membership check of a dynamic-geometry update: a
-        particle still inside its leaf's bounding box needs no re-bin
-        (though shrink-to-fit boxes still tighten around it).
-        """
-        new_positions = np.asarray(new_positions, dtype=np.float64)
-        m = len(self.nodes)
-        los = np.zeros((m, 3))
-        his = np.zeros((m, 3))
-        for nd in self.nodes:
-            if nd.is_leaf:
-                los[nd.index] = nd.box.lo
-                his[nd.index] = nd.box.hi
-        lm = self.leaf_map()
-        return np.any(
-            (new_positions < los[lm]) | (new_positions > his[lm]), axis=1
-        )
 
     def rebin(self, new_positions: np.ndarray) -> RebinResult:
         """Re-bin the tree in place for moved particles, preserving topology.
@@ -304,12 +335,8 @@ class ClusterTree:
         old_leaf_map = self.leaf_map()
         # Working copies: nothing below mutates the tree until commit.
         perm = self.perm.copy()
-        starts = np.fromiter(
-            (nd.start for nd in self.nodes), dtype=np.intp, count=m
-        )
-        ends = np.fromiter(
-            (nd.end for nd in self.nodes), dtype=np.intp, count=m
-        )
+        starts = self.view().starts.copy()
+        ends = self.view().ends.copy()
         boxes: list[Box | None] = [None] * m
         inherited: list[Box | None] = [None] * m
         box_changed = np.zeros(m, dtype=bool)
@@ -397,14 +424,15 @@ class ClusterTree:
                 offset += cnt
 
         # Commit: mutate the existing TreeNode objects so every external
-        # reference to them (target batches, adapters) stays valid.
+        # reference to them (target batches) stays valid; the packed view
+        # is rebuilt from them on next use.
         for index, node in enumerate(self.nodes):
             node.start = int(starts[index])
             node.end = int(ends[index])
             node.box = boxes[index]
         self.perm = perm
         self.positions = new_positions
-        self._node_counts = None
+        self._view = None
         new_leaf_map = self.leaf_map()
         n_rebinned = int(np.count_nonzero(new_leaf_map != old_leaf_map))
         return RebinResult(
@@ -419,37 +447,48 @@ class ClusterTree:
     # ------------------------------------------------------------------
     # Serialization (the "tree array" communicated over RMA, Sec. 3.1)
     # ------------------------------------------------------------------
-    #: Number of float64 fields per node in the packed tree array.
-    TREE_ARRAY_FIELDS = 16
-
     def tree_array(self) -> np.ndarray:
-        """Pack the tree metadata into a flat float64 array.
+        """The packed tree array (read-only; see :class:`TreeView`).
 
-        Layout per node (16 fields): center(3), radius, lo(3), hi(3),
-        count, start, end, is_leaf, first_child, n_children.  Children of a
-        node are consecutive, so (first_child, n_children) reconstructs the
-        topology.  This is the "tree array (containing cluster midpoints
-        and radii for all tree nodes)" placed in RMA windows (Sec. 3.1).
+        Layout per node (``TREE_ARRAY_FIELDS`` = 16 fields): center(3),
+        radius, lo(3), hi(3), count, start, end, is_leaf, first_child,
+        n_children.  This is the "tree array (containing cluster
+        midpoints and radii for all tree nodes)" placed in RMA windows
+        (Sec. 3.1).
         """
-        m = len(self.nodes)
-        arr = np.zeros((m, self.TREE_ARRAY_FIELDS), dtype=np.float64)
-        for nd in self.nodes:
-            first_child = nd.children[0] if nd.children else -1
-            arr[nd.index] = np.concatenate([
-                nd.center,
-                [nd.radius],
-                nd.box.lo,
-                nd.box.hi,
-                [
-                    nd.count,
-                    nd.start,
-                    nd.end,
-                    1.0 if nd.is_leaf else 0.0,
-                    first_child,
-                    len(nd.children),
-                ],
-            ])
-        return arr
+        return self.view().array
+
+    def view(self) -> TreeView:
+        """Struct-of-arrays view of the packed tree array (cached).
+
+        Built once per binning, vectorised: centers are ``0.5 * (lo +
+        hi)`` and radii ``0.5 * sqrt(vecdot(ext, ext))``, the same
+        arithmetic as :attr:`Box.center` / :attr:`Box.radius` (whose
+        ``np.linalg.norm`` is the same per-row dot), so every value is
+        bitwise what a per-node walk would read.  :meth:`rebin` drops it
+        on commit.
+        """
+        if self._view is None:
+            nodes = self.nodes
+            lo = np.array([nd.box.lo for nd in nodes])
+            hi = np.array([nd.box.hi for nd in nodes])
+            ext = hi - lo
+            arr = np.empty((len(nodes), TREE_ARRAY_FIELDS), dtype=np.float64)
+            arr[:, CENTER] = 0.5 * (lo + hi)
+            arr[:, RADIUS] = 0.5 * np.sqrt(np.vecdot(ext, ext))
+            arr[:, LO] = lo
+            arr[:, HI] = hi
+            arr[:, START] = [nd.start for nd in nodes]
+            arr[:, END] = [nd.end for nd in nodes]
+            arr[:, COUNT] = arr[:, END] - arr[:, START]
+            arr[:, N_CHILDREN] = [len(nd.children) for nd in nodes]
+            arr[:, IS_LEAF] = arr[:, N_CHILDREN] == 0
+            arr[:, FIRST_CHILD] = [
+                nd.children[0] if nd.children else -1 for nd in nodes
+            ]
+            arr.flags.writeable = False
+            self._view = TreeView(arr)
+        return self._view
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation.

@@ -410,20 +410,6 @@ class TestSharedSourceGather:
         assert all(0 <= lo <= hi <= rows for lo, hi in ranges)
         assert len(set(ranges)) < len(ranges)
 
-    def test_segment_views_match_group_sources(self, shared_plan):
-        for g in range(0, shared_plan.n_groups, 5):
-            pts, wts = shared_plan.group_sources(g)
-            parts_p, parts_w = [], []
-            s_lo, s_hi = (
-                int(shared_plan.seg_group_ptr[g]),
-                int(shared_plan.seg_group_ptr[g + 1]),
-            )
-            for s in range(s_lo, s_hi):
-                parts_p.append(shared_plan.segment_points(s))
-                parts_w.append(shared_plan.segment_weights(s))
-            assert np.array_equal(pts, np.concatenate(parts_p))
-            assert np.array_equal(wts, np.concatenate(parts_w))
-
     def test_builder_reuse_skips_regather(self):
         b = PlanBuilder(4, numerics=True)
         pts = np.arange(6.0).reshape(2, 3)
@@ -732,7 +718,7 @@ class TestBatchedLayout:
 
     def test_sub_minimum_bucket_falls_back(self):
         plan = _uniform_groups_plan([6])
-        layout = build_batched_layout(plan, min_bucket_groups=2)
+        layout = build_batched_layout(plan)
         assert not layout.buckets
         assert layout.ragged_runs.shape == (1, 3)
 
@@ -740,7 +726,7 @@ class TestBatchedLayout:
         # A group with a ragged direct run following a sub-minimum
         # approx run must cost one fused-style call, not two.
         plan = _uniform_groups_plan([6], ragged_group=True)
-        layout = build_batched_layout(plan, min_bucket_groups=2)
+        layout = build_batched_layout(plan)
         assert not layout.buckets
         assert layout.ragged_runs.shape == (2, 3)  # one run per group
 
@@ -757,7 +743,7 @@ class TestBatchedLayout:
                       weights=rng.random(2))
         b.add_segment("direct", points=rng.random((7, 3)),
                       weights=rng.random(7))
-        layout = build_batched_layout(b.build(), min_bucket_groups=2)
+        layout = build_batched_layout(b.build())
         assert not layout.buckets
         assert layout.ragged_runs.tolist() == [[0, 0, 3]]
 

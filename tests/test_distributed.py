@@ -13,12 +13,13 @@ from repro import (
     random_cube,
     relative_l2_error,
 )
-from repro.distributed.letree import RemoteTreeAdapter, build_let
+from repro.distributed.letree import build_let
 from repro.core.interaction_lists import (
-    LocalTreeAdapter,
     build_interaction_lists,
+    record_traversal,
 )
-from repro.tree import ClusterTree
+from repro.mpi import SimComm
+from repro.tree import ClusterTree, TargetBatches, TreeView
 
 
 @pytest.fixture(scope="module")
@@ -39,30 +40,44 @@ def _params(**kw):
     return TreecodeParams(**base)
 
 
-class TestRemoteTreeAdapter:
-    def test_matches_local_adapter(self, cube):
+def _fetched_view(tree):
+    """``tree``'s packed array after a window round-trip, as rank 0
+    sees it when fetched from rank 1."""
+    comm = SimComm(2)
+    comm.rank_handle(1).create_window("tree", tree.tree_array())
+    return TreeView(comm.rank_handle(0).get(1, "tree"))
+
+
+class TestFetchedTreeView:
+    def test_traversal_matches_local_tree(self, cube):
         tree = ClusterTree(cube.positions, 150)
-        local = LocalTreeAdapter(tree)
-        remote = RemoteTreeAdapter(tree.tree_array())
-        assert remote.n_nodes() == local.n_nodes()
-        for i in range(local.n_nodes()):
-            assert np.allclose(remote.center(i), local.center(i))
-            assert remote.radius(i) == pytest.approx(local.radius(i))
-            assert remote.count(i) == local.count(i)
-            assert remote.is_leaf(i) == local.is_leaf(i)
-            assert list(remote.children(i)) == list(local.children(i))
+        batches = TargetBatches(cube.positions[::3], 100)
+        params = _params()
+        remote = _fetched_view(tree)
+        local = build_interaction_lists(batches, tree, params)
+        fetched = build_interaction_lists(batches, remote, params)
+        assert fetched.mac_evals == local.mac_evals
+        for a, b in zip(local.csr(), fetched.csr()):
+            assert np.array_equal(a, b)
+        rec_local = record_traversal(batches, tree, params)
+        rec_fetched = record_traversal(batches, remote, params)
+        for a, b in zip(rec_local.nodes + rec_local.cats,
+                        rec_fetched.nodes + rec_fetched.cats):
+            assert np.array_equal(a, b)
 
     def test_box_roundtrip(self, cube):
         tree = ClusterTree(cube.positions, 200)
-        remote = RemoteTreeAdapter(tree.tree_array())
+        remote = _fetched_view(tree)
         for nd in tree.nodes:
-            lo, hi = remote.box(nd.index)
-            assert np.array_equal(lo, nd.box.lo)
-            assert np.array_equal(hi, nd.box.hi)
+            assert np.array_equal(remote.lo[nd.index], nd.box.lo)
+            assert np.array_equal(remote.hi[nd.index], nd.box.hi)
+            assert remote.starts[nd.index] == nd.start
+            assert remote.ends[nd.index] == nd.end
 
-    def test_rejects_bad_shape(self):
+    @pytest.mark.parametrize("shape", [(3, 5), (16,), (2, 16, 1)])
+    def test_rejects_malformed_array(self, shape):
         with pytest.raises(ValueError):
-            RemoteTreeAdapter(np.zeros((3, 5)))
+            TreeView(np.zeros(shape))
 
 
 class TestCorrectness:

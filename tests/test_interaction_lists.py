@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.config import TreecodeParams
 from repro.core.interaction_lists import (
-    LocalTreeAdapter,
     build_interaction_lists,
     traverse_batch,
 )
@@ -71,8 +70,8 @@ class TestMacSemantics:
             node = batches.batch(b)
             for c in lists.approx[b]:
                 cl = tree.nodes[int(c)]
-                dist = np.linalg.norm(node.center - cl.center)
-                assert (node.radius + cl.radius) / dist < params.theta
+                dist = np.linalg.norm(node.box.center - cl.box.center)
+                assert (node.box.radius + cl.box.radius) / dist < params.theta
                 assert n_ip < cl.count
 
     def test_small_clusters_never_approximated(self):
@@ -103,8 +102,9 @@ class TestMacSemantics:
             for c in lists.direct[b]:
                 cl = tree.nodes[int(c)]
                 if not cl.is_leaf:
-                    dist = np.linalg.norm(node.center - cl.center)
-                    assert (node.radius + cl.radius) / dist < params.theta
+                    dist = np.linalg.norm(node.box.center - cl.box.center)
+                    rsum = node.box.radius + cl.box.radius
+                    assert rsum / dist < params.theta
                     assert n_ip >= cl.count
 
     def test_tiny_theta_all_direct_leaves(self):
@@ -139,7 +139,7 @@ class TestTraverseBatch:
         )
         center = np.array([100.0, 0.0, 0.0])
         approx, direct, evals = traverse_batch(
-            center, 0.5, LocalTreeAdapter(tree), params
+            center, 0.5, tree.view(), params
         )
         assert approx == [0] and direct == [] and evals == 1
 

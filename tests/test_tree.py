@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.config import ASPECT_RATIO_LIMIT
 from repro.tree import Box, ClusterTree, TargetBatches, bounding_box
+from repro.tree.octree import TREE_ARRAY_FIELDS
 from repro.workloads import gaussian_clusters, random_cube
 
 
@@ -155,16 +156,32 @@ class TestClusterTree:
         p = random_cube(600, seed=10)
         tree = ClusterTree(p.positions, 80)
         arr = tree.tree_array()
-        assert arr.shape == (len(tree), ClusterTree.TREE_ARRAY_FIELDS)
+        assert arr.shape == (len(tree), TREE_ARRAY_FIELDS)
         for nd in tree.nodes:
             row = arr[nd.index]
-            assert np.allclose(row[0:3], nd.center)
-            assert row[3] == pytest.approx(nd.radius)
+            # Bitwise: the traversal reads these instead of the boxes.
+            assert np.array_equal(row[0:3], nd.box.center)
+            assert row[3] == nd.box.radius
             assert row[10] == nd.count
             assert row[13] == (1.0 if nd.is_leaf else 0.0)
             if nd.children:
                 assert int(row[14]) == nd.children[0]
                 assert int(row[15]) == len(nd.children)
+
+    def test_rebin_refreshes_packed_view(self):
+        """After a successful rebin the cached packed array is rebuilt:
+        bitwise what a cold tree over the moved points packs."""
+        p = random_cube(800, seed=15)
+        tree = ClusterTree(p.positions, 60)
+        before = tree.tree_array()
+        moved = p.positions + np.random.default_rng(1).normal(
+            scale=1e-4, size=p.positions.shape
+        )
+        assert tree.rebin(moved).ok
+        cold = ClusterTree(moved, 60)
+        assert not np.array_equal(tree.tree_array(), before)
+        assert np.array_equal(tree.tree_array(), cold.tree_array())
+        assert np.array_equal(tree.node_counts, cold.node_counts)
 
 
 class TestTargetBatches:
