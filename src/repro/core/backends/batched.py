@@ -26,7 +26,7 @@ tolerance (the bucketed accumulation splits a group's approx/direct
 halves into separate sums and shares one coincidence noise floor per
 bucket chunk); repeated executions are bitwise identical (the layout,
 chunking and scatter order are all deterministic functions of the plan).
-Kernels without batched primitives fall back to the fused per-group path
+Kernels without batched primitives fall back to the fused evaluation
 wholesale -- bitwise what :class:`~.fused.FusedBackend` returns.  Device
 accounting derives from the plan alone (bulk charging), so counters and
 simulated time match every other backend by construction.
@@ -40,7 +40,7 @@ from ...errors import BackendExecutionError
 from ..resilience import get_fault_injector
 from .base import Backend, charge_plan_launches
 from .batcheval import eval_bucket, eval_ragged_runs
-from .groupeval import eval_group_range, plan_arrays
+from .groupeval import eval_plan, plan_arrays
 
 __all__ = ["BatchedBackend"]
 
@@ -85,20 +85,20 @@ class BatchedBackend(Backend):
             if compute_forces
             else None
         )
-        # cast_geometry: repeated applies of a prepared session stop
-        # re-casting targets/points every step.
-        arrays = plan_arrays(plan, cast_geometry=dtype)
         if not getattr(kernel, "supports_batched_pairwise", False):
-            # No stacked primitives: evaluate the whole plan through the
-            # fused per-group arithmetic (bitwise == FusedBackend).
-            t_lo, t_hi, phi, f_rows = eval_group_range(
-                arrays, kernel, dtype, compute_forces, 0, plan.n_groups
+            # No stacked primitives: evaluate the whole plan as the
+            # fused backend does (bitwise == FusedBackend).
+            t_lo, t_hi, phi, f_rows = eval_plan(
+                plan, kernel, dtype, compute_forces
             )
             idx = plan.out_index[t_lo:t_hi]
             out[idx] += phi
             if forces is not None and f_rows is not None:
                 forces[idx] += f_rows
             return out, forces
+        # cast_geometry: repeated applies of a prepared session stop
+        # re-casting targets/points every step.
+        arrays = plan_arrays(plan, cast_geometry=dtype)
         try:
             if get_fault_injector().fire("batched_layout") is not None:
                 raise RuntimeError("injected fault: batched_layout")

@@ -6,13 +6,23 @@ backend evaluates each group with *one* blocked accumulation over its
 whole source range -- no per-batch ``np.concatenate`` when the aliases
 land contiguously and at most one dtype cast of the buffers for the
 whole run.  Forces reuse the same gathered buffers.
-The arithmetic itself lives in :mod:`.groupeval` and is shared verbatim
-with the multiprocessing backend's shards (which is why the two are
-bitwise identical by construction).  Results agree with
-:class:`~.numpy_backend.NumpyBackend` to floating-point roundoff (the
-accumulation merges the per-kind partial sums into one pass); the
-recorded device counters are identical, since launch charging derives
-from the plan, not from how the numerics are blocked.
+
+Where the targets are the sources (every named workload), a direct
+block ``(A, B)`` usually has its mirror ``(B, A)`` in the plan.  For
+symmetric kernels this backend forms each such kernel matrix once and
+applies it both ways -- ``G q_B`` to batch ``A``, ``G^T q_A`` to batch
+``B`` (Newton's third law at cell level, as in Dehnen's falcON) --
+following the plan's :class:`~repro.core.plan.MirrorSchedule`.  The
+arithmetic lives in :mod:`.groupeval`.  Results agree with
+:class:`~.numpy_backend.NumpyBackend` and with the per-group
+arithmetic the multiprocessing backend runs to floating-point roundoff
+(``rtol=1e-9`` on potentials, ``1e-8`` on forces); a plan whose
+schedule pairs nothing evaluates bitwise as that per-group arithmetic.
+Repeated applies, column ``j`` of a block apply against a solo apply,
+and an updated session against a cold prepare are bitwise equal.  The
+recorded device counters are identical to every other backend's, since
+launch charging derives from the plan, not from how the numerics are
+blocked.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Backend, charge_plan_launches
-from .groupeval import eval_group_range, plan_arrays
+from .groupeval import eval_plan
 
 __all__ = ["FusedBackend"]
 
@@ -65,14 +75,8 @@ class FusedBackend(Backend):
             if compute_forces
             else None
         )
-        # cast_geometry: mixed-precision sessions then cast targets and
-        # points once per plan instead of re-running
-        # np.ascontiguousarray on every apply (the per-group casts
-        # inside eval_group_range become zero-copy views); float64
-        # passes the stored buffers straight through.
-        t_lo, t_hi, phi, f_rows = eval_group_range(
-            plan_arrays(plan, cast_geometry=dtype), kernel, dtype,
-            compute_forces, 0, plan.n_groups,
+        t_lo, t_hi, phi, f_rows = eval_plan(
+            plan, kernel, dtype, compute_forces
         )
         idx = plan.out_index[t_lo:t_hi]
         out[idx] += phi

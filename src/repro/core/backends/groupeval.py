@@ -4,9 +4,19 @@ One implementation of the per-group "gather sources, one blocked
 kernel accumulation" arithmetic, operating on a plain dict of the
 plan's flat arrays so it runs identically in-process (FusedBackend, the
 multiprocessing backend's inline path) and inside pool workers (which
-rebuild the dict from shared memory).  Keeping it single-sourced is
-what makes the multiprocessing backend's "bitwise == fused" contract a
-structural property instead of a hand-synchronized one.
+rebuild the dict from shared memory).
+
+Mutual blocks: given the plan's :class:`~repro.core.plan.MirrorSchedule`
+(``arrays["mirrors"]``, in-process fused evaluation only), a group
+forms each mirrored block once and applies it both ways -- its own
+potential from the block, its partner's from the transpose -- and
+skips the blocks its lower-numbered partners already applied to it.
+The summation order then differs from the per-group arithmetic, so the
+two agree to roundoff.  Without a schedule, or where the schedule
+pairs nothing, every group evaluates exactly as compiled: that
+per-group arithmetic is what the multiprocessing backend runs in both
+its inline and sharded paths, so its results are bitwise invariant
+under any shard split.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ __all__ = [
     "plan_arrays",
     "RunOperands",
     "eval_group_range",
+    "eval_plan",
 ]
 
 #: The ExecutionPlan fields a group evaluation needs.
@@ -58,29 +69,14 @@ def plan_arrays(plan, *, cast_geometry=None) -> dict:
     return arrays
 
 
-def run_source_slices(arrays, s_lo: int, s_hi: int):
-    """Physical (lo, hi) source row ranges of segments ``[s_lo, s_hi)``.
-
-    One range per segment, resolved through the per-segment
-    ``seg_src_lo`` offsets (aliases may scatter).
-    """
-    seg_ptr = arrays["seg_ptr"]
-    seg_src_lo = arrays["seg_src_lo"]
-    out = []
-    for s in range(s_lo, s_hi):
-        lo = int(seg_src_lo[s])
-        out.append((lo, lo + int(seg_ptr[s + 1] - seg_ptr[s])))
-    return out
-
-
 class RunOperands:
     """Kernel operands of the fused per-group arithmetic.
 
     What :func:`eval_group_range` (whole groups) and the batched
     backend's ragged remainder (explicit segment runs) share: which r^2
     arithmetic the dtype gets, the once-per-execution cast of the source
-    buffers, and per (group, segment run) the gathered rows plus the
-    slot the kernel keeps that block's coincident pairs in.
+    buffers, and per (group, segments) the gathered rows plus the slot
+    the kernel keeps that block's coincident pairs in.
     """
 
     def __init__(self, arrays, dtype):
@@ -102,21 +98,28 @@ class RunOperands:
         self.q_all = np.ascontiguousarray(arrays["src_weights"], dtype=dtype)
 
     def __call__(self, g: int, s_lo: int, s_hi: int):
+        """Operands of group ``g`` against its segments ``[s_lo, s_hi)``."""
+        return self.gather(g, range(s_lo, s_hi), (s_lo, s_hi))
+
+    def gather(self, g: int, segments, tag):
         """``(targets, sources, weights, coincident)`` of group ``g``
-        against its segments ``[s_lo, s_hi)``; None when either side is
+        against ``segments`` in that order; None when either side is
         empty.  ``coincident`` is the dict ``Kernel.potential`` /
         ``force`` take (None without a plan-side cache, i.e. in pool
-        workers)."""
+        workers), keyed by ``tag``, which names the source set."""
         arrays = self.arrays
         group_ptr = arrays["group_ptr"]
         t_lo, t_hi = int(group_ptr[g]), int(group_ptr[g + 1])
         if t_hi == t_lo:
             return None
-        slices = [
-            (lo, hi)
-            for lo, hi in run_source_slices(arrays, s_lo, s_hi)
-            if hi > lo
-        ]
+        seg_ptr = arrays["seg_ptr"]
+        seg_src_lo = arrays["seg_src_lo"]
+        slices = []
+        for s in segments:
+            lo = int(seg_src_lo[s])
+            hi = lo + int(seg_ptr[s + 1] - seg_ptr[s])
+            if hi > lo:
+                slices.append((lo, hi))
         if not slices:
             return None
         # Contiguity fast path: one run of rows needs no gather at all.
@@ -132,9 +135,7 @@ class RunOperands:
         cache = arrays.get("coincident")
         coincident = (
             None if cache is None
-            else cache.setdefault(
-                (self.dtype.str, self.fused, g, s_lo, s_hi), {}
-            )
+            else cache.setdefault((self.dtype.str, self.fused, g) + tag, {})
         )
         return tgt, src, q, coincident
 
@@ -151,9 +152,18 @@ def eval_group_range(arrays, kernel, dtype, compute_forces, g_lo, g_hi):
     ``forces`` to ``(rows, 3, n_rhs)``: the kernel hoists each group's
     pairwise matrix / gradient once and contracts all columns against
     it -- this is where the per-group GEMV grows into a GEMM.
+
+    With a mirror schedule under ``arrays["mirrors"]`` (whole plans
+    only: a mirrored block writes its partner's rows) a touched group
+    evaluates its unmirrored segments in plan order and then its
+    forward mirrors, so those form one trailing column block of the
+    kernel matrix; the transposed product of that block lands in the
+    partners' rows.
     """
     group_ptr = arrays["group_ptr"]
     seg_group_ptr = arrays["seg_group_ptr"]
+    seg_ptr = arrays["seg_ptr"]
+    mirrors = arrays.get("mirrors")
     t_lo_all = int(group_ptr[g_lo])
     t_hi_all = int(group_ptr[g_hi])
     rows = t_hi_all - t_lo_all
@@ -163,21 +173,64 @@ def eval_group_range(arrays, kernel, dtype, compute_forces, g_lo, g_hi):
         np.zeros((rows, 3) + rhs, dtype=np.float64) if compute_forces else None
     )
     operands = RunOperands(arrays, dtype)
+
+    def rows_of(g):
+        return slice(
+            int(group_ptr[g]) - t_lo_all, int(group_ptr[g + 1]) - t_lo_all
+        )
+
     for g in range(g_lo, g_hi):
-        ops = operands(g, int(seg_group_ptr[g]), int(seg_group_ptr[g + 1]))
+        s_lo, s_hi = int(seg_group_ptr[g]), int(seg_group_ptr[g + 1])
+        split = None if mirrors is None else mirrors.split(s_lo, s_hi)
+        if split is None:
+            ops, forward = operands(g, s_lo, s_hi), []
+        else:
+            own, forward = split
+            ops = operands.gather(g, own + forward, ("mutual",))
         if ops is None:
             continue
         tgt, src, q, coincident = ops
-        rows_g = slice(
-            int(group_ptr[g]) - t_lo_all, int(group_ptr[g + 1]) - t_lo_all
-        )
+        sizes = [int(seg_ptr[s + 1] - seg_ptr[s]) for s in forward]
+        n_fwd = sum(sizes)
+        mirror = mirror_f = None
+        if forward:
+            lo = int(mirrors.self_lo[g])
+            q_t = operands.q_all[lo:lo + len(tgt)]
+            phi_t = np.zeros((n_fwd,) + rhs)
+            mirror = (len(src) - n_fwd, q_t, phi_t)
+            if f_out is not None:
+                f_t = np.zeros((n_fwd, 3) + rhs)
+                mirror_f = (len(src) - n_fwd, q_t, f_t)
         kernel.potential(
-            tgt, src, q, out=phi[rows_g],
-            fused=operands.fused, coincident=coincident,
+            tgt, src, q, out=phi[rows_of(g)],
+            fused=operands.fused, coincident=coincident, mirror=mirror,
         )
         if f_out is not None:
             kernel.force(
-                tgt, src, q, out=f_out[rows_g],
-                fused=operands.fused, coincident=coincident,
+                tgt, src, q, out=f_out[rows_of(g)],
+                fused=operands.fused, coincident=coincident, mirror=mirror_f,
             )
+        c = 0
+        for s, n in zip(forward, sizes):
+            b = rows_of(int(mirrors.partner[s]))
+            phi[b] += phi_t[c:c + n]
+            if f_out is not None:
+                f_out[b] += f_t[c:c + n]
+            c += n
     return t_lo_all, t_hi_all, phi, f_out
+
+
+def eval_plan(plan, kernel, dtype, compute_forces):
+    """In-process fused evaluation of a whole plan.
+
+    :func:`eval_group_range` over every group with the plan's cast and
+    coincidence caches and, for symmetric kernels (``Kernel.symmetric``),
+    its mirror schedule, so each mirrored direct block is formed once.
+    Returns what :func:`eval_group_range` does.
+    """
+    arrays = plan_arrays(plan, cast_geometry=dtype)
+    if getattr(kernel, "symmetric", False):
+        arrays["mirrors"] = plan.mirror_schedule()
+    return eval_group_range(
+        arrays, kernel, dtype, compute_forces, 0, plan.n_groups
+    )

@@ -44,10 +44,14 @@ Execution model
   values: every target row is written by exactly one shard
   (``out_index`` is injective over groups), and the per-shard casts are
   elementwise, so any split produces bitwise-identical output.  Each
-  worker runs the same per-group fused accumulation as
-  :class:`~repro.core.backends.fused.FusedBackend` (bitwise-identical
-  results), and the parent scatters each shard's rows through
-  ``out_index``.
+  worker -- and the inline path -- runs the per-group accumulation of
+  :func:`~repro.core.backends.groupeval.eval_group_range` with no
+  mirror schedule (a mirrored block writes another group's rows, so it
+  cannot be sharded), and the parent scatters each shard's rows
+  through ``out_index``.  Results are therefore bitwise that function
+  over all groups and roundoff-equal to
+  :class:`~repro.core.backends.fused.FusedBackend`, which forms each
+  mirrored direct block once.
 
 Device accounting is unchanged: launches are charged in bulk from the
 plan structure before the numerics start, exactly as the fused backend
@@ -390,11 +394,12 @@ def _worker_run(
     """Pool entry point: attach (or unpickle) the plan, run one shard.
 
     The shard arithmetic is :func:`.groupeval.eval_group_range` -- the
-    same function FusedBackend runs in-process, so results are bitwise
-    identical by construction.  The evaluation wall time (attach /
-    unpickle overhead excluded -- it is per-shard-constant, not
-    per-group) is appended to the result tuple so the parent's adaptive
-    shard sizing learns the measured per-group cost.
+    same function the inline path runs over all groups, so results are
+    bitwise identical at any split by construction.  The evaluation
+    wall time (attach / unpickle overhead excluded -- it is
+    per-shard-constant, not per-group) is appended to the result tuple
+    so the parent's adaptive shard sizing learns the measured per-group
+    cost.
 
     ``fault`` is the parent-decided injection token (deterministic:
     the parent's injector matched this shard): ``("crash", _)`` kills
@@ -736,9 +741,10 @@ class MultiprocessingBackend(Backend):
             len(shards) > 1 and plan.n_source_rows >= self.min_parallel_rows
         )
         if not parallel:
-            # cast_geometry: same dtype-keyed cast caches as the fused
-            # backend (elementwise-identical values, so the bitwise
-            # contract with the sharded path holds either way).
+            # cast_geometry: the plan's dtype-keyed cast caches
+            # (elementwise-identical values, so the bitwise contract
+            # with the sharded path holds either way); no mirror
+            # schedule, so the arithmetic is the shards'.
             results = [
                 eval_group_range(
                     plan_arrays(plan, cast_geometry=dtype), kernel, dtype,

@@ -192,10 +192,25 @@ backends know exactly how stale their shipped copies are:
   per-plan backend caches (SHM shipments, cost models) stay keyed to
   it and decide from the versions whether to rewrite regions or
   re-ship.
+
+Both tiers also drop the plan's derived per-geometry state: the
+coincident pairs and the :class:`MirrorSchedule`.
+
+Mirrored segments
+-----------------
+When the targets are the sources, group ``A``'s target rows are
+bitwise the rows of one physical source slot, and a direct segment
+``(A -> slot of B)`` usually has its mirror ``(B -> slot of A)`` in the
+plan: the same kernel matrix, transposed.
+:meth:`ExecutionPlan.mirror_schedule` pairs such segments from the
+plan's bytes alone -- no tree or driver knowledge -- so an updated
+plan and a cold compile of the same geometry pair identically.  It is
+built lazily on the first fused execution and is never pickled.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -212,8 +227,10 @@ __all__ = [
     "BatchedBucket",
     "BatchedLayout",
     "ExecutionPlan",
+    "MirrorSchedule",
     "PlanBuilder",
     "build_batched_layout",
+    "build_mirror_schedule",
     "compile_plan",
 ]
 
@@ -491,6 +508,49 @@ class BatchedLayout:
             bucket.refresh_geometry(out_index)
 
 
+#: :attr:`MirrorSchedule.partner` of a segment its own group evaluates.
+MIRROR_NONE = -1
+#: :attr:`MirrorSchedule.partner` of a segment whose block the mirror
+#: segment's group forms and applies back.
+MIRROR_SKIP = -2
+
+
+@dataclass(frozen=True, eq=False)
+class MirrorSchedule:
+    """Which segments of a plan are each other's mirror.
+
+    Group ``A`` *sits on* source slot ``S_A`` when its target rows are
+    bitwise, row for row, the physical rows of that slot
+    (``self_lo[A]``).  A segment of ``A`` on ``S_B`` is mirrored when
+    group ``B`` has a segment on ``S_A``: both blocks are the same
+    kernel matrix, one the transpose of the other.  The lower-numbered
+    group forms it and applies it both ways, so its segment records
+    ``partner = B`` and ``B``'s records :data:`MIRROR_SKIP`; every other
+    segment records :data:`MIRROR_NONE`.  Derived from the plan's
+    buffers alone (see :func:`build_mirror_schedule`).
+    """
+
+    #: (S,) receiving group of each forward segment, else a MIRROR_ code.
+    partner: np.ndarray
+    #: (G,) first physical row of the slot each group sits on, or -1.
+    self_lo: np.ndarray
+
+    @property
+    def n_pairs(self) -> int:
+        return int(np.count_nonzero(self.partner >= 0))
+
+    def split(self, s_lo: int, s_hi: int):
+        """``(own, forward)`` segment lists of a group's segments
+        ``[s_lo, s_hi)``, skipped segments left out; None when none of
+        them is mirrored (the group then evaluates as compiled)."""
+        partner = self.partner[s_lo:s_hi]
+        if not np.any(partner != MIRROR_NONE):
+            return None
+        own = np.flatnonzero(partner == MIRROR_NONE) + s_lo
+        forward = np.flatnonzero(partner >= 0) + s_lo
+        return own.tolist(), forward.tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class ExecutionPlan:
     """Flat description of one device's evaluation work.
@@ -549,23 +609,30 @@ class ExecutionPlan:
     _cast_cache: dict = field(default_factory=dict, repr=False)
     #: Coincident target/source pairs of the blocks the in-process
     #: per-group evaluation has met at the current geometry: ``(dtype,
-    #: fused r^2?, group, seg_lo, seg_hi)`` -> the ``coincident`` dict of
-    #: ``Kernel.potential`` / ``force``.  Filled by the first execution
-    #: on a geometry (the scan costs ten times a ``prepare()`` of the
-    #: paper's test case, so not at compile time) and emptied with the
-    #: cast cache; the buckets hold their own (see
-    #: :meth:`coincident_nbytes`).
+    #: fused r^2?, group, seg_lo, seg_hi)`` -- or ``(dtype, fused r^2?,
+    #: group, "mutual")`` for a group reordered by its mirror schedule --
+    #: -> the ``coincident`` dict of ``Kernel.potential`` / ``force``.
+    #: Filled by the first execution on a geometry (the scan costs ten
+    #: times a ``prepare()`` of the paper's test case, so not at compile
+    #: time) and emptied with the cast cache; the buckets hold their
+    #: own (see :meth:`coincident_nbytes`).
     coincident_cache: dict = field(default_factory=dict, repr=False)
+    #: The plan's :class:`MirrorSchedule`, or None until
+    #: :meth:`mirror_schedule` derives it (first fused execution on a
+    #: geometry); dropped with the coincident pairs.
+    _mirrors: "MirrorSchedule | None" = field(default=None, repr=False)
 
     def __getstate__(self):
         # Cast caches are process-local: unpickled in another process
         # they would be stale-by-identity (no longer views of anything
         # shared) and they double the pickle size for no benefit.  They
         # repopulate lazily on the first mixed-precision execution, as
-        # the coincident pairs do on the first execution of any kind.
+        # the coincident pairs and the mirror schedule do on the first
+        # execution of any kind.
         state = self.__dict__.copy()
         state["_cast_cache"] = {}
         state["coincident_cache"] = {}
+        state["_mirrors"] = None
         return state
 
     # -- structure queries ----------------------------------------------
@@ -651,6 +718,19 @@ class ExecutionPlan:
             for bucket in self.batched_layout.buckets:
                 slots.extend(bucket._coincident.values())
         return int(sum(idx.nbytes for slot in slots for idx in slot.values()))
+
+    def mirror_schedule(self) -> "MirrorSchedule":
+        """The plan's :class:`MirrorSchedule`, deriving and caching it.
+
+        Geometry, like the coincident pairs: it is read off the current
+        buffers on first use and dropped by :meth:`refresh_geometry`,
+        :meth:`patch_groups` and pickling.
+        """
+        if not self.has_numerics:
+            raise ValueError("model-only plan has no mirror schedule")
+        if self._mirrors is None:
+            object.__setattr__(self, "_mirrors", build_mirror_schedule(self))
+        return self._mirrors
 
     # -- batched layout -------------------------------------------------
     def ensure_batched_layout(self) -> "BatchedLayout":
@@ -767,9 +847,9 @@ class ExecutionPlan:
         contents, ``src_rows`` is an iterable of ``(lo, values)`` row
         blocks written into ``src_points``.  Shapes must match -- a
         structural change goes through :meth:`patch_groups` first.
-        Drops the dtype cast cache and the coincident pairs, refreshes
-        the batched buckets' output slots and stacks, and bumps
-        ``geometry_version``.
+        Drops the dtype cast cache, the coincident pairs and the mirror
+        schedule, refreshes the batched buckets' output slots and
+        stacks, and bumps ``geometry_version``.
         """
         if not self.has_numerics:
             raise ValueError("model-only plan has no geometry buffers")
@@ -781,6 +861,7 @@ class ExecutionPlan:
             self.src_points[lo:lo + len(values)] = values
         self._cast_cache.clear()
         self.coincident_cache.clear()
+        object.__setattr__(self, "_mirrors", None)
         if self.batched_layout is not None:
             self.batched_layout.refresh_geometry(self.out_index)
         object.__setattr__(self, "geometry_version", self.geometry_version + 1)
@@ -887,6 +968,7 @@ class ExecutionPlan:
         set_(self, "weight_slots", tuple(weight_slots))
         self._cast_cache.clear()
         self.coincident_cache.clear()
+        set_(self, "_mirrors", None)
         if self.batched_layout is not None:
             set_(self, "batched_layout", None)
             self.ensure_batched_layout()
@@ -1188,6 +1270,54 @@ def build_batched_layout(plan: ExecutionPlan) -> BatchedLayout:
         ragged_runs=np.array(merged, dtype=np.intp).reshape(-1, 3),
         ragged_rows=int(sum(plan.group_size(g) for g, _, _ in merged)),
     )
+
+
+def build_mirror_schedule(plan: ExecutionPlan) -> MirrorSchedule:
+    """Pair the plan's mirrored segments from its buffers alone.
+
+    A group sits on a slot when its target rows and the slot's source
+    rows have identical bytes; only one-to-one matches count (a
+    duplicated point set matches nothing), and a pair needs each of its
+    two segments exactly once, so every block is applied at most once
+    per direction.  No tree or driver knowledge enters: a plan whose
+    targets are not its sources (disjoint targets, most LET and
+    extension plans) gets an empty schedule.
+    """
+    n_groups = plan.n_groups
+    group_ptr = plan.group_ptr.tolist()
+    seg_lo = plan.seg_src_lo.tolist()
+    seg_rows = np.diff(plan.seg_ptr).tolist()
+    partner = np.full(plan.n_segments, MIRROR_NONE, dtype=np.intp)
+    self_lo = np.full(n_groups, -1, dtype=np.intp)
+    sizes = {group_ptr[g + 1] - group_ptr[g] for g in range(n_groups)}
+    sizes.discard(0)
+    slots: dict[bytes, list[int]] = {}
+    for lo, rows in set(zip(seg_lo, seg_rows)):
+        if rows in sizes:
+            key = plan.src_points[lo:lo + rows].tobytes()
+            slots.setdefault(key, []).append(lo)
+    groups: dict[bytes, list[int]] = {}
+    for g in range(n_groups):
+        if group_ptr[g + 1] > group_ptr[g]:
+            key = plan.targets[group_ptr[g]:group_ptr[g + 1]].tobytes()
+            if key in slots:
+                groups.setdefault(key, []).append(g)
+    for key, gs in groups.items():
+        if len(gs) == 1 and len(slots[key]) == 1:
+            self_lo[gs[0]] = slots[key][0]
+    sits_on = self_lo.tolist()
+    group_on = {lo: g for g, lo in enumerate(sits_on) if lo >= 0}
+    seg_group = np.repeat(
+        np.arange(n_groups), np.diff(plan.seg_group_ptr)
+    ).tolist()
+    uses = Counter(zip(seg_group, seg_lo))
+    for s, (a, lo) in enumerate(zip(seg_group, seg_lo)):
+        b = group_on.get(lo)
+        if b is None or b == a or sits_on[a] < 0:
+            continue
+        if uses[a, lo] == 1 and uses[b, sits_on[a]] == 1:
+            partner[s] = b if a < b else MIRROR_SKIP
+    return MirrorSchedule(partner=partner, self_lo=self_lo)
 
 
 class PlanBuilder:

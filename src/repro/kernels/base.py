@@ -67,6 +67,11 @@ class Kernel(abc.ABC):
     #: batched (shape-bucketed) backend.  Backends fall back to the
     #: per-group fused path for kernels without it.
     supports_batched_pairwise: bool = False
+    #: True when ``G(x, y) == G(y, x)`` and ``grad_x G(x, y) ==
+    #: -grad_x G(y, x)`` (radial kernels): one block then serves its
+    #: mirror through the ``mirror`` argument of :meth:`potential` /
+    #: :meth:`force`.
+    symmetric: bool = False
 
     @abc.abstractmethod
     def pairwise(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
@@ -175,6 +180,7 @@ class Kernel(abc.ABC):
         out: np.ndarray | None = None,
         fused: bool = False,
         coincident: dict | None = None,
+        mirror: tuple | None = None,
     ) -> np.ndarray:
         """Accumulate ``phi_i = sum_j G(x_i, y_j) q_j`` blockwise.
 
@@ -200,6 +206,17 @@ class Kernel(abc.ABC):
         skips the noise-floor scan, a block that is not is scanned and
         recorded -- same values either way.  Kernels without a
         coincidence scan ignore it.
+
+        ``mirror=(col0, charges_t, out_t)`` (:attr:`symmetric` kernels)
+        applies the trailing columns ``sources[col0:]`` back onto the
+        sources: ``out_t += G[:, col0:]^T charges_t``, with ``charges_t``
+        the ``(M,)`` / ``(M, n_rhs)`` charges sitting at the target
+        points.  That is the potential those sources receive from the
+        targets, read off the matrix already formed.  Every column runs
+        the single-vector product on the same strided view of each row
+        block, so column ``j`` of ``out_t`` stays bitwise a
+        single-vector call's.  (A transposed contiguous copy would
+        switch BLAS kernels and break that.)
         """
         targets = np.atleast_2d(targets)
         sources = np.atleast_2d(sources)
@@ -217,22 +234,31 @@ class Kernel(abc.ABC):
             return out
         fused = fused and self.supports_fused_pairwise
         rows_per_block = max(1, block_elements // max(k, 1))
+        if mirror is not None:
+            col0, q_t, out_t = mirror
         if not multi:
             for lo, hi in chunk_ranges(m, rows_per_block):
                 mat = self._pairwise_block(
                     targets[lo:hi], sources, fused, coincident, (lo, hi)
                 )
                 out[lo:hi] += mat @ charges
+                if mirror is not None:
+                    out_t += mat[:, col0:].T @ q_t[lo:hi]
             return out
         cols = [
             np.ascontiguousarray(charges[:, r]) for r in range(charges.shape[1])
         ]
+        if mirror is not None:
+            cols_t = [np.ascontiguousarray(q_t[:, r]) for r in range(len(cols))]
         for lo, hi in chunk_ranges(m, rows_per_block):
             mat = self._pairwise_block(
                 targets[lo:hi], sources, fused, coincident, (lo, hi)
             )
             for r, col in enumerate(cols):
                 out[lo:hi, r] += mat @ col
+            if mirror is not None:
+                for r, col in enumerate(cols_t):
+                    out_t[:, r] += mat[:, col0:].T @ col[lo:hi]
         return out
 
     def pairwise_gradient(
@@ -260,6 +286,7 @@ class Kernel(abc.ABC):
         out: np.ndarray | None = None,
         fused: bool = False,
         coincident: dict | None = None,
+        mirror: tuple | None = None,
     ) -> np.ndarray:
         """Accumulate ``F_i = -sum_j grad_x G(x_i, y_j) q_j`` blockwise.
 
@@ -273,6 +300,11 @@ class Kernel(abc.ABC):
         column exactly as :meth:`potential` does.  ``coincident`` is
         :meth:`potential`'s (one dict serves both: a row block the two
         share is scanned once).
+
+        ``mirror`` is :meth:`potential`'s, with ``out_t`` shaped
+        ``(K - col0, 3)`` / ``(K - col0, 3, n_rhs)``: the gradient is
+        antisymmetric, so source ``b`` receives ``+sum_a grad[a, b]
+        charges_t[a]``.
         """
         targets = np.atleast_2d(targets)
         sources = np.atleast_2d(sources)
@@ -289,22 +321,35 @@ class Kernel(abc.ABC):
             return out
         fused = fused and self.supports_fused_pairwise
         rows_per_block = max(1, block_elements // max(3 * k, 1))
+        if mirror is not None:
+            col0, q_t, out_t = mirror
         if not multi:
             for lo, hi in chunk_ranges(m, rows_per_block):
                 grad = self._gradient_block(
                     targets[lo:hi], sources, fused, coincident, (lo, hi)
                 )
                 out[lo:hi] -= np.einsum("mkd,k->md", grad, charges)
+                if mirror is not None:
+                    out_t += np.einsum(
+                        "mkd,m->kd", grad[:, col0:], q_t[lo:hi]
+                    )
             return out
         cols = [
             np.ascontiguousarray(charges[:, r]) for r in range(charges.shape[1])
         ]
+        if mirror is not None:
+            cols_t = [np.ascontiguousarray(q_t[:, r]) for r in range(len(cols))]
         for lo, hi in chunk_ranges(m, rows_per_block):
             grad = self._gradient_block(
                 targets[lo:hi], sources, fused, coincident, (lo, hi)
             )
             for r, col in enumerate(cols):
                 out[lo:hi, :, r] -= np.einsum("mkd,k->md", grad, col)
+            if mirror is not None:
+                for r, col in enumerate(cols_t):
+                    out_t[:, :, r] += np.einsum(
+                        "mkd,m->kd", grad[:, col0:], col[lo:hi]
+                    )
         return out
 
     def _pairwise_block(self, targets, sources, fused, coincident, key):
@@ -366,6 +411,7 @@ class RadialKernel(Kernel):
 
     supports_fused_pairwise = True
     supports_batched_pairwise = True
+    symmetric = True
 
     @abc.abstractmethod
     def evaluate_r(self, r: np.ndarray) -> np.ndarray:

@@ -7,10 +7,12 @@ multiprocessing backends return roundoff-close potentials *and forces*
 (the fused-family arithmetic evaluates the temporary-free
 ``pairwise_fused`` r^2 accumulation, so it matches the blocked
 reference to ``rtol=1e-9`` on potentials and ``rtol=1e-8`` on forces,
-not bitwise), the multiprocessing backend matches fused *bitwise*
-(shared per-group arithmetic), and the model backend returns zeros
-while charging the same simulated time.  The de-duplicated (shared-segment) source layout
-must reproduce the duplicated layout bitwise on every executing backend.
+not bitwise), the multiprocessing backend is *bitwise* the per-group
+arithmetic (``eval_group_range`` over all groups) at any shard split
+and roundoff-equal to fused (which forms mirrored direct blocks once),
+and the model backend returns zeros while charging the same simulated
+time.  The de-duplicated (shared-segment) source layout must reproduce
+the duplicated layout bitwise on every executing backend.
 """
 
 import numpy as np
@@ -37,6 +39,7 @@ from repro import (
     relative_l2_error,
 )
 from repro.core.backends import Backend
+from repro.core.backends.groupeval import eval_group_range, plan_arrays
 from repro.core.interaction_lists import build_interaction_lists
 from repro.core.moments import precompute_moments
 from repro.core.plan import PlanBuilder, build_batched_layout
@@ -64,6 +67,23 @@ def _compile(cube, *, numerics=True):
         tree, batches, moments, lists, cube.charges, params,
         numerics=numerics,
     )
+
+
+def _per_group(plan, kernel, *, forces=False):
+    """``eval_group_range`` over every group, scattered to the output:
+    the multiprocessing backend's arithmetic at any shard split."""
+    t_lo, t_hi, phi_rows, f_rows = eval_group_range(
+        plan_arrays(plan, cast_geometry=np.float64), kernel, np.float64,
+        forces, 0, plan.n_groups,
+    )
+    idx = plan.out_index[t_lo:t_hi]
+    phi = np.zeros(plan.out_size)
+    phi[idx] += phi_rows
+    f = None
+    if forces:
+        f = np.zeros((plan.out_size, 3))
+        f[idx] += f_rows
+    return phi, f
 
 
 @pytest.fixture(scope="module")
@@ -183,16 +203,19 @@ class TestPlanLevelEquivalence:
         assert np.allclose(phi_np, phi_fu, rtol=1e-9, atol=1e-12)
         assert np.allclose(f_np, f_fu, rtol=1e-8, atol=1e-11)
 
-    def test_multiprocessing_matches_fused_bitwise(self, shared_plan):
-        phi_fu, f_fu, _ = self._run(
-            get_backend("fused"), shared_plan, forces=True
-        )
+    def test_multiprocessing_is_the_per_group_arithmetic(self, shared_plan):
         phi_mp, f_mp, _ = self._run(
             get_backend("multiprocessing"), shared_plan, forces=True
         )
-        # Same per-group fused arithmetic, sharded: bitwise identical.
-        assert np.array_equal(phi_fu, phi_mp)
-        assert np.array_equal(f_fu, f_mp)
+        phi_g, f_g = _per_group(shared_plan, CoulombKernel(), forces=True)
+        assert np.array_equal(phi_mp, phi_g)
+        assert np.array_equal(f_mp, f_g)
+        # Fused forms each mirrored block once: roundoff-equal.
+        phi_fu, f_fu, _ = self._run(
+            get_backend("fused"), shared_plan, forces=True
+        )
+        assert np.allclose(phi_fu, phi_mp, rtol=1e-9, atol=1e-12)
+        assert np.allclose(f_fu, f_mp, rtol=1e-8, atol=1e-11)
 
     def test_model_returns_zeros(self, shared_plan):
         phi, f, _ = self._run(get_backend("model"), shared_plan, forces=True)
@@ -278,13 +301,16 @@ class TestSelfTargetRegimes:
             if forces:
                 assert np.allclose(f_np, f, rtol=1e-7, atol=1e-8), name
 
-    def test_multiprocessing_matches_fused_bitwise(self, regime_run):
-        _, forces, runs = regime_run
-        phi_fu, f_fu, _ = runs["fused"]
+    def test_multiprocessing_is_the_per_group_arithmetic(self, regime_run):
+        plan, forces, runs = regime_run
         phi_mp, f_mp, _ = runs["multiprocessing"]
-        assert np.array_equal(phi_fu, phi_mp)
+        phi_g, f_g = _per_group(plan, CoulombKernel(), forces=forces)
+        assert np.array_equal(phi_mp, phi_g)
+        phi_fu, f_fu, _ = runs["fused"]
+        assert np.allclose(phi_fu, phi_mp, rtol=1e-9, atol=1e-12)
         if forces:
-            assert np.array_equal(f_fu, f_mp)
+            assert np.array_equal(f_mp, f_g)
+            assert np.allclose(f_fu, f_mp, rtol=1e-8, atol=1e-11)
 
     def test_counters_and_simulated_time_identical(self, regime_run):
         # The model backend returns zeros but charges the same launches,
@@ -434,7 +460,9 @@ class TestSharedSourceGather:
 
 
 class TestMultiprocessingBackend:
-    def test_pool_sharded_run_matches_fused(self, cube, shared_plan):
+    def test_pool_sharded_run_is_the_per_group_arithmetic(
+        self, cube, shared_plan
+    ):
         # Force real worker shards through the shared-memory shipment.
         backend = MultiprocessingBackend(n_workers=2, min_parallel_rows=1)
         try:
@@ -447,13 +475,18 @@ class TestMultiprocessingBackend:
             phi2, _ = backend.execute(shared_plan, YukawaKernel(0.5), dev2)
         finally:
             backend.close()
-        ref_dev = GpuDevice(GPU_TITAN_V)
-        phi_ref, f_ref = get_backend("fused").execute(
-            shared_plan, YukawaKernel(0.5), ref_dev, compute_forces=True
+        phi_ref, f_ref = _per_group(
+            shared_plan, YukawaKernel(0.5), forces=True
         )
         assert np.array_equal(phi, phi_ref)
         assert np.array_equal(f, f_ref)
         assert np.array_equal(phi2, phi_ref)
+        ref_dev = GpuDevice(GPU_TITAN_V)
+        phi_fu, f_fu = get_backend("fused").execute(
+            shared_plan, YukawaKernel(0.5), ref_dev, compute_forces=True
+        )
+        assert np.allclose(phi_fu, phi, rtol=1e-9, atol=1e-12)
+        assert np.allclose(f_fu, f, rtol=1e-8, atol=1e-11)
         assert dev.counters.launches == ref_dev.counters.launches
 
     def test_pickle_shipping_fallback(self, shared_plan):
@@ -465,10 +498,7 @@ class TestMultiprocessingBackend:
             phi, _ = backend.execute(shared_plan, CoulombKernel(), dev)
         finally:
             backend.close()
-        ref = GpuDevice(GPU_TITAN_V)
-        phi_ref, _ = get_backend("fused").execute(
-            shared_plan, CoulombKernel(), ref
-        )
+        phi_ref, _ = _per_group(shared_plan, CoulombKernel())
         assert np.array_equal(phi, phi_ref)
 
     def test_shards_cover_all_groups_balanced(self, shared_plan):
@@ -525,7 +555,7 @@ class TestMultiprocessingBackend:
         assert state.rate.max() < 2.0 * state.rate.min() * 9.0
         assert state.rate.min() > 0.0
 
-    def test_adaptive_sharded_runs_stay_bitwise_fused(self, shared_plan):
+    def test_adaptive_sharded_runs_stay_bitwise(self, shared_plan):
         backend = MultiprocessingBackend(n_workers=2, min_parallel_rows=1)
         try:
             dev = GpuDevice(GPU_TITAN_V)
@@ -536,11 +566,13 @@ class TestMultiprocessingBackend:
             )
         finally:
             backend.close()
-        phi_ref, _ = get_backend("fused").execute(
-            shared_plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
-        )
+        phi_ref, _ = _per_group(shared_plan, CoulombKernel())
         assert np.array_equal(phi1, phi_ref)
         assert np.array_equal(phi2, phi_ref)
+        phi_fu, _ = get_backend("fused").execute(
+            shared_plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
+        )
+        assert np.allclose(phi_fu, phi1, rtol=1e-9, atol=1e-12)
 
 
 def _uniform_groups_plan(m_sizes, *, seg_rows=5, n_segs=1, ragged_group=False):
@@ -1095,9 +1127,11 @@ class TestPipelineEquivalence:
         a, b = runs["numpy"], runs["fused"]
         assert np.allclose(a.potential, b.potential, rtol=1e-9, atol=1e-12)
         assert np.allclose(a.forces, b.forces, rtol=1e-8, atol=1e-11)
+        # multiprocessing runs the per-group arithmetic, fused the
+        # mutual blocks: roundoff-equal.
         mp = runs["multiprocessing"]
-        assert np.array_equal(mp.potential, b.potential)
-        assert np.array_equal(mp.forces, b.forces)
+        assert np.allclose(mp.potential, b.potential, rtol=1e-9, atol=1e-12)
+        assert np.allclose(mp.forces, b.forces, rtol=1e-8, atol=1e-11)
         ref = direct_sum(
             cube.positions, cube.positions, cube.charges, YukawaKernel(0.5)
         )

@@ -30,6 +30,7 @@ from repro import registry
 from repro.config import TreecodeParams
 from repro.core.backends import get_backend
 from repro.core.backends import multiproc
+from repro.core.backends.groupeval import eval_group_range, plan_arrays
 from repro.core.backends.multiproc import (
     MultiprocessingBackend,
     _Shipment,
@@ -53,9 +54,7 @@ from repro.errors import (
     ShipmentError,
     WorkerCrashError,
 )
-from repro.gpu.device import GpuDevice
 from repro.kernels.coulomb import CoulombKernel
-from repro.perf.machine import GPU_TITAN_V
 from repro.perf.timer import PhaseTimes
 from repro.workloads import random_cube
 
@@ -369,13 +368,17 @@ class TestShipmentLifecycle:
             configure_faults("shipment_pack:times=1")
             out = sess.apply(cube.charges).potential
             # The pickled-payload path ran (no SHM block for this plan)
-            # and produced the same bits the fused arithmetic does on
-            # the apply-refreshed weight buffer.
-            ship = backend._shipments.get(sess.core.plan)
+            # and produced the same bits the per-group arithmetic does
+            # on the apply-refreshed weight buffer.
+            plan = sess.core.plan
+            ship = backend._shipments.get(plan)
             assert ship.shm is None and ship.payload is not None
-            ref, _ = get_backend("fused").execute(
-                sess.core.plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
+            t_lo, t_hi, phi, _ = eval_group_range(
+                plan_arrays(plan, cast_geometry=np.float64),
+                CoulombKernel(), np.float64, False, 0, plan.n_groups,
             )
+            ref = np.zeros(plan.out_size)
+            ref[plan.out_index[t_lo:t_hi]] += phi
             assert np.array_equal(out, ref)
         finally:
             backend.close()
