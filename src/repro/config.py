@@ -89,9 +89,11 @@ class TreecodeParams:
     #: ``"numpy"``) when a backend fails or cannot be resolved in this
     #: process -- one :class:`~repro.errors.BackendDegradedWarning` per
     #: transition, the event recorded in ``health_stats()``, results
-    #: still correct.  ``"strict"`` restores raise-on-failure: the
-    #: structured error (e.g. :class:`~repro.errors.WorkerCrashError`
-    #: with the original cause chained) propagates to the caller.
+    #: bitwise those of a session on the fallback backend.  This chain is
+    #: the only recovery path: no backend retries internally.
+    #: ``"strict"`` restores raise-on-failure: the structured error
+    #: (e.g. :class:`~repro.errors.WorkerCrashError` with the original
+    #: ``BrokenProcessPool`` chained) propagates to the caller.
     fallback: str = "degrade"
 
     def __post_init__(self) -> None:

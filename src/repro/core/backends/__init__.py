@@ -15,8 +15,8 @@ backends:
   batched GEMMs (no per-group Python loop), ragged work falls back to
   the fused per-group path inside the same execute.
 * :class:`MultiprocessingBackend` (``"multiprocessing"``) -- shards the
-  plan's groups across a persistent worker pool, shipping the flat
-  buffers through POSIX shared memory; the paper's outer (multi-rank)
+  plan's groups across a persistent worker pool, pickling the flat
+  buffers into each shard's task; the paper's outer (multi-rank)
   parallelism on one host.
 * :class:`ModelBackend` (``"model"``) -- launch accounting only (the
   old ``dry_run`` mode); runs the timing model at paper scale.

@@ -220,22 +220,5 @@ class Backend(abc.ABC):
         signature keep working for single-vector applies.
         """
 
-    def health_stats(self) -> dict:
-        """Recovery/health counters of this backend instance.
-
-        Stateless backends have nothing to report (empty dict);
-        pool-carrying backends override with their retry / rebuild /
-        last-error counters, surfaced through
-        ``SessionCore.health_stats``.
-        """
-        return {}
-
-    def is_healthy(self) -> bool:
-        """Whether by-name registry lookups may keep sharing this
-        instance; unhealthy shared instances are replaced with fresh
-        ones at resolution time (see
-        :func:`repro.registry.shared_backend_instance`)."""
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

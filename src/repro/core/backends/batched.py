@@ -37,7 +37,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import BackendExecutionError
-from ..resilience import get_fault_injector
 from .base import Backend, charge_plan_launches
 from .batcheval import eval_bucket, eval_ragged_runs
 from .groupeval import eval_plan, plan_arrays
@@ -100,8 +99,6 @@ class BatchedBackend(Backend):
         # re-casting targets/points every step.
         arrays = plan_arrays(plan, cast_geometry=dtype)
         try:
-            if get_fault_injector().fire("batched_layout") is not None:
-                raise RuntimeError("injected fault: batched_layout")
             layout = plan.ensure_batched_layout()
         except Exception as exc:
             # A failed (lazy) layout build is recoverable: the fused

@@ -4,7 +4,7 @@ One implementation of the per-group "gather sources, one blocked
 kernel accumulation" arithmetic, operating on a plain dict of the
 plan's flat arrays so it runs identically in-process (FusedBackend, the
 multiprocessing backend's inline path) and inside pool workers (which
-rebuild the dict from shared memory).
+unpickle the dict from their shard task).
 
 Mutual blocks: given the plan's :class:`~repro.core.plan.MirrorSchedule`
 (``arrays["mirrors"]``, in-process fused evaluation only), a group
@@ -54,8 +54,8 @@ def plan_arrays(plan, *, cast_geometry=None) -> dict:
     and adds the plan's coincident-pair cache under ``"coincident"``,
     so each block's noise-floor scan runs once per geometry instead of
     once per apply.  Leave it None when shipping buffers elsewhere (the
-    multiprocessing shipment): workers cast their own shard slices and
-    scan every block, which is elementwise-identical.
+    multiprocessing backend's shard tasks): workers cast their own
+    shard slices and scan every block, which is elementwise-identical.
     """
     arrays = {
         f: getattr(plan, f)

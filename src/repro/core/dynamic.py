@@ -366,8 +366,6 @@ class TreecodeGeometryUpdater:
         )
         core.device.upload(new_src.nbytes, label="source data")
         phases.setup += core.device.take_phase()
-        # The old plan is unreferenced now; the multiprocessing
-        # backend's finalizer unlinks its SHM shipment on collection.
         self._record = None
         self._segs = None
         core.update_scratch_bytes = 0

@@ -74,11 +74,8 @@ and modified charges) are the only charge-dependent buffer, and a plan
 whose stored segments carried ``share_key``s records ``weight_slots`` --
 the ``(key, lo, hi)`` physical row range of every stored segment -- so
 :meth:`ExecutionPlan.refresh_weights` can overwrite just that buffer in
-place when the charges change (the prepare/apply session seam).  Each
-refresh bumps ``weights_version``; backends that cache shipped copies of
-the buffers (the multiprocessing backend's shared-memory block) use the
-version to refresh only the weight region instead of re-shipping the
-plan.  ``PlanBuilder(deferred_weights=True)`` compiles a geometry-only
+place when the charges change (the prepare/apply session seam).
+``PlanBuilder(deferred_weights=True)`` compiles a geometry-only
 skeleton up front: segments supply points but no weights, the weight
 buffer is allocated zeroed, and the first ``refresh_weights`` call fills
 it.
@@ -91,8 +88,7 @@ would store.  Only the weight state (plus the batched buckets' gathered
 ``weights``) widens; geometry stays single-copy, so memory grows by
 ``n_rhs - 1`` extra weight buffers while one traversal's gather serves
 every column.  :meth:`ExecutionPlan.refresh_weights` re-allocates on a
-width change and rewrites in place otherwise, bumping
-``weights_version`` either way.
+width change and rewrites in place otherwise.
 
 Batched (shape-bucketed) execution layout
 -----------------------------------------
@@ -162,17 +158,16 @@ plan's work; launch accounting never reads it.
 
 Dynamic geometry and the group-patch invariants
 -----------------------------------------------
-``update_geometry`` sessions mutate a plan in place along two tiers,
-both keyed by version counters (``geometry_version`` for float/output
-content, ``structure_version`` for the index arrays) so caching
-backends know exactly how stale their shipped copies are:
+``update_geometry`` sessions mutate a plan in place along two tiers.
+No backend keeps a copy of the plan buffers between executions (the
+multiprocessing backend ships them afresh on every execute), so only
+the plan's own derived caches need invalidating:
 
 * :meth:`ExecutionPlan.refresh_geometry` -- the common drift step.  The
   *shapes* of all buffers are preserved; ``targets``, ``out_index`` and
   per-slot ``src_points`` rows are rewritten in place, the dtype cast
   cache and the batched buckets' gathered stacks are dropped, and each
   bucket's ``out_slots`` is re-gathered from the new output index.
-  Bumps ``geometry_version`` only.
 * :meth:`ExecutionPlan.patch_groups` -- the structural step, taken when
   some groups' segment lists or row counts changed.  The caller
   supplies new ``(out_index, [(kind, share_key), ...])`` descriptions
@@ -186,12 +181,9 @@ backends know exactly how stale their shipped copies are:
   ``src_points``, ``src_weights``) come back **zeroed**: a patch MUST
   be followed by :meth:`refresh_geometry` (and the next apply's
   ``refresh_weights`` fills the weights, as after a deferred compile).
-  ``weight_slots`` is rebuilt, dropped keys disappear, the batched
-  layout is rebuilt eagerly iff one was attached, and both version
-  counters bump.  The plan *object* is preserved through both tiers:
-  per-plan backend caches (SHM shipments, cost models) stay keyed to
-  it and decide from the versions whether to rewrite regions or
-  re-ship.
+  ``weight_slots`` is rebuilt, dropped keys disappear, and the batched
+  layout is rebuilt eagerly iff one was attached.  The plan *object*
+  is preserved through both tiers.
 
 Both tiers also drop the plan's derived per-geometry state: the
 coincident pairs and the :class:`MirrorSchedule`.
@@ -558,10 +550,9 @@ class ExecutionPlan:
     The index arrays and gathered geometry are immutable; the weight
     buffer is the one piece of charge-dependent state and may be
     overwritten in place through :meth:`refresh_weights` (never mutate
-    ``src_weights`` directly -- the version counter is what lets
-    caching backends detect the change).  ``eq=False`` keeps plans
-    hashable by identity so backends can key per-plan caches (e.g. the
-    multiprocessing backend's shared-memory shipments) on the object.
+    ``src_weights`` directly -- the batched layout's gathered bucket
+    weights are rewritten alongside it).  ``eq=False`` keeps plans
+    comparing and hashing by identity.
     """
 
     #: Segment-kind vocabulary; ``seg_kind`` indexes into it.
@@ -592,15 +583,6 @@ class ExecutionPlan:
     #: ranges, or None when some stored segment carried no share key
     #: (the plan is then not weight-refreshable).
     weight_slots: tuple | None = None
-    #: Bumped by :meth:`refresh_weights`; lets caching backends detect
-    #: stale shipped copies of ``src_weights``.
-    weights_version: int = 0
-    #: Bumped by :meth:`refresh_geometry` (and :meth:`patch_groups`):
-    #: the float geometry buffers / output index changed in place.
-    geometry_version: int = 0
-    #: Bumped by :meth:`patch_groups`: the index arrays (shapes, CSR
-    #: structure, weight slots) changed; shipped copies must re-pack.
-    structure_version: int = 0
     #: Shape-bucketed execution layout, or None until
     #: :meth:`ensure_batched_layout` builds (and caches) it.
     batched_layout: "BatchedLayout | None" = None
@@ -786,9 +768,7 @@ class ExecutionPlan:
         Memory scales linearly with ``n_rhs`` (the geometry buffers do
         not), which is the trade-off that lets one traversal's gather
         cost serve every column.  The geometry (targets, points, index
-        arrays) is untouched; the weights version is bumped either way
-        so caching backends refresh (or re-ship) their copy of this one
-        buffer.
+        arrays) is untouched.
         """
         if self.src_weights is None:
             raise ValueError("model-only plan carries no weight buffers")
@@ -830,7 +810,6 @@ class ExecutionPlan:
             w[lo:hi] = arr
         if self.batched_layout is not None:
             self.batched_layout.refresh_weights(w)
-        object.__setattr__(self, "weights_version", self.weights_version + 1)
 
     # -- dynamic geometry -----------------------------------------------
     def refresh_geometry(
@@ -848,8 +827,8 @@ class ExecutionPlan:
         blocks written into ``src_points``.  Shapes must match -- a
         structural change goes through :meth:`patch_groups` first.
         Drops the dtype cast cache, the coincident pairs and the mirror
-        schedule, refreshes the batched buckets' output slots and
-        stacks, and bumps ``geometry_version``.
+        schedule, and refreshes the batched buckets' output slots and
+        stacks.
         """
         if not self.has_numerics:
             raise ValueError("model-only plan has no geometry buffers")
@@ -864,7 +843,6 @@ class ExecutionPlan:
         object.__setattr__(self, "_mirrors", None)
         if self.batched_layout is not None:
             self.batched_layout.refresh_geometry(self.out_index)
-        object.__setattr__(self, "geometry_version", self.geometry_version + 1)
 
     def patch_groups(self, updates: dict, key_rows) -> None:
         """Rebuild the plan structure with new descriptions for some groups.
@@ -972,8 +950,6 @@ class ExecutionPlan:
         if self.batched_layout is not None:
             set_(self, "batched_layout", None)
             self.ensure_batched_layout()
-        set_(self, "structure_version", self.structure_version + 1)
-        set_(self, "geometry_version", self.geometry_version + 1)
 
     def group_kind_runs(self, g: int) -> Iterator[tuple[str, int, int]]:
         """Yield ``(kind, seg_lo, seg_hi)`` runs of equal-kind segments.

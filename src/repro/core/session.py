@@ -31,19 +31,19 @@ once:
 
 Sessions pickle: :meth:`SessionCore.__getstate__` drops the resolved
 backend instance whenever it can be re-resolved by registry name, so
-the pickle never ships worker pools, locks or shared-memory handles;
-the first post-unpickle apply re-resolves through the process-wide
-shared store in :mod:`repro.registry` (two restored sessions selecting
+the pickle never ships worker pools or locks; the first post-unpickle
+apply re-resolves through the process-wide shared store in
+:mod:`repro.registry` (two restored sessions selecting
 ``"multiprocessing"`` therefore share one pool), and dropped caches
-(plan cast caches, bucket stacks, coincident pairs, SHM shipments)
-repopulate lazily.
+(plan cast caches, bucket stacks, coincident pairs) repopulate lazily.
 
-Fault tolerance: a backend failure inside an apply -- a worker pool
-whose bounded crash recovery was exhausted
-(:class:`~repro.errors.WorkerCrashError`), a backend that cannot exist
-in this process (:class:`~repro.errors.BackendUnavailableError`, e.g. a
-session restored where its registered backend cannot be constructed)
--- does not have to kill the session.  Under
+Fault tolerance: this fallback chain is the package's only recovery
+path.  A backend failure inside an apply -- a pool worker that died
+(:class:`~repro.errors.WorkerCrashError`; the pool itself does not
+retry), a batched layout that failed to build, a backend that cannot
+exist in this process (:class:`~repro.errors.BackendUnavailableError`,
+e.g. a session restored where its registered backend cannot be
+constructed) -- does not have to kill the session.  Under
 ``TreecodeParams(fallback="degrade")`` (the default)
 :meth:`SessionCore.execute_plan` walks the backend's fallback chain
 (:data:`FALLBACK_CHAIN`: ``"multiprocessing"``/``"batched"`` ->
@@ -51,10 +51,10 @@ session restored where its registered backend cannot be constructed)
 emits exactly one :class:`~repro.errors.BackendDegradedWarning` per
 transition, records the event (visible in
 :meth:`SessionCore.health_stats` and every ``Prepared*`` repr) and
-keeps serving correct results through the fallback -- sticky, so later
-applies skip the broken backend.
-``fallback="strict"`` restores raise-on-failure with the original
-cause chained.
+keeps serving through the fallback -- sticky, so later applies skip
+the broken backend.  A degraded session returns bitwise what a session
+prepared on the fallback backend returns.  ``fallback="strict"``
+restores raise-on-failure with the original cause chained.
 """
 
 from __future__ import annotations
@@ -395,7 +395,7 @@ class SessionCore:
             spec, "share_instance", False
         ):
             # Pool-carrying backend instances hold process-local state
-            # (executors, locks, SHM shipments); ship the name instead
+            # (executors, locks); ship the name instead
             # and let the restored session re-resolve through the
             # process-wide store -- restored sessions then share one
             # pool with each other and with live sessions.
@@ -486,17 +486,16 @@ class SessionCore:
         compute phase closes either way.
 
         Failure handling: a :class:`~repro.errors.BackendExecutionError`
-        from the session backend (worker-pool recovery exhausted, a
-        shipment that cannot be packed, a layout build that failed)
-        triggers the fallback chain under ``fallback="degrade"`` --
-        the apply is retried on the next chain member and the
-        transition becomes sticky for later applies.  Note the failed
-        backend may already have charged launches against the
-        simulated device before dying, so a *degraded* apply's
-        counters/timings can include the aborted attempt; numerical
-        results are unaffected (backends accumulate into fresh output
-        buffers, and the multiprocessing backend merges shard results
-        only after every future resolves).
+        from the session backend (a pool worker that died, a layout
+        build that failed) triggers the fallback chain under
+        ``fallback="degrade"`` -- the apply is retried on the next chain
+        member and the transition becomes sticky for later applies.
+        Note the failed backend may already have charged launches
+        against the simulated device before dying, so a *degraded*
+        apply's counters/timings can include the aborted attempt;
+        numerical results are unaffected (backends accumulate into
+        fresh output buffers, and the multiprocessing backend merges
+        shard results only after every future resolves).
         """
         explicit = backend is not None
         if not explicit:
@@ -615,45 +614,28 @@ class SessionCore:
 
         ``backend`` is the configured backend name; ``degraded_to``
         the sticky fallback currently serving applies (None while
-        healthy); ``retries``/``pool_rebuilds`` come from the resolved
-        backend's own :meth:`~repro.core.backends.Backend.health_stats`
-        (worker-crash recovery counters for the multiprocessing
-        backend, zeros for stateless backends); ``fallbacks`` the
-        recorded degradation transitions; ``last_error`` the most
-        recent failure seen by either layer.
+        healthy); ``fallbacks`` the recorded degradation transitions;
+        ``last_error`` the most recent failure that caused one.
         """
         spec = self._backend_spec
         name = spec if isinstance(spec, str) else getattr(
             spec, "name", repr(spec)
         )
-        stats = {
+        return {
             "backend": name,
             "degraded_to": (
                 self._degraded.name if self._degraded is not None else None
             ),
-            "retries": 0,
-            "pool_rebuilds": 0,
             "fallbacks": list(self._fallback_events),
             "last_error": self._last_error,
         }
-        b = self._backend
-        backend_stats = b.health_stats() if b is not None else {}
-        for key in ("retries", "pool_rebuilds"):
-            if key in backend_stats:
-                stats[key] = backend_stats[key]
-        if backend_stats.get("last_error") is not None:
-            stats["last_error"] = backend_stats["last_error"]
-        return stats
 
     def memory_stats(self) -> dict:
         """Resident bytes by category (the session-eviction ledger).
 
         ``plan_bytes`` covers the plan's charge-independent index and
         coordinate arrays; ``weight_slot_bytes`` the refreshable weight
-        buffer (scales with the current RHS width);
-        ``shipment_bytes`` whatever the backend holds for this plan
-        (the multiprocessing backend's SHM block or pickled payload;
-        0 for backends without per-plan caches); ``moment_bytes`` the
+        buffer (scales with the current RHS width); ``moment_bytes`` the
         cached cluster grids, basis matrices and modified charges;
         ``update_scratch_bytes`` the incremental-update working state
         (traversal decision record + re-bin scratch; 0 until the first
@@ -664,7 +646,8 @@ class SessionCore:
         coincident-pair indices the fused / batched evaluation keeps
         from its first apply on a geometry so later ones skip the
         noise-floor scan (0 before that apply and again after
-        ``update_geometry``).
+        ``update_geometry``).  Read-only: accounting never resolves
+        the backend, so it cannot trigger a fallback.
         """
         plan = self.plan
         plan_bytes = 0
@@ -674,10 +657,6 @@ class SessionCore:
                 plan_bytes += int(arr.nbytes)
         weight_bytes = (
             0 if plan.src_weights is None else int(plan.src_weights.nbytes)
-        )
-        shipment_accessor = getattr(self.backend, "shipment_nbytes", None)
-        shipment_bytes = (
-            int(shipment_accessor(plan)) if shipment_accessor else 0
         )
         moment_bytes = 0
         moments = self.geometry.moments
@@ -697,14 +676,13 @@ class SessionCore:
         return {
             "plan_bytes": plan_bytes,
             "weight_slot_bytes": weight_bytes,
-            "shipment_bytes": shipment_bytes,
             "moment_bytes": moment_bytes,
             "update_scratch_bytes": update_bytes,
             "batched_pad_bytes": pad_bytes,
             "coincident_cache_bytes": coincident_bytes,
             "total_bytes": (
-                plan_bytes + weight_bytes + shipment_bytes + moment_bytes
-                + update_bytes + pad_bytes + coincident_bytes
+                plan_bytes + weight_bytes + moment_bytes + update_bytes
+                + pad_bytes + coincident_bytes
             ),
         }
 
@@ -799,7 +777,6 @@ def format_memory_stats(stats: dict) -> str:
     return (
         f"plan={stats['plan_bytes']}B "
         f"weights={stats['weight_slot_bytes']}B "
-        f"shipments={stats['shipment_bytes']}B "
         f"moments={stats['moment_bytes']}B "
         f"update={stats.get('update_scratch_bytes', 0)}B "
         f"pad={stats.get('batched_pad_bytes', 0)}B "
@@ -814,10 +791,6 @@ def format_health_stats(stats: dict) -> str:
     parts = []
     if stats.get("degraded_to"):
         parts.append(f"degraded_to={stats['degraded_to']}")
-    if stats.get("retries"):
-        parts.append(f"retries={stats['retries']}")
-    if stats.get("pool_rebuilds"):
-        parts.append(f"pool_rebuilds={stats['pool_rebuilds']}")
     if stats.get("fallbacks"):
         parts.append(f"fallbacks={len(stats['fallbacks'])}")
     if not parts:

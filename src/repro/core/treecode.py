@@ -23,8 +23,8 @@ charge-dependence boundary:
    backend (:mod:`repro.core.backends`) runs the plan: ``"numpy"``
    reproduces the seed's blocked per-batch arithmetic byte-for-byte,
    ``"fused"`` evaluates straight from the shared buffers,
-   ``"multiprocessing"`` shards groups over a worker pool (refreshing
-   only the weight region of its cached shared-memory shipment), and
+   ``"multiprocessing"`` shards groups over a worker pool (pickling the
+   plan's flat buffers into each execute's shard tasks), and
    ``"model"`` charges launches without numerics (the old ``dry_run``
    path).  All backends charge the device through one code path, so
    launches, interaction counts, bytes and phase times are

@@ -713,19 +713,16 @@ class PreparedDistributedBLTC:
         return totals
 
     def health_stats(self) -> dict:
-        """Aggregated per-rank fault-tolerance counters (see
-        ``SessionCore.health_stats``): numeric counters are rank 0's
-        (the ranks share one backend instance, so summing would count
-        its counters once per rank), fallback events concatenate, and
-        ``degraded_to``/``last_error`` report the first degraded rank
-        (the shared backend degrades them together in practice)."""
+        """Aggregated per-rank fault-tolerance record (see
+        ``SessionCore.health_stats``): fallback events concatenate, and
+        ``degraded_to``/``last_error`` report the first degraded rank.
+        Ranks degrade one by one: a crashed pool degrades the rank
+        whose execute hit it, and the next rank runs on a fresh pool."""
         per_rank = [core.health_stats() for core in self.cores]
         stats = dict(per_rank[0])
         stats["fallbacks"] = [
             e for s in per_rank for e in s["fallbacks"]
         ]
-        # Shared pool-backend counters would multiply by n_ranks if
-        # summed; every rank reads the same instance, so take rank 0's.
         for s in per_rank[1:]:
             if stats["degraded_to"] is None:
                 stats["degraded_to"] = s["degraded_to"]

@@ -16,19 +16,14 @@ Hierarchy
   pre-existing ``except RuntimeError`` call sites keep working.
 
   * :class:`BackendExecutionError` -- a backend failed to execute a
-    compiled plan.  Carries the backend's registry ``name`` and the
-    number of ``attempts`` made before giving up.
+    compiled plan.  Carries the backend's registry ``name``.
 
-    * :class:`WorkerCrashError` -- the multiprocessing backend's worker
-      pool broke (a worker crashed or timed out) and bounded recovery
-      (pool rebuild + shipment re-pack under the
-      :class:`~repro.core.resilience.RetryPolicy`) did not restore it.
+    * :class:`WorkerCrashError` -- a worker of the multiprocessing
+      backend's pool died mid-apply.  The pool is discarded and
+      rebuilt on the next execute; the apply itself is not retried.
     * :class:`BackendUnavailableError` -- the backend cannot run in
       this process at all (e.g. a dependency or device it needs is
       missing); raised at construction/resolution time.
-    * :class:`ShipmentError` -- packing or refreshing a plan's
-      shared-memory shipment failed in a way the pickle fallback could
-      not absorb.
 
   * :class:`GeometryUpdateError` -- an incremental
     ``update_geometry`` failed midway; the session's geometry may be
@@ -46,7 +41,6 @@ __all__ = [
     "BackendExecutionError",
     "WorkerCrashError",
     "BackendUnavailableError",
-    "ShipmentError",
     "GeometryUpdateError",
     "BackendDegradedWarning",
 ]
@@ -60,33 +54,20 @@ class BackendExecutionError(ReproError):
     """A backend failed to execute a compiled plan.
 
     ``backend`` is the failing backend's registry name (``None`` when
-    unknown); ``attempts`` the number of execution attempts made before
-    the error escaped (1 when there was no retry loop involved).  The
-    underlying failure is chained as ``__cause__``.
+    unknown).  The underlying failure is chained as ``__cause__``.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        backend: str | None = None,
-        attempts: int | None = None,
-    ) -> None:
+    def __init__(self, message: str, *, backend: str | None = None) -> None:
         super().__init__(message)
         self.backend = backend
-        self.attempts = attempts
 
 
 class WorkerCrashError(BackendExecutionError):
-    """The worker pool broke and bounded recovery did not restore it."""
+    """A pool worker died mid-apply; the pool is rebuilt on next use."""
 
 
 class BackendUnavailableError(BackendExecutionError):
     """The backend cannot run in this process (missing dependency)."""
-
-
-class ShipmentError(BackendExecutionError):
-    """Packing/refreshing a plan's shared-memory shipment failed."""
 
 
 class GeometryUpdateError(ReproError):

@@ -25,7 +25,6 @@ __all__ = [
     "backend_names",
     "backend_type",
     "shared_backend_instance",
-    "clear_shared_instances",
 ]
 
 _BACKEND_TYPES: dict[str, type] = {}
@@ -59,26 +58,14 @@ def backend_type(name: str) -> type:
 def shared_backend_instance(name: str, cls: type) -> object:
     """The process-wide shared instance of backend ``name``.
 
-    Creates (and caches) one on first use, when a re-registration
-    changed the class behind the name, or when the cached instance
-    reports itself unhealthy (``is_healthy()`` returning False -- e.g.
-    a multiprocessing backend whose pool recovery was exhausted).  All
-    sessions selecting the same ``share_instance`` backend -- live or
-    unpickled -- resolve to the same object, so e.g. one
-    ``ProcessPoolExecutor`` serves them all; a session restored from a
-    pickle therefore never inherits a broken pool: the unhealthy member
-    is replaced by a fresh instance at resolution time.
+    Creates (and caches) one on first use, or when a re-registration
+    changed the class behind the name.  All sessions selecting the same
+    ``share_instance`` backend -- live or unpickled -- resolve to the
+    same object, so e.g. one ``ProcessPoolExecutor`` serves them all.
     """
     inst = _SHARED_INSTANCES.get(name)
     if inst is not None and type(inst) is cls:
-        probe = getattr(inst, "is_healthy", None)
-        if probe is None or probe():
-            return inst
+        return inst
     inst = cls()
     _SHARED_INSTANCES[name] = inst
     return inst
-
-
-def clear_shared_instances() -> None:
-    """Drop all cached shared instances (test isolation hook)."""
-    _SHARED_INSTANCES.clear()

@@ -15,6 +15,8 @@ time.  The de-duplicated (shared-segment) source layout must reproduce
 the duplicated layout bitwise on every executing backend.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ from repro import (
     register_backend,
     relative_l2_error,
 )
-from repro.core.backends import Backend
+from repro.core.backends import Backend, multiproc
 from repro.core.backends.groupeval import eval_group_range, plan_arrays
 from repro.core.interaction_lists import build_interaction_lists
 from repro.core.moments import precompute_moments
@@ -460,11 +462,15 @@ class TestSharedSourceGather:
 
 
 class TestMultiprocessingBackend:
+    @pytest.fixture
+    def shard_small_plans(self, monkeypatch):
+        monkeypatch.setattr(multiproc, "MIN_PARALLEL_ROWS", 1)
+
     def test_pool_sharded_run_is_the_per_group_arithmetic(
-        self, cube, shared_plan
+        self, cube, shared_plan, shard_small_plans
     ):
-        # Force real worker shards through the shared-memory shipment.
-        backend = MultiprocessingBackend(n_workers=2, min_parallel_rows=1)
+        # Force real worker shards.
+        backend = MultiprocessingBackend(n_workers=2)
         try:
             dev = GpuDevice(GPU_TITAN_V)
             phi, f = backend.execute(
@@ -489,18 +495,6 @@ class TestMultiprocessingBackend:
         assert np.allclose(f_fu, f, rtol=1e-8, atol=1e-11)
         assert dev.counters.launches == ref_dev.counters.launches
 
-    def test_pickle_shipping_fallback(self, shared_plan):
-        backend = MultiprocessingBackend(
-            n_workers=2, use_shared_memory=False, min_parallel_rows=1
-        )
-        try:
-            dev = GpuDevice(GPU_TITAN_V)
-            phi, _ = backend.execute(shared_plan, CoulombKernel(), dev)
-        finally:
-            backend.close()
-        phi_ref, _ = _per_group(shared_plan, CoulombKernel())
-        assert np.array_equal(phi, phi_ref)
-
     def test_shards_cover_all_groups_balanced(self, shared_plan):
         backend = MultiprocessingBackend(n_workers=3)
         shards = backend._shards(shared_plan)
@@ -514,53 +508,17 @@ class TestMultiprocessingBackend:
         with pytest.raises(ValueError, match="n_workers"):
             MultiprocessingBackend(0)
 
-    def test_rejects_bad_ewma_alpha(self):
-        with pytest.raises(ValueError, match="shard_ewma_alpha"):
-            MultiprocessingBackend(2, shard_ewma_alpha=0.0)
-
-    def test_adaptive_off_keeps_modeled_split(self, shared_plan):
-        fixed = MultiprocessingBackend(n_workers=3, adaptive_shards=False)
-        adaptive = MultiprocessingBackend(n_workers=3)
-        shards = fixed._shards(shared_plan)
-        # With no observations the adaptive split IS the modeled split.
-        assert adaptive._shards(shared_plan) == shards
-        # Observations never move the fixed backend's split.
-        fixed._observe_shard_times(shared_plan, shards, [5.0] * len(shards))
-        assert fixed._shards(shared_plan) == shards
-
-    def test_observed_times_rebalance_shards(self, shared_plan):
-        backend = MultiprocessingBackend(n_workers=2, shard_ewma_alpha=1.0)
-        shards = backend._shards(shared_plan)
-        assert len(shards) == 2
-        cut = shards[0][1]
-        # First shard reported 9x slower per modeled interaction: the
-        # next split must hand it fewer groups.
-        backend._observe_shard_times(shared_plan, shards, [9.0, 1.0])
-        rebalanced = backend._shards(shared_plan)
-        assert rebalanced[0][1] < cut
-        assert rebalanced[0][0] == 0
-        assert rebalanced[-1][1] == shared_plan.n_groups
-        state = backend._plan_cost(shared_plan)
-        rate_first = state.rate[:cut].mean()
-        rate_rest = state.rate[cut:].mean()
-        assert rate_first > rate_rest
-
-    def test_adaptive_ewma_converges_not_jumps(self, shared_plan):
-        backend = MultiprocessingBackend(n_workers=2, shard_ewma_alpha=0.5)
-        shards = backend._shards(shared_plan)
-        backend._observe_shard_times(shared_plan, shards, [9.0, 1.0])
-        state = backend._plan_cost(shared_plan)
-        # alpha=0.5 blends the normalized observation with the prior 1.0
-        # rather than adopting it outright.
-        assert state.rate.max() < 2.0 * state.rate.min() * 9.0
-        assert state.rate.min() > 0.0
-
-    def test_adaptive_sharded_runs_stay_bitwise(self, shared_plan):
-        backend = MultiprocessingBackend(n_workers=2, min_parallel_rows=1)
+    @pytest.mark.parametrize("n_workers", (2, 3))
+    def test_sharded_runs_stay_bitwise_at_any_split(
+        self, shared_plan, shard_small_plans, n_workers
+    ):
+        backend = MultiprocessingBackend(n_workers=n_workers)
         try:
-            dev = GpuDevice(GPU_TITAN_V)
-            phi1, _ = backend.execute(shared_plan, CoulombKernel(), dev)
-            # Second run re-shards from learned rates; values must not move.
+            assert len(backend._shards(shared_plan)) == n_workers
+            phi1, _ = backend.execute(
+                shared_plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
+            )
+            # A repeated run on the warm pool: values must not move.
             phi2, _ = backend.execute(
                 shared_plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
             )
@@ -573,6 +531,152 @@ class TestMultiprocessingBackend:
             shared_plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
         )
         assert np.allclose(phi_fu, phi1, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("n_workers", (None, 1, 3))
+    def test_worker_count_is_the_only_setting(self, n_workers):
+        backend = MultiprocessingBackend(n_workers)
+        expected = n_workers or (os.cpu_count() or 1)
+        assert backend.n_workers == expected
+        with pytest.raises(TypeError):
+            MultiprocessingBackend(2, min_parallel_rows=1)
+
+    @pytest.mark.parametrize("n_workers", (2, 3, 4, 6))
+    def test_shards_balance_the_modeled_cost(self, shared_plan, n_workers):
+        # The split is the modeled interaction count: contiguous shards
+        # whose cost differs from the even share by at most one group.
+        backend = MultiprocessingBackend(n_workers=n_workers)
+        shards = backend._shards(shared_plan)
+        assert len(shards) == n_workers
+        seg_cost = np.diff(shared_plan.seg_ptr) * np.repeat(
+            np.diff(shared_plan.group_ptr), np.diff(shared_plan.seg_group_ptr)
+        )
+        group_cost = np.add.reduceat(
+            seg_cost, shared_plan.seg_group_ptr[:-1]
+        )
+        share = group_cost.sum() / n_workers
+        for lo, hi in shards:
+            assert hi > lo
+            assert abs(group_cost[lo:hi].sum() - share) <= group_cost.max()
+        # Deterministic: the split is a function of the plan alone.
+        assert backend._shards(shared_plan) == shards
+
+    def test_more_workers_than_groups(self):
+        plan = _uniform_groups_plan([5, 5])
+        shards = MultiprocessingBackend(n_workers=5)._shards(plan)
+        assert shards == [(0, 1), (1, 2)]
+
+    def test_single_worker_runs_inline_without_a_pool(self, shared_plan):
+        backend = MultiprocessingBackend(n_workers=1)
+        phi, f = backend.execute(
+            shared_plan, CoulombKernel(), GpuDevice(GPU_TITAN_V),
+            compute_forces=True,
+        )
+        assert backend._pool is None
+        phi_ref, f_ref = _per_group(
+            shared_plan, CoulombKernel(), forces=True
+        )
+        assert np.array_equal(phi, phi_ref)
+        assert np.array_equal(f, f_ref)
+
+    def test_min_parallel_rows_read_at_execute_time(
+        self, shared_plan, monkeypatch
+    ):
+        backend = MultiprocessingBackend(n_workers=2)
+        try:
+            monkeypatch.setattr(
+                multiproc, "MIN_PARALLEL_ROWS", shared_plan.n_source_rows + 1
+            )
+            inline, _ = backend.execute(
+                shared_plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
+            )
+            assert backend._pool is None
+            monkeypatch.setattr(
+                multiproc, "MIN_PARALLEL_ROWS", shared_plan.n_source_rows
+            )
+            sharded, _ = backend.execute(
+                shared_plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
+            )
+            assert backend._pool is not None
+        finally:
+            backend.close()
+        assert np.array_equal(inline, sharded)
+
+    def test_close_is_idempotent_and_execute_rebuilds_the_pool(
+        self, shared_plan, shard_small_plans
+    ):
+        backend = MultiprocessingBackend(n_workers=2)
+        try:
+            ref, _ = backend.execute(
+                shared_plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
+            )
+            first = backend._pool
+            backend.close()
+            backend.close()
+            assert backend._pool is None
+            out, _ = backend.execute(
+                shared_plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
+            )
+            assert backend._pool is not None
+            assert backend._pool is not first
+        finally:
+            backend.close()
+        assert np.array_equal(ref, out)
+
+    def test_sharded_float32_is_the_per_group_arithmetic(
+        self, shared_plan, shard_small_plans
+    ):
+        backend = MultiprocessingBackend(n_workers=2)
+        try:
+            phi, _ = backend.execute(
+                shared_plan, CoulombKernel(), GpuDevice(GPU_TITAN_V),
+                dtype=np.float32,
+            )
+        finally:
+            backend.close()
+        t_lo, t_hi, rows, _ = eval_group_range(
+            plan_arrays(shared_plan, cast_geometry=np.float32),
+            CoulombKernel(), np.float32, False, 0, shared_plan.n_groups,
+        )
+        ref = np.zeros(shared_plan.out_size)
+        ref[shared_plan.out_index[t_lo:t_hi]] += rows
+        assert np.array_equal(phi, ref)
+
+    def test_sharded_multi_rhs_forces_are_the_per_group_arithmetic(
+        self, cube, shard_small_plans
+    ):
+        backend = MultiprocessingBackend(n_workers=2)
+        try:
+            sess = BarycentricTreecode(
+                CoulombKernel(), _params(backend=backend)
+            ).prepare(cube)
+            block = np.stack(
+                [cube.charges, 2.0 * cube.charges, cube.charges - 1.0],
+                axis=1,
+            )
+            res = sess.apply(block, compute_forces=True)
+            assert backend._pool is not None
+        finally:
+            backend.close()
+        plan = sess.plan
+        assert plan.rhs_width == 3
+        t_lo, t_hi, rows, f_rows = eval_group_range(
+            plan_arrays(plan, cast_geometry=np.float64), CoulombKernel(),
+            np.float64, True, 0, plan.n_groups,
+        )
+        idx = plan.out_index[t_lo:t_hi]
+        phi = np.zeros((plan.out_size, 3))
+        phi[idx] += rows
+        f = np.zeros((plan.out_size, 3, 3))
+        f[idx] += f_rows
+        assert np.array_equal(res.potential, phi)
+        assert np.array_equal(res.forces, f)
+
+    def test_rejects_plan_without_numerics(self, cube):
+        plan = _compile(cube, numerics=False)
+        with pytest.raises(ValueError, match="numerics"):
+            MultiprocessingBackend(n_workers=2).execute(
+                plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
+            )
 
 
 def _uniform_groups_plan(m_sizes, *, seg_rows=5, n_segs=1, ragged_group=False):

@@ -6,9 +6,8 @@ positions -- on every executing backend, both dtypes, and for whole
 ``(N, n_rhs)`` charge blocks -- whether the update took the incremental
 path (re-bin + list verify + group patch) or fell back to a full
 rebuild.  Plus the control surface around it: the zero-motion no-op, the
-``rebuild_threshold`` trigger, geometry-key staleness, the
-``update_scratch`` memory category, and the multiprocessing backend's
-shipment refresh/re-pack (no leaked SHM block).
+``rebuild_threshold`` trigger, geometry-key staleness and the
+``update_scratch`` memory category.
 """
 
 import numpy as np
@@ -326,7 +325,7 @@ class TestExtensions:
 
 
 class TestAccounting:
-    """geometry_key staleness, update_scratch memory, shipment hygiene."""
+    """geometry_key staleness and update_scratch memory."""
 
     def test_geometry_key_changes_after_update(self, cube):
         rng = np.random.default_rng(22)
@@ -373,40 +372,3 @@ class TestAccounting:
         sess = make(CoulombKernel(), _params()).prepare(cube)
         assert "update_scratch_bytes" in sess.memory_stats()
         assert "update=" in repr(sess)
-
-    def test_shipment_refresh_and_repack(self, cube):
-        from multiprocessing import shared_memory
-
-        from repro.core.backends.multiproc import MultiprocessingBackend
-
-        rng = np.random.default_rng(24)
-        drv = BarycentricTreecode(CoulombKernel(), _params("numpy"))
-        sess = drv.prepare(cube)
-        sess.apply(cube.charges)
-        plan = sess.plan
-        backend = MultiprocessingBackend(n_workers=1)
-        ship = backend._get_shipment(plan)
-        assert ship.shm is not None
-        name = ship.shm.name
-
-        # Geometry-only refresh rewrites the block in place.
-        plan.refresh_geometry(targets=plan.targets.copy())
-        again = backend._get_shipment(plan)
-        assert again is ship and again.shm.name == name
-        assert again.geom_version == plan.geometry_version
-
-        # A structural patch must re-pack -- and unlink the old block.
-        result = sess.update_geometry(_drift(rng, cube.positions, 0.01))
-        assert not result.rebuilt and result.n_patched_groups > 0
-        repacked = backend._get_shipment(plan)
-        assert repacked is not ship
-        assert repacked.struct_version == plan.structure_version
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        repacked_view = np.ndarray(
-            repacked.spec["layout"]["targets"][1],
-            dtype=np.dtype(repacked.spec["layout"]["targets"][2]),
-            buffer=repacked.shm.buf[repacked.spec["layout"]["targets"][0]:],
-        )
-        assert np.array_equal(repacked_view, plan.targets)
-        backend._get_shipment(plan).close()

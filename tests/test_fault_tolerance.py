@@ -1,70 +1,56 @@
-"""Fault-injection matrix for the fault-tolerant execution layer.
+"""Backend degradation: the session's fallback chain is the one
+recovery path.
 
-Every failure mode is injected deterministically through
-:mod:`repro.core.resilience` (no real ``kill`` racing a pool), and
-every recovery contract from the module docstrings is asserted:
+No failure here is injected from inside the package:
 
-* a worker crash mid-apply (single RHS, multi-RHS, and after
-  ``update_geometry``) recovers automatically with bitwise-identical
-  results, zero leaked SHM blocks and exactly one pool rebuild;
-* a persistently crashing pool exhausts bounded recovery and the
-  session degrades along the fallback chain (one structured warning),
-  still returning correct results;
-* ``fallback="strict"`` raises :class:`~repro.errors.WorkerCrashError`
-  with the original ``BrokenProcessPool`` chained;
-* ``close()`` -> ``apply()`` re-packs the unlinked shipment;
-* a pickle-restored session whose shared pool member is broken
-  transparently resolves a fresh healthy instance.
+* a pool worker is really killed (``SIGKILL``) between applies.  The
+  next apply of a ``"multiprocessing"`` session degrades to ``"fused"``
+  with exactly one :class:`~repro.errors.BackendDegradedWarning` and
+  returns bitwise what a fused session returns;
+  ``fallback="strict"`` raises :class:`~repro.errors.WorkerCrashError`
+  with the ``BrokenProcessPool`` chained, and the backend's next
+  execute runs on a fresh pool (the shared by-name instance is never
+  replaced); in a distributed session only the rank whose execute hit
+  the dead worker degrades;
+* a batched layout build fails (the builder is monkeypatched) and the
+  session degrades the same way;
+* backends that cannot be resolved or constructed degrade at
+  resolution time, and explicit per-apply overrides never degrade.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import signal
+import time
 import warnings
-import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro import registry
 from repro.config import TreecodeParams
-from repro.core.backends import get_backend
-from repro.core.backends import multiproc
+from repro.core import plan as plan_module
+from repro.core.backends import get_backend, multiproc
 from repro.core.backends.groupeval import eval_group_range, plan_arrays
-from repro.core.backends.multiproc import (
-    MultiprocessingBackend,
-    _Shipment,
-    _unregister_block,
-    audit_shared_memory,
-)
-from repro.core.resilience import (
-    FaultInjector,
-    FaultSpec,
-    RetryPolicy,
-    configure_faults,
-    get_fault_injector,
-)
+from repro.core.backends.multiproc import MultiprocessingBackend
 from repro.core.session import FALLBACK_CHAIN, format_health_stats
 from repro.core.treecode import BarycentricTreecode
+from repro.distributed.driver import DistributedBLTC
 from repro.errors import (
     BackendDegradedWarning,
     BackendExecutionError,
     BackendUnavailableError,
     GeometryUpdateError,
-    ShipmentError,
     WorkerCrashError,
 )
+from repro.gpu.device import GpuDevice
 from repro.kernels.coulomb import CoulombKernel
+from repro.perf.machine import GPU_TITAN_V
 from repro.perf.timer import PhaseTimes
 from repro.workloads import random_cube
-
-
-@pytest.fixture(autouse=True)
-def _clean_faults():
-    """Every test starts and ends with no armed faults."""
-    configure_faults(None)
-    yield
-    configure_faults(None)
 
 
 @pytest.fixture(scope="module")
@@ -73,17 +59,10 @@ def cube():
 
 
 def _params(**overrides) -> TreecodeParams:
-    # Small leaves/batches so the plan has enough groups to shard even
-    # at N=400 (the 1-core CI container still forces 2 workers).
+    # Small leaves/batches so the plan has enough groups to shard.
     base = dict(theta=0.8, degree=3, max_leaf_size=40, max_batch_size=40)
     base.update(overrides)
     return TreecodeParams(**base)
-
-
-def _mp_backend(**kw) -> MultiprocessingBackend:
-    kw.setdefault("n_workers", 2)
-    kw.setdefault("min_parallel_rows", 1)
-    return MultiprocessingBackend(**kw)
 
 
 def _prepare(cube, backend, **overrides):
@@ -98,368 +77,211 @@ def _drift(positions, scale=0.004, seed=3):
     return positions + rng.normal(scale=scale, size=positions.shape)
 
 
+def _degraded_warnings(caught):
+    return [
+        w for w in caught if issubclass(w.category, BackendDegradedWarning)
+    ]
+
+
 # ----------------------------------------------------------------------
-# Fault-spec parsing and the injector
+# A real worker death
 # ----------------------------------------------------------------------
 
 
-class TestFaultSpecs:
-    def test_parse_site_qualifiers_and_times(self):
-        spec = FaultSpec.parse("mp_worker_crash:shard=2:times=1")
-        assert spec.site == "mp_worker_crash"
-        assert spec.params == {"shard": 2}
-        assert spec.times == 1
-
-    def test_values_coerce_int_float_str(self):
-        spec = FaultSpec.parse("site:a=2:b=0.5:c=text")
-        assert spec.params == {"a": 2, "b": 0.5, "c": "text"}
-
-    def test_bad_qualifier_raises(self):
-        with pytest.raises(ValueError, match="key=value"):
-            FaultSpec.parse("site:garbage")
-
-    def test_from_string_splits_entries(self):
-        inj = FaultInjector.from_string(
-            "mp_worker_crash:shard=0,shipment_pack:times=2"
-        )
-        assert [s.site for s in inj.specs] == [
-            "mp_worker_crash", "shipment_pack",
-        ]
-
-    def test_fire_matches_context_and_counts(self):
-        inj = FaultInjector.from_string("mp_worker_crash:shard=1:times=1")
-        assert inj.fire("mp_worker_crash", shard=0) is None
-        assert inj.fire("mp_worker_crash", shard=1) is not None
-        # times=1: the spec is exhausted after one hit.
-        assert inj.fire("mp_worker_crash", shard=1) is None
-
-    def test_non_context_keys_are_payload(self):
-        inj = FaultInjector.from_string("mp_worker_hang:seconds=2.5")
-        spec = inj.fire("mp_worker_hang", shard=0)
-        assert spec is not None
-        assert spec.get("seconds") == 2.5
-
-    def test_configure_and_clear_global_injector(self):
-        configure_faults("mp_pool_broken:times=1")
-        assert get_fault_injector().active("mp_pool_broken")
-        assert get_fault_injector().fire("mp_pool_broken") is not None
-        assert not get_fault_injector().active("mp_pool_broken")
-        configure_faults(None)
-        assert not get_fault_injector().specs
-
-    def test_env_var_initializes_injector(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT", "shipment_pack:times=3")
-        inj = FaultInjector.from_env()
-        assert inj.active("shipment_pack")
+@pytest.fixture
+def pool(monkeypatch):
+    """A two-worker pool that shards even the small test plans."""
+    monkeypatch.setattr(multiproc, "MIN_PARALLEL_ROWS", 1)
+    backend = MultiprocessingBackend(n_workers=2)
+    yield backend
+    backend.close()
 
 
-class TestRetryPolicy:
-    def test_exponential_delay(self):
-        policy = RetryPolicy(backoff=0.1, backoff_factor=2.0)
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.4)
+def _kill_one_worker(backend):
+    """SIGKILL one live worker of the backend's pool and wait until the
+    executor has marked itself broken.
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"max_attempts": 0},
-            {"backoff": -1.0},
-            {"backoff_factor": 0.5},
-            {"timeout": 0.0},
-        ],
+    Without the wait the next submit can race the executor's manager
+    thread: the surviving worker may finish every shard before the dead
+    one's sentinel is read, and the apply would succeed.  (The manager
+    thread also reaps the victim, so ``is_alive()`` is no signal here.)
+    """
+    executor = backend._pool
+    victim = next(iter(executor._processes.values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10
+    while not executor._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert executor._broken
+
+
+def _per_group(plan):
+    """``eval_group_range`` over every group, scattered to the output."""
+    t_lo, t_hi, phi, _ = eval_group_range(
+        plan_arrays(plan, cast_geometry=np.float64), CoulombKernel(),
+        np.float64, False, 0, plan.n_groups,
     )
-    def test_validation(self, kw):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kw)
+    out = np.zeros(plan.out_size)
+    out[plan.out_index[t_lo:t_hi]] += phi
+    return out
 
 
-# ----------------------------------------------------------------------
-# Worker-crash recovery (the tentpole acceptance matrix)
-# ----------------------------------------------------------------------
-
-
-class TestCrashRecovery:
-    def test_crash_mid_apply_recovers_bitwise(self, cube):
-        backend = _mp_backend(retry=RetryPolicy(backoff=0.0))
-        try:
-            sess = _prepare(cube, backend)
-            ref = sess.apply(cube.charges).potential
-            configure_faults("mp_worker_crash:shard=0:times=1")
+class TestWorkerCrash:
+    def test_dead_worker_degrades_to_fused(self, cube, pool):
+        sess = _prepare(cube, pool)
+        sess.apply(cube.charges)  # starts the pool's workers
+        _kill_one_worker(pool)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             out = sess.apply(cube.charges).potential
-            assert np.array_equal(ref, out)
-            health = sess.health_stats()
-            assert health["retries"] == 1
-            assert health["pool_rebuilds"] == 1
-            assert health["degraded_to"] is None
-            assert "BrokenProcessPool" in health["last_error"]
-            assert backend.is_healthy()
-            assert audit_shared_memory()["orphans"] == []
-        finally:
-            backend.close()
+        assert len(_degraded_warnings(caught)) == 1
+        health = sess.health_stats()
+        assert health["degraded_to"] == "fused"
+        assert [(e["from"], e["to"]) for e in health["fallbacks"]] == [
+            ("multiprocessing", "fused")
+        ]
+        assert "WorkerCrashError" in health["last_error"]
+        ref = _prepare(cube, "fused").apply(cube.charges).potential
+        assert np.array_equal(out, ref)
+        # Sticky: the next apply is served by fused, with no new warning.
+        with warnings.catch_warnings(record=True) as again:
+            warnings.simplefilter("always")
+            out2 = sess.apply(cube.charges).potential
+        assert not _degraded_warnings(again)
+        assert np.array_equal(out2, ref)
 
-    def test_crash_multi_rhs_recovers_bitwise(self, cube):
-        backend = _mp_backend(retry=RetryPolicy(backoff=0.0))
-        try:
-            sess = _prepare(cube, backend)
-            block = np.stack(
-                [cube.charges, 2.0 * cube.charges, cube.charges - 1.0],
-                axis=1,
-            )
-            ref = sess.apply(block, compute_forces=True)
-            configure_faults("mp_worker_crash:shard=0:times=1")
-            out = sess.apply(block, compute_forces=True)
-            assert np.array_equal(ref.potential, out.potential)
-            assert np.array_equal(ref.forces, out.forces)
-            assert sess.health_stats()["pool_rebuilds"] == 1
-            assert audit_shared_memory()["orphans"] == []
-        finally:
-            backend.close()
-
-    def test_crash_after_update_geometry_recovers_bitwise(self, cube):
-        backend = _mp_backend(retry=RetryPolicy(backoff=0.0))
-        try:
-            sess = _prepare(cube, backend)
+    def test_strict_raises_worker_crash_error(self, cube, pool):
+        sess = _prepare(cube, pool, fallback="strict")
+        sess.apply(cube.charges)
+        _kill_one_worker(pool)
+        with pytest.raises(WorkerCrashError) as excinfo:
             sess.apply(cube.charges)
-            sess.update_geometry(_drift(cube.positions))
-            ref = sess.apply(cube.charges).potential
-            configure_faults("mp_worker_crash:shard=0:times=1")
-            out = sess.apply(cube.charges).potential
-            assert np.array_equal(ref, out)
-            assert sess.health_stats()["pool_rebuilds"] == 1
-            assert audit_shared_memory()["orphans"] == []
-        finally:
-            backend.close()
+        assert excinfo.value.backend == "multiprocessing"
+        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
 
-    def test_recovery_repacks_a_fresh_shm_block(self, cube):
-        backend = _mp_backend(retry=RetryPolicy(backoff=0.0))
-        try:
-            sess = _prepare(cube, backend)
-            sess.apply(cube.charges)
-            ship = backend._shipments.get(sess.core.plan)
-            name_before = ship.shm.name
-            configure_faults("mp_worker_crash:shard=0:times=1")
-            sess.apply(cube.charges)
-            ship_after = backend._shipments.get(sess.core.plan)
-            # The teardown unlinked the old block; the retry packed a
-            # new one (the old shipment must never reach a worker).
-            assert ship_after is not ship
-            assert ship.closed
-            assert ship_after.shm.name != name_before
-            names = [b["name"] for b in audit_shared_memory()["live"]]
-            assert name_before not in names
-        finally:
-            backend.close()
+    def test_next_execute_runs_on_a_fresh_pool(self, cube, pool):
+        sess = _prepare(cube, "fused")
+        sess.apply(cube.charges)  # fills the deferred weights
+        plan = sess.plan
+        kernel = CoulombKernel()
+        pool.execute(plan, kernel, GpuDevice(GPU_TITAN_V))
+        broken = pool._pool
+        _kill_one_worker(pool)
+        with pytest.raises(WorkerCrashError):
+            pool.execute(plan, kernel, GpuDevice(GPU_TITAN_V))
+        assert pool._pool is None
+        phi, _ = pool.execute(plan, kernel, GpuDevice(GPU_TITAN_V))
+        assert pool._pool is not None and pool._pool is not broken
+        assert np.array_equal(phi, _per_group(plan))
 
-    def test_hang_times_out_and_recovers_bitwise(self, cube):
-        # A hung worker sleeps past the shard deadline; the timeout
-        # counts as a pool failure and triggers the same
-        # teardown/re-pack/retry path a crash does.  The sleep is kept
-        # short so the abandoned worker exits promptly.
-        backend = _mp_backend(
-            retry=RetryPolicy(backoff=0.0, timeout=2.0)
+    def test_dead_worker_multi_rhs_forces_degrade_bitwise(self, cube, pool):
+        block = np.stack(
+            [cube.charges, 2.0 * cube.charges, cube.charges - 1.0], axis=1
         )
-        try:
-            sess = _prepare(cube, backend)
-            ref = sess.apply(cube.charges).potential
-            configure_faults("mp_worker_hang:shard=0:seconds=6.0:times=1")
-            out = sess.apply(cube.charges).potential
-            assert np.array_equal(ref, out)
-            health = sess.health_stats()
-            assert health["retries"] == 1
-            assert health["pool_rebuilds"] == 1
-        finally:
-            backend.close()
+        sess = _prepare(cube, pool)
+        sess.apply(block, compute_forces=True)
+        _kill_one_worker(pool)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = sess.apply(block, compute_forces=True)
+        assert len(_degraded_warnings(caught)) == 1
+        assert sess.health_stats()["degraded_to"] == "fused"
+        ref = _prepare(cube, "fused").apply(block, compute_forces=True)
+        assert np.array_equal(out.potential, ref.potential)
+        assert np.array_equal(out.forces, ref.forces)
 
-    def test_pool_broken_before_submit_recovers(self, cube):
-        backend = _mp_backend(retry=RetryPolicy(backoff=0.0))
-        try:
-            sess = _prepare(cube, backend)
-            ref = sess.apply(cube.charges).potential
-            configure_faults("mp_pool_broken:times=2")
+    def test_dead_worker_after_update_geometry_degrades_bitwise(
+        self, cube, pool
+    ):
+        moved = _drift(cube.positions)
+        sess = _prepare(cube, pool)
+        sess.apply(cube.charges)
+        sess.update_geometry(moved)
+        sess.apply(cube.charges)
+        _kill_one_worker(pool)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             out = sess.apply(cube.charges).potential
-            assert np.array_equal(ref, out)
-            assert sess.health_stats()["retries"] == 2
-        finally:
-            backend.close()
+        assert len(_degraded_warnings(caught)) == 1
+        ref_sess = _prepare(cube, "fused")
+        ref_sess.apply(cube.charges)
+        ref_sess.update_geometry(moved)
+        assert np.array_equal(out, ref_sess.apply(cube.charges).potential)
 
-    def test_strict_raises_worker_crash_error_with_cause(self, cube):
-        backend = _mp_backend(retry=RetryPolicy(backoff=0.0))
-        try:
-            sess = _prepare(cube, backend, fallback="strict")
+    def test_strict_session_keeps_its_backend_after_a_crash(self, cube, pool):
+        # strict raises once and records nothing; the pool is rebuilt
+        # by the next apply, which is the per-group arithmetic again.
+        sess = _prepare(cube, pool, fallback="strict")
+        ref = sess.apply(cube.charges).potential
+        _kill_one_worker(pool)
+        with pytest.raises(WorkerCrashError):
             sess.apply(cube.charges)
-            configure_faults("mp_worker_crash:times=99")
-            with pytest.raises(WorkerCrashError) as excinfo:
-                sess.apply(cube.charges)
-            err = excinfo.value
-            assert err.backend == "multiprocessing"
-            assert err.attempts == RetryPolicy().max_attempts
-            assert type(err.__cause__).__name__ == "BrokenProcessPool"
-            # Exhausted recovery poisons the instance for by-name reuse.
-            assert not backend.is_healthy()
-            # Nothing leaked even though the error escaped.
-            assert audit_shared_memory()["orphans"] == []
-        finally:
-            backend.close()
+        health = sess.health_stats()
+        assert health["degraded_to"] is None
+        assert health["fallbacks"] == []
+        out = sess.apply(cube.charges).potential
+        assert pool._pool is not None
+        assert np.array_equal(out, ref)
+        assert np.array_equal(out, _per_group(sess.plan))
 
-    def test_exhausted_recovery_degrades_to_fused(self, cube):
-        backend = _mp_backend(retry=RetryPolicy(backoff=0.0))
+    def test_shared_instance_survives_a_crash(self, cube, monkeypatch):
+        # No health probe: the by-name instance is never replaced, and
+        # after a crash it serves the next execute on a fresh pool.
+        monkeypatch.setattr(multiproc, "MIN_PARALLEL_ROWS", 1)
+        shared = get_backend("multiprocessing")
+        shared.close()
+        # Two workers even on a one-core host, so the plan shards.
+        monkeypatch.setattr(shared, "n_workers", max(shared.n_workers, 2))
+        sess = _prepare(cube, "fused")
+        sess.apply(cube.charges)
+        plan = sess.plan
         try:
-            sess = _prepare(cube, backend)
-            ref = sess.apply(cube.charges).potential
-            configure_faults("mp_worker_crash:times=99")
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                out = sess.apply(cube.charges).potential
-            configure_faults(None)
-            degraded = [
-                w for w in caught
-                if issubclass(w.category, BackendDegradedWarning)
-            ]
-            assert len(degraded) == 1
-            # Fused arithmetic on the same plan: correct to roundoff.
-            np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
-            health = sess.health_stats()
-            assert health["degraded_to"] == "fused"
-            assert health["fallbacks"] == [
-                {
-                    "from": "multiprocessing",
-                    "to": "fused",
-                    "error": health["fallbacks"][0]["error"],
-                }
-            ]
-            assert "WorkerCrashError" in health["fallbacks"][0]["error"]
-            # Sticky: the next apply serves from the fallback with no
-            # new warning and bitwise-stable results.
-            with warnings.catch_warnings(record=True) as again:
-                warnings.simplefilter("always")
-                out2 = sess.apply(cube.charges).potential
-            assert not [
-                w for w in again
-                if issubclass(w.category, BackendDegradedWarning)
-            ]
-            assert np.array_equal(out, out2)
-        finally:
-            backend.close()
-
-
-# ----------------------------------------------------------------------
-# Shipment lifecycle (satellite: close() -> apply() safety)
-# ----------------------------------------------------------------------
-
-
-class TestShipmentLifecycle:
-    def test_close_then_apply_repacks_bitwise(self, cube):
-        backend = _mp_backend()
-        try:
-            sess = _prepare(cube, backend)
-            ref = sess.apply(cube.charges).potential
-            backend.close()  # unlinks the cached shipment + pool
-            out = sess.apply(cube.charges).potential
-            assert np.array_equal(ref, out)
-            assert backend.shipment_nbytes(sess.core.plan) > 0
-        finally:
-            backend.close()
-
-    def test_shm_pack_failure_falls_back_to_pickle(self, cube):
-        backend = _mp_backend()
-        try:
-            sess = _prepare(cube, backend)
-            configure_faults("shipment_pack:times=1")
-            out = sess.apply(cube.charges).potential
-            # The pickled-payload path ran (no SHM block for this plan)
-            # and produced the same bits the per-group arithmetic does
-            # on the apply-refreshed weight buffer.
-            plan = sess.core.plan
-            ship = backend._shipments.get(plan)
-            assert ship.shm is None and ship.payload is not None
-            t_lo, t_hi, phi, _ = eval_group_range(
-                plan_arrays(plan, cast_geometry=np.float64),
-                CoulombKernel(), np.float64, False, 0, plan.n_groups,
+            shared.execute(plan, CoulombKernel(), GpuDevice(GPU_TITAN_V))
+            _kill_one_worker(shared)
+            with pytest.raises(WorkerCrashError):
+                shared.execute(plan, CoulombKernel(), GpuDevice(GPU_TITAN_V))
+            assert get_backend("multiprocessing") is shared
+            phi, _ = shared.execute(
+                plan, CoulombKernel(), GpuDevice(GPU_TITAN_V)
             )
-            ref = np.zeros(plan.out_size)
-            ref[plan.out_index[t_lo:t_hi]] += phi
-            assert np.array_equal(out, ref)
         finally:
-            backend.close()
+            shared.close()
+        assert np.array_equal(phi, _per_group(plan))
 
-    def test_fatal_pack_failure_is_shipment_error(self, cube):
-        backend = _mp_backend()
-        try:
-            sess = _prepare(cube, backend, fallback="strict")
-            configure_faults("shipment_pack_fatal:times=1")
-            with pytest.raises(ShipmentError) as excinfo:
-                sess.apply(cube.charges)
-            assert excinfo.value.backend == "multiprocessing"
-            assert isinstance(excinfo.value.__cause__, OSError)
-        finally:
-            backend.close()
+    def test_distributed_session_degrades_only_the_failing_rank(
+        self, cube, pool
+    ):
+        sess = DistributedBLTC(
+            CoulombKernel(), _params(backend=pool), n_ranks=2
+        ).prepare(cube)
+        sess.apply(cube.charges)
+        _kill_one_worker(pool)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = sess.apply(cube.charges).potential
+        assert len(_degraded_warnings(caught)) == 1
+        assert [c.health_stats()["degraded_to"] for c in sess.cores] == [
+            "fused", None,
+        ]
+        health = sess.health_stats()
+        assert health["degraded_to"] == "fused"
+        assert len(health["fallbacks"]) == 1
+        # Rank 0 on fused, rank 1 on the rebuilt pool: roundoff-equal
+        # to an all-fused session.
+        assert pool._pool is not None
+        ref = DistributedBLTC(
+            CoulombKernel(), _params(backend="fused"), n_ranks=2
+        ).prepare(cube).apply(cube.charges).potential
+        np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-12)
 
-    def test_audit_reclaims_orphaned_block(self, cube):
-        plan = _prepare(cube, "fused").core.plan
-        ship = _Shipment.pack(plan, use_shared_memory=True)
-        name = ship.shm.name
-        # Simulate a finalizer that never ran: drop the handle without
-        # unlinking, then re-register the dangling name.
-        ship.shm.close()
-        ship.shm = None
-        ship.payload = None
-        with multiproc._SHM_BLOCKS_LOCK:
-            multiproc._SHM_BLOCKS[name] = weakref.ref(ship)
-        audit = audit_shared_memory()
-        assert name in audit["orphans"]
-        swept = audit_shared_memory(reclaim=True)
-        assert swept["reclaimed"] >= 1
-        assert name not in [b["name"] for b in audit_shared_memory()["live"]]
-        _unregister_block(name)
+    def test_worker_crash_error_is_a_backend_execution_error(self):
+        err = WorkerCrashError("x", backend="multiprocessing")
+        assert isinstance(err, BackendExecutionError)
+        assert err.backend == "multiprocessing"
 
 
 # ----------------------------------------------------------------------
-# Shared-instance health (satellite: pickle-restored sessions)
-# ----------------------------------------------------------------------
-
-
-class TestSharedInstanceHealth:
-    def test_restored_session_gets_fresh_healthy_instance(self, cube):
-        registry.clear_shared_instances()
-        try:
-            sess = _prepare(cube, "multiprocessing")
-            # Too small to shard in-pool, but the shared instance is
-            # still resolved and cached by name.
-            ref = sess.apply(cube.charges).potential
-            blob = pickle.dumps(sess)
-            broken = sess.core.backend
-            assert isinstance(broken, MultiprocessingBackend)
-            broken._poisoned = True  # injected break
-
-            restored = pickle.loads(blob)
-            fresh = restored.core.backend
-            assert fresh is not broken
-            assert fresh.is_healthy()
-            out = restored.apply(cube.charges).potential
-            assert np.array_equal(ref, out)
-            fresh.close()
-            broken.close()
-        finally:
-            registry.clear_shared_instances()
-
-    def test_unhealthy_shared_instance_replaced_on_lookup(self):
-        registry.clear_shared_instances()
-        try:
-            first = get_backend("multiprocessing")
-            assert get_backend("multiprocessing") is first
-            first._poisoned = True
-            second = get_backend("multiprocessing")
-            assert second is not first
-            assert second.is_healthy()
-            first.close()
-            second.close()
-        finally:
-            registry.clear_shared_instances()
-
-
-# ----------------------------------------------------------------------
-# Fallback chain (satellite: missing backends degrade)
+# Fallback chain
 # ----------------------------------------------------------------------
 
 
@@ -530,19 +352,24 @@ class TestFallbackChain:
         with pytest.raises(ValueError, match="unknown backend"):
             sess.apply(cube.charges)
 
-    def test_batched_layout_failure_degrades(self, cube):
+    def test_batched_layout_failure_degrades(self, cube, monkeypatch):
+        # The layout is built lazily by the first batched execute; a
+        # failing build surfaces as BackendExecutionError and the apply
+        # is served by fused instead.
+        def broken_layout(plan):
+            raise RuntimeError("layout build failed")
+
+        monkeypatch.setattr(plan_module, "build_batched_layout", broken_layout)
         sess = _prepare(cube, "batched")
-        ref = sess.apply(cube.charges).potential
-        sess.core._degraded = None  # a fresh look at the chain
-        configure_faults("batched_layout:times=1")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = sess.apply(cube.charges).potential
-        assert [
-            w for w in caught
-            if issubclass(w.category, BackendDegradedWarning)
-        ]
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+        assert len(_degraded_warnings(caught)) == 1
+        health = sess.health_stats()
+        assert health["degraded_to"] == "fused"
+        assert "layout build failed" in health["last_error"]
+        ref = _prepare(cube, "fused").apply(cube.charges).potential
+        assert np.array_equal(out, ref)
 
     def test_explicit_override_never_degrades(self, cube):
         sess = _prepare(cube, "fused")
@@ -553,9 +380,6 @@ class TestFallbackChain:
 
             def execute(self, *a, **kw):
                 raise BackendExecutionError("boom", backend=self.name)
-
-            def health_stats(self):
-                return {}
 
         with pytest.raises(BackendExecutionError, match="boom"):
             sess.core.execute_plan(
@@ -605,15 +429,10 @@ class TestObservability:
         text = format_health_stats(
             {
                 "degraded_to": "fused",
-                "retries": 2,
-                "pool_rebuilds": 1,
                 "fallbacks": [{"from": "a", "to": "b", "error": "x"}],
             }
         )
-        assert text == (
-            "health=[degraded_to=fused retries=2 pool_rebuilds=1 "
-            "fallbacks=1]"
-        )
+        assert text == "health=[degraded_to=fused fallbacks=1]"
 
     def test_pickle_drops_degraded_state(self, cube, monkeypatch):
         monkeypatch.setitem(FALLBACK_CHAIN, "ghost", ("fused", "numpy"))

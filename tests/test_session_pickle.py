@@ -1,14 +1,15 @@
 """Pickle round-trips for prepared sessions (all four drivers).
 
 A prepared session is plain data plus transient process-local caches:
-the pickle must drop the worker pools, shared-memory shipments and
-dtype cast caches, and a restored session's first apply must rebuild
-them lazily and reproduce the live session's results bitwise.  Backends
+the pickle must drop the worker pools and dtype cast caches, and a
+restored session's first apply must rebuild them lazily and reproduce
+the live session's results bitwise.  Backends
 selected by name re-resolve through the process-wide shared store in
 :mod:`repro.registry`, so two restored sessions share one pool.
 """
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from repro import (
     DualTreeTreecode,
     TreecodeParams,
     random_cube,
+    registry,
 )
 from repro.core.backends import get_backend
+from repro.core.session import FALLBACK_CHAIN
 
 DRIVERS = ("treecode", "distributed", "cluster_particle", "dual_tree")
 BACKENDS = ("numpy", "fused", "batched", "multiprocessing")
@@ -136,7 +139,7 @@ class TestDroppedState:
 
     def test_multiprocessing_pickle_carries_no_pool(self, cube):
         live = _prepare("treecode", "multiprocessing", cube)
-        live.apply(cube.charges)  # may create shipments/pool state
+        live.apply(cube.charges)  # may create pool state
         payload = pickle.dumps(live)
         restored = pickle.loads(payload)
         # The restored core re-resolves the backend by name, lazily.
@@ -195,6 +198,69 @@ class TestSessionAccounting:
         assert stats["total_bytes"] >= stats["plan_bytes"]
         text = repr(live)
         assert f"plan={stats['plan_bytes']}B" in text
+
+    def test_accounting_never_resolves_the_backend(self, cube, monkeypatch):
+        # A session restored where its backend name is not registered:
+        # memory_stats() and repr() are read-only and must not degrade
+        # the session (no warning, no recorded fallback).
+        live = _prepare("treecode", "batched", cube)
+        live.apply(cube.charges)
+        payload = pickle.dumps(live)
+        monkeypatch.delitem(registry._BACKEND_TYPES, "batched")
+        restored = pickle.loads(payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert restored.memory_stats()["total_bytes"] > 0
+            assert "health=ok" in repr(restored)
+        assert restored.health_stats()["fallbacks"] == []
+        assert restored.core._backend is None
+
+    @pytest.mark.parametrize("backend", ("fused", "multiprocessing"))
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_unregistered_backend_degrades_on_apply_not_on_accounting(
+        self, driver, backend, cube, new_charges, monkeypatch
+    ):
+        # Accounting leaves the session untouched; the first apply is
+        # the one that resolves the name, degrades along its chain and
+        # returns bitwise what a session on the fallback returns.
+        live = _prepare(driver, backend, cube)
+        live.apply(cube.charges)
+        payload = pickle.dumps(live)
+        monkeypatch.delitem(registry._BACKEND_TYPES, backend)
+        restored = pickle.loads(payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            restored.memory_stats()
+            repr(restored)
+        cores = getattr(restored, "cores", None) or [restored.core]
+        assert all(core._backend is None for core in cores)
+        assert restored.health_stats()["fallbacks"] == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = restored.apply(new_charges).potential
+        assert caught
+        fallback = FALLBACK_CHAIN[backend][0]
+        health = restored.health_stats()
+        assert health["degraded_to"] == fallback
+        assert health["fallbacks"][0]["from"] == backend
+        ref = _prepare(driver, fallback, cube)
+        ref.apply(cube.charges)
+        assert np.array_equal(out, ref.apply(new_charges).potential)
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_memory_stats_categories(self, driver, cube):
+        # Resident bytes only: no category depends on the backend.
+        live = _prepare(driver, "multiprocessing", cube)
+        live.apply(cube.charges)
+        stats = live.memory_stats()
+        parts = {
+            "plan_bytes", "weight_slot_bytes", "moment_bytes",
+            "update_scratch_bytes", "batched_pad_bytes",
+            "coincident_cache_bytes",
+        }
+        assert set(stats) == parts | {"total_bytes"}
+        assert stats["total_bytes"] == sum(stats[k] for k in parts)
+        assert "shipments=" not in repr(live)
 
     def test_pickle_payload_bounded_by_resident_bytes(self, cube):
         # The pickle carries the session's data, not its caches: the
