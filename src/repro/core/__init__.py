@@ -8,6 +8,8 @@
   preprocessing kernels (eqs. 14-15).
 * :mod:`~repro.core.plan` -- compiles (tree, batches, moments, lists)
   into a flat :class:`~repro.core.plan.ExecutionPlan`.
+* :mod:`~repro.core.bltc_keys` -- the BLTC segment-key vocabulary the
+  compiler writes and the weight refresh and warm-start update read.
 * :mod:`~repro.core.backends` -- pluggable plan-evaluation backends
   (numpy reference, fused, batched, multiprocessing, model-only)
   behind one registry.

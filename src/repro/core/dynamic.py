@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..perf.timer import PhaseTimes, Stopwatch
+from .bltc_keys import BLTCSources, batch_keys
 from .interaction_lists import (
     patch_interaction_lists,
     record_traversal,
@@ -129,7 +130,8 @@ class TreecodeGeometryUpdater:
         return state
 
     def _group_segs(self, lists, b: int) -> list:
-        """Plan segment description of group ``b``, cached.
+        """Plan segment description of group ``b``, cached: the keys
+        :func:`~repro.core.plan.compile_plan` writes, in its order.
 
         The description only changes when ``patch_interaction_lists``
         rewrites the batch's lists, so entries are invalidated for
@@ -137,12 +139,7 @@ class TreecodeGeometryUpdater:
         """
         segs = self._segs[b]
         if segs is None:
-            segs = [
-                ("approx", ("approx", int(c))) for c in lists.approx[b]
-            ]
-            segs += [
-                ("direct", ("direct", int(c))) for c in lists.direct[b]
-            ]
+            segs = [(key[0], key) for key in batch_keys(lists, b)]
             self._segs[b] = segs
         return segs
 
@@ -197,7 +194,7 @@ class TreecodeGeometryUpdater:
         plan = geometry.plan
         device = core.device
 
-        if not plan.has_numerics or plan.weight_slots is None:
+        if not plan.has_numerics:
             # Model-only (dry-run) sessions carry no float buffers to
             # patch; a rebuild reproduces the cold timing model exactly.
             return self._full_rebuild(
@@ -284,6 +281,7 @@ class TreecodeGeometryUpdater:
                 continue
             if any(src_counts[c] for c in lists.direct[b]):
                 struct_dirty[b] = True
+        sources = BLTCSources(tree, moments)
         n_patched = 0
         if struct_dirty.any():
             updates = {}
@@ -292,14 +290,7 @@ class TreecodeGeometryUpdater:
                 updates[b] = (
                     batches.batch_indices(b), self._group_segs(lists, b)
                 )
-            n_ip = params.n_interpolation_points
-            counts = tree.node_counts
-
-            def key_rows(key):
-                kind, c = key
-                return n_ip if kind == "approx" else int(counts[c])
-
-            plan.patch_groups(updates, key_rows)
+            plan.patch_groups(updates, sources.rows)
             n_patched = len(updates)
 
         # -- mandatory float refresh: every target row, output slot and
@@ -308,17 +299,12 @@ class TreecodeGeometryUpdater:
         out_index = np.concatenate(
             [batches.batch_indices(b) for b in range(len(batches))]
         )
-        src_rows = []
-        for key, lo, _hi in plan.weight_slots:
-            kind, c = key
-            if kind == "approx":
-                src_rows.append((int(lo), moments.grid(c).points))
-            else:
-                src_rows.append((int(lo), new_src[tree.node_indices(int(c))]))
         plan.refresh_geometry(
             targets=batches.positions[out_index],
             out_index=out_index,
-            src_rows=src_rows,
+            src_rows=[
+                (lo, sources.points(key)) for key, lo, _hi in plan.weight_slots
+            ],
         )
 
         # -- device accounting: the leaf-membership scan, the redone

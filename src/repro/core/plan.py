@@ -70,15 +70,14 @@ Geometry vs. weight state
 -------------------------
 Everything above except ``src_weights`` is *geometry*: it depends only on
 the particle positions and the treecode parameters.  The weights (charges
-and modified charges) are the only charge-dependent buffer, and a plan
-whose stored segments carried ``share_key``s records ``weight_slots`` --
-the ``(key, lo, hi)`` physical row range of every stored segment -- so
-:meth:`ExecutionPlan.refresh_weights` can overwrite just that buffer in
-place when the charges change (the prepare/apply session seam).
-``PlanBuilder(deferred_weights=True)`` compiles a geometry-only
-skeleton up front: segments supply points but no weights, the weight
-buffer is allocated zeroed, and the first ``refresh_weights`` call fills
-it.
+and modified charges) are the only charge-dependent buffer, and they
+enter a plan one way only.  Every numerics segment carries a
+``share_key``; the plan records ``weight_slots`` -- the ``(key, lo, hi)``
+physical row range of every stored segment -- and is built as a
+geometry skeleton whose weight buffer is zeroed.
+:meth:`ExecutionPlan.refresh_weights` fills that buffer by key, and
+overwrites it in place whenever the charges change (the prepare/apply
+session seam).
 
 Multi-RHS weight slots: the weight buffer is ``(R,)`` for one charge
 vector or ``(R, n_rhs)`` when the provider returns ``(rows, n_rhs)``
@@ -180,7 +179,7 @@ the plan's own derived caches need invalidating:
   over the new lists produces.  The float buffers (``targets``,
   ``src_points``, ``src_weights``) come back **zeroed**: a patch MUST
   be followed by :meth:`refresh_geometry` (and the next apply's
-  ``refresh_weights`` fills the weights, as after a deferred compile).
+  ``refresh_weights`` fills the weights, as after a compile).
   ``weight_slots`` is rebuilt, dropped keys disappear, and the batched
   layout is rebuilt eagerly iff one was attached.  The plan *object*
   is preserved through both tiers.
@@ -208,8 +207,10 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
+from .bltc_keys import BLTCSources, batch_keys
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import TreecodeParams
+    from ..distributed.letree import LocallyEssentialTree
     from ..tree.batches import TargetBatches
     from ..tree.octree import ClusterTree
     from .interaction_lists import InteractionLists
@@ -580,8 +581,7 @@ class ExecutionPlan:
     #: a ``share_key`` alias the same physical rows.
     seg_src_lo: np.ndarray | None = None
     #: Per *stored* segment ``(share_key, lo, hi)`` physical weight-row
-    #: ranges, or None when some stored segment carried no share key
-    #: (the plan is then not weight-refreshable).
+    #: ranges, or None in model-only mode.
     weight_slots: tuple | None = None
     #: Shape-bucketed execution layout, or None until
     #: :meth:`ensure_batched_layout` builds (and caches) it.
@@ -733,11 +733,6 @@ class ExecutionPlan:
 
     # -- weight state ---------------------------------------------------
     @property
-    def refreshable(self) -> bool:
-        """True when :meth:`refresh_weights` can rebuild the weights."""
-        return self.src_weights is not None and self.weight_slots is not None
-
-    @property
     def rhs_width(self) -> int | None:
         """RHS columns in the weight buffer: None for ``(R,)``, else n_rhs.
 
@@ -758,8 +753,8 @@ class ExecutionPlan:
         charges, a node's particle charges, ...) -- either ``(rows,)``
         for single-vector evaluation or ``(rows, n_rhs)`` for multi-RHS,
         with every slot agreeing on the width.  Every stored segment is
-        rewritten, so the buffer afterwards is exactly what a fresh
-        compile with the same values would have gathered.
+        rewritten, so the buffer afterwards depends on the provider's
+        values alone, never on an earlier refresh.
 
         Multi-RHS widens ``src_weights`` from ``(R,)`` to ``(R, n_rhs)``
         (column ``j`` holding exactly what a single-vector refresh on
@@ -772,11 +767,6 @@ class ExecutionPlan:
         """
         if self.src_weights is None:
             raise ValueError("model-only plan carries no weight buffers")
-        if self.weight_slots is None:
-            raise ValueError(
-                "plan is not weight-refreshable: a stored segment was "
-                "added without a share_key"
-            )
         w = self.src_weights
         width = None
         first = True
@@ -863,11 +853,6 @@ class ExecutionPlan:
         """
         if not self.has_numerics:
             raise ValueError("model-only plan cannot be patched")
-        if self.weight_slots is None:
-            raise ValueError(
-                "plan is not patchable: a stored segment carried no "
-                "share_key, so clean groups cannot be read back"
-            )
         lo2key = {int(lo): key for key, lo, _hi in self.weight_slots}
         n_groups = self.n_groups
         kind_names = list(self.kind_names)
@@ -1156,7 +1141,8 @@ def build_batched_layout(plan: ExecutionPlan) -> BatchedLayout:
 
     Pure geometry: derived entirely from the index arrays, the output
     index and the gathered coordinates (the bucket weight matrices are
-    gathered from the current flat weight buffer and kept refreshable).
+    gathered from the current flat weight buffer and rewritten by every
+    weight refresh).
     Runs whose segments all share one size are bucketed under
     ``(n_segments, rows_per_segment, kind)``; a bucket whose single
     ``m_max`` padding would waste more than
@@ -1297,37 +1283,28 @@ def build_mirror_schedule(plan: ExecutionPlan) -> MirrorSchedule:
 
 
 class PlanBuilder:
-    """Incrementally assemble an :class:`ExecutionPlan`.
+    """Incrementally assemble an :class:`ExecutionPlan` skeleton.
 
-    ``numerics=True`` expects every group/segment to supply its arrays
-    (targets / output indices / source points / weights); ``False``
-    expects only sizes and builds a structure-only plan for model-mode
-    backends.  Add segments of one group kind-contiguously so backends
-    get one run per kind.
+    ``numerics=True`` expects every group to supply its targets and
+    output indices and every segment a ``share_key``, plus the source
+    points the first time the key appears; ``False`` expects only sizes
+    and builds a structure-only plan for model-mode backends.  Add
+    segments of one group kind-contiguously so backends get one run per
+    kind.
 
     The source buffers are always de-duplicated: segments added with
     the same ``share_key`` store their rows once and alias them through
-    per-segment offsets.  Callers can skip re-gathering a cluster's
-    arrays entirely by checking :meth:`has_shared` first -- a repeated
-    key needs no ``points``/``weights`` at all.
+    per-segment offsets.  Callers skip gathering a repeated key's
+    points by checking :meth:`has_shared` first.
 
-    ``deferred_weights=True`` compiles a geometry-only skeleton: every
-    stored segment supplies ``points`` and a ``share_key`` but no
-    ``weights``; the weight buffer is allocated zeroed at build and the
-    caller fills it through :meth:`ExecutionPlan.refresh_weights`
-    before the first execution (the prepare/apply session seam).
+    The built plan is a geometry skeleton: its weight buffer is zeroed,
+    and :meth:`ExecutionPlan.refresh_weights` fills it by share key --
+    the one way weights enter a plan.
     """
 
-    def __init__(
-        self,
-        out_size: int,
-        *,
-        numerics: bool = True,
-        deferred_weights: bool = False,
-    ) -> None:
+    def __init__(self, out_size: int, *, numerics: bool = True) -> None:
         self.out_size = int(out_size)
         self.numerics = bool(numerics)
-        self.deferred_weights = bool(deferred_weights) and self.numerics
         self._kind_names: list[str] = []
         self._kind_index: dict[str, int] = {}
         self._group_sizes: list[int] = []
@@ -1337,14 +1314,12 @@ class PlanBuilder:
         self._targets: list[np.ndarray] = []
         self._out_index: list[np.ndarray] = []
         self._src_points: list[np.ndarray] = []
-        self._src_weights: list[np.ndarray] = []
         #: share_key -> (lo, hi) physical row range already stored.
         self._shared_ranges: dict = {}
         self._seg_src_lo: list[int] = []
         self._phys_rows = 0
         #: (share_key, lo, hi) per stored segment (weight-refresh map).
         self._weight_slots: list[tuple] = []
-        self._refreshable = True
 
     # ------------------------------------------------------------------
     def add_group(
@@ -1379,48 +1354,34 @@ class PlanBuilder:
         *,
         size: int | None = None,
         points: np.ndarray | None = None,
-        weights: np.ndarray | None = None,
         share_key=None,
     ) -> None:
         """Append one launch segment to the most recent group.
 
-        ``share_key`` (hashable, e.g. ``("approx", cluster_id)``) marks
-        segments that carry the same source rows; a repeated key
-        aliases the first copy and ``points``/``weights`` may be
-        omitted.
+        ``share_key`` (hashable, e.g. ``("approx", owner, cluster)``)
+        names the segment's source rows; a repeated key aliases the
+        first copy and ``points`` may be omitted.
         """
         if not self._group_sizes:
             raise ValueError("add_group must be called before add_segment")
         if self.numerics:
-            reuse = (
-                share_key is not None and share_key in self._shared_ranges
-            )
-            if reuse:
-                lo, hi = self._shared_ranges[share_key]
-            else:
-                if points is None or (
-                    weights is None and not self.deferred_weights
-                ):
+            if share_key is None:
+                raise ValueError(
+                    "a numerics segment needs a share_key: "
+                    "refresh_weights locates its rows by it"
+                )
+            rng = self._shared_ranges.get(share_key)
+            if rng is None:
+                if points is None:
                     raise ValueError(
-                        "numerics plan requires points and weights per segment"
+                        "numerics plan requires points for a new share_key"
                     )
                 self._src_points.append(points)
-                if not self.deferred_weights:
-                    self._src_weights.append(weights)
                 lo = self._phys_rows
-                hi = lo + int(points.shape[0])
-                self._phys_rows = hi
-                if share_key is not None:
-                    self._shared_ranges[share_key] = (lo, hi)
-                if share_key is None:
-                    if self.deferred_weights:
-                        raise ValueError(
-                            "deferred-weight segments need a share_key so "
-                            "refresh_weights can locate their rows"
-                        )
-                    self._refreshable = False
-                else:
-                    self._weight_slots.append((share_key, lo, hi))
+                self._phys_rows = lo + int(points.shape[0])
+                rng = self._shared_ranges[share_key] = (lo, self._phys_rows)
+                self._weight_slots.append((share_key, *rng))
+            lo, hi = rng
             self._seg_src_lo.append(lo)
             size = hi - lo
         elif size is None:
@@ -1448,13 +1409,9 @@ class PlanBuilder:
             targets = _concat(self._targets, (0, 3), np.float64)
             out_index = _concat(self._out_index, (0,), np.intp)
             src_points = _concat(self._src_points, (0, 3), np.float64)
-            if self.deferred_weights:
-                src_weights = np.zeros(self._phys_rows, dtype=np.float64)
-            else:
-                src_weights = _concat(self._src_weights, (0,), np.float64)
+            src_weights = np.zeros(self._phys_rows, dtype=np.float64)
             seg_src_lo = np.asarray(self._seg_src_lo, dtype=np.intp)
-            if self._refreshable:
-                weight_slots = tuple(self._weight_slots)
+            weight_slots = tuple(self._weight_slots)
         return ExecutionPlan(
             kind_names=tuple(self._kind_names),
             group_ptr=group_ptr,
@@ -1482,84 +1439,51 @@ def compile_plan(
     batches: "TargetBatches",
     moments: "ClusterMoments",
     lists: "InteractionLists",
-    charges: np.ndarray | None,
-    params: "TreecodeParams",
     *,
     numerics: bool = True,
-    deferred_weights: bool = False,
+    let: "LocallyEssentialTree | None" = None,
 ) -> ExecutionPlan:
     """Compile the BLTC's (tree, batches, moments, lists) into a plan.
 
     One group per target batch; per group first the approximation
-    segments (cluster Chebyshev points carrying modified charges,
-    eq. 11), then the direct segments (cluster source particles, eq. 9),
-    in interaction-list order -- exactly the launch sequence of the
-    paper's compute phase.  With ``numerics=False`` only the index
-    structure is compiled (model-only mode; segment sizes come from the
-    tree metadata, no particle data is gathered).
+    segments (cluster Chebyshev points, eq. 11), then the direct
+    segments (cluster source particles, eq. 9), in interaction-list
+    order -- exactly the launch sequence of the paper's compute phase.
+    With ``numerics=False`` only the index structure is compiled
+    (model-only mode; segment sizes come from the tree metadata, no
+    particle data is gathered).
 
-    The source buffers are always de-duplicated: each cluster's rows
-    are stored once however many batches reference it (per-segment
-    offsets alias the single copy).
+    ``let`` -- a rank's locally essential tree -- compiles a distributed
+    rank plan: each remote rank's clusters join the batch's segments in
+    the merge order of :func:`~repro.core.bltc_keys.batch_keys` (local
+    approx, remote approx by ascending rank, local direct, remote
+    direct).  A single device is the rank without one.
 
-    ``deferred_weights=True`` compiles the geometry-only skeleton used
-    by :meth:`~repro.core.treecode.BarycentricTreecode.prepare`:
-    ``charges`` may be None, ``moments`` needs only grids, and the
-    weight buffer stays zeroed until
-    :meth:`ExecutionPlan.refresh_weights` fills it (keys are the same
-    ``("approx"|"direct", cluster)`` pairs recorded here).
+    The plan is a geometry skeleton: each segment's share key is its
+    :mod:`~repro.core.bltc_keys` key, each cluster's rows are stored
+    once however many batches reference it, and the weight buffer
+    stays zeroed until :meth:`ExecutionPlan.refresh_weights` fills it
+    (a session does so through
+    :class:`~repro.core.bltc_keys.BLTCWeightSource`).  ``moments``
+    needs only its grids.
     """
-    n_ip = params.n_interpolation_points
-    deferred = bool(deferred_weights) and numerics
-    builder = PlanBuilder(
-        batches.n_targets, numerics=numerics, deferred_weights=deferred,
-    )
-    if charges is not None:
-        # (N,) or (N, n_rhs): a charge matrix compiles a widened weight
-        # buffer (row-gathers below are shape-agnostic), so column j of
-        # the stored weights matches a solo compile on charges[:, j].
-        charges = np.asarray(charges, dtype=np.float64)
-        if charges.ndim not in (1, 2):
-            raise ValueError(
-                f"charges must have shape (N,) or (N, n_rhs); got a "
-                f"{charges.ndim}-D array of shape {charges.shape}"
-            )
-    approx_ptr, approx_ids, direct_ptr, direct_ids = lists.csr()
-    approx_ids = approx_ids.tolist()
-    direct_ids = direct_ids.tolist()
+    sources = BLTCSources(tree, moments, let)
+    builder = PlanBuilder(batches.n_targets, numerics=numerics)
     for b in range(len(batches)):
         if numerics:
             builder.add_group(
                 targets=batches.batch_points(b),
                 out_index=batches.batch_indices(b),
             )
-            for c in approx_ids[approx_ptr[b]:approx_ptr[b + 1]]:
-                key = ("approx", c)
-                if builder.has_shared(key):
-                    builder.add_segment("approx", share_key=key)
-                    continue
-                builder.add_segment(
-                    "approx",
-                    points=moments.grid(c).points,
-                    weights=None if deferred else moments.charges(c),
-                    share_key=key,
-                )
-            for c in direct_ids[direct_ptr[b]:direct_ptr[b + 1]]:
-                key = ("direct", c)
-                if builder.has_shared(key):
-                    builder.add_segment("direct", share_key=key)
-                    continue
-                idx = tree.node_indices(c)
-                builder.add_segment(
-                    "direct",
-                    points=tree.positions[idx],
-                    weights=None if deferred else charges[idx],
-                    share_key=key,
-                )
         else:
             builder.add_group(size=batches.batch(b).count)
-            for _ in range(approx_ptr[b + 1] - approx_ptr[b]):
-                builder.add_segment("approx", size=n_ip)
-            for c in direct_ids[direct_ptr[b]:direct_ptr[b + 1]]:
-                builder.add_segment("direct", size=tree.nodes[c].count)
+        for key in batch_keys(lists, b, let):
+            if not numerics:
+                builder.add_segment(key[0], size=sources.rows(key))
+            elif builder.has_shared(key):
+                builder.add_segment(key[0], share_key=key)
+            else:
+                builder.add_segment(
+                    key[0], points=sources.points(key), share_key=key
+                )
     return builder.build()

@@ -23,11 +23,14 @@ once:
   shells (BLTC, cluster-particle, dual-tree): the core delegation, the
   ``update_geometry`` bookkeeping and the repr live there once; the
   distributed shell (a list of cores) stays separate.
-* The weight-source classes translate each driver's weight-slot key
-  vocabulary into refreshed weight rows.  They are stateless and
-  picklable -- the closures handed to
-  :meth:`~repro.core.plan.ExecutionPlan.refresh_weights` are built
-  transiently per apply and never stored.
+* A weight source translates a driver's weight-slot keys into
+  refreshed weight rows: :class:`BatchChargeWeightSource` and
+  :class:`DualTreeWeightSource` here for the two extension schemes,
+  and :class:`~repro.core.bltc_keys.BLTCWeightSource` -- next to the
+  key vocabulary :func:`~repro.core.plan.compile_plan` writes -- for
+  both BLTC drivers.  They are stateless and picklable -- the closures
+  handed to :meth:`~repro.core.plan.ExecutionPlan.refresh_weights` are
+  built transiently per apply and never stored.
 
 Sessions pickle: :meth:`SessionCore.__getstate__` drops the resolved
 backend instance whenever it can be re-resolved by registry name, so
@@ -80,8 +83,6 @@ __all__ = [
     "GeometryState",
     "SessionCore",
     "PreparedSession",
-    "TreecodeWeightSource",
-    "DistributedWeightSource",
     "BatchChargeWeightSource",
     "DualTreeWeightSource",
     "FALLBACK_CHAIN",
@@ -177,46 +178,6 @@ class GeometryState:
             h.update(label.encode())
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
-
-
-class TreecodeWeightSource:
-    """BLTC weight keys: ``("approx", c)`` -> the cluster's modified
-    charges, ``("direct", c)`` -> the cluster's particle charges."""
-
-    def provider(self, geometry: GeometryState, charges: np.ndarray):
-        moments = geometry.moments
-        tree = geometry.tree
-
-        def provide(key):
-            kind, c = key
-            if kind == "approx":
-                return moments.charges(c)
-            return charges[tree.node_indices(c)]
-
-        return provide
-
-
-class DistributedWeightSource:
-    """Rank-plan weight keys ``(kind, owner_rank, c)``; ``owner_rank``
-    -1 is local (moments / local charges), otherwise the rows come from
-    the rank's LET (``geometry.aux``), refreshed by the RMA re-ship."""
-
-    def provider(self, geometry: GeometryState, charges: np.ndarray):
-        moments = geometry.moments
-        tree = geometry.tree
-        let = geometry.aux
-
-        def provide(key):
-            kind, s, c = key
-            if kind == "approx":
-                if s == -1:
-                    return moments.charges(c)
-                return let.approx_data[s][c][1]
-            if s == -1:
-                return charges[tree.node_indices(c)]
-            return let.direct_data[s][c][1]
-
-        return provide
 
 
 class BatchChargeWeightSource:
@@ -634,8 +595,8 @@ class SessionCore:
         """Resident bytes by category (the session-eviction ledger).
 
         ``plan_bytes`` covers the plan's charge-independent index and
-        coordinate arrays; ``weight_slot_bytes`` the refreshable weight
-        buffer (scales with the current RHS width); ``moment_bytes`` the
+        coordinate arrays; ``weight_slot_bytes`` the weight buffer
+        (scales with the current RHS width); ``moment_bytes`` the
         cached cluster grids, basis matrices and modified charges;
         ``update_scratch_bytes`` the incremental-update working state
         (traversal decision record + re-bin scratch; 0 until the first

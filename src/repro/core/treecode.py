@@ -62,16 +62,12 @@ from ..tree.batches import TargetBatches
 from ..tree.octree import ClusterTree
 from ..workloads import ParticleSet
 from .backends import get_backend
+from .bltc_keys import BLTCWeightSource
 from .dynamic import TreecodeGeometryUpdater
 from .interaction_lists import InteractionLists, build_interaction_lists
 from .moments import ClusterMoments, prepare_moment_grids
 from .plan import compile_plan
-from .session import (
-    GeometryState,
-    PreparedSession,
-    SessionCore,
-    TreecodeWeightSource,
-)
+from .session import GeometryState, PreparedSession, SessionCore
 
 __all__ = ["BarycentricTreecode", "PreparedTreecode", "TreecodeResult"]
 
@@ -238,7 +234,7 @@ class BarycentricTreecode:
             backend=backend_spec,
             device=device,
             geometry=geometry,
-            weight_source=TreecodeWeightSource(),
+            weight_source=BLTCWeightSource(),
             n_charges=geometry.tree.n_particles,
             first_upload_nbytes=sources.positions.nbytes,
             geometry_updater=TreecodeGeometryUpdater(self),
@@ -307,11 +303,7 @@ class BarycentricTreecode:
         # -- plan: geometry-only skeleton (host-side representation
         # of work already charged above; no device time).  The
         # weight buffer stays zeroed until the first apply().
-        plan = compile_plan(
-            tree, batches, moments, lists, None, params,
-            numerics=numerics,
-            deferred_weights=True,
-        )
+        plan = compile_plan(tree, batches, moments, lists, numerics=numerics)
         return GeometryState(
             plan=plan, tree=tree, batches=batches,
             lists=lists, moments=moments,
@@ -374,7 +366,7 @@ class BarycentricTreecode:
 
 
 class PreparedTreecode(PreparedSession):
-    """A treecode session with fixed geometry and refreshable charges.
+    """A treecode session: fixed geometry, new charges per apply.
 
     Produced by :meth:`BarycentricTreecode.prepare`; holds the tree,
     batches, interaction lists, cluster grids, the geometry-only

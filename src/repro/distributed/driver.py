@@ -10,7 +10,9 @@ substrates, one simulated GPU per rank:
 5.  Each rank gets remote tree arrays, builds interaction
     lists, and fills its LET via RMA gets                       [setup]
 6.  HtD LET copy; each rank's merged local+LET work is compiled
-    into an execution plan and run by the configured backend
+    into an execution plan by the single-device ``compile_plan``
+    (given the rank's LET), its weights filled by the session's
+    weight provider, and run by the configured backend
     (``params.backend``; ``dry_run`` forces the model backend);
     DtH potentials                                              [compute]
 
@@ -37,11 +39,11 @@ import numpy as np
 
 from ..config import DEFAULT_PARAMS, TreecodeParams
 from ..core.backends import get_backend
+from ..core.bltc_keys import BLTCWeightSource
 from ..core.interaction_lists import build_interaction_lists
 from ..core.moments import precompute_moments, prepare_moment_grids
-from ..core.plan import PlanBuilder
+from ..core.plan import compile_plan
 from ..core.session import (
-    DistributedWeightSource,
     GeometryState,
     SessionCore,
     format_health_stats,
@@ -166,7 +168,8 @@ class DistributedBLTC:
         :meth:`prepare`: the RCB partition, one communicator slot and
         device per rank, and each rank's local source tree and target
         batches -- charged to the rank's setup phase (the
-        ``setup_local`` half of the barrier split).
+        ``setup_local`` half of the barrier split).  Each rank's local
+        :class:`ParticleSet` is gathered here once and returned.
         """
         params = self.params
         n_ranks = self.n_ranks
@@ -188,10 +191,10 @@ class DistributedBLTC:
         split = [
             {"setup_local": 0.0, "let_setup": 0.0} for _ in range(n_ranks)
         ]
+        rank_particles = [particles.subset(idx) for idx in rank_idx]
         trees: list[ClusterTree] = []
         batch_sets: list[TargetBatches] = []
-        for r in range(n_ranks):
-            local = particles.subset(rank_idx[r])
+        for r, local in enumerate(rank_particles):
             tree = ClusterTree(
                 local.positions,
                 params.max_leaf_size,
@@ -210,7 +213,10 @@ class DistributedBLTC:
             split[r]["setup_local"] += dt
             trees.append(tree)
             batch_sets.append(batches)
-        return comm, rank_idx, devices, phases, split, trees, batch_sets
+        return (
+            comm, rank_idx, rank_particles, devices, phases, split, trees,
+            batch_sets,
+        )
 
     # ------------------------------------------------------------------
     def compute(
@@ -234,22 +240,23 @@ class DistributedBLTC:
         """
         params = self.params
         backend = get_backend("model" if dry_run else params.backend)
+        numerics = backend.needs_numerics
         n = particles.n
         watch = Stopwatch()
         with watch:
             # -- phase A: partition, local trees and batches (setup) ----
-            (comm, rank_idx, devices, phases, split, trees,
+            (comm, rank_idx, rank_particles, devices, phases, split, trees,
              batch_sets) = self._setup_local(particles)
             moment_sets = []
 
             # -- phase B: moments on-device (precompute) ----------------
             for r in range(self.n_ranks):
                 dev = devices[r]
-                local = particles.subset(rank_idx[r])
+                local = rank_particles[r]
                 dev.upload(local.nbytes(), label="source data")
                 moments = precompute_moments(
                     trees[r], local.charges, params, device=dev,
-                    numerics=backend.needs_numerics,
+                    numerics=numerics,
                 )
                 mbytes = (
                     moments.n_clusters
@@ -263,7 +270,7 @@ class DistributedBLTC:
             # -- expose RMA windows --------------------------------------
             for r in range(self.n_ranks):
                 tree = trees[r]
-                local = particles.subset(rank_idx[r])
+                local = rank_particles[r]
                 handle = comm.rank_handle(r)
                 handle.create_window("tree", tree.tree_array())
                 handle.create_window("srcpos", local.positions[tree.perm])
@@ -287,8 +294,7 @@ class DistributedBLTC:
                 dev.host_work((mac_evals + lists.mac_evals) * 4)
                 dev.comm_wait(comm_delta)
                 dev.upload(
-                    let.nbytes()
-                    + particles.subset(rank_idx[r]).positions.nbytes,
+                    let.nbytes() + rank_particles[r].positions.nbytes,
                     label="targets + LET",
                 )
                 dt = dev.take_phase()
@@ -311,18 +317,23 @@ class DistributedBLTC:
             comm_totals = []
             for r in range(self.n_ranks):
                 dev = devices[r]
-                local = particles.subset(rank_idx[r])
-                plan = self._compile_rank_plan(
-                    trees[r],
-                    batch_sets[r],
-                    moment_sets[r],
-                    local_lists[r],
-                    lets[r],
-                    local.charges,
-                    numerics=backend.needs_numerics,
+                # Compile the rank's skeleton, then fill it through the
+                # session's weight provider (host-side; no device time).
+                geometry = GeometryState(
+                    plan=compile_plan(
+                        trees[r], batch_sets[r], moment_sets[r],
+                        local_lists[r], numerics=numerics, let=lets[r],
+                    ),
+                    tree=trees[r], moments=moment_sets[r], aux=lets[r],
                 )
+                if numerics:
+                    geometry.plan.refresh_weights(
+                        BLTCWeightSource().provider(
+                            geometry, rank_particles[r].charges
+                        )
+                    )
                 phi_local, f_local = backend.execute(
-                    plan,
+                    geometry.plan,
                     self.kernel,
                     dev,
                     dtype=params.dtype,
@@ -377,7 +388,7 @@ class DistributedBLTC:
         watch = Stopwatch()
         with watch:
             # -- phase A: partition, local trees and batches (setup) ----
-            (comm, rank_idx, devices, phases, split, trees,
+            (comm, rank_idx, rank_particles, devices, phases, split, trees,
              batch_sets) = self._setup_local(particles)
             # Charge-independent moment state (grids + cached basis;
             # the moment kernels themselves are charged per apply).
@@ -389,10 +400,11 @@ class DistributedBLTC:
             # -- expose the geometry windows ----------------------------
             for r in range(self.n_ranks):
                 tree = trees[r]
-                local = particles.subset(rank_idx[r])
                 handle = comm.rank_handle(r)
                 handle.create_window("tree", tree.tree_array())
-                handle.create_window("srcpos", local.positions[tree.perm])
+                handle.create_window(
+                    "srcpos", rank_particles[r].positions[tree.perm]
+                )
 
             # -- phase C (geometry half): remote trees, lists, positions
             lets = []
@@ -411,8 +423,7 @@ class DistributedBLTC:
                 dev.host_work((mac_evals + lists.mac_evals) * 4)
                 dev.comm_wait(comm_delta)
                 dev.upload(
-                    let.nbytes_geometry()
-                    + particles.subset(rank_idx[r]).positions.nbytes,
+                    let.nbytes_geometry() + rank_particles[r].positions.nbytes,
                     label="targets + LET geometry",
                 )
                 dt = dev.take_phase()
@@ -423,10 +434,9 @@ class DistributedBLTC:
 
             # -- geometry-only plan skeletons (host-side; no device time)
             plans = [
-                self._compile_rank_plan(
+                compile_plan(
                     trees[r], batch_sets[r], moment_sets[r],
-                    local_lists[r], lets[r], None,
-                    numerics=numerics, deferred_weights=True,
+                    local_lists[r], numerics=numerics, let=lets[r],
                 )
                 for r in range(self.n_ranks)
             ]
@@ -442,7 +452,7 @@ class DistributedBLTC:
                     lists=local_lists[r], moments=moment_sets[r],
                     aux=lets[r],
                 ),
-                weight_source=DistributedWeightSource(),
+                weight_source=BLTCWeightSource(),
                 n_charges=trees[r].n_particles,
                 first_upload_nbytes=trees[r].n_particles * 3 * FLOAT_BYTES,
             )
@@ -457,126 +467,6 @@ class DistributedBLTC:
             split=split,
             wall_seconds=watch.elapsed,
         )
-
-    # ------------------------------------------------------------------
-    def _compile_rank_plan(
-        self,
-        tree: ClusterTree,
-        batches: TargetBatches,
-        moments,
-        local_lists,
-        let,
-        charges: np.ndarray | None,
-        *,
-        numerics: bool = True,
-        deferred_weights: bool = False,
-    ):
-        """Compile one rank's merged (local + LET) work into a plan.
-
-        Per batch the approximation segments come first (local clusters,
-        then each remote rank's in ascending rank order), then the direct
-        segments in the same local-then-remote order -- the merge order
-        of the seed implementation, preserved so the blocked reference
-        backend reproduces its arithmetic exactly.
-
-        Every (local or remote) cluster's rows are stored once per rank
-        plan however many batches list it; share keys carry the owning
-        rank so distinct ranks' clusters never collide -- and double as
-        the weight-refresh keys of the prepared session, which compiles
-        with ``deferred_weights=True`` (geometry only; ``charges`` may
-        be None and the LET may hold positions without charge payloads
-        yet).
-        """
-        deferred = bool(deferred_weights) and numerics
-        if charges is not None:
-            charges = np.asarray(charges, dtype=np.float64)
-            if charges.ndim not in (1, 2):
-                raise ValueError(
-                    "charges must be a vector or an (n, n_rhs) block; "
-                    f"got shape {charges.shape!r}"
-                )
-        n_ip = self.params.n_interpolation_points
-        remote_ranks = sorted(let.lists)
-        builder = PlanBuilder(
-            batches.n_targets,
-            numerics=numerics,
-            deferred_weights=deferred,
-        )
-        for b in range(len(batches)):
-            if numerics:
-                builder.add_group(
-                    targets=batches.batch_points(b),
-                    out_index=batches.batch_indices(b),
-                )
-                for c in local_lists.approx[b]:
-                    c = int(c)
-                    key = ("approx", -1, c)
-                    if builder.has_shared(key):
-                        builder.add_segment("approx", share_key=key)
-                        continue
-                    builder.add_segment(
-                        "approx",
-                        points=moments.grid(c).points,
-                        weights=None if deferred else moments.charges(c),
-                        share_key=key,
-                    )
-                for s in remote_ranks:
-                    for c in let.lists[s].approx[b]:
-                        c = int(c)
-                        key = ("approx", s, c)
-                        if builder.has_shared(key):
-                            builder.add_segment("approx", share_key=key)
-                            continue
-                        grid, qhat = let.approx_data[s][c]
-                        builder.add_segment(
-                            "approx", points=grid.points,
-                            weights=None if deferred else qhat,
-                            share_key=key,
-                        )
-                for c in local_lists.direct[b]:
-                    c = int(c)
-                    key = ("direct", -1, c)
-                    if builder.has_shared(key):
-                        builder.add_segment("direct", share_key=key)
-                        continue
-                    idx = tree.node_indices(c)
-                    builder.add_segment(
-                        "direct",
-                        points=tree.positions[idx],
-                        weights=None if deferred else charges[idx],
-                        share_key=key,
-                    )
-                for s in remote_ranks:
-                    for c in let.lists[s].direct[b]:
-                        c = int(c)
-                        key = ("direct", s, c)
-                        if builder.has_shared(key):
-                            builder.add_segment("direct", share_key=key)
-                            continue
-                        pos, q = let.direct_data[s][c]
-                        builder.add_segment(
-                            "direct", points=pos,
-                            weights=None if deferred else q,
-                            share_key=key,
-                        )
-            else:
-                builder.add_group(size=batches.batch(b).count)
-                n_approx = len(local_lists.approx[b]) + sum(
-                    len(let.lists[s].approx[b]) for s in remote_ranks
-                )
-                for _ in range(n_approx):
-                    builder.add_segment("approx", size=n_ip)
-                for c in local_lists.direct[b]:
-                    builder.add_segment(
-                        "direct", size=tree.nodes[int(c)].count
-                    )
-                for s in remote_ranks:
-                    for c in let.lists[s].direct[b]:
-                        builder.add_segment(
-                            "direct",
-                            size=let.direct_data[s][int(c)][0].shape[0],
-                        )
-        return builder.build()
 
     # ------------------------------------------------------------------
     def _stats(self, comm, trees, batch_sets, local_lists, lets, devices) -> dict:
@@ -614,7 +504,7 @@ class DistributedBLTC:
 
 
 class PreparedDistributedBLTC:
-    """A distributed session with fixed decomposition, refreshable charges.
+    """A distributed session: fixed decomposition, new charges per apply.
 
     Produced by :meth:`DistributedBLTC.prepare`.  The RCB partition,
     per-rank trees/batches, interaction lists, LET geometry (remote tree

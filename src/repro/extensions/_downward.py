@@ -182,8 +182,9 @@ class ExtensionTreecode:
     """Driver shared by the cluster-particle and dual-tree schemes.
 
     API mirrors :class:`~repro.core.treecode.BarycentricTreecode`:
-    ``prepare(sources, targets)`` opens a charge-refreshable session and
-    ``compute(sources, targets)`` is ``prepare()`` + one ``apply()``.
+    ``prepare(sources, targets)`` opens a session that takes new
+    charges per apply and ``compute(sources, targets)`` is
+    ``prepare()`` + one ``apply()``.
     """
 
     #: The scheme's weight-source class (see :mod:`repro.core.session`)

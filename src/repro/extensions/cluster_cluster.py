@@ -270,7 +270,6 @@ class DualTreeTreecode(ExtensionTreecode):
         builder = PlanBuilder(
             g.n_targets + n_ip * len(g.t_grids),
             numerics=numerics,
-            deferred_weights=True,
         )
         g.grid_slot = {}
         next_row = g.n_targets

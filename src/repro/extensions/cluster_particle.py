@@ -83,7 +83,8 @@ class ClusterParticleTreecode(ExtensionTreecode):
     API mirrors :class:`~repro.core.treecode.BarycentricTreecode`:
     ``compute(sources, targets)`` returns a
     :class:`~repro.core.treecode.TreecodeResult`, and
-    ``prepare(sources, targets)`` opens a charge-refreshable session.
+    ``prepare(sources, targets)`` opens a session that takes new
+    charges per apply.
     ``max_leaf_size`` caps *target* clusters; ``max_batch_size`` caps
     *source* batches.
     """
@@ -201,7 +202,6 @@ class ClusterParticleTreecode(ExtensionTreecode):
         builder = PlanBuilder(
             g.n_targets + n_ip * len(g.grids),
             numerics=numerics,
-            deferred_weights=True,
         )
         g.grid_slot = {}
         next_row = g.n_targets

@@ -42,6 +42,7 @@ from repro import (
 )
 from repro.core.backends import Backend, multiproc
 from repro.core.backends.groupeval import eval_group_range, plan_arrays
+from repro.core.bltc_keys import BLTCSources
 from repro.core.interaction_lists import build_interaction_lists
 from repro.core.moments import precompute_moments
 from repro.core.plan import PlanBuilder, build_batched_layout
@@ -57,17 +58,49 @@ def _params(**kw):
     return TreecodeParams(**base)
 
 
-def _compile(cube, *, numerics=True):
-    params = _params()
-    tree = ClusterTree(cube.positions, params.max_leaf_size)
-    batches = TargetBatches(cube.positions, params.max_batch_size)
+def _filled(plan, weights):
+    """``plan`` with its weight buffer filled through ``refresh_weights``
+    -- the one way weights reach a plan -- from ``weights(share_key)``."""
+    if plan.has_numerics:
+        plan.refresh_weights(weights)
+    return plan
+
+
+def _keyed_plan(groups):
+    """A hand-built plan of ``[(targets, [(kind, points, weights), ...])]``.
+
+    Groups take consecutive output slots; every segment gets its own
+    share key, and its weights go in through :func:`_filled`.
+    """
+    b = PlanBuilder(sum(t.shape[0] for t, _ in groups))
+    weights = []
+    row = 0
+    for targets, segs in groups:
+        b.add_group(
+            targets=targets, out_index=np.arange(row, row + len(targets))
+        )
+        row += len(targets)
+        for kind, points, w in segs:
+            b.add_segment(kind, points=points, share_key=len(weights))
+            weights.append(w)
+    return _filled(b.build(), weights.__getitem__)
+
+
+def _compile(sources, params=None, *, targets=None, numerics=True):
+    """The BLTC plan of ``sources`` on ``targets`` (default: the
+    sources), its weights filled from ``sources.charges``."""
+    params = _params() if params is None else params
+    targets = sources.positions if targets is None else targets
+    tree = ClusterTree(sources.positions, params.max_leaf_size)
+    batches = TargetBatches(targets, params.max_batch_size)
     moments = precompute_moments(
-        tree, cube.charges, params, numerics=numerics
+        tree, sources.charges, params, numerics=numerics
     )
     lists = build_interaction_lists(batches, tree, params)
-    return compile_plan(
-        tree, batches, moments, lists, cube.charges, params,
-        numerics=numerics,
+    plan = compile_plan(tree, batches, moments, lists, numerics=numerics)
+    sources_of = BLTCSources(tree, moments)
+    return _filled(
+        plan, lambda key: sources_of.weights(key, sources.charges)
     )
 
 
@@ -225,17 +258,7 @@ class TestPlanLevelEquivalence:
         assert np.all(f == 0.0)
 
     def test_model_runs_structure_only_plan(self, cube):
-        params = _params()
-        tree = ClusterTree(cube.positions, params.max_leaf_size)
-        batches = TargetBatches(cube.positions, params.max_batch_size)
-        moments = precompute_moments(
-            tree, cube.charges, params, numerics=False
-        )
-        lists = build_interaction_lists(batches, tree, params)
-        plan = compile_plan(
-            tree, batches, moments, lists, cube.charges, params,
-            numerics=False,
-        )
+        plan = _compile(cube, numerics=False)
         assert not plan.has_numerics
         _, _, dev = self._run(get_backend("model"), plan)
         assert dev.counters.launches == plan.n_segments
@@ -270,16 +293,10 @@ class TestSelfTargetRegimes:
     def regime_run(self, request):
         """``(plan, forces, {backend: (phi, f, device)})`` per regime."""
         n, theta, degree, leaf, forces = self.REGIMES[request.param]
-        p = random_cube(n, seed=900)
-        params = _params(
+        plan = _compile(random_cube(n, seed=900), _params(
             theta=theta, degree=degree, max_leaf_size=leaf,
             max_batch_size=leaf,
-        )
-        tree = ClusterTree(p.positions, leaf)
-        batches = TargetBatches(p.positions, leaf)
-        moments = precompute_moments(tree, p.charges, params)
-        lists = build_interaction_lists(batches, tree, params)
-        plan = compile_plan(tree, batches, moments, lists, p.charges, params)
+        ))
         runs = {}
         for name in self.BACKENDS:
             device = GpuDevice(GPU_TITAN_V)
@@ -337,12 +354,11 @@ class TestSelfTargetRegimes:
 
 def _hand_plan(tgt, approx_pairs, direct_pairs):
     """One group of ``tgt`` rows; one segment per (points, weights) pair."""
-    b = PlanBuilder(tgt.shape[0], numerics=True)
-    b.add_group(targets=tgt, out_index=np.arange(tgt.shape[0]))
-    for kind, pairs in (("approx", approx_pairs), ("direct", direct_pairs)):
-        for pts, wts in pairs:
-            b.add_segment(kind, points=pts, weights=wts)
-    return b.build()
+    return _keyed_plan([(tgt, [
+        (kind, pts, wts)
+        for kind, pairs in (("approx", approx_pairs), ("direct", direct_pairs))
+        for pts, wts in pairs
+    ])])
 
 
 class TestNumpyBackendHandBuiltPlan:
@@ -441,10 +457,9 @@ class TestSharedSourceGather:
     def test_builder_reuse_skips_regather(self):
         b = PlanBuilder(4, numerics=True)
         pts = np.arange(6.0).reshape(2, 3)
-        wts = np.array([1.0, 2.0])
         b.add_group(targets=np.zeros((2, 3)), out_index=np.array([0, 1]))
         assert not b.has_shared(("direct", 7))
-        b.add_segment("direct", points=pts, weights=wts, share_key=("direct", 7))
+        b.add_segment("direct", points=pts, share_key=("direct", 7))
         b.add_group(targets=np.zeros((2, 3)), out_index=np.array([2, 3]))
         assert b.has_shared(("direct", 7))
         b.add_segment("direct", share_key=("direct", 7))
@@ -457,7 +472,7 @@ class TestSharedSourceGather:
     def test_builder_requires_arrays_for_new_key(self):
         b = PlanBuilder(2, numerics=True)
         b.add_group(targets=np.zeros((2, 3)), out_index=np.array([0, 1]))
-        with pytest.raises(ValueError, match="points and weights"):
+        with pytest.raises(ValueError, match="points"):
             b.add_segment("direct", share_key=("direct", 0))
 
 
@@ -686,33 +701,18 @@ def _uniform_groups_plan(m_sizes, *, seg_rows=5, n_segs=1, ragged_group=False):
     ``ragged_group`` appends a group whose run mixes segment sizes.
     """
     rng = np.random.default_rng(7)
-    total = sum(m_sizes) + (3 if ragged_group else 0)
-    b = PlanBuilder(total, numerics=True)
-    row = 0
-    for m in m_sizes:
-        b.add_group(
-            targets=rng.random((m, 3)) + 2.0,
-            out_index=np.arange(row, row + m),
-        )
-        row += m
-        for _ in range(n_segs):
-            b.add_segment(
-                "approx",
-                points=rng.random((seg_rows, 3)),
-                weights=rng.random(seg_rows),
-            )
+    groups = [
+        (rng.random((m, 3)) + 2.0, [
+            ("approx", rng.random((seg_rows, 3)), rng.random(seg_rows))
+            for _ in range(n_segs)
+        ])
+        for m in m_sizes
+    ]
     if ragged_group:
-        b.add_group(
-            targets=rng.random((3, 3)) + 2.0,
-            out_index=np.arange(row, row + 3),
-        )
-        b.add_segment(
-            "direct", points=rng.random((4, 3)), weights=rng.random(4)
-        )
-        b.add_segment(
-            "direct", points=rng.random((9, 3)), weights=rng.random(9)
-        )
-    return b.build()
+        groups.append((rng.random((3, 3)) + 2.0, [
+            ("direct", rng.random((k, 3)), rng.random(k)) for k in (4, 9)
+        ]))
+    return _keyed_plan(groups)
 
 
 #: (n, theta, degree, NB=NL, target x-shift): disjoint [-1,1]^3 clouds at
@@ -732,16 +732,14 @@ LAYOUT_REGIMES = {
 def layout_regime_plan(request):
     """``(regime, plan)``: one displaced-target plan with its layout."""
     n, theta, degree, leaf, shift = LAYOUT_REGIMES[request.param]
-    sources = random_cube(n, seed=900)
-    targets = random_cube(n, seed=901).positions + [shift, 0.0, 0.0]
-    params = _params(
-        theta=theta, degree=degree, max_leaf_size=leaf, max_batch_size=leaf
+    plan = _compile(
+        random_cube(n, seed=900),
+        _params(
+            theta=theta, degree=degree, max_leaf_size=leaf,
+            max_batch_size=leaf,
+        ),
+        targets=random_cube(n, seed=901).positions + [shift, 0.0, 0.0],
     )
-    tree = ClusterTree(sources.positions, leaf)
-    batches = TargetBatches(targets, leaf)
-    moments = precompute_moments(tree, sources.charges, params)
-    lists = build_interaction_lists(batches, tree, params)
-    plan = compile_plan(tree, batches, moments, lists, sources.charges, params)
     plan.ensure_batched_layout()
     return request.param, plan
 
@@ -754,20 +752,12 @@ def _ragged_groups_plan(shapes, *, kind="direct", seed=13):
     of the zero-weight-padded near-field buckets.
     """
     rng = np.random.default_rng(seed)
-    total = sum(m for m, _ in shapes)
-    b = PlanBuilder(total, numerics=True)
-    row = 0
-    for m, seg_sizes in shapes:
-        b.add_group(
-            targets=rng.random((m, 3)) + 2.0,
-            out_index=np.arange(row, row + m),
-        )
-        row += m
-        for sz in seg_sizes:
-            b.add_segment(
-                kind, points=rng.random((sz, 3)), weights=rng.random(sz)
-            )
-    return b.build()
+    return _keyed_plan([
+        (rng.random((m, 3)) + 2.0, [
+            (kind, rng.random((sz, 3)), rng.random(sz)) for sz in seg_sizes
+        ])
+        for m, seg_sizes in shapes
+    ])
 
 
 class TestBatchedLayout:
@@ -871,15 +861,10 @@ class TestBatchedLayout:
         # group: the fallback must evaluate the whole group in one
         # fused-style span, exactly like FusedBackend would.
         rng = np.random.default_rng(11)
-        b = PlanBuilder(4, numerics=True)
-        b.add_group(targets=rng.random((4, 3)), out_index=np.arange(4))
-        b.add_segment("approx", points=rng.random((5, 3)),
-                      weights=rng.random(5))
-        b.add_segment("direct", points=rng.random((2, 3)),
-                      weights=rng.random(2))
-        b.add_segment("direct", points=rng.random((7, 3)),
-                      weights=rng.random(7))
-        layout = build_batched_layout(b.build())
+        layout = build_batched_layout(_keyed_plan([(rng.random((4, 3)), [
+            (kind, rng.random((k, 3)), rng.random(k))
+            for kind, k in (("approx", 5), ("direct", 2), ("direct", 7))
+        ])]))
         assert not layout.buckets
         assert layout.ragged_runs.tolist() == [[0, 0, 3]]
 
@@ -930,19 +915,13 @@ class TestBatchedLayout:
         # fancy-indexed scatter; with interleaved kinds the pool must
         # keep them apart (separate buckets or ragged), injectively.
         rng = np.random.default_rng(17)
-        b = PlanBuilder(12, numerics=True)
-        for g in range(3):
-            b.add_group(
-                targets=rng.random((4, 3)) + 2.0,
-                out_index=np.arange(4 * g, 4 * g + 4),
-            )
-            b.add_segment("direct", points=rng.random((3, 3)),
-                          weights=rng.random(3))
-            b.add_segment("approx", points=rng.random((5, 3)),
-                          weights=rng.random(5))
-            b.add_segment("direct", points=rng.random((3, 3)),
-                          weights=rng.random(3))
-        layout = build_batched_layout(b.build())
+        layout = build_batched_layout(_keyed_plan([
+            (rng.random((4, 3)) + 2.0, [
+                (kind, rng.random((k, 3)), rng.random(k))
+                for kind, k in (("direct", 3), ("approx", 5), ("direct", 3))
+            ])
+            for _ in range(3)
+        ]))
         assert len(layout.buckets) >= 2  # second runs bucket separately
         for bucket in layout.buckets:
             assert np.unique(bucket.groups).size == bucket.n_entries
@@ -1143,21 +1122,13 @@ class TestPaddedBucketNaNSafety:
         # exact zeros from both true coincidences and repeated pads.
         rng = np.random.default_rng(29)
         shapes = [(4, [4, 6]), (4, [7, 2]), (4, [5]), (4, [6, 3])]
-        total = sum(m for m, _ in shapes)
-        b = PlanBuilder(total, numerics=True)
-        row = 0
+        groups = []
         for m, seg_sizes in shapes:
             pts = [rng.random((sz, 3)) for sz in seg_sizes]
-            b.add_group(
-                targets=pts[0][:m].copy(),
-                out_index=np.arange(row, row + m),
-            )
-            row += m
-            for p in pts:
-                b.add_segment(
-                    "direct", points=p, weights=rng.random(p.shape[0])
-                )
-        return b.build()
+            groups.append((pts[0][:m].copy(), [
+                ("direct", p, rng.random(p.shape[0])) for p in pts
+            ]))
+        return _keyed_plan(groups)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32],
                              ids=["f64", "f32"])
@@ -1339,7 +1310,7 @@ class TestPlanStructure:
     def test_builder_validation(self):
         b = PlanBuilder(10, numerics=True)
         with pytest.raises(ValueError, match="add_group"):
-            b.add_segment("approx", points=np.zeros((2, 3)), weights=np.zeros(2))
+            b.add_segment("approx", points=np.zeros((2, 3)), share_key=0)
         with pytest.raises(ValueError, match="targets"):
             b.add_group(size=4)
         m = PlanBuilder(10, numerics=False)

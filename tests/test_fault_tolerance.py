@@ -161,7 +161,7 @@ class TestWorkerCrash:
 
     def test_next_execute_runs_on_a_fresh_pool(self, cube, pool):
         sess = _prepare(cube, "fused")
-        sess.apply(cube.charges)  # fills the deferred weights
+        sess.apply(cube.charges)  # fills the skeleton's weights
         plan = sess.plan
         kernel = CoulombKernel()
         pool.execute(plan, kernel, GpuDevice(GPU_TITAN_V))

@@ -72,7 +72,7 @@ class TestRoundTrip:
         self, driver, backend, cube, new_charges
     ):
         live = _prepare(driver, backend, cube)
-        live.apply(cube.charges)  # fill deferred weights + caches
+        live.apply(cube.charges)  # fill the skeleton's weights + caches
         restored = pickle.loads(pickle.dumps(live))
         res_live = live.apply(new_charges)
         res_restored = restored.apply(new_charges)

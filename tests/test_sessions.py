@@ -245,7 +245,7 @@ class TestBatchedSession:
         plan = prepared.plan
         layout = plan.ensure_batched_layout()
         assert layout.buckets
-        for bucket in layout.buckets:  # deferred skeleton: still zeroed
+        for bucket in layout.buckets:  # skeleton: still zeroed
             assert np.all(bucket.weights == 0.0)
         prepared.apply(cube.charges)
         for bucket in layout.buckets:
@@ -289,28 +289,22 @@ class TestBatchedSession:
 class TestWeightRefresh:
     """The plan-level geometry/weight split."""
 
-    def _plan(self, *, deferred=False):
-        b = PlanBuilder(4, numerics=True, deferred_weights=deferred)
+    def _plan(self):
+        b = PlanBuilder(4, numerics=True)
         pts_a = np.arange(6.0).reshape(2, 3)
         pts_b = np.arange(6.0, 15.0).reshape(3, 3)
         b.add_group(targets=np.zeros((2, 3)), out_index=np.array([0, 1]))
-        b.add_segment(
-            "direct", points=pts_a,
-            weights=None if deferred else np.array([1.0, 2.0]),
-            share_key="a",
-        )
+        b.add_segment("direct", points=pts_a, share_key="a")
         b.add_group(targets=np.zeros((2, 3)), out_index=np.array([2, 3]))
         b.add_segment("direct", share_key="a")
-        b.add_segment(
-            "approx", points=pts_b,
-            weights=None if deferred else np.array([3.0, 4.0, 5.0]),
-            share_key="b",
-        )
+        b.add_segment("approx", points=pts_b, share_key="b")
         return b.build()
 
     def test_refresh_overwrites_every_alias(self):
         plan = self._plan()
-        assert plan.refreshable
+        plan.refresh_weights(
+            lambda k: {"a": np.ones(2), "b": np.ones(3)}[k]
+        )
         weights = {"a": np.array([10.0, 20.0]), "b": np.array([30.0, 40.0, 50.0])}
         plan.refresh_weights(lambda k: weights[k])
         for s in range(plan.n_segments):
@@ -318,31 +312,23 @@ class TestWeightRefresh:
             expected = weights["a" if hi - lo == 2 else "b"]
             assert np.array_equal(plan.src_weights[lo:hi], expected)
 
-    def test_deferred_plan_starts_zeroed(self):
-        plan = self._plan(deferred=True)
-        assert plan.refreshable
+    def test_built_plan_starts_zeroed(self):
+        plan = self._plan()
+        assert plan.src_weights.shape == (5,)
         assert np.all(plan.src_weights == 0.0)
+        assert [(lo, hi) for _, lo, hi in plan.weight_slots] == [
+            (0, 2), (2, 5)
+        ]
         plan.refresh_weights(
             lambda k: {"a": np.ones(2), "b": np.ones(3)}[k]
         )
         assert np.all(plan.src_weights == 1.0)
 
-    def test_deferred_requires_share_key(self):
-        b = PlanBuilder(2, numerics=True, deferred_weights=True)
+    def test_numerics_segment_needs_share_key(self):
+        b = PlanBuilder(2, numerics=True)
         b.add_group(targets=np.zeros((2, 3)), out_index=np.array([0, 1]))
         with pytest.raises(ValueError, match="share_key"):
             b.add_segment("direct", points=np.zeros((2, 3)))
-
-    def test_keyless_plan_not_refreshable(self):
-        b = PlanBuilder(2, numerics=True)
-        b.add_group(targets=np.zeros((2, 3)), out_index=np.array([0, 1]))
-        b.add_segment(
-            "direct", points=np.zeros((2, 3)), weights=np.zeros(2)
-        )
-        plan = b.build()
-        assert not plan.refreshable
-        with pytest.raises(ValueError, match="share_key"):
-            plan.refresh_weights(lambda k: np.zeros(2))
 
     def test_refresh_validates_row_count(self):
         plan = self._plan()
@@ -371,7 +357,7 @@ class TestWeightRefresh:
             from repro.gpu.device import GpuDevice
             from repro.perf.machine import GPU_TITAN_V
 
-            prepared.apply(cube.charges)  # fills the deferred weights
+            prepared.apply(cube.charges)  # fills the skeleton's weights
             phi1, _ = backend.execute(
                 prepared.plan, YukawaKernel(0.5), GpuDevice(GPU_TITAN_V)
             )
