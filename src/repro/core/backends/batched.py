@@ -7,8 +7,14 @@ at a time -- a Python-loop iteration, a handful of small array calls and
 a tiny GEMV per group.  This backend consumes the plan's
 :class:`~repro.core.plan.BatchedLayout` instead: equal-kind segment runs
 are evaluated per *bucket* with stacked batched kernels
-(:meth:`~repro.kernels.base.Kernel.pairwise_batched`), one fancy-indexed
-output scatter per bucket, and no per-group Python iteration.  The near
+(:meth:`~repro.kernels.base.Kernel.potential_batched`, or with forces
+one joint :meth:`~repro.kernels.base.Kernel.potential_force_batched`
+pass per chunk: r^2 and the radial factors formed once, the force
+contracted as ``(f w) S - t * rowsum(f w)``), one fancy-indexed
+output scatter per bucket, and no per-group Python iteration.  Force
+chunks hold a quarter of a potential chunk's entries, one per live
+``(g, m, k)`` stack of the joint pass, so both stay within
+:data:`~.batcheval.BUCKET_BLOCK_ELEMENTS`.  The near
 field -- ragged runs with per-cluster row counts -- is bucketed too,
 padded to a common source width with zero-weight repeats of real points
 (see the plan module docstring); on the default regimes over 95% of the

@@ -12,15 +12,23 @@ batched GEMM for the r^2 cross term, elementwise kernel passes over the
 ``(G, m, k)`` stack, one batched GEMV against the bucket's weight matrix
 -- followed by a single fancy-indexed scatter of the valid rows.  No
 per-group Python iteration, no per-group target-block materialization.
-Buckets are chunked along the entry axis so the live ``(g, m, k)`` stack
-stays bounded (the same role :data:`~repro.kernels.base.DEFAULT_BLOCK_ELEMENTS`
-plays in the blocked direct sum); chunk boundaries depend only on the
-bucket shape, so repeated executions are bitwise identical.
+With forces, each chunk is one joint kernel call
+(:meth:`~repro.kernels.base.Kernel.potential_force_batched`): the same
+r^2, sqrt and radial factors feed the GEMV and the factored force
+``(f w) S - t * rowsum(f w)``, so r^2 is formed once per chunk.
+Buckets are chunked along the entry axis so the live ``(g, m, k)``
+arrays stay bounded (the same role
+:data:`~repro.kernels.base.DEFAULT_BLOCK_ELEMENTS` plays in the blocked
+direct sum): a chunk's entry count divides :data:`BUCKET_BLOCK_ELEMENTS`
+by ``m k`` times the live stacks of its pass -- one for potentials,
+:data:`~repro.kernels.base.JOINT_LIVE_ARRAYS` for the joint pass.
+Chunk boundaries depend only on the bucket shape, so repeated
+executions are bitwise identical.
 
 Padded (near-field) buckets need no special casing here: their pad
-columns are real repeated coordinates, so ``pairwise_batched``'s
-per-chunk coincidence scan patches any zero-distance pair (self-target
-groups, coincident pads) to a zero kernel value exactly as it does for
+columns are real repeated coordinates, so the per-chunk coincidence
+scan patches any zero-distance pair (self-target groups, coincident
+pads) to a zero kernel value (and zero force) exactly as it does for
 true coincidences, and the zero weight stored for every pad makes the
 non-coincident pads contribute an exact ``0.0`` to the GEMV.  Direct
 kinds therefore run through the same stacked passes as the far field.
@@ -28,13 +36,15 @@ kinds therefore run through the same stacked passes as the far field.
 The runs the layout could not bucket profitably (pool slabs below the
 minimum entry count) are evaluated by :func:`eval_ragged_runs` through
 the same per-group fused arithmetic as :mod:`.groupeval`, one kernel
-accumulation per run -- a thin remainder, not the near-field path.
+accumulation per run (one joint pass with forces) -- a thin remainder,
+not the near-field path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ...kernels.base import JOINT_LIVE_ARRAYS
 from ...util import chunk_ranges
 from .groupeval import RunOperands
 
@@ -66,11 +76,12 @@ def eval_bucket(
     positions, so padded rows are computed but never accumulated.
 
     Multi-RHS: a ``(G, k, n_rhs)`` bucket weight matrix hoists each
-    chunk's kernel-matrix stack once and re-contracts it per column
-    with the identical single-column batched GEMV on a contiguous
-    column copy.  Chunk boundaries never depend on ``n_rhs`` (the
-    coincidence noise floor derives from the chunk), so column ``j``
-    is bitwise the single-vector result on weight column ``j``.
+    chunk's kernel-matrix stack (and, with forces, its radial factors)
+    once and re-contracts it per column with the identical
+    single-column contractions on a contiguous column copy.  Chunk
+    boundaries never depend on ``n_rhs`` (the coincidence noise floor
+    derives from the chunk), so column ``j`` is bitwise the
+    single-vector result on weight column ``j``.
 
     Each chunk's coincident pairs are geometry too: the bucket keeps
     them beside its stacks, so only the first execution on a geometry
@@ -92,21 +103,18 @@ def eval_bucket(
         f_stack = np.empty(
             (n, m_max, 3, n_rhs) if multi else (n, m_max, 3), dtype=tgt.dtype
         )
-    per_entry = m_max * max(k, 1) * (2 if compute_forces else 1)
+    live = JOINT_LIVE_ARRAYS if compute_forces else 1
+    per_entry = m_max * max(k, 1) * live
     chunk = max(1, block_elements // per_entry)
     for lo, hi in chunk_ranges(n, chunk):
-        coincident = bucket.coincident_slot(dtype, lo, hi)
-        mat = kernel.pairwise_batched(tgt[lo:hi], src[lo:hi], coincident)
-        if multi:
-            for r in range(n_rhs):
-                w_col = np.ascontiguousarray(w[lo:hi, :, r])
-                phi[lo:hi, :, r] = np.matmul(mat, w_col[:, :, None])[..., 0]
+        args = (
+            tgt[lo:hi], src[lo:hi], w[lo:hi],
+            bucket.coincident_slot(dtype, lo, hi),
+        )
+        if f_stack is None:
+            phi[lo:hi] = kernel.potential_batched(*args)
         else:
-            phi[lo:hi] = np.matmul(mat, w[lo:hi, :, None])[..., 0]
-        if f_stack is not None:
-            f_stack[lo:hi] = kernel.force_batched(
-                tgt[lo:hi], src[lo:hi], w[lo:hi], coincident
-            )
+            phi[lo:hi], f_stack[lo:hi] = kernel.potential_force_batched(*args)
     vals = phi.reshape((-1, n_rhs) if multi else -1)
     if bucket.scatter_pos is not None:
         vals = vals[bucket.scatter_pos]
@@ -130,10 +138,11 @@ def eval_ragged_runs(
     """Per-group fallback for the runs the bucketing could not batch.
 
     Same fused per-group arithmetic as :func:`.groupeval.eval_group_range`
-    (one blocked kernel accumulation per run, float64 opts into the
-    temporary-free r^2 primitive), but scoped to explicit segment runs so
-    a group whose approximation half went through a bucket is not
-    double-counted.  Pass pre-cast ``targets``/``src_points`` in
+    (one blocked kernel accumulation per run -- one joint
+    ``Kernel.potential_and_force`` pass with forces -- float64 opts into
+    the temporary-free r^2 primitive), but scoped to explicit segment
+    runs so a group whose approximation half went through a bucket is
+    not double-counted.  Pass pre-cast ``targets``/``src_points`` in
     ``arrays`` to keep the per-run casts zero-copy.
     """
     if runs.size == 0:
@@ -148,10 +157,13 @@ def eval_ragged_runs(
             continue
         tgt, src, q, coincident = ops
         idx = out_index[int(group_ptr[g]):int(group_ptr[g + 1])]
-        out[idx] += kernel.potential(
-            tgt, src, q, fused=fused, coincident=coincident
-        )
-        if forces is not None:
-            forces[idx] += kernel.force(
+        if forces is None:
+            out[idx] += kernel.potential(
                 tgt, src, q, fused=fused, coincident=coincident
             )
+        else:
+            phi, frc = kernel.potential_and_force(
+                tgt, src, q, fused=fused, coincident=coincident
+            )
+            out[idx] += phi
+            forces[idx] += frc

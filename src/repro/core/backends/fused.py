@@ -5,14 +5,21 @@ per-segment ``seg_src_lo`` offsets into de-duplicated buffers, so this
 backend evaluates each group with *one* blocked accumulation over its
 whole source range -- no per-batch ``np.concatenate`` when the aliases
 land contiguously and at most one dtype cast of the buffers for the
-whole run.  Forces reuse the same gathered buffers.
+whole run.  Forces reuse the same gathered buffers and the same pass:
+for radial kernels each row block forms r^2, ``g`` and ``g'(r)/r``
+once (``Kernel.potential_and_force``) and contracts the force in the
+factored form ``(f q) S - t * rowsum(f q)``, with no ``(M, K, 3)``
+gradient tensor.  Its row blocks are the potential-only pass's, so
+potentials are bitwise the same with forces on or off.
 
 Where the targets are the sources (every named workload), a direct
 block ``(A, B)`` usually has its mirror ``(B, A)`` in the plan.  For
 symmetric kernels this backend forms each such kernel matrix once and
 applies it both ways -- ``G q_B`` to batch ``A``, ``G^T q_A`` to batch
 ``B`` (Newton's third law at cell level, as in Dehnen's falcON) --
-following the plan's :class:`~repro.core.plan.MirrorSchedule`.  The
+following the plan's :class:`~repro.core.plan.MirrorSchedule`; the
+mirrored force ``(F q_A)^T T_A - S_B * colsum(F q_A)`` comes from the
+same radial factor ``F``.  The
 arithmetic lives in :mod:`.groupeval`.  Results agree with
 :class:`~.numpy_backend.NumpyBackend` and with the per-group
 arithmetic the multiprocessing backend runs to floating-point roundoff

@@ -105,8 +105,9 @@ class RunOperands:
         """``(targets, sources, weights, coincident)`` of group ``g``
         against ``segments`` in that order; None when either side is
         empty.  ``coincident`` is the dict ``Kernel.potential`` /
-        ``force`` take (None without a plan-side cache, i.e. in pool
-        workers), keyed by ``tag``, which names the source set."""
+        ``potential_and_force`` take (None without a plan-side cache,
+        i.e. in pool workers), keyed by ``tag``, which names the source
+        set."""
         arrays = self.arrays
         group_ptr = arrays["group_ptr"]
         t_lo, t_hi = int(group_ptr[g]), int(group_ptr[g + 1])
@@ -148,10 +149,17 @@ def eval_group_range(arrays, kernel, dtype, compute_forces, g_lo, g_hi):
     ``out_index`` (injective, so shards of disjoint group ranges never
     race on the output).
 
+    With forces, each group is one ``Kernel.potential_and_force`` call:
+    radial kernels form r^2, ``g`` and ``g'(r)/r`` once per row block
+    and contract both from them (no ``(M, K, 3)`` gradient tensor; the
+    potential-only row blocks, so potentials are bitwise the same with
+    forces on or off); other kernels make the ``potential`` and
+    ``force`` calls.
+
     A 2-D weight buffer widens ``phi`` to ``(rows, n_rhs)`` and
     ``forces`` to ``(rows, 3, n_rhs)``: the kernel hoists each group's
-    pairwise matrix / gradient once and contracts all columns against
-    it -- this is where the per-group GEMV grows into a GEMM.
+    pairwise matrix / radial factors once and contracts all columns
+    against them -- this is where the per-group GEMV grows into a GEMM.
 
     With a mirror schedule under ``arrays["mirrors"]`` (whole plans
     only: a mirrored block writes its partner's rows) a touched group
@@ -192,7 +200,7 @@ def eval_group_range(arrays, kernel, dtype, compute_forces, g_lo, g_hi):
         tgt, src, q, coincident = ops
         sizes = [int(seg_ptr[s + 1] - seg_ptr[s]) for s in forward]
         n_fwd = sum(sizes)
-        mirror = mirror_f = None
+        mirror = None
         if forward:
             lo = int(mirrors.self_lo[g])
             q_t = operands.q_all[lo:lo + len(tgt)]
@@ -200,15 +208,14 @@ def eval_group_range(arrays, kernel, dtype, compute_forces, g_lo, g_hi):
             mirror = (len(src) - n_fwd, q_t, phi_t)
             if f_out is not None:
                 f_t = np.zeros((n_fwd, 3) + rhs)
-                mirror_f = (len(src) - n_fwd, q_t, f_t)
-        kernel.potential(
-            tgt, src, q, out=phi[rows_of(g)],
-            fused=operands.fused, coincident=coincident, mirror=mirror,
-        )
-        if f_out is not None:
-            kernel.force(
-                tgt, src, q, out=f_out[rows_of(g)],
-                fused=operands.fused, coincident=coincident, mirror=mirror_f,
+                mirror += (f_t,)
+        kw = dict(fused=operands.fused, coincident=coincident, mirror=mirror)
+        if f_out is None:
+            kernel.potential(tgt, src, q, out=phi[rows_of(g)], **kw)
+        else:
+            kernel.potential_and_force(
+                tgt, src, q, out=phi[rows_of(g)], forces=f_out[rows_of(g)],
+                **kw,
             )
         c = 0
         for s, n in zip(forward, sizes):

@@ -392,9 +392,11 @@ class BatchedBucket:
 
     def coincident_slot(self, dtype, lo: int, hi: int) -> dict:
         """Where the kernel keeps the coincident pairs of stack entries
-        ``[lo, hi)`` (the ``coincident`` dict of ``pairwise_batched`` /
-        ``force_batched``).  The chunk is part of the key because it
-        sets the noise floor; it lives as long as the stacks do.
+        ``[lo, hi)`` (the ``coincident`` dict of ``potential_batched`` /
+        ``potential_force_batched``).  The chunk is part of the key
+        because it sets the noise floor (potential and force chunks
+        differ in size, so they keep separate slots); it lives as long
+        as the stacks do.
         """
         return self._coincident.setdefault((np.dtype(dtype).str, lo, hi), {})
 

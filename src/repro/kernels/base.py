@@ -9,6 +9,12 @@ A kernel provides
   (the two have the same direct-sum form; paper eq. 9 vs eq. 11).
 * :meth:`Kernel.potential` -- blocked matrix-free accumulation
   ``phi_i = sum_j G(x_i, y_j) q_j`` used by the direct-summation baseline.
+* :meth:`Kernel.potential_and_force` / :meth:`Kernel.potential_force_batched`
+  -- potential and force ``F_i = -sum_j grad_x G(x_i, y_j) q_j`` of one
+  block in one pass.  For radial kernels that pass forms ``r^2``, the
+  coincidence lookup, ``r``, ``g(r)`` and ``g'(r)/r`` once and contracts
+  both from them (as GPU treecodes share ``1/r`` between the two); the
+  force never materialises the ``(M, K, 3)`` gradient tensor.
 * cost metadata (``flops_per_interaction``, ``transcendental_weight``)
   consumed by the performance model so CPU/GPU timings can be derived from
   exact interaction counts.
@@ -33,6 +39,15 @@ __all__ = ["Kernel", "RadialKernel"]
 #: :meth:`Kernel.potential`; keeps peak memory of the blocked direct sum
 #: around ~150 MB of float64.
 DEFAULT_BLOCK_ELEMENTS = 4_000_000
+
+#: ``(m, k)`` arrays live at once in a joint potential + force pass of a
+#: :class:`RadialKernel`: the r^2 buffer (``r`` after the in-place sqrt,
+#: then the contraction scratch), ``g``, ``g'/r`` and one temporary of
+#: the radial evaluation (the default :meth:`RadialKernel.evaluate_radial`
+#: of the inverse multiquadric needs it; the built-in overrides do not).
+#: Stacked chunks of a joint pass divide their element budget by it, so
+#: the working set stays within the budget.
+JOINT_LIVE_ARRAYS = 4
 
 
 class Kernel(abc.ABC):
@@ -62,7 +77,7 @@ class Kernel(abc.ABC):
     #: (byte-stable) :meth:`pairwise` is never affected.
     supports_fused_pairwise: bool = False
     #: True when the kernel provides :meth:`pairwise_batched` /
-    #: :meth:`pairwise_gradient_batched` -- stacked evaluation over
+    #: :meth:`potential_force_batched` -- stacked evaluation over
     #: ``(G, m, 3)`` target x ``(G, k, 3)`` source blocks, used by the
     #: batched (shape-bucketed) backend.  Backends fall back to the
     #: per-group fused path for kernels without it.
@@ -70,7 +85,7 @@ class Kernel(abc.ABC):
     #: True when ``G(x, y) == G(y, x)`` and ``grad_x G(x, y) ==
     #: -grad_x G(y, x)`` (radial kernels): one block then serves its
     #: mirror through the ``mirror`` argument of :meth:`potential` /
-    #: :meth:`force`.
+    #: :meth:`force` / :meth:`potential_and_force`.
     symmetric: bool = False
 
     @abc.abstractmethod
@@ -121,54 +136,50 @@ class Kernel(abc.ABC):
         arithmetic).  Only kernels advertising
         ``supports_batched_pairwise`` implement it.  ``coincident`` is
         :meth:`potential`'s, the whole stack being one block; pass the
-        same dict to :meth:`force_batched` on the same stack.
+        same dict to :meth:`potential_force_batched` on the same stack.
         """
         raise NotImplementedError(
             f"kernel {self.name!r} has no batched pairwise primitive"
         )
 
-    def pairwise_gradient_batched(
-        self, targets: np.ndarray, sources: np.ndarray
-    ) -> np.ndarray:
-        """Stacked :meth:`pairwise_gradient`: returns ``(G, m, k, 3)``."""
-        raise NotImplementedError(
-            f"kernel {self.name!r} has no batched pairwise primitive"
-        )
-
-    def force_batched(
+    def potential_batched(
         self,
         targets: np.ndarray,
         sources: np.ndarray,
         weights: np.ndarray,
         coincident: dict | None = None,
     ) -> np.ndarray:
-        """Stacked force blocks ``F[b,i] = -sum_j grad G(t_bi, s_bj) w_bj``.
+        """Stacked potentials ``phi[b] = pairwise_batched(...)[b] @ w[b]``.
 
-        The generic form contracts the full ``(G, m, k, 3)`` gradient
-        stack; subclasses with structure (radial kernels) override it
-        with a contraction that never materializes the gradient.
-
-        Multi-RHS: when ``weights`` carries a trailing RHS axis
-        (``weights.ndim == targets.ndim``, i.e. ``(..., k, n_rhs)``) the
-        gradient stack is built once and contracted per column with the
-        identical single-vector einsum, returning ``(..., m, 3, n_rhs)``
-        whose column ``j`` is bitwise the single-vector result on
-        ``weights[..., j]``.
+        ``weights`` is ``(G, k)``, or ``(G, k, n_rhs)`` for multi-RHS:
+        the kernel stack is built once and every column runs the
+        identical single-vector batched GEMV on a contiguous column
+        copy, so column ``j`` of the ``(G, m, n_rhs)`` result is bitwise
+        the single-vector result on ``weights[..., j]``.
         """
-        grad = self.pairwise_gradient_batched(targets, sources)
-        if weights.ndim == np.ndim(targets):
-            return np.stack(
-                [
-                    -np.einsum(
-                        "...mkd,...k->...md",
-                        grad,
-                        np.ascontiguousarray(weights[..., r]),
-                    )
-                    for r in range(weights.shape[-1])
-                ],
-                axis=-1,
-            )
-        return -np.einsum("...mkd,...k->...md", grad, weights)
+        return _gemv_stack(
+            self.pairwise_batched(targets, sources, coincident), weights
+        )
+
+    def potential_force_batched(
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        weights: np.ndarray,
+        coincident: dict | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`potential_batched` and the stacked forces
+        ``F[b, i] = -sum_j grad G(t_bi, s_bj) w_bj`` in one pass.
+
+        Returns ``(phi, forces)``, forces shaped ``(G, m, 3)`` (or
+        ``(G, m, 3, n_rhs)``); ``phi`` is bitwise
+        :meth:`potential_batched`'s on the same stack and ``coincident``
+        slot.  Only kernels advertising ``supports_batched_pairwise``
+        implement it.
+        """
+        raise NotImplementedError(
+            f"kernel {self.name!r} has no batched pairwise primitive"
+        )
 
     def potential(
         self,
@@ -352,6 +363,45 @@ class Kernel(abc.ABC):
                     )
         return out
 
+    def potential_and_force(
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        charges: np.ndarray,
+        *,
+        block_elements: int = DEFAULT_BLOCK_ELEMENTS,
+        out: np.ndarray | None = None,
+        forces: np.ndarray | None = None,
+        fused: bool = False,
+        coincident: dict | None = None,
+        mirror: tuple | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`potential` and :meth:`force` of one target/source set.
+
+        Accumulates into ``out`` / ``forces`` (allocated as those two
+        methods would when None) and returns both.  ``mirror`` is
+        ``(col0, charges_t, out_t, forces_t)``: the two methods'
+        ``mirror`` tuples sharing ``col0`` and ``charges_t``.
+
+        The generic form makes the two calls; :class:`RadialKernel`
+        overrides it with one pass per row block.
+        """
+        pot_mirror = force_mirror = None
+        if mirror is not None:
+            col0, q_t, out_t, forces_t = mirror
+            pot_mirror = (col0, q_t, out_t)
+            force_mirror = (col0, q_t, forces_t)
+        kw = dict(
+            block_elements=block_elements, fused=fused, coincident=coincident
+        )
+        out = self.potential(
+            targets, sources, charges, out=out, mirror=pot_mirror, **kw
+        )
+        forces = self.force(
+            targets, sources, charges, out=forces, mirror=force_mirror, **kw
+        )
+        return out, forces
+
     def _pairwise_block(self, targets, sources, fused, coincident, key):
         """One row block of :meth:`potential`'s kernel matrix.
 
@@ -385,13 +435,27 @@ class Kernel(abc.ABC):
 class RadialKernel(Kernel):
     """Base class for radial kernels ``G(x, y) = g(|x - y|)``.
 
-    Subclasses implement :meth:`evaluate_r` on strictly positive distances;
-    this class handles pairwise distance computation and the ``r == 0``
-    (self-interaction / removable) entries.
+    Subclasses implement :meth:`evaluate_r` on strictly positive distances
+    (and :meth:`evaluate_dr_over_r` for forces); this class handles
+    pairwise distance computation and the ``r == 0`` (self-interaction /
+    removable) entries.
+
+    Potential and force together (:meth:`potential_and_force`, the
+    per-group evaluators; :meth:`potential_force_batched`, the bucketed
+    one) run one radial pass per block: one ``r^2``, one coincidence
+    lookup, one ``sqrt``, then :meth:`evaluate_radial` returns ``g`` and
+    ``g'(r)/r`` from that one ``r``, and the force is contracted in the
+    factored form ``(f w) S - t * rowsum(f w)`` with ``f = g'(r)/r``.
+    Kernels override :meth:`evaluate_radial` to share their sqrt / exp /
+    divisions between the two factors; its ``g`` must be bitwise
+    :meth:`evaluate_r`'s, so potentials do not depend on whether forces
+    were asked for.  :meth:`force` and :meth:`evaluate_dr_over_r` stay
+    the byte-stable reference the ``numpy`` backend runs.
 
     Every evaluation path (:meth:`pairwise`, :meth:`pairwise_fused`, the
-    stacked ``*_batched`` forms and :meth:`potential` / :meth:`force`)
-    classifies coincident pairs through one rule,
+    stacked ``*_batched`` forms and :meth:`potential` / :meth:`force` /
+    :meth:`potential_and_force`) classifies coincident pairs through one
+    rule,
     :func:`_scan_coincident`: ``r^2`` at or below ``16 eps`` times the
     block's squared coordinate scale counts as ``r == 0``.
 
@@ -426,6 +490,16 @@ class RadialKernel(Kernel):
         raise NotImplementedError(
             f"kernel {self.name!r} does not implement evaluate_dr_over_r"
         )
+
+    def evaluate_radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both radial factors ``(g(r), g'(r) / r)`` from one ``r > 0``.
+
+        The joint pass's hook.  The default calls :meth:`evaluate_r` and
+        :meth:`evaluate_dr_over_r`; overrides share work between them,
+        keep ``g`` bitwise :meth:`evaluate_r`'s and return two fresh
+        arrays (neither may alias ``r``, which the caller reuses).
+        """
+        return self.evaluate_r(r), self.evaluate_dr_over_r(r)
 
     def evaluate_r0(self) -> float:
         """Value assigned at ``r == 0``.
@@ -566,55 +640,173 @@ class RadialKernel(Kernel):
             targets, sources, True, coincident, (0, len(targets))
         )
 
-    def pairwise_gradient_batched(
-        self, targets: np.ndarray, sources: np.ndarray
-    ) -> np.ndarray:
-        """Stacked ``(G, m, k, 3)`` gradients on the fused accumulation."""
-        r2, zero_idx = self._pairwise_r2_fused(targets, sources)
-        return self._finish_gradient(targets, sources, r2, zero_idx)
-
-    def force_batched(
+    def potential_force_batched(
         self,
         targets: np.ndarray,
         sources: np.ndarray,
         weights: np.ndarray,
         coincident: dict | None = None,
-    ) -> np.ndarray:
-        """Factored radial force: no ``(G, m, k, 3)`` gradient tensor.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked potentials and factored radial forces, one pass.
 
-        With ``grad G = f(r) (x - y)`` the weighted contraction splits as
+        One fused r^2 stack, one coincidence lookup, one sqrt and one
+        :meth:`evaluate_radial` serve both: the potentials are
+        :meth:`potential_batched`'s GEMV on ``g`` (bitwise), and with
+        ``grad G = f(r) (x - y)``, ``f = g'(r)/r``, the forces split as
 
             F_i = -sum_j f_ij w_j (t_i - s_j)
                 = (f w) S  -  t_i * sum_j f_ij w_j,
 
-        i.e. one elementwise product, one row-sum and one batched GEMM
-        against the source coordinates -- O(G m k) memory instead of
-        O(3 G m k) and BLAS throughput on the big contraction.  Values
-        agree with the generic gradient contraction to roundoff (the
-        sum over sources is reassociated); coincident pairs contribute
-        exactly zero through the same noise-floor classification.
+        one elementwise product, one row-sum and one batched GEMM
+        against the source coordinates, with no ``(G, m, k, 3)``
+        gradient tensor.  They agree with the generic gradient
+        contraction to roundoff (the sum over sources is reassociated);
+        coincident pairs contribute exactly zero.
 
         Multi-RHS (``weights`` shaped ``(..., k, n_rhs)``): the radial
-        factor -- sqrt, kernel derivative, coincidence patch -- is the
-        expensive shared piece and is computed once; every column then
-        repeats the exact single-vector contraction on it, so each
-        output column of the ``(..., m, 3, n_rhs)`` stack is bitwise the
-        single-vector result for that column.
+        factors are computed once and every column repeats the exact
+        single-vector contractions on a contiguous column copy, so each
+        output column is bitwise the single-vector result for it.
         """
-        r2, zero_idx = self._r2_block(
+        g, f, scratch = self._radial_block(
             targets, sources, True, coincident, (0, len(targets))
         )
-        factor = self._gradient_factor(r2, zero_idx)
+        phi = _gemv_stack(g, weights)
         if weights.ndim == np.ndim(targets):
-            outs = []
-            for r in range(weights.shape[-1]):
-                fw = factor * weights[..., r][..., None, :]
-                row_sum = fw.sum(axis=-1)
-                outs.append(fw @ sources - targets * row_sum[..., None])
-            return np.stack(outs, axis=-1)
-        factor *= weights[..., None, :]
-        row_sum = factor.sum(axis=-1)
-        return factor @ sources - targets * row_sum[..., None]
+            frc = np.stack(
+                [
+                    _radial_force(
+                        f, np.ascontiguousarray(weights[..., r]),
+                        targets, sources, scratch,
+                    )
+                    for r in range(weights.shape[-1])
+                ],
+                axis=-1,
+            )
+        else:
+            frc = _radial_force(f, weights, targets, sources, scratch)
+        return phi, frc
+
+    def potential_and_force(
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        charges: np.ndarray,
+        *,
+        block_elements: int = DEFAULT_BLOCK_ELEMENTS,
+        out: np.ndarray | None = None,
+        forces: np.ndarray | None = None,
+        fused: bool = False,
+        coincident: dict | None = None,
+        mirror: tuple | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One radial pass per row block for potential and force.
+
+        Per row block: one r^2 (``fused`` picks the arithmetic, as in
+        :meth:`potential`), one coincidence lookup in ``coincident``,
+        one sqrt and one :meth:`evaluate_radial`.  Potentials are
+        :meth:`potential`'s GEMV on ``g``; forces are the factored
+        contraction of :meth:`potential_force_batched` on ``f =
+        g'(r)/r``, which builds no ``(M, K, 3)`` gradient tensor and
+        agrees with :meth:`force` to roundoff.
+
+        Row blocks are :meth:`potential`'s (``block_elements // K``
+        rows), so the potentials are bitwise :meth:`potential`'s: BLAS
+        rounds the r^2 GEMM and the GEMV differently for different row
+        counts, and the block also sets the coincidence noise floor.
+        The pass holds ``r`` (reused as the contraction scratch), ``g``
+        and ``f`` per block -- no more ``(m, K)`` arrays than
+        :meth:`potential`'s own Yukawa evaluation (``r``, ``-kappa r``,
+        its exp) -- and the force contraction allocates none.
+
+        Multi-RHS: every column runs the single-vector contractions on
+        the shared factors (contiguous column copies), so column ``j``
+        is bitwise a single-vector call's.
+
+        ``mirror=(col0, charges_t, out_t, forces_t)`` applies the
+        trailing columns back onto the sources from the same factors:
+        ``out_t += G[:, col0:]^T q_t`` and ``forces_t += (F q_t)^T T -
+        S * colsum(F q_t)`` with ``F = f[:, col0:]`` (the gradient is
+        antisymmetric).
+        """
+        targets = np.atleast_2d(targets)
+        sources = np.atleast_2d(sources)
+        charges = np.asarray(charges)
+        m = targets.shape[0]
+        k = sources.shape[0]
+        rhs = charges.shape[1:]
+        # Same three-operand promotion as potential() / force().
+        dtype = np.result_type(targets, sources, charges)
+        if out is None:
+            out = np.zeros((m,) + rhs, dtype=dtype)
+        if forces is None:
+            forces = np.zeros((m, 3) + rhs, dtype=dtype)
+        if k == 0 or m == 0:
+            return out, forces
+        fused = fused and self.supports_fused_pairwise
+
+        def columns(q, phi, frc):
+            """(charges, potential, force) per RHS column."""
+            if q.ndim == 1:
+                return [(q, phi, frc)]
+            return [
+                (np.ascontiguousarray(q[:, r]), phi[:, r], frc[:, :, r])
+                for r in range(q.shape[1])
+            ]
+
+        cols = columns(charges, out, forces)
+        if mirror is not None:
+            col0, q_t, out_t, forces_t = mirror
+            mirror = (col0, columns(np.asarray(q_t), out_t, forces_t))
+        for lo, hi in chunk_ranges(m, max(1, block_elements // k)):
+            # One call per block: its arrays are freed before the next
+            # block forms its own.
+            self._joint_block(
+                targets, sources, fused, coincident, (lo, hi), cols, mirror
+            )
+        return out, forces
+
+    def _joint_block(
+        self, targets, sources, fused, coincident, key, cols, mirror
+    ):
+        """Row block ``key = (lo, hi)`` of :meth:`potential_and_force`:
+        ``cols`` / ``mirror`` are its per-column operands."""
+        lo, hi = key
+        tgt = targets[lo:hi]
+        g, f, scratch = self._radial_block(
+            tgt, sources, fused, coincident, key
+        )
+        for q, phi, frc in cols:
+            phi[lo:hi] += g @ q
+            frc[lo:hi] += _radial_force(f, q, tgt, sources, scratch)
+        if mirror is None:
+            return
+        col0, cols_t = mirror
+        f_t = f[:, col0:]
+        scratch_t = None if scratch is None else scratch[:, col0:]
+        for q, phi, frc in cols_t:
+            phi += g[:, col0:].T @ q[lo:hi]
+            fq = _scaled(f_t, q[lo:hi, None], scratch_t)
+            frc += fq.T @ tgt - sources[col0:] * fq.sum(axis=0)[:, None]
+
+    def _radial_block(self, targets, sources, fused, coincident, key):
+        """``g``, ``g'/r`` and a scratch buffer of one block.
+
+        One r^2 pass (:meth:`_r2_block`), one sqrt in place, one
+        :meth:`evaluate_radial`, one coincidence patch of each factor
+        (``evaluate_r0`` and zero force).  The r buffer is free after
+        that and comes back as the ``(..., m, k)`` scratch of the force
+        contraction -- None if a factor aliases it.
+        """
+        r, zero_idx = self._r2_block(targets, sources, fused, coincident, key)
+        r.put(zero_idx, 1.0)
+        np.sqrt(r, out=r)
+        g, f = self.evaluate_radial(r)
+        g.put(zero_idx, self.evaluate_r0())
+        f.put(zero_idx, 0.0)
+        if np.may_share_memory(r, g) or np.may_share_memory(r, f):
+            r = None
+        return g, f, r
 
     def pairwise_gradient(
         self, targets: np.ndarray, sources: np.ndarray
@@ -675,3 +867,37 @@ def _scan_coincident(
         # 2-D blocks, whose groups routinely contain their own targets.
         return np.empty(0, dtype=np.intp)
     return np.flatnonzero(r2 <= noise_floor)
+
+
+def _gemv_stack(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``mat[b] @ weights[b]`` over a ``(G, m, k)`` stack; a trailing RHS
+    axis on ``weights`` runs the same GEMV per contiguous column."""
+    if weights.ndim == mat.ndim:
+        return np.stack(
+            [
+                np.matmul(
+                    mat, np.ascontiguousarray(weights[..., r])[..., None]
+                )[..., 0]
+                for r in range(weights.shape[-1])
+            ],
+            axis=-1,
+        )
+    return np.matmul(mat, weights[..., None])[..., 0]
+
+
+def _radial_force(f, w, targets, sources, scratch):
+    """``-sum_j f_ij w_j (t_i - s_j) = (f w) S - t * rowsum(f w)``.
+
+    Over the trailing ``(m, k)`` axes of ``f`` (2-D blocks or stacks);
+    ``scratch`` (``f``'s shape, or None) receives ``f w``.
+    """
+    fw = _scaled(f, w[..., None, :], scratch)
+    return fw @ sources - targets * fw.sum(axis=-1)[..., None]
+
+
+def _scaled(f, w, scratch):
+    """``f * w``, written into ``scratch`` when it holds the product's
+    dtype (mixed-precision operands promote into a fresh array)."""
+    if scratch is None or scratch.dtype != np.result_type(f, w):
+        return f * w
+    return np.multiply(f, w, out=scratch)

@@ -31,3 +31,11 @@ class CoulombKernel(RadialKernel):
     def evaluate_dr_over_r(self, r: np.ndarray) -> np.ndarray:
         # d/dr (1/r) = -1/r^2, divided by r.
         return -1.0 / (r * r * r)
+
+    def evaluate_radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # One division: g'/r = -g^3.
+        g = 1.0 / r
+        f = g * g
+        f *= g
+        np.negative(f, out=f)
+        return g, f

@@ -61,6 +61,11 @@ class GaussianKernel(RadialKernel):
     def evaluate_dr_over_r(self, r: np.ndarray) -> np.ndarray:
         return -self.evaluate_r(r) / (self.sigma * self.sigma)
 
+    def evaluate_radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # One exp: g'/r = -g / sigma^2 (bitwise evaluate_dr_over_r's).
+        g = self.evaluate_r(r)
+        return g, g / -(self.sigma * self.sigma)
+
     def evaluate_r0(self) -> float:
         return 1.0
 

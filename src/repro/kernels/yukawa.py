@@ -37,5 +37,17 @@ class YukawaKernel(RadialKernel):
         # d/dr (e^{-kr}/r) = -e^{-kr} (k r + 1) / r^2, divided by r.
         return -np.exp(-self.kappa * r) * (self.kappa * r + 1.0) / (r**3)
 
+    def evaluate_radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # One exp: g'/r = -(kappa r + 1) g / r^2, from the -kappa r that
+        # feeds the exp (g itself is evaluate_r's expression, bitwise).
+        f = -self.kappa * r
+        g = np.exp(f)
+        g /= r
+        f -= 1.0
+        f *= g
+        f /= r
+        f /= r
+        return g, f
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"YukawaKernel(kappa={self.kappa})"

@@ -1,5 +1,7 @@
 """Tests for force (gradient) evaluation -- kernels and treecode path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,16 @@ from repro import (
     CoulombKernel,
     GaussianKernel,
     InverseMultiquadricKernel,
+    MultiprocessingBackend,
     ParticleSet,
     ThinPlateKernel,
     TreecodeParams,
     YukawaKernel,
     random_cube,
 )
+from repro.core.backends import multiproc
+from repro.core.backends.batcheval import eval_bucket
+from repro.kernels.base import JOINT_LIVE_ARRAYS
 
 GRAD_KERNELS = [
     CoulombKernel(),
@@ -158,3 +164,121 @@ class TestTreecodeForces:
         # y=(1,0,0): repulsive for like charges -> points in -x.
         assert res.forces[0][0] == pytest.approx(-1.0)
         assert res.forces[1][0] == pytest.approx(1.0)
+
+
+class TestPotentialsIgnoreForces:
+    """Asking for forces never changes a potential's bytes: the joint
+    potential + force pass evaluates the potential on the same blocks
+    and with the same arithmetic as the potential-only pass."""
+
+    @pytest.fixture(scope="class")
+    def cube(self):
+        return random_cube(1500, seed=41)
+
+    @pytest.mark.parametrize("n_rhs", [1, 4], ids=["single", "4-col"])
+    @pytest.mark.parametrize(
+        "kernel", [CoulombKernel(), YukawaKernel(kappa=0.5)],
+        ids=lambda k: k.name,
+    )
+    @pytest.mark.parametrize(
+        "backend", ["fused", "batched", "multiprocessing"]
+    )
+    def test_potential_bytes_with_forces_on_and_off(
+        self, cube, backend, kernel, n_rhs, monkeypatch
+    ):
+        if backend == "multiprocessing":
+            # Real worker shards, not the inline path.
+            monkeypatch.setattr(multiproc, "MIN_PARALLEL_ROWS", 1)
+            backend = MultiprocessingBackend(n_workers=2)
+        params = TreecodeParams(
+            theta=0.7, degree=3, max_leaf_size=100, max_batch_size=100,
+            backend=backend,
+        )
+        rng = np.random.default_rng(3)
+        q = (
+            cube.charges if n_rhs == 1
+            else rng.normal(size=(cube.n, n_rhs))
+        )
+        try:
+            drv = BarycentricTreecode(kernel, params)
+            with_forces = drv.prepare(cube).apply(q, compute_forces=True)
+            sess = drv.prepare(cube)
+            without = sess.apply(q)
+            again = sess.apply(q, compute_forces=True)
+        finally:
+            if isinstance(backend, MultiprocessingBackend):
+                backend.close()
+        assert without.forces is None
+        assert with_forces.potential.tobytes() == without.potential.tobytes()
+        assert again.potential.tobytes() == without.potential.tobytes()
+        assert again.forces.tobytes() == with_forces.forces.tobytes()
+
+
+class TestJointPassMemory:
+    """The joint pass's working set stays within its element budget.
+
+    Traced (``tracemalloc``) peak of one warm evaluation, less what was
+    allocated before it, against the block budget times the itemsize:
+    a Yukawa force bucket stays within 1x its ``block_elements`` (the
+    chunk divides the budget by every live stack of the joint pass), a
+    per-group force block within ``JOINT_LIVE_ARRAYS``x (the row blocks
+    are the potential's, and the pass holds r, g and g'/r).  Output
+    stacks and their scatter copies are allowed on top.
+    """
+
+    @staticmethod
+    def _traced_peak(fn):
+        fn()  # warm: stacks, weights and coincident pairs are cached
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - base
+
+    def test_yukawa_force_bucket(self):
+        cube = random_cube(3000, seed=5)
+        kernel = YukawaKernel(kappa=0.5)
+        params = TreecodeParams(
+            theta=0.7, degree=4, max_leaf_size=150, max_batch_size=150,
+            backend="batched",
+        )
+        sess = BarycentricTreecode(kernel, params).prepare(cube)
+        sess.apply(cube.charges, compute_forces=True)  # fills the weights
+        plan = sess.plan
+        bucket = max(
+            plan.ensure_batched_layout().buckets,
+            key=lambda b: b.m_max * b.k,
+        )
+        entry = bucket.m_max * bucket.k
+        budget = 3 * JOINT_LIVE_ARRAYS * entry  # three entries per chunk
+        assert bucket.n_entries > 3  # so the budget splits the bucket
+        out = np.zeros(plan.out_size)
+        forces = np.zeros((plan.out_size, 3))
+        peak = self._traced_peak(
+            lambda: eval_bucket(
+                bucket, plan.targets_as(np.float64),
+                plan.src_points_as(np.float64), kernel, np.float64, True,
+                out, forces, block_elements=budget,
+            )
+        )
+        itemsize = 8
+        outputs = 3 * bucket.n_entries * bucket.m_max * 4 * itemsize
+        assert peak <= budget * itemsize + outputs
+
+    def test_fused_force_block(self, rng):
+        kernel = YukawaKernel(kappa=0.5)
+        t = rng.uniform(-1, 1, (1500, 3))
+        s = rng.uniform(-1, 1, (2000, 3))
+        q = rng.normal(size=2000)
+        budget = 300_000  # ten row blocks
+        out, forces = np.zeros(1500), np.zeros((1500, 3))
+        peak = self._traced_peak(
+            lambda: kernel.potential_and_force(
+                t, s, q, out=out, forces=forces, fused=True,
+                block_elements=budget, coincident={},
+            )
+        )
+        assert peak <= JOINT_LIVE_ARRAYS * budget * 8 + 16 * len(t)

@@ -16,7 +16,7 @@ from repro.kernels import (
     get_kernel,
     register_kernel,
 )
-from repro.kernels.base import RadialKernel
+from repro.kernels.base import DEFAULT_BLOCK_ELEMENTS, Kernel, RadialKernel
 
 ALL_KERNELS = [
     CoulombKernel(),
@@ -191,8 +191,181 @@ class TestDomain:
         assert ref[0, 0] == fused[0, 0] == dtype(kernel.evaluate_r0())
         np.testing.assert_allclose(fused, ref, rtol=1e-5)
         if not isinstance(kernel, ThinPlateKernel):  # potential-only
-            force = kernel.force_batched(t[None], s[None], w[None])
-            assert np.isfinite(force).all()
+            phi, force = kernel.potential_force_batched(
+                t[None], s[None], w[None]
+            )
+            assert np.isfinite(phi).all() and np.isfinite(force).all()
+            phi, force = kernel.potential_and_force(t, s, w, fused=True)
+            assert np.isfinite(phi).all() and np.isfinite(force).all()
+
+
+GEOMETRIES = ("random", "coincident", "domain-edge")
+DTYPES = pytest.mark.parametrize(
+    "dtype", [np.float64, np.float32], ids=["f64", "f32"]
+)
+
+
+def _geometry(kind, dtype, rng):
+    """Targets, sources and charges of one block.
+
+    ``coincident`` puts targets exactly on sources (and two sources on
+    each other); ``domain-edge`` is a lattice whose spacing is 100x the
+    ``RadialKernel`` domain edge ``finfo(dtype).tiny ** (1/3)``, with
+    one target on a source.
+    """
+    if kind == "domain-edge":
+        d = 100.0 * float(np.finfo(dtype).tiny) ** (1.0 / 3.0)
+        lattice = np.array(np.meshgrid(*[np.arange(3.0)] * 3)).reshape(3, -1).T
+        s = d * lattice[::2]
+        t = d * np.concatenate([lattice[1::5], lattice[:1]])
+    else:
+        t, s = _points(rng, 23), _points(rng, 37)
+        if kind == "coincident":
+            t[:6] = s[10:16]
+            s[3] = s[4]
+    q = rng.normal(size=len(s))
+    return t.astype(dtype), s.astype(dtype), q.astype(dtype)
+
+
+def _assert_forces_close(got, want, dtype):
+    """rtol 1e-12 in float64, TestDomain's 1e-5 in float32, with the
+    same tolerance times the largest force as the absolute floor: a
+    component summed to near zero cancels, and the factored contraction
+    reassociates that sum."""
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    np.testing.assert_allclose(
+        got, want, rtol=tol, atol=tol * float(np.abs(want).max())
+    )
+
+
+class TestJointRadialPass:
+    """One radial pass for potential and force
+    (``potential_and_force`` per group, ``potential_force_batched`` per
+    bucket chunk) against the separate primitives: potentials bitwise,
+    forces to roundoff."""
+
+    @DTYPES
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
+    def test_matches_the_separate_primitives(
+        self, kernel, geometry, dtype, rng
+    ):
+        t, s, q = _geometry(geometry, dtype, rng)
+        ts, ss = np.stack([t, t[::-1]]), np.stack([s, s])
+        w = np.stack([q, -q])
+        if isinstance(kernel, ThinPlateKernel):  # potential-only
+            with pytest.raises(NotImplementedError):
+                kernel.force(t, s, q)
+            with pytest.raises(NotImplementedError):
+                kernel.potential_and_force(t, s, q)
+            with pytest.raises(NotImplementedError):
+                kernel.potential_force_batched(ts, ss, w)
+            return
+        # One row block, and several: the joint pass keeps potential()'s
+        # row blocks, which is what keeps its GEMVs bitwise.
+        for kw in (
+            dict(fused=fused, block_elements=b)
+            for fused in (False, True)
+            for b in (DEFAULT_BLOCK_ELEMENTS, 5 * len(s))
+        ):
+            phi, frc = kernel.potential_and_force(t, s, q, **kw)
+            assert np.array_equal(phi, kernel.potential(t, s, q, **kw))
+            _assert_forces_close(frc, kernel.force(t, s, q, **kw), dtype)
+        phi, frc = kernel.potential_force_batched(ts, ss, w)
+        assert np.array_equal(phi, kernel.potential_batched(ts, ss, w))
+        for b in range(2):
+            _assert_forces_close(
+                frc[b], kernel.force(ts[b], ss[b], w[b], fused=True), dtype
+            )
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS[:3], ids=lambda k: k.name)
+    def test_radial_factors_share_evaluate_r(self, kernel, rng):
+        r = rng.uniform(1e-3, 3.0, size=(40, 50))
+        g, f = kernel.evaluate_radial(r)
+        assert np.array_equal(g, kernel.evaluate_r(r))
+        np.testing.assert_allclose(f, kernel.evaluate_dr_over_r(r), rtol=1e-14)
+        assert not np.may_share_memory(g, r)
+        assert not np.may_share_memory(f, r)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("kernel", ALL_KERNELS[:4], ids=lambda k: k.name)
+    def test_mirror_matches_the_separate_mirrors(self, kernel, fused, rng):
+        t, s, q = _geometry("coincident", np.float64, rng)
+        s = np.concatenate([s, t])  # trailing columns: the targets
+        q = np.concatenate([q, rng.normal(size=len(t))])
+        col0 = len(s) - len(t)
+        q_t = rng.normal(size=len(t))
+        kw = dict(fused=fused, block_elements=8 * len(s))
+        out_t, f_t = np.zeros(len(t)), np.zeros((len(t), 3))
+        phi, frc = kernel.potential_and_force(
+            t, s, q, mirror=(col0, q_t, out_t, f_t), **kw
+        )
+        ref_t, ref_ft = np.zeros(len(t)), np.zeros((len(t), 3))
+        ref_phi = kernel.potential(t, s, q, mirror=(col0, q_t, ref_t), **kw)
+        ref_f = kernel.force(t, s, q, mirror=(col0, q_t, ref_ft), **kw)
+        assert np.array_equal(phi, ref_phi)
+        assert np.array_equal(out_t, ref_t)
+        _assert_forces_close(frc, ref_f, np.float64)
+        _assert_forces_close(f_t, ref_ft, np.float64)
+
+    def test_generic_form_is_the_two_calls(self, rng):
+        # What a non-radial kernel runs: Kernel's own potential_and_force.
+        kernel = YukawaKernel(kappa=0.5)
+        t, s, q = _geometry("coincident", np.float64, rng)
+        s = np.concatenate([s, t])
+        q = np.concatenate([q, rng.normal(size=len(t))])
+        col0, q_t = len(s) - len(t), rng.normal(size=len(t))
+        kw = dict(fused=True, block_elements=8 * len(s))
+        out_t, f_t = np.zeros(len(t)), np.zeros((len(t), 3))
+        phi, frc = Kernel.potential_and_force(
+            kernel, t, s, q, mirror=(col0, q_t, out_t, f_t), **kw
+        )
+        ref_t, ref_ft = np.zeros(len(t)), np.zeros((len(t), 3))
+        assert np.array_equal(
+            phi, kernel.potential(t, s, q, mirror=(col0, q_t, ref_t), **kw)
+        )
+        assert np.array_equal(
+            frc, kernel.force(t, s, q, mirror=(col0, q_t, ref_ft), **kw)
+        )
+        assert np.array_equal(out_t, ref_t) and np.array_equal(f_t, ref_ft)
+
+    @DTYPES
+    @pytest.mark.parametrize("kernel", ALL_KERNELS[:4], ids=lambda k: k.name)
+    def test_column_is_the_solo_call(self, kernel, dtype, rng):
+        t, s, _ = _geometry("coincident", dtype, rng)
+        s = np.concatenate([s, t])
+        col0 = len(s) - len(t)
+        charges = rng.normal(size=(len(s), 4)).astype(dtype)
+        q_t = rng.normal(size=(len(t), 4)).astype(dtype)
+
+        def joint(q, qt):
+            rhs = q.shape[1:]
+            mirror = (
+                col0, qt, np.zeros((len(t),) + rhs),
+                np.zeros((len(t), 3) + rhs),
+            )
+            phi, frc = kernel.potential_and_force(
+                t, s, q, fused=dtype == np.float64,
+                block_elements=8 * len(s), mirror=mirror,
+            )
+            return phi, frc, mirror[2], mirror[3]
+
+        wide = joint(charges, q_t)
+        ts, ss = np.stack([t, t[::-1]]), np.stack([s, s])
+        w = np.stack([charges, -charges])
+        stacked = kernel.potential_force_batched(ts, ss, w)
+        for j in range(charges.shape[1]):
+            solo = joint(
+                np.ascontiguousarray(charges[:, j]),
+                np.ascontiguousarray(q_t[:, j]),
+            )
+            for got, want in zip(wide, solo):
+                assert np.array_equal(got[..., j], want)
+            solo = kernel.potential_force_batched(
+                ts, ss, np.ascontiguousarray(w[..., j])
+            )
+            for got, want in zip(stacked, solo):
+                assert np.array_equal(got[..., j], want)
 
 
 class TestCostModel:
@@ -319,6 +492,7 @@ class TestProperties:
         scanned = (
             kernel.potential(t, s, q, fused=fused, **blocks),
             kernel.force(t, s, q, fused=fused, **blocks),
+            *kernel.potential_and_force(t, s, q, fused=fused, **blocks),
         )
         found: dict = {}
         for _ in range(2):  # the first call records, the second is handed
@@ -330,9 +504,12 @@ class TestProperties:
                 kernel.force(
                     t, s, q, fused=fused, coincident=found, **blocks
                 ),
+                *kernel.potential_and_force(
+                    t, s, q, fused=fused, coincident=found, **blocks
+                ),
             )
-            np.testing.assert_array_equal(supplied[0], scanned[0])
-            np.testing.assert_array_equal(supplied[1], scanned[1])
+            for got, want in zip(supplied, scanned):
+                np.testing.assert_array_equal(got, want)
         assert recorded.keys() == found.keys()
         assert all(np.array_equal(recorded[k], found[k]) for k in found)
         # every moved target row coincides with at least one source
@@ -344,13 +521,13 @@ class TestProperties:
         ts, ss = np.stack([t, t[::-1]]), np.stack([s, s])
         w = np.stack([q, -q])
         mat = kernel.pairwise_batched(ts, ss)
-        frc = kernel.force_batched(ts, ss, w)
+        phi, frc = kernel.potential_force_batched(ts, ss, w)
         slot: dict = {}
         for _ in range(2):
             np.testing.assert_array_equal(
                 kernel.pairwise_batched(ts, ss, slot), mat
             )
-            np.testing.assert_array_equal(
-                kernel.force_batched(ts, ss, w, slot), frc
-            )
+            got_phi, got_frc = kernel.potential_force_batched(ts, ss, w, slot)
+            np.testing.assert_array_equal(got_phi, phi)
+            np.testing.assert_array_equal(got_frc, frc)
         assert list(slot) == [(0, 2)]
