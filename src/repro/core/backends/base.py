@@ -7,6 +7,12 @@ backends charge the simulated device through
 segments into :meth:`~repro.gpu.device.Device.launch` calls -- so every
 backend records byte-identical :class:`~repro.gpu.device.DeviceCounters`
 on the same plan by construction.
+
+The numerics backends share one execute head, :func:`start_execute`:
+refuse a model-only plan, charge the device, zero the output
+accumulators and open the execute's evaluation
+:class:`~repro.kernels.workspace.Workspace` (which the evaluators size
+for the plan's largest block; freed when the execute returns).
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import abc
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from ...kernels.workspace import Workspace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...gpu.device import Device
@@ -26,6 +34,8 @@ __all__ = [
     "launch_cost_multiplier",
     "charge_segment_launches",
     "charge_plan_launches",
+    "start_execute",
+    "accumulate_rows",
 ]
 
 #: Gradient kernels cost roughly 2x the potential kernel (three
@@ -173,6 +183,55 @@ def _charge_bulk(plan, kernel, device, cost_mult, compute_forces, n_rhs=1) -> No
             device.launch_many(
                 force_kinds[lo:hi], interactions[lo:hi], force_dur[lo:hi]
             )
+
+
+def start_execute(
+    backend: "Backend",
+    plan: "ExecutionPlan",
+    kernel: "Kernel",
+    device: "Device",
+    *,
+    dtype,
+    compute_forces: bool,
+) -> tuple[np.ndarray, np.ndarray | None, Workspace]:
+    """The common head of a numerics backend's ``execute``.
+
+    Refuses a plan compiled without numerics, charges the device in bulk
+    for every launch the plan describes, and returns the zeroed float64
+    accumulators ``out`` (``(out_size,)`` or ``(out_size, n_rhs)``) and
+    ``forces`` (``(out_size, 3[, n_rhs])``, None without forces) plus the
+    execute's empty :class:`~repro.kernels.workspace.Workspace`.  The
+    evaluators reserve the plan's largest block in it, so every slot is
+    allocated once; it holds no memory until the first block takes a
+    slot and frees it when the caller drops it.
+    """
+    if not plan.has_numerics:
+        raise ValueError(
+            f"backend {backend.name!r} needs a plan compiled with numerics"
+        )
+    width = plan.rhs_width
+    charge_plan_launches(
+        plan, kernel, device,
+        dtype=dtype, compute_forces=compute_forces, bulk=True,
+        n_rhs=width or 1,
+    )
+    rhs = () if width is None else (width,)
+    out = np.zeros((plan.out_size,) + rhs, dtype=np.float64)
+    forces = (
+        np.zeros((plan.out_size, 3) + rhs, dtype=np.float64)
+        if compute_forces
+        else None
+    )
+    return out, forces, Workspace()
+
+
+def accumulate_rows(plan, out, forces, t_lo, t_hi, phi, f_rows) -> None:
+    """Scatter the contiguous target rows ``[t_lo, t_hi)`` of a per-group
+    evaluation into ``out`` / ``forces`` through ``plan.out_index``."""
+    idx = plan.out_index[t_lo:t_hi]
+    out[idx] += phi
+    if forces is not None and f_rows is not None:
+        forces[idx] += f_rows
 
 
 class Backend(abc.ABC):

@@ -36,6 +36,14 @@ Kernels without batched primitives fall back to the fused evaluation
 wholesale -- bitwise what :class:`~.fused.FusedBackend` returns.  Device
 accounting derives from the plan alone (bulk charging), so counters and
 simulated time match every other backend by construction.
+
+Each execute opens one evaluation
+:class:`~repro.kernels.workspace.Workspace` (:func:`~.base.start_execute`)
+that every bucket chunk and ragged run writes its r^2, ``g`` and
+``g'(r)/r`` stacks into, so the chunk loop allocates none of them; the
+slots are allocated once, for the layout's largest chunk, and freed when
+the execute returns.  Chunk boundaries do not depend on the workspace, so
+results are bitwise those without one.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import BackendExecutionError
-from .base import Backend, charge_plan_launches
-from .batcheval import eval_bucket, eval_ragged_runs
+from .base import Backend, accumulate_rows, start_execute
+from .batcheval import eval_bucket, eval_ragged_runs, layout_block_elements
 from .groupeval import eval_plan, plan_arrays
 
 __all__ = ["BatchedBackend"]
@@ -66,40 +74,17 @@ class BatchedBackend(Backend):
         compute_forces: bool = False,
         n_rhs: int | None = None,
     ):
-        if not plan.has_numerics:
-            raise ValueError(
-                f"backend {self.name!r} needs a plan compiled with numerics"
-            )
-        width = plan.rhs_width
-        charge_plan_launches(
-            plan, kernel, device,
-            dtype=dtype, compute_forces=compute_forces, bulk=True,
-            n_rhs=width or 1,
-        )
-        out = np.zeros(
-            plan.out_size if width is None else (plan.out_size, width),
-            dtype=np.float64,
-        )
-        forces = (
-            np.zeros(
-                (plan.out_size, 3)
-                if width is None
-                else (plan.out_size, 3, width),
-                dtype=np.float64,
-            )
-            if compute_forces
-            else None
+        out, forces, workspace = start_execute(
+            self, plan, kernel, device,
+            dtype=dtype, compute_forces=compute_forces,
         )
         if not getattr(kernel, "supports_batched_pairwise", False):
             # No stacked primitives: evaluate the whole plan as the
             # fused backend does (bitwise == FusedBackend).
-            t_lo, t_hi, phi, f_rows = eval_plan(
-                plan, kernel, dtype, compute_forces
+            accumulate_rows(
+                plan, out, forces,
+                *eval_plan(plan, kernel, dtype, compute_forces, workspace),
             )
-            idx = plan.out_index[t_lo:t_hi]
-            out[idx] += phi
-            if forces is not None and f_rows is not None:
-                forces[idx] += f_rows
             return out, forces
         # cast_geometry: repeated applies of a prepared session stop
         # re-casting targets/points every step.
@@ -114,13 +99,15 @@ class BatchedBackend(Backend):
                 f"building the batched execution layout failed: {exc}",
                 backend=self.name,
             ) from exc
+        workspace.reserve(layout_block_elements(layout, arrays, compute_forces))
         for bucket in layout.buckets:
             eval_bucket(
                 bucket, arrays["targets"], arrays["src_points"],
                 kernel, dtype, compute_forces, out, forces,
+                workspace=workspace,
             )
         eval_ragged_runs(
             arrays, layout.ragged_runs, kernel, dtype, compute_forces,
-            out, forces,
+            out, forces, workspace=workspace,
         )
         return out, forces

@@ -25,6 +25,16 @@ by ``m k`` times the live stacks of its pass -- one for potentials,
 Chunk boundaries depend only on the bucket shape, so repeated
 executions are bitwise identical.
 
+Workspace: given the execute's
+:class:`~repro.kernels.workspace.Workspace`, every chunk of every
+bucket (and every ragged run) writes its r^2, ``g`` and ``g'(r)/r``
+stacks into the same few buffers -- views of the leading elements, so a
+smaller chunk after a larger one reuses the buffer -- instead of
+allocating them per chunk.  :func:`layout_block_elements` is the
+largest chunk or row block of a layout, which the backend reserves
+before the first, so each buffer is allocated once.  Bitwise the same
+results.
+
 Padded (near-field) buckets need no special casing here: their pad
 columns are real repeated coordinates, so the per-chunk coincidence
 scan patches any zero-distance pair (self-target groups, coincident
@@ -44,14 +54,52 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...kernels.base import JOINT_LIVE_ARRAYS
+from ...kernels.base import JOINT_LIVE_ARRAYS, block_rows
 from ...util import chunk_ranges
 from .groupeval import RunOperands
 
-__all__ = ["BUCKET_BLOCK_ELEMENTS", "eval_bucket", "eval_ragged_runs"]
+__all__ = [
+    "BUCKET_BLOCK_ELEMENTS",
+    "bucket_chunk",
+    "layout_block_elements",
+    "eval_bucket",
+    "eval_ragged_runs",
+]
 
 #: Cap on the number of (g, m, k) stack elements live per bucket chunk.
 BUCKET_BLOCK_ELEMENTS = 4_000_000
+
+
+def bucket_chunk(
+    bucket, compute_forces: bool, block_elements: int = BUCKET_BLOCK_ELEMENTS
+) -> int:
+    """Entries per chunk of :func:`eval_bucket`: the budget over ``m k``
+    times the live stacks of the pass (one for potentials,
+    :data:`~repro.kernels.base.JOINT_LIVE_ARRAYS` for the joint pass)."""
+    live = JOINT_LIVE_ARRAYS if compute_forces else 1
+    return max(1, block_elements // (bucket.m_max * max(bucket.k, 1) * live))
+
+
+def layout_block_elements(layout, arrays, compute_forces: bool) -> int:
+    """Elements of the largest ``(g, m, k)`` chunk or ``(rows, k)`` row
+    block one execute of ``layout`` forms: its buckets' first chunks
+    and its ragged runs' first row blocks (``arrays`` holds the plan's
+    ``group_ptr`` / ``seg_ptr``)."""
+    largest = max(
+        (
+            min(b.n_entries, bucket_chunk(b, compute_forces)) * b.m_max * b.k
+            for b in layout.buckets
+        ),
+        default=0,
+    )
+    group_ptr = arrays["group_ptr"]
+    seg_ptr = arrays["seg_ptr"]
+    for g, s_lo, s_hi in layout.ragged_runs.tolist():
+        m = int(group_ptr[g + 1] - group_ptr[g])
+        k = int(seg_ptr[s_hi] - seg_ptr[s_lo])
+        if m:
+            largest = max(largest, min(m, block_rows(k)) * k)
+    return largest
 
 
 def eval_bucket(
@@ -65,6 +113,7 @@ def eval_bucket(
     forces: np.ndarray | None,
     *,
     block_elements: int = BUCKET_BLOCK_ELEMENTS,
+    workspace=None,
 ) -> None:
     """Evaluate one bucket and accumulate into ``out`` (and ``forces``).
 
@@ -85,7 +134,8 @@ def eval_bucket(
 
     Each chunk's coincident pairs are geometry too: the bucket keeps
     them beside its stacks, so only the first execution on a geometry
-    scans for them.
+    scans for them.  ``workspace`` holds each chunk's kernel stacks
+    (see the module docstring).
     """
     tgt, src = bucket.stacks(targets, src_points, dtype)
     w = bucket.weights
@@ -94,7 +144,6 @@ def eval_bucket(
     multi = w.ndim == 3
     n_rhs = w.shape[2] if multi else 1
     n, m_max, _ = tgt.shape
-    k = src.shape[1]
     phi = np.empty(
         (n, m_max, n_rhs) if multi else (n, m_max), dtype=tgt.dtype
     )
@@ -103,18 +152,18 @@ def eval_bucket(
         f_stack = np.empty(
             (n, m_max, 3, n_rhs) if multi else (n, m_max, 3), dtype=tgt.dtype
         )
-    live = JOINT_LIVE_ARRAYS if compute_forces else 1
-    per_entry = m_max * max(k, 1) * live
-    chunk = max(1, block_elements // per_entry)
+    chunk = bucket_chunk(bucket, compute_forces, block_elements)
     for lo, hi in chunk_ranges(n, chunk):
         args = (
             tgt[lo:hi], src[lo:hi], w[lo:hi],
             bucket.coincident_slot(dtype, lo, hi),
         )
         if f_stack is None:
-            phi[lo:hi] = kernel.potential_batched(*args)
+            phi[lo:hi] = kernel.potential_batched(*args, workspace=workspace)
         else:
-            phi[lo:hi], f_stack[lo:hi] = kernel.potential_force_batched(*args)
+            phi[lo:hi], f_stack[lo:hi] = kernel.potential_force_batched(
+                *args, workspace=workspace
+            )
     vals = phi.reshape((-1, n_rhs) if multi else -1)
     if bucket.scatter_pos is not None:
         vals = vals[bucket.scatter_pos]
@@ -134,6 +183,8 @@ def eval_ragged_runs(
     compute_forces: bool,
     out: np.ndarray,
     forces: np.ndarray | None,
+    *,
+    workspace=None,
 ) -> None:
     """Per-group fallback for the runs the bucketing could not batch.
 
@@ -143,7 +194,8 @@ def eval_ragged_runs(
     the temporary-free r^2 primitive), but scoped to explicit segment
     runs so a group whose approximation half went through a bucket is
     not double-counted.  Pass pre-cast ``targets``/``src_points`` in
-    ``arrays`` to keep the per-run casts zero-copy.
+    ``arrays`` to keep the per-run casts zero-copy; ``workspace`` goes
+    to every kernel call.
     """
     if runs.size == 0:
         return
@@ -157,13 +209,10 @@ def eval_ragged_runs(
             continue
         tgt, src, q, coincident = ops
         idx = out_index[int(group_ptr[g]):int(group_ptr[g + 1])]
+        kw = dict(fused=fused, coincident=coincident, workspace=workspace)
         if forces is None:
-            out[idx] += kernel.potential(
-                tgt, src, q, fused=fused, coincident=coincident
-            )
+            out[idx] += kernel.potential(tgt, src, q, **kw)
         else:
-            phi, frc = kernel.potential_and_force(
-                tgt, src, q, fused=fused, coincident=coincident
-            )
+            phi, frc = kernel.potential_and_force(tgt, src, q, **kw)
             out[idx] += phi
             forces[idx] += frc

@@ -30,13 +30,21 @@ and an updated session against a cold prepare are bitwise equal.  The
 recorded device counters are identical to every other backend's, since
 launch charging derives from the plan, not from how the numerics are
 blocked.
+
+Each execute opens one evaluation
+:class:`~repro.kernels.workspace.Workspace` (:func:`~.base.start_execute`)
+and every group's row blocks write their r^2, ``g`` and ``g'(r)/r`` into
+its buffers, so a run of thousands of blocks allocates each of those
+arrays once -- sized for the plan's largest row block -- instead of
+once per block.  The buffers go when the execute returns; results are
+bitwise those without a workspace.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import Backend, charge_plan_launches
+from .base import Backend, accumulate_rows, start_execute
 from .groupeval import eval_plan
 
 __all__ = ["FusedBackend"]
@@ -58,35 +66,12 @@ class FusedBackend(Backend):
         compute_forces: bool = False,
         n_rhs: int | None = None,
     ):
-        if not plan.has_numerics:
-            raise ValueError(
-                f"backend {self.name!r} needs a plan compiled with numerics"
-            )
-        width = plan.rhs_width
-        charge_plan_launches(
-            plan, kernel, device,
-            dtype=dtype, compute_forces=compute_forces, bulk=True,
-            n_rhs=width or 1,
+        out, forces, workspace = start_execute(
+            self, plan, kernel, device,
+            dtype=dtype, compute_forces=compute_forces,
         )
-        out = np.zeros(
-            plan.out_size if width is None else (plan.out_size, width),
-            dtype=np.float64,
+        accumulate_rows(
+            plan, out, forces,
+            *eval_plan(plan, kernel, dtype, compute_forces, workspace),
         )
-        forces = (
-            np.zeros(
-                (plan.out_size, 3)
-                if width is None
-                else (plan.out_size, 3, width),
-                dtype=np.float64,
-            )
-            if compute_forces
-            else None
-        )
-        t_lo, t_hi, phi, f_rows = eval_plan(
-            plan, kernel, dtype, compute_forces
-        )
-        idx = plan.out_index[t_lo:t_hi]
-        out[idx] += phi
-        if forces is not None and f_rows is not None:
-            forces[idx] += f_rows
         return out, forces

@@ -17,11 +17,21 @@ pairs nothing, every group evaluates exactly as compiled: that
 per-group arithmetic is what the multiprocessing backend runs in both
 its inline and sharded paths, so its results are bitwise invariant
 under any shard split.
+
+Workspace: :func:`eval_plan` / :func:`eval_group_range` take the
+execute's :class:`~repro.kernels.workspace.Workspace`, reserve the
+largest row block of the run in it (:func:`group_block_elements`) and
+hand it to every group's kernel call, so all row blocks write their
+r^2, ``g`` and ``g'(r)/r`` into the same few buffers, each allocated
+once.  Results are bitwise those without one (pool workers pass none).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ...kernels.base import block_rows
+from ..plan import MIRROR_SKIP
 
 __all__ = [
     "PLAN_ARRAY_FIELDS",
@@ -29,6 +39,7 @@ __all__ = [
     "RunOperands",
     "eval_group_range",
     "eval_plan",
+    "group_block_elements",
 ]
 
 #: The ExecutionPlan fields a group evaluation needs.
@@ -141,7 +152,33 @@ class RunOperands:
         return tgt, src, q, coincident
 
 
-def eval_group_range(arrays, kernel, dtype, compute_forces, g_lo, g_hi):
+def group_block_elements(arrays, g_lo, g_hi) -> int:
+    """Elements of the largest row block :func:`eval_group_range` forms
+    over groups ``[g_lo, g_hi)``.
+
+    A group's kernel call runs on its gathered sources -- every segment,
+    or with a mirror schedule all but the skipped ones -- and its first
+    row block, ``min(m, block_rows(k)) * k``, is its largest.
+    """
+    group_ptr = arrays["group_ptr"]
+    seg_group_ptr = arrays["seg_group_ptr"]
+    sizes = np.diff(arrays["seg_ptr"])
+    mirrors = arrays.get("mirrors")
+    if mirrors is not None:
+        sizes = np.where(mirrors.partner == MIRROR_SKIP, 0, sizes)
+    rows_before = np.concatenate(([0], np.cumsum(sizes)))
+    seg = seg_group_ptr[g_lo:g_hi + 1]
+    ks = (rows_before[seg[1:]] - rows_before[seg[:-1]]).tolist()
+    ms = np.diff(group_ptr[g_lo:g_hi + 1]).tolist()
+    return max(
+        (min(m, block_rows(k)) * k for m, k in zip(ms, ks) if m),
+        default=0,
+    )
+
+
+def eval_group_range(
+    arrays, kernel, dtype, compute_forces, g_lo, g_hi, workspace=None
+):
     """Fused per-group accumulation over groups ``[g_lo, g_hi)``.
 
     Returns ``(t_lo, t_hi, phi, forces)`` where ``phi`` covers the
@@ -167,7 +204,11 @@ def eval_group_range(arrays, kernel, dtype, compute_forces, g_lo, g_hi):
     forward mirrors, so those form one trailing column block of the
     kernel matrix; the transposed product of that block lands in the
     partners' rows.
+
+    ``workspace`` goes to every kernel call (see the module docstring).
     """
+    if workspace is not None:
+        workspace.reserve(group_block_elements(arrays, g_lo, g_hi))
     group_ptr = arrays["group_ptr"]
     seg_group_ptr = arrays["seg_group_ptr"]
     seg_ptr = arrays["seg_ptr"]
@@ -209,7 +250,10 @@ def eval_group_range(arrays, kernel, dtype, compute_forces, g_lo, g_hi):
             if f_out is not None:
                 f_t = np.zeros((n_fwd, 3) + rhs)
                 mirror += (f_t,)
-        kw = dict(fused=operands.fused, coincident=coincident, mirror=mirror)
+        kw = dict(
+            fused=operands.fused, coincident=coincident, mirror=mirror,
+            workspace=workspace,
+        )
         if f_out is None:
             kernel.potential(tgt, src, q, out=phi[rows_of(g)], **kw)
         else:
@@ -227,17 +271,18 @@ def eval_group_range(arrays, kernel, dtype, compute_forces, g_lo, g_hi):
     return t_lo_all, t_hi_all, phi, f_out
 
 
-def eval_plan(plan, kernel, dtype, compute_forces):
+def eval_plan(plan, kernel, dtype, compute_forces, workspace=None):
     """In-process fused evaluation of a whole plan.
 
     :func:`eval_group_range` over every group with the plan's cast and
-    coincidence caches and, for symmetric kernels (``Kernel.symmetric``),
-    its mirror schedule, so each mirrored direct block is formed once.
-    Returns what :func:`eval_group_range` does.
+    coincidence caches, the execute's ``workspace`` and, for symmetric
+    kernels (``Kernel.symmetric``), its mirror schedule, so each
+    mirrored direct block is formed once.  Returns what
+    :func:`eval_group_range` does.
     """
     arrays = plan_arrays(plan, cast_geometry=dtype)
     if getattr(kernel, "symmetric", False):
         arrays["mirrors"] = plan.mirror_schedule()
     return eval_group_range(
-        arrays, kernel, dtype, compute_forces, 0, plan.n_groups
+        arrays, kernel, dtype, compute_forces, 0, plan.n_groups, workspace
     )

@@ -34,6 +34,8 @@ Execution model
   mirrored direct block once.
 * With one worker, or a plan below :data:`MIN_PARALLEL_ROWS` logical
   source rows, the evaluation runs inline: same arithmetic, no pool.
+  Only the inline path writes its blocks into the execute's
+  :class:`~repro.kernels.workspace.Workspace`; that changes no bits.
 
 Device accounting is unchanged: launches are charged in bulk from the
 plan structure before the numerics start, exactly as the fused backend
@@ -58,7 +60,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from ...errors import WorkerCrashError
-from .base import Backend, charge_plan_launches
+from .base import Backend, accumulate_rows, start_execute
 from .groupeval import eval_group_range, plan_arrays
 
 __all__ = ["MultiprocessingBackend", "MIN_PARALLEL_ROWS"]
@@ -164,29 +166,9 @@ class MultiprocessingBackend(Backend):
         compute_forces: bool = False,
         n_rhs: int | None = None,
     ):
-        if not plan.has_numerics:
-            raise ValueError(
-                f"backend {self.name!r} needs a plan compiled with numerics"
-            )
-        width = plan.rhs_width
-        charge_plan_launches(
-            plan, kernel, device,
-            dtype=dtype, compute_forces=compute_forces, bulk=True,
-            n_rhs=width or 1,
-        )
-        out = np.zeros(
-            plan.out_size if width is None else (plan.out_size, width),
-            dtype=np.float64,
-        )
-        forces = (
-            np.zeros(
-                (plan.out_size, 3)
-                if width is None
-                else (plan.out_size, 3, width),
-                dtype=np.float64,
-            )
-            if compute_forces
-            else None
+        out, forces, workspace = start_execute(
+            self, plan, kernel, device,
+            dtype=dtype, compute_forces=compute_forces,
         )
         shards = self._shards(plan)
         if len(shards) > 1 and plan.n_source_rows >= MIN_PARALLEL_ROWS:
@@ -197,18 +179,16 @@ class MultiprocessingBackend(Backend):
             # cast_geometry: the plan's dtype-keyed cast caches
             # (elementwise-identical values, so the bitwise contract
             # with the sharded path holds either way); no mirror
-            # schedule, so the arithmetic is the shards'.
+            # schedule, so the arithmetic is the shards'.  The workspace
+            # changes no bits, so the workers need none.
             results = [
                 eval_group_range(
                     plan_arrays(plan, cast_geometry=dtype), kernel, dtype,
-                    compute_forces, 0, plan.n_groups,
+                    compute_forces, 0, plan.n_groups, workspace,
                 )
             ]
-        for t_lo, t_hi, phi, f_blk in results:
-            idx = plan.out_index[t_lo:t_hi]
-            out[idx] += phi
-            if forces is not None and f_blk is not None:
-                forces[idx] += f_blk
+        for rows in results:
+            accumulate_rows(plan, out, forces, *rows)
         return out, forces
 
     def _run_sharded(self, plan, kernel, dtype, compute_forces, shards):

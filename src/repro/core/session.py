@@ -609,6 +609,10 @@ class SessionCore:
         noise-floor scan (0 before that apply and again after
         ``update_geometry``).  Read-only: accounting never resolves
         the backend, so it cannot trigger a fallback.
+
+        The evaluation workspace of the fused / batched backends is
+        transient and not counted in ``total_bytes``: its buffers live
+        for one execute only, and nothing of it stays on the plan.
         """
         plan = self.plan
         plan_bytes = 0

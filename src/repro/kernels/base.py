@@ -23,6 +23,18 @@ Self-interactions: when a target coincides with a source (``r == 0``,
 singular kernels) the contribution is defined as zero, matching the
 standard treecode convention for point-charge sums where the ``i == j``
 term is excluded.
+
+Workspace: the four block evaluators (:meth:`Kernel.potential`,
+:meth:`Kernel.potential_and_force`, :meth:`Kernel.potential_batched`,
+:meth:`Kernel.potential_force_batched`) take ``workspace=``, a
+:class:`~repro.kernels.workspace.Workspace` the caller keeps for a run of
+calls.  Radial kernels then write each block's ``(..., m, k)`` arrays --
+``r^2`` (the r^2 GEMM through ``np.matmul(..., out=)``), ``g`` and
+``g'(r)/r`` (through the ``out`` hooks :meth:`RadialKernel.evaluate_r_into`
+and :meth:`RadialKernel.evaluate_radial`) -- into the workspace's slots
+instead of fresh arrays.  Same ufuncs, block boundaries and summation
+order, so the results are bitwise those of ``workspace=None``, the
+default (and what the reference ``numpy`` backend passes).
 """
 
 from __future__ import annotations
@@ -32,12 +44,16 @@ import abc
 import numpy as np
 
 from ..util import chunk_ranges
+from .workspace import take
 
-__all__ = ["Kernel", "RadialKernel"]
+__all__ = ["Kernel", "RadialKernel", "block_rows"]
 
-#: Default cap on the number of matrix elements materialised at once by
-#: :meth:`Kernel.potential`; keeps peak memory of the blocked direct sum
-#: around ~150 MB of float64.
+#: Default cap on the elements of one row block of :meth:`Kernel.potential`
+#: / :meth:`Kernel.potential_and_force`: 32 MB per ``(m, k)`` float64
+#: array.  Live per block: r^2 (``r`` after the in-place sqrt) and ``g``;
+#: the joint pass adds ``g'(r)/r`` and reuses ``r`` as its contraction
+#: scratch; float32's reference r^2 adds its GEMM term, and kernels
+#: without the ``out`` hooks their own temporaries.
 DEFAULT_BLOCK_ELEMENTS = 4_000_000
 
 #: ``(m, k)`` arrays live at once in a joint potential + force pass of a
@@ -48,6 +64,17 @@ DEFAULT_BLOCK_ELEMENTS = 4_000_000
 #: Stacked chunks of a joint pass divide their element budget by it, so
 #: the working set stays within the budget.
 JOINT_LIVE_ARRAYS = 4
+
+
+def block_rows(k: int, block_elements: int = DEFAULT_BLOCK_ELEMENTS) -> int:
+    """Target rows per row block of :meth:`Kernel.potential` /
+    :meth:`Kernel.potential_and_force` against ``k`` sources.
+
+    The first block of an ``(m, k)`` evaluation is its largest:
+    ``min(m, block_rows(k)) * k`` elements per ``(m, k)`` array, which
+    is what the evaluators reserve in a workspace.
+    """
+    return max(1, block_elements // max(k, 1))
 
 
 class Kernel(abc.ABC):
@@ -125,6 +152,8 @@ class Kernel(abc.ABC):
         targets: np.ndarray,
         sources: np.ndarray,
         coincident: dict | None = None,
+        *,
+        workspace=None,
     ) -> np.ndarray:
         """Stacked :meth:`pairwise`: ``(G, m, 3) x (G, k, 3) -> (G, m, k)``.
 
@@ -137,6 +166,8 @@ class Kernel(abc.ABC):
         ``supports_batched_pairwise`` implement it.  ``coincident`` is
         :meth:`potential`'s, the whole stack being one block; pass the
         same dict to :meth:`potential_force_batched` on the same stack.
+        With a ``workspace`` the result is one of its views, valid until
+        the next call on that workspace.
         """
         raise NotImplementedError(
             f"kernel {self.name!r} has no batched pairwise primitive"
@@ -148,6 +179,8 @@ class Kernel(abc.ABC):
         sources: np.ndarray,
         weights: np.ndarray,
         coincident: dict | None = None,
+        *,
+        workspace=None,
     ) -> np.ndarray:
         """Stacked potentials ``phi[b] = pairwise_batched(...)[b] @ w[b]``.
 
@@ -155,10 +188,15 @@ class Kernel(abc.ABC):
         the kernel stack is built once and every column runs the
         identical single-vector batched GEMV on a contiguous column
         copy, so column ``j`` of the ``(G, m, n_rhs)`` result is bitwise
-        the single-vector result on ``weights[..., j]``.
+        the single-vector result on ``weights[..., j]``.  ``workspace``
+        holds the kernel stack (see the module docstring); the result is
+        a fresh array either way.
         """
         return _gemv_stack(
-            self.pairwise_batched(targets, sources, coincident), weights
+            self.pairwise_batched(
+                targets, sources, coincident, workspace=workspace
+            ),
+            weights,
         )
 
     def potential_force_batched(
@@ -167,6 +205,8 @@ class Kernel(abc.ABC):
         sources: np.ndarray,
         weights: np.ndarray,
         coincident: dict | None = None,
+        *,
+        workspace=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`potential_batched` and the stacked forces
         ``F[b, i] = -sum_j grad G(t_bi, s_bj) w_bj`` in one pass.
@@ -174,8 +214,8 @@ class Kernel(abc.ABC):
         Returns ``(phi, forces)``, forces shaped ``(G, m, 3)`` (or
         ``(G, m, 3, n_rhs)``); ``phi`` is bitwise
         :meth:`potential_batched`'s on the same stack and ``coincident``
-        slot.  Only kernels advertising ``supports_batched_pairwise``
-        implement it.
+        slot.  ``workspace`` is :meth:`potential_batched`'s.  Only
+        kernels advertising ``supports_batched_pairwise`` implement it.
         """
         raise NotImplementedError(
             f"kernel {self.name!r} has no batched pairwise primitive"
@@ -192,6 +232,7 @@ class Kernel(abc.ABC):
         fused: bool = False,
         coincident: dict | None = None,
         mirror: tuple | None = None,
+        workspace=None,
     ) -> np.ndarray:
         """Accumulate ``phi_i = sum_j G(x_i, y_j) q_j`` blockwise.
 
@@ -228,6 +269,10 @@ class Kernel(abc.ABC):
         block, so column ``j`` of ``out_t`` stays bitwise a
         single-vector call's.  (A transposed contiguous copy would
         switch BLAS kernels and break that.)
+
+        ``workspace`` (a :class:`~repro.kernels.workspace.Workspace`)
+        receives each row block's kernel matrix and its r^2 instead of
+        fresh arrays; bitwise the same results.
         """
         targets = np.atleast_2d(targets)
         sources = np.atleast_2d(sources)
@@ -244,13 +289,14 @@ class Kernel(abc.ABC):
         if k == 0 or m == 0:
             return out
         fused = fused and self.supports_fused_pairwise
-        rows_per_block = max(1, block_elements // max(k, 1))
+        rows_per_block = block_rows(k, block_elements)
         if mirror is not None:
             col0, q_t, out_t = mirror
         if not multi:
             for lo, hi in chunk_ranges(m, rows_per_block):
                 mat = self._pairwise_block(
-                    targets[lo:hi], sources, fused, coincident, (lo, hi)
+                    targets[lo:hi], sources, fused, coincident, (lo, hi),
+                    workspace,
                 )
                 out[lo:hi] += mat @ charges
                 if mirror is not None:
@@ -263,7 +309,8 @@ class Kernel(abc.ABC):
             cols_t = [np.ascontiguousarray(q_t[:, r]) for r in range(len(cols))]
         for lo, hi in chunk_ranges(m, rows_per_block):
             mat = self._pairwise_block(
-                targets[lo:hi], sources, fused, coincident, (lo, hi)
+                targets[lo:hi], sources, fused, coincident, (lo, hi),
+                workspace,
             )
             for r, col in enumerate(cols):
                 out[lo:hi, r] += mat @ col
@@ -375,13 +422,15 @@ class Kernel(abc.ABC):
         fused: bool = False,
         coincident: dict | None = None,
         mirror: tuple | None = None,
+        workspace=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`potential` and :meth:`force` of one target/source set.
 
         Accumulates into ``out`` / ``forces`` (allocated as those two
         methods would when None) and returns both.  ``mirror`` is
         ``(col0, charges_t, out_t, forces_t)``: the two methods'
-        ``mirror`` tuples sharing ``col0`` and ``charges_t``.
+        ``mirror`` tuples sharing ``col0`` and ``charges_t``;
+        ``workspace`` is :meth:`potential`'s.
 
         The generic form makes the two calls; :class:`RadialKernel`
         overrides it with one pass per row block.
@@ -395,19 +444,22 @@ class Kernel(abc.ABC):
             block_elements=block_elements, fused=fused, coincident=coincident
         )
         out = self.potential(
-            targets, sources, charges, out=out, mirror=pot_mirror, **kw
+            targets, sources, charges, out=out, mirror=pot_mirror,
+            workspace=workspace, **kw
         )
         forces = self.force(
             targets, sources, charges, out=forces, mirror=force_mirror, **kw
         )
         return out, forces
 
-    def _pairwise_block(self, targets, sources, fused, coincident, key):
+    def _pairwise_block(
+        self, targets, sources, fused, coincident, key, workspace=None
+    ):
         """One row block of :meth:`potential`'s kernel matrix.
 
-        The generic kernel has no coincidence scan to save, so
-        ``coincident`` / ``key`` go unused; :class:`RadialKernel`
-        overrides both block hooks.
+        The generic kernel has no coincidence scan to save and no
+        workspace hooks, so ``coincident`` / ``key`` / ``workspace`` go
+        unused; :class:`RadialKernel` overrides both block hooks.
         """
         if fused:
             return self.pairwise_fused(targets, sources)
@@ -449,8 +501,11 @@ class RadialKernel(Kernel):
     Kernels override :meth:`evaluate_radial` to share their sqrt / exp /
     divisions between the two factors; its ``g`` must be bitwise
     :meth:`evaluate_r`'s, so potentials do not depend on whether forces
-    were asked for.  :meth:`force` and :meth:`evaluate_dr_over_r` stay
-    the byte-stable reference the ``numpy`` backend runs.
+    were asked for.  Given a workspace, the evaluators pass its buffers
+    to :meth:`evaluate_r_into` / :meth:`evaluate_radial` as ``out``;
+    kernels that do not override the hooks return fresh arrays.
+    :meth:`force` and :meth:`evaluate_dr_over_r` stay the byte-stable
+    reference the ``numpy`` backend runs.
 
     Every evaluation path (:meth:`pairwise`, :meth:`pairwise_fused`, the
     stacked ``*_batched`` forms and :meth:`potential` / :meth:`force` /
@@ -491,13 +546,29 @@ class RadialKernel(Kernel):
             f"kernel {self.name!r} does not implement evaluate_dr_over_r"
         )
 
-    def evaluate_radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_r_into(self, r: np.ndarray, out: np.ndarray | None):
+        """:meth:`evaluate_r`, written into ``out`` where the kernel can.
+
+        The potential pass's ``out=`` hook: ``out`` is a buffer of
+        ``r``'s shape and dtype (or None: allocate), not aliasing ``r``.
+        Returns the array holding ``g`` -- ``out`` in an override, which
+        must be bitwise :meth:`evaluate_r`; the default returns
+        :meth:`evaluate_r`'s fresh array.
+        """
+        return self.evaluate_r(r)
+
+    def evaluate_radial(
+        self, r: np.ndarray, out: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Both radial factors ``(g(r), g'(r) / r)`` from one ``r > 0``.
 
         The joint pass's hook.  The default calls :meth:`evaluate_r` and
-        :meth:`evaluate_dr_over_r`; overrides share work between them,
-        keep ``g`` bitwise :meth:`evaluate_r`'s and return two fresh
-        arrays (neither may alias ``r``, which the caller reuses).
+        :meth:`evaluate_dr_over_r`; overrides share work between them
+        and keep ``g`` bitwise :meth:`evaluate_r`'s.  ``out`` is None or
+        a ``(g, f)`` pair of buffers shaped like ``r`` (or None: allocate)
+        that an override writes the factors into; the default returns
+        two fresh arrays.  Neither factor may alias ``r``, which the
+        caller reuses.
         """
         return self.evaluate_r(r), self.evaluate_dr_over_r(r)
 
@@ -552,33 +623,51 @@ class RadialKernel(Kernel):
         r2, zero_idx = self._pairwise_r2_fused(targets, sources)
         return self._finish_pairwise(r2, zero_idx)
 
-    def _finish_pairwise(self, r2, zero_idx) -> np.ndarray:
+    def _finish_pairwise(self, r2, zero_idx, workspace=None) -> np.ndarray:
         """sqrt + kernel + sparse coincidence patch on an owned r2."""
         r2.put(zero_idx, 1.0)
         np.sqrt(r2, out=r2)
-        g = self.evaluate_r(r2)
+        g = self.evaluate_r_into(
+            r2, take(workspace, "g", r2.shape, r2.dtype)
+        )
         g.put(zero_idx, self.evaluate_r0())
         return g
 
     def _pairwise_r2(
-        self, targets: np.ndarray, sources: np.ndarray, zero_idx=None
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        zero_idx=None,
+        workspace=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Squared distances and the coincident entries' flat indices.
 
         The indices come from the noise-floor scan unless the caller
         already holds them (``zero_idx``, from an earlier call on the
         same coordinates), in which case they pass straight through.
+        With a ``workspace``, r^2 and its GEMM term live in its slots.
         """
         t2 = np.einsum("md,md->m", targets, targets)
         s2 = np.einsum("kd,kd->k", sources, sources)
-        r2 = t2[:, None] + s2[None, :]
-        r2 -= 2.0 * (targets @ sources.T)
+        shape = (len(targets), len(sources))
+        dtype = np.result_type(targets, sources)
+        r2 = np.add(
+            t2[:, None], s2[None, :], out=take(workspace, "r2", shape, dtype)
+        )
+        cross = np.matmul(
+            targets, sources.T, out=take(workspace, "cross", shape, dtype)
+        )
+        r2 -= np.multiply(2.0, cross, out=cross)
         if zero_idx is None:
             zero_idx = _scan_coincident(r2, t2, s2)
         return r2, zero_idx
 
     def _pairwise_r2_fused(
-        self, targets: np.ndarray, sources: np.ndarray, zero_idx=None
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        zero_idx=None,
+        workspace=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_pairwise_r2` without the O(M K) temporaries.
 
@@ -594,30 +683,44 @@ class RadialKernel(Kernel):
         the einsum subscripts and the matmul degenerate to exactly the
         old expressions) and the stacked ``(G, m, 3) x (G, k, 3)``
         batched path, whose noise floor then derives from the whole
-        stack's coordinate scale (every block shares one floor).
+        stack's coordinate scale (every block shares one floor).  With a
+        ``workspace`` the GEMM writes into its ``"r2"`` slot.
         """
         t2 = np.einsum("...md,...md->...m", targets, targets)
         s2 = np.einsum("...kd,...kd->...k", sources, sources)
-        r2 = targets @ (sources * -2.0).swapaxes(-1, -2)
+        shape = targets.shape[:-1] + sources.shape[-2:-1]
+        r2 = np.matmul(
+            targets,
+            (sources * -2.0).swapaxes(-1, -2),
+            out=take(
+                workspace, "r2", shape, np.result_type(targets, sources)
+            ),
+        )
         r2 += t2[..., :, None]
         r2 += s2[..., None, :]
         if zero_idx is None:
             zero_idx = _scan_coincident(r2, t2, s2)
         return r2, zero_idx
 
-    def _r2_block(self, targets, sources, fused, coincident, key):
+    def _r2_block(
+        self, targets, sources, fused, coincident, key, workspace=None
+    ):
         """r^2 and coincident indices of one block, scanned at most once
         per ``coincident`` dict (every time when there is none)."""
         r2_of = self._pairwise_r2_fused if fused else self._pairwise_r2
         if coincident is None:
-            return r2_of(targets, sources)
-        r2, zero_idx = r2_of(targets, sources, coincident.get(key))
+            return r2_of(targets, sources, None, workspace)
+        r2, zero_idx = r2_of(targets, sources, coincident.get(key), workspace)
         coincident[key] = zero_idx
         return r2, zero_idx
 
-    def _pairwise_block(self, targets, sources, fused, coincident, key):
-        r2, zero_idx = self._r2_block(targets, sources, fused, coincident, key)
-        return self._finish_pairwise(r2, zero_idx)
+    def _pairwise_block(
+        self, targets, sources, fused, coincident, key, workspace=None
+    ):
+        r2, zero_idx = self._r2_block(
+            targets, sources, fused, coincident, key, workspace
+        )
+        return self._finish_pairwise(r2, zero_idx, workspace)
 
     def _gradient_block(self, targets, sources, fused, coincident, key):
         r2, zero_idx = self._r2_block(targets, sources, fused, coincident, key)
@@ -628,6 +731,8 @@ class RadialKernel(Kernel):
         targets: np.ndarray,
         sources: np.ndarray,
         coincident: dict | None = None,
+        *,
+        workspace=None,
     ) -> np.ndarray:
         """Stacked kernel matrices on the fused r^2 accumulation.
 
@@ -637,7 +742,7 @@ class RadialKernel(Kernel):
         ``(G, m, k)`` stack at once.
         """
         return self._pairwise_block(
-            targets, sources, True, coincident, (0, len(targets))
+            targets, sources, True, coincident, (0, len(targets)), workspace
         )
 
     def potential_force_batched(
@@ -646,6 +751,8 @@ class RadialKernel(Kernel):
         sources: np.ndarray,
         weights: np.ndarray,
         coincident: dict | None = None,
+        *,
+        workspace=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stacked potentials and factored radial forces, one pass.
 
@@ -669,7 +776,7 @@ class RadialKernel(Kernel):
         output column is bitwise the single-vector result for it.
         """
         g, f, scratch = self._radial_block(
-            targets, sources, True, coincident, (0, len(targets))
+            targets, sources, True, coincident, (0, len(targets)), workspace
         )
         phi = _gemv_stack(g, weights)
         if weights.ndim == np.ndim(targets):
@@ -699,6 +806,7 @@ class RadialKernel(Kernel):
         fused: bool = False,
         coincident: dict | None = None,
         mirror: tuple | None = None,
+        workspace=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """One radial pass per row block for potential and force.
 
@@ -715,9 +823,9 @@ class RadialKernel(Kernel):
         rounds the r^2 GEMM and the GEMV differently for different row
         counts, and the block also sets the coincidence noise floor.
         The pass holds ``r`` (reused as the contraction scratch), ``g``
-        and ``f`` per block -- no more ``(m, K)`` arrays than
-        :meth:`potential`'s own Yukawa evaluation (``r``, ``-kappa r``,
-        its exp) -- and the force contraction allocates none.
+        and ``f`` per block -- the slots ``"r2"``, ``"g"`` and ``"f"`` of
+        a ``workspace``, else fresh per block -- and the force
+        contraction allocates none.
 
         Multi-RHS: every column runs the single-vector contractions on
         the shared factors (contiguous column copies), so column ``j``
@@ -758,23 +866,25 @@ class RadialKernel(Kernel):
         if mirror is not None:
             col0, q_t, out_t, forces_t = mirror
             mirror = (col0, columns(np.asarray(q_t), out_t, forces_t))
-        for lo, hi in chunk_ranges(m, max(1, block_elements // k)):
-            # One call per block: its arrays are freed before the next
-            # block forms its own.
+        for lo, hi in chunk_ranges(m, block_rows(k, block_elements)):
+            # One call per block: it is done with its arrays (freed, or
+            # workspace views the next block overwrites) when it returns.
             self._joint_block(
-                targets, sources, fused, coincident, (lo, hi), cols, mirror
+                targets, sources, fused, coincident, (lo, hi), cols, mirror,
+                workspace,
             )
         return out, forces
 
     def _joint_block(
-        self, targets, sources, fused, coincident, key, cols, mirror
+        self, targets, sources, fused, coincident, key, cols, mirror,
+        workspace,
     ):
         """Row block ``key = (lo, hi)`` of :meth:`potential_and_force`:
         ``cols`` / ``mirror`` are its per-column operands."""
         lo, hi = key
         tgt = targets[lo:hi]
         g, f, scratch = self._radial_block(
-            tgt, sources, fused, coincident, key
+            tgt, sources, fused, coincident, key, workspace
         )
         for q, phi, frc in cols:
             phi[lo:hi] += g @ q
@@ -789,19 +899,30 @@ class RadialKernel(Kernel):
             fq = _scaled(f_t, q[lo:hi, None], scratch_t)
             frc += fq.T @ tgt - sources[col0:] * fq.sum(axis=0)[:, None]
 
-    def _radial_block(self, targets, sources, fused, coincident, key):
+    def _radial_block(
+        self, targets, sources, fused, coincident, key, workspace=None
+    ):
         """``g``, ``g'/r`` and a scratch buffer of one block.
 
         One r^2 pass (:meth:`_r2_block`), one sqrt in place, one
-        :meth:`evaluate_radial`, one coincidence patch of each factor
+        :meth:`evaluate_radial` (into the workspace's ``"g"`` / ``"f"``
+        slots when there is one), one coincidence patch of each factor
         (``evaluate_r0`` and zero force).  The r buffer is free after
         that and comes back as the ``(..., m, k)`` scratch of the force
         contraction -- None if a factor aliases it.
         """
-        r, zero_idx = self._r2_block(targets, sources, fused, coincident, key)
+        r, zero_idx = self._r2_block(
+            targets, sources, fused, coincident, key, workspace
+        )
         r.put(zero_idx, 1.0)
         np.sqrt(r, out=r)
-        g, f = self.evaluate_radial(r)
+        g, f = self.evaluate_radial(
+            r,
+            out=(
+                take(workspace, "g", r.shape, r.dtype),
+                take(workspace, "f", r.shape, r.dtype),
+            ),
+        )
         g.put(zero_idx, self.evaluate_r0())
         f.put(zero_idx, 0.0)
         if np.may_share_memory(r, g) or np.may_share_memory(r, f):

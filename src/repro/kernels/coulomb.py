@@ -26,16 +26,22 @@ class CoulombKernel(RadialKernel):
     singular_at_origin = True
 
     def evaluate_r(self, r: np.ndarray) -> np.ndarray:
-        return 1.0 / r
+        return self.evaluate_r_into(r, None)
+
+    def evaluate_r_into(self, r: np.ndarray, out) -> np.ndarray:
+        return np.divide(1.0, r, out=out)
 
     def evaluate_dr_over_r(self, r: np.ndarray) -> np.ndarray:
         # d/dr (1/r) = -1/r^2, divided by r.
         return -1.0 / (r * r * r)
 
-    def evaluate_radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_radial(
+        self, r: np.ndarray, out: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         # One division: g'/r = -g^3.
-        g = 1.0 / r
-        f = g * g
+        g_out, f_out = (None, None) if out is None else out
+        g = self.evaluate_r_into(r, g_out)
+        f = np.multiply(g, g, out=f_out)
         f *= g
         np.negative(f, out=f)
         return g, f

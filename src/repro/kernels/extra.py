@@ -56,15 +56,25 @@ class GaussianKernel(RadialKernel):
         self.sigma = float(sigma)
 
     def evaluate_r(self, r: np.ndarray) -> np.ndarray:
-        return np.exp(-0.5 * (r / self.sigma) ** 2)
+        return self.evaluate_r_into(r, None)
+
+    def evaluate_r_into(self, r: np.ndarray, out) -> np.ndarray:
+        # exp(-0.5 (r / sigma)^2), every pass in one buffer.
+        g = np.divide(r, self.sigma, out=out)
+        np.square(g, out=g)
+        np.multiply(-0.5, g, out=g)
+        return np.exp(g, out=g)
 
     def evaluate_dr_over_r(self, r: np.ndarray) -> np.ndarray:
         return -self.evaluate_r(r) / (self.sigma * self.sigma)
 
-    def evaluate_radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_radial(
+        self, r: np.ndarray, out: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         # One exp: g'/r = -g / sigma^2 (bitwise evaluate_dr_over_r's).
-        g = self.evaluate_r(r)
-        return g, g / -(self.sigma * self.sigma)
+        g_out, f_out = (None, None) if out is None else out
+        g = self.evaluate_r_into(r, g_out)
+        return g, np.divide(g, -(self.sigma * self.sigma), out=f_out)
 
     def evaluate_r0(self) -> float:
         return 1.0

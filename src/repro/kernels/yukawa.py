@@ -31,17 +31,27 @@ class YukawaKernel(RadialKernel):
         self.kappa = float(kappa)
 
     def evaluate_r(self, r: np.ndarray) -> np.ndarray:
-        return np.exp(-self.kappa * r) / r
+        return self.evaluate_r_into(r, None)
+
+    def evaluate_r_into(self, r: np.ndarray, out) -> np.ndarray:
+        # exp(-kappa r) / r, every pass in one buffer.
+        g = np.multiply(-self.kappa, r, out=out)
+        np.exp(g, out=g)
+        g /= r
+        return g
 
     def evaluate_dr_over_r(self, r: np.ndarray) -> np.ndarray:
         # d/dr (e^{-kr}/r) = -e^{-kr} (k r + 1) / r^2, divided by r.
         return -np.exp(-self.kappa * r) * (self.kappa * r + 1.0) / (r**3)
 
-    def evaluate_radial(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_radial(
+        self, r: np.ndarray, out: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         # One exp: g'/r = -(kappa r + 1) g / r^2, from the -kappa r that
         # feeds the exp (g itself is evaluate_r's expression, bitwise).
-        f = -self.kappa * r
-        g = np.exp(f)
+        g_out, f_out = (None, None) if out is None else out
+        f = np.multiply(-self.kappa, r, out=f_out)
+        g = np.exp(f, out=g_out)
         g /= r
         f -= 1.0
         f *= g

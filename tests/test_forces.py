@@ -20,6 +20,7 @@ from repro import (
 from repro.core.backends import multiproc
 from repro.core.backends.batcheval import eval_bucket
 from repro.kernels.base import JOINT_LIVE_ARRAYS
+from repro.kernels.workspace import Workspace
 
 GRAD_KERNELS = [
     CoulombKernel(),
@@ -223,7 +224,9 @@ class TestJointPassMemory:
     chunk divides the budget by every live stack of the joint pass), a
     per-group force block within ``JOINT_LIVE_ARRAYS``x (the row blocks
     are the potential's, and the pass holds r, g and g'/r).  Output
-    stacks and their scatter copies are allowed on top.
+    stacks and their scatter copies are allowed on top.  The
+    workspace-on variants hold the same evaluations, writing into a
+    :class:`~repro.kernels.workspace.Workspace`, to the same bounds.
     """
 
     @staticmethod
@@ -238,7 +241,7 @@ class TestJointPassMemory:
             tracemalloc.stop()
         return peak - base
 
-    def test_yukawa_force_bucket(self):
+    def _bucket_peak_within_budget(self, workspace):
         cube = random_cube(3000, seed=5)
         kernel = YukawaKernel(kappa=0.5)
         params = TreecodeParams(
@@ -262,13 +265,14 @@ class TestJointPassMemory:
                 bucket, plan.targets_as(np.float64),
                 plan.src_points_as(np.float64), kernel, np.float64, True,
                 out, forces, block_elements=budget,
+                workspace=Workspace() if workspace else None,
             )
         )
         itemsize = 8
         outputs = 3 * bucket.n_entries * bucket.m_max * 4 * itemsize
         assert peak <= budget * itemsize + outputs
 
-    def test_fused_force_block(self, rng):
+    def _fused_peak_within_budget(self, rng, workspace):
         kernel = YukawaKernel(kappa=0.5)
         t = rng.uniform(-1, 1, (1500, 3))
         s = rng.uniform(-1, 1, (2000, 3))
@@ -279,6 +283,21 @@ class TestJointPassMemory:
             lambda: kernel.potential_and_force(
                 t, s, q, out=out, forces=forces, fused=True,
                 block_elements=budget, coincident={},
+                workspace=Workspace() if workspace else None,
             )
         )
         assert peak <= JOINT_LIVE_ARRAYS * budget * 8 + 16 * len(t)
+
+    def test_yukawa_force_bucket(self):
+        self._bucket_peak_within_budget(workspace=False)
+
+    def test_yukawa_force_bucket_workspace(self):
+        # The workspace's buffers are allocated inside the traced run
+        # (one per slot, at the first chunk's size): same bound.
+        self._bucket_peak_within_budget(workspace=True)
+
+    def test_fused_force_block(self, rng):
+        self._fused_peak_within_budget(rng, workspace=False)
+
+    def test_fused_force_block_workspace(self, rng):
+        self._fused_peak_within_budget(rng, workspace=True)
