@@ -100,11 +100,17 @@ to a common width with **zero weights**.
 :meth:`ExecutionPlan.ensure_batched_layout` -- the one way to get a
 layout; the ``"batched"`` backend calls it on first use, callers that
 want the build up front call it themselves -- derives a
-:class:`BatchedLayout` covering both from the index arrays:
+:class:`BatchedLayout` covering both from the index arrays, in array
+passes rather than a walk over segments.  One pass over ``seg_kind``
+and ``seg_group_ptr`` gives the *run table*: every equal-kind run of
+every group (a run opens where a group opens or the kind changes), with
+its total source rows and whether its segments share one size
+(``reduceat``).  A Python loop over the runs -- not the segments --
+then sorts them:
 
 * runs whose segments all share one size are classified by the
   signature ``(n_segments, rows_per_segment, kind)`` and collected into
-  uniform :class:`BatchedBucket`\\ s, exactly as before;
+  uniform :class:`BatchedBucket`\\ s;
 * every remaining run -- ragged near-field runs, sub-minimum uniform
   leftovers, repeated same-signature runs of one group -- enters a
   per-kind *padded pool*.  Pool entries are sorted by ``(m, k)`` and
@@ -116,6 +122,11 @@ want the build up front call it themselves -- derives a
   least :data:`BATCHED_MIN_GROUPS` entries becomes a *padded* bucket;
   smaller slabs fall back to the per-group ``ragged_runs`` list.
 
+Every bucket comes from one materializer in one array pass over its
+entries (``np.repeat`` / ``cumsum`` expand segment ranges, then rows).
+The memory rule is *per bucket*: transient index arrays never exceed
+the largest bucket's own matrices (one expansion over the whole plan
+would hold tens of MB of index temporaries on fine plans).
 Per bucket the layout stores
 
 * ``tgt_index`` -- a ``(G, m_max)`` target-row matrix, padded per entry
@@ -944,17 +955,17 @@ class ExecutionPlan:
         Segments of one group are stored kind-contiguously by the
         builder, so one run per kind is the common case; interleaved
         kinds simply yield more runs (still correct, just more calls).
+        The boundaries are :func:`_kind_run_starts`'s, the same rule the
+        batched layout's run table uses.
         """
         lo = int(self.seg_group_ptr[g])
         hi = int(self.seg_group_ptr[g + 1])
-        s = lo
-        while s < hi:
-            k = self.seg_kind[s]
-            e = s + 1
-            while e < hi and self.seg_kind[e] == k:
-                e += 1
-            yield self.kind_names[k], s, e
-            s = e
+        starts = _kind_run_starts(
+            self.seg_kind[lo:hi], self.seg_group_ptr[g:g + 2] - lo
+        )
+        bounds = (starts + lo).tolist() + [hi]
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            yield self.kind_names[self.seg_kind[s]], s, e
 
     def segment_counts_by_kind(self) -> dict[str, int]:
         """Number of segments (== simulated launches) per kind."""
@@ -973,112 +984,82 @@ class ExecutionPlan:
         return float(np.dot(sizes, groups))
 
 
-def _build_bucket(plan: ExecutionPlan, sig, entries) -> BatchedBucket:
-    """Materialize one bucket's index matrices from its (group, run)s."""
-    n_seg, seg_size, kind = sig
-    k = n_seg * seg_size
-    n = len(entries)
-    m_sizes = np.array([e[2] for e in entries], dtype=np.intp)
-    m_max = int(m_sizes.max())
-    tgt_index = np.empty((n, m_max), dtype=np.intp)
-    src_index = np.empty((n, k), dtype=np.intp)
-    seg_src_lo = plan.seg_src_lo
-    for i, (g, t_lo, m, s_lo, s_hi) in enumerate(entries):
-        tgt_index[i, :m] = np.arange(t_lo, t_lo + m)
-        tgt_index[i, m:] = t_lo
-        for j, s in enumerate(range(s_lo, s_hi)):
-            lo = int(seg_src_lo[s])
-            src_index[i, j * seg_size:(j + 1) * seg_size] = np.arange(
-                lo, lo + seg_size
-            )
-    if int(m_sizes.min()) == m_max:
-        scatter_pos = None
-        flat_rows = tgt_index.reshape(-1)
-    else:
-        valid = np.arange(m_max)[None, :] < m_sizes[:, None]
-        scatter_pos = np.nonzero(valid.reshape(-1))[0]
-        flat_rows = tgt_index.reshape(-1)[scatter_pos]
-    return BatchedBucket(
-        kind=kind,
-        n_segments=n_seg,
-        rows_per_segment=seg_size,
-        m_max=m_max,
-        groups=np.array([e[0] for e in entries], dtype=np.intp),
-        tgt_index=tgt_index,
-        src_index=src_index,
-        out_slots=np.ascontiguousarray(plan.out_index[flat_rows]),
-        scatter_pos=scatter_pos,
-        weights=plan.src_weights[src_index],
-    )
+def _kind_run_starts(seg_kind, seg_group_ptr) -> np.ndarray:
+    """First segment of every equal-kind run, in segment order.
 
-
-def _build_padded_bucket(
-    plan: ExecutionPlan, kind: str, entries
-) -> BatchedBucket:
-    """Materialize one zero-weight-padded bucket from pool entries.
-
-    ``entries`` are ``(k, m, g, t_lo, s_lo, s_hi)`` tuples (one
-    equal-kind run each, ``k`` the run's total source rows).  Source
-    columns past an entry's ``k`` repeat the entry's first physical
-    source row -- a real coordinate, so the kernel value is finite (or
-    noise-floor patched if coincident with a target) and the zero
-    weight stored for the pad makes its contribution exactly ``0.0``.
+    A segment opens a run when it opens its group or its kind differs
+    from the previous segment's -- the one run-boundary rule, shared by
+    :meth:`ExecutionPlan.group_kind_runs` and the layout's run table.
     """
+    n = len(seg_kind)
+    opens = np.ones(n, dtype=bool)
+    np.not_equal(seg_kind[1:], seg_kind[:-1], out=opens[1:])
+    firsts = seg_group_ptr[:-1]
+    opens[firsts[firsts < n]] = True
+    return np.flatnonzero(opens)
+
+
+def _concat_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(l, l + c) for l, c in zip(lo, counts)])``
+    as one array pass."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(lo - offsets, counts) + np.arange(counts.sum())
+
+
+def _build_bucket(
+    plan: ExecutionPlan, kind: str, entries, n_segments=0, rows_per_segment=0
+) -> BatchedBucket:
+    """Materialize one bucket from its ``(k, m, g, t_lo, s_lo, s_hi)``
+    entries (one equal-kind run each: ``k`` source rows, ``m`` target
+    rows from ``t_lo``, segments ``[s_lo, s_hi)``).
+
+    Array passes over this bucket's entries alone, so transient index
+    arrays never exceed the bucket's own matrices.  Target pads repeat
+    the entry's first row; source columns past an entry's ``k`` repeat
+    its first physical source row, whose zero weight makes the pad
+    contribute exactly ``0.0``.  Equal-``k`` entries (every uniform
+    bucket) carry no source padding and no mask.
+    """
+    e = np.array(entries, dtype=np.intp)
+    k_sizes, m_sizes, t_lo, s_lo, s_hi = (e[:, i] for i in (0, 1, 3, 4, 5))
     n = len(entries)
-    k_sizes = np.array([e[0] for e in entries], dtype=np.intp)
-    m_sizes = np.array([e[1] for e in entries], dtype=np.intp)
-    k_max = int(k_sizes.max())
-    m_max = int(m_sizes.max())
-    tgt_index = np.empty((n, m_max), dtype=np.intp)
-    src_index = np.empty((n, k_max), dtype=np.intp)
-    seg_sizes = np.diff(plan.seg_ptr)
-    seg_src_lo = plan.seg_src_lo
-    for i, (k, m, g, t_lo, s_lo, s_hi) in enumerate(entries):
-        tgt_index[i, :m] = np.arange(t_lo, t_lo + m)
-        tgt_index[i, m:] = t_lo
-        pos = 0
-        for s in range(s_lo, s_hi):
-            lo = int(seg_src_lo[s])
-            size = int(seg_sizes[s])
-            src_index[i, pos:pos + size] = np.arange(lo, lo + size)
-            pos += size
-        src_index[i, pos:] = src_index[i, 0]
+    k_max, m_max = int(k_sizes.max()), int(m_sizes.max())
+    rows = np.arange(m_max)
+    tgt_valid = rows < m_sizes[:, None]
+    tgt_index = np.where(tgt_valid, t_lo[:, None] + rows, t_lo[:, None])
     if int(m_sizes.min()) == m_max:
         scatter_pos = None
         flat_rows = tgt_index.reshape(-1)
     else:
-        valid = np.arange(m_max)[None, :] < m_sizes[:, None]
-        scatter_pos = np.nonzero(valid.reshape(-1))[0]
+        scatter_pos = np.flatnonzero(tgt_valid)
         flat_rows = tgt_index.reshape(-1)[scatter_pos]
+    # Each entry's segments, then each segment's physical rows: the
+    # valid source columns of the bucket in row-major order.
+    segs = _concat_ranges(s_lo, s_hi - s_lo)
+    sizes = plan.seg_ptr[segs + 1] - plan.seg_ptr[segs]
+    src_rows = _concat_ranges(plan.seg_src_lo[segs], sizes)
     if int(k_sizes.min()) == k_max:
-        # Equal-k slab: no source padding, so skip the mask entirely
-        # and let refreshes take the uniform full-gather path.
-        return BatchedBucket(
-            kind=kind,
-            n_segments=0,
-            rows_per_segment=0,
-            m_max=m_max,
-            groups=np.array([e[2] for e in entries], dtype=np.intp),
-            tgt_index=tgt_index,
-            src_index=src_index,
-            out_slots=np.ascontiguousarray(plan.out_index[flat_rows]),
-            scatter_pos=scatter_pos,
-            weights=plan.src_weights[src_index],
+        src_index = src_rows.reshape(n, k_max)
+        src_valid = None
+        weights = plan.src_weights[src_index]
+    else:
+        src_valid = np.arange(k_max) < k_sizes[:, None]
+        src_index = np.empty((n, k_max), dtype=np.intp)
+        src_index[src_valid] = src_rows
+        src_index[~src_valid] = np.repeat(src_index[:, 0], k_max - k_sizes)
+        weights = np.zeros(
+            src_index.shape + plan.src_weights.shape[1:], dtype=np.float64
         )
-    src_valid = np.arange(k_max)[None, :] < k_sizes[:, None]
-    weights = np.zeros(
-        src_index.shape + plan.src_weights.shape[1:], dtype=np.float64
-    )
-    weights[src_valid] = plan.src_weights[src_index[src_valid]]
+        weights[src_valid] = plan.src_weights[src_rows]
     return BatchedBucket(
         kind=kind,
-        n_segments=0,
-        rows_per_segment=0,
+        n_segments=n_segments,
+        rows_per_segment=rows_per_segment,
         m_max=m_max,
-        groups=np.array([e[2] for e in entries], dtype=np.intp),
+        groups=np.ascontiguousarray(e[:, 2]),
         tgt_index=tgt_index,
         src_index=src_index,
-        out_slots=np.ascontiguousarray(plan.out_index[flat_rows]),
+        out_slots=plan.out_index[flat_rows],
         scatter_pos=scatter_pos,
         weights=weights,
         src_valid=src_valid,
@@ -1138,13 +1119,43 @@ def _partition_padded_pool(entries):
     return slabs, []
 
 
+def _run_table(plan: ExecutionPlan) -> np.ndarray:
+    """The ``(R, 8)`` table of the plan's live equal-kind runs.
+
+    One row per run, in (group, segment) order: ``(k, m, g, t_lo, s_lo,
+    s_hi, kind, size)`` -- total source rows, target rows, group, first
+    target row, segment range, kind index, and the common size of its
+    segments (0 when the sizes differ or are 0).  Runs without targets
+    or without sources contribute nothing and are left out.
+    """
+    seg_sizes = np.diff(plan.seg_ptr)
+    s_lo = _kind_run_starts(plan.seg_kind, plan.seg_group_ptr)
+    size_max = np.maximum.reduceat(seg_sizes, s_lo)
+    size_min = np.minimum.reduceat(seg_sizes, s_lo)
+    group = np.searchsorted(plan.seg_group_ptr, s_lo, side="right") - 1
+    t_lo = plan.group_ptr[group]
+    table = np.stack([
+        np.add.reduceat(seg_sizes, s_lo),
+        plan.group_ptr[group + 1] - t_lo,
+        group,
+        t_lo,
+        s_lo,
+        np.append(s_lo, plan.n_segments)[1:],
+        plan.seg_kind[s_lo],
+        np.where(size_max == size_min, size_min, 0),
+    ], axis=1)
+    return table[(table[:, 0] > 0) & (table[:, 1] > 0)]
+
+
 def build_batched_layout(plan: ExecutionPlan) -> BatchedLayout:
     """Bucket every equal-kind segment run of the plan, padded or not.
 
     Pure geometry: derived entirely from the index arrays, the output
     index and the gathered coordinates (the bucket weight matrices are
     gathered from the current flat weight buffer and rewritten by every
-    weight refresh).
+    weight refresh).  The runs come from :func:`_run_table` and each
+    bucket from :func:`_build_bucket`, one array pass each; only the
+    sort of runs into buckets loops in Python, once per run.
     Runs whose segments all share one size are bucketed under
     ``(n_segments, rows_per_segment, kind)``; a bucket whose single
     ``m_max`` padding would waste more than
@@ -1161,45 +1172,32 @@ def build_batched_layout(plan: ExecutionPlan) -> BatchedLayout:
     """
     if not plan.has_numerics:
         raise ValueError("model-only plan has no batched layout")
-    seg_sizes = np.diff(plan.seg_ptr)
     by_sig: dict = {}
     pool: dict[str, list] = {}
     ragged: list[tuple[int, int, int]] = []
-    for g in range(plan.n_groups):
-        t_lo = int(plan.group_ptr[g])
-        m = int(plan.group_ptr[g + 1]) - t_lo
-        for kind, s_lo, s_hi in plan.group_kind_runs(g):
-            sizes = seg_sizes[s_lo:s_hi]
-            size0 = int(sizes[0])
-            k_total = int(sizes.sum())
-            if m == 0 or k_total == 0:
-                continue  # no targets or no sources: contributes nothing
-            if size0 == 0 or not np.all(sizes == size0):
-                pool.setdefault(kind, []).append(
-                    (k_total, m, g, t_lo, s_lo, s_hi)
-                )
-                continue
-            sig = (s_hi - s_lo, size0, kind)
+    for row in _run_table(plan).tolist():
+        entry, kind, size = tuple(row[:6]), plan.kind_names[row[6]], row[7]
+        if size:
+            sig = (entry[5] - entry[4], size, kind)
             entries = by_sig.setdefault(sig, [])
-            if entries and entries[-1][0] == g:
-                # A second same-signature run of this group (interleaved
-                # kinds) cannot share the first run's bucket scatter;
-                # the pool's per-slab group guard handles it instead.
-                pool.setdefault(kind, []).append(
-                    (k_total, m, g, t_lo, s_lo, s_hi)
-                )
+            # A second same-signature run of one group (interleaved
+            # kinds) cannot share the first run's bucket scatter; the
+            # pool's per-slab group guard handles it instead.
+            if not entries or entries[-1][2] != entry[2]:
+                entries.append(entry)
                 continue
-            entries.append((g, t_lo, m, s_lo, s_hi))
+        pool.setdefault(kind, []).append(entry)
     buckets = []
     for sig in sorted(by_sig, key=lambda s: (s[2], s[0], s[1])):
+        n_seg, seg_size, kind = sig
         entries = by_sig[sig]
-        m_sizes = np.array([e[2] for e in entries], dtype=np.intp)
+        m_sizes = np.array([e[1] for e in entries], dtype=np.intp)
         m_max = int(m_sizes.max())
         waste = 1.0 - float(m_sizes.sum()) / (len(entries) * m_max)
         if waste > BATCHED_MAX_PADDING_WASTE:
             sub: dict[int, list] = {}
             for e in entries:
-                sub.setdefault(e[2], []).append(e)
+                sub.setdefault(e[1], []).append(e)
             partitions = [sub[m] for m in sorted(sub)]
         else:
             partitions = [entries]
@@ -1207,16 +1205,15 @@ def build_batched_layout(plan: ExecutionPlan) -> BatchedLayout:
             if len(part) < BATCHED_MIN_GROUPS:
                 # Too few same-shape runs to stack alone; let the padded
                 # pool absorb them next to similarly sized ragged work.
-                pool.setdefault(sig[2], []).extend(
-                    (sig[0] * sig[1], pm, g, pt_lo, s_lo, s_hi)
-                    for g, pt_lo, pm, s_lo, s_hi in part
-                )
+                pool.setdefault(kind, []).extend(part)
             else:
-                buckets.append(_build_bucket(plan, sig, part))
+                buckets.append(
+                    _build_bucket(plan, kind, part, n_seg, seg_size)
+                )
     for kind in sorted(pool):
         slabs, leftovers = _partition_padded_pool(pool[kind])
         for slab in slabs:
-            buckets.append(_build_padded_bucket(plan, kind, slab))
+            buckets.append(_build_bucket(plan, kind, slab))
         ragged.extend((e[2], e[4], e[5]) for e in leftovers)
     ragged.sort()
     # Merge segment-adjacent runs of one group: a group none of whose
