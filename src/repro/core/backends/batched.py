@@ -6,20 +6,19 @@ carries ``(p+1)^3`` rows).  The fused backend still walks them one group
 at a time -- a Python-loop iteration, a handful of small array calls and
 a tiny GEMV per group.  This backend consumes the plan's
 :class:`~repro.core.plan.BatchedLayout` instead: equal-kind segment runs
-are evaluated per *bucket* with stacked batched kernels
-(:meth:`~repro.kernels.base.Kernel.potential_batched`, or with forces
-one joint :meth:`~repro.kernels.base.Kernel.potential_force_batched`
-pass per chunk: r^2 and the radial factors formed once, the force
-contracted as ``(f w) S - t * rowsum(f w)``), one fancy-indexed
-output scatter per bucket, and no per-group Python iteration.  Force
-chunks hold a quarter of a potential chunk's entries, one per live
-``(g, m, k)`` stack of the joint pass, so both stay within
-:data:`~.batcheval.BUCKET_BLOCK_ELEMENTS`.  The near
-field -- ragged runs with per-cluster row counts -- is bucketed too,
-padded to a common source width with zero-weight repeats of real points
-(see the plan module docstring); on the default regimes over 95% of the
-plan's rows execute inside buckets (``BatchedLayout.coverage``), and
-only sub-minimum slab leftovers fall back to the fused per-group
+are evaluated per *bucket* with the stacked kernel driver
+(:meth:`~repro.kernels.base.RadialKernel.potential_batched`, one call
+per chunk; with a forces accumulator the same call forms r^2 and the
+radial factors once and contracts the force as ``(f w) S - t *
+rowsum(f w)``), one fancy-indexed output scatter per bucket, and no
+per-group Python iteration.  Force chunks hold a quarter of a
+potential chunk's entries, one per live ``(g, m, k)`` stack with
+forces, so both stay within :data:`~.batcheval.BUCKET_BLOCK_ELEMENTS`.
+The near field -- ragged runs with per-cluster row counts -- is bucketed
+too, padded to a common source width with zero-weight repeats of real
+points (see the plan module docstring); on the default regimes over 95%
+of the plan's rows execute inside buckets (``BatchedLayout.coverage``),
+and only sub-minimum slab leftovers fall back to the fused per-group
 arithmetic inside the same ``execute()``.
 
 This is the single-core analogue of the paper's uniform cluster-kernel
@@ -32,8 +31,9 @@ tolerance (the bucketed accumulation splits a group's approx/direct
 halves into separate sums and shares one coincidence noise floor per
 bucket chunk); repeated executions are bitwise identical (the layout,
 chunking and scatter order are all deterministic functions of the plan).
-Kernels without batched primitives fall back to the fused evaluation
-wholesale -- bitwise what :class:`~.fused.FusedBackend` returns.  Device
+A kernel that is not a :class:`~repro.kernels.base.RadialKernel` has
+no stacked arithmetic and falls back to the fused evaluation wholesale
+-- bitwise what :class:`~.fused.FusedBackend` returns.  Device
 accounting derives from the plan alone (bulk charging), so counters and
 simulated time match every other backend by construction.
 
@@ -51,6 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import BackendExecutionError
+from ...kernels.base import RadialKernel
 from .base import Backend, accumulate_rows, start_execute
 from .batcheval import eval_bucket, eval_ragged_runs, layout_block_elements
 from .groupeval import eval_plan, plan_arrays
@@ -78,9 +79,10 @@ class BatchedBackend(Backend):
             self, plan, kernel, device,
             dtype=dtype, compute_forces=compute_forces,
         )
-        if not getattr(kernel, "supports_batched_pairwise", False):
-            # No stacked primitives: evaluate the whole plan as the
-            # fused backend does (bitwise == FusedBackend).
+        if not isinstance(kernel, RadialKernel):
+            # A generic kernel has no stacked arithmetic: evaluate the
+            # whole plan as the fused backend does (bitwise ==
+            # FusedBackend).
             accumulate_rows(
                 plan, out, forces,
                 *eval_plan(plan, kernel, dtype, compute_forces, workspace),

@@ -7,21 +7,20 @@ and are usable inside multiprocessing shards: a pool worker holding the
 flat buffers and a pickled bucket calls :func:`eval_bucket` exactly as
 the parent would.
 
-Per bucket the evaluation is a handful of stacked array passes -- one
-batched GEMM for the r^2 cross term, elementwise kernel passes over the
-``(G, m, k)`` stack, one batched GEMV against the bucket's weight matrix
--- followed by a single fancy-indexed scatter of the valid rows.  No
-per-group Python iteration, no per-group target-block materialization.
-With forces, each chunk is one joint kernel call
-(:meth:`~repro.kernels.base.Kernel.potential_force_batched`): the same
-r^2, sqrt and radial factors feed the GEMV and the factored force
-``(f w) S - t * rowsum(f w)``, so r^2 is formed once per chunk.
-Buckets are chunked along the entry axis so the live ``(g, m, k)``
-arrays stay bounded (the same role
-:data:`~repro.kernels.base.DEFAULT_BLOCK_ELEMENTS` plays in the blocked
-direct sum): a chunk's entry count divides :data:`BUCKET_BLOCK_ELEMENTS`
-by ``m k`` times the live stacks of its pass -- one for potentials,
-:data:`~repro.kernels.base.JOINT_LIVE_ARRAYS` for the joint pass.
+Per bucket chunk the evaluation is one call of the stacked kernel
+driver (:meth:`~repro.kernels.base.RadialKernel.potential_batched`) --
+one batched GEMM for the r^2 cross term, elementwise kernel passes over
+the ``(G, m, k)`` stack, one batched GEMV against the bucket's weight
+matrix, and with forces the factored force ``(f w) S - t * rowsum(f
+w)`` from the same r^2, sqrt and radial factors -- followed by a single
+fancy-indexed scatter of the valid rows.  No per-group Python
+iteration, no per-group target-block materialization.  Buckets are
+chunked along the entry axis so the live ``(g, m, k)`` arrays stay
+bounded (the same role :data:`~repro.kernels.base.DEFAULT_BLOCK_ELEMENTS`
+plays in the blocked direct sum): a chunk's entry count divides
+:data:`BUCKET_BLOCK_ELEMENTS` by ``m k`` times the live stacks of its
+pass -- one for potentials, :data:`~repro.kernels.base.JOINT_LIVE_ARRAYS`
+with forces.
 Chunk boundaries depend only on the bucket shape, so repeated
 executions are bitwise identical.
 
@@ -45,9 +44,9 @@ kinds therefore run through the same stacked passes as the far field.
 
 The runs the layout could not bucket profitably (pool slabs below the
 minimum entry count) are evaluated by :func:`eval_ragged_runs` through
-the same per-group fused arithmetic as :mod:`.groupeval`, one kernel
-accumulation per run (one joint pass with forces) -- a thin remainder,
-not the near-field path.
+the same per-group fused arithmetic as :mod:`.groupeval`, one call of
+the per-block driver (:meth:`~repro.kernels.base.Kernel.potential`) per
+run -- a thin remainder, not the near-field path.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def bucket_chunk(
 ) -> int:
     """Entries per chunk of :func:`eval_bucket`: the budget over ``m k``
     times the live stacks of the pass (one for potentials,
-    :data:`~repro.kernels.base.JOINT_LIVE_ARRAYS` for the joint pass)."""
+    :data:`~repro.kernels.base.JOINT_LIVE_ARRAYS` with forces)."""
     live = JOINT_LIVE_ARRAYS if compute_forces else 1
     return max(1, block_elements // (bucket.m_max * max(bucket.k, 1) * live))
 
@@ -149,21 +148,17 @@ def eval_bucket(
     )
     f_stack = None
     if compute_forces:
-        f_stack = np.empty(
+        f_stack = np.zeros(
             (n, m_max, 3, n_rhs) if multi else (n, m_max, 3), dtype=tgt.dtype
         )
     chunk = bucket_chunk(bucket, compute_forces, block_elements)
     for lo, hi in chunk_ranges(n, chunk):
-        args = (
+        phi[lo:hi] = kernel.potential_batched(
             tgt[lo:hi], src[lo:hi], w[lo:hi],
             bucket.coincident_slot(dtype, lo, hi),
+            forces=None if f_stack is None else f_stack[lo:hi],
+            workspace=workspace,
         )
-        if f_stack is None:
-            phi[lo:hi] = kernel.potential_batched(*args, workspace=workspace)
-        else:
-            phi[lo:hi], f_stack[lo:hi] = kernel.potential_force_batched(
-                *args, workspace=workspace
-            )
     vals = phi.reshape((-1, n_rhs) if multi else -1)
     if bucket.scatter_pos is not None:
         vals = vals[bucket.scatter_pos]
@@ -189,30 +184,31 @@ def eval_ragged_runs(
     """Per-group fallback for the runs the bucketing could not batch.
 
     Same fused per-group arithmetic as :func:`.groupeval.eval_group_range`
-    (one blocked kernel accumulation per run -- one joint
-    ``Kernel.potential_and_force`` pass with forces -- float64 opts into
-    the temporary-free r^2 primitive), but scoped to explicit segment
-    runs so a group whose approximation half went through a bucket is
-    not double-counted.  Pass pre-cast ``targets``/``src_points`` in
-    ``arrays`` to keep the per-run casts zero-copy; ``workspace`` goes
-    to every kernel call.
+    (one ``Kernel.potential`` call per run, with a forces accumulator
+    when forces are on; float64 opts into the temporary-free r^2
+    primitive), but scoped to explicit segment runs so a group whose
+    approximation half went through a bucket is not double-counted.
+    Pass pre-cast ``targets``/``src_points`` in ``arrays`` to keep the
+    per-run casts zero-copy; ``workspace`` goes to every kernel call.
     """
     if runs.size == 0:
         return
     group_ptr = arrays["group_ptr"]
     out_index = arrays["out_index"]
     operands = RunOperands(arrays, dtype)
-    fused = operands.fused
     for g, s_lo, s_hi in runs.tolist():
         ops = operands(g, s_lo, s_hi)
         if ops is None:
             continue
         tgt, src, q, coincident = ops
         idx = out_index[int(group_ptr[g]):int(group_ptr[g + 1])]
-        kw = dict(fused=fused, coincident=coincident, workspace=workspace)
-        if forces is None:
-            out[idx] += kernel.potential(tgt, src, q, **kw)
-        else:
-            phi, frc = kernel.potential_and_force(tgt, src, q, **kw)
-            out[idx] += phi
+        frc = (
+            None if forces is None
+            else np.zeros((len(tgt), 3) + q.shape[1:], dtype=operands.dtype)
+        )
+        out[idx] += kernel.potential(
+            tgt, src, q, forces=frc, fused=operands.fused,
+            coincident=coincident, workspace=workspace,
+        )
+        if frc is not None:
             forces[idx] += frc

@@ -5,12 +5,13 @@ per-segment ``seg_src_lo`` offsets into de-duplicated buffers, so this
 backend evaluates each group with *one* blocked accumulation over its
 whole source range -- no per-batch ``np.concatenate`` when the aliases
 land contiguously and at most one dtype cast of the buffers for the
-whole run.  Forces reuse the same gathered buffers and the same pass:
-for radial kernels each row block forms r^2, ``g`` and ``g'(r)/r``
-once (``Kernel.potential_and_force``) and contracts the force in the
-factored form ``(f q) S - t * rowsum(f q)``, with no ``(M, K, 3)``
-gradient tensor.  Its row blocks are the potential-only pass's, so
-potentials are bitwise the same with forces on or off.
+whole run.  That accumulation is one call of the per-block kernel
+driver, ``Kernel.potential``, and forces are the same call with a
+``forces`` accumulator: for radial kernels each row block forms r^2,
+``g`` and ``g'(r)/r`` once and contracts the force in the factored
+form ``(f q) S - t * rowsum(f q)``, with no ``(M, K, 3)`` gradient
+tensor.  The row blocks do not depend on forces, so potentials are
+bitwise the same with forces on or off.
 
 Where the targets are the sources (every named workload), a direct
 block ``(A, B)`` usually has its mirror ``(B, A)`` in the plan.  For

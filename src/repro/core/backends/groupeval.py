@@ -1,15 +1,19 @@
 """The fused per-group evaluation shared by the fused and mp backends.
 
-One implementation of the per-group "gather sources, one blocked
-kernel accumulation" arithmetic, operating on a plain dict of the
-plan's flat arrays so it runs identically in-process (FusedBackend, the
+One implementation of the per-group "gather sources, one call of the
+kernel driver" arithmetic, operating on a plain dict of the plan's
+flat arrays so it runs identically in-process (FusedBackend, the
 multiprocessing backend's inline path) and inside pool workers (which
-unpickle the dict from their shard task).
+unpickle the dict from their shard task).  The driver,
+:meth:`~repro.kernels.base.Kernel.potential`, is the same call with
+forces on or off (a ``forces`` accumulator switches them on), so no
+step here chooses between kernel methods.
 
 Mutual blocks: given the plan's :class:`~repro.core.plan.MirrorSchedule`
 (``arrays["mirrors"]``, in-process fused evaluation only), a group
 forms each mirrored block once and applies it both ways -- its own
-potential from the block, its partner's from the transpose -- and
+potential (and force) from the block, its partner's from the transpose
+through the driver's ``mirror`` tuple -- and
 skips the blocks its lower-numbered partners already applied to it.
 The summation order then differs from the per-group arithmetic, so the
 two agree to roundoff.  Without a schedule, or where the schedule
@@ -115,10 +119,9 @@ class RunOperands:
     def gather(self, g: int, segments, tag):
         """``(targets, sources, weights, coincident)`` of group ``g``
         against ``segments`` in that order; None when either side is
-        empty.  ``coincident`` is the dict ``Kernel.potential`` /
-        ``potential_and_force`` take (None without a plan-side cache,
-        i.e. in pool workers), keyed by ``tag``, which names the source
-        set."""
+        empty.  ``coincident`` is the dict ``Kernel.potential`` takes
+        (None without a plan-side cache, i.e. in pool workers), keyed by
+        ``tag``, which names the source set."""
         arrays = self.arrays
         group_ptr = arrays["group_ptr"]
         t_lo, t_hi = int(group_ptr[g]), int(group_ptr[g + 1])
@@ -186,12 +189,13 @@ def eval_group_range(
     ``out_index`` (injective, so shards of disjoint group ranges never
     race on the output).
 
-    With forces, each group is one ``Kernel.potential_and_force`` call:
-    radial kernels form r^2, ``g`` and ``g'(r)/r`` once per row block
-    and contract both from them (no ``(M, K, 3)`` gradient tensor; the
-    potential-only row blocks, so potentials are bitwise the same with
-    forces on or off); other kernels make the ``potential`` and
-    ``force`` calls.
+    Each group is one call of the per-block kernel driver,
+    ``Kernel.potential``, handed the group's force rows as its
+    ``forces`` accumulator when forces are on: radial kernels then form
+    r^2, ``g`` and ``g'(r)/r`` once per row block and contract both from
+    them (no ``(M, K, 3)`` gradient tensor).  The row blocks do not
+    depend on forces, so potentials are bitwise the same with forces on
+    or off.
 
     A 2-D weight buffer widens ``phi`` to ``(rows, n_rhs)`` and
     ``forces`` to ``(rows, 3, n_rhs)``: the kernel hoists each group's
@@ -203,7 +207,8 @@ def eval_group_range(
     evaluates its unmirrored segments in plan order and then its
     forward mirrors, so those form one trailing column block of the
     kernel matrix; the transposed product of that block lands in the
-    partners' rows.
+    partners' rows through the driver's ``mirror`` tuple ``(col0,
+    charges_t, out_t, forces_t)``, ``forces_t`` None with forces off.
 
     ``workspace`` goes to every kernel call (see the module docstring).
     """
@@ -244,23 +249,17 @@ def eval_group_range(
         mirror = None
         if forward:
             lo = int(mirrors.self_lo[g])
-            q_t = operands.q_all[lo:lo + len(tgt)]
             phi_t = np.zeros((n_fwd,) + rhs)
-            mirror = (len(src) - n_fwd, q_t, phi_t)
-            if f_out is not None:
-                f_t = np.zeros((n_fwd, 3) + rhs)
-                mirror += (f_t,)
-        kw = dict(
+            f_t = None if f_out is None else np.zeros((n_fwd, 3) + rhs)
+            mirror = (
+                len(src) - n_fwd, operands.q_all[lo:lo + len(tgt)], phi_t, f_t
+            )
+        kernel.potential(
+            tgt, src, q, out=phi[rows_of(g)],
+            forces=None if f_out is None else f_out[rows_of(g)],
             fused=operands.fused, coincident=coincident, mirror=mirror,
             workspace=workspace,
         )
-        if f_out is None:
-            kernel.potential(tgt, src, q, out=phi[rows_of(g)], **kw)
-        else:
-            kernel.potential_and_force(
-                tgt, src, q, out=phi[rows_of(g)], forces=f_out[rows_of(g)],
-                **kw,
-            )
         c = 0
         for s, n in zip(forward, sizes):
             b = rows_of(int(mirrors.partner[s]))

@@ -25,9 +25,11 @@ Execution model
   per-shard casts are elementwise, so any split produces
   bitwise-identical output.  Each worker -- and the inline path -- runs
   the per-group accumulation of
-  :func:`~repro.core.backends.groupeval.eval_group_range` with no
-  mirror schedule (a mirrored block writes another group's rows, so it
-  cannot be sharded), and the parent scatters each shard's rows
+  :func:`~repro.core.backends.groupeval.eval_group_range` (one call of
+  the per-block kernel driver ``Kernel.potential`` per group, with a
+  forces accumulator when forces are on) with no mirror schedule (a
+  mirrored block writes another group's rows, so it cannot be
+  sharded), and the parent scatters each shard's rows
   through ``out_index``.  Results are therefore bitwise that function
   over all groups and roundoff-equal to
   :class:`~repro.core.backends.fused.FusedBackend`, which forms each

@@ -403,8 +403,8 @@ class BatchedBucket:
 
     def coincident_slot(self, dtype, lo: int, hi: int) -> dict:
         """Where the kernel keeps the coincident pairs of stack entries
-        ``[lo, hi)`` (the ``coincident`` dict of ``potential_batched`` /
-        ``potential_force_batched``).  The chunk is part of the key
+        ``[lo, hi)`` (the ``coincident`` dict of ``potential_batched``,
+        with forces on or off).  The chunk is part of the key
         because it sets the noise floor (potential and force chunks
         differ in size, so they keep separate slots); it lives as long
         as the stacks do.

@@ -7,14 +7,18 @@ A kernel provides
   batch-cluster *direct sum* kernel evaluates it on source particles, the
   batch-cluster *approximation* kernel evaluates it on Chebyshev points
   (the two have the same direct-sum form; paper eq. 9 vs eq. 11).
-* :meth:`Kernel.potential` -- blocked matrix-free accumulation
-  ``phi_i = sum_j G(x_i, y_j) q_j`` used by the direct-summation baseline.
-* :meth:`Kernel.potential_and_force` / :meth:`Kernel.potential_force_batched`
-  -- potential and force ``F_i = -sum_j grad_x G(x_i, y_j) q_j`` of one
-  block in one pass.  For radial kernels that pass forms ``r^2``, the
-  coincidence lookup, ``r``, ``g(r)`` and ``g'(r)/r`` once and contracts
-  both from them (as GPU treecodes share ``1/r`` between the two); the
-  force never materialises the ``(M, K, 3)`` gradient tensor.
+* two drivers that accumulate ``phi_i = sum_j G(x_i, y_j) q_j`` and, given
+  a ``forces`` accumulator, ``F_i = -sum_j grad_x G(x_i, y_j) q_j`` from
+  the same block: :meth:`Kernel.potential` over row blocks of one
+  target/source set, and :meth:`RadialKernel.potential_batched` over a
+  stack of ``(G, m, 3) x (G, k, 3)`` blocks.  Both take their factors
+  from one block routine; for radial kernels that forms ``r^2``, the
+  coincidence lookup, ``r`` and :meth:`RadialKernel.evaluate_radial`
+  once per block and contracts both results from them (as GPU treecodes
+  share ``1/r`` between the two), never materialising the ``(M, K, 3)``
+  gradient tensor.  Potentials are the same bytes with forces on or off.
+* :meth:`Kernel.force` / :meth:`Kernel.pairwise_gradient` -- the
+  unfused, byte-stable force reference the ``numpy`` backend runs.
 * cost metadata (``flops_per_interaction``, ``transcendental_weight``)
   consumed by the performance model so CPU/GPU timings can be derived from
   exact interaction counts.
@@ -24,14 +28,12 @@ singular kernels) the contribution is defined as zero, matching the
 standard treecode convention for point-charge sums where the ``i == j``
 term is excluded.
 
-Workspace: the four block evaluators (:meth:`Kernel.potential`,
-:meth:`Kernel.potential_and_force`, :meth:`Kernel.potential_batched`,
-:meth:`Kernel.potential_force_batched`) take ``workspace=``, a
+Workspace: both drivers take ``workspace=``, a
 :class:`~repro.kernels.workspace.Workspace` the caller keeps for a run of
 calls.  Radial kernels then write each block's ``(..., m, k)`` arrays --
 ``r^2`` (the r^2 GEMM through ``np.matmul(..., out=)``), ``g`` and
-``g'(r)/r`` (through the ``out`` hooks :meth:`RadialKernel.evaluate_r_into`
-and :meth:`RadialKernel.evaluate_radial`) -- into the workspace's slots
+``g'(r)/r`` (through the ``out`` argument of
+:meth:`RadialKernel.evaluate_radial`) -- into the workspace's slots
 instead of fresh arrays.  Same ufuncs, block boundaries and summation
 order, so the results are bitwise those of ``workspace=None``, the
 default (and what the reference ``numpy`` backend passes).
@@ -48,31 +50,31 @@ from .workspace import take
 
 __all__ = ["Kernel", "RadialKernel", "block_rows"]
 
-#: Default cap on the elements of one row block of :meth:`Kernel.potential`
-#: / :meth:`Kernel.potential_and_force`: 32 MB per ``(m, k)`` float64
-#: array.  Live per block: r^2 (``r`` after the in-place sqrt) and ``g``;
-#: the joint pass adds ``g'(r)/r`` and reuses ``r`` as its contraction
-#: scratch; float32's reference r^2 adds its GEMM term, and kernels
-#: without the ``out`` hooks their own temporaries.
+#: Default cap on the elements of one row block of :meth:`Kernel.potential`:
+#: 32 MB per ``(m, k)`` float64 array.  Live per block: r^2 (``r`` after
+#: the in-place sqrt) and ``g``; with forces ``g'(r)/r`` too, ``r`` then
+#: serving as the contraction scratch; float32's reference r^2 adds its
+#: GEMM term, and radial kernels without an ``out``-aware
+#: :meth:`RadialKernel.evaluate_radial` their own temporaries.
 DEFAULT_BLOCK_ELEMENTS = 4_000_000
 
-#: ``(m, k)`` arrays live at once in a joint potential + force pass of a
-#: :class:`RadialKernel`: the r^2 buffer (``r`` after the in-place sqrt,
-#: then the contraction scratch), ``g``, ``g'/r`` and one temporary of
-#: the radial evaluation (the default :meth:`RadialKernel.evaluate_radial`
-#: of the inverse multiquadric needs it; the built-in overrides do not).
-#: Stacked chunks of a joint pass divide their element budget by it, so
-#: the working set stays within the budget.
+#: ``(m, k)`` arrays live at once in a :class:`RadialKernel` block with
+#: forces: the r^2 buffer (``r`` after the in-place sqrt, then the
+#: contraction scratch), ``g``, ``g'/r`` and one temporary of the radial
+#: evaluation (the default :meth:`RadialKernel.evaluate_radial` of the
+#: inverse multiquadric needs it; the built-in overrides do not).
+#: Stacked chunks with forces divide their element budget by it, so the
+#: working set stays within the budget.
 JOINT_LIVE_ARRAYS = 4
 
 
 def block_rows(k: int, block_elements: int = DEFAULT_BLOCK_ELEMENTS) -> int:
-    """Target rows per row block of :meth:`Kernel.potential` /
-    :meth:`Kernel.potential_and_force` against ``k`` sources.
+    """Target rows per row block of :meth:`Kernel.potential` against
+    ``k`` sources.
 
     The first block of an ``(m, k)`` evaluation is its largest:
     ``min(m, block_rows(k)) * k`` elements per ``(m, k)`` array, which
-    is what the evaluators reserve in a workspace.
+    is what the driver reserves in a workspace.
     """
     return max(1, block_elements // max(k, 1))
 
@@ -81,8 +83,11 @@ class Kernel(abc.ABC):
     """Abstract interaction kernel ``G(x, y)``.
 
     Subclasses must define :meth:`pairwise` and the cost metadata class
-    attributes.  Kernels must be smooth and non-oscillatory for ``x != y``
-    (the regime where polynomial interpolation converges; paper Sec. 2).
+    attributes (and :meth:`pairwise_gradient` for forces).  Kernels must
+    be smooth and non-oscillatory for ``x != y`` (the regime where
+    polynomial interpolation converges; paper Sec. 2).  A generic kernel
+    has no fused or stacked arithmetic: every backend evaluates it
+    through :meth:`potential` on :meth:`pairwise` blocks.
     """
 
     #: Short identifier used by the registry and in reports.
@@ -98,21 +103,9 @@ class Kernel(abc.ABC):
     #: True when G diverges as x -> y (Coulomb/Yukawa); singular kernels
     #: have their self-interaction zeroed.
     singular_at_origin: bool = True
-    #: True when the kernel provides :meth:`pairwise_fused` /
-    #: :meth:`pairwise_gradient_fused` -- the temporary-free r^2
-    #: accumulation used by the fused evaluation path.  The reference
-    #: (byte-stable) :meth:`pairwise` is never affected.
-    supports_fused_pairwise: bool = False
-    #: True when the kernel provides :meth:`pairwise_batched` /
-    #: :meth:`potential_force_batched` -- stacked evaluation over
-    #: ``(G, m, 3)`` target x ``(G, k, 3)`` source blocks, used by the
-    #: batched (shape-bucketed) backend.  Backends fall back to the
-    #: per-group fused path for kernels without it.
-    supports_batched_pairwise: bool = False
     #: True when ``G(x, y) == G(y, x)`` and ``grad_x G(x, y) ==
     #: -grad_x G(y, x)`` (radial kernels): one block then serves its
-    #: mirror through the ``mirror`` argument of :meth:`potential` /
-    #: :meth:`force` / :meth:`potential_and_force`.
+    #: mirror through the ``mirror`` argument of :meth:`potential`.
     symmetric: bool = False
 
     @abc.abstractmethod
@@ -122,202 +115,6 @@ class Kernel(abc.ABC):
         Coincident target/source pairs contribute zero for singular
         kernels.  ``targets`` is ``(M, 3)`` and ``sources`` is ``(K, 3)``.
         """
-
-    def pairwise_fused(
-        self, targets: np.ndarray, sources: np.ndarray
-    ) -> np.ndarray:
-        """Temporary-free variant of :meth:`pairwise` (fused path only).
-
-        Same contract as :meth:`pairwise`; implementations may reorder
-        the distance arithmetic to avoid intermediate matrices, so
-        values agree with the reference to floating-point roundoff
-        rather than bitwise.  Only kernels advertising
-        ``supports_fused_pairwise`` implement it; everything else keeps
-        the reference primitive on every path.
-        """
-        raise NotImplementedError(
-            f"kernel {self.name!r} has no fused pairwise primitive"
-        )
-
-    def pairwise_gradient_fused(
-        self, targets: np.ndarray, sources: np.ndarray
-    ) -> np.ndarray:
-        """Fused-path variant of :meth:`pairwise_gradient`."""
-        raise NotImplementedError(
-            f"kernel {self.name!r} has no fused pairwise primitive"
-        )
-
-    def pairwise_batched(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        coincident: dict | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """Stacked :meth:`pairwise`: ``(G, m, 3) x (G, k, 3) -> (G, m, k)``.
-
-        Entry ``b`` of the result is the kernel matrix of target block
-        ``targets[b]`` against source block ``sources[b]``; the whole
-        stack evaluates in a handful of array passes (batched GEMMs)
-        instead of ``G`` Python-level kernel calls.  Values agree with
-        the per-block reference to floating-point roundoff (fused-path
-        arithmetic).  Only kernels advertising
-        ``supports_batched_pairwise`` implement it.  ``coincident`` is
-        :meth:`potential`'s, the whole stack being one block; pass the
-        same dict to :meth:`potential_force_batched` on the same stack.
-        With a ``workspace`` the result is one of its views, valid until
-        the next call on that workspace.
-        """
-        raise NotImplementedError(
-            f"kernel {self.name!r} has no batched pairwise primitive"
-        )
-
-    def potential_batched(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        weights: np.ndarray,
-        coincident: dict | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """Stacked potentials ``phi[b] = pairwise_batched(...)[b] @ w[b]``.
-
-        ``weights`` is ``(G, k)``, or ``(G, k, n_rhs)`` for multi-RHS:
-        the kernel stack is built once and every column runs the
-        identical single-vector batched GEMV on a contiguous column
-        copy, so column ``j`` of the ``(G, m, n_rhs)`` result is bitwise
-        the single-vector result on ``weights[..., j]``.  ``workspace``
-        holds the kernel stack (see the module docstring); the result is
-        a fresh array either way.
-        """
-        return _gemv_stack(
-            self.pairwise_batched(
-                targets, sources, coincident, workspace=workspace
-            ),
-            weights,
-        )
-
-    def potential_force_batched(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        weights: np.ndarray,
-        coincident: dict | None = None,
-        *,
-        workspace=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`potential_batched` and the stacked forces
-        ``F[b, i] = -sum_j grad G(t_bi, s_bj) w_bj`` in one pass.
-
-        Returns ``(phi, forces)``, forces shaped ``(G, m, 3)`` (or
-        ``(G, m, 3, n_rhs)``); ``phi`` is bitwise
-        :meth:`potential_batched`'s on the same stack and ``coincident``
-        slot.  ``workspace`` is :meth:`potential_batched`'s.  Only
-        kernels advertising ``supports_batched_pairwise`` implement it.
-        """
-        raise NotImplementedError(
-            f"kernel {self.name!r} has no batched pairwise primitive"
-        )
-
-    def potential(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        charges: np.ndarray,
-        *,
-        block_elements: int = DEFAULT_BLOCK_ELEMENTS,
-        out: np.ndarray | None = None,
-        fused: bool = False,
-        coincident: dict | None = None,
-        mirror: tuple | None = None,
-        workspace=None,
-    ) -> np.ndarray:
-        """Accumulate ``phi_i = sum_j G(x_i, y_j) q_j`` blockwise.
-
-        The matrix is never materialised beyond ``block_elements`` entries,
-        so arbitrarily large target/source sets can be processed.
-        ``fused=True`` evaluates each block through
-        :meth:`pairwise_fused` when the kernel provides it (roundoff-
-        level differences, fewer elementwise passes); the default keeps
-        the byte-stable reference arithmetic.
-
-        Multi-RHS: a ``(K, n_rhs)`` charge matrix yields ``(M, n_rhs)``
-        potentials.  The kernel matrix -- the expensive part -- is built
-        once per block and re-contracted against every column with the
-        exact single-vector GEMV on a contiguous column copy, so column
-        ``j`` of the result is bitwise what a single-vector call on
-        ``charges[:, j]`` produces.  Block boundaries never depend on
-        ``n_rhs`` (they feed the coincidence noise floor).
-
-        ``coincident`` is for callers that evaluate the same
-        ``(targets, sources)`` geometry repeatedly: a dict the kernel
-        owns the contents of, mapping each row block ``(lo, hi)`` to the
-        flat indices of its coincident entries.  A block found there
-        skips the noise-floor scan, a block that is not is scanned and
-        recorded -- same values either way.  Kernels without a
-        coincidence scan ignore it.
-
-        ``mirror=(col0, charges_t, out_t)`` (:attr:`symmetric` kernels)
-        applies the trailing columns ``sources[col0:]`` back onto the
-        sources: ``out_t += G[:, col0:]^T charges_t``, with ``charges_t``
-        the ``(M,)`` / ``(M, n_rhs)`` charges sitting at the target
-        points.  That is the potential those sources receive from the
-        targets, read off the matrix already formed.  Every column runs
-        the single-vector product on the same strided view of each row
-        block, so column ``j`` of ``out_t`` stays bitwise a
-        single-vector call's.  (A transposed contiguous copy would
-        switch BLAS kernels and break that.)
-
-        ``workspace`` (a :class:`~repro.kernels.workspace.Workspace`)
-        receives each row block's kernel matrix and its r^2 instead of
-        fresh arrays; bitwise the same results.
-        """
-        targets = np.atleast_2d(targets)
-        sources = np.atleast_2d(sources)
-        charges = np.asarray(charges)
-        m = targets.shape[0]
-        k = sources.shape[0]
-        multi = charges.ndim == 2
-        if out is None:
-            # Promote over all three operands: the pairwise block has
-            # dtype result_type(targets, sources), so leaving sources
-            # out would silently downcast float64 blocks on the +=.
-            shape = (m, charges.shape[1]) if multi else m
-            out = np.zeros(shape, dtype=np.result_type(targets, sources, charges))
-        if k == 0 or m == 0:
-            return out
-        fused = fused and self.supports_fused_pairwise
-        rows_per_block = block_rows(k, block_elements)
-        if mirror is not None:
-            col0, q_t, out_t = mirror
-        if not multi:
-            for lo, hi in chunk_ranges(m, rows_per_block):
-                mat = self._pairwise_block(
-                    targets[lo:hi], sources, fused, coincident, (lo, hi),
-                    workspace,
-                )
-                out[lo:hi] += mat @ charges
-                if mirror is not None:
-                    out_t += mat[:, col0:].T @ q_t[lo:hi]
-            return out
-        cols = [
-            np.ascontiguousarray(charges[:, r]) for r in range(charges.shape[1])
-        ]
-        if mirror is not None:
-            cols_t = [np.ascontiguousarray(q_t[:, r]) for r in range(len(cols))]
-        for lo, hi in chunk_ranges(m, rows_per_block):
-            mat = self._pairwise_block(
-                targets[lo:hi], sources, fused, coincident, (lo, hi),
-                workspace,
-            )
-            for r, col in enumerate(cols):
-                out[lo:hi, r] += mat @ col
-            if mirror is not None:
-                for r, col in enumerate(cols_t):
-                    out_t[:, r] += mat[:, col0:].T @ col[lo:hi]
-        return out
 
     def pairwise_gradient(
         self, targets: np.ndarray, sources: np.ndarray
@@ -334,83 +131,7 @@ class Kernel(abc.ABC):
             f"kernel {self.name!r} does not implement gradients"
         )
 
-    def force(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        charges: np.ndarray,
-        *,
-        block_elements: int = DEFAULT_BLOCK_ELEMENTS,
-        out: np.ndarray | None = None,
-        fused: bool = False,
-        coincident: dict | None = None,
-        mirror: tuple | None = None,
-    ) -> np.ndarray:
-        """Accumulate ``F_i = -sum_j grad_x G(x_i, y_j) q_j`` blockwise.
-
-        The negative gradient of the potential -- the force per unit
-        target charge/mass.  ``fused=True`` routes each block through
-        :meth:`pairwise_gradient_fused` when available, as in
-        :meth:`potential`.
-
-        Multi-RHS: a ``(K, n_rhs)`` charge matrix yields ``(M, 3, n_rhs)``
-        forces, hoisting the gradient block once and contracting per
-        column exactly as :meth:`potential` does.  ``coincident`` is
-        :meth:`potential`'s (one dict serves both: a row block the two
-        share is scanned once).
-
-        ``mirror`` is :meth:`potential`'s, with ``out_t`` shaped
-        ``(K - col0, 3)`` / ``(K - col0, 3, n_rhs)``: the gradient is
-        antisymmetric, so source ``b`` receives ``+sum_a grad[a, b]
-        charges_t[a]``.
-        """
-        targets = np.atleast_2d(targets)
-        sources = np.atleast_2d(sources)
-        charges = np.asarray(charges)
-        m = targets.shape[0]
-        k = sources.shape[0]
-        multi = charges.ndim == 2
-        if out is None:
-            # Same three-operand promotion as potential(): the gradient
-            # block carries result_type(targets, sources).
-            shape = (m, 3, charges.shape[1]) if multi else (m, 3)
-            out = np.zeros(shape, dtype=np.result_type(targets, sources, charges))
-        if k == 0 or m == 0:
-            return out
-        fused = fused and self.supports_fused_pairwise
-        rows_per_block = max(1, block_elements // max(3 * k, 1))
-        if mirror is not None:
-            col0, q_t, out_t = mirror
-        if not multi:
-            for lo, hi in chunk_ranges(m, rows_per_block):
-                grad = self._gradient_block(
-                    targets[lo:hi], sources, fused, coincident, (lo, hi)
-                )
-                out[lo:hi] -= np.einsum("mkd,k->md", grad, charges)
-                if mirror is not None:
-                    out_t += np.einsum(
-                        "mkd,m->kd", grad[:, col0:], q_t[lo:hi]
-                    )
-            return out
-        cols = [
-            np.ascontiguousarray(charges[:, r]) for r in range(charges.shape[1])
-        ]
-        if mirror is not None:
-            cols_t = [np.ascontiguousarray(q_t[:, r]) for r in range(len(cols))]
-        for lo, hi in chunk_ranges(m, rows_per_block):
-            grad = self._gradient_block(
-                targets[lo:hi], sources, fused, coincident, (lo, hi)
-            )
-            for r, col in enumerate(cols):
-                out[lo:hi, :, r] -= np.einsum("mkd,k->md", grad, col)
-            if mirror is not None:
-                for r, col in enumerate(cols_t):
-                    out_t[:, :, r] += np.einsum(
-                        "mkd,m->kd", grad[:, col0:], col[lo:hi]
-                    )
-        return out
-
-    def potential_and_force(
+    def potential(
         self,
         targets: np.ndarray,
         sources: np.ndarray,
@@ -423,53 +144,177 @@ class Kernel(abc.ABC):
         coincident: dict | None = None,
         mirror: tuple | None = None,
         workspace=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`potential` and :meth:`force` of one target/source set.
+    ) -> np.ndarray:
+        """Accumulate ``phi_i = sum_j G(x_i, y_j) q_j`` blockwise into
+        ``out`` (zeros of the promoted dtype when None) and return it.
 
-        Accumulates into ``out`` / ``forces`` (allocated as those two
-        methods would when None) and returns both.  ``mirror`` is
-        ``(col0, charges_t, out_t, forces_t)``: the two methods'
-        ``mirror`` tuples sharing ``col0`` and ``charges_t``;
-        ``workspace`` is :meth:`potential`'s.
+        The matrix is never materialised beyond ``block_elements``
+        entries per row block (``block_rows(K)`` rows), so arbitrarily
+        large target/source sets can be processed.
 
-        The generic form makes the two calls; :class:`RadialKernel`
-        overrides it with one pass per row block.
+        ``forces``, an ``(M, 3)`` / ``(M, 3, n_rhs)`` accumulator,
+        switches on ``F_i = -sum_j grad_x G(x_i, y_j) q_j`` from the
+        same blocks.  Row blocks never depend on it, so the potentials
+        are bitwise the same with forces on or off: BLAS rounds the r^2
+        GEMM and the GEMV differently for different row counts, and the
+        block also sets the coincidence noise floor.  Radial kernels
+        contract the force in the factored form of
+        :meth:`RadialKernel.potential_batched` on ``f = g'(r)/r``, with
+        no ``(M, K, 3)`` gradient tensor, agreeing with :meth:`force`
+        to roundoff; a generic kernel contracts its
+        :meth:`pairwise_gradient` block.
+
+        ``fused=True`` (:class:`RadialKernel` only) forms r^2 by the
+        temporary-free accumulation of :meth:`RadialKernel.pairwise_fused`
+        (roundoff-level differences, fewer elementwise passes); the
+        default keeps the byte-stable reference arithmetic.
+
+        Multi-RHS: a ``(K, n_rhs)`` charge matrix yields ``(M, n_rhs)``
+        potentials (and ``(M, 3, n_rhs)`` forces).  Each block's factors
+        -- the expensive part -- are formed once and re-contracted
+        against every column with the exact single-vector contractions
+        on a contiguous column copy, so column ``j`` of the result is
+        bitwise what a single-vector call on ``charges[:, j]`` produces.
+        Block boundaries never depend on ``n_rhs``.
+
+        ``coincident`` is for callers that evaluate the same
+        ``(targets, sources)`` geometry repeatedly: a dict the kernel
+        owns the contents of, mapping each row block ``(lo, hi)`` to the
+        flat indices of its coincident entries.  A block found there
+        skips the noise-floor scan, a block that is not is scanned and
+        recorded -- same values either way.  Kernels without a
+        coincidence scan ignore it.
+
+        ``mirror=(col0, charges_t, out_t, forces_t)`` (:attr:`symmetric`
+        kernels) applies the trailing columns ``sources[col0:]`` back
+        onto the sources: ``out_t += G[:, col0:]^T charges_t``, with
+        ``charges_t`` the ``(M,)`` / ``(M, n_rhs)`` charges sitting at
+        the target points -- the potential those sources receive from
+        the targets, read off the block already formed -- and, with
+        ``forces``, ``forces_t`` the force they receive (the gradient
+        is antisymmetric; None with forces off).  Every column runs the
+        single-vector product on the same strided view of each block,
+        so column ``j`` of ``out_t`` stays bitwise a single-vector
+        call's.  (A transposed contiguous copy would switch BLAS
+        kernels and break that.)
+
+        ``workspace`` (a :class:`~repro.kernels.workspace.Workspace`)
+        receives each row block's r^2 and radial factors instead of
+        fresh arrays; bitwise the same results.
         """
-        pot_mirror = force_mirror = None
+        targets = np.atleast_2d(targets)
+        sources = np.atleast_2d(sources)
+        charges = np.asarray(charges)
+        m = targets.shape[0]
+        k = sources.shape[0]
+        if out is None:
+            # Promote over all three operands: the pairwise block has
+            # dtype result_type(targets, sources), so leaving sources
+            # out would silently downcast float64 blocks on the +=.
+            out = np.zeros(
+                (m,) + charges.shape[1:],
+                dtype=np.result_type(targets, sources, charges),
+            )
+        if k == 0 or m == 0:
+            return out
+        want_grad = forces is not None
+        multi = charges.ndim == 2
+        cols = _columns(charges, multi, out, forces)
         if mirror is not None:
             col0, q_t, out_t, forces_t = mirror
-            pot_mirror = (col0, q_t, out_t)
-            force_mirror = (col0, q_t, forces_t)
-        kw = dict(
-            block_elements=block_elements, fused=fused, coincident=coincident
-        )
-        out = self.potential(
-            targets, sources, charges, out=out, mirror=pot_mirror,
-            workspace=workspace, **kw
-        )
-        forces = self.force(
-            targets, sources, charges, out=forces, mirror=force_mirror, **kw
-        )
-        return out, forces
+            cols_t = _columns(np.asarray(q_t), multi, out_t, forces_t)
+            src_t = sources[col0:]
+        for lo, hi in chunk_ranges(m, block_rows(k, block_elements)):
+            tgt = targets[lo:hi]
+            g, f, scratch = self._block(
+                tgt, sources, fused, coincident, (lo, hi), workspace,
+                want_grad,
+            )
+            for q, phi, frc in cols:
+                phi[lo:hi] += g @ q
+                if want_grad:
+                    frc[lo:hi] += self._force_rows(f, q, tgt, sources, scratch)
+            if mirror is not None:
+                for q, phi, frc in cols_t:
+                    phi += g[:, col0:].T @ q[lo:hi]
+                    if want_grad:
+                        frc += self._force_mirror(
+                            f[:, col0:], q[lo:hi], tgt, src_t,
+                            None if scratch is None else scratch[:, col0:],
+                        )
+            # Release the block before the next one forms, so one
+            # block's arrays are live at a time.
+            del g, f, scratch
+        return out
 
-    def _pairwise_block(
-        self, targets, sources, fused, coincident, key, workspace=None
-    ):
-        """One row block of :meth:`potential`'s kernel matrix.
+    def force(
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        charges: np.ndarray,
+        *,
+        block_elements: int = DEFAULT_BLOCK_ELEMENTS,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Accumulate ``F_i = -sum_j grad_x G(x_i, y_j) q_j`` blockwise.
 
-        The generic kernel has no coincidence scan to save and no
-        workspace hooks, so ``coincident`` / ``key`` / ``workspace`` go
-        unused; :class:`RadialKernel` overrides both block hooks.
+        The negative gradient of the potential -- the force per unit
+        target charge/mass -- contracted from :meth:`pairwise_gradient`
+        blocks of ``block_elements // 3K`` rows: the unfused reference
+        the ``numpy`` backend runs, whose bytes stay fixed.
+        :meth:`potential` with a ``forces`` accumulator is the one-pass
+        form the other backends run.
+
+        Multi-RHS: a ``(K, n_rhs)`` charge matrix yields ``(M, 3, n_rhs)``
+        forces, hoisting the gradient block once and contracting per
+        column exactly as :meth:`potential` does.
         """
-        if fused:
-            return self.pairwise_fused(targets, sources)
-        return self.pairwise(targets, sources)
+        targets = np.atleast_2d(targets)
+        sources = np.atleast_2d(sources)
+        charges = np.asarray(charges)
+        m = targets.shape[0]
+        k = sources.shape[0]
+        if out is None:
+            # Same three-operand promotion as potential(): the gradient
+            # block carries result_type(targets, sources).
+            out = np.zeros(
+                (m, 3) + charges.shape[1:],
+                dtype=np.result_type(targets, sources, charges),
+            )
+        if k == 0 or m == 0:
+            return out
+        cols = _columns(charges, charges.ndim == 2, out)
+        for lo, hi in chunk_ranges(m, max(1, block_elements // max(3 * k, 1))):
+            grad = self.pairwise_gradient(targets[lo:hi], sources)
+            for q, frc in cols:
+                frc[lo:hi] -= np.einsum("mkd,k->md", grad, q)
+        return out
 
-    def _gradient_block(self, targets, sources, fused, coincident, key):
-        """One row block of :meth:`force`'s gradient tensor."""
-        if fused:
-            return self.pairwise_gradient_fused(targets, sources)
-        return self.pairwise_gradient(targets, sources)
+    def _block(
+        self, targets, sources, fused, coincident, key, workspace, want_grad
+    ):
+        """``(G, grad, scratch)`` of one block of :meth:`potential`.
+
+        The generic kernel has no fused arithmetic, coincidence scan or
+        workspace hooks, so ``fused`` / ``coincident`` / ``key`` /
+        ``workspace`` go unused; ``grad`` is the :meth:`pairwise_gradient`
+        tensor (None without ``want_grad``) and there is no scratch.
+        :class:`RadialKernel` overrides the block routine and the two
+        force contractions below.
+        """
+        grad = self.pairwise_gradient(targets, sources) if want_grad else None
+        return self.pairwise(targets, sources), grad, None
+
+    @staticmethod
+    def _force_rows(grad, q, targets, sources, scratch):
+        """The block's force on its targets, ``-sum_j grad_ij q_j``."""
+        return -np.einsum("mkd,k->md", grad, q)
+
+    @staticmethod
+    def _force_mirror(grad, q, targets, sources, scratch):
+        """The force on ``sources`` from the targets' charges ``q``:
+        ``+sum_i grad_ij q_i`` (the gradient is antisymmetric)."""
+        return np.einsum("mkd,m->kd", grad, q)
 
     def cost_multiplier(self, transcendental_penalty: float) -> float:
         """Per-device cost factor relative to a pure-arithmetic kernel.
@@ -487,30 +332,29 @@ class Kernel(abc.ABC):
 class RadialKernel(Kernel):
     """Base class for radial kernels ``G(x, y) = g(|x - y|)``.
 
-    Subclasses implement :meth:`evaluate_r` on strictly positive distances
-    (and :meth:`evaluate_dr_over_r` for forces); this class handles
-    pairwise distance computation and the ``r == 0`` (self-interaction /
-    removable) entries.
+    Subclass contract, three radial hooks on strictly positive ``r``:
 
-    Potential and force together (:meth:`potential_and_force`, the
-    per-group evaluators; :meth:`potential_force_batched`, the bucketed
-    one) run one radial pass per block: one ``r^2``, one coincidence
-    lookup, one ``sqrt``, then :meth:`evaluate_radial` returns ``g`` and
-    ``g'(r)/r`` from that one ``r``, and the force is contracted in the
-    factored form ``(f w) S - t * rowsum(f w)`` with ``f = g'(r)/r``.
-    Kernels override :meth:`evaluate_radial` to share their sqrt / exp /
-    divisions between the two factors; its ``g`` must be bitwise
-    :meth:`evaluate_r`'s, so potentials do not depend on whether forces
-    were asked for.  Given a workspace, the evaluators pass its buffers
-    to :meth:`evaluate_r_into` / :meth:`evaluate_radial` as ``out``;
-    kernels that do not override the hooks return fresh arrays.
-    :meth:`force` and :meth:`evaluate_dr_over_r` stay the byte-stable
-    reference the ``numpy`` backend runs.
+    * :meth:`evaluate_r` (``g``) is required;
+    * :meth:`evaluate_dr_over_r` (``g'(r)/r``) enables forces;
+    * :meth:`evaluate_radial` is an optional fused override that returns
+      both factors from one ``r``, sharing the kernel's sqrt / exp /
+      divisions between them and writing into the ``out`` buffers it is
+      handed.  Its ``g`` must be bitwise :meth:`evaluate_r`'s, so
+      potentials do not depend on whether forces were asked for.
 
-    Every evaluation path (:meth:`pairwise`, :meth:`pairwise_fused`, the
-    stacked ``*_batched`` forms and :meth:`potential` / :meth:`force` /
-    :meth:`potential_and_force`) classifies coincident pairs through one
-    rule,
+    This class handles the pairwise distances and the ``r == 0``
+    (self-interaction / removable) entries.  Every block -- one row
+    block of :meth:`potential`, one stack of :meth:`potential_batched`,
+    and :meth:`pairwise` / :meth:`pairwise_fused` /
+    :meth:`pairwise_batched` / :meth:`pairwise_gradient_fused` -- comes
+    from one routine: one ``r^2``, one coincidence lookup, one ``sqrt``,
+    one :meth:`evaluate_radial`.  With forces the drivers contract them
+    in the factored form ``(f w) S - t * rowsum(f w)`` with ``f =
+    g'(r)/r``.  :meth:`pairwise_gradient`, :meth:`force` and
+    :meth:`evaluate_dr_over_r` stay the byte-stable reference the
+    ``numpy`` backend runs.
+
+    Every evaluation path classifies coincident pairs through one rule,
     :func:`_scan_coincident`: ``r^2`` at or below ``16 eps`` times the
     block's squared coordinate scale counts as ``r == 0``.
 
@@ -528,8 +372,6 @@ class RadialKernel(Kernel):
     finite at every separation.
     """
 
-    supports_fused_pairwise = True
-    supports_batched_pairwise = True
     symmetric = True
 
     @abc.abstractmethod
@@ -546,31 +388,23 @@ class RadialKernel(Kernel):
             f"kernel {self.name!r} does not implement evaluate_dr_over_r"
         )
 
-    def evaluate_r_into(self, r: np.ndarray, out: np.ndarray | None):
-        """:meth:`evaluate_r`, written into ``out`` where the kernel can.
-
-        The potential pass's ``out=`` hook: ``out`` is a buffer of
-        ``r``'s shape and dtype (or None: allocate), not aliasing ``r``.
-        Returns the array holding ``g`` -- ``out`` in an override, which
-        must be bitwise :meth:`evaluate_r`; the default returns
-        :meth:`evaluate_r`'s fresh array.
-        """
-        return self.evaluate_r(r)
-
     def evaluate_radial(
-        self, r: np.ndarray, out: tuple | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Both radial factors ``(g(r), g'(r) / r)`` from one ``r > 0``.
+        self, r: np.ndarray, *, want_grad: bool, out: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(g(r), g'(r) / r)`` from one ``r > 0``; the second factor is
+        None without ``want_grad``.
 
-        The joint pass's hook.  The default calls :meth:`evaluate_r` and
-        :meth:`evaluate_dr_over_r`; overrides share work between them
-        and keep ``g`` bitwise :meth:`evaluate_r`'s.  ``out`` is None or
-        a ``(g, f)`` pair of buffers shaped like ``r`` (or None: allocate)
-        that an override writes the factors into; the default returns
-        two fresh arrays.  Neither factor may alias ``r``, which the
-        caller reuses.
+        The drivers' one hook.  ``out`` is None or a ``(g, f)`` pair of
+        buffers shaped like ``r`` (either may be None: allocate) that an
+        override writes the factors into.  The default returns
+        :meth:`evaluate_r` and :meth:`evaluate_dr_over_r` as fresh
+        arrays; an override shares work between them and keeps ``g``
+        bitwise :meth:`evaluate_r`'s.  Neither factor may alias ``r``,
+        which the caller reuses.
         """
-        return self.evaluate_r(r), self.evaluate_dr_over_r(r)
+        return self.evaluate_r(r), (
+            self.evaluate_dr_over_r(r) if want_grad else None
+        )
 
     def evaluate_r0(self) -> float:
         """Value assigned at ``r == 0``.
@@ -581,8 +415,6 @@ class RadialKernel(Kernel):
         return 0.0
 
     def pairwise(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        targets = np.atleast_2d(targets)
-        sources = np.atleast_2d(sources)
         # Squared distances via the expanded form
         #     r^2 = |t|^2 + |s|^2 - 2 t.s
         # whose inner product maps to a BLAS GEMM -- an order of magnitude
@@ -603,8 +435,10 @@ class RadialKernel(Kernel):
         # per row) rather than via full-matrix np.where passes, and the
         # square root runs in place on the owned r2 buffer -- bitwise the
         # same values, several fewer O(M K) passes.
-        r2, zero_idx = self._pairwise_r2(targets, sources)
-        return self._finish_pairwise(r2, zero_idx)
+        return self._block(
+            np.atleast_2d(targets), np.atleast_2d(sources),
+            False, None, None, None, False,
+        )[0]
 
     def pairwise_fused(
         self, targets: np.ndarray, sources: np.ndarray
@@ -618,20 +452,165 @@ class RadialKernel(Kernel):
         noise-floor scale -- and the coincidence classification uses the
         identical floor, so self-interactions resolve the same way.
         """
+        return self._block(
+            np.atleast_2d(targets), np.atleast_2d(sources),
+            True, None, None, None, False,
+        )[0]
+
+    def pairwise_batched(
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        coincident: dict | None = None,
+        *,
+        workspace=None,
+    ) -> np.ndarray:
+        """Stacked :meth:`pairwise_fused`: ``(G, m, 3) x (G, k, 3) ->
+        (G, m, k)``.
+
+        The cross term is one batched GEMM, the squared norms accumulate
+        in place, and the sqrt/kernel/coincidence passes run over the
+        whole stack at once.  ``coincident`` is
+        :meth:`potential_batched`'s; with a ``workspace`` the result is
+        one of its views, valid until the next call on that workspace.
+        """
+        return self._block(
+            targets, sources, True, coincident, (0, len(targets)),
+            workspace, False,
+        )[0]
+
+    def potential_batched(
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        weights: np.ndarray,
+        coincident: dict | None = None,
+        *,
+        forces: np.ndarray | None = None,
+        workspace=None,
+    ) -> np.ndarray:
+        """Stacked potentials ``phi[b] = G_b @ w[b]`` over ``(G, m, 3)``
+        target x ``(G, k, 3)`` source blocks, on the fused r^2.
+
+        The whole stack is one block of the shared routine (one batched
+        r^2 GEMM, one coincidence lookup, one sqrt, one
+        :meth:`evaluate_radial`) followed by one batched GEMV, instead
+        of ``G`` Python-level kernel calls; values agree with the
+        per-block reference to roundoff.  ``coincident`` is
+        :meth:`potential`'s, the whole stack being the block ``(0, G)``.
+
+        ``forces``, a ``(G, m, 3)`` / ``(G, m, 3, n_rhs)`` accumulator,
+        switches on the stacked forces from the same factors.  With
+        ``grad G = f(r) (x - y)``, ``f = g'(r)/r``, they split as
+
+            F_i = -sum_j f_ij w_j (t_i - s_j)
+                = (f w) S  -  t_i * sum_j f_ij w_j,
+
+        one elementwise product, one row-sum and one batched GEMM
+        against the source coordinates, with no ``(G, m, k, 3)``
+        gradient tensor.  They agree with :meth:`force` to roundoff (the
+        sum over sources is reassociated); coincident pairs contribute
+        exactly zero.  The potentials are bitwise the same with forces
+        on or off.
+
+        Multi-RHS (``weights`` shaped ``(G, k, n_rhs)``): the factors are
+        formed once and every column runs the identical single-vector
+        contractions on a contiguous column copy, so column ``j`` is
+        bitwise the single-vector result on ``weights[..., j]``.
+        ``workspace`` holds the block's stacks (see the module
+        docstring); the returned potentials are a fresh array either
+        way.
+        """
+        g, f, scratch = self._block(
+            targets, sources, True, coincident, (0, len(targets)),
+            workspace, forces is not None,
+        )
+        phi = _gemv_stack(g, weights)
+        if forces is not None:
+            multi = weights.ndim == np.ndim(targets)
+            for w, frc in _columns(weights, multi, forces):
+                frc += _radial_force(f, w, targets, sources, scratch)
+        return phi
+
+    def pairwise_gradient(
+        self, targets: np.ndarray, sources: np.ndarray
+    ) -> np.ndarray:
+        """Gradient ``grad_x G = (g'(r)/r) (x - y)``; zero at coincidence.
+
+        Coincident pairs contribute zero force: for singular kernels the
+        self-term is excluded, and for smooth radial kernels the gradient
+        vanishes at the origin by symmetry.  The byte-stable reference
+        (:meth:`evaluate_dr_over_r` on the reference r^2).
+        """
         targets = np.atleast_2d(targets)
         sources = np.atleast_2d(sources)
-        r2, zero_idx = self._pairwise_r2_fused(targets, sources)
-        return self._finish_pairwise(r2, zero_idx)
-
-    def _finish_pairwise(self, r2, zero_idx, workspace=None) -> np.ndarray:
-        """sqrt + kernel + sparse coincidence patch on an owned r2."""
+        r2, zero_idx = self._pairwise_r2(targets, sources)
         r2.put(zero_idx, 1.0)
         np.sqrt(r2, out=r2)
-        g = self.evaluate_r_into(
-            r2, take(workspace, "g", r2.shape, r2.dtype)
+        factor = self.evaluate_dr_over_r(r2)
+        factor.put(zero_idx, 0.0)
+        return factor[..., None] * (targets[:, None, :] - sources[None, :, :])
+
+    def pairwise_gradient_fused(
+        self, targets: np.ndarray, sources: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`pairwise_gradient` from the fused block routine."""
+        targets = np.atleast_2d(targets)
+        sources = np.atleast_2d(sources)
+        f = self._block(targets, sources, True, None, None, None, True)[1]
+        return f[..., None] * (targets[:, None, :] - sources[None, :, :])
+
+    def _block(
+        self, targets, sources, fused, coincident, key, workspace, want_grad
+    ):
+        """``(g, g'/r, scratch)`` of one ``(..., m, k)`` block.
+
+        One r^2 pass (``fused`` picks :meth:`_pairwise_r2_fused` or the
+        reference :meth:`_pairwise_r2`), its coincident entries scanned
+        at most once per ``coincident`` dict (under ``key``; every time
+        when there is none), one sqrt in place, one
+        :meth:`evaluate_radial` (into the workspace's ``"g"`` / ``"f"``
+        slots when there is one) and one coincidence patch of each
+        factor (``evaluate_r0`` and zero force).  Without ``want_grad``
+        the second factor and the scratch are None; with it the r buffer
+        is free after the patch and comes back as the force
+        contraction's scratch -- None if a factor aliases it.
+        """
+        r2_of = self._pairwise_r2_fused if fused else self._pairwise_r2
+        if coincident is None:
+            r, zero_idx = r2_of(targets, sources, None, workspace)
+        else:
+            r, zero_idx = r2_of(
+                targets, sources, coincident.get(key), workspace
+            )
+            coincident[key] = zero_idx
+        r.put(zero_idx, 1.0)
+        np.sqrt(r, out=r)
+        g, f = self.evaluate_radial(
+            r,
+            want_grad=want_grad,
+            out=(
+                take(workspace, "g", r.shape, r.dtype),
+                take(workspace, "f", r.shape, r.dtype) if want_grad else None,
+            ),
         )
         g.put(zero_idx, self.evaluate_r0())
-        return g
+        if not want_grad:
+            return g, None, None
+        f.put(zero_idx, 0.0)
+        if np.may_share_memory(r, g) or np.may_share_memory(r, f):
+            r = None
+        return g, f, r
+
+    @staticmethod
+    def _force_rows(f, q, targets, sources, scratch):
+        return _radial_force(f, q, targets, sources, scratch)
+
+    @staticmethod
+    def _force_mirror(f, q, targets, sources, scratch):
+        # sum_i f_ij q_i (t_i - s_j) = (f q)^T T - s_j * colsum(f q).
+        fq = _scaled(f, q[:, None], scratch)
+        return fq.T @ targets - sources * fq.sum(axis=0)[:, None]
 
     def _pairwise_r2(
         self,
@@ -702,270 +681,20 @@ class RadialKernel(Kernel):
             zero_idx = _scan_coincident(r2, t2, s2)
         return r2, zero_idx
 
-    def _r2_block(
-        self, targets, sources, fused, coincident, key, workspace=None
-    ):
-        """r^2 and coincident indices of one block, scanned at most once
-        per ``coincident`` dict (every time when there is none)."""
-        r2_of = self._pairwise_r2_fused if fused else self._pairwise_r2
-        if coincident is None:
-            return r2_of(targets, sources, None, workspace)
-        r2, zero_idx = r2_of(targets, sources, coincident.get(key), workspace)
-        coincident[key] = zero_idx
-        return r2, zero_idx
 
-    def _pairwise_block(
-        self, targets, sources, fused, coincident, key, workspace=None
-    ):
-        r2, zero_idx = self._r2_block(
-            targets, sources, fused, coincident, key, workspace
+def _columns(charges, multi, *accumulators):
+    """``(charges, *accumulators)`` per RHS column: the arrays themselves
+    for one column, else a contiguous copy of each charge column (the
+    last axis) with the accumulators' matching strided views."""
+    if not multi:
+        return ((charges, *accumulators),)
+    return [
+        (
+            np.ascontiguousarray(charges[..., r]),
+            *(None if a is None else a[..., r] for a in accumulators),
         )
-        return self._finish_pairwise(r2, zero_idx, workspace)
-
-    def _gradient_block(self, targets, sources, fused, coincident, key):
-        r2, zero_idx = self._r2_block(targets, sources, fused, coincident, key)
-        return self._finish_gradient(targets, sources, r2, zero_idx)
-
-    def pairwise_batched(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        coincident: dict | None = None,
-        *,
-        workspace=None,
-    ) -> np.ndarray:
-        """Stacked kernel matrices on the fused r^2 accumulation.
-
-        ``targets`` is ``(G, m, 3)``, ``sources`` ``(G, k, 3)``; the
-        cross term is one batched GEMM, the squared norms accumulate in
-        place, and the sqrt/kernel/coincidence passes run over the whole
-        ``(G, m, k)`` stack at once.
-        """
-        return self._pairwise_block(
-            targets, sources, True, coincident, (0, len(targets)), workspace
-        )
-
-    def potential_force_batched(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        weights: np.ndarray,
-        coincident: dict | None = None,
-        *,
-        workspace=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked potentials and factored radial forces, one pass.
-
-        One fused r^2 stack, one coincidence lookup, one sqrt and one
-        :meth:`evaluate_radial` serve both: the potentials are
-        :meth:`potential_batched`'s GEMV on ``g`` (bitwise), and with
-        ``grad G = f(r) (x - y)``, ``f = g'(r)/r``, the forces split as
-
-            F_i = -sum_j f_ij w_j (t_i - s_j)
-                = (f w) S  -  t_i * sum_j f_ij w_j,
-
-        one elementwise product, one row-sum and one batched GEMM
-        against the source coordinates, with no ``(G, m, k, 3)``
-        gradient tensor.  They agree with the generic gradient
-        contraction to roundoff (the sum over sources is reassociated);
-        coincident pairs contribute exactly zero.
-
-        Multi-RHS (``weights`` shaped ``(..., k, n_rhs)``): the radial
-        factors are computed once and every column repeats the exact
-        single-vector contractions on a contiguous column copy, so each
-        output column is bitwise the single-vector result for it.
-        """
-        g, f, scratch = self._radial_block(
-            targets, sources, True, coincident, (0, len(targets)), workspace
-        )
-        phi = _gemv_stack(g, weights)
-        if weights.ndim == np.ndim(targets):
-            frc = np.stack(
-                [
-                    _radial_force(
-                        f, np.ascontiguousarray(weights[..., r]),
-                        targets, sources, scratch,
-                    )
-                    for r in range(weights.shape[-1])
-                ],
-                axis=-1,
-            )
-        else:
-            frc = _radial_force(f, weights, targets, sources, scratch)
-        return phi, frc
-
-    def potential_and_force(
-        self,
-        targets: np.ndarray,
-        sources: np.ndarray,
-        charges: np.ndarray,
-        *,
-        block_elements: int = DEFAULT_BLOCK_ELEMENTS,
-        out: np.ndarray | None = None,
-        forces: np.ndarray | None = None,
-        fused: bool = False,
-        coincident: dict | None = None,
-        mirror: tuple | None = None,
-        workspace=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One radial pass per row block for potential and force.
-
-        Per row block: one r^2 (``fused`` picks the arithmetic, as in
-        :meth:`potential`), one coincidence lookup in ``coincident``,
-        one sqrt and one :meth:`evaluate_radial`.  Potentials are
-        :meth:`potential`'s GEMV on ``g``; forces are the factored
-        contraction of :meth:`potential_force_batched` on ``f =
-        g'(r)/r``, which builds no ``(M, K, 3)`` gradient tensor and
-        agrees with :meth:`force` to roundoff.
-
-        Row blocks are :meth:`potential`'s (``block_elements // K``
-        rows), so the potentials are bitwise :meth:`potential`'s: BLAS
-        rounds the r^2 GEMM and the GEMV differently for different row
-        counts, and the block also sets the coincidence noise floor.
-        The pass holds ``r`` (reused as the contraction scratch), ``g``
-        and ``f`` per block -- the slots ``"r2"``, ``"g"`` and ``"f"`` of
-        a ``workspace``, else fresh per block -- and the force
-        contraction allocates none.
-
-        Multi-RHS: every column runs the single-vector contractions on
-        the shared factors (contiguous column copies), so column ``j``
-        is bitwise a single-vector call's.
-
-        ``mirror=(col0, charges_t, out_t, forces_t)`` applies the
-        trailing columns back onto the sources from the same factors:
-        ``out_t += G[:, col0:]^T q_t`` and ``forces_t += (F q_t)^T T -
-        S * colsum(F q_t)`` with ``F = f[:, col0:]`` (the gradient is
-        antisymmetric).
-        """
-        targets = np.atleast_2d(targets)
-        sources = np.atleast_2d(sources)
-        charges = np.asarray(charges)
-        m = targets.shape[0]
-        k = sources.shape[0]
-        rhs = charges.shape[1:]
-        # Same three-operand promotion as potential() / force().
-        dtype = np.result_type(targets, sources, charges)
-        if out is None:
-            out = np.zeros((m,) + rhs, dtype=dtype)
-        if forces is None:
-            forces = np.zeros((m, 3) + rhs, dtype=dtype)
-        if k == 0 or m == 0:
-            return out, forces
-        fused = fused and self.supports_fused_pairwise
-
-        def columns(q, phi, frc):
-            """(charges, potential, force) per RHS column."""
-            if q.ndim == 1:
-                return [(q, phi, frc)]
-            return [
-                (np.ascontiguousarray(q[:, r]), phi[:, r], frc[:, :, r])
-                for r in range(q.shape[1])
-            ]
-
-        cols = columns(charges, out, forces)
-        if mirror is not None:
-            col0, q_t, out_t, forces_t = mirror
-            mirror = (col0, columns(np.asarray(q_t), out_t, forces_t))
-        for lo, hi in chunk_ranges(m, block_rows(k, block_elements)):
-            # One call per block: it is done with its arrays (freed, or
-            # workspace views the next block overwrites) when it returns.
-            self._joint_block(
-                targets, sources, fused, coincident, (lo, hi), cols, mirror,
-                workspace,
-            )
-        return out, forces
-
-    def _joint_block(
-        self, targets, sources, fused, coincident, key, cols, mirror,
-        workspace,
-    ):
-        """Row block ``key = (lo, hi)`` of :meth:`potential_and_force`:
-        ``cols`` / ``mirror`` are its per-column operands."""
-        lo, hi = key
-        tgt = targets[lo:hi]
-        g, f, scratch = self._radial_block(
-            tgt, sources, fused, coincident, key, workspace
-        )
-        for q, phi, frc in cols:
-            phi[lo:hi] += g @ q
-            frc[lo:hi] += _radial_force(f, q, tgt, sources, scratch)
-        if mirror is None:
-            return
-        col0, cols_t = mirror
-        f_t = f[:, col0:]
-        scratch_t = None if scratch is None else scratch[:, col0:]
-        for q, phi, frc in cols_t:
-            phi += g[:, col0:].T @ q[lo:hi]
-            fq = _scaled(f_t, q[lo:hi, None], scratch_t)
-            frc += fq.T @ tgt - sources[col0:] * fq.sum(axis=0)[:, None]
-
-    def _radial_block(
-        self, targets, sources, fused, coincident, key, workspace=None
-    ):
-        """``g``, ``g'/r`` and a scratch buffer of one block.
-
-        One r^2 pass (:meth:`_r2_block`), one sqrt in place, one
-        :meth:`evaluate_radial` (into the workspace's ``"g"`` / ``"f"``
-        slots when there is one), one coincidence patch of each factor
-        (``evaluate_r0`` and zero force).  The r buffer is free after
-        that and comes back as the ``(..., m, k)`` scratch of the force
-        contraction -- None if a factor aliases it.
-        """
-        r, zero_idx = self._r2_block(
-            targets, sources, fused, coincident, key, workspace
-        )
-        r.put(zero_idx, 1.0)
-        np.sqrt(r, out=r)
-        g, f = self.evaluate_radial(
-            r,
-            out=(
-                take(workspace, "g", r.shape, r.dtype),
-                take(workspace, "f", r.shape, r.dtype),
-            ),
-        )
-        g.put(zero_idx, self.evaluate_r0())
-        f.put(zero_idx, 0.0)
-        if np.may_share_memory(r, g) or np.may_share_memory(r, f):
-            r = None
-        return g, f, r
-
-    def pairwise_gradient(
-        self, targets: np.ndarray, sources: np.ndarray
-    ) -> np.ndarray:
-        """Gradient ``grad_x G = (g'(r)/r) (x - y)``; zero at coincidence.
-
-        Coincident pairs contribute zero force: for singular kernels the
-        self-term is excluded, and for smooth radial kernels the gradient
-        vanishes at the origin by symmetry.
-        """
-        targets = np.atleast_2d(targets)
-        sources = np.atleast_2d(sources)
-        r2, zero_idx = self._pairwise_r2(targets, sources)
-        return self._finish_gradient(targets, sources, r2, zero_idx)
-
-    def pairwise_gradient_fused(
-        self, targets: np.ndarray, sources: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`pairwise_gradient` on the fused r^2 accumulation."""
-        targets = np.atleast_2d(targets)
-        sources = np.atleast_2d(sources)
-        r2, zero_idx = self._pairwise_r2_fused(targets, sources)
-        return self._finish_gradient(targets, sources, r2, zero_idx)
-
-    def _gradient_factor(self, r2, zero_idx) -> np.ndarray:
-        """``g'(r)/r`` on an owned r2, zero at the coincident entries."""
-        r2.put(zero_idx, 1.0)
-        np.sqrt(r2, out=r2)
-        factor = self.evaluate_dr_over_r(r2)
-        factor.put(zero_idx, 0.0)
-        return factor
-
-    def _finish_gradient(self, targets, sources, r2, zero_idx) -> np.ndarray:
-        # Ellipsis indexing serves both the 2-D blocks ((M,1,3)-(1,K,3),
-        # exactly the old broadcast) and the stacked batched blocks.
-        factor = self._gradient_factor(r2, zero_idx)
-        diff = targets[..., :, None, :] - sources[..., None, :, :]
-        return factor[..., None] * diff
+        for r in range(charges.shape[-1])
+    ]
 
 
 def _scan_coincident(

@@ -26,21 +26,20 @@ class CoulombKernel(RadialKernel):
     singular_at_origin = True
 
     def evaluate_r(self, r: np.ndarray) -> np.ndarray:
-        return self.evaluate_r_into(r, None)
-
-    def evaluate_r_into(self, r: np.ndarray, out) -> np.ndarray:
-        return np.divide(1.0, r, out=out)
+        return self.evaluate_radial(r, want_grad=False)[0]
 
     def evaluate_dr_over_r(self, r: np.ndarray) -> np.ndarray:
         # d/dr (1/r) = -1/r^2, divided by r.
         return -1.0 / (r * r * r)
 
     def evaluate_radial(
-        self, r: np.ndarray, out: tuple | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, r: np.ndarray, *, want_grad: bool, out: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         # One division: g'/r = -g^3.
         g_out, f_out = (None, None) if out is None else out
-        g = self.evaluate_r_into(r, g_out)
+        g = np.divide(1.0, r, out=g_out)
+        if not want_grad:
+            return g, None
         f = np.multiply(g, g, out=f_out)
         f *= g
         np.negative(f, out=f)

@@ -12,6 +12,8 @@ The BLTC "can be any non-oscillatory kernel that is smooth for x != y"
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import RadialKernel
@@ -28,8 +30,10 @@ class InverseMultiquadricKernel(RadialKernel):
     singular_at_origin = False
 
     def __init__(self, c: float = 0.1) -> None:
-        if c <= 0.0:
-            raise ValueError(f"shape parameter c must be positive, got {c}")
+        if not math.isfinite(c) or c <= 0.0:
+            raise ValueError(
+                f"shape parameter c must be finite and positive, got {c}"
+            )
         self.c = float(c)
 
     def evaluate_r(self, r: np.ndarray) -> np.ndarray:
@@ -51,29 +55,28 @@ class GaussianKernel(RadialKernel):
     singular_at_origin = False
 
     def __init__(self, sigma: float = 0.5) -> None:
-        if sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        if not math.isfinite(sigma) or sigma <= 0.0:
+            raise ValueError(f"sigma must be finite and positive, got {sigma}")
         self.sigma = float(sigma)
 
     def evaluate_r(self, r: np.ndarray) -> np.ndarray:
-        return self.evaluate_r_into(r, None)
-
-    def evaluate_r_into(self, r: np.ndarray, out) -> np.ndarray:
-        # exp(-0.5 (r / sigma)^2), every pass in one buffer.
-        g = np.divide(r, self.sigma, out=out)
-        np.square(g, out=g)
-        np.multiply(-0.5, g, out=g)
-        return np.exp(g, out=g)
+        return self.evaluate_radial(r, want_grad=False)[0]
 
     def evaluate_dr_over_r(self, r: np.ndarray) -> np.ndarray:
         return -self.evaluate_r(r) / (self.sigma * self.sigma)
 
     def evaluate_radial(
-        self, r: np.ndarray, out: tuple | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # One exp: g'/r = -g / sigma^2 (bitwise evaluate_dr_over_r's).
+        self, r: np.ndarray, *, want_grad: bool, out: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        # exp(-0.5 (r / sigma)^2), every pass in one buffer; one exp
+        # serves both: g'/r = -g / sigma^2 (bitwise evaluate_dr_over_r's).
         g_out, f_out = (None, None) if out is None else out
-        g = self.evaluate_r_into(r, g_out)
+        g = np.divide(r, self.sigma, out=g_out)
+        np.square(g, out=g)
+        np.multiply(-0.5, g, out=g)
+        np.exp(g, out=g)
+        if not want_grad:
+            return g, None
         return g, np.divide(g, -(self.sigma * self.sigma), out=f_out)
 
     def evaluate_r0(self) -> float:

@@ -1,26 +1,33 @@
 """Reusable scratch buffers for the blocked kernel evaluations.
 
-The fused and batched evaluators run thousands of row blocks and bucket
-chunks per execute, and every one of them needs the same few ``(m, k)``
-(or stacked ``(g, m, k)``) arrays: ``r^2`` (``r`` after the in-place
-sqrt, then the force contraction's scratch), ``g`` and ``g'(r)/r``.
-Allocating them per block is what the GPU avoids by launching into
-device arrays allocated once; on the CPU a fresh multi-MB array costs
-about as much as a few elementwise passes over it, because the freed
-pages go back to the OS and fault back in on the next block.
+The fused and batched evaluators call the two kernel drivers
+(``Kernel.potential`` per row block, ``RadialKernel.potential_batched``
+per bucket chunk) thousands of times per execute, and every block
+needs the same few ``(m, k)`` (or stacked ``(g, m, k)``) arrays:
+``r^2`` (``r`` after the in-place sqrt, then the force contraction's
+scratch), ``g`` and, with forces, ``g'(r)/r``.  Allocating them per
+block is what the GPU avoids by launching into device arrays allocated
+once; on the CPU a fresh multi-MB array costs about as much as a few
+elementwise passes over it, because the freed pages go back to the OS
+and fault back in on the next block.
 
 A :class:`Workspace` holds one flat buffer per ``(slot, dtype)`` and
 hands out C-contiguous views of its leading elements, so consecutive
-blocks reuse the same memory.  One workspace lives for one execute and
-is freed when it returns.  Before the first block, the evaluator
-:meth:`~Workspace.reserve` s the element count of the largest block the
-plan will form (every slot of a block has that block's shape), so each
-slot is allocated once, at its final size, on the first execute as on
-every later one.
+blocks reuse the same memory.  A driver handed a workspace takes its
+arrays from the slots ``"r2"``, ``"g"`` and ``"f"`` (the float32
+reference r^2 adds ``"cross"``) and passes the factor buffers to
+``RadialKernel.evaluate_radial`` as its ``out``.  One workspace lives
+for one execute and is freed when it returns.  Before the first block,
+the evaluator :meth:`~Workspace.reserve` s the element count of the
+largest block the plan will form (every slot of a block has that
+block's shape), so each slot is allocated once, at its final size, on
+the first execute as on every later one.
 
 Writing into a view is elementwise the same arithmetic as writing into
 a fresh array (the ufuncs and GEMMs take ``out=``), so results are
-bitwise independent of whether a workspace is passed.
+bitwise independent of whether a workspace is passed.  A radial kernel
+whose ``evaluate_radial`` ignores ``out`` (the default built from
+``evaluate_r`` / ``evaluate_dr_over_r``) still allocates its factors.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ numerical results use ``kappa = 0.5``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import RadialKernel
@@ -26,33 +28,32 @@ class YukawaKernel(RadialKernel):
     singular_at_origin = True
 
     def __init__(self, kappa: float = 0.5) -> None:
-        if kappa < 0.0:
-            raise ValueError(f"kappa must be non-negative, got {kappa}")
+        if not math.isfinite(kappa) or kappa < 0.0:
+            raise ValueError(
+                f"kappa must be finite and non-negative, got {kappa}"
+            )
         self.kappa = float(kappa)
 
     def evaluate_r(self, r: np.ndarray) -> np.ndarray:
-        return self.evaluate_r_into(r, None)
-
-    def evaluate_r_into(self, r: np.ndarray, out) -> np.ndarray:
-        # exp(-kappa r) / r, every pass in one buffer.
-        g = np.multiply(-self.kappa, r, out=out)
-        np.exp(g, out=g)
-        g /= r
-        return g
+        return self.evaluate_radial(r, want_grad=False)[0]
 
     def evaluate_dr_over_r(self, r: np.ndarray) -> np.ndarray:
         # d/dr (e^{-kr}/r) = -e^{-kr} (k r + 1) / r^2, divided by r.
         return -np.exp(-self.kappa * r) * (self.kappa * r + 1.0) / (r**3)
 
     def evaluate_radial(
-        self, r: np.ndarray, out: tuple | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # One exp: g'/r = -(kappa r + 1) g / r^2, from the -kappa r that
-        # feeds the exp (g itself is evaluate_r's expression, bitwise).
+        self, r: np.ndarray, *, want_grad: bool, out: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        # exp(-kappa r) / r, every pass in one buffer; with the gradient
+        # the -kappa r that feeds the exp also gives g'/r =
+        # -(kappa r + 1) g / r^2, so one exp serves both (and g is
+        # bitwise the same either way).
         g_out, f_out = (None, None) if out is None else out
-        f = np.multiply(-self.kappa, r, out=f_out)
-        g = np.exp(f, out=g_out)
+        f = np.multiply(-self.kappa, r, out=f_out if want_grad else g_out)
+        g = np.exp(f, out=g_out if want_grad else f)
         g /= r
+        if not want_grad:
+            return g, None
         f -= 1.0
         f *= g
         f /= r

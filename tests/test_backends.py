@@ -51,6 +51,8 @@ from repro.perf.machine import CPU_XEON_X5650, GPU_TITAN_V
 from repro.tree.batches import TargetBatches
 from repro.tree.octree import ClusterTree
 
+from test_kernels import AnisotropicCoulomb
+
 
 def _params(**kw):
     base = dict(theta=0.7, degree=4, max_leaf_size=150, max_batch_size=150)
@@ -1029,15 +1031,6 @@ class TestBatchedBackend:
             k: tuple(v) for k, v in ref.by_kind.items()
         }
 
-    def test_unsupported_kernel_falls_back_bitwise_to_fused(self, shared_plan):
-        class NoBatched(CoulombKernel):
-            supports_batched_pairwise = False
-
-        phi_f, f_f, _ = self._run("fused", shared_plan, kernel=NoBatched())
-        phi_b, f_b, _ = self._run("batched", shared_plan, kernel=NoBatched())
-        assert np.array_equal(phi_f, phi_b)
-        assert np.array_equal(f_f, f_b)
-
     def test_rejects_model_plan(self, cube):
         plan = _compile(cube, numerics=False)
         with pytest.raises(ValueError, match="needs a plan"):
@@ -1104,6 +1097,65 @@ class TestBatchedBackend:
     def test_registered_and_exported(self):
         assert "batched" in available_backends()
         assert isinstance(get_backend("batched"), BatchedBackend)
+
+
+class TestNonRadialKernel:
+    """A kernel that is not radial (``AnisotropicCoulomb``, a generic
+    ``Kernel``) through a session on every backend, forces on and off.
+    It has no stacked arithmetic, so ``batched`` evaluates the whole
+    plan as ``fused`` does; it declares no symmetry, so ``fused`` forms
+    no mirrored blocks and is the per-group arithmetic the
+    multiprocessing backend's shards run."""
+
+    BACKENDS = ("numpy", "fused", "batched", "multiprocessing")
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        cube = random_cube(1200, seed=31)
+        kernel = AnisotropicCoulomb()
+        pool = MultiprocessingBackend(n_workers=2)
+        runs = {}
+        with pytest.MonkeyPatch.context() as patch:
+            # Real worker shards, not the inline path.
+            patch.setattr(multiproc, "MIN_PARALLEL_ROWS", 1)
+            try:
+                for name in self.BACKENDS:
+                    params = TreecodeParams(
+                        theta=0.7, degree=4, max_leaf_size=100,
+                        max_batch_size=100,
+                        backend=pool if name == "multiprocessing" else name,
+                    )
+                    sess = BarycentricTreecode(kernel, params).prepare(cube)
+                    runs[name] = (
+                        sess.apply(cube.charges),
+                        sess.apply(cube.charges, compute_forces=True),
+                    )
+            finally:
+                pool.close()
+        return runs
+
+    def test_batched_and_multiprocessing_are_fused_bitwise(self, runs):
+        _, fused = runs["fused"]
+        for name in ("batched", "multiprocessing"):
+            off, on = runs[name]
+            assert off.potential.tobytes() == fused.potential.tobytes()
+            assert on.forces.tobytes() == fused.forces.tobytes()
+
+    def test_every_backend_within_roundoff_of_numpy(self, runs):
+        _, ref = runs["numpy"]
+        for name in self.BACKENDS[1:]:
+            _, on = runs[name]
+            np.testing.assert_allclose(on.potential, ref.potential, rtol=1e-10)
+            np.testing.assert_allclose(
+                on.forces, ref.forces, rtol=1e-10,
+                atol=1e-10 * float(np.abs(ref.forces).max()),
+            )
+
+    def test_potentials_ignore_forces(self, runs):
+        for name in self.BACKENDS:
+            off, on = runs[name]
+            assert off.forces is None
+            assert on.potential.tobytes() == off.potential.tobytes()
 
 
 class TestPaddedBucketNaNSafety:

@@ -280,7 +280,7 @@ class TestJointPassMemory:
         budget = 300_000  # ten row blocks
         out, forces = np.zeros(1500), np.zeros((1500, 3))
         peak = self._traced_peak(
-            lambda: kernel.potential_and_force(
+            lambda: kernel.potential(
                 t, s, q, out=out, forces=forces, fused=True,
                 block_elements=budget, coincident={},
                 workspace=Workspace() if workspace else None,

@@ -94,6 +94,28 @@ class TestSmoothKernels:
             GaussianKernel(sigma=-1.0)
 
 
+class TestNonFiniteParameters:
+    """The sign checks alone let NaN through (every potential came back
+    NaN) and took ``kappa=inf`` (every Yukawa potential zero): a
+    non-finite shape parameter is refused, directly and by name."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "name, cls, param",
+        [
+            ("yukawa", YukawaKernel, "kappa"),
+            ("inverse-multiquadric", InverseMultiquadricKernel, "c"),
+            ("gaussian", GaussianKernel, "sigma"),
+        ],
+        ids=["yukawa", "inverse-multiquadric", "gaussian"],
+    )
+    def test_rejected(self, name, cls, param, value):
+        with pytest.raises(ValueError, match="finite"):
+            cls(**{param: float(value)})
+        with pytest.raises(ValueError, match="finite"):
+            get_kernel(name, **{param: float(value)})
+
+
 class TestPotential:
     @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
     def test_matches_dense_matvec(self, kernel, rng):
@@ -191,12 +213,11 @@ class TestDomain:
         assert ref[0, 0] == fused[0, 0] == dtype(kernel.evaluate_r0())
         np.testing.assert_allclose(fused, ref, rtol=1e-5)
         if not isinstance(kernel, ThinPlateKernel):  # potential-only
-            phi, force = kernel.potential_force_batched(
-                t[None], s[None], w[None]
-            )
-            assert np.isfinite(phi).all() and np.isfinite(force).all()
-            phi, force = kernel.potential_and_force(t, s, w, fused=True)
-            assert np.isfinite(phi).all() and np.isfinite(force).all()
+            for phi, force in (
+                _stacked_with_forces(kernel, t[None], s[None], w[None]),
+                _with_forces(kernel, t, s, w, fused=True),
+            ):
+                assert np.isfinite(phi).all() and np.isfinite(force).all()
 
 
 GEOMETRIES = ("random", "coincident", "domain-edge")
@@ -238,134 +259,231 @@ def _assert_forces_close(got, want, dtype):
     )
 
 
-class TestJointRadialPass:
-    """One radial pass for potential and force
-    (``potential_and_force`` per group, ``potential_force_batched`` per
-    bucket chunk) against the separate primitives: potentials bitwise,
-    forces to roundoff."""
+def _with_forces(kernel, t, s, q, **kw):
+    """The per-block driver with a forces accumulator: ``(phi, F)``."""
+    frc = np.zeros((len(t), 3) + q.shape[1:], dtype=np.result_type(t, s, q))
+    return kernel.potential(t, s, q, forces=frc, **kw), frc
+
+
+def _stacked_with_forces(kernel, ts, ss, w, *args, **kw):
+    """The stacked driver with a forces accumulator: ``(phi, F)``."""
+    frc = np.zeros(ts.shape + w.shape[2:], dtype=np.result_type(ts, ss, w))
+    return kernel.potential_batched(ts, ss, w, *args, forces=frc, **kw), frc
+
+
+def _tensor_force(kernel, t, s, q, fused):
+    """Forces contracted from the whole ``(M, K, 3)`` gradient tensor:
+    the reference :meth:`force`, or on the fused r^2 the tensor of
+    ``pairwise_gradient_fused`` (the same r^2 arithmetic as the fused
+    drivers, so float32's r^2 cancellation does not swamp the check)."""
+    if not fused:
+        return kernel.force(t, s, q)
+    return -np.einsum("mkd,k->md", kernel.pairwise_gradient_fused(t, s), q)
+
+
+class AnisotropicCoulomb(Kernel):
+    """``1 / |D (x - y)|`` with diagonal ``D``: a generic kernel that is
+    genuinely not radial, so every backend evaluates it through
+    :meth:`Kernel.potential` on its :meth:`pairwise` and
+    :meth:`pairwise_gradient` blocks (coincident pairs contribute
+    zero)."""
+
+    name = "anisotropic-coulomb"
+    symmetric = False
+
+    def __init__(self, scales=(1.0, 0.6, 1.5)):
+        self.scales = np.asarray(scales)
+
+    def _scaled_diff(self, targets, sources):
+        t, s = np.atleast_2d(targets), np.atleast_2d(sources)
+        return (t[:, None, :] - s[None, :, :]) * self.scales
+
+    def pairwise(self, targets, sources):
+        diff = self._scaled_diff(targets, sources)
+        r = np.sqrt(np.einsum("mkd,mkd->mk", diff, diff))
+        return np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)
+
+    def pairwise_gradient(self, targets, sources):
+        # grad_x |D (x - y)|^-1 = -D^2 (x - y) / |D (x - y)|^3
+        diff = self._scaled_diff(targets, sources)
+        r2 = np.einsum("mkd,mkd->mk", diff, diff)
+        inv3 = np.divide(
+            1.0, r2 * np.sqrt(r2), out=np.zeros_like(r2), where=r2 > 0
+        )
+        return -(diff * self.scales) * inv3[..., None]
+
+
+def _assert_swapped_close(got, want):
+    """The mirror against the role-swapped call: the same pairs summed
+    in another order (and, fused, r^2's three terms too)."""
+    np.testing.assert_allclose(
+        got, want, rtol=1e-10, atol=1e-10 * float(np.abs(want).max())
+    )
+
+
+class TestOneDriver:
+    """The two drivers -- ``potential`` per row block,
+    ``potential_batched`` per stack -- with forces on and off:
+    potentials bitwise the same, forces to roundoff of the gradient
+    tensor's contraction, the mirror equal to the call with the roles
+    swapped."""
 
     @DTYPES
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
-    def test_matches_the_separate_primitives(
+    def test_forces_leave_potentials_bitwise(
         self, kernel, geometry, dtype, rng
     ):
         t, s, q = _geometry(geometry, dtype, rng)
         ts, ss = np.stack([t, t[::-1]]), np.stack([s, s])
         w = np.stack([q, -q])
         if isinstance(kernel, ThinPlateKernel):  # potential-only
-            with pytest.raises(NotImplementedError):
-                kernel.force(t, s, q)
-            with pytest.raises(NotImplementedError):
-                kernel.potential_and_force(t, s, q)
-            with pytest.raises(NotImplementedError):
-                kernel.potential_force_batched(ts, ss, w)
+            for call in (
+                lambda: kernel.force(t, s, q),
+                lambda: _with_forces(kernel, t, s, q),
+                lambda: _stacked_with_forces(kernel, ts, ss, w),
+            ):
+                with pytest.raises(NotImplementedError):
+                    call()
             return
-        # One row block, and several: the joint pass keeps potential()'s
-        # row blocks, which is what keeps its GEMVs bitwise.
-        for kw in (
-            dict(fused=fused, block_elements=b)
-            for fused in (False, True)
-            for b in (DEFAULT_BLOCK_ELEMENTS, 5 * len(s))
-        ):
-            phi, frc = kernel.potential_and_force(t, s, q, **kw)
-            assert np.array_equal(phi, kernel.potential(t, s, q, **kw))
-            _assert_forces_close(frc, kernel.force(t, s, q, **kw), dtype)
-        phi, frc = kernel.potential_force_batched(ts, ss, w)
+        # One row block, and several: the row blocks never depend on
+        # forces, which is what keeps the GEMVs bitwise.
+        for fused in (False, True):
+            for b in (DEFAULT_BLOCK_ELEMENTS, 5 * len(s)):
+                kw = dict(fused=fused, block_elements=b)
+                phi, frc = _with_forces(kernel, t, s, q, **kw)
+                assert np.array_equal(phi, kernel.potential(t, s, q, **kw))
+                _assert_forces_close(
+                    frc, _tensor_force(kernel, t, s, q, fused), dtype
+                )
+        phi, frc = _stacked_with_forces(kernel, ts, ss, w)
         assert np.array_equal(phi, kernel.potential_batched(ts, ss, w))
         for b in range(2):
             _assert_forces_close(
-                frc[b], kernel.force(ts[b], ss[b], w[b], fused=True), dtype
+                frc[b], _tensor_force(kernel, ts[b], ss[b], w[b], True),
+                dtype,
             )
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS[:3], ids=lambda k: k.name)
+    @pytest.mark.parametrize("kernel", ALL_KERNELS[:4], ids=lambda k: k.name)
     def test_radial_factors_share_evaluate_r(self, kernel, rng):
         r = rng.uniform(1e-3, 3.0, size=(40, 50))
-        g, f = kernel.evaluate_radial(r)
-        assert np.array_equal(g, kernel.evaluate_r(r))
+        g0, none = kernel.evaluate_radial(r, want_grad=False)
+        g, f = kernel.evaluate_radial(r, want_grad=True)
+        assert none is None
+        assert np.array_equal(g0, kernel.evaluate_r(r))
+        assert np.array_equal(g, g0)
         np.testing.assert_allclose(f, kernel.evaluate_dr_over_r(r), rtol=1e-14)
-        assert not np.may_share_memory(g, r)
-        assert not np.may_share_memory(f, r)
+        buffers = (np.empty_like(r), np.empty_like(r))
+        into = kernel.evaluate_radial(r, want_grad=True, out=buffers)
+        assert np.array_equal(into[0], g) and np.array_equal(into[1], f)
+        for factor in (g0, g, f, *into):
+            assert not np.may_share_memory(factor, r)
 
+    @pytest.mark.parametrize("n_rhs", [1, 3])
     @pytest.mark.parametrize("fused", [False, True])
-    @pytest.mark.parametrize("kernel", ALL_KERNELS[:4], ids=lambda k: k.name)
-    def test_mirror_matches_the_separate_mirrors(self, kernel, fused, rng):
-        t, s, q = _geometry("coincident", np.float64, rng)
-        s = np.concatenate([s, t])  # trailing columns: the targets
-        q = np.concatenate([q, rng.normal(size=len(t))])
-        col0 = len(s) - len(t)
-        q_t = rng.normal(size=len(t))
+    @pytest.mark.parametrize(
+        "kernel", ALL_KERNELS[:4] + [AnisotropicCoulomb()],
+        ids=lambda k: k.name,
+    )
+    def test_mirror_is_the_swapped_call(self, kernel, fused, n_rhs, rng):
+        """What the trailing sources receive through ``mirror`` is the
+        driver called with the roles swapped: targets ``sources[col0:]``,
+        sources the targets, charges ``charges_t``."""
+        t, s, _ = _geometry("coincident", np.float64, rng)
+        col0 = 7  # the trailing sources include the ones on targets
+        rhs = () if n_rhs == 1 else (n_rhs,)
+        q = rng.normal(size=(len(s),) + rhs)
+        q_t = rng.normal(size=(len(t),) + rhs)
         kw = dict(fused=fused, block_elements=8 * len(s))
-        out_t, f_t = np.zeros(len(t)), np.zeros((len(t), 3))
-        phi, frc = kernel.potential_and_force(
-            t, s, q, mirror=(col0, q_t, out_t, f_t), **kw
-        )
-        ref_t, ref_ft = np.zeros(len(t)), np.zeros((len(t), 3))
-        ref_phi = kernel.potential(t, s, q, mirror=(col0, q_t, ref_t), **kw)
-        ref_f = kernel.force(t, s, q, mirror=(col0, q_t, ref_ft), **kw)
-        assert np.array_equal(phi, ref_phi)
-        assert np.array_equal(out_t, ref_t)
-        _assert_forces_close(frc, ref_f, np.float64)
-        _assert_forces_close(f_t, ref_ft, np.float64)
-
-    def test_generic_form_is_the_two_calls(self, rng):
-        # What a non-radial kernel runs: Kernel's own potential_and_force.
-        kernel = YukawaKernel(kappa=0.5)
-        t, s, q = _geometry("coincident", np.float64, rng)
-        s = np.concatenate([s, t])
-        q = np.concatenate([q, rng.normal(size=len(t))])
-        col0, q_t = len(s) - len(t), rng.normal(size=len(t))
-        kw = dict(fused=True, block_elements=8 * len(s))
-        out_t, f_t = np.zeros(len(t)), np.zeros((len(t), 3))
-        phi, frc = Kernel.potential_and_force(
+        out_t = np.zeros((len(s) - col0,) + rhs)
+        f_t = np.zeros((len(s) - col0, 3) + rhs)
+        phi, frc = _with_forces(
             kernel, t, s, q, mirror=(col0, q_t, out_t, f_t), **kw
         )
-        ref_t, ref_ft = np.zeros(len(t)), np.zeros((len(t), 3))
-        assert np.array_equal(
-            phi, kernel.potential(t, s, q, mirror=(col0, q_t, ref_t), **kw)
-        )
-        assert np.array_equal(
-            frc, kernel.force(t, s, q, mirror=(col0, q_t, ref_ft), **kw)
-        )
-        assert np.array_equal(out_t, ref_t) and np.array_equal(f_t, ref_ft)
+        want_phi, want_frc = _with_forces(kernel, s[col0:], t, q_t, **kw)
+        _assert_swapped_close(out_t, want_phi)
+        _assert_swapped_close(f_t, want_frc)
+        # Bitwise: the block's own side ignores the mirror, and forces
+        # change neither side's potentials.
+        alone = _with_forces(kernel, t, s, q, **kw)
+        assert np.array_equal(phi, alone[0]) and np.array_equal(frc, alone[1])
+        off_t = np.zeros_like(out_t)
+        off = kernel.potential(t, s, q, mirror=(col0, q_t, off_t, None), **kw)
+        assert np.array_equal(off, phi) and np.array_equal(off_t, out_t)
 
     @DTYPES
+    @pytest.mark.parametrize("forces", [False, True], ids=["phi", "forces"])
     @pytest.mark.parametrize("kernel", ALL_KERNELS[:4], ids=lambda k: k.name)
-    def test_column_is_the_solo_call(self, kernel, dtype, rng):
+    def test_column_is_the_solo_call(self, kernel, forces, dtype, rng):
         t, s, _ = _geometry("coincident", dtype, rng)
-        s = np.concatenate([s, t])
-        col0 = len(s) - len(t)
+        col0 = 7
         charges = rng.normal(size=(len(s), 4)).astype(dtype)
         q_t = rng.normal(size=(len(t), 4)).astype(dtype)
-
-        def joint(q, qt):
-            rhs = q.shape[1:]
-            mirror = (
-                col0, qt, np.zeros((len(t),) + rhs),
-                np.zeros((len(t), 3) + rhs),
-            )
-            phi, frc = kernel.potential_and_force(
-                t, s, q, fused=dtype == np.float64,
-                block_elements=8 * len(s), mirror=mirror,
-            )
-            return phi, frc, mirror[2], mirror[3]
-
-        wide = joint(charges, q_t)
         ts, ss = np.stack([t, t[::-1]]), np.stack([s, s])
         w = np.stack([charges, -charges])
-        stacked = kernel.potential_force_batched(ts, ss, w)
+
+        def zeros_if(on, shape):
+            return np.zeros(shape, dtype=dtype) if on else None
+
+        def per_block(q, qt):
+            rhs = q.shape[1:]
+            out_t = np.zeros((len(s) - col0,) + rhs, dtype=dtype)
+            f_t = zeros_if(forces, (len(s) - col0, 3) + rhs)
+            frc = zeros_if(forces, (len(t), 3) + rhs)
+            phi = kernel.potential(
+                t, s, q, forces=frc, fused=dtype == np.float64,
+                block_elements=8 * len(s), mirror=(col0, qt, out_t, f_t),
+            )
+            return phi, frc, out_t, f_t
+
+        def stacked(wj):
+            frc = zeros_if(forces, ts.shape + wj.shape[2:])
+            return kernel.potential_batched(ts, ss, wj, forces=frc), frc
+
+        wide, wide_stacked = per_block(charges, q_t), stacked(w)
         for j in range(charges.shape[1]):
-            solo = joint(
+            solo = per_block(
                 np.ascontiguousarray(charges[:, j]),
                 np.ascontiguousarray(q_t[:, j]),
             )
-            for got, want in zip(wide, solo):
-                assert np.array_equal(got[..., j], want)
-            solo = kernel.potential_force_batched(
-                ts, ss, np.ascontiguousarray(w[..., j])
+            solo_stacked = stacked(np.ascontiguousarray(w[..., j]))
+            for got, want in zip(
+                wide + wide_stacked, solo + solo_stacked
+            ):
+                assert got is want is None or np.array_equal(got[..., j], want)
+
+
+class TestGenericKernel:
+    """A kernel that is not radial runs the same driver on its
+    ``pairwise`` / ``pairwise_gradient`` blocks, with no fused or
+    stacked arithmetic."""
+
+    def test_driver_matches_the_dense_reference(self, rng):
+        kernel = AnisotropicCoulomb()
+        t, s, q = _geometry("coincident", np.float64, rng)
+        dense = kernel.pairwise(t, s)
+        assert dense[0, 10] == 0.0 and np.isfinite(dense).all()
+        assert not hasattr(kernel, "potential_batched")
+        ref = kernel.potential(t, s, q, block_elements=5 * len(s))
+        np.testing.assert_allclose(ref, dense @ q, rtol=1e-13)
+        for fused in (False, True):  # nothing fused to opt into
+            phi, frc = _with_forces(
+                kernel, t, s, q, fused=fused, block_elements=5 * len(s)
             )
-            for got, want in zip(stacked, solo):
-                assert np.array_equal(got[..., j], want)
+            assert np.array_equal(phi, ref)
+            _assert_forces_close(frc, kernel.force(t, s, q), np.float64)
+        # The analytic gradient against central differences of G.
+        h = 1e-6
+        for d in range(3):
+            step = np.zeros(3)
+            step[d] = h
+            fd = (kernel.pairwise(t[6:] + step, s) - kernel.pairwise(
+                t[6:] - step, s
+            )) / (2 * h)
+            np.testing.assert_allclose(
+                kernel.pairwise_gradient(t[6:], s)[..., d], fd,
+                rtol=1e-5, atol=1e-6,
+            )
 
 
 class TestCostModel:
@@ -491,8 +609,7 @@ class TestProperties:
         blocks = dict(block_elements=rows_per_block * len(s))
         scanned = (
             kernel.potential(t, s, q, fused=fused, **blocks),
-            kernel.force(t, s, q, fused=fused, **blocks),
-            *kernel.potential_and_force(t, s, q, fused=fused, **blocks),
+            *_with_forces(kernel, t, s, q, fused=fused, **blocks),
         )
         found: dict = {}
         for _ in range(2):  # the first call records, the second is handed
@@ -501,11 +618,8 @@ class TestProperties:
                 kernel.potential(
                     t, s, q, fused=fused, coincident=found, **blocks
                 ),
-                kernel.force(
-                    t, s, q, fused=fused, coincident=found, **blocks
-                ),
-                *kernel.potential_and_force(
-                    t, s, q, fused=fused, coincident=found, **blocks
+                *_with_forces(
+                    kernel, t, s, q, fused=fused, coincident=found, **blocks
                 ),
             )
             for got, want in zip(supplied, scanned):
@@ -517,17 +631,17 @@ class TestProperties:
             {i for i, _ in dup}
         )
 
-        # the stacked primitives: one stack, one entry, shared
+        # the stacked driver: one stack, one entry, shared
         ts, ss = np.stack([t, t[::-1]]), np.stack([s, s])
         w = np.stack([q, -q])
         mat = kernel.pairwise_batched(ts, ss)
-        phi, frc = kernel.potential_force_batched(ts, ss, w)
+        phi, frc = _stacked_with_forces(kernel, ts, ss, w)
         slot: dict = {}
         for _ in range(2):
             np.testing.assert_array_equal(
                 kernel.pairwise_batched(ts, ss, slot), mat
             )
-            got_phi, got_frc = kernel.potential_force_batched(ts, ss, w, slot)
+            got_phi, got_frc = _stacked_with_forces(kernel, ts, ss, w, slot)
             np.testing.assert_array_equal(got_phi, phi)
             np.testing.assert_array_equal(got_frc, frc)
         assert list(slot) == [(0, 2)]

@@ -410,31 +410,18 @@ class TestFusedPairwisePrimitive:
         )
         assert np.array_equal(a, b)
 
-    def test_fused_potential_and_force_close(self):
+    def test_fused_driver_with_forces_close(self):
         cube = random_cube(700, seed=12)
         k = YukawaKernel(0.5)
         pot_ref = k.potential(cube.positions, cube.positions, cube.charges)
+        f_ref = k.force(cube.positions, cube.positions, cube.charges)
+        f_fus = np.zeros_like(f_ref)
         pot_fus = k.potential(
-            cube.positions, cube.positions, cube.charges, fused=True
+            cube.positions, cube.positions, cube.charges, forces=f_fus,
+            fused=True,
         )
         assert np.allclose(pot_ref, pot_fus, rtol=1e-9, atol=1e-12)
-        f_ref = k.force(cube.positions, cube.positions, cube.charges)
-        f_fus = k.force(
-            cube.positions, cube.positions, cube.charges, fused=True
-        )
         assert np.allclose(f_ref, f_fus, rtol=1e-8, atol=1e-11)
-
-    def test_kernel_without_fused_support_falls_back(self):
-        class Plain(CoulombKernel):
-            supports_fused_pairwise = False
-
-        cube = random_cube(300, seed=13)
-        k = Plain()
-        a = k.potential(cube.positions, cube.positions, cube.charges)
-        b = k.potential(
-            cube.positions, cube.positions, cube.charges, fused=True
-        )
-        assert np.array_equal(a, b)
 
 
 class TestVectorizedLetBytes:

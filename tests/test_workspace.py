@@ -1,11 +1,10 @@
 """The evaluation workspace: reused buffers, bitwise the same results.
 
-* Every kernel's four block entry points (``potential``,
-  ``potential_and_force``, ``potential_batched``,
-  ``potential_force_batched``) return the same bytes with a
-  :class:`~repro.kernels.workspace.Workspace` as without one -- with and
-  without ``mirror``, in float64 and float32, with 1 and 3 RHS columns,
-  on both r^2 arithmetics.
+* Every kernel's two drivers (``potential`` per row block,
+  ``potential_batched`` per stack), with forces on and off, return the
+  same bytes with a :class:`~repro.kernels.workspace.Workspace` as
+  without one -- with and without ``mirror``, in float64 and float32,
+  with 1 and 3 RHS columns, on both r^2 arithmetics.
 * One workspace reused across calls whose shapes shrink and then grow
   hands out no stale view and aliases no returned array.
 * A multi-chunk fused or batched execute, cold or warm, allocates each
@@ -28,7 +27,7 @@ from repro import (
 from repro.core.backends import base as backend_base
 from repro.kernels.workspace import Workspace
 
-from test_kernels import ALL_KERNELS
+from test_kernels import ALL_KERNELS, _stacked_with_forces, _with_forces
 
 M, K = 60, 90
 #: Six rows per block of a (M, K) evaluation: ten row blocks.
@@ -64,6 +63,16 @@ def _geometry(rng, dtype, m=M, k=K):
     return np.ascontiguousarray(t, dtype=dtype), s
 
 
+def _zeros_if(on, shape, dtype):
+    """A forces accumulator, or None with forces off."""
+    return np.zeros(shape, dtype=dtype) if on else None
+
+
+def _present(*arrays):
+    """The arrays a call filled (forces off leaves its slots None)."""
+    return tuple(a for a in arrays if a is not None)
+
+
 def _charges(rng, n, n_rhs, dtype):
     shape = (n,) if n_rhs == 1 else (n, n_rhs)
     return rng.normal(size=shape).astype(dtype)
@@ -73,29 +82,11 @@ def _charges(rng, n, n_rhs, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("n_rhs", [1, 3])
 class TestEntryPointsBitwise:
+    @pytest.mark.parametrize("forces", [False, True], ids=["phi", "forces"])
     @pytest.mark.parametrize("mirror", [False, True])
     @pytest.mark.parametrize("fused", [False, True])
-    def test_potential(self, kernel, dtype, n_rhs, mirror, fused, rng):
-        t, s = _geometry(rng, dtype)
-        q = _charges(rng, K, n_rhs, dtype)
-        q_t = _charges(rng, M, n_rhs, dtype)
-        col0 = K - 40
-
-        def call(ws):
-            out_t = np.zeros((K - col0,) + q.shape[1:], dtype=dtype)
-            phi = kernel.potential(
-                t, s, q, block_elements=BLOCK, fused=fused, coincident={},
-                mirror=(col0, q_t, out_t) if mirror else None, workspace=ws,
-            )
-            return phi, out_t
-
-        plain, with_ws = _both(call)
-        assert plain is None or _same(plain, with_ws)
-
-    @pytest.mark.parametrize("mirror", [False, True])
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_potential_and_force(
-        self, kernel, dtype, n_rhs, mirror, fused, rng
+    def test_potential(
+        self, kernel, dtype, n_rhs, mirror, fused, forces, rng
     ):
         t, s = _geometry(rng, dtype)
         q = _charges(rng, K, n_rhs, dtype)
@@ -105,28 +96,34 @@ class TestEntryPointsBitwise:
         def call(ws):
             rhs = q.shape[1:]
             out_t = np.zeros((K - col0,) + rhs, dtype=dtype)
-            f_t = np.zeros((K - col0, 3) + rhs, dtype=dtype)
-            phi, frc = kernel.potential_and_force(
+            f_t = _zeros_if(forces, (K - col0, 3) + rhs, dtype)
+            frc = _zeros_if(forces, (M, 3) + rhs, dtype)
+            phi = kernel.potential(
                 t, s, q, block_elements=BLOCK, fused=fused, coincident={},
+                forces=frc,
                 mirror=(col0, q_t, out_t, f_t) if mirror else None,
                 workspace=ws,
             )
-            return phi, frc, out_t, f_t
+            return _present(phi, frc, out_t, f_t)
 
         plain, with_ws = _both(call)
         assert plain is None or _same(plain, with_ws)
 
-    @pytest.mark.parametrize(
-        "entry", ["potential_batched", "potential_force_batched"]
-    )
-    def test_stacked(self, kernel, dtype, n_rhs, entry, rng):
+    @pytest.mark.parametrize("forces", [False, True], ids=["phi", "forces"])
+    def test_stacked(self, kernel, dtype, n_rhs, forces, rng):
         t, s = _geometry(rng, dtype, 4 * 15, 4 * 20)
         ts, ss = t.reshape(4, 15, 3), s.reshape(4, 20, 3)
         rhs = () if n_rhs == 1 else (n_rhs,)
         w = _charges(rng, 80, n_rhs, dtype).reshape((4, 20) + rhs)
-        plain, with_ws = _both(
-            lambda ws: getattr(kernel, entry)(ts, ss, w, {}, workspace=ws)
-        )
+
+        def call(ws):
+            frc = _zeros_if(forces, (4, 15, 3) + rhs, dtype)
+            phi = kernel.potential_batched(
+                ts, ss, w, {}, forces=frc, workspace=ws
+            )
+            return _present(phi, frc)
+
+        plain, with_ws = _both(call)
         assert plain is None or _same(plain, with_ws)
 
 
@@ -147,11 +144,14 @@ def test_one_workspace_across_shrinking_and_growing_shapes(kernel, rng):
             lambda ws: kernel.potential(
                 t, s, q, block_elements=4 * k, fused=True, workspace=ws
             ),
-            lambda ws: kernel.potential_and_force(
-                t, s, q, block_elements=4 * k, fused=True, workspace=ws
-            ),
+            lambda ws: _present(*_with_forces(
+                kernel, t, s, q, block_elements=4 * k, fused=True,
+                workspace=ws,
+            )),
             lambda ws: kernel.potential_batched(ts, ss, w, workspace=ws),
-            lambda ws: kernel.potential_force_batched(ts, ss, w, workspace=ws),
+            lambda ws: _present(
+                *_stacked_with_forces(kernel, ts, ss, w, workspace=ws)
+            ),
         ]
         for call in calls:
             result = call(ws)
