@@ -44,7 +44,6 @@ from .core import (
     BarycentricTreecode,
     ExecutionPlan,
     PreparedTreecode,
-    BatchedBackend,
     FusedBackend,
     ModelBackend,
     MultiprocessingBackend,
@@ -103,7 +102,6 @@ __all__ = [
     "compile_plan",
     "Backend",
     "NumpyBackend",
-    "BatchedBackend",
     "FusedBackend",
     "MultiprocessingBackend",
     "ModelBackend",

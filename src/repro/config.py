@@ -21,6 +21,7 @@ so that every design decision can be ablated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,12 +64,10 @@ class TreecodeParams:
     #: Chebyshev point coordinates, exercising the removable singularities.
     shrink_to_fit: bool = True
     #: Evaluation backend executing the compiled plan: ``"numpy"`` (the
-    #: reference blocked semantics), ``"fused"`` (pre-gathered buffers, no
-    #: per-batch concatenation -- faster, same counters), ``"batched"``
-    #: (shape-bucketed stacked GEMMs over the uniform far field, fused
-    #: fallback for ragged work -- the fastest serial path),
-    #: ``"multiprocessing"`` (plan groups sharded over a persistent worker
-    #: pool) or ``"model"`` (launch accounting only).
+    #: reference blocked semantics), ``"fused"`` (the plan evaluator;
+    #: the plan's group shape picks stacked or per-group evaluation),
+    #: ``"multiprocessing"`` (plan groups sharded over a persistent
+    #: worker pool) or ``"model"`` (launch accounting only).
     #: Names are validated against the registry at construction time and
     #: resolved through :mod:`repro.core.backends` at compute time, so
     #: custom registered backends are selectable by name; a ready-made
@@ -85,11 +84,11 @@ class TreecodeParams:
     rebuild_threshold: float = 0.25
     #: Failure handling for prepared-session applies.  ``"degrade"``
     #: (the default) lets the session fall back along the backend
-    #: chain (``"multiprocessing"``/``"batched"`` -> ``"fused"`` ->
-    #: ``"numpy"``) when a backend fails or cannot be resolved in this
-    #: process -- one :class:`~repro.errors.BackendDegradedWarning` per
-    #: transition, the event recorded in ``health_stats()``, results
-    #: bitwise those of a session on the fallback backend.  This chain is
+    #: chain (``"multiprocessing"`` -> ``"fused"`` -> ``"numpy"``) when
+    #: a backend fails or cannot be resolved in this process -- one
+    #: :class:`~repro.errors.BackendDegradedWarning` per transition, the
+    #: event recorded in ``health_stats()``, results bitwise those of a
+    #: session on the fallback backend.  This chain is
     #: the only recovery path: no backend retries internally.
     #: ``"strict"`` restores raise-on-failure: the structured error
     #: (e.g. :class:`~repro.errors.WorkerCrashError` with the original
@@ -99,6 +98,12 @@ class TreecodeParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
+        for name in ("degree", "max_leaf_size", "max_batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
         if self.max_leaf_size < 1:

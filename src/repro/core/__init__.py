@@ -21,7 +21,6 @@
 
 from .backends import (
     Backend,
-    BatchedBackend,
     FusedBackend,
     ModelBackend,
     MultiprocessingBackend,
@@ -60,7 +59,6 @@ __all__ = [
     "compile_plan",
     "Backend",
     "NumpyBackend",
-    "BatchedBackend",
     "FusedBackend",
     "MultiprocessingBackend",
     "ModelBackend",

@@ -1,11 +1,11 @@
 """Shape-bucketed batched evaluation shared across backends.
 
-The numerics of the batched backend, kept free-standing (plain arrays +
-:class:`~repro.core.plan.BatchedBucket` objects in, accumulations out)
-so the same functions run in-process for :class:`~.batched.BatchedBackend`
-and are usable inside multiprocessing shards: a pool worker holding the
-flat buffers and a pickled bucket calls :func:`eval_bucket` exactly as
-the parent would.
+The numerics of the plan evaluator's stacked path, kept free-standing
+(plain arrays + :class:`~repro.core.plan.BatchedBucket` objects in,
+accumulations out) so the same functions run in-process for
+:class:`~.fused.FusedBackend` and are usable inside multiprocessing
+shards: a pool worker holding the flat buffers and a pickled bucket
+calls :func:`eval_bucket` exactly as the parent would.
 
 Per bucket chunk the evaluation is one call of the stacked kernel
 driver (:meth:`~repro.kernels.base.RadialKernel.potential_batched`) --

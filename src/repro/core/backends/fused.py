@@ -1,58 +1,85 @@
-"""Fused backend: zero-copy evaluation straight from the plan buffers.
+"""The plan evaluator: stacked or per-group evaluation, picked by shape.
 
-The plan compiler already gathered every group's sources behind
-per-segment ``seg_src_lo`` offsets into de-duplicated buffers, so this
-backend evaluates each group with *one* blocked accumulation over its
-whole source range -- no per-batch ``np.concatenate`` when the aliases
-land contiguously and at most one dtype cast of the buffers for the
-whole run.  That accumulation is one call of the per-block kernel
-driver, ``Kernel.potential``, and forces are the same call with a
-``forces`` accumulator: for radial kernels each row block forms r^2,
-``g`` and ``g'(r)/r`` once and contracts the force in the factored
-form ``(f q) S - t * rowsum(f q)``, with no ``(M, K, 3)`` gradient
-tensor.  The row blocks do not depend on forces, so potentials are
-bitwise the same with forces on or off.
+One backend evaluates a compiled plan in process, and the plan's group
+shape, not a user option, picks how: a plan whose mean target rows per
+group fall below :data:`STACKED_MAX_MEAN_ROWS` runs the **stacked**
+path under a :class:`~repro.kernels.base.RadialKernel`; every other
+plan runs the **per-group** path.  The choice reads only
+``plan.n_target_rows``, ``plan.n_groups`` and the kernel's type --
+never the charge width, dtype, forces or call history -- so column
+``j`` of a block apply is bitwise a solo apply, potentials are bitwise
+the same with forces on or off, and an updated session picks what a
+cold prepare at the new positions picks.  As in the paper, the target
+batches' size decides how their direct sums are launched.
 
-Where the targets are the sources (every named workload), a direct
-block ``(A, B)`` usually has its mirror ``(B, A)`` in the plan.  For
-symmetric kernels this backend forms each such kernel matrix once and
-applies it both ways -- ``G q_B`` to batch ``A``, ``G^T q_A`` to batch
-``B`` (Newton's third law at cell level, as in Dehnen's falcON) --
-following the plan's :class:`~repro.core.plan.MirrorSchedule`; the
-mirrored force ``(F q_A)^T T_A - S_B * colsum(F q_A)`` comes from the
-same radial factor ``F``.  The
-arithmetic lives in :mod:`.groupeval`.  Results agree with
-:class:`~.numpy_backend.NumpyBackend` and with the per-group
-arithmetic the multiprocessing backend runs to floating-point roundoff
-(``rtol=1e-9`` on potentials, ``1e-8`` on forces); a plan whose
-schedule pairs nothing evaluates bitwise as that per-group arithmetic.
-Repeated applies, column ``j`` of a block apply against a solo apply,
-and an updated session against a cold prepare are bitwise equal.  The
-recorded device counters are identical to every other backend's, since
-launch charging derives from the plan, not from how the numerics are
-blocked.
+**Per-group.**  Every group is one call of the per-block kernel driver,
+``Kernel.potential``, over its whole pre-gathered source range (the
+plan's ``seg_src_lo`` offsets into de-duplicated buffers; at most one
+dtype cast of the buffers per run).  Forces are the same call with a
+``forces`` accumulator: a radial kernel forms r^2, ``g`` and
+``g'(r)/r`` once per row block and contracts the force as ``(f q) S -
+t * rowsum(f q)``.  Where the targets are the sources, a direct block
+``(A, B)`` usually has its mirror ``(B, A)`` in the plan; for symmetric
+kernels each such kernel matrix is formed once and applied both ways
+(``G q_B`` to ``A``, ``G^T q_A`` to ``B``; Newton's third law at cell
+level, as in Dehnen's falcON), following the plan's
+:class:`~repro.core.plan.MirrorSchedule`.  The arithmetic lives in
+:mod:`.groupeval`; a plan whose schedule pairs nothing evaluates
+bitwise as the per-group arithmetic the multiprocessing backend runs.
 
-Each execute opens one evaluation
-:class:`~repro.kernels.workspace.Workspace` (:func:`~.base.start_execute`)
-and every group's row blocks write their r^2, ``g`` and ``g'(r)/r`` into
-its buffers, so a run of thousands of blocks allocates each of those
-arrays once -- sized for the plan's largest row block -- instead of
-once per block.  The buffers go when the execute returns; results are
-bitwise those without a workspace.
+**Stacked.**  A per-group walk pays a Python iteration and a few small
+array calls per group, which dominates on small groups.  The stacked
+path consumes the plan's :class:`~repro.core.plan.BatchedLayout`
+instead (built on its first stacked execute): equal-shape segment runs,
+the near field padded with zero-weight repeats of real points, are
+evaluated per *bucket* with
+:meth:`~repro.kernels.base.RadialKernel.potential_batched` and one
+output scatter per bucket; only sub-minimum leftovers run per group
+inside the same execute (:mod:`.batcheval`).  A failed layout build
+raises :class:`~repro.errors.BackendExecutionError`, which a degrading
+session answers by moving to ``"numpy"``.
+
+Both paths agree with :class:`~.numpy_backend.NumpyBackend` to
+roundoff (``rtol=1e-9`` on potentials, ``1e-8`` on forces); repeated
+applies are bitwise equal, and device counters are every other
+backend's, since launch charging derives from the plan alone.  Each
+execute opens one evaluation :class:`~repro.kernels.workspace.Workspace`
+(:func:`~.base.start_execute`) sized for its largest row block or
+bucket chunk, into which every block writes its r^2, ``g`` and
+``g'(r)/r``; results are bitwise those without one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ...errors import BackendExecutionError
+from ...kernels.base import RadialKernel
 from .base import Backend, accumulate_rows, start_execute
-from .groupeval import eval_plan
+from .batcheval import eval_bucket, eval_ragged_runs, layout_block_elements
+from .groupeval import eval_plan, plan_arrays
 
-__all__ = ["FusedBackend"]
+__all__ = ["FusedBackend", "STACKED_MAX_MEAN_ROWS", "uses_stacked_path"]
+
+#: Plans whose mean target rows per group fall below this run the
+#: stacked path.  Warm executes, 2-core Xeon (stacked / per-group time):
+#: Plummer 4 000, Yukawa degree 5 with forces, 0.85 at 14.9 rows and
+#: 1.26 at 20.8; cube 6 400, Coulomb degree 2, 0.78 at 26 and 1.51 at
+#: 70.  The cut sits at the force-kernel crossover.
+STACKED_MAX_MEAN_ROWS = 20
+
+
+def uses_stacked_path(plan, kernel) -> bool:
+    """Whether :class:`FusedBackend` evaluates ``plan`` stacked."""
+    return (
+        isinstance(kernel, RadialKernel)
+        and plan.n_target_rows < STACKED_MAX_MEAN_ROWS * plan.n_groups
+    )
 
 
 class FusedBackend(Backend):
-    """One fused accumulation per group over pre-gathered buffers."""
+    """Stacked buckets for small groups, one accumulation per group
+    otherwise."""
 
     name = "fused"
     needs_numerics = True
@@ -71,8 +98,33 @@ class FusedBackend(Backend):
             self, plan, kernel, device,
             dtype=dtype, compute_forces=compute_forces,
         )
-        accumulate_rows(
-            plan, out, forces,
-            *eval_plan(plan, kernel, dtype, compute_forces, workspace),
+        if not uses_stacked_path(plan, kernel):
+            accumulate_rows(
+                plan, out, forces,
+                *eval_plan(plan, kernel, dtype, compute_forces, workspace),
+            )
+            return out, forces
+        # cast_geometry: repeated applies of a prepared session stop
+        # re-casting targets/points every step.
+        arrays = plan_arrays(plan, cast_geometry=dtype)
+        try:
+            layout = plan.ensure_batched_layout()
+        except Exception as exc:
+            # A failed (lazy) layout build is recoverable: surface the
+            # structured error and let the session degrade.
+            raise BackendExecutionError(
+                f"building the batched execution layout failed: {exc}",
+                backend=self.name,
+            ) from exc
+        workspace.reserve(layout_block_elements(layout, arrays, compute_forces))
+        for bucket in layout.buckets:
+            eval_bucket(
+                bucket, arrays["targets"], arrays["src_points"],
+                kernel, dtype, compute_forces, out, forces,
+                workspace=workspace,
+            )
+        eval_ragged_runs(
+            arrays, layout.ragged_runs, kernel, dtype, compute_forces,
+            out, forces, workspace=workspace,
         )
         return out, forces

@@ -33,7 +33,8 @@ Execution model
   through ``out_index``.  Results are therefore bitwise that function
   over all groups and roundoff-equal to
   :class:`~repro.core.backends.fused.FusedBackend`, which forms each
-  mirrored direct block once.
+  mirrored direct block once (or, on a plan of small groups, runs
+  stacked buckets).
 * With one worker, or a plan below :data:`MIN_PARALLEL_ROWS` logical
   source rows, the evaluation runs inline: same arithmetic, no pool.
   Only the inline path writes its blocks into the execute's

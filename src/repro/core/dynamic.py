@@ -101,6 +101,8 @@ def _as_positions(arr, n: int, what: str) -> np.ndarray:
     a = np.atleast_2d(np.array(arr, dtype=np.float64, copy=True))
     if a.shape != (n, 3):
         raise ValueError(f"{what} must have shape ({n}, 3); got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
     return a
 
 

@@ -98,8 +98,8 @@ per-cluster particle counts vary, so its runs are ragged -- but the same
 stacked-GEMM execution applies once the gathered source rows are padded
 to a common width with **zero weights**.
 :meth:`ExecutionPlan.ensure_batched_layout` -- the one way to get a
-layout; the ``"batched"`` backend calls it on first use, callers that
-want the build up front call it themselves -- derives a
+layout; the plan evaluator's stacked path calls it on first use,
+callers that want the build up front call it themselves -- derives a
 :class:`BatchedLayout` covering both from the index arrays, in array
 passes rather than a walk over segments.  One pass over ``seg_kind``
 and ``seg_group_ptr`` gives the *run table*: every equal-kind run of

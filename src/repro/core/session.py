@@ -43,14 +43,14 @@ apply re-resolves through the process-wide shared store in
 Fault tolerance: this fallback chain is the package's only recovery
 path.  A backend failure inside an apply -- a pool worker that died
 (:class:`~repro.errors.WorkerCrashError`; the pool itself does not
-retry), a batched layout that failed to build, a backend that cannot
+retry), a stacked layout that failed to build, a backend that cannot
 exist in this process (:class:`~repro.errors.BackendUnavailableError`,
 e.g. a session restored where its registered backend cannot be
 constructed) -- does not have to kill the session.  Under
 ``TreecodeParams(fallback="degrade")`` (the default)
 :meth:`SessionCore.execute_plan` walks the backend's fallback chain
-(:data:`FALLBACK_CHAIN`: ``"multiprocessing"``/``"batched"`` ->
-``"fused"`` -> ``"numpy"``),
+(:data:`FALLBACK_CHAIN`: ``"multiprocessing"`` -> ``"fused"`` ->
+``"numpy"``),
 emits exactly one :class:`~repro.errors.BackendDegradedWarning` per
 transition, records the event (visible in
 :meth:`SessionCore.health_stats` and every ``Prepared*`` repr) and
@@ -97,10 +97,12 @@ FLOAT_BYTES = 8
 #: chain ends in ``"numpy"`` -- the dependency-free reference backend
 #: that always exists -- so a degrading session can always keep
 #: serving.  Backends not listed (``"numpy"``, ``"model"``, custom
-#: registrations) have no fallback: their failures always raise.
+#: registrations) have no fallback: their failures always raise.  A
+#: failed execute looks up the backend's ``name``, so the ``"batched"``
+#: alias of the plan evaluator degrades as ``"fused"`` does -- a
+#: layout build that fails moves the session to ``"numpy"``.
 FALLBACK_CHAIN: dict = {
     "multiprocessing": ("fused", "numpy"),
-    "batched": ("fused", "numpy"),
     "fused": ("numpy",),
 }
 
@@ -604,13 +606,13 @@ class SessionCore:
         overhead of the batched layout's zero-weight-padded buckets
         (pad index/weight slots, validity masks, scatter maps; 0 when
         no layout is attached); ``coincident_cache_bytes`` the
-        coincident-pair indices the fused / batched evaluation keeps
+        coincident-pair indices the plan evaluator keeps
         from its first apply on a geometry so later ones skip the
         noise-floor scan (0 before that apply and again after
         ``update_geometry``).  Read-only: accounting never resolves
         the backend, so it cannot trigger a fallback.
 
-        The evaluation workspace of the fused / batched backends is
+        The evaluation workspace of the plan evaluator is
         transient and not counted in ``total_bytes``: its buffers live
         for one execute only, and nothing of it stays on the plan.
         """

@@ -445,7 +445,7 @@ class PreparedTreecode(PreparedSession):
         potential comes back ``(M, n_rhs)`` and forces ``(M, 3, n_rhs)``
         with column ``j`` bitwise equal to a solo apply of
         ``charges[:, j]`` -- amortizing the tree walk, the pairwise
-        distance work and (on the batched backend) growing every
+        distance work and (on the stacked path) growing every
         per-group GEMV into a GEMM.  The plan's weight buffer widens to
         ``(k, n_rhs)`` for the step, so resident weight memory scales
         with the block width.

@@ -171,6 +171,11 @@ class ClusterTree:
             )
         if positions.shape[0] == 0:
             raise ValueError("cannot build a tree over zero particles")
+        if not np.isfinite(positions).all():
+            # A NaN or inf coordinate gives a non-finite box midpoint,
+            # every point then lands in one child, and the split never
+            # terminates.
+            raise ValueError("positions must be finite")
         if max_leaf_size < 1:
             raise ValueError(f"max_leaf_size must be >= 1, got {max_leaf_size}")
         self.positions = positions

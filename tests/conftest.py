@@ -1,5 +1,7 @@
 """Shared pytest fixtures for the BLTC reproduction test suite."""
 
+import contextlib
+import math
 import os
 import sys
 
@@ -19,6 +21,7 @@ from repro import (
     YukawaKernel,
     random_cube,
 )
+from repro.core.backends import fused as plan_evaluator
 
 # Every property test draws the same examples on every run: the seed is
 # derived from the test itself and no example database is read or
@@ -60,3 +63,38 @@ def fast_params():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(123)
+
+
+#: Values of the plan evaluator's cut that force one path on any plan.
+PATH_CUTS = {"stacked": math.inf, "per-group": 0}
+
+
+def _resolve(patch, backend):
+    """Pin ``backend``'s path through ``patch`` if it names one
+    (``"stacked"`` / ``"per-group"``) and return the registry name."""
+    if backend not in PATH_CUTS:
+        return backend
+    patch.setattr(plan_evaluator, "STACKED_MAX_MEAN_ROWS", PATH_CUTS[backend])
+    return "fused"
+
+
+@pytest.fixture
+def use_backend(monkeypatch):
+    """Registry name for a test's backend id.  ``"stacked"`` and
+    ``"per-group"`` select the plan evaluator (``"fused"``) and force
+    that path for the rest of the test by moving its module-constant
+    cut; any other id is a registry name already."""
+    return lambda backend: _resolve(monkeypatch, backend)
+
+
+@contextlib.contextmanager
+def _evaluator_path(backend):
+    with pytest.MonkeyPatch.context() as patch:
+        yield _resolve(patch, backend)
+
+
+@pytest.fixture(scope="session")
+def evaluator_path():
+    """``with evaluator_path(id) as name:`` -- :func:`use_backend` for
+    fixtures wider than one test: the pin holds inside the block."""
+    return _evaluator_path

@@ -2,8 +2,8 @@
 
 The contract of :mod:`repro.core.backends`: on the same compiled plan,
 every backend records identical device counters (launches, interactions,
-bytes, per-kind breakdown), the numpy / fused / batched /
-multiprocessing backends return roundoff-close potentials *and forces*
+bytes, per-kind breakdown), the numpy / fused (per-group and stacked
+paths) / multiprocessing backends return roundoff-close potentials *and forces*
 (the fused-family arithmetic evaluates the temporary-free
 ``pairwise_fused`` r^2 accumulation, so it matches the blocked
 reference to ``rtol=1e-9`` on potentials and ``rtol=1e-8`` on forces,
@@ -23,7 +23,6 @@ import pytest
 from repro import registry
 from repro import (
     BarycentricTreecode,
-    BatchedBackend,
     CoulombKernel,
     DistributedBLTC,
     FusedBackend,
@@ -289,10 +288,10 @@ class TestSelfTargetRegimes:
         "balanced": (6_000, 0.8, 3, 100, False),
         "small + forces": (4_000, 0.8, 2, 60, True),
     }
-    BACKENDS = ("numpy", "fused", "batched", "multiprocessing", "model")
+    BACKENDS = ("numpy", "per-group", "stacked", "multiprocessing", "model")
 
     @pytest.fixture(scope="class", params=list(REGIMES))
-    def regime_run(self, request):
+    def regime_run(self, request, evaluator_path):
         """``(plan, forces, {backend: (phi, f, device)})`` per regime."""
         n, theta, degree, leaf, forces = self.REGIMES[request.param]
         plan = _compile(random_cube(n, seed=900), _params(
@@ -302,9 +301,10 @@ class TestSelfTargetRegimes:
         runs = {}
         for name in self.BACKENDS:
             device = GpuDevice(GPU_TITAN_V)
-            phi, f = get_backend(name).execute(
-                plan, CoulombKernel(), device, compute_forces=forces
-            )
+            with evaluator_path(name) as backend:
+                phi, f = get_backend(backend).execute(
+                    plan, CoulombKernel(), device, compute_forces=forces
+                )
             runs[name] = (phi, f, device)
         return plan, forces, runs
 
@@ -327,7 +327,7 @@ class TestSelfTargetRegimes:
         phi_mp, f_mp, _ = runs["multiprocessing"]
         phi_g, f_g = _per_group(plan, CoulombKernel(), forces=forces)
         assert np.array_equal(phi_mp, phi_g)
-        phi_fu, f_fu, _ = runs["fused"]
+        phi_fu, f_fu, _ = runs["per-group"]
         assert np.allclose(phi_fu, phi_mp, rtol=1e-9, atol=1e-12)
         if forces:
             assert np.array_equal(f_mp, f_g)
@@ -975,36 +975,42 @@ class TestBatchedLayout:
         )
 
 
-class TestBatchedBackend:
-    """Stacked bucket evaluation: fused-level results, deterministic."""
+class TestStackedPath:
+    """The plan evaluator's stacked bucket path against its per-group
+    path on the same plan (each pinned by the cut): roundoff-close,
+    deterministic."""
+
+    @pytest.fixture(autouse=True)
+    def _pins(self, use_backend):
+        self._use_backend = use_backend
 
     def _run(self, name, plan, *, forces=True, dtype=np.float64, kernel=None):
         device = GpuDevice(GPU_TITAN_V)
-        out, f = get_backend(name).execute(
+        out, f = get_backend(self._use_backend(name)).execute(
             plan, kernel or YukawaKernel(0.5), device,
             dtype=dtype, compute_forces=forces,
         )
         return out, f, device
 
-    def test_matches_fused_within_roundoff(self, shared_plan):
+    def test_matches_per_group_within_roundoff(self, shared_plan):
         plan = shared_plan
-        phi_f, f_f, dev_f = self._run("fused", plan)
-        phi_b, f_b, dev_b = self._run("batched", plan)
+        phi_f, f_f, dev_f = self._run("per-group", plan)
+        phi_b, f_b, dev_b = self._run("stacked", plan)
         assert np.allclose(phi_f, phi_b, rtol=1e-9, atol=1e-12)
         assert np.allclose(f_f, f_b, rtol=1e-8, atol=1e-11)
         assert dev_b.counters.launches == dev_f.counters.launches
         assert dev_b.counters.interactions == dev_f.counters.interactions
         assert dev_b.elapsed() == pytest.approx(dev_f.elapsed())
 
-    def test_float32_matches_fused(self, shared_plan):
-        # The near field is bucketed too now, so float32 batched and
-        # fused no longer share the per-group summation order; both
-        # must sit at single-precision accuracy against the float64
-        # reference, and batched must not be the less accurate one
-        # (beyond ordering noise).
-        phi64, f64, _ = self._run("fused", shared_plan, dtype=np.float64)
-        phi_f, f_f, _ = self._run("fused", shared_plan, dtype=np.float32)
-        phi_b, f_b, _ = self._run("batched", shared_plan, dtype=np.float32)
+    def test_float32_matches_per_group(self, shared_plan):
+        # The near field is bucketed too, so float32 stacked and
+        # per-group do not share one summation order; both must sit at
+        # single-precision accuracy against the float64 reference, and
+        # stacked must not be the less accurate one (beyond ordering
+        # noise).
+        phi64, f64, _ = self._run("per-group", shared_plan, dtype=np.float64)
+        phi_f, f_f, _ = self._run("per-group", shared_plan, dtype=np.float32)
+        phi_b, f_b, _ = self._run("stacked", shared_plan, dtype=np.float32)
         assert relative_l2_error(phi_f, phi_b) < 1e-4
         assert relative_l2_error(f_f, f_b) < 1e-3
         assert relative_l2_error(phi64, phi_b) < 2 * relative_l2_error(
@@ -1015,14 +1021,14 @@ class TestBatchedBackend:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32],
                              ids=["f64", "f32"])
     def test_bitwise_run_to_run_determinism(self, shared_plan, dtype):
-        phi_a, f_a, _ = self._run("batched", shared_plan, dtype=dtype)
-        phi_b, f_b, _ = self._run("batched", shared_plan, dtype=dtype)
+        phi_a, f_a, _ = self._run("stacked", shared_plan, dtype=dtype)
+        phi_b, f_b, _ = self._run("stacked", shared_plan, dtype=dtype)
         assert np.array_equal(phi_a, phi_b)
         assert np.array_equal(f_a, f_b)
 
     def test_counters_match_numpy_reference(self, shared_plan):
         _, _, dev_np = self._run("numpy", shared_plan)
-        _, _, dev_b = self._run("batched", shared_plan)
+        _, _, dev_b = self._run("stacked", shared_plan)
         ref = dev_np.counters
         c = dev_b.counters
         assert c.launches == ref.launches
@@ -1034,52 +1040,52 @@ class TestBatchedBackend:
     def test_rejects_model_plan(self, cube):
         plan = _compile(cube, numerics=False)
         with pytest.raises(ValueError, match="needs a plan"):
-            self._run("batched", plan)
+            self._run("stacked", plan)
 
-    def test_synthetic_padded_bucket_matches_fused(self):
+    def test_synthetic_padded_bucket_matches_per_group(self):
         # Heterogeneous group sizes force a padded bucket; the padded
         # rows must never leak into the output.
         plan = _uniform_groups_plan(
             [10, 9, 10, 8, 10], seg_rows=6, n_segs=3, ragged_group=True
         )
-        phi_f, f_f, _ = self._run("fused", plan, kernel=CoulombKernel())
-        phi_b, f_b, _ = self._run("batched", plan, kernel=CoulombKernel())
+        phi_f, f_f, _ = self._run("per-group", plan, kernel=CoulombKernel())
+        phi_b, f_b, _ = self._run("stacked", plan, kernel=CoulombKernel())
         assert np.allclose(phi_f, phi_b, rtol=1e-9, atol=1e-12)
         assert np.allclose(f_f, f_b, rtol=1e-8, atol=1e-11)
 
-    def test_layout_regime_matches_fused(self, layout_regime_plan):
+    def test_layout_regime_matches_per_group(self, layout_regime_plan):
         # Displaced targets: the stacked far-field GEMMs and, on the
         # overlapping clouds, the padded near-field buckets.
         regime, plan = layout_regime_plan
         forces = regime == "far-field NB=60"
         kernel = CoulombKernel()
-        phi_f, f_f, _ = self._run("fused", plan, forces=forces, kernel=kernel)
+        phi_f, f_f, _ = self._run("per-group", plan, forces=forces, kernel=kernel)
         phi_b, f_b, _ = self._run(
-            "batched", plan, forces=forces, kernel=kernel
+            "stacked", plan, forces=forces, kernel=kernel
         )
         assert np.allclose(phi_f, phi_b, rtol=1e-8, atol=1e-10)
         if forces:
             assert np.allclose(f_f, f_b, rtol=1e-7, atol=1e-8)
 
-    def test_layout_regime_float32_tracks_fused(self, layout_regime_plan):
+    def test_layout_regime_float32_tracks_per_group(self, layout_regime_plan):
         # The f32 error itself is regime-dependent (the overlapping
         # clouds cancel heavily, so any f32 evaluation sits near 3e-2
         # relative there); padded buckets must stay finite and as
-        # accurate against the f64 result as fused f32, within 2x.
+        # accurate against the f64 result as per-group f32, within 2x.
         _, plan = layout_regime_plan
         kernel = CoulombKernel()
-        phi64, _, _ = self._run("fused", plan, forces=False, kernel=kernel)
+        phi64, _, _ = self._run("per-group", plan, forces=False, kernel=kernel)
         rel = {}
-        for name in ("fused", "batched"):
+        for name in ("per-group", "stacked"):
             phi32, _, _ = self._run(
                 name, plan, forces=False, dtype=np.float32, kernel=kernel
             )
             assert np.isfinite(phi32).all(), name
             rel[name] = relative_l2_error(phi64, phi32)
-        assert rel["batched"] < 2 * rel["fused"] + 1e-7, rel
+        assert rel["stacked"] < 2 * rel["per-group"] + 1e-7, rel
 
     def test_pipeline_compute(self, cube):
-        params = _params(backend="batched")
+        params = _params(backend=self._use_backend("stacked"))
         res = BarycentricTreecode(YukawaKernel(0.5), params).compute(
             cube, compute_forces=True
         )
@@ -1094,23 +1100,25 @@ class TestBatchedBackend:
         for key in ("launches", "kernel_evaluations", "by_kind"):
             assert res.stats[key] == ref.stats[key], key
 
-    def test_registered_and_exported(self):
+    def test_batched_names_the_plan_evaluator(self):
+        # "batched" survives only as a second name of the one evaluator.
         assert "batched" in available_backends()
-        assert isinstance(get_backend("batched"), BatchedBackend)
+        assert type(get_backend("batched")) is type(get_backend("fused"))
+        assert type(get_backend("fused")) is FusedBackend
 
 
 class TestNonRadialKernel:
     """A kernel that is not radial (``AnisotropicCoulomb``, a generic
     ``Kernel``) through a session on every backend, forces on and off.
-    It has no stacked arithmetic, so ``batched`` evaluates the whole
-    plan as ``fused`` does; it declares no symmetry, so ``fused`` forms
-    no mirrored blocks and is the per-group arithmetic the
+    It has no stacked arithmetic, so the plan evaluator runs per group
+    even with its cut pinned to ``stacked``; it declares no symmetry,
+    so it forms no mirrored blocks and is the per-group arithmetic the
     multiprocessing backend's shards run."""
 
-    BACKENDS = ("numpy", "fused", "batched", "multiprocessing")
+    BACKENDS = ("numpy", "per-group", "stacked", "multiprocessing")
 
     @pytest.fixture(scope="class")
-    def runs(self):
+    def runs(self, evaluator_path):
         cube = random_cube(1200, seed=31)
         kernel = AnisotropicCoulomb()
         pool = MultiprocessingBackend(n_workers=2)
@@ -1120,26 +1128,33 @@ class TestNonRadialKernel:
             patch.setattr(multiproc, "MIN_PARALLEL_ROWS", 1)
             try:
                 for name in self.BACKENDS:
-                    params = TreecodeParams(
-                        theta=0.7, degree=4, max_leaf_size=100,
-                        max_batch_size=100,
-                        backend=pool if name == "multiprocessing" else name,
-                    )
-                    sess = BarycentricTreecode(kernel, params).prepare(cube)
-                    runs[name] = (
-                        sess.apply(cube.charges),
-                        sess.apply(cube.charges, compute_forces=True),
-                    )
+                    with evaluator_path(name) as backend:
+                        params = TreecodeParams(
+                            theta=0.7, degree=4, max_leaf_size=100,
+                            max_batch_size=100,
+                            backend=(
+                                pool if name == "multiprocessing"
+                                else backend
+                            ),
+                        )
+                        sess = BarycentricTreecode(kernel, params).prepare(
+                            cube
+                        )
+                        runs[name] = (
+                            sess.apply(cube.charges),
+                            sess.apply(cube.charges, compute_forces=True),
+                        )
+                        assert sess.plan.batched_layout is None
             finally:
                 pool.close()
         return runs
 
-    def test_batched_and_multiprocessing_are_fused_bitwise(self, runs):
-        _, fused = runs["fused"]
-        for name in ("batched", "multiprocessing"):
+    def test_stacked_and_multiprocessing_are_per_group_bitwise(self, runs):
+        _, ref = runs["per-group"]
+        for name in ("stacked", "multiprocessing"):
             off, on = runs[name]
-            assert off.potential.tobytes() == fused.potential.tobytes()
-            assert on.forces.tobytes() == fused.forces.tobytes()
+            assert off.potential.tobytes() == ref.potential.tobytes()
+            assert on.forces.tobytes() == ref.forces.tobytes()
 
     def test_every_backend_within_roundoff_of_numpy(self, runs):
         _, ref = runs["numpy"]
@@ -1159,7 +1174,7 @@ class TestNonRadialKernel:
 
 
 class TestPaddedBucketNaNSafety:
-    """Coincidences through zero-weight pad rows: finite, fused-close.
+    """Coincidences through zero-weight pad rows: finite, per-group-close.
 
     Padded near-field buckets repeat real source rows as pads; a pad
     (or a true self-interaction) coincident with a target produces an
@@ -1184,15 +1199,17 @@ class TestPaddedBucketNaNSafety:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32],
                              ids=["f64", "f32"])
-    def test_coincident_self_targets_finite_and_fused_close(self, dtype):
+    def test_coincident_self_targets_finite_and_per_group_close(
+        self, dtype, use_backend
+    ):
         plan = self._coincident_plan()
         layout = plan.ensure_batched_layout()
         assert any(b.is_padded for b in layout.buckets)
         device = GpuDevice(GPU_TITAN_V)
-        phi_b, f_b = get_backend("batched").execute(
+        phi_b, f_b = get_backend(use_backend("stacked")).execute(
             plan, CoulombKernel(), device, dtype=dtype, compute_forces=True
         )
-        phi_f, f_f = get_backend("fused").execute(
+        phi_f, f_f = get_backend(use_backend("per-group")).execute(
             plan, CoulombKernel(), GpuDevice(GPU_TITAN_V), dtype=dtype,
             compute_forces=True,
         )
@@ -1203,7 +1220,7 @@ class TestPaddedBucketNaNSafety:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32],
                              ids=["f64", "f32"])
-    def test_duplicate_particles_near_field_cube(self, dtype):
+    def test_duplicate_particles_near_field_cube(self, dtype, use_backend):
         # End to end: exact duplicate particle positions in a
         # near-field-heavy self-target run exercise coincidences inside
         # padded direct buckets on the whole treecode pipeline.
@@ -1220,7 +1237,7 @@ class TestPaddedBucketNaNSafety:
         )
         prep = BarycentricTreecode(
             CoulombKernel(),
-            TreecodeParams(backend="batched", **kw),
+            TreecodeParams(backend=use_backend("stacked"), **kw),
         ).prepare(ps)
         layout = prep.plan.ensure_batched_layout()
         assert any(
@@ -1228,7 +1245,8 @@ class TestPaddedBucketNaNSafety:
         )
         res = prep.apply(ps.charges, compute_forces=True)
         ref = BarycentricTreecode(
-            CoulombKernel(), TreecodeParams(backend="fused", **kw)
+            CoulombKernel(),
+            TreecodeParams(backend=use_backend("per-group"), **kw),
         ).compute(ps, compute_forces=True)
         assert np.isfinite(res.potential).all()
         assert np.isfinite(res.forces).all()

@@ -1,10 +1,10 @@
 """The coincident-pair cache: found once per geometry, never stale.
 
-The fused and batched evaluations keep each block's noise-floor scan
+Both paths of the plan evaluator keep each block's noise-floor scan
 result from the first apply on a geometry (``ExecutionPlan.coincident_cache``,
 ``BatchedBucket.coincident_slot``) and hand it back to the kernel on
 later applies.  The contract: a warm apply is **bitwise** the first
-apply and bitwise a fresh cold session's -- on both backends, both
+apply and bitwise a fresh cold session's -- on both paths, both
 dtypes, with and without forces, for vectors and blocks -- the scan
 really is skipped (also when it found nothing), and every way a
 geometry can change (`refresh_geometry`, `patch_groups`, full rebuild,
@@ -29,7 +29,7 @@ from repro.core.session import format_memory_stats
 from repro.perf.timer import PhaseTimes
 from repro.workloads import ParticleSet
 
-CACHING = ("fused", "batched")
+CACHING = ("per-group", "stacked")
 
 
 def _params(backend="fused", **kw):
@@ -85,10 +85,14 @@ class TestWarmEqualsFirstEqualsCold:
     @pytest.mark.parametrize("forces", (False, True))
     @pytest.mark.parametrize("dtype", (np.float64, np.float32))
     @pytest.mark.parametrize("backend", CACHING)
-    def test_bitwise(self, backend, dtype, forces, n_rhs, cube, scans):
+    def test_bitwise(
+        self, backend, dtype, forces, n_rhs, cube, scans, use_backend
+    ):
         rng = np.random.default_rng(5)
         q = rng.uniform(-1.0, 1.0, (cube.n, n_rhs) if n_rhs > 1 else cube.n)
-        drv = _driver(backend, kernel=YukawaKernel(0.5), dtype=dtype)
+        drv = _driver(
+            use_backend(backend), kernel=YukawaKernel(0.5), dtype=dtype
+        )
         sess = drv.prepare(cube)
         first = sess.apply(q, compute_forces=forces)
         assert scans() > 0
@@ -100,12 +104,12 @@ class TestWarmEqualsFirstEqualsCold:
 
     @pytest.mark.parametrize("backend", CACHING)
     def test_force_pass_shares_the_potential_pass_entries(
-        self, backend, cube, scans
+        self, backend, cube, scans, use_backend
     ):
         # At this size every group is one row block and every bucket
         # one chunk under either pass, so the force kernels meet only
         # blocks the potential kernels already recorded.
-        drv = _driver(backend)
+        drv = _driver(use_backend(backend))
         sess = drv.prepare(cube)
         sess.apply(cube.charges)
         assert scans() > 0
@@ -119,11 +123,11 @@ class TestWarmEqualsFirstEqualsCold:
     @pytest.mark.parametrize("reference", ("numpy",))
     @pytest.mark.parametrize("backend", CACHING)
     def test_scanning_backends_agree_to_roundoff(
-        self, backend, reference, cube
+        self, backend, reference, cube, use_backend
     ):
         # numpy (reference order) keeps scanning on every apply; it
         # classifies the same pairs the cached indices hold.
-        sess = _driver(backend).prepare(cube)
+        sess = _driver(use_backend(backend)).prepare(cube)
         sess.apply(cube.charges, compute_forces=True)
         warm = sess.apply(cube.charges, compute_forces=True)
         ref = _driver(reference).prepare(cube).apply(
@@ -169,12 +173,14 @@ class TestDegenerateClouds:
         ),
     )
     @pytest.mark.parametrize("backend", CACHING)
-    def test_second_apply_never_scans(self, backend, cloud, scans):
+    def test_second_apply_never_scans(
+        self, backend, cloud, scans, use_backend
+    ):
         rng = np.random.default_rng(8)
         pos, targets = cloud(rng)
         q = rng.uniform(-1.0, 1.0, len(pos))
         particles = ParticleSet(pos, q)
-        drv = _driver(backend)
+        drv = _driver(use_backend(backend))
         sess = drv.prepare(particles, targets)
         first = sess.apply(q, compute_forces=True)
         assert scans() > 0
@@ -184,22 +190,25 @@ class TestDegenerateClouds:
         assert np.isfinite(warm.potential).all()
         assert _same(warm, first) and _same(warm, cold)
 
-    def test_pair_count(self):
-        # fused evaluates each target against its direct range once, so
-        # the cache holds one index per coincident (target, source).
+    def test_pair_count(self, use_backend):
+        # The per-group path evaluates each target against its direct
+        # range once, so the cache holds one index per coincident
+        # (target, source).
         rng = np.random.default_rng(9)
         pos, _ = _with_duplicates(rng)
-        sess = _driver("fused").prepare(ParticleSet(pos, np.zeros(len(pos))))
+        sess = _driver(use_backend("per-group")).prepare(
+            ParticleSet(pos, np.zeros(len(pos)))
+        )
         sess.apply(np.ones(len(pos)))
         itemsize = np.dtype(np.intp).itemsize
         assert sess.memory_stats()["coincident_cache_bytes"] == (
             (len(pos) + 2 * 2) * itemsize
         )
 
-    def test_no_pairs_costs_no_bytes(self):
+    def test_no_pairs_costs_no_bytes(self, use_backend):
         rng = np.random.default_rng(10)
         pos, targets = _disjoint_targets(rng)
-        sess = _driver("fused").prepare(
+        sess = _driver(use_backend("per-group")).prepare(
             ParticleSet(pos, np.zeros(len(pos))), targets
         )
         sess.apply(np.ones(len(pos)))
@@ -208,30 +217,36 @@ class TestDegenerateClouds:
 
 
 class TestOneSessionManyEvaluations:
-    def test_backend_override_fused_batched_fused(self, cube, scans):
+    def test_path_switch_per_group_stacked_per_group(
+        self, cube, scans, use_backend
+    ):
         q = cube.charges
-        sess = _driver("fused").prepare(cube)
+        sess = _driver(use_backend("per-group")).prepare(cube)
         first = sess.apply(q)
         scans()
-        # The per-apply override: same plan, the other evaluation.
+        # The per-apply override on the same plan, the other path: the
+        # buckets keep their own coincident pairs beside the plan's.
+        stacked = get_backend(use_backend("stacked"))
         overridden, _ = sess.core.execute_plan(
-            q, PhaseTimes(), backend=get_backend("batched")
+            q, PhaseTimes(), backend=stacked
         )
         assert scans() > 0  # the buckets had met nothing yet
-        again, _ = sess.core.execute_plan(
-            q, PhaseTimes(), backend=get_backend("batched")
-        )
+        again, _ = sess.core.execute_plan(q, PhaseTimes(), backend=stacked)
         assert scans() == 0
+        use_backend("per-group")
         back = sess.apply(q)
         assert scans() == 0
-        cold_batched = _driver("batched").prepare(cube).apply(q)
-        assert np.array_equal(overridden, cold_batched.potential)
-        assert np.array_equal(again, cold_batched.potential)
+        use_backend("stacked")
+        cold_stacked = _driver("fused").prepare(cube).apply(q)
+        assert np.array_equal(overridden, cold_stacked.potential)
+        assert np.array_equal(again, cold_stacked.potential)
         assert np.array_equal(back.potential, first.potential)
 
     @pytest.mark.parametrize("backend", CACHING)
-    def test_pickle_drops_and_repopulates(self, backend, cube, scans):
-        live = _driver(backend).prepare(cube)
+    def test_pickle_drops_and_repopulates(
+        self, backend, cube, scans, use_backend
+    ):
+        live = _driver(use_backend(backend)).prepare(cube)
         first = live.apply(cube.charges)
         held = live.memory_stats()["coincident_cache_bytes"]
         assert held > 0
@@ -249,8 +264,10 @@ class TestOneSessionManyEvaluations:
 
 class TestMemoryStats:
     @pytest.mark.parametrize("backend", CACHING)
-    def test_zero_until_applied_and_after_update(self, backend, cube):
-        sess = _driver(backend).prepare(cube)
+    def test_zero_until_applied_and_after_update(
+        self, backend, cube, use_backend
+    ):
+        sess = _driver(use_backend(backend)).prepare(cube)
         stats = sess.memory_stats()
         assert stats["coincident_cache_bytes"] == 0
         base_total = stats["total_bytes"]
@@ -301,9 +318,11 @@ class TestInvalidation:
     @pytest.mark.parametrize("forces", (False, True))
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("backend", CACHING)
-    def test_pair_appears_then_vanishes(self, backend, tier, forces, cube):
+    def test_pair_appears_then_vanishes(
+        self, backend, tier, forces, cube, use_backend
+    ):
         threshold, same_leaf = TIERS[tier]
-        drv = _driver(backend, rebuild_threshold=threshold)
+        drv = _driver(use_backend(backend), rebuild_threshold=threshold)
         q = cube.charges
         sess = drv.prepare(cube)
         sess.apply(q, compute_forces=forces)
@@ -333,10 +352,12 @@ class TestInvalidation:
         assert pairs_together > pairs_apart
 
     @pytest.mark.parametrize("backend", CACHING)
-    def test_plan_methods_clear_on_their_own(self, backend, cube):
+    def test_plan_methods_clear_on_their_own(
+        self, backend, cube, use_backend
+    ):
         # update_geometry always ends in refresh_geometry; each of the
         # two plan methods must drop the cache without the other.
-        sess = _driver(backend).prepare(cube)
+        sess = _driver(use_backend(backend)).prepare(cube)
         plan = sess.plan
         sess.apply(cube.charges)
         assert plan.coincident_nbytes() > 0

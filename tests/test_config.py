@@ -33,6 +33,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_batch_size"):
             TreecodeParams(max_batch_size=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("degree", 2.5),
+            ("degree", True),
+            ("degree", 4.0),
+            ("max_leaf_size", 2.5),
+            ("max_leaf_size", False),
+            ("max_batch_size", np.float64(50.7)),
+            ("max_batch_size", "100"),
+        ],
+    )
+    def test_tree_sizes_must_be_integers(self, field, value):
+        # A float degree used to construct (with a fractional
+        # n_interpolation_points) and fail deep inside compute().
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TreecodeParams(**{field: value})
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3)])
+    def test_numpy_integers_accepted(self, value):
+        p = TreecodeParams(
+            degree=value, max_leaf_size=value, max_batch_size=value
+        )
+        assert p.n_interpolation_points == 64
+
     def test_bad_dtype(self):
         with pytest.raises(ValueError, match="dtype"):
             TreecodeParams(dtype=np.int32)

@@ -25,7 +25,7 @@ from repro import (
 )
 from repro.workloads import ParticleSet
 
-BACKENDS = ("numpy", "fused", "batched", "multiprocessing")
+BACKENDS = ("numpy", "per-group", "stacked", "multiprocessing")
 
 
 def _params(backend="fused", **kw):
@@ -50,9 +50,11 @@ class TestWarmColdParity:
     """update_geometry + apply == cold prepare + apply, bitwise."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_every_backend(self, backend, cube):
+    def test_every_backend(self, backend, cube, use_backend):
         rng = np.random.default_rng(11)
-        drv = BarycentricTreecode(CoulombKernel(), _params(backend))
+        drv = BarycentricTreecode(
+            CoulombKernel(), _params(use_backend(backend))
+        )
         sess = drv.prepare(cube)
         sess.apply(cube.charges)
         pos = cube.positions.copy()
@@ -80,10 +82,12 @@ class TestWarmColdParity:
         )
         assert np.array_equal(warm.potential, cold.potential)
 
-    def test_multi_rhs_block(self, cube):
+    def test_multi_rhs_block(self, cube, use_backend):
         rng = np.random.default_rng(13)
         block = rng.uniform(-1.0, 1.0, (cube.n, 5))
-        drv = BarycentricTreecode(CoulombKernel(), _params("batched"))
+        drv = BarycentricTreecode(
+            CoulombKernel(), _params(use_backend("stacked"))
+        )
         sess = drv.prepare(cube)
         sess.apply(block)  # widen the weight buffer before the update
         pos = _drift(rng, cube.positions, 0.004)
@@ -201,6 +205,38 @@ class TestRebuildControls:
             sess.update_geometry(cube.positions[:-1])
 
 
+class TestNonFinitePositions:
+    """A NaN or inf coordinate is refused before the session changes:
+    the next apply is bitwise the apply before the refused update.  The
+    update used to hang in the tree build."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("what", ["positions", "targets"])
+    @pytest.mark.parametrize(
+        "make",
+        [BarycentricTreecode, ClusterParticleTreecode],
+        ids=["treecode", "cluster_particle"],
+    )
+    def test_refused_update_leaves_session_unchanged(
+        self, make, what, bad, cube
+    ):
+        rng = np.random.default_rng(25)
+        sess = make(CoulombKernel(), _params()).prepare(cube)
+        before = sess.apply(cube.charges)
+        key = sess.geometry_key()
+        moved = _drift(rng, cube.positions, 0.004)
+        broken = moved.copy()
+        broken[17, 2] = bad
+        with pytest.raises(ValueError, match=f"{what} must be finite"):
+            if what == "positions":
+                sess.update_geometry(broken)
+            else:
+                sess.update_geometry(moved, targets=broken)
+        assert sess.geometry_key() == key
+        after = sess.apply(cube.charges)
+        assert after.potential.tobytes() == before.potential.tobytes()
+
+
 class TestMultiStepStress:
     """Randomized drift trajectory with per-step cold comparison."""
 
@@ -224,7 +260,7 @@ class TestMultiStepStress:
             assert np.array_equal(warm.potential, cold.potential)
         assert seen_incremental and seen_rebuild and seen_noop
 
-    def test_mixed_steps_batched_near_field_buckets(self, cube):
+    def test_mixed_steps_batched_near_field_buckets(self, cube, use_backend):
         # Regression for the full-plan bucketed layout: a trajectory
         # mixing incremental patches and full rebuilds must keep the
         # zero-weight-padded near-field buckets coherent -- every warm
@@ -232,7 +268,7 @@ class TestMultiStepStress:
         # buckets actually present (the self-target cube is
         # near-field-heavy at this theta).
         rng = np.random.default_rng(23)
-        params = _params(backend="batched")
+        params = _params(backend=use_backend("stacked"))
         drv = BarycentricTreecode(CoulombKernel(), params)
         sess = drv.prepare(cube)
         sess.apply(cube.charges)

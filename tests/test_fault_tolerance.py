@@ -12,8 +12,8 @@ No failure here is injected from inside the package:
   execute runs on a fresh pool (the shared by-name instance is never
   replaced); in a distributed session only the rank whose execute hit
   the dead worker degrades;
-* a batched layout build fails (the builder is monkeypatched) and the
-  session degrades the same way;
+* the stacked layout build fails (the builder is monkeypatched) and
+  the plan evaluator's session degrades to ``"numpy"`` the same way;
 * backends that cannot be resolved or constructed degrade at
   resolution time, and explicit per-apply overrides never degrade.
 """
@@ -312,7 +312,7 @@ class TestFallbackChain:
         assert np.array_equal(ref, out)  # degraded to fused == ref
         assert sess.health_stats()["degraded_to"] == "fused"
 
-    @pytest.mark.parametrize("name", ("multiprocessing", "batched", "fused"))
+    @pytest.mark.parametrize("name", ("multiprocessing", "fused"))
     def test_unavailable_backend_instance_degrades(
         self, cube, name, monkeypatch
     ):
@@ -352,23 +352,30 @@ class TestFallbackChain:
         with pytest.raises(ValueError, match="unknown backend"):
             sess.apply(cube.charges)
 
-    def test_batched_layout_failure_degrades(self, cube, monkeypatch):
-        # The layout is built lazily by the first batched execute; a
+    @pytest.mark.parametrize("name", ("fused", "batched"))
+    def test_layout_failure_degrades_to_numpy(
+        self, cube, monkeypatch, use_backend, name
+    ):
+        # The layout is built lazily by the first stacked execute; a
         # failing build surfaces as BackendExecutionError and the apply
-        # is served by fused instead.
+        # is served by the evaluator's fallback, numpy, instead.  The
+        # "batched" alias has no chain of its own: a failed execute
+        # looks up the resolved backend's name, so it degrades as
+        # "fused" does.
         def broken_layout(plan):
             raise RuntimeError("layout build failed")
 
         monkeypatch.setattr(plan_module, "build_batched_layout", broken_layout)
-        sess = _prepare(cube, "batched")
+        use_backend("stacked")
+        sess = _prepare(cube, name)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = sess.apply(cube.charges).potential
         assert len(_degraded_warnings(caught)) == 1
         health = sess.health_stats()
-        assert health["degraded_to"] == "fused"
+        assert health["degraded_to"] == "numpy"
         assert "layout build failed" in health["last_error"]
-        ref = _prepare(cube, "fused").apply(cube.charges).potential
+        ref = _prepare(cube, "numpy").apply(cube.charges).potential
         assert np.array_equal(out, ref)
 
     def test_explicit_override_never_degrades(self, cube):

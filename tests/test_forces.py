@@ -182,11 +182,12 @@ class TestPotentialsIgnoreForces:
         ids=lambda k: k.name,
     )
     @pytest.mark.parametrize(
-        "backend", ["fused", "batched", "multiprocessing"]
+        "backend", ["per-group", "stacked", "multiprocessing"]
     )
     def test_potential_bytes_with_forces_on_and_off(
-        self, cube, backend, kernel, n_rhs, monkeypatch
+        self, cube, backend, kernel, n_rhs, monkeypatch, use_backend
     ):
+        backend = use_backend(backend)
         if backend == "multiprocessing":
             # Real worker shards, not the inline path.
             monkeypatch.setattr(multiproc, "MIN_PARALLEL_ROWS", 1)
@@ -241,12 +242,12 @@ class TestJointPassMemory:
             tracemalloc.stop()
         return peak - base
 
-    def _bucket_peak_within_budget(self, workspace):
+    def _bucket_peak_within_budget(self, workspace, backend):
         cube = random_cube(3000, seed=5)
         kernel = YukawaKernel(kappa=0.5)
         params = TreecodeParams(
             theta=0.7, degree=4, max_leaf_size=150, max_batch_size=150,
-            backend="batched",
+            backend=backend,
         )
         sess = BarycentricTreecode(kernel, params).prepare(cube)
         sess.apply(cube.charges, compute_forces=True)  # fills the weights
@@ -288,13 +289,13 @@ class TestJointPassMemory:
         )
         assert peak <= JOINT_LIVE_ARRAYS * budget * 8 + 16 * len(t)
 
-    def test_yukawa_force_bucket(self):
-        self._bucket_peak_within_budget(workspace=False)
+    def test_yukawa_force_bucket(self, use_backend):
+        self._bucket_peak_within_budget(False, use_backend("stacked"))
 
-    def test_yukawa_force_bucket_workspace(self):
+    def test_yukawa_force_bucket_workspace(self, use_backend):
         # The workspace's buffers are allocated inside the traced run
         # (one per slot, at the first chunk's size): same bound.
-        self._bucket_peak_within_budget(workspace=True)
+        self._bucket_peak_within_budget(True, use_backend("stacked"))
 
     def test_fused_force_block(self, rng):
         self._fused_peak_within_budget(rng, workspace=False)

@@ -395,13 +395,13 @@ class TestInvariants:
 class TestPatchPath:
     """An incrementally updated session holds a cold prepare's layout."""
 
-    def test_patched_layout_is_cold_layout(self):
+    def test_patched_layout_is_cold_layout(self, use_backend):
         cube = random_cube(600, seed=31)
         drv = BarycentricTreecode(
             CoulombKernel(),
             TreecodeParams(
                 theta=0.7, degree=3, max_leaf_size=50, max_batch_size=50,
-                backend="batched",
+                backend=use_backend("stacked"),
             ),
         )
         session = drv.prepare(cube)

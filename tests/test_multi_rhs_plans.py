@@ -34,7 +34,7 @@ from repro.core.backends import multiproc
 from repro.core.moments import refresh_moments
 from repro.util import as_charge_block
 
-EXEC_BACKENDS = ["numpy", "fused", "batched", "multiprocessing"]
+EXEC_BACKENDS = ["numpy", "per-group", "stacked", "multiprocessing"]
 
 N = 900
 N_RHS = 3
@@ -71,9 +71,9 @@ class TestSingleDeviceBitwise:
     @pytest.mark.parametrize("backend", EXEC_BACKENDS)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_blocked_apply_matches_solo_columns(
-        self, cube, charge_block, backend, dtype
+        self, cube, charge_block, backend, dtype, use_backend
     ):
-        params = _params(backend=backend, dtype=dtype)
+        params = _params(backend=use_backend(backend), dtype=dtype)
         tc = BarycentricTreecode(CoulombKernel(), params)
         solo = [
             tc.prepare(cube).apply(col, compute_forces=True)
@@ -114,10 +114,11 @@ class TestSingleDeviceBitwise:
 
 
 class TestOtherSessionsBitwise:
-    @pytest.mark.parametrize("backend", ["numpy", "fused", "batched"])
-    def test_distributed(self, cube, charge_block, backend):
+    @pytest.mark.parametrize("backend", ["numpy", "per-group", "stacked"])
+    def test_distributed(self, cube, charge_block, backend, use_backend):
         d = DistributedBLTC(
-            CoulombKernel(), n_ranks=3, params=_params(backend=backend)
+            CoulombKernel(), n_ranks=3,
+            params=_params(backend=use_backend(backend)),
         )
         solo = [
             d.prepare(cube).apply(col, compute_forces=True)
@@ -137,9 +138,11 @@ class TestOtherSessionsBitwise:
     @pytest.mark.parametrize(
         "scheme", [ClusterParticleTreecode, DualTreeTreecode]
     )
-    @pytest.mark.parametrize("backend", ["numpy", "fused", "batched"])
-    def test_extension_schemes(self, cube, charge_block, scheme, backend):
-        d = scheme(CoulombKernel(), _params(backend=backend))
+    @pytest.mark.parametrize("backend", ["numpy", "per-group", "stacked"])
+    def test_extension_schemes(
+        self, cube, charge_block, scheme, backend, use_backend
+    ):
+        d = scheme(CoulombKernel(), _params(backend=use_backend(backend)))
         solo = [d.prepare(cube).apply(col) for col in _columns(charge_block)]
         blocked = d.prepare(cube).apply(charge_block)
         assert blocked.potential.shape == (cube.n, N_RHS)
@@ -157,12 +160,14 @@ class TestOtherSessionsBitwise:
 class TestWeightStateTransitions:
     @pytest.mark.parametrize("backend", EXEC_BACKENDS)
     def test_width_toggle_stays_bitwise(
-        self, cube, charge_block, backend, monkeypatch
+        self, cube, charge_block, backend, monkeypatch, use_backend
     ):
         # The pool shards even this small plan, so each width change
         # reaches the workers.
         monkeypatch.setattr(multiproc, "MIN_PARALLEL_ROWS", 1)
-        tc = BarycentricTreecode(CoulombKernel(), _params(backend=backend))
+        tc = BarycentricTreecode(
+            CoulombKernel(), _params(backend=use_backend(backend))
+        )
         col0 = np.ascontiguousarray(charge_block[:, 0])
         ref_vec = tc.prepare(cube).apply(col0)
         ref_blk = tc.prepare(cube).apply(charge_block)
@@ -183,8 +188,12 @@ class TestWeightStateTransitions:
         np.testing.assert_array_equal(back.potential, ref_vec.potential)
         np.testing.assert_array_equal(blocked.potential, ref_blk.potential)
 
-    def test_batched_buckets_rebind_weight_views(self, cube, charge_block):
-        tc = BarycentricTreecode(CoulombKernel(), _params(backend="batched"))
+    def test_batched_buckets_rebind_weight_views(
+        self, cube, charge_block, use_backend
+    ):
+        tc = BarycentricTreecode(
+            CoulombKernel(), _params(backend=use_backend("stacked"))
+        )
         prep = tc.prepare(cube)
         prep.apply(np.ascontiguousarray(charge_block[:, 0]))
         layout = prep.plan.ensure_batched_layout()
@@ -203,14 +212,16 @@ class TestWeightStateTransitions:
         prep.apply(np.ascontiguousarray(charge_block[:, 0]))
         assert all(b.weights.ndim == 2 for b in layout.buckets)
 
-    def test_padded_near_field_16_column_block_bitwise(self, cube):
+    def test_padded_near_field_16_column_block_bitwise(
+        self, cube, use_backend
+    ):
         # (N, 16) blocks through zero-weight-padded near-field buckets:
         # per-column bitwise vs solo applies, including a 1 -> 16 -> 1
         # width toggle that must re-zero the pad rows on every
         # re-allocation.
         params = _params(
             theta=0.6, max_leaf_size=60, max_batch_size=60,
-            backend="batched",
+            backend=use_backend("stacked"),
         )
         prep = BarycentricTreecode(CoulombKernel(), params).prepare(cube)
         layout = prep.plan.ensure_batched_layout()

@@ -1,8 +1,9 @@
-"""Mutual near-field blocks on the fused evaluation.
+"""Mutual near-field blocks on the plan evaluator's per-group path.
 
-Where the targets are the sources, the fused backend forms each
+Where the targets are the sources, the per-group path forms each
 mirrored direct block once and applies it both ways, following the
-plan's :class:`~repro.core.plan.MirrorSchedule`.  The contract:
+plan's :class:`~repro.core.plan.MirrorSchedule`.  Every test here pins
+that path, whatever the plan's group sizes.  The contract:
 
 * roundoff-equal to the ``numpy`` reference (rtol 1e-9 on potentials,
   1e-8 on forces in float64), identical device counters;
@@ -96,6 +97,11 @@ def _assert_roundoff_equal(phi, phi_ref, f, f_ref, rtol_phi=1e-9, rtol_f=1e-8):
 @pytest.fixture(scope="module")
 def cube():
     return random_cube(1500, seed=41)
+
+
+@pytest.fixture(autouse=True)
+def _per_group_path(use_backend):
+    use_backend("per-group")
 
 
 def _plan(cube, **kw):

@@ -28,7 +28,7 @@ from repro.core.backends import get_backend
 from repro.core.session import FALLBACK_CHAIN
 
 DRIVERS = ("treecode", "distributed", "cluster_particle", "dual_tree")
-BACKENDS = ("numpy", "fused", "batched", "multiprocessing")
+BACKENDS = ("numpy", "per-group", "stacked", "multiprocessing")
 
 
 def _params(backend, **kw):
@@ -69,9 +69,9 @@ class TestRoundTrip:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_bitwise_equal_after_roundtrip(
-        self, driver, backend, cube, new_charges
+        self, driver, backend, cube, new_charges, use_backend
     ):
-        live = _prepare(driver, backend, cube)
+        live = _prepare(driver, use_backend(backend), cube)
         live.apply(cube.charges)  # fill the skeleton's weights + caches
         restored = pickle.loads(pickle.dumps(live))
         res_live = live.apply(new_charges)
@@ -125,8 +125,10 @@ class TestDroppedState:
         assert np.array_equal(a.potential, b.potential)
         assert restored.plan._cast_cache  # repopulated by the apply
 
-    def test_batched_bucket_stacks_dropped(self, cube, new_charges):
-        live = _prepare("treecode", "batched", cube)
+    def test_batched_bucket_stacks_dropped(
+        self, cube, new_charges, use_backend
+    ):
+        live = _prepare("treecode", use_backend("stacked"), cube)
         live.apply(cube.charges)
         restored = pickle.loads(pickle.dumps(live))
         layout = restored.plan.batched_layout
@@ -199,14 +201,16 @@ class TestSessionAccounting:
         text = repr(live)
         assert f"plan={stats['plan_bytes']}B" in text
 
-    def test_accounting_never_resolves_the_backend(self, cube, monkeypatch):
+    def test_accounting_never_resolves_the_backend(
+        self, cube, monkeypatch, use_backend
+    ):
         # A session restored where its backend name is not registered:
         # memory_stats() and repr() are read-only and must not degrade
         # the session (no warning, no recorded fallback).
-        live = _prepare("treecode", "batched", cube)
+        live = _prepare("treecode", use_backend("stacked"), cube)
         live.apply(cube.charges)
         payload = pickle.dumps(live)
-        monkeypatch.delitem(registry._BACKEND_TYPES, "batched")
+        monkeypatch.delitem(registry._BACKEND_TYPES, "fused")
         restored = pickle.loads(payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

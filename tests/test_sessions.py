@@ -37,7 +37,7 @@ from repro import (
 from repro.core.backends import multiproc
 from repro.core.plan import PlanBuilder
 
-EXEC_BACKENDS = ["numpy", "fused", "batched", "multiprocessing"]
+EXEC_BACKENDS = ["numpy", "per-group", "stacked", "multiprocessing"]
 
 
 def _params(**kw):
@@ -86,9 +86,9 @@ class TestSingleDeviceSession:
         "dtype", [np.float64, np.float32], ids=["f64", "f32"]
     )
     def test_apply_matches_fresh_compute_bitwise(
-        self, cube, new_charges, backend, dtype
+        self, cube, new_charges, backend, dtype, use_backend
     ):
-        params = _params(backend=backend, dtype=dtype)
+        params = _params(backend=use_backend(backend), dtype=dtype)
         tc = BarycentricTreecode(YukawaKernel(0.5), params)
         prepared = tc.prepare(cube)
         forces = dtype is np.float64  # one force pass is enough
@@ -214,13 +214,18 @@ class TestSingleDeviceSession:
         assert np.array_equal(res.potential, ref.potential)
 
 
-class TestBatchedSession:
-    """apply()/refresh_weights on plans carrying the bucketed layout."""
+class TestStackedSession:
+    """apply()/refresh_weights on plans carrying the bucketed layout
+    (the plan evaluator pinned to its stacked path)."""
+
+    @pytest.fixture(autouse=True)
+    def _stacked_path(self, use_backend):
+        use_backend("stacked")
 
     def test_repeated_applies_bitwise_equal(self, cube):
-        # The acceptance contract: a prepared batched session is
+        # The acceptance contract: a prepared stacked session is
         # bitwise-reproducible across applies of the same charges.
-        params = _params(backend="batched")
+        params = _params(backend="fused")
         prepared = BarycentricTreecode(YukawaKernel(0.5), params).prepare(cube)
         prepared.plan.ensure_batched_layout()  # up front, not on first use
         a = prepared.apply(cube.charges, compute_forces=True)
@@ -229,7 +234,7 @@ class TestBatchedSession:
         assert np.array_equal(a.forces, b.forces)
 
     def test_charge_refresh_matches_fresh_compute(self, cube, new_charges):
-        params = _params(backend="batched")
+        params = _params(backend="fused")
         tc = BarycentricTreecode(CoulombKernel(), params)
         prepared = tc.prepare(cube)
         prepared.apply(cube.charges)
@@ -240,7 +245,7 @@ class TestBatchedSession:
     def test_refresh_rewrites_bucket_weight_views(self, cube):
         # After every apply the bucket weight matrices must equal a
         # fresh gather from the flat (refreshed) weight buffer.
-        params = _params(backend="batched")
+        params = _params(backend="fused")
         prepared = BarycentricTreecode(CoulombKernel(), params).prepare(cube)
         plan = prepared.plan
         layout = plan.ensure_batched_layout()
@@ -261,7 +266,7 @@ class TestBatchedSession:
     def test_lazy_layout_session_without_params_flag(self, cube):
         # The layout is built on first execute and weight refreshes keep
         # maintaining it afterwards.
-        params = _params(backend="batched")
+        params = _params(backend="fused")
         tc = BarycentricTreecode(CoulombKernel(), params)
         prepared = tc.prepare(cube)
         assert prepared.plan.batched_layout is None
@@ -276,8 +281,8 @@ class TestBatchedSession:
             first.potential, tc.compute(cube).potential
         )
 
-    def test_yukawa_batched_session_refresh(self, cube, new_charges):
-        params = _params(backend="batched")
+    def test_yukawa_stacked_session_refresh(self, cube, new_charges):
+        params = _params(backend="fused")
         tc = BarycentricTreecode(YukawaKernel(0.5), params)
         prepared = tc.prepare(cube)
         prepared.apply(cube.charges)

@@ -63,6 +63,15 @@ class TestBox:
 
 
 class TestClusterTree:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_positions(self, bad):
+        # A NaN coordinate made the box midpoint NaN, every point landed
+        # in child 0 and the build never terminated.
+        pts = random_cube(200, seed=3).positions.copy()
+        pts[17, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ClusterTree(pts, 100)
+
     def test_invariants_uniform(self):
         p = random_cube(800, seed=0)
         tree = ClusterTree(p.positions, 50)

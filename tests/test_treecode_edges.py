@@ -111,6 +111,18 @@ class TestInputHandling:
         b = tc.compute(src, targets=tgt)
         assert np.array_equal(a.potential, b.potential)
 
+    @pytest.mark.parametrize("n_targets", [40, 500], ids=["one-batch", "many"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_targets_rejected(self, n_targets, bad):
+        # One batch used to return NaN potentials silently; more than
+        # max_batch_size targets hung in the target tree's build.
+        src = random_cube(300, seed=6)
+        tgt = random_cube(n_targets, seed=7).positions.copy()
+        tgt[3, 0] = bad
+        tc = BarycentricTreecode(CoulombKernel(), _params())
+        with pytest.raises(ValueError, match="finite"):
+            tc.prepare(src, tgt)
+
     def test_results_deterministic(self):
         p = random_cube(600, seed=8)
         tc = BarycentricTreecode(CoulombKernel(), _params())

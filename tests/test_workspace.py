@@ -7,7 +7,8 @@
   with 1 and 3 RHS columns, on both r^2 arithmetics.
 * One workspace reused across calls whose shapes shrink and then grow
   hands out no stale view and aliases no returned array.
-* A multi-chunk fused or batched execute, cold or warm, allocates each
+* A multi-chunk execute on either path of the plan evaluator (and the
+  multiprocessing backend's inline path), cold or warm, allocates each
   workspace slot once, sized exactly for the plan's largest block, and
   leaves nothing behind on the session.
 """
@@ -198,11 +199,13 @@ class _Recording(Workspace):
         return super().take(slot, shape, dtype)
 
 
-@pytest.mark.parametrize("backend", ["fused", "batched", "multiprocessing"])
+@pytest.mark.parametrize(
+    "backend", ["per-group", "stacked", "multiprocessing"]
+)
 @pytest.mark.parametrize("forces", [False, True])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_every_execute_allocates_each_slot_once(
-    backend, forces, dtype, monkeypatch
+    backend, forces, dtype, monkeypatch, use_backend
 ):
     """The evaluators reserve exactly their largest block before the
     first one, so a cold execute allocates each slot once, at its final
@@ -212,7 +215,7 @@ def test_every_execute_allocates_each_slot_once(
     cube = random_cube(3000, seed=5)
     params = TreecodeParams(
         theta=0.7, degree=4, max_leaf_size=150, max_batch_size=150,
-        backend=backend, dtype=dtype,
+        backend=use_backend(backend), dtype=dtype,
     )
     if backend == "multiprocessing":
         params = params.with_(backend=MultiprocessingBackend(n_workers=1))
@@ -233,13 +236,13 @@ def test_every_execute_allocates_each_slot_once(
     assert np.array_equal(cold.potential, warm.potential)
 
 
-def test_workspace_is_transient():
+def test_workspace_is_transient(use_backend):
     """Nothing of the workspace outlives the execute: a warm apply
     leaves the byte ledger and the pickled plan as the first left them."""
     cube = random_cube(2000, seed=3)
     params = TreecodeParams(
         theta=0.7, degree=4, max_leaf_size=150, max_batch_size=150,
-        backend="batched",
+        backend=use_backend("stacked"),
     )
     sess = BarycentricTreecode(YukawaKernel(kappa=0.5), params).prepare(cube)
     sess.apply(cube.charges, compute_forces=True)
