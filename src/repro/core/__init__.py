@@ -33,7 +33,6 @@ from .direct import direct_sum, direct_sum_at
 from .mac import mac_accepts, mac_geometric
 from .interaction_lists import InteractionLists, build_interaction_lists
 from .moments import (
-    cluster_grid,
     modified_charges,
     precompute_moments,
     prepare_moment_grids,
@@ -47,7 +46,6 @@ __all__ = [
     "mac_accepts",
     "InteractionLists",
     "build_interaction_lists",
-    "cluster_grid",
     "modified_charges",
     "precompute_moments",
     "prepare_moment_grids",

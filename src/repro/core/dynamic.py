@@ -7,8 +7,11 @@ a geometry that is almost unchanged.  This module holds the
 :meth:`~repro.core.session.SessionCore.update_geometry`:
 
 * :class:`TreecodeGeometryUpdater` -- the incremental path for the
-  single-device BLTC.  It re-bins only particles that left their leaf
-  box (:meth:`~repro.tree.octree.ClusterTree.rebin`), re-qualifies and
+  single-device BLTC.  It re-bins both trees
+  (:meth:`~repro.tree.octree.ClusterTree.rebin`: a cold array build at
+  the new positions plus a topology check, committed only when every
+  node keeps its child count, so node indices keep their meaning and
+  the per-node change masks are array comparisons), re-qualifies and
   rebuilds only dirtied moment grids
   (:func:`~repro.core.moments.refresh_moment_geometry`), re-traverses
   only batches whose recorded MAC decisions no longer hold
@@ -17,7 +20,7 @@ a geometry that is almost unchanged.  This module holds the
   (:meth:`~repro.core.plan.ExecutionPlan.patch_groups`) and finishes
   with the mandatory in-place float refresh
   (:meth:`~repro.core.plan.ExecutionPlan.refresh_geometry`).  The
-  invariant chain (cold-replay re-bin, conservative decision verify,
+  invariant chain (cold-build re-bin, conservative decision verify,
   replay-ordered group patch) makes every post-update ``apply()``
   bitwise equal to a cold ``prepare()`` at the new positions.
 * :class:`RebuildGeometryUpdater` -- the fallback used by the Sec. 5
@@ -272,15 +275,10 @@ class TreecodeGeometryUpdater:
         # resized batch, or a direct segment on a resized cluster) are
         # recompiled in place; everything else keeps its rows.
         struct_dirty = dirty_b.copy()
+        if res_t is not None:
+            struct_dirty |= res_t.count_changed[batches.node_ids]
         src_counts = res_s.count_changed
-        for b in range(len(batches)):
-            if struct_dirty[b]:
-                continue
-            if res_t is not None and res_t.count_changed[
-                batches.batch(b).index
-            ]:
-                struct_dirty[b] = True
-                continue
+        for b in np.flatnonzero(~struct_dirty):
             if any(src_counts[c] for c in lists.direct[b]):
                 struct_dirty[b] = True
         sources = BLTCSources(tree, moments)

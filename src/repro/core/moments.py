@@ -31,10 +31,9 @@ from ..config import TreecodeParams
 from ..gpu.device import Device
 from ..interpolation.barycentric import lagrange_basis
 from ..interpolation.grid import ChebyshevGrid3D
-from ..tree.octree import ClusterTree, TreeNode
+from ..tree.octree import ClusterTree
 
 __all__ = [
-    "cluster_grid",
     "modified_charges",
     "moment_flop_counts",
     "precompute_moments",
@@ -43,11 +42,6 @@ __all__ = [
     "refresh_moment_geometry",
     "ClusterMoments",
 ]
-
-
-def cluster_grid(node: TreeNode, degree: int) -> ChebyshevGrid3D:
-    """The tensor-product Chebyshev grid spanning a cluster's box."""
-    return ChebyshevGrid3D.for_box(node.box.lo, node.box.hi, degree)
 
 
 def _contract_basis(lx, ly, lz, charges: np.ndarray) -> np.ndarray:
@@ -192,26 +186,28 @@ class ClusterMoments:
         return out
 
 
-def _qualifying_nodes(tree: ClusterTree, params: TreecodeParams):
-    """The clusters that carry moments: those passing the size condition
-    ``(n+1)^3 < N_C`` (all of them when ``size_check`` is off).  The
-    criterion is parameter-only, so every rank makes the same decision.
+def _qualifying_nodes(tree: ClusterTree, params: TreecodeParams) -> list:
+    """Indices of the clusters that carry moments: those passing the size
+    condition ``(n+1)^3 < N_C`` (all of them when ``size_check`` is off).
+    The criterion is parameter-only, so every rank makes the same
+    decision.
     """
-    n_ip = params.n_interpolation_points
-    return [
-        node for node in tree.nodes
-        if not params.size_check or n_ip < node.count
-    ]
+    counts = tree.node_counts
+    if not params.size_check:
+        return list(range(len(counts)))
+    return np.flatnonzero(params.n_interpolation_points < counts).tolist()
 
 
-def _build_cluster_grid(moments, tree, node, params, cache_basis) -> None:
-    """Build ``node``'s Chebyshev grid and, with ``cache_basis``, the
-    Lagrange basis of eq. 12 at the cluster's own source coordinates."""
-    grid = cluster_grid(node, params.degree)
-    moments.grids[node.index] = grid
+def _build_cluster_grid(moments, tree, i, params, cache_basis) -> None:
+    """Build node ``i``'s Chebyshev grid (spanning its box) and, with
+    ``cache_basis``, the Lagrange basis of eq. 12 at the cluster's own
+    source coordinates."""
+    view = tree.view()
+    grid = ChebyshevGrid3D.for_box(view.lo[i], view.hi[i], params.degree)
+    moments.grids[i] = grid
     if cache_basis:
-        pts = tree.positions[tree.node_indices(node)]
-        moments.basis[node.index] = (
+        pts = tree.node_points(i)
+        moments.basis[i] = (
             lagrange_basis(pts[:, 0], grid.points_1d[0], grid.weights),
             lagrange_basis(pts[:, 1], grid.points_1d[1], grid.weights),
             lagrange_basis(pts[:, 2], grid.points_1d[2], grid.weights),
@@ -249,12 +245,12 @@ def precompute_moments(
     )
 
 
-def _charge_moment_kernels(device, node, params, n_ip) -> None:
+def _charge_moment_kernels(device, count, params, n_ip) -> None:
     """Charge the paper's two preprocessing kernels for one cluster."""
-    ops1, ops2 = moment_flop_counts(node.count, params.degree)
+    ops1, ops2 = moment_flop_counts(count, params.degree)
     device.launch(
         ops1,
-        blocks=node.count,
+        blocks=count,
         kind="moments-1",
         flops_per_interaction=8.0,
     )
@@ -286,10 +282,10 @@ def prepare_moment_grids(
     model-only pipeline.
     """
     moments = ClusterMoments(params.degree)
-    for node in _qualifying_nodes(tree, params):
-        moments.node_ids.add(node.index)
+    for i in _qualifying_nodes(tree, params):
+        moments.node_ids.add(i)
         if numerics:
-            _build_cluster_grid(moments, tree, node, params, cache_basis)
+            _build_cluster_grid(moments, tree, i, params, cache_basis)
     return moments
 
 
@@ -315,7 +311,7 @@ def refresh_moment_geometry(
     entries are left in place -- every apply overwrites them.  Returns
     the number of clusters rebuilt.
     """
-    new_ids = {node.index for node in _qualifying_nodes(tree, params)}
+    new_ids = set(_qualifying_nodes(tree, params))
     for i in moments.node_ids - new_ids:
         moments.grids.pop(i, None)
         moments.qhat.pop(i, None)
@@ -329,7 +325,7 @@ def refresh_moment_geometry(
     for i in sorted(new_ids):
         if i not in added and dirty is not None and not dirty[i]:
             continue
-        _build_cluster_grid(moments, tree, tree.nodes[i], params, cache_basis)
+        _build_cluster_grid(moments, tree, i, params, cache_basis)
         rebuilt += 1
     return rebuilt
 
@@ -360,21 +356,19 @@ def refresh_moments(
     """
     charges = _as_moment_charges(charges, tree.n_particles, "particles")
     n_ip = params.n_interpolation_points
-    for node in tree.nodes:
-        if node.index not in moments.node_ids:
-            continue
+    counts = tree.node_counts
+    for i in sorted(moments.node_ids):
         if numerics:
-            idx = tree.node_indices(node)
-            basis = moments.basis.get(node.index)
+            idx = tree.node_indices(i)
+            basis = moments.basis.get(i)
             if basis is None:
                 qhat = modified_charges(
-                    tree.positions[idx], charges[idx],
-                    moments.grids[node.index],
+                    tree.positions[idx], charges[idx], moments.grids[i]
                 )
             else:
                 lx, ly, lz = basis
                 qhat = _contract_basis(lx, ly, lz, charges[idx])
-            moments.qhat[node.index] = qhat
+            moments.qhat[i] = qhat
         if device is not None:
-            _charge_moment_kernels(device, node, params, n_ip)
+            _charge_moment_kernels(device, int(counts[i]), params, n_ip)
     return moments

@@ -1468,6 +1468,7 @@ def compile_plan(
     """
     sources = BLTCSources(tree, moments, let)
     builder = PlanBuilder(batches.n_targets, numerics=numerics)
+    sizes = batches.sizes()
     for b in range(len(batches)):
         if numerics:
             builder.add_group(
@@ -1475,7 +1476,7 @@ def compile_plan(
                 out_index=batches.batch_indices(b),
             )
         else:
-            builder.add_group(size=batches.batch(b).count)
+            builder.add_group(size=int(sizes[b]))
         for key in batch_keys(lists, b, let):
             if not numerics:
                 builder.add_segment(key[0], size=sources.rows(key))

@@ -205,6 +205,7 @@ class ClusterParticleTreecode(ExtensionTreecode):
         )
         g.grid_slot = {}
         next_row = g.n_targets
+        batch_sizes = g.batches.sizes()
         for grp, (kind, c) in enumerate(g.group_keys):
             if kind == "approx":
                 rows = np.arange(next_row, next_row + n_ip, dtype=np.intp)
@@ -226,7 +227,7 @@ class ClusterParticleTreecode(ExtensionTreecode):
                     builder.add_group(size=idx.shape[0])
             for b in g.group_batches[grp]:
                 if not numerics:
-                    builder.add_segment(kind, size=g.batches.batch(b).count)
+                    builder.add_segment(kind, size=int(batch_sizes[b]))
                 elif builder.has_shared(b):
                     builder.add_segment(kind, share_key=b)
                 else:

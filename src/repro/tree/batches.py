@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .octree import ClusterTree, RebinResult, TreeNode
+from .octree import ClusterTree, RebinResult
 
 __all__ = ["TargetBatches"]
 
@@ -42,10 +42,10 @@ class TargetBatches:
             shrink_to_fit=shrink_to_fit,
         )
         #: Node index of every batch (the batch tree's leaves, in order).
-        self._leaf_ids = np.flatnonzero(self._tree.view().is_leaf)
+        self.node_ids = np.flatnonzero(self._tree.view().is_leaf)
 
     def __len__(self) -> int:
-        return len(self._leaf_ids)
+        return len(self.node_ids)
 
     @property
     def n_targets(self) -> int:
@@ -72,37 +72,33 @@ class TargetBatches:
         return self._tree
 
     def rebin(self, new_positions: np.ndarray) -> RebinResult:
-        """Incrementally re-bin the batch tree for moved targets.
+        """Re-bin the batch tree for moved targets.
 
         Delegates to :meth:`ClusterTree.rebin`; on success the batch
         node indices stay valid because a rebin preserves the topology.
-        Batch ``b``'s node index in the masks is ``self.batch(b).index``.
+        Batch ``b``'s node index in the masks is ``self.node_ids[b]``.
         """
         return self._tree.rebin(new_positions)
 
-    def batch(self, b: int) -> TreeNode:
-        """The ``b``-th batch node."""
-        return self._tree.nodes[self._leaf_ids[b]]
-
     def batch_indices(self, b: int) -> np.ndarray:
         """Original target indices of batch ``b``."""
-        return self._tree.node_indices(self._leaf_ids[b])
+        return self._tree.node_indices(self.node_ids[b])
 
     def batch_points(self, b: int) -> np.ndarray:
         """Coordinates of the targets in batch ``b``."""
-        return self._tree.node_points(self._leaf_ids[b])
+        return self._tree.node_points(self.node_ids[b])
 
     def centers(self) -> np.ndarray:
         """(n_batches, 3) batch centers (read from the batch tree's view)."""
-        return self._tree.view().centers[self._leaf_ids]
+        return self._tree.view().centers[self.node_ids]
 
     def radii(self) -> np.ndarray:
         """(n_batches,) batch radii (read from the batch tree's view)."""
-        return self._tree.view().radii[self._leaf_ids]
+        return self._tree.view().radii[self.node_ids]
 
     def sizes(self) -> np.ndarray:
         """(n_batches,) number of targets per batch."""
-        return self._tree.view().counts[self._leaf_ids]
+        return self._tree.view().counts[self.node_ids]
 
     def validate(self) -> None:
         """Structural invariants (delegates to the underlying tree)."""

@@ -7,32 +7,34 @@ particles.  Sec. 3.1 adds the aspect-ratio rule: a cluster is divided into
 8 children normally, but only 2 or 4 when splitting all dimensions would
 produce children with aspect ratio above sqrt(2).
 
-The tree stores a permutation of the particle indices such that every node
-owns a contiguous slice ``[start, end)`` -- the array-structure style that
-GPU treecodes favour over pointer chasing (the paper cites Burtscher &
-Pingali for this idea), and which makes serializing the tree for RMA
-communication trivial.
+The tree has one representation: a permutation of the particle indices,
+in which every node owns a contiguous slice ``[start, end)``, and the
+*packed tree array*, one float64 row per node holding its center, radius,
+box, slice and topology.  That is the "tree array (containing cluster
+midpoints and radii for all tree nodes)" each rank exposes for LET
+construction (Sec. 3.1), in the array style GPU treecodes favour over
+pointer chasing (the paper cites Burtscher & Pingali).  Every traversal
+reads it through :class:`TreeView`, local tree and fetched array alike.
 
-This module also owns the *packed tree array*: one float64 row per node
-holding its center, radius, box, particle slice and topology -- the
-"tree array (containing cluster midpoints and radii for all tree nodes)"
-each rank exposes for LET construction (Sec. 3.1).  :class:`TreeView`
-reads that array as a struct of per-field columns, and it is the one
-form every traversal reads: a local tree's cached
-:meth:`ClusterTree.view` and a remote rank's fetched array alike.
+:func:`_build` fills both one level at a time.  Each level takes one pass
+over its nodes' particles: minimal boxes by ``reduceat``, the leaf test,
+the split dimensions and every particle's child code, then one stable sort
+of the level's particles by (node, code).  Node indices are breadth-first:
+level ``L``'s children are numbered after all of level ``L``, in (parent,
+code) order, so every node's children have consecutive indices and the
+array stores only ``first_child`` and ``n_children``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import ASPECT_RATIO_LIMIT
-from .box import Box, bounding_box
 
-__all__ = ["TreeNode", "ClusterTree", "RebinResult", "TreeView"]
+__all__ = ["ClusterTree", "RebinResult", "TreeView"]
 
 # Field offsets of one node's row in the packed tree array.
 CENTER = slice(0, 3)
@@ -97,15 +99,15 @@ class TreeView:
 class RebinResult:
     """Outcome of :meth:`ClusterTree.rebin`.
 
-    ``ok`` is False when the incremental replay had to bail out (a node's
-    leaf status flipped or its child count changed); the tree is left
+    ``ok`` is False when the tree over the new positions has a different
+    topology (some node's child count differs); the tree is left
     untouched in that case and the caller must rebuild from scratch.  On
     success the per-node masks describe what changed relative to the old
     binning: ``box_changed`` (bounding box moved), ``count_changed``
-    (slice size changed), ``members_dirty`` (the node's particle
-    sequence -- membership or order -- may differ).  ``n_rebinned``
-    counts particles whose leaf assignment changed; ``scratch_bytes`` is
-    the peak size of the working copies the replay allocated.
+    (slice size changed), ``members_dirty`` (the node's ordered particle
+    sequence changed).  ``n_rebinned`` counts particles whose leaf
+    changed; ``scratch_bytes`` is the size of the arrays held before the
+    commit.
     """
 
     ok: bool
@@ -117,30 +119,117 @@ class RebinResult:
     scratch_bytes: int = 0
 
 
-@dataclass
-class TreeNode:
-    """One cluster in the tree.
+def _slices(starts: np.ndarray, counts: np.ndarray):
+    """``(at, offsets)``: every position of the ``[start, start + count)``
+    slices, slice by slice; slice ``k`` begins at ``at[offsets[k]]``."""
+    offsets = np.cumsum(counts) - counts
+    at = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+    return at, offsets
 
-    ``start``/``end`` index the tree's permutation array; the node's
-    particles are ``positions[tree.perm[start:end]]``.
-    """
 
-    index: int
-    start: int
-    end: int
-    box: Box
-    level: int
-    parent: int
-    children: list[int] = field(default_factory=list)
+def _half_boxes(c, dims, shift, lo, hi, mid):
+    """Half-boxes of child codes ``c``: low or high half per code bit."""
+    bit = (c[:, None] >> shift) & 1
+    return (
+        np.where(dims & (bit == 1), mid, lo),
+        np.where(dims & (bit == 0), mid, hi),
+    )
 
-    @property
-    def count(self) -> int:
-        """Number of particles owned by this cluster."""
-        return self.end - self.start
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+def _build(positions, max_leaf_size, aspect_ratio_splitting, shrink_to_fit):
+    """Build the tree level by level: ``(perm, packed array, max_level)``."""
+    perm = np.arange(positions.shape[0], dtype=np.intp)
+    starts, counts = np.zeros(1, dtype=np.intp), np.array([perm.size])
+    lo = hi = None
+    levels = []
+    while starts.size:
+        m = starts.size
+        at, offsets = _slices(starts, counts)
+        node = np.repeat(np.arange(m), counts)
+        pts = positions[perm[at]]
+        pmin = np.minimum.reduceat(pts, offsets)
+        pmax = np.maximum.reduceat(pts, offsets)
+        if shrink_to_fit or lo is None:
+            lo, hi = pmin, pmax
+        ext = hi - lo
+        # Leaf conditions: small enough, or all particles coincident
+        # (subdivision cannot separate them, whatever the box).
+        split = (counts > max_leaf_size) & ((pmax - pmin).max(axis=1) > 0.0)
+        if aspect_ratio_splitting:
+            # Split a dimension only when its extent exceeds ``longest /
+            # limit``: halving it cannot leave a child more elongated than
+            # the limit (a cube splits all three, the 1/2 x 1/3 regions of
+            # Fig. 2b their long ones).  At subnormal extents ``longest /
+            # limit`` rounds up to ``longest``: the longest splits alone.
+            dims = ext > ext.max(axis=1, keepdims=True) / ASPECT_RATIO_LIMIT
+            none = np.flatnonzero(~dims.any(axis=1))
+            dims[none, ext[none].argmax(axis=1)] = True
+        else:
+            dims = np.ones((m, 3), dtype=bool)
+        dims &= split[:, None]
+        mid = 0.5 * (lo + hi)
+        # Child code: bit i set when the particle lies above the midpoint
+        # in the node's i-th split dimension.  Up to 8 children.
+        shift = np.maximum(np.cumsum(dims, axis=1) - 1, 0)
+        code = np.zeros(at.size, dtype=np.intp)
+        for d in range(3):
+            above = (pts[:, d] > mid[node, d]) & dims[node, d]
+            code |= above.astype(np.intp) << shift[node, d]
+        # At ulp-scale extents the midpoint can round onto a box edge and
+        # separate nothing.  A node whose particles then all share one
+        # child code, with the child's box its own, would repeat itself
+        # forever: it is a leaf too.
+        first = code[offsets]
+        stuck = split & (first == np.maximum.reduceat(code, offsets))
+        stuck &= first == np.minimum.reduceat(code, offsets)
+        if not shrink_to_fit:
+            clo, chi = _half_boxes(first, dims, shift, lo, hi, mid)
+            stuck &= np.all((clo == lo) & (chi == hi), axis=1)
+        if stuck.any():
+            split &= ~stuck
+            dims &= split[:, None]
+            code[stuck[node]] = 0
+        key = node * 8 + code
+        perm[at] = perm[at[np.argsort(key, kind="stable")]]
+        sizes = np.bincount(key, minlength=8 * m)
+        sizes[:: 8][~split] = 0
+        n_children = np.count_nonzero(sizes.reshape(m, 8), axis=1)
+        levels.append((lo, hi, starts, counts, n_children))
+        # The children, in (parent, code) order: their slices tile each
+        # parent's slice in the order the sort left the particles.
+        k = np.flatnonzero(sizes)
+        parent = k // 8
+        below = np.cumsum(sizes) - sizes
+        starts = starts[parent] + below[k] - below[8 * parent]
+        counts = sizes[k]
+        if not shrink_to_fit:
+            lo, hi = _half_boxes(
+                k % 8, dims[parent], shift[parent],
+                lo[parent], hi[parent], mid[parent],
+            )
+
+    lo, hi, starts, counts, n_children = (
+        np.concatenate(col) for col in zip(*levels)
+    )
+    ext = hi - lo
+    # One row per node, in the field order of TREE_ARRAY_FIELDS.
+    arr = np.column_stack((
+        0.5 * (lo + hi), 0.5 * np.sqrt(np.vecdot(ext, ext)), lo, hi,
+        counts, starts, starts + counts, n_children == 0,
+        np.where(n_children > 0, 1 + np.cumsum(n_children) - n_children, -1),
+        n_children,
+    ))
+    arr.flags.writeable = False
+    return perm, arr, len(levels) - 1
+
+
+def _leaf_map(perm: np.ndarray, view: TreeView) -> np.ndarray:
+    """(N,) index of the leaf node owning each original particle."""
+    leaves = np.flatnonzero(view.is_leaf)
+    leaves = leaves[np.argsort(view.starts[leaves])]
+    lm = np.empty(perm.size, dtype=np.intp)
+    lm[perm] = np.repeat(leaves, view.counts[leaves])
+    return lm
 
 
 class ClusterTree:
@@ -172,101 +261,30 @@ class ClusterTree:
         if positions.shape[0] == 0:
             raise ValueError("cannot build a tree over zero particles")
         if not np.isfinite(positions).all():
-            # A NaN or inf coordinate gives a non-finite box midpoint,
-            # every point then lands in one child, and the split never
-            # terminates.
+            # A NaN or inf coordinate gives a non-finite box midpoint: every
+            # point lands in one child and the split never terminates.
             raise ValueError("positions must be finite")
-        if max_leaf_size < 1:
-            raise ValueError(f"max_leaf_size must be >= 1, got {max_leaf_size}")
+        if (
+            isinstance(max_leaf_size, bool)
+            or not isinstance(max_leaf_size, numbers.Integral)
+            or max_leaf_size < 1
+        ):
+            raise ValueError(
+                f"max_leaf_size must be an integer >= 1, got {max_leaf_size!r}"
+            )
         self.positions = positions
         self.max_leaf_size = int(max_leaf_size)
         self.aspect_ratio_splitting = bool(aspect_ratio_splitting)
         self.shrink_to_fit = bool(shrink_to_fit)
-        self.perm = np.arange(positions.shape[0], dtype=np.intp)
-        self.nodes: list[TreeNode] = []
-        self._view: TreeView | None = None
-        self._build()
+        self.perm, arr, self.max_level = self._build(positions)
+        self._view = TreeView(arr)
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _node_box(self, start: int, end: int, inherited: Box | None) -> Box:
-        if self.shrink_to_fit or inherited is None:
-            return bounding_box(self.positions[self.perm[start:end]])
-        return inherited
+    def _build(self, positions: np.ndarray):
+        return _build(positions, self.max_leaf_size,
+                      self.aspect_ratio_splitting, self.shrink_to_fit)
 
-    def _build(self) -> None:
-        n = self.positions.shape[0]
-        # Breadth-first work queue of (start, end, parent, level,
-        # inherited_box).  BFS assigns node indices in level order, which
-        # guarantees the children of any node receive *consecutive*
-        # indices: they are appended to the queue together and nothing is
-        # ever inserted between them.  The packed tree array exploits this
-        # by storing only (first_child, n_children).
-        queue: deque[tuple[int, int, int, int, Box | None]] = deque(
-            [(0, n, -1, 0, None)]
-        )
-        while queue:
-            start, end, parent, level, inherited = queue.popleft()
-            box = self._node_box(start, end, inherited)
-            index = len(self.nodes)
-            node = TreeNode(
-                index=index, start=start, end=end, box=box,
-                level=level, parent=parent,
-            )
-            self.nodes.append(node)
-            if parent >= 0:
-                self.nodes[parent].children.append(index)
-            count = end - start
-            # Leaf conditions: small enough, or geometrically degenerate
-            # (all particles coincident -- subdivision cannot progress).
-            if count <= self.max_leaf_size or box.extents.max() == 0.0:
-                continue
-            if self.aspect_ratio_splitting:
-                dims = box.split_dimensions(ASPECT_RATIO_LIMIT)
-            else:
-                dims = np.array([0, 1, 2], dtype=np.intp)
-            mid = box.center
-            pts = self.positions[self.perm[start:end]]
-            # Child code: bit i set when the point lies above the midpoint
-            # in split dimension dims[i].  Up to 2^len(dims) children.
-            code = np.zeros(count, dtype=np.intp)
-            for i, d in enumerate(dims):
-                code |= (pts[:, d] > mid[d]).astype(np.intp) << i
-            order = np.argsort(code, kind="stable")
-            self.perm[start:end] = self.perm[start:end][order]
-            counts = np.bincount(code, minlength=1 << len(dims))
-            offset = start
-            for c in range(1 << len(dims)):
-                cnt = int(counts[c])
-                if cnt == 0:
-                    continue
-                child_box: Box | None = None
-                if not self.shrink_to_fit:
-                    # Geometric half-box of child code c: split dims take
-                    # the low or high half of the parent per code bit.
-                    lo = box.lo.copy()
-                    hi = box.hi.copy()
-                    for i, d in enumerate(dims):
-                        if (c >> i) & 1:
-                            lo[d] = mid[d]
-                        else:
-                            hi[d] = mid[d]
-                    child_box = Box(lo, hi)
-                queue.append(
-                    (offset, offset + cnt, index, level + 1, child_box)
-                )
-                offset += cnt
-
-    # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def root(self) -> TreeNode:
-        return self.nodes[0]
+        return len(self._view)
 
     @property
     def n_particles(self) -> int:
@@ -274,59 +292,35 @@ class ClusterTree:
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for nd in self.nodes if nd.is_leaf)
-
-    @property
-    def max_level(self) -> int:
-        return max(nd.level for nd in self.nodes)
+        return int(np.count_nonzero(self._view.is_leaf))
 
     @property
     def node_counts(self) -> np.ndarray:
         """(n_nodes,) particle count per node (the view's column)."""
-        return self.view().counts
+        return self._view.counts
 
-    def leaves(self) -> list[TreeNode]:
-        """All leaf nodes, in node-index order."""
-        return [nd for nd in self.nodes if nd.is_leaf]
+    def node_indices(self, node: int) -> np.ndarray:
+        """Original particle indices owned by node ``node``."""
+        view = self._view
+        return self.perm[view.starts[node]:view.ends[node]]
 
-    def node_indices(self, node: TreeNode | int) -> np.ndarray:
-        """Original particle indices owned by ``node``."""
-        if not isinstance(node, TreeNode):
-            node = self.nodes[int(node)]
-        return self.perm[node.start:node.end]
-
-    def node_points(self, node: TreeNode | int) -> np.ndarray:
-        """Coordinates of the particles owned by ``node``."""
+    def node_points(self, node: int) -> np.ndarray:
+        """Coordinates of the particles owned by node ``node``."""
         return self.positions[self.node_indices(node)]
 
-    # ------------------------------------------------------------------
-    # Dynamic geometry: leaf membership + incremental re-bin
-    # ------------------------------------------------------------------
     def leaf_map(self) -> np.ndarray:
         """(N,) index of the leaf node owning each original particle."""
-        lm = np.empty(self.n_particles, dtype=np.intp)
-        for nd in self.nodes:
-            if nd.is_leaf:
-                lm[self.perm[nd.start:nd.end]] = nd.index
-        return lm
+        return _leaf_map(self.perm, self._view)
 
     def rebin(self, new_positions: np.ndarray) -> RebinResult:
         """Re-bin the tree in place for moved particles, preserving topology.
 
-        Replays :meth:`_build`'s top-down pass over the *existing* node
-        structure with the new coordinates: every node's box, split
-        dimensions, midpoint and child codes are recomputed exactly as a
-        cold build would, and each splitting node's permutation slice is
-        re-sorted into the cold build's (code, original-index) order --
-        a stable argsort over an ascending-original-index slice yields
-        exactly that order, and rebinning preserves the invariant
-        inductively, so a successful rebin reproduces a cold
-        ``ClusterTree(new_positions, ...)`` bit for bit.  The replay
-        bails out (returning ``ok=False`` and leaving the tree
-        untouched) only when the *shape* of the tree would differ: a
-        node's leaf status flips or the number of its non-empty children
-        changes.  Codes, split dimensions and boxes may change freely --
-        they are recomputed, not compared.
+        A re-bin is a cold build at the new positions plus a topology
+        check: when every node has as many children as before, the new
+        permutation and packed array are committed -- bitwise a cold
+        ``ClusterTree(new_positions, ...)`` -- and node indices keep
+        their meaning.  Otherwise (``ok=False``) the tree is left
+        untouched.  The masks compare the two array sets node by node.
         """
         new_positions = np.atleast_2d(
             np.asarray(new_positions, dtype=np.float64)
@@ -336,193 +330,91 @@ class ClusterTree:
                 "new_positions shape "
                 f"{new_positions.shape} != {self.positions.shape}"
             )
-        m = len(self.nodes)
-        old_leaf_map = self.leaf_map()
-        # Working copies: nothing below mutates the tree until commit.
-        perm = self.perm.copy()
-        starts = self.view().starts.copy()
-        ends = self.view().ends.copy()
-        boxes: list[Box | None] = [None] * m
-        inherited: list[Box | None] = [None] * m
-        box_changed = np.zeros(m, dtype=bool)
-        count_changed = np.zeros(m, dtype=bool)
-        members_dirty = np.zeros(m, dtype=bool)
-        scratch = (
-            perm.nbytes + starts.nbytes + ends.nbytes
-            + old_leaf_map.nbytes + 3 * m
+        perm, arr, _ = self._build(new_positions)
+        old, new = self._view, TreeView(arr)
+        res = RebinResult(ok=False, scratch_bytes=perm.nbytes + arr.nbytes)
+        m = min(len(old), len(new))
+        differ = np.flatnonzero(old.n_children[:m] != new.n_children[:m])
+        if differ.size:
+            res.reason = f"child count changed at node {differ[0]}"
+            return res
+        res.count_changed = changed = old.counts != new.counts
+        # Compare the ordered member sequences of the nodes whose size held.
+        same = np.flatnonzero(~changed)
+        at_old, offsets = _slices(old.starts[same], old.counts[same])
+        at_new, _ = _slices(new.starts[same], new.counts[same])
+        res.members_dirty = changed.copy()
+        res.members_dirty[same] = np.logical_or.reduceat(
+            self.perm[at_old] != perm[at_new], offsets
         )
-
-        def bail(reason: str) -> RebinResult:
-            return RebinResult(
-                ok=False, reason=reason, scratch_bytes=int(scratch)
-            )
-
-        # BFS index order guarantees parents are visited before children,
-        # so starts/ends/inherited boxes assigned at the parent are final
-        # by the time the child is processed.
-        for index, node in enumerate(self.nodes):
-            start, end = int(starts[index]), int(ends[index])
-            count = end - start
-            if self.shrink_to_fit or index == 0:
-                box = bounding_box(new_positions[perm[start:end]])
-            else:
-                box = inherited[index]
-            boxes[index] = box
-            box_changed[index] = not (
-                np.array_equal(box.lo, node.box.lo)
-                and np.array_equal(box.hi, node.box.hi)
-            )
-            is_leaf_new = (
-                count <= self.max_leaf_size or box.extents.max() == 0.0
-            )
-            if is_leaf_new != node.is_leaf:
-                return bail(f"leaf status flipped at node {index}")
-            if is_leaf_new:
-                continue
-            if self.aspect_ratio_splitting:
-                dims = box.split_dimensions(ASPECT_RATIO_LIMIT)
-            else:
-                dims = np.array([0, 1, 2], dtype=np.intp)
-            mid = box.center
-            seg = perm[start:end]
-            pts = new_positions[seg]
-            code = np.zeros(count, dtype=np.intp)
-            for i, d in enumerate(dims):
-                code |= (pts[:, d] > mid[d]).astype(np.intp) << i
-            scratch = max(scratch, perm.nbytes + code.nbytes + pts.nbytes)
-            dc = np.diff(code)
-            in_order = bool(np.all(dc >= 0)) and bool(
-                np.all((dc > 0) | (np.diff(seg) > 0))
-            )
-            if not in_order:
-                order = np.lexsort((seg, code))
-                perm[start:end] = seg[order]
-                code = code[order]
-                members_dirty[index] = True
-            uniq, counts = np.unique(code, return_counts=True)
-            if len(uniq) != len(node.children):
-                return bail(f"child count changed at node {index}")
-            if not self.shrink_to_fit:
-                child_boxes = []
-                for c in uniq:
-                    lo = box.lo.copy()
-                    hi = box.hi.copy()
-                    for i, d in enumerate(dims):
-                        if (int(c) >> i) & 1:
-                            lo[d] = mid[d]
-                        else:
-                            hi[d] = mid[d]
-                    child_boxes.append(Box(lo, hi))
-            offset = start
-            for k, child in enumerate(node.children):
-                cnt = int(counts[k])
-                moved = (
-                    offset != self.nodes[child].start
-                    or cnt != self.nodes[child].count
-                )
-                starts[child] = offset
-                ends[child] = offset + cnt
-                count_changed[child] = cnt != self.nodes[child].count
-                members_dirty[child] = members_dirty[index] or moved
-                if not self.shrink_to_fit:
-                    inherited[child] = child_boxes[k]
-                offset += cnt
-
-        # Commit: mutate the existing TreeNode objects so every external
-        # reference to them (target batches) stays valid; the packed view
-        # is rebuilt from them on next use.
-        for index, node in enumerate(self.nodes):
-            node.start = int(starts[index])
-            node.end = int(ends[index])
-            node.box = boxes[index]
-        self.perm = perm
-        self.positions = new_positions
-        self._view = None
-        new_leaf_map = self.leaf_map()
-        n_rebinned = int(np.count_nonzero(new_leaf_map != old_leaf_map))
-        return RebinResult(
-            ok=True,
-            n_rebinned=n_rebinned,
-            box_changed=box_changed,
-            count_changed=count_changed,
-            members_dirty=members_dirty,
-            scratch_bytes=int(scratch),
+        res.box_changed = np.any(
+            (old.lo != new.lo) | (old.hi != new.hi), axis=1
         )
+        res.n_rebinned = int(
+            np.count_nonzero(self.leaf_map() != _leaf_map(perm, new))
+        )
+        res.ok = True
+        self.perm, self.positions, self._view = perm, new_positions, new
+        return res
 
-    # ------------------------------------------------------------------
-    # Serialization (the "tree array" communicated over RMA, Sec. 3.1)
-    # ------------------------------------------------------------------
     def tree_array(self) -> np.ndarray:
-        """The packed tree array (read-only; see :class:`TreeView`).
+        """The packed tree array placed in RMA windows (Sec. 3.1); read-only.
 
-        Layout per node (``TREE_ARRAY_FIELDS`` = 16 fields): center(3),
-        radius, lo(3), hi(3), count, start, end, is_leaf, first_child,
-        n_children.  This is the "tree array (containing cluster
-        midpoints and radii for all tree nodes)" placed in RMA windows
-        (Sec. 3.1).
+        Per node (``TREE_ARRAY_FIELDS`` = 16 fields): center(3), radius,
+        lo(3), hi(3), count, start, end, is_leaf, first_child, n_children.
         """
-        return self.view().array
+        return self._view.array
 
     def view(self) -> TreeView:
-        """Struct-of-arrays view of the packed tree array (cached).
-
-        Built once per binning, vectorised: centers are ``0.5 * (lo +
-        hi)`` and radii ``0.5 * sqrt(vecdot(ext, ext))``, the same
-        arithmetic as :attr:`Box.center` / :attr:`Box.radius` (whose
-        ``np.linalg.norm`` is the same per-row dot), so every value is
-        bitwise what a per-node walk would read.  :meth:`rebin` drops it
-        on commit.
-        """
-        if self._view is None:
-            nodes = self.nodes
-            lo = np.array([nd.box.lo for nd in nodes])
-            hi = np.array([nd.box.hi for nd in nodes])
-            ext = hi - lo
-            arr = np.empty((len(nodes), TREE_ARRAY_FIELDS), dtype=np.float64)
-            arr[:, CENTER] = 0.5 * (lo + hi)
-            arr[:, RADIUS] = 0.5 * np.sqrt(np.vecdot(ext, ext))
-            arr[:, LO] = lo
-            arr[:, HI] = hi
-            arr[:, START] = [nd.start for nd in nodes]
-            arr[:, END] = [nd.end for nd in nodes]
-            arr[:, COUNT] = arr[:, END] - arr[:, START]
-            arr[:, N_CHILDREN] = [len(nd.children) for nd in nodes]
-            arr[:, IS_LEAF] = arr[:, N_CHILDREN] == 0
-            arr[:, FIRST_CHILD] = [
-                nd.children[0] if nd.children else -1 for nd in nodes
-            ]
-            arr.flags.writeable = False
-            self._view = TreeView(arr)
+        """Struct-of-arrays view of the packed tree array."""
         return self._view
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation.
 
         Used by tests and as a debugging aid: the permutation is a
-        bijection, every node's slice is the concatenation of its
-        children's slices, every particle lies inside its node's box, and
-        leaves respect ``NL`` unless degenerate.
+        bijection, every node's children are consecutive and tile its
+        slice in order, every particle lies inside its node's box, and
+        leaves respect ``NL`` unless their particles coincide or their box
+        cannot be bisected.
         """
-        n = self.positions.shape[0]
-        assert sorted(self.perm.tolist()) == list(range(n)), "perm not a bijection"
-        root = self.root
-        assert root.start == 0 and root.end == n, "root does not own all particles"
-        for nd in self.nodes:
-            pts = self.node_points(nd)
-            assert bool(np.all(nd.box.contains(pts, atol=1e-12))), (
-                f"node {nd.index} has particles outside its box"
+        n, v = self.n_particles, self._view
+        assert np.array_equal(np.sort(self.perm), np.arange(n)), "perm"
+        assert v.starts[0] == 0 and v.ends[0] == n, "root slice"
+        assert np.array_equal(v.counts, v.ends - v.starts)
+        assert np.array_equal(v.is_leaf, v.n_children == 0)
+        # Breadth-first numbering: nodes 1..M-1 are the children of nodes
+        # 0..M-2, parent by parent.
+        parent = np.repeat(np.arange(len(v)), v.n_children)
+        kids = np.arange(1, len(v))
+        assert parent.size == kids.size, "child counts"
+        first = 1 + np.searchsorted(parent, parent)
+        assert np.array_equal(v.first_child[parent], first), "first child"
+        below = np.cumsum(v.counts) - v.counts
+        inner = ~v.is_leaf
+        assert np.array_equal(
+            v.starts[kids], v.starts[parent] + below[kids] - below[first]
+        ) and np.array_equal(
+            np.bincount(parent, v.counts[kids], len(v))[inner], v.counts[inner]
+        ), "children do not tile their parent"
+        at, offsets = _slices(v.starts, v.counts)
+        node = np.repeat(np.arange(len(v)), v.counts)
+        pts = self.positions[self.perm[at]]
+        assert np.all(
+            (pts >= v.lo[node] - 1e-12) & (pts <= v.hi[node] + 1e-12)
+        ), "a node has particles outside its box"
+        # An oversized leaf's particles coincide, or its box cannot be
+        # bisected: the midpoint of its longest side rounds onto an edge.
+        rows, d = np.arange(len(v)), (v.hi - v.lo).argmax(axis=1)
+        mid = v.centers[rows, d]
+        unsplittable = (
+            np.all(
+                np.maximum.reduceat(pts, offsets)
+                == np.minimum.reduceat(pts, offsets),
+                axis=1,
             )
-            if nd.children:
-                spans = sorted(
-                    (self.nodes[c].start, self.nodes[c].end) for c in nd.children
-                )
-                assert spans[0][0] == nd.start and spans[-1][1] == nd.end, (
-                    f"children of node {nd.index} do not tile it"
-                )
-                for (a, b), (c, d) in zip(spans, spans[1:]):
-                    assert b == c, f"gap in children of node {nd.index}"
-            else:
-                degenerate = nd.box.extents.max() == 0.0
-                assert nd.count <= self.max_leaf_size or degenerate, (
-                    f"oversized leaf {nd.index}: {nd.count}"
-                )
+            | (mid == v.lo[rows, d])
+            | (mid == v.hi[rows, d])
+        )
+        oversized = v.is_leaf & (v.counts > self.max_leaf_size)
+        assert np.all(unsplittable[oversized]), "oversized leaf"

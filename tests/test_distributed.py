@@ -68,11 +68,11 @@ class TestFetchedTreeView:
     def test_box_roundtrip(self, cube):
         tree = ClusterTree(cube.positions, 200)
         remote = _fetched_view(tree)
-        for nd in tree.nodes:
-            assert np.array_equal(remote.lo[nd.index], nd.box.lo)
-            assert np.array_equal(remote.hi[nd.index], nd.box.hi)
-            assert remote.starts[nd.index] == nd.start
-            assert remote.ends[nd.index] == nd.end
+        assert np.array_equal(remote.array, tree.tree_array())
+        for i in range(len(tree)):
+            pts = tree.node_points(i)
+            assert np.array_equal(remote.lo[i], pts.min(axis=0))
+            assert np.array_equal(remote.hi[i], pts.max(axis=0))
 
     @pytest.mark.parametrize("shape", [(3, 5), (16,), (2, 16, 1)])
     def test_rejects_malformed_array(self, shape):

@@ -134,7 +134,7 @@ class TestCleanLeafSize:
         p = random_cube(200_000, seed=74)
         nl = clean_leaf_size(200_000, target=2000)
         tree = ClusterTree(p.positions, nl)
-        sizes = np.array([l.count for l in tree.leaves()])
+        sizes = tree.node_counts[tree.view().is_leaf]
         # Leaves should cluster near one level's population, not be
         # fragmented 8x below it.
         assert np.median(sizes) > nl / 4

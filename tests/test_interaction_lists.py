@@ -66,13 +66,13 @@ class TestMacSemantics:
         )
         lists = build_interaction_lists(batches, tree, params)
         n_ip = params.n_interpolation_points
+        view = tree.view()
         for b in range(len(batches)):
-            node = batches.batch(b)
+            center, radius = batches.centers()[b], batches.radii()[b]
             for c in lists.approx[b]:
-                cl = tree.nodes[int(c)]
-                dist = np.linalg.norm(node.box.center - cl.box.center)
-                assert (node.box.radius + cl.box.radius) / dist < params.theta
-                assert n_ip < cl.count
+                dist = np.linalg.norm(center - view.centers[c])
+                assert (radius + view.radii[c]) / dist < params.theta
+                assert n_ip < view.counts[c]
 
     def test_small_clusters_never_approximated(self):
         """Size condition: degree 8 needs clusters with > 729 particles;
@@ -85,7 +85,7 @@ class TestMacSemantics:
         lists = build_interaction_lists(batches, tree, params)
         for b in range(len(batches)):
             for c in lists.approx[b]:
-                assert tree.nodes[int(c)].count > 729
+                assert tree.node_counts[c] > 729
 
     def test_direct_entries_are_leaves_or_small(self):
         """A direct-listed cluster is either a leaf (geometric MAC failed
@@ -97,15 +97,15 @@ class TestMacSemantics:
         )
         n_ip = params.n_interpolation_points
         lists = build_interaction_lists(batches, tree, params)
+        view = tree.view()
         for b in range(len(batches)):
-            node = batches.batch(b)
+            center, radius = batches.centers()[b], batches.radii()[b]
             for c in lists.direct[b]:
-                cl = tree.nodes[int(c)]
-                if not cl.is_leaf:
-                    dist = np.linalg.norm(node.box.center - cl.box.center)
-                    rsum = node.box.radius + cl.box.radius
+                if not view.is_leaf[c]:
+                    dist = np.linalg.norm(center - view.centers[c])
+                    rsum = radius + view.radii[c]
                     assert rsum / dist < params.theta
-                    assert n_ip >= cl.count
+                    assert n_ip >= view.counts[c]
 
     def test_tiny_theta_all_direct_leaves(self):
         p, tree, batches = _setup()

@@ -5,10 +5,10 @@ import pytest
 
 from repro.config import TreecodeParams
 from repro.core.moments import (
-    cluster_grid,
     modified_charges,
     moment_flop_counts,
     precompute_moments,
+    prepare_moment_grids,
 )
 from repro.gpu.device import GpuDevice
 from repro.interpolation import ChebyshevGrid3D
@@ -122,7 +122,7 @@ class TestPrecomputeMoments:
         )
         moments = precompute_moments(tree, p.charges, params)
         n_ip = params.n_interpolation_points
-        expected = {nd.index for nd in tree.nodes if nd.count > n_ip}
+        expected = set(np.flatnonzero(tree.node_counts > n_ip).tolist())
         assert set(moments.qhat) == expected
         for i in expected:
             assert moments.qhat[i].shape == (n_ip,)
@@ -136,7 +136,7 @@ class TestPrecomputeMoments:
             size_check=False,
         )
         moments = precompute_moments(tree, p.charges, params)
-        assert set(moments.qhat) == {nd.index for nd in tree.nodes}
+        assert set(moments.qhat) == set(range(len(tree)))
 
     def test_device_charged_two_kernels_per_cluster(self):
         p = random_cube(1000, seed=7)
@@ -172,6 +172,9 @@ class TestPrecomputeMoments:
     def test_cluster_grid_spans_node_box(self):
         p = random_cube(200, seed=10)
         tree = ClusterTree(p.positions, 50)
-        grid = cluster_grid(tree.root, 4)
-        assert np.allclose(grid.points.min(axis=0), tree.root.box.lo)
-        assert np.allclose(grid.points.max(axis=0), tree.root.box.hi)
+        params = TreecodeParams(degree=4, size_check=False)
+        moments = prepare_moment_grids(tree, params)
+        view = tree.view()
+        for i, grid in moments.grids.items():
+            assert np.allclose(grid.points.min(axis=0), view.lo[i])
+            assert np.allclose(grid.points.max(axis=0), view.hi[i])

@@ -243,7 +243,7 @@ class TestDuplicatesAcrossMirroredLeaves:
         # split: they land in different leaves, yet sit under the
         # noise floor, so the pair is coincident in both directions.
         drv = _driver(kernel=CoulombKernel())
-        mid = drv.prepare(cube).tree.nodes[0].box.center
+        mid = drv.prepare(cube).tree.view().centers[0]
         pos = cube.positions.copy()
         pos[0] = [mid[0], pos[5, 1], pos[5, 2]]
         pos[1] = [np.nextafter(mid[0], np.inf), pos[5, 1], pos[5, 2]]

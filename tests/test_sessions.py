@@ -446,7 +446,7 @@ class TestVectorizedLetBytes:
         for a in lists.approx:
             approx_nodes.update(int(c) for c in a)
         expected = (
-            sum(tree.nodes[c].count for c in direct_nodes) * 4 * 8
+            sum(tree.node_counts[c] for c in direct_nodes) * 4 * 8
             + len(approx_nodes) * params.n_interpolation_points * 8
         )
         assert (
