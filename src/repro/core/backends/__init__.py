@@ -37,7 +37,6 @@ from ...registry import (
 from .base import (
     Backend,
     charge_plan_launches,
-    charge_segment_launches,
     launch_cost_multiplier,
 )
 from .fused import FusedBackend
@@ -55,7 +54,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "charge_plan_launches",
-    "charge_segment_launches",
     "launch_cost_multiplier",
 ]
 

@@ -3,10 +3,12 @@
 A backend turns an :class:`~repro.core.plan.ExecutionPlan` into numbers
 (or, for the model backend, into nothing but simulated time).  All
 backends charge the simulated device through
-:func:`charge_plan_launches` -- the single place that converts plan
-segments into :meth:`~repro.gpu.device.Device.launch` calls -- so every
-backend records byte-identical :class:`~repro.gpu.device.DeviceCounters`
-on the same plan by construction.
+:func:`charge_plan_launches`, which turns the plan's segments into one
+launch sequence -- kind codes, interactions and durations as arrays in
+launch order -- and records it with a single
+:meth:`~repro.gpu.device.Device.launch_many` call, so every backend
+records byte-identical :class:`~repro.gpu.device.DeviceCounters` on the
+same plan by construction.
 
 The numerics backends share one execute head, :func:`start_execute`:
 refuse a model-only plan, charge the device, zero the output
@@ -32,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Backend",
     "launch_cost_multiplier",
-    "charge_segment_launches",
     "charge_plan_launches",
     "start_execute",
     "accumulate_rows",
@@ -55,37 +56,6 @@ def launch_cost_multiplier(kernel: "Kernel", device: "Device", dtype) -> float:
     ) * device.spec.precision_multiplier(dtype)
 
 
-def charge_segment_launches(
-    device: "Device",
-    kernel: "Kernel",
-    n_targets: int,
-    sizes,
-    kind: str,
-    *,
-    cost_multiplier: float,
-    flops_factor: float = 1.0,
-    n_rhs: int = 1,
-) -> None:
-    """Charge one launch per segment size against the device.
-
-    ``n_rhs`` scales the interaction count for multi-RHS execution: the
-    widened GEMV evaluates every charge column against the same kernel
-    block, so one launch carries ``n_rhs`` times the work (block count
-    is unchanged -- the launch grid is the target rows either way).
-    """
-    for sz in sizes:
-        interactions = float(n_targets) * float(sz)
-        if n_rhs != 1:
-            interactions *= float(n_rhs)
-        device.launch(
-            interactions,
-            blocks=n_targets,
-            kind=kind,
-            flops_per_interaction=flops_factor * kernel.flops_per_interaction,
-            cost_multiplier=cost_multiplier,
-        )
-
-
 def charge_plan_launches(
     plan: "ExecutionPlan",
     kernel: "Kernel",
@@ -93,7 +63,6 @@ def charge_plan_launches(
     *,
     dtype=np.float64,
     compute_forces: bool = False,
-    bulk: bool = False,
     n_rhs: int = 1,
 ) -> None:
     """Charge the device for every launch the plan describes.
@@ -102,64 +71,35 @@ def charge_plan_launches(
     interactions and ``group_size`` thread blocks, potential kinds first;
     with ``compute_forces`` the same segments are charged again as
     ``<kind>-force`` launches at :data:`FORCE_FLOP_FACTOR` flops.
-    ``n_rhs > 1`` multiplies every launch's interaction count (multi-RHS
-    execution evaluates that many charge columns per kernel block;
-    block counts are unchanged).
+    Groups without target rows launch nothing.  ``n_rhs > 1``
+    multiplies every launch's interaction count (multi-RHS execution
+    evaluates that many charge columns per kernel block; block counts
+    are unchanged).
 
-    ``bulk=True`` computes every launch duration in one vectorized pass
-    and streams them to :meth:`~repro.gpu.device.Device.launch_many` --
-    byte-identical counters and simulated time (the vector math mirrors
-    the scalar operation order and accumulation stays in launch order),
-    at a fraction of the per-launch accounting cost.  The reference
-    backend keeps the scalar path, which is the seed implementation's
-    behaviour; the fused and model backends charge in bulk.
+    The launch sequence is built as arrays in launch order and handed
+    to :meth:`~repro.gpu.device.Device.launch_many` in one call, which
+    records bitwise what one :meth:`~repro.gpu.device.Device.launch`
+    per launch would.
     """
-    cost_mult = launch_cost_multiplier(kernel, device, dtype)
-    if bulk:
-        _charge_bulk(plan, kernel, device, cost_mult, compute_forces, n_rhs)
-        return
-    seg_sizes = np.diff(plan.seg_ptr)
-    for g in range(plan.n_groups):
-        m = plan.group_size(g)
-        if m == 0:
-            continue
-        for kind, s_lo, s_hi in plan.group_kind_runs(g):
-            charge_segment_launches(
-                device, kernel, m, seg_sizes[s_lo:s_hi], kind,
-                cost_multiplier=cost_mult,
-                n_rhs=n_rhs,
-            )
-        if compute_forces:
-            for kind, s_lo, s_hi in plan.group_kind_runs(g):
-                charge_segment_launches(
-                    device, kernel, m, seg_sizes[s_lo:s_hi], f"{kind}-force",
-                    cost_multiplier=cost_mult,
-                    flops_factor=FORCE_FLOP_FACTOR,
-                    n_rhs=n_rhs,
-                )
-
-
-def _charge_bulk(plan, kernel, device, cost_mult, compute_forces, n_rhs=1) -> None:
     spec = device.spec
-    seg_sizes = np.diff(plan.seg_ptr).astype(np.float64)
-    blocks = np.repeat(
-        np.diff(plan.group_ptr), np.diff(plan.seg_group_ptr)
+    cost_mult = launch_cost_multiplier(kernel, device, dtype)
+    seg_groups = np.repeat(
+        np.arange(plan.n_groups), np.diff(plan.seg_group_ptr)
     )
-    interactions = blocks.astype(np.float64) * seg_sizes
+    blocks = np.diff(plan.group_ptr)[seg_groups]
+    interactions = blocks.astype(np.float64) * np.diff(plan.seg_ptr)
     if n_rhs != 1:
         interactions *= float(n_rhs)
     occ_blocks = blocks if spec.kind == "gpu" else None
-    pot_dur = spec.interaction_times(
+    durations = spec.interaction_times(
         interactions,
         occ_blocks,
         flops_per_interaction=kernel.flops_per_interaction,
         cost_multiplier=cost_mult,
     )
-    kinds = [plan.kind_names[k] for k in plan.seg_kind.tolist()]
-    force_dur = None
-    force_kinds = None
+    kinds, names = plan.seg_kind, plan.kind_names
     if compute_forces:
-        force_dur = spec.interaction_times(
+        force_durations = spec.interaction_times(
             interactions,
             occ_blocks,
             flops_per_interaction=(
@@ -167,22 +107,17 @@ def _charge_bulk(plan, kernel, device, cost_mult, compute_forces, n_rhs=1) -> No
             ),
             cost_multiplier=cost_mult,
         )
-        force_kinds = [f"{k}-force" for k in kinds]
-    seg_group_ptr = plan.seg_group_ptr
-    group_sizes = np.diff(plan.group_ptr)
-    for g in range(plan.n_groups):
-        if group_sizes[g] == 0:
-            continue
-        lo, hi = int(seg_group_ptr[g]), int(seg_group_ptr[g + 1])
-        if hi == lo:
-            continue
-        device.launch_many(
-            kinds[lo:hi], interactions[lo:hi], pot_dur[lo:hi]
-        )
-        if compute_forces:
-            device.launch_many(
-                force_kinds[lo:hi], interactions[lo:hi], force_dur[lo:hi]
-            )
+        # Each group's force launches follow its potential launches.
+        order = np.argsort(np.tile(seg_groups, 2), kind="stable")
+        kinds = np.concatenate([kinds, kinds + len(names)])[order]
+        names = names + tuple(f"{k}-force" for k in names)
+        blocks = np.tile(blocks, 2)[order]
+        interactions = np.tile(interactions, 2)[order]
+        durations = np.concatenate([durations, force_durations])[order]
+    live = blocks > 0
+    device.launch_many(
+        kinds[live], names, interactions[live], durations[live]
+    )
 
 
 def start_execute(
@@ -196,8 +131,8 @@ def start_execute(
 ) -> tuple[np.ndarray, np.ndarray | None, Workspace]:
     """The common head of a numerics backend's ``execute``.
 
-    Refuses a plan compiled without numerics, charges the device in bulk
-    for every launch the plan describes, and returns the zeroed float64
+    Refuses a plan compiled without numerics, charges the device for
+    every launch the plan describes, and returns the zeroed float64
     accumulators ``out`` (``(out_size,)`` or ``(out_size, n_rhs)``) and
     ``forces`` (``(out_size, 3[, n_rhs])``, None without forces) plus the
     execute's empty :class:`~repro.kernels.workspace.Workspace`.  The
@@ -212,8 +147,7 @@ def start_execute(
     width = plan.rhs_width
     charge_plan_launches(
         plan, kernel, device,
-        dtype=dtype, compute_forces=compute_forces, bulk=True,
-        n_rhs=width or 1,
+        dtype=dtype, compute_forces=compute_forces, n_rhs=width or 1,
     )
     rhs = () if width is None else (width,)
     out = np.zeros((plan.out_size,) + rhs, dtype=np.float64)

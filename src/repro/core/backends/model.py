@@ -40,8 +40,7 @@ class ModelBackend(Backend):
         # single-vector shapes and charging.
         charge_plan_launches(
             plan, kernel, device,
-            dtype=dtype, compute_forces=compute_forces, bulk=True,
-            n_rhs=n_rhs or 1,
+            dtype=dtype, compute_forces=compute_forces, n_rhs=n_rhs or 1,
         )
         out = np.zeros(
             plan.out_size if n_rhs is None else (plan.out_size, n_rhs),

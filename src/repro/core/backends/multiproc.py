@@ -40,7 +40,7 @@ Execution model
   Only the inline path writes its blocks into the execute's
   :class:`~repro.kernels.workspace.Workspace`; that changes no bits.
 
-Device accounting is unchanged: launches are charged in bulk from the
+Device accounting is unchanged: launches are charged from the
 plan structure before the numerics start, exactly as the fused backend
 charges them, so counters and simulated time stay backend-independent.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Backend, charge_plan_launches
+from .base import Backend, start_execute
 
 __all__ = ["NumpyBackend"]
 
@@ -33,31 +33,13 @@ class NumpyBackend(Backend):
         compute_forces: bool = False,
         n_rhs: int | None = None,
     ):
-        if not plan.has_numerics:
-            raise ValueError(
-                f"backend {self.name!r} needs a plan compiled with numerics"
-            )
         # Multi-RHS is a property of the plan's weight state; the n_rhs
         # parameter is for buffer-free backends (see Backend.execute).
+        out, forces, _ = start_execute(
+            self, plan, kernel, device,
+            dtype=dtype, compute_forces=compute_forces,
+        )
         width = plan.rhs_width
-        charge_plan_launches(
-            plan, kernel, device, dtype=dtype, compute_forces=compute_forces,
-            n_rhs=width or 1,
-        )
-        out = np.zeros(
-            plan.out_size if width is None else (plan.out_size, width),
-            dtype=np.float64,
-        )
-        forces = (
-            np.zeros(
-                (plan.out_size, 3)
-                if width is None
-                else (plan.out_size, 3, width),
-                dtype=np.float64,
-            )
-            if compute_forces
-            else None
-        )
         # Hoisted locals keep the per-segment range resolution out of
         # the (potentially 100k+-segment) hot loop.
         seg_src_lo = plan.seg_src_lo

@@ -36,13 +36,13 @@ so large that patching costs more than rebuilding).  Updaters are
 picklable session state; the traversal record they cache is dropped on
 pickle and rebuilt lazily at the next update.
 
-Batched sessions need no extra handling here: ``patch_groups``
-rebuilds an attached :class:`~repro.core.plan.BatchedLayout` eagerly
-(including the zero-weight-padded near-field buckets, whose shapes may
-change when cluster populations shift), and ``refresh_geometry``
-re-derives every bucket's output slots and drops the gathered
-coordinate stacks -- so the bucketed near field tracks both the
-structural and the in-place tier of an update.
+Stacked sessions need no extra handling here: ``patch_groups`` drops
+the plan's :class:`~repro.core.plan.BatchedLayout` (the next stacked
+execute rebuilds it, zero-weight-padded near-field buckets included,
+whose shapes may change when cluster populations shift), and
+``refresh_geometry`` re-derives every bucket's output slots and drops
+the gathered coordinate stacks -- so the bucketed near field tracks
+both the structural and the in-place tier of an update.
 """
 
 from __future__ import annotations

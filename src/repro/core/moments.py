@@ -25,6 +25,8 @@ is still charged for both kernels with the paper's operation counts.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..config import TreecodeParams
@@ -44,46 +46,55 @@ __all__ = [
 ]
 
 
+#: Eq. 12 as one contraction over the cluster's particles ``j``.
+_EQ12 = "aj,bj,cj,j->abc"
+#: The contraction path ``optimize=True`` picks for every non-tiny
+#: cluster: scale ``lx`` by the charges, then one three-operand sum.
+_TWO_STEP = ("einsum_path", (0, 3), (0, 1, 2))
+
+
+@functools.lru_cache(maxsize=4096)
+def _contraction_path(*shapes) -> tuple:
+    """The path ``np.einsum(_EQ12, ..., optimize=True)`` takes for
+    operands of these shapes; the search reads nothing but the shapes."""
+    operands = [np.empty(shape) for shape in shapes]
+    return tuple(np.einsum_path(_EQ12, *operands, optimize=True)[0])
+
+
+def _contract_column(lx, ly, lz, q, path) -> np.ndarray:
+    """Eq. 12 for one charge vector along ``path``, flattened."""
+    if path == _TWO_STEP:
+        # The two steps numpy's path executor runs for this path, with
+        # its exact strings and operand order: the same bits as
+        # ``optimize=True``, without the per-call path bookkeeping.
+        tmp = np.einsum("j,aj->aj", q, lx)
+        return np.einsum("aj,cj,bj->abc", tmp, lz, ly).ravel()
+    return np.einsum(_EQ12, lx, ly, lz, q, optimize=path).ravel()
+
+
 def _contract_basis(lx, ly, lz, charges: np.ndarray) -> np.ndarray:
     """Contract eq. 12's basis matrices with one or many charge columns.
 
     1-D charges return the flattened ``((n+1)^3,)`` moments.  A
     ``(N_C, n_rhs)`` block returns ``((n+1)^3, n_rhs)``: the basis (the
     expensive part) is shared and each column runs the identical
-    single-vector einsum on a contiguous copy, so column ``j`` is
+    single-vector contraction on a contiguous copy, so column ``j`` is
     bitwise what a single-vector pass on ``charges[:, j]`` yields.
+    Either way the result is bitwise ``np.einsum(..., optimize=True)``'s:
+    the contraction path it would search for is looked up by operand
+    shapes instead.
     """
+    path = _contraction_path(
+        lx.shape, ly.shape, lz.shape, charges.shape[:1]
+    )
     if charges.ndim == 1:
-        return np.einsum(
-            "aj,bj,cj,j->abc", lx, ly, lz, charges, optimize=True
-        ).ravel()
-    cols = [
-        np.ascontiguousarray(charges[:, r]) for r in range(charges.shape[1])
-    ]
-    # The contraction path depends only on the operand shapes, which are
-    # identical for every column: compute it once and reuse it, executing
-    # exactly the operation order ``optimize=True`` would pick per column
-    # (same intermediates -> same bits, minus the per-call path search).
-    path = np.einsum_path(
-        "aj,bj,cj,j->abc", lx, ly, lz, cols[0], optimize=True
-    )[0]
-    if path == ["einsum_path", (0, 3), (0, 1, 2)]:
-        # The path every non-tiny cluster gets.  Run its two contraction
-        # steps directly -- the exact strings and operand order numpy's
-        # path executor emits for it, so the bits match ``optimize=True``
-        # while skipping the per-column path bookkeeping (~4x less call
-        # overhead; this loop is the multi-RHS moment refresh hot spot).
-        out_cols = []
-        for col in cols:
-            tmp = np.einsum("j,aj->aj", col, lx)
-            out_cols.append(np.einsum("aj,cj,bj->abc", tmp, lz, ly).ravel())
-        return np.stack(out_cols, axis=1)
+        return _contract_column(lx, ly, lz, charges, path)
     return np.stack(
         [
-            np.einsum(
-                "aj,bj,cj,j->abc", lx, ly, lz, col, optimize=path
-            ).ravel()
-            for col in cols
+            _contract_column(
+                lx, ly, lz, np.ascontiguousarray(charges[:, r]), path
+            )
+            for r in range(charges.shape[1])
         ],
         axis=1,
     )

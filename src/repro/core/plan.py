@@ -192,8 +192,11 @@ the plan's own derived caches need invalidating:
   be followed by :meth:`refresh_geometry` (and the next apply's
   ``refresh_weights`` fills the weights, as after a compile).
   ``weight_slots`` is rebuilt, dropped keys disappear, and the batched
-  layout is rebuilt eagerly iff one was attached.  The plan *object*
-  is preserved through both tiers.
+  layout is dropped: the stacked path's ``ensure_batched_layout()``
+  rebuilds it on the next execute (where a failed build degrades the
+  session like any failed execute), and a patch that moves the plan to
+  the per-group path builds none.  The plan *object* is preserved
+  through both tiers.
 
 Both tiers also drop the plan's derived per-geometry state: the
 coincident pairs and the :class:`MirrorSchedule`.
@@ -945,9 +948,8 @@ class ExecutionPlan:
         self._cast_cache.clear()
         self.coincident_cache.clear()
         set_(self, "_mirrors", None)
-        if self.batched_layout is not None:
-            set_(self, "batched_layout", None)
-            self.ensure_batched_layout()
+        # The stacked path rebuilds the layout on its next execute.
+        set_(self, "batched_layout", None)
 
     def group_kind_runs(self, g: int) -> Iterator[tuple[str, int, int]]:
         """Yield ``(kind, seg_lo, seg_hi)`` runs of equal-kind segments.

@@ -24,6 +24,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..perf.machine import MachineSpec
 
 __all__ = ["DeviceCounters", "Device", "GpuDevice", "CpuDevice", "make_device"]
@@ -41,6 +43,18 @@ def _by_kind_dict() -> defaultdict:
 
 def _busy_dict() -> defaultdict:
     return defaultdict(float)
+
+
+def _add_in_order(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...``, added left to right.
+
+    ``np.add.accumulate`` adds strictly in sequence (unlike ``np.sum``,
+    which is pairwise), so the result is bitwise a Python ``+=`` loop's.
+    """
+    acc = np.empty(len(values) + 1)
+    acc[0] = start
+    acc[1:] = values
+    return float(np.add.accumulate(acc)[-1])
 
 
 @dataclass
@@ -106,21 +120,39 @@ class Device:
         """Record one compute-kernel launch."""
         raise NotImplementedError
 
-    def launch_many(
-        self,
-        kinds,
-        n_interactions,
-        durations,
-    ) -> None:
+    def launch_many(self, kinds, kind_names, n_interactions, durations) -> None:
         """Record a sequence of launches with precomputed durations.
 
-        Bulk form of :meth:`launch` for plan-driven charging: callers
-        compute the per-launch durations vectorized (via
-        :meth:`~repro.perf.machine.MachineSpec.interaction_times`, which
-        is bitwise-faithful to the scalar path) and this method
-        accumulates them *in sequence order*, so counters and simulated
-        time are byte-identical to the equivalent scalar launch loop.
+        Array form of :meth:`launch` for plan-driven charging: launch
+        ``i`` has kind ``kind_names[kinds[i]]``, ``n_interactions[i]``
+        interactions and ``durations[i]`` busy seconds (from
+        :meth:`~repro.perf.machine.MachineSpec.interaction_times`).
+        Every counter and the clock are summed in one array pass,
+        strictly in launch order, so they are bitwise what the
+        equivalent :meth:`launch` loop records; new kinds enter
+        ``by_kind`` / ``busy_by_kind`` in first-launch order.
         """
+        if len(kinds) == 0:
+            return
+        c = self.counters
+        c.launches += len(kinds)
+        c.interactions = _add_in_order(c.interactions, n_interactions)
+        firsts = []
+        for k in range(len(kind_names)):
+            idx = np.flatnonzero(kinds == k)
+            if len(idx):
+                firsts.append((idx[0], kind_names[k], idx))
+        for _, kind, idx in sorted(firsts, key=lambda f: f[0]):
+            entry = c.by_kind[kind]
+            entry[0] += len(idx)
+            entry[1] = _add_in_order(entry[1], n_interactions[idx])
+            c.busy_by_kind[kind] = _add_in_order(
+                c.busy_by_kind[kind], durations[idx]
+            )
+        self._advance_clock(durations)
+
+    def _advance_clock(self, durations) -> None:
+        """Advance the clock past ``durations`` launched in order."""
         raise NotImplementedError
 
     def host_work(self, n_ops: float) -> None:
@@ -183,34 +215,14 @@ class GpuDevice(Device):
         else:
             self.time += self.spec.launch_latency + duration
 
-    def launch_many(self, kinds, n_interactions, durations) -> None:
-        c = self.counters
-        by_kind = c.by_kind
-        busy = c.busy_by_kind
-        asynchronous = self.async_streams
-        latency = self.spec.launch_latency
-        queued = self._queued_busy
-        time = self.time
-        interactions = c.interactions
-        for kind, n, d in zip(
-            kinds, n_interactions.tolist(), durations.tolist()
-        ):
-            interactions += n
-            entry = by_kind[kind]
-            entry[0] += 1
-            entry[1] += n
-            busy[kind] += d
-            if asynchronous:
-                queued += d
-            else:
-                time += latency + d
-        c.interactions = interactions
-        c.launches += len(kinds)
-        if asynchronous:
-            self._queued_busy = queued
-            self._queued_launches += len(kinds)
+    def _advance_clock(self, durations) -> None:
+        if self.async_streams:
+            self._queued_busy = _add_in_order(self._queued_busy, durations)
+            self._queued_launches += len(durations)
         else:
-            self.time = time
+            self.time = _add_in_order(
+                self.time, self.spec.launch_latency + durations
+            )
 
     def synchronize(self) -> None:
         if self._queued_launches:
@@ -258,24 +270,8 @@ class CpuDevice(Device):
         self.counters.record_launch(kind, n_interactions, duration)
         self.time += duration
 
-    def launch_many(self, kinds, n_interactions, durations) -> None:
-        c = self.counters
-        by_kind = c.by_kind
-        busy = c.busy_by_kind
-        time = self.time
-        interactions = c.interactions
-        for kind, n, d in zip(
-            kinds, n_interactions.tolist(), durations.tolist()
-        ):
-            interactions += n
-            entry = by_kind[kind]
-            entry[0] += 1
-            entry[1] += n
-            busy[kind] += d
-            time += d
-        c.interactions = interactions
-        c.launches += len(kinds)
-        self.time = time
+    def _advance_clock(self, durations) -> None:
+        self.time = _add_in_order(self.time, durations)
 
 
 def make_device(spec: MachineSpec, *, async_streams: bool = True) -> Device:

@@ -132,8 +132,9 @@ class MachineSpec:
         """Vectorized :meth:`interaction_time` over arrays of launches.
 
         Elementwise results are bitwise-identical to the scalar method
-        (same operation order), so bulk charging of a launch sequence
-        reproduces the per-launch accounting exactly.
+        (same operation order), so a plan's launch sequence charged
+        through :meth:`~repro.gpu.device.Device.launch_many` records
+        exactly what one scalar launch per segment would.
         """
         n_interactions = np.asarray(n_interactions, dtype=np.float64)
         if blocks is None:

@@ -414,9 +414,13 @@ class TestPatchPath:
             result = session.update_geometry(pos)
             assert not result.rebuilt
             patched += result.n_patched_groups
-            # patch_groups rebuilds an attached layout eagerly.
-            assert session.plan.batched_layout is not None
+            # patch_groups drops the layout; the next stacked execute
+            # rebuilds it.
+            assert (session.plan.batched_layout is None) == (
+                result.n_patched_groups > 0
+            )
             session.apply(cube.charges)
+            assert session.plan.batched_layout is not None
             cold = drv.prepare(ParticleSet(pos, cube.charges))
             cold.apply(cube.charges)
             assert_same_layout(

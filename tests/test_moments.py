@@ -5,6 +5,8 @@ import pytest
 
 from repro.config import TreecodeParams
 from repro.core.moments import (
+    _contract_basis,
+    _contraction_path,
     modified_charges,
     moment_flop_counts,
     precompute_moments,
@@ -94,6 +96,48 @@ class TestModifiedCharges:
         grid = ChebyshevGrid3D.for_box(np.zeros(3), np.ones(3), degree=2)
         with pytest.raises(ValueError):
             modified_charges(np.zeros((3, 3)), np.zeros(4), grid)
+
+
+class TestContractionPath:
+    """Eq. 12 looks its contraction path up by operand shapes; the bits
+    stay those of ``np.einsum(..., optimize=True)``, which searches the
+    path on every call."""
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_bitwise_optimize_true(self, degree):
+        rng = np.random.default_rng(degree)
+        n_ip = (degree + 1) ** 3
+        paths = set()
+        for n_c in (1, 2, 3, 5, 9, 40, n_ip - 1, n_ip, n_ip + 7):
+            lx, ly, lz = (rng.normal(size=(degree + 1, n_c)) for _ in "xyz")
+            q = rng.normal(size=n_c)
+            block = rng.normal(size=(n_c, 4))
+            paths.add(str(_contraction_path(
+                lx.shape, ly.shape, lz.shape, (n_c,)
+            )))
+
+            def ref(col):
+                return np.einsum(
+                    "aj,bj,cj,j->abc", lx, ly, lz, col, optimize=True
+                ).ravel()
+
+            assert _contract_basis(lx, ly, lz, q).tobytes() == ref(q).tobytes()
+            got = _contract_basis(lx, ly, lz, block)
+            assert got.shape == (n_ip, 4)
+            for r in range(4):
+                assert got[:, r].tobytes() == ref(block[:, r]).tobytes()
+        # Both branches run: the two-step path of every non-tiny cluster
+        # and the other path numpy picks for the tiniest ones.
+        assert len(paths) == 2
+
+    def test_path_is_searched_once_per_shape(self):
+        rng = np.random.default_rng(0)
+        lx, ly, lz = (rng.normal(size=(4, 70)) for _ in "xyz")
+        _contract_basis(lx, ly, lz, rng.normal(size=70))
+        hits = _contraction_path.cache_info().hits
+        _contract_basis(lx, ly, lz, rng.normal(size=(70, 3)))
+        _contract_basis(lx, ly, lz, rng.normal(size=70))
+        assert _contraction_path.cache_info().hits == hits + 2
 
 
 class TestFlopCounts:
