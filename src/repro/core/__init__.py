@@ -38,7 +38,7 @@ from .moments import (
     prepare_moment_grids,
     refresh_moments,
 )
-from .plan import ExecutionPlan, PlanBuilder, compile_plan
+from .plan import ExecutionPlan, assemble_plan, compile_plan
 from .treecode import BarycentricTreecode, PreparedTreecode, TreecodeResult
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
     "direct_sum",
     "direct_sum_at",
     "ExecutionPlan",
-    "PlanBuilder",
+    "assemble_plan",
     "compile_plan",
     "Backend",
     "NumpyBackend",

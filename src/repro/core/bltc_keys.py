@@ -14,13 +14,14 @@ names the cluster whose rows it reads:
   (paper Sec. 3.1);
 * ``c`` -- the node index in the owner's tree.
 
-:func:`~repro.core.plan.compile_plan` writes the keys in
-:func:`batch_keys` order; :class:`BLTCSources` reads each key back as
-source points (the plan's geometry), a row count (the warm-start
-updater's group patch) or weights (:class:`BLTCWeightSource`, the
-session's refresh).  Nothing else decodes them, so a single-device plan
-and a distributed rank plan share one format: the single device is a
-rank whose locally essential tree holds no remote owners.
+:func:`~repro.core.plan.compile_plan` writes the keys, per batch in the
+merge order local approx, remote approx by ascending rank, local
+direct, remote direct; :class:`BLTCSources` reads each key back as
+source points (the plan's geometry) or weights
+(:class:`BLTCWeightSource`, the session's refresh).  Nothing else
+decodes them, so a single-device plan and a distributed rank plan share
+one format: the single device is a rank whose locally essential tree
+holds no remote owners.
 """
 
 from __future__ import annotations
@@ -29,36 +30,10 @@ __all__ = [
     "LOCAL",
     "BLTCSources",
     "BLTCWeightSource",
-    "batch_keys",
 ]
 
 #: ``owner`` of the clusters of the device's own source tree.
 LOCAL = -1
-
-
-def batch_keys(lists, b: int, let=None) -> list[tuple]:
-    """Share keys of batch ``b``'s segments, in the plan's merge order.
-
-    Every owner's approximated clusters first, then every owner's
-    directly summed ones; per kind the local ``lists`` lead, then each
-    remote rank's LET lists in ascending rank order -- the merge order
-    of the seed implementation, kept so the blocked reference backend
-    reproduces its arithmetic exactly.
-    """
-    owners = [(LOCAL, lists)]
-    if let is not None:
-        owners += [(s, let.lists[s]) for s in sorted(let.lists)]
-    keys = [
-        ("approx", owner, c)
-        for owner, owned in owners
-        for c in owned.approx[b].tolist()
-    ]
-    keys += [
-        ("direct", owner, c)
-        for owner, owned in owners
-        for c in owned.direct[b].tolist()
-    ]
-    return keys
 
 
 class BLTCSources:
@@ -74,16 +49,6 @@ class BLTCSources:
         self.tree = tree
         self.moments = moments
         self.let = let
-        self.n_ip = (moments.degree + 1) ** 3
-
-    def rows(self, key) -> int:
-        """Source rows of the segment (the model-only plan's size)."""
-        kind, owner, c = key
-        if kind == "approx":
-            return self.n_ip
-        if owner == LOCAL:
-            return int(self.tree.node_counts[c])
-        return int(self.let.direct_data[owner][c][0].shape[0])
 
     def points(self, key):
         """Source coordinates of the segment (plan geometry)."""

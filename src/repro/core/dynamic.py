@@ -15,14 +15,12 @@ a geometry that is almost unchanged.  This module holds the
   rebuilds only dirtied moment grids
   (:func:`~repro.core.moments.refresh_moment_geometry`), re-traverses
   only batches whose recorded MAC decisions no longer hold
-  (:func:`~repro.core.interaction_lists.verify_traversal`), patches only
-  the touched plan groups
-  (:meth:`~repro.core.plan.ExecutionPlan.patch_groups`) and finishes
-  with the mandatory in-place float refresh
-  (:meth:`~repro.core.plan.ExecutionPlan.refresh_geometry`).  The
-  invariant chain (cold-build re-bin, conservative decision verify,
-  replay-ordered group patch) makes every post-update ``apply()``
-  bitwise equal to a cold ``prepare()`` at the new positions.
+  (:func:`~repro.core.interaction_lists.verify_traversal`), and then
+  takes one plan step: :func:`~repro.core.plan.compile_plan` on the
+  patched state.  Each step reproduces its cold counterpart exactly
+  (cold-build re-bin, conservative decision verify, cold compile), so
+  every post-update ``apply()`` is bitwise equal to a cold
+  ``prepare()`` at the new positions.
 * :class:`RebuildGeometryUpdater` -- the fallback used by the Sec. 5
   extension sessions: every update re-runs the driver's geometry
   builder on the session's device and swaps the state in.  Same seam,
@@ -30,19 +28,19 @@ a geometry that is almost unchanged.  This module holds the
 
 Both updaters fall back to a full rebuild automatically: the
 incremental path bails when the re-bin cannot preserve the tree
-topology, or when the fraction of re-binned particles exceeds
+topology, when the fraction of re-binned particles exceeds
 ``TreecodeParams.rebuild_threshold`` (past that point the dirty set is
-so large that patching costs more than rebuilding).  Updaters are
-picklable session state; the traversal record they cache is dropped on
-pickle and rebuilt lazily at the next update.
+so large that patching costs more than rebuilding), or when the
+previous update failed midway and left the session stale.  Updaters
+are picklable session state; the traversal record they cache is
+dropped on pickle and rebuilt lazily at the next update.
 
-Stacked sessions need no extra handling here: ``patch_groups`` drops
-the plan's :class:`~repro.core.plan.BatchedLayout` (the next stacked
-execute rebuilds it, zero-weight-padded near-field buckets included,
-whose shapes may change when cluster populations shift), and
-``refresh_geometry`` re-derives every bucket's output slots and drops
-the gathered coordinate stacks -- so the bucketed near field tracks
-both the structural and the in-place tier of an update.
+The fresh plan carries no batched layout, cast cache, coincident pairs
+or mirror schedule: the stacked path builds its
+:class:`~repro.core.plan.BatchedLayout` on the next execute
+(zero-weight-padded near-field buckets included, whose shapes may
+change when cluster populations shift), and the rest is derived on
+first use as after a cold prepare.
 """
 
 from __future__ import annotations
@@ -51,14 +49,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import GeometryUpdateError
 from ..perf.timer import PhaseTimes, Stopwatch
-from .bltc_keys import BLTCSources, batch_keys
 from .interaction_lists import (
     patch_interaction_lists,
     record_traversal,
     verify_traversal,
 )
 from .moments import refresh_moment_geometry
+from .plan import compile_plan
 
 __all__ = [
     "GeometryUpdateResult",
@@ -76,8 +75,9 @@ class GeometryUpdateResult:
     positions are bitwise unchanged.  The remaining counters quantify
     the incremental work: particles whose leaf changed, batches whose
     lists were re-traversed, MAC evaluations spent on them, plan groups
-    recompiled and moment grids rebuilt.  ``phases`` carries the
-    simulated device cost of the update (a setup-phase charge).
+    whose segments or row counts changed and moment grids rebuilt.
+    ``phases`` carries the simulated device cost of the update (a
+    setup-phase charge).
     """
 
     rebuilt: bool
@@ -123,30 +123,13 @@ class TreecodeGeometryUpdater:
     def __init__(self, driver) -> None:
         self.driver = driver
         self._record = None
-        self._segs = None
 
     def __getstate__(self):
-        # The record and the per-batch segment descriptions are pure
-        # cache (one traversal / one list walk rebuilds them); ship
+        # The record is pure cache (one traversal rebuilds it); ship
         # nothing so pickled sessions stay lean.
         state = self.__dict__.copy()
         state["_record"] = None
-        state["_segs"] = None
         return state
-
-    def _group_segs(self, lists, b: int) -> list:
-        """Plan segment description of group ``b``, cached: the keys
-        :func:`~repro.core.plan.compile_plan` writes, in its order.
-
-        The description only changes when ``patch_interaction_lists``
-        rewrites the batch's lists, so entries are invalidated for
-        verify-dirty batches and rebuilt lazily here.
-        """
-        segs = self._segs[b]
-        if segs is None:
-            segs = [(key[0], key) for key in batch_keys(lists, b)]
-            self._segs[b] = segs
-        return segs
 
     # ------------------------------------------------------------------
     def update(
@@ -168,7 +151,9 @@ class TreecodeGeometryUpdater:
         else:
             new_tgt = None  # disjoint static targets stay put
 
-        if np.array_equal(new_src, tree.positions) and (
+        if not core.geometry_stale and np.array_equal(
+            new_src, tree.positions
+        ) and (
             new_tgt is None
             or new_tgt is new_src
             or np.array_equal(new_tgt, batches.positions)
@@ -180,9 +165,19 @@ class TreecodeGeometryUpdater:
         phases = PhaseTimes()
         watch = Stopwatch()
         with watch:
-            result = self._update(
-                core, new_src, new_tgt, phases, params=params
-            )
+            try:
+                result = self._update(
+                    core, new_src, new_tgt, phases, params=params
+                )
+            except Exception as exc:
+                # Past validation the trees, moments and lists are
+                # patched in place: any failure leaves them out of step.
+                raise GeometryUpdateError(
+                    "geometry update failed mid-flight; the session's "
+                    "geometry may be partially patched and stays stale "
+                    "until it is re-prepared or updated again "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
         result.phases = phases
         result.wall_seconds = watch.elapsed
         return result
@@ -196,12 +191,18 @@ class TreecodeGeometryUpdater:
         batches = geometry.batches
         lists = geometry.lists
         moments = geometry.moments
-        plan = geometry.plan
         device = core.device
 
-        if not plan.has_numerics:
-            # Model-only (dry-run) sessions carry no float buffers to
-            # patch; a rebuild reproduces the cold timing model exactly.
+        if core.geometry_stale:
+            # A failed update left the state half patched; nothing of
+            # it can seed an incremental step.
+            return self._full_rebuild(
+                core, new_src, new_tgt, phases,
+                reason="previous update failed",
+            )
+        if not geometry.plan.has_numerics:
+            # Model-only (dry-run) sessions: a rebuild reproduces the
+            # cold timing model exactly.
             return self._full_rebuild(
                 core, new_src, new_tgt, phases, reason="model-only plan"
             )
@@ -254,58 +255,31 @@ class TreecodeGeometryUpdater:
         view = tree.view()
         dirty_nodes |= cum[view.ends] > cum[view.starts]
         n_moments = refresh_moment_geometry(
-            moments, tree, params,
-            numerics=plan.has_numerics, dirty=dirty_nodes,
+            moments, tree, params, numerics=True, dirty=dirty_nodes,
         )
 
         # -- lists: conservative decision verify; only dirty batches
         # pay an exact scalar re-traversal.
-        if self._segs is None or len(self._segs) != len(batches):
-            self._segs = [None] * len(batches)
         dirty_b = verify_traversal(self._record, batches, tree, params)
         redone = 0
         if dirty_b.any():
             redone = patch_interaction_lists(
                 lists, self._record, batches, tree, params, dirty_b
             )
-            for b in np.nonzero(dirty_b)[0]:
-                self._segs[int(b)] = None
 
-        # -- plan: groups needing new array shapes (changed lists, a
-        # resized batch, or a direct segment on a resized cluster) are
-        # recompiled in place; everything else keeps its rows.
+        # -- plan: a cold compile of the patched lists.  The groups whose
+        # segments or row counts changed -- a re-traversed batch, a
+        # resized batch, a direct segment on a resized cluster -- are
+        # counted for the result.
         struct_dirty = dirty_b.copy()
         if res_t is not None:
             struct_dirty |= res_t.count_changed[batches.node_ids]
-        src_counts = res_s.count_changed
-        for b in np.flatnonzero(~struct_dirty):
-            if any(src_counts[c] for c in lists.direct[b]):
-                struct_dirty[b] = True
-        sources = BLTCSources(tree, moments)
-        n_patched = 0
-        if struct_dirty.any():
-            updates = {}
-            for b in np.nonzero(struct_dirty)[0]:
-                b = int(b)
-                updates[b] = (
-                    batches.batch_indices(b), self._group_segs(lists, b)
-                )
-            plan.patch_groups(updates, sources.rows)
-            n_patched = len(updates)
-
-        # -- mandatory float refresh: every target row, output slot and
-        # physical source row is rewritten from the new geometry (this
-        # also repairs the zeroed buffers a group patch leaves behind).
-        out_index = np.concatenate(
-            [batches.batch_indices(b) for b in range(len(batches))]
+        _, _, direct_ptr, direct_ids = lists.csr()
+        resized = np.concatenate(
+            ([0], np.cumsum(res_s.count_changed[direct_ids]))
         )
-        plan.refresh_geometry(
-            targets=batches.positions[out_index],
-            out_index=out_index,
-            src_rows=[
-                (lo, sources.points(key)) for key, lo, _hi in plan.weight_slots
-            ],
-        )
+        struct_dirty |= resized[direct_ptr[1:]] > resized[direct_ptr[:-1]]
+        geometry.plan = compile_plan(tree, batches, moments, lists)
 
         # -- device accounting: the leaf-membership scan, the redone
         # MAC evaluations, and the HtD re-ship of the moved coordinates.
@@ -331,7 +305,7 @@ class TreecodeGeometryUpdater:
             rebinned_fraction=frac,
             n_dirty_batches=int(dirty_b.sum()),
             redone_mac_evals=redone,
-            n_patched_groups=n_patched,
+            n_patched_groups=int(struct_dirty.sum()),
             n_moments_rebuilt=n_moments,
         )
 
@@ -353,7 +327,6 @@ class TreecodeGeometryUpdater:
         core.device.upload(new_src.nbytes, label="source data")
         phases.setup += core.device.take_phase()
         self._record = None
-        self._segs = None
         core.update_scratch_bytes = 0
         return GeometryUpdateResult(
             rebuilt=True, reason=reason,

@@ -86,9 +86,10 @@ class InteractionLists:
 
         ``approx_ids[approx_ptr[b]:approx_ptr[b+1]]`` are the cluster
         indices batch ``b`` approximates (same order as ``approx[b]``),
-        and likewise for the direct side.  This is the array form the
-        execution-plan compiler consumes -- per-batch python lists never
-        reach the hot path.
+        and likewise for the direct side.  This is the form
+        :func:`~repro.core.plan.compile_plan` reads the lists in (one
+        block of segments per side, no per-batch or per-segment loop)
+        and the warm-start updater tests them in.
         """
         approx_ptr = np.zeros(len(self.approx) + 1, dtype=np.intp)
         np.cumsum([len(a) for a in self.approx], out=approx_ptr[1:])

@@ -50,12 +50,12 @@ A numerics plan stores its gathered source rows in the **shared**
 ``share_key`` (e.g. the same cluster's Chebyshev grid) point into one
 physical copy via the per-segment ``seg_src_lo`` offsets.  The buffers
 hold O(distinct source rows) instead of O(total interaction rows) --
-60-115x smaller on shared workloads -- and segments added without a
-repeated key still take consecutive physical rows, so unshared plans
-stay fully contiguous.  (The historical *duplicated* layout, which
-materialized every segment's rows once per referencing segment and let
-``seg_ptr`` double as the physical offset table, has been retired: it
-cost strictly more memory for bitwise-identical results, since the
+60-115x smaller on shared workloads -- and keys take consecutive
+physical rows in first-use order, so unshared plans stay fully
+contiguous.  (The historical *duplicated* layout, which materialized
+every segment's rows once per referencing segment and let ``seg_ptr``
+double as the physical offset table, has been retired: it cost
+strictly more memory for bitwise-identical results, since the
 physical rows are exact copies of the same cluster arrays either way.)
 
 ``seg_ptr`` keeps its *logical* cumulative-size meaning (launch
@@ -166,40 +166,29 @@ masks and scatter maps) take up -- surfaced per session through
 one bucket entry or ragged run, so the layout is a partition of the
 plan's work; launch accounting never reads it.
 
-Dynamic geometry and the group-patch invariants
------------------------------------------------
-``update_geometry`` sessions mutate a plan in place along two tiers.
-No backend keeps a copy of the plan buffers between executions (the
-multiprocessing backend ships them afresh on every execute), so only
-the plan's own derived caches need invalidating:
+Building a plan
+---------------
+:func:`assemble_plan` is the one way a plan is built.  It takes flat
+arrays -- group sizes, per-segment group, kind and integer *key code*
+(the source rows a segment reads), per-key row counts and, for a
+numerics plan, the targets, output slots and a per-key point gather --
+and lays the buffers out in array passes: one ``np.unique`` pass finds
+each key's first use in (group, segment) order, and keys take
+consecutive physical rows in that order.  ``kind_names`` lists the
+used kinds in first-use order.  :func:`compile_plan` (the BLTC, single
+device or distributed rank) and the two extension schemes' compilers
+each turn their interaction structure into those arrays and call it.
 
-* :meth:`ExecutionPlan.refresh_geometry` -- the common drift step.  The
-  *shapes* of all buffers are preserved; ``targets``, ``out_index`` and
-  per-slot ``src_points`` rows are rewritten in place, the dtype cast
-  cache and the batched buckets' gathered stacks are dropped, and each
-  bucket's ``out_slots`` is re-gathered from the new output index.
-* :meth:`ExecutionPlan.patch_groups` -- the structural step, taken when
-  some groups' segment lists or row counts changed.  The caller
-  supplies new ``(out_index, [(kind, share_key), ...])`` descriptions
-  for the dirty groups; clean groups' descriptions are read back from
-  the existing plan through the ``weight_slots`` offset map.  The CSR
-  arrays and buffers are rebuilt by replaying the compile: groups in
-  order, segments in order, physical rows assigned at each key's
-  *first use* -- which is exactly the order ``compile_plan`` assigns
-  them, so the patched physical layout is bitwise what a cold compile
-  over the new lists produces.  The float buffers (``targets``,
-  ``src_points``, ``src_weights``) come back **zeroed**: a patch MUST
-  be followed by :meth:`refresh_geometry` (and the next apply's
-  ``refresh_weights`` fills the weights, as after a compile).
-  ``weight_slots`` is rebuilt, dropped keys disappear, and the batched
-  layout is dropped: the stacked path's ``ensure_batched_layout()``
-  rebuilds it on the next execute (where a failed build degrades the
-  session like any failed execute), and a patch that moves the plan to
-  the per-group path builds none.  The plan *object* is preserved
-  through both tiers.
-
-Both tiers also drop the plan's derived per-geometry state: the
-coincident pairs and the :class:`MirrorSchedule`.
+Dynamic geometry
+----------------
+A plan is never patched.  ``update_geometry`` re-bins the trees and
+patches the interaction lists incrementally, then compiles a fresh
+plan from them (:class:`~repro.core.dynamic.TreecodeGeometryUpdater`)
+-- so an updated plan is a cold compile of the session's state by
+construction.  Everything derived from a plan's geometry (the batched
+layout, the cast cache, the coincident pairs, the
+:class:`MirrorSchedule`) is built lazily on the new plan and dies with
+the old one.
 
 Mirrored segments
 -----------------
@@ -217,11 +206,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .bltc_keys import BLTCSources, batch_keys
+from .bltc_keys import LOCAL, BLTCSources
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..distributed.letree import LocallyEssentialTree
@@ -235,7 +224,7 @@ __all__ = [
     "BatchedLayout",
     "ExecutionPlan",
     "MirrorSchedule",
-    "PlanBuilder",
+    "assemble_plan",
     "build_batched_layout",
     "build_mirror_schedule",
     "compile_plan",
@@ -446,21 +435,6 @@ class BatchedBucket:
             object.__setattr__(self, "_valid_rows", rows)
         self.weights[self.src_valid] = src_weights[rows]
 
-    def refresh_geometry(self, out_index: np.ndarray) -> None:
-        """Invalidate after an in-place plan geometry rewrite.
-
-        Drops the gathered coordinate stacks and the coincident pairs
-        found on them (they re-gather from the new buffers on the next
-        execute) and re-derives ``out_slots`` from the new output index
-        -- the gather *indices* are structure and stay valid, but the
-        slots they point at may have changed.
-        """
-        flat = self.tgt_index.reshape(-1)
-        rows = flat if self.scatter_pos is None else flat[self.scatter_pos]
-        self.out_slots[...] = out_index[rows]
-        self._stacks.clear()
-        self._coincident.clear()
-
 
 @dataclass(frozen=True, eq=False)
 class BatchedLayout:
@@ -511,10 +485,6 @@ class BatchedLayout:
     def refresh_weights(self, src_weights: np.ndarray) -> None:
         for bucket in self.buckets:
             bucket.refresh_weights(src_weights)
-
-    def refresh_geometry(self, out_index: np.ndarray) -> None:
-        for bucket in self.buckets:
-            bucket.refresh_geometry(out_index)
 
 
 #: :attr:`MirrorSchedule.partner` of a segment its own group evaluates.
@@ -720,9 +690,8 @@ class ExecutionPlan:
     def mirror_schedule(self) -> "MirrorSchedule":
         """The plan's :class:`MirrorSchedule`, deriving and caching it.
 
-        Geometry, like the coincident pairs: it is read off the current
-        buffers on first use and dropped by :meth:`refresh_geometry`,
-        :meth:`patch_groups` and pickling.
+        Geometry, like the coincident pairs: it is read off the
+        buffers on first use and dropped by pickling.
         """
         if not self.has_numerics:
             raise ValueError("model-only plan has no mirror schedule")
@@ -817,145 +786,11 @@ class ExecutionPlan:
         if self.batched_layout is not None:
             self.batched_layout.refresh_weights(w)
 
-    # -- dynamic geometry -----------------------------------------------
-    def refresh_geometry(
-        self,
-        *,
-        targets: np.ndarray | None = None,
-        out_index: np.ndarray | None = None,
-        src_rows: Sequence[tuple[int, np.ndarray]] = (),
-    ) -> None:
-        """Rewrite geometry buffers in place (same shapes) and invalidate.
-
-        The in-place tier of a dynamic-geometry update (see the module
-        docstring): ``targets`` / ``out_index`` replace the full buffer
-        contents, ``src_rows`` is an iterable of ``(lo, values)`` row
-        blocks written into ``src_points``.  Shapes must match -- a
-        structural change goes through :meth:`patch_groups` first.
-        Drops the dtype cast cache, the coincident pairs and the mirror
-        schedule, and refreshes the batched buckets' output slots and
-        stacks.
-        """
-        if not self.has_numerics:
-            raise ValueError("model-only plan has no geometry buffers")
-        if targets is not None:
-            self.targets[...] = targets
-        if out_index is not None:
-            self.out_index[...] = out_index
-        for lo, values in src_rows:
-            self.src_points[lo:lo + len(values)] = values
-        self._cast_cache.clear()
-        self.coincident_cache.clear()
-        object.__setattr__(self, "_mirrors", None)
-        if self.batched_layout is not None:
-            self.batched_layout.refresh_geometry(self.out_index)
-
-    def patch_groups(self, updates: dict, key_rows) -> None:
-        """Rebuild the plan structure with new descriptions for some groups.
-
-        ``updates`` maps a group index to its new description
-        ``(out_index, [(kind_name, share_key), ...])``; every group not
-        in it keeps its current output slots and segment list (read back
-        through the ``weight_slots`` offset map).  ``key_rows(share_key)``
-        returns the physical row count of a stored segment at the *new*
-        geometry -- it is consulted for every key, so segments whose
-        cluster was resized are sized correctly even in clean groups
-        (callers should mark such groups dirty anyway: their stale
-        ``out_index`` and float rows are only repaired by the mandatory
-        :meth:`refresh_geometry` / weight refresh that must follow,
-        which rewrites all of them).  See the module docstring for the
-        replay-order invariant that keeps the patched layout bitwise
-        equal to a cold compile.
-        """
-        if not self.has_numerics:
-            raise ValueError("model-only plan cannot be patched")
-        lo2key = {int(lo): key for key, lo, _hi in self.weight_slots}
-        n_groups = self.n_groups
-        kind_names = list(self.kind_names)
-        kind_index = {k: i for i, k in enumerate(kind_names)}
-        group_out: list[np.ndarray] = []
-        group_segs: list[list[tuple[str, object]]] = []
-        for g in range(n_groups):
-            upd = updates.get(g)
-            if upd is not None:
-                out_idx, segs = upd
-                group_out.append(np.asarray(out_idx, dtype=np.intp))
-                group_segs.append(list(segs))
-                continue
-            t_lo, t_hi = int(self.group_ptr[g]), int(self.group_ptr[g + 1])
-            group_out.append(self.out_index[t_lo:t_hi].copy())
-            group_segs.append([
-                (
-                    self.kind_names[self.seg_kind[s]],
-                    lo2key[int(self.seg_src_lo[s])],
-                )
-                for s in range(
-                    int(self.seg_group_ptr[g]),
-                    int(self.seg_group_ptr[g + 1]),
-                )
-            ])
-        # Replay the compile: first-use physical row assignment in
-        # (group, segment) order reproduces PlanBuilder's layout.
-        seg_kind: list[int] = []
-        seg_sizes: list[int] = []
-        seg_src_lo: list[int] = []
-        segs_per_group: list[int] = []
-        ranges: dict = {}
-        weight_slots: list[tuple] = []
-        phys = 0
-        for segs in group_segs:
-            segs_per_group.append(len(segs))
-            for kind, key in segs:
-                rng = ranges.get(key)
-                if rng is None:
-                    rows = int(key_rows(key))
-                    rng = (phys, phys + rows)
-                    phys += rows
-                    ranges[key] = rng
-                    weight_slots.append((key, rng[0], rng[1]))
-                lo, hi = rng
-                k = kind_index.get(kind)
-                if k is None:
-                    k = len(kind_names)
-                    kind_names.append(kind)
-                    kind_index[kind] = k
-                seg_kind.append(k)
-                seg_sizes.append(hi - lo)
-                seg_src_lo.append(lo)
-        group_ptr = np.zeros(n_groups + 1, dtype=np.intp)
-        np.cumsum([len(o) for o in group_out], out=group_ptr[1:])
-        seg_group_ptr = np.zeros(n_groups + 1, dtype=np.intp)
-        np.cumsum(segs_per_group, out=seg_group_ptr[1:])
-        seg_ptr = np.zeros(len(seg_sizes) + 1, dtype=np.intp)
-        np.cumsum(seg_sizes, out=seg_ptr[1:])
-        width = self.rhs_width
-        set_ = object.__setattr__
-        set_(self, "kind_names", tuple(kind_names))
-        set_(self, "group_ptr", group_ptr)
-        set_(self, "seg_group_ptr", seg_group_ptr)
-        set_(self, "seg_kind", np.asarray(seg_kind, dtype=np.intp))
-        set_(self, "seg_ptr", seg_ptr)
-        set_(self, "out_index", _concat(group_out, (0,), np.intp))
-        set_(self, "targets", np.zeros((int(group_ptr[-1]), 3)))
-        set_(self, "src_points", np.zeros((phys, 3)))
-        set_(
-            self,
-            "src_weights",
-            np.zeros(phys if width is None else (phys, width)),
-        )
-        set_(self, "seg_src_lo", np.asarray(seg_src_lo, dtype=np.intp))
-        set_(self, "weight_slots", tuple(weight_slots))
-        self._cast_cache.clear()
-        self.coincident_cache.clear()
-        set_(self, "_mirrors", None)
-        # The stacked path rebuilds the layout on its next execute.
-        set_(self, "batched_layout", None)
-
     def group_kind_runs(self, g: int) -> Iterator[tuple[str, int, int]]:
         """Yield ``(kind, seg_lo, seg_hi)`` runs of equal-kind segments.
 
-        Segments of one group are stored kind-contiguously by the
-        builder, so one run per kind is the common case; interleaved
+        Compilers store the segments of one group kind-contiguously,
+        so one run per kind is the common case; interleaved
         kinds simply yield more runs (still correct, just more calls).
         The boundaries are :func:`_kind_run_starts`'s, the same rule the
         batched layout's run table uses.
@@ -1283,156 +1118,113 @@ def build_mirror_schedule(plan: ExecutionPlan) -> MirrorSchedule:
     return MirrorSchedule(partner=partner, self_lo=self_lo)
 
 
-class PlanBuilder:
-    """Incrementally assemble an :class:`ExecutionPlan` skeleton.
+def _offsets(sizes) -> np.ndarray:
+    """``(n+1,)`` cumulative offsets of ``sizes``, starting at 0."""
+    ptr = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=ptr[1:])
+    return ptr
 
-    ``numerics=True`` expects every group to supply its targets and
-    output indices and every segment a ``share_key``, plus the source
-    points the first time the key appears; ``False`` expects only sizes
-    and builds a structure-only plan for model-mode backends.  Add
-    segments of one group kind-contiguously so backends get one run per
-    kind.
 
-    The source buffers are always de-duplicated: segments added with
-    the same ``share_key`` store their rows once and alias them through
-    per-segment offsets.  Callers skip gathering a repeated key's
-    points by checking :meth:`has_shared` first.
+def assemble_plan(
+    out_size: int,
+    group_sizes,
+    seg_group,
+    seg_kind,
+    kinds: Sequence[str],
+    seg_key,
+    key_rows,
+    *,
+    targets: np.ndarray | None = None,
+    out_index: np.ndarray | None = None,
+    key_points: Callable[[np.ndarray], np.ndarray] | None = None,
+    share_keys: Callable[[np.ndarray], Sequence] | None = None,
+) -> ExecutionPlan:
+    """Assemble an :class:`ExecutionPlan` skeleton from flat arrays.
 
-    The built plan is a geometry skeleton: its weight buffer is zeroed,
-    and :meth:`ExecutionPlan.refresh_weights` fills it by share key --
-    the one way weights enter a plan.
+    The one way a plan is built.  Group ``g`` owns ``group_sizes[g]``
+    target rows.  Segments come in plan order: ``seg_group`` is
+    non-decreasing, and each group's segments should be
+    kind-contiguous so backends get one run per kind.  ``seg_kind[s]``
+    indexes ``kinds``; ``seg_key[s]`` is the integer code of the source
+    rows the segment reads, ``key_rows[code]`` rows long.  The plan's
+    ``kind_names`` are the used kinds in first-use order.
+
+    Passing ``targets`` (with ``out_index`` and ``key_points``) makes a
+    numerics plan.  Its source buffers hold every key's rows once: one
+    ``np.unique`` pass finds each key's first use in (group, segment)
+    order, the keys take consecutive physical rows in that order, and
+    every segment of a key points at them through ``seg_src_lo``.
+    ``key_points(codes)`` returns the rows of the keys ``codes`` (given
+    in first-use order) stacked in that order; ``share_keys(codes)``
+    the share keys ``weight_slots`` records for them (default: the
+    codes as ints).  The weight buffer is zeroed:
+    :meth:`ExecutionPlan.refresh_weights` fills it by share key -- the
+    one way weights enter a plan.  Without ``targets`` the plan is
+    model-only: index arrays and sizes, no buffers.
     """
-
-    def __init__(self, out_size: int, *, numerics: bool = True) -> None:
-        self.out_size = int(out_size)
-        self.numerics = bool(numerics)
-        self._kind_names: list[str] = []
-        self._kind_index: dict[str, int] = {}
-        self._group_sizes: list[int] = []
-        self._segs_per_group: list[int] = []
-        self._seg_kind: list[int] = []
-        self._seg_sizes: list[int] = []
-        self._targets: list[np.ndarray] = []
-        self._out_index: list[np.ndarray] = []
-        self._src_points: list[np.ndarray] = []
-        #: share_key -> (lo, hi) physical row range already stored.
-        self._shared_ranges: dict = {}
-        self._seg_src_lo: list[int] = []
-        self._phys_rows = 0
-        #: (share_key, lo, hi) per stored segment (weight-refresh map).
-        self._weight_slots: list[tuple] = []
-
-    # ------------------------------------------------------------------
-    def add_group(
-        self,
-        *,
-        size: int | None = None,
-        targets: np.ndarray | None = None,
-        out_index: np.ndarray | None = None,
-    ) -> int:
-        """Open a new group; returns its index."""
-        if self.numerics:
-            if targets is None or out_index is None:
-                raise ValueError(
-                    "numerics plan requires targets and out_index per group"
-                )
-            self._targets.append(targets)
-            self._out_index.append(out_index)
-            size = targets.shape[0]
-        elif size is None:
-            raise ValueError("model plan requires the group size")
-        self._group_sizes.append(int(size))
-        self._segs_per_group.append(0)
-        return len(self._group_sizes) - 1
-
-    def has_shared(self, share_key) -> bool:
-        """True when ``share_key``'s rows are already in the buffers."""
-        return share_key in self._shared_ranges
-
-    def add_segment(
-        self,
-        kind: str,
-        *,
-        size: int | None = None,
-        points: np.ndarray | None = None,
-        share_key=None,
-    ) -> None:
-        """Append one launch segment to the most recent group.
-
-        ``share_key`` (hashable, e.g. ``("approx", owner, cluster)``)
-        names the segment's source rows; a repeated key aliases the
-        first copy and ``points`` may be omitted.
-        """
-        if not self._group_sizes:
-            raise ValueError("add_group must be called before add_segment")
-        if self.numerics:
-            if share_key is None:
-                raise ValueError(
-                    "a numerics segment needs a share_key: "
-                    "refresh_weights locates its rows by it"
-                )
-            rng = self._shared_ranges.get(share_key)
-            if rng is None:
-                if points is None:
-                    raise ValueError(
-                        "numerics plan requires points for a new share_key"
-                    )
-                self._src_points.append(points)
-                lo = self._phys_rows
-                self._phys_rows = lo + int(points.shape[0])
-                rng = self._shared_ranges[share_key] = (lo, self._phys_rows)
-                self._weight_slots.append((share_key, *rng))
-            lo, hi = rng
-            self._seg_src_lo.append(lo)
-            size = hi - lo
-        elif size is None:
-            raise ValueError("model plan requires the segment size")
-        k = self._kind_index.get(kind)
-        if k is None:
-            k = len(self._kind_names)
-            self._kind_names.append(kind)
-            self._kind_index[kind] = k
-        self._seg_kind.append(k)
-        self._seg_sizes.append(int(size))
-        self._segs_per_group[-1] += 1
-
-    # ------------------------------------------------------------------
-    def build(self) -> ExecutionPlan:
-        group_ptr = np.zeros(len(self._group_sizes) + 1, dtype=np.intp)
-        np.cumsum(self._group_sizes, out=group_ptr[1:])
-        seg_group_ptr = np.zeros(len(self._group_sizes) + 1, dtype=np.intp)
-        np.cumsum(self._segs_per_group, out=seg_group_ptr[1:])
-        seg_ptr = np.zeros(len(self._seg_sizes) + 1, dtype=np.intp)
-        np.cumsum(self._seg_sizes, out=seg_ptr[1:])
-        targets = out_index = src_points = src_weights = seg_src_lo = None
-        weight_slots = None
-        if self.numerics:
-            targets = _concat(self._targets, (0, 3), np.float64)
-            out_index = _concat(self._out_index, (0,), np.intp)
-            src_points = _concat(self._src_points, (0, 3), np.float64)
-            src_weights = np.zeros(self._phys_rows, dtype=np.float64)
-            seg_src_lo = np.asarray(self._seg_src_lo, dtype=np.intp)
-            weight_slots = tuple(self._weight_slots)
-        return ExecutionPlan(
-            kind_names=tuple(self._kind_names),
-            group_ptr=group_ptr,
-            seg_group_ptr=seg_group_ptr,
-            seg_kind=np.asarray(self._seg_kind, dtype=np.intp),
-            seg_ptr=seg_ptr,
-            out_size=self.out_size,
-            targets=targets,
-            out_index=out_index,
-            src_points=src_points,
-            src_weights=src_weights,
-            seg_src_lo=seg_src_lo,
-            weight_slots=weight_slots,
+    group_sizes = np.asarray(group_sizes, dtype=np.intp)
+    seg_group = np.asarray(seg_group, dtype=np.intp)
+    seg_kind = np.asarray(seg_kind, dtype=np.intp)
+    seg_key = np.asarray(seg_key, dtype=np.intp)
+    key_rows = np.asarray(key_rows, dtype=np.intp)
+    used_kinds, kind_first = np.unique(seg_kind, return_index=True)
+    used_kinds = used_kinds[np.argsort(kind_first)]
+    kind_code = np.zeros(len(kinds), dtype=np.intp)
+    kind_code[used_kinds] = np.arange(used_kinds.size)
+    structure = dict(
+        kind_names=tuple(kinds[k] for k in used_kinds.tolist()),
+        group_ptr=_offsets(group_sizes),
+        seg_group_ptr=_offsets(
+            np.bincount(seg_group, minlength=group_sizes.size)
+        ),
+        seg_kind=kind_code[seg_kind],
+        seg_ptr=_offsets(key_rows[seg_key]),
+        out_size=int(out_size),
+    )
+    if targets is None:
+        return ExecutionPlan(**structure)
+    if out_index is None or key_points is None:
+        raise ValueError(
+            "a numerics plan needs out_index and key_points with its targets"
         )
-
-
-def _concat(arrays: Sequence[np.ndarray], empty_shape, dtype) -> np.ndarray:
-    if not arrays:
-        return np.empty(empty_shape, dtype=dtype)
-    return np.ascontiguousarray(np.concatenate(arrays, axis=0), dtype=dtype)
+    codes, first, inverse = np.unique(
+        seg_key, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    codes = codes[order]
+    rows = key_rows[codes]
+    hi = np.cumsum(rows)
+    lo = hi - rows
+    slot_lo = np.empty_like(lo)
+    slot_lo[order] = lo
+    n_rows = int(hi[-1]) if hi.size else 0
+    points = (
+        np.ascontiguousarray(key_points(codes), dtype=np.float64)
+        if codes.size else np.empty((0, 3))
+    )
+    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    out_index = np.ascontiguousarray(out_index, dtype=np.intp)
+    n_targets = int(structure["group_ptr"][-1])
+    if (
+        points.shape != (n_rows, 3)
+        or targets.shape != (n_targets, 3)
+        or out_index.shape != (n_targets,)
+    ):
+        raise ValueError(
+            f"plan buffers disagree with its sizes: {points.shape[0]} "
+            f"source rows for {n_rows}, {targets.shape[0]} targets and "
+            f"{out_index.shape[0]} output slots for {n_targets} rows"
+        )
+    keys = codes.tolist() if share_keys is None else share_keys(codes)
+    return ExecutionPlan(
+        **structure,
+        targets=targets,
+        out_index=out_index,
+        src_points=points,
+        src_weights=np.zeros(n_rows, dtype=np.float64),
+        seg_src_lo=slot_lo[inverse],
+        weight_slots=tuple(zip(keys, lo.tolist(), hi.tolist())),
+    )
 
 
 def compile_plan(
@@ -1456,9 +1248,18 @@ def compile_plan(
 
     ``let`` -- a rank's locally essential tree -- compiles a distributed
     rank plan: each remote rank's clusters join the batch's segments in
-    the merge order of :func:`~repro.core.bltc_keys.batch_keys` (local
-    approx, remote approx by ascending rank, local direct, remote
-    direct).  A single device is the rank without one.
+    the merge order local approx, remote approx by ascending rank, local
+    direct, remote direct.  A single device is the rank without one.
+
+    Array passes throughout: each (kind, owner) list comes from
+    :meth:`~repro.core.interaction_lists.InteractionLists.csr` as one
+    block of segments, the blocks are concatenated in merge order and
+    one stable sort by batch interleaves them into per-batch runs.  A
+    segment's key code is its block's base plus the cluster index, and
+    :func:`assemble_plan` lays the rows out.  The local direct rows --
+    most of a plan's source buffer -- are one ``tree.perm`` range
+    gather; approximation grids and remote clusters are copied per
+    cluster.
 
     The plan is a geometry skeleton: each segment's share key is its
     :mod:`~repro.core.bltc_keys` key, each cluster's rows are stored
@@ -1468,24 +1269,97 @@ def compile_plan(
     :class:`~repro.core.bltc_keys.BLTCWeightSource`).  ``moments``
     needs only its grids.
     """
-    sources = BLTCSources(tree, moments, let)
-    builder = PlanBuilder(batches.n_targets, numerics=numerics)
-    sizes = batches.sizes()
-    for b in range(len(batches)):
-        if numerics:
-            builder.add_group(
-                targets=batches.batch_points(b),
-                out_index=batches.batch_indices(b),
-            )
-        else:
-            builder.add_group(size=int(sizes[b]))
-        for key in batch_keys(lists, b, let):
-            if not numerics:
-                builder.add_segment(key[0], size=sources.rows(key))
-            elif builder.has_shared(key):
-                builder.add_segment(key[0], share_key=key)
+    owners = [(LOCAL, lists)]
+    if let is not None:
+        owners += [(s, let.lists[s]) for s in sorted(let.lists)]
+    csrs = [owned.csr() for _, owned in owners]
+    n_ip = (moments.degree + 1) ** 3
+    n_batches = len(batches)
+    batch_ids = np.arange(n_batches, dtype=np.intp)
+    # One block of segments and key codes per (kind, owner), in merge
+    # order; a block's codes start at its base and span its owner's
+    # node indices.
+    block_kind, block_owner, block_base, block_rows = [], [], [], []
+    seg_group, seg_key = [], []
+    base = 0
+    for k, kind in enumerate(("approx", "direct")):
+        for (owner, _), csr in zip(owners, csrs):
+            ptr, ids = csr[2 * k], csr[2 * k + 1]
+            if owner == LOCAL:
+                span = len(tree)
             else:
-                builder.add_segment(
-                    key[0], points=sources.points(key), share_key=key
-                )
-    return builder.build()
+                span = 1 + max(int(a.max(initial=-1)) for a in csr[1::2])
+            if kind == "approx":
+                rows = np.full(span, n_ip, dtype=np.intp)
+            elif owner == LOCAL:
+                rows = tree.node_counts
+            else:
+                rows = np.zeros(span, dtype=np.intp)
+                for c, (pos, _q) in let.direct_data[owner].items():
+                    rows[c] = pos.shape[0]
+            block_kind.append(kind)
+            block_owner.append(owner)
+            block_base.append(base)
+            block_rows.append(rows)
+            seg_group.append(np.repeat(batch_ids, np.diff(ptr)))
+            seg_key.append(ids + base)
+            base += span
+    bases = np.asarray(block_base, dtype=np.intp)
+    key_rows = np.concatenate(block_rows)
+    seg_group = np.concatenate(seg_group)
+    order = np.argsort(seg_group, kind="stable")
+    seg_group = seg_group[order]
+    seg_key = np.concatenate(seg_key)[order]
+    # Approximation blocks come first, so their codes are the low ones.
+    seg_kind = (seg_key >= bases[len(owners)]).astype(np.intp)
+    sizes = batches.sizes()
+    if not numerics:
+        return assemble_plan(
+            batches.n_targets, sizes, seg_group, seg_kind,
+            ("approx", "direct"), seg_key, key_rows,
+        )
+
+    def decode(codes):
+        block = np.searchsorted(bases, codes, side="right") - 1
+        return block, codes - bases[block]
+
+    def share_keys(codes):
+        block, nodes = decode(codes)
+        return [
+            (block_kind[j], block_owner[j], c)
+            for j, c in zip(block.tolist(), nodes.tolist())
+        ]
+
+    local_direct = len(owners)  # block index of (direct, LOCAL)
+    sources = BLTCSources(tree, moments, let)
+
+    def key_points(codes):
+        block, nodes = decode(codes)
+        rows = key_rows[codes]
+        at = np.cumsum(rows) - rows
+        points = np.empty((int(rows.sum()), 3))
+        gather = block == local_direct
+        sel = np.flatnonzero(gather)
+        starts = tree.view().starts[nodes[sel]]
+        points[_concat_ranges(at[sel], rows[sel])] = tree.positions[
+            tree.perm[_concat_ranges(starts, rows[sel])]
+        ]
+        for s in np.flatnonzero(~gather).tolist():
+            j = int(block[s])
+            points[at[s]:at[s] + rows[s]] = sources.points(
+                (block_kind[j], block_owner[j], int(nodes[s]))
+            )
+        return points
+
+    batch_tree = batches.tree
+    out_index = batch_tree.perm[
+        _concat_ranges(batch_tree.view().starts[batches.node_ids], sizes)
+    ]
+    return assemble_plan(
+        batches.n_targets, sizes, seg_group, seg_kind, ("approx", "direct"),
+        seg_key, key_rows,
+        targets=batches.positions[out_index],
+        out_index=out_index,
+        key_points=key_points,
+        share_keys=share_keys,
+    )

@@ -281,6 +281,10 @@ class SessionCore:
         #: ``{"from", "to", "error"}`` (see :meth:`health_stats`).
         self._fallback_events: list = []
         self._last_error: str | None = None
+        #: Set when an ``update_geometry`` fails midway (the state may be
+        #: half patched): applies refuse and the next update rebuilds.
+        #: Pickles with the session.
+        self.geometry_stale = False
 
     # -- backend resolution ---------------------------------------------
     @property
@@ -373,7 +377,16 @@ class SessionCore:
 
     # -- the apply cycle ------------------------------------------------
     def charge_block(self, charges) -> tuple[np.ndarray, bool, int]:
-        """Validate charges; returns ``(block, multi, n_rhs)``."""
+        """Validate charges; returns ``(block, multi, n_rhs)``.
+
+        The first step of every apply, so it is where a stale session
+        (see :meth:`update_geometry`) refuses to serve.
+        """
+        if self.geometry_stale:
+            raise GeometryUpdateError(
+                "the last update_geometry failed midway and left this "
+                "session's geometry stale; re-prepare or update again"
+            )
         charges = as_charge_block(charges, self.n_charges)
         multi = charges.ndim == 2
         n_rhs = int(charges.shape[1]) if multi else 1
@@ -535,13 +548,19 @@ class SessionCore:
 
         Delegates to the driver's geometry updater (see
         :mod:`repro.core.dynamic`): the BLTC session re-bins, patches
-        lists and plan groups incrementally (falling back to a full
-        rebuild past ``params.rebuild_threshold``), the extension
-        sessions rebuild wholesale.  After the call every ``apply()``
-        is bitwise equal to a cold ``prepare()`` at the new positions,
-        and :meth:`geometry_key` reflects the move.  ``targets``
-        overrides the target positions; same-object sessions (targets
-        defaulted to the sources at prepare) move both sets together.
+        its lists incrementally and recompiles the plan (falling back
+        to a full rebuild past ``params.rebuild_threshold``), the
+        extension sessions rebuild wholesale.  After the call every
+        ``apply()`` is bitwise equal to a cold ``prepare()`` at the new
+        positions, and :meth:`geometry_key` reflects the move.
+        ``targets`` overrides the target positions; same-object
+        sessions (targets defaulted to the sources at prepare) move
+        both sets together.
+
+        A failure past input validation raises
+        :class:`~repro.errors.GeometryUpdateError` and marks the session
+        stale (``geometry_stale``): applies refuse until an update
+        succeeds, and the BLTC's next update is a full rebuild.
         """
         if self.geometry_updater is None:
             raise NotImplementedError(
@@ -549,23 +568,28 @@ class SessionCore:
                 "driver at the new positions instead"
             )
         try:
-            return self.geometry_updater.update(
+            result = self.geometry_updater.update(
                 self, new_positions, targets=targets
             )
         except (ValueError, TypeError, NotImplementedError):
             # Input-validation errors keep their precise type (callers
-            # and tests match on them); only unexpected mid-update
-            # failures are wrapped -- those may leave the session's
-            # geometry partially patched, which the structured error
-            # makes explicit.
+            # and tests match on them): they are raised before anything
+            # moves.  Every other failure may leave the geometry
+            # partially patched, so it marks the session stale.
+            raise
+        except GeometryUpdateError:
+            self.geometry_stale = True
             raise
         except Exception as exc:
+            self.geometry_stale = True
             raise GeometryUpdateError(
                 "geometry update failed mid-flight; the session's "
-                "geometry may be partially patched -- re-prepare the "
-                f"driver at the new positions ({type(exc).__name__}: "
-                f"{exc})"
+                "geometry may be partially patched and stays stale until "
+                "it is re-prepared or updated again "
+                f"({type(exc).__name__}: {exc})"
             ) from exc
+        self.geometry_stale = False
+        return result
 
     # -- accounting -----------------------------------------------------
     def geometry_key(self) -> str:
@@ -707,8 +731,8 @@ class PreparedSession:
         :mod:`repro.core.dynamic`): the BLTC session re-bins only
         particles that left their leaf box, rebuilds only dirtied moment
         grids, re-traverses only batches whose recorded MAC decisions no
-        longer hold and patches only the touched plan groups -- falling
-        back to a wholesale rebuild when the tree topology cannot be
+        longer hold and recompiles the plan from the patched lists --
+        falling back to a wholesale rebuild when the tree topology cannot be
         preserved or more than ``params.rebuild_threshold`` of the
         particles re-binned; the extension sessions always rebuild
         wholesale (the result says which happened and why).  Either way

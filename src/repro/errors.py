@@ -25,9 +25,9 @@ Hierarchy
       this process at all (e.g. a dependency or device it needs is
       missing); raised at construction/resolution time.
 
-  * :class:`GeometryUpdateError` -- an incremental
-    ``update_geometry`` failed midway; the session's geometry may be
-    partially patched and should be re-prepared.
+  * :class:`GeometryUpdateError` -- ``update_geometry`` failed midway,
+    or ``apply()`` was called on the session such a failure left
+    stale.
 
 * :class:`BackendDegradedWarning` -- the structured warning the
   session core emits exactly once per fallback transition when it
@@ -71,10 +71,16 @@ class BackendUnavailableError(BackendExecutionError):
 
 
 class GeometryUpdateError(ReproError):
-    """An incremental ``update_geometry`` failed midway through.
+    """``update_geometry`` failed midway through, or a session such a
+    failure left stale was applied.
 
-    The session's geometry may be partially patched; callers should
-    re-prepare at the new positions rather than keep applying.
+    The failed update may have patched the session's geometry partway,
+    so the session marks itself stale (the mark survives pickling):
+    every ``apply()`` raises this error until the session is
+    re-prepared or updated again, and the next ``update_geometry``
+    rebuilds from scratch (reason ``"previous update failed"``).
+    Input errors (bad shapes, non-finite positions) raise ``ValueError``
+    before anything moves and leave the session serving.
     """
 
 

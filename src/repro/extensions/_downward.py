@@ -33,6 +33,7 @@ __all__ = [
     "ExtensionTreecode",
     "PreparedExtension",
     "target_positions",
+    "receiving_groups",
     "downward_basis",
     "downward_pass",
 ]
@@ -45,6 +46,40 @@ def target_positions(sources, targets) -> np.ndarray:
     if isinstance(targets, ParticleSet):
         return targets.positions
     return np.atleast_2d(np.asarray(targets, dtype=np.float64))
+
+
+def receiving_groups(receivers, tree, grids, target_pos, n_ip, *, numerics):
+    """Target rows of an extension plan's receiving groups.
+
+    ``receivers`` lists ``(on_grid, node)`` per group.  A grid group
+    receives on ``grids[node]``'s Chebyshev points, in the next ``n_ip``
+    output rows past the particle outputs; a particle group receives on
+    target ``node``'s own particles.  Returns ``(sizes, out_index,
+    targets, grid_slot)`` -- ``targets`` is None unless ``numerics``,
+    and ``grid_slot[node]`` is a grid's first output row.
+    """
+    n_targets = target_pos.shape[0]
+    grid_slot = {}
+    rows = [np.empty(0, dtype=np.intp)]
+    for on_grid, node in receivers:
+        if on_grid:
+            lo = n_targets + n_ip * len(grid_slot)
+            grid_slot[node] = lo
+            rows.append(np.arange(lo, lo + n_ip, dtype=np.intp))
+        else:
+            rows.append(tree.node_indices(node))
+    sizes = [r.size for r in rows[1:]]
+    out_index = np.concatenate(rows)
+    targets = None
+    if numerics:
+        targets = np.empty((out_index.size, 3))
+        particle = out_index < n_targets
+        targets[particle] = target_pos[out_index[particle]]
+        if grid_slot:
+            targets[~particle] = np.concatenate(
+                [grids[node].points for node in grid_slot]
+            )
+    return sizes, out_index, targets, grid_slot
 
 
 def downward_basis(tree, grids, target_pos) -> dict:

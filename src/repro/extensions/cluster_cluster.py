@@ -44,7 +44,7 @@ import numpy as np
 
 from ..core.mac import mac_geometric
 from ..core.moments import prepare_moment_grids
-from ..core.plan import PlanBuilder
+from ..core.plan import assemble_plan
 from ..core.session import DualTreeWeightSource, GeometryState
 from ..gpu.device import Device
 from ..interpolation.grid import ChebyshevGrid3D
@@ -55,9 +55,23 @@ from ._downward import (
     PreparedExtension,
     downward_basis,
     downward_pass,
+    receiving_groups,
 )
 
 __all__ = ["DualTreeTreecode", "PreparedDualTree"]
+
+#: Segment kinds of the dual-tree plan, by pair class.
+DT_KINDS = (
+    "cluster-cluster", "particle-cluster", "cluster-particle", "direct"
+)
+
+
+def _share_keys(codes) -> list:
+    """Weight-refresh keys of source-block codes (see ``_build_groups``):
+    ``("moments", si)`` or ``("particles", si)``."""
+    return [
+        ("particles" if c % 2 else "moments", c // 2) for c in codes.tolist()
+    ]
 
 
 class _DTGeometry:
@@ -210,15 +224,14 @@ class DualTreeTreecode(ExtensionTreecode):
         particle groups (target nodes, fed by pc and direct pairs)
         accumulate straight into the potentials.  The four passes append
         in a fixed order, so each group's segments are kind-contiguous
-        by construction.  Segments reference their source block by key
-        (``("moments", si)`` or ``("particles", si)``) -- the shared
-        gather's dedup key and the prepared session's weight-refresh
-        key.
+        by construction.  A segment is ``(kind, key)``: an index into
+        :data:`DT_KINDS` and the code of its source block, ``2 si`` for
+        source cluster ``si``'s moments, ``2 si + 1`` for its particles
+        -- the shared gather's dedup key, decoded by :func:`_share_keys`
+        into the prepared session's weight-refresh key.
         """
         params = self.params
-        n_ip = params.n_interpolation_points
         tv = g.t_tree.view()
-        s_counts = g.s_tree.view().counts.tolist()
         g.t_grids = {}
         g.grid_groups = {}
         g.node_groups = {}
@@ -247,65 +260,50 @@ class DualTreeTreecode(ExtensionTreecode):
             return grp
 
         for ti, si in g.cc_pairs:
-            g.group_segs[grid_group(ti)].append(
-                ("cluster-cluster", ("moments", si), n_ip)
-            )
+            g.group_segs[grid_group(ti)].append((0, 2 * si))
         for ti, si in g.pc_pairs:
-            g.group_segs[node_group(ti)].append(
-                ("particle-cluster", ("moments", si), n_ip)
-            )
+            g.group_segs[node_group(ti)].append((1, 2 * si))
         for ti, si in g.cp_pairs:
-            g.group_segs[grid_group(ti)].append(
-                ("cluster-particle", ("particles", si), s_counts[si])
-            )
+            g.group_segs[grid_group(ti)].append((2, 2 * si + 1))
         for ti, si in g.direct_pairs:
-            g.group_segs[node_group(ti)].append(
-                ("direct", ("particles", si), s_counts[si])
-            )
+            g.group_segs[node_group(ti)].append((3, 2 * si + 1))
 
     def _compile_plan(self, g: _DTGeometry, moments, *, numerics: bool):
         """Compile the four pair classes into one geometry-only plan
         skeleton (the session's weight refresh fills the weights)."""
         n_ip = self.params.n_interpolation_points
-        builder = PlanBuilder(
-            g.n_targets + n_ip * len(g.t_grids),
-            numerics=numerics,
+        sizes, out_index, targets, g.grid_slot = receiving_groups(
+            [(key == "grid", ti) for key, ti in g.group_keys],
+            g.t_tree, g.t_grids, g.target_pos, n_ip, numerics=numerics,
         )
-        g.grid_slot = {}
-        next_row = g.n_targets
-        for grp, (key, ti) in enumerate(g.group_keys):
-            if key == "grid":
-                rows = np.arange(next_row, next_row + n_ip, dtype=np.intp)
-                g.grid_slot[ti] = next_row
-                next_row += n_ip
-                if numerics:
-                    builder.add_group(
-                        targets=g.t_grids[ti].points, out_index=rows
-                    )
-                else:
-                    builder.add_group(size=n_ip)
-            else:
-                if numerics:
-                    idx = g.t_tree.node_indices(ti)
-                    builder.add_group(
-                        targets=g.target_pos[idx], out_index=idx
-                    )
-                else:
-                    builder.add_group(size=int(g.t_tree.node_counts[ti]))
-            for kind, skey, size in g.group_segs[grp]:
-                if not numerics:
-                    builder.add_segment(kind, size=size)
-                    continue
-                if builder.has_shared(skey):
-                    builder.add_segment(kind, share_key=skey)
-                    continue
-                what, si = skey
-                if what == "moments":
-                    pts = moments.grid(si).points
-                else:
-                    pts = g.source_pos[g.s_tree.node_indices(si)]
-                builder.add_segment(kind, points=pts, share_key=skey)
-        return builder.build()
+        segs = [seg for group in g.group_segs for seg in group]
+        key_rows = np.empty(2 * len(g.s_tree), dtype=np.intp)
+        key_rows[0::2] = n_ip
+        key_rows[1::2] = g.s_tree.node_counts
+
+        def key_points(codes):
+            return np.concatenate([
+                moments.grid(si).points if what == "moments"
+                else g.source_pos[g.s_tree.node_indices(si)]
+                for what, si in _share_keys(codes)
+            ])
+
+        return assemble_plan(
+            g.n_targets + n_ip * len(g.t_grids),
+            sizes,
+            np.repeat(
+                np.arange(len(g.group_segs)),
+                [len(group) for group in g.group_segs],
+            ),
+            [kind for kind, _ in segs],
+            DT_KINDS,
+            [key for _, key in segs],
+            key_rows,
+            targets=targets,
+            out_index=out_index,
+            key_points=key_points,
+            share_keys=_share_keys,
+        )
 
     # -- hooks of the shared driver / the rebuild updater ----------------
     def _session_positions(self, core):

@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.interaction_lists import build_interaction_lists
-from ..core.plan import PlanBuilder
+from ..core.plan import assemble_plan
 from ..core.session import BatchChargeWeightSource, GeometryState
 from ..gpu.device import Device
 from ..interpolation.grid import ChebyshevGrid3D
@@ -58,6 +58,7 @@ from ._downward import (
     PreparedExtension,
     downward_basis,
     downward_pass,
+    receiving_groups,
 )
 
 __all__ = ["ClusterParticleTreecode", "PreparedClusterParticle"]
@@ -199,42 +200,25 @@ class ClusterParticleTreecode(ExtensionTreecode):
         the weight-refresh key of the session.
         """
         n_ip = self.params.n_interpolation_points
-        builder = PlanBuilder(
-            g.n_targets + n_ip * len(g.grids),
-            numerics=numerics,
+        sizes, out_index, targets, g.grid_slot = receiving_groups(
+            [(kind == "approx", c) for kind, c in g.group_keys],
+            g.tree, g.grids, g.target_pos, n_ip, numerics=numerics,
         )
-        g.grid_slot = {}
-        next_row = g.n_targets
-        batch_sizes = g.batches.sizes()
-        for grp, (kind, c) in enumerate(g.group_keys):
-            if kind == "approx":
-                rows = np.arange(next_row, next_row + n_ip, dtype=np.intp)
-                g.grid_slot[c] = next_row
-                next_row += n_ip
-                if numerics:
-                    builder.add_group(
-                        targets=g.grids[c].points, out_index=rows
-                    )
-                else:
-                    builder.add_group(size=n_ip)
-            else:
-                idx = g.tree.node_indices(c)
-                if numerics:
-                    builder.add_group(
-                        targets=g.target_pos[idx], out_index=idx
-                    )
-                else:
-                    builder.add_group(size=idx.shape[0])
-            for b in g.group_batches[grp]:
-                if not numerics:
-                    builder.add_segment(kind, size=int(batch_sizes[b]))
-                elif builder.has_shared(b):
-                    builder.add_segment(kind, share_key=b)
-                else:
-                    builder.add_segment(
-                        kind, points=g.batches.batch_points(b), share_key=b
-                    )
-        return builder.build()
+        counts = [len(bs) for bs in g.group_batches]
+        return assemble_plan(
+            g.n_targets + n_ip * len(g.grids),
+            sizes,
+            np.repeat(np.arange(len(counts)), counts),
+            np.repeat([kind == "direct" for kind, _ in g.group_keys], counts),
+            ("approx", "direct"),
+            [b for bs in g.group_batches for b in bs],
+            g.batches.sizes(),
+            targets=targets,
+            out_index=out_index,
+            key_points=lambda codes: np.concatenate(
+                [g.batches.batch_points(b) for b in codes.tolist()]
+            ),
+        )
 
     # -- hooks of the shared driver / the rebuild updater ----------------
     def _session_positions(self, core):

@@ -44,12 +44,13 @@ from repro.core.backends.groupeval import eval_group_range, plan_arrays
 from repro.core.bltc_keys import BLTCSources
 from repro.core.interaction_lists import build_interaction_lists
 from repro.core.moments import precompute_moments
-from repro.core.plan import PlanBuilder, build_batched_layout
+from repro.core.plan import assemble_plan, build_batched_layout
 from repro.gpu.device import CpuDevice, GpuDevice
 from repro.perf.machine import CPU_XEON_X5650, GPU_TITAN_V
 from repro.tree.batches import TargetBatches
 from repro.tree.octree import ClusterTree
 
+from plan_factory import listed_plan
 from test_kernels import AnisotropicCoulomb
 
 
@@ -73,18 +74,16 @@ def _keyed_plan(groups):
     Groups take consecutive output slots; every segment gets its own
     share key, and its weights go in through :func:`_filled`.
     """
-    b = PlanBuilder(sum(t.shape[0] for t, _ in groups))
-    weights = []
-    row = 0
-    for targets, segs in groups:
-        b.add_group(
-            targets=targets, out_index=np.arange(row, row + len(targets))
-        )
-        row += len(targets)
-        for kind, points, w in segs:
-            b.add_segment(kind, points=points, share_key=len(weights))
-            weights.append(w)
-    return _filled(b.build(), weights.__getitem__)
+    segs = [seg for _, group in groups for seg in group]
+    key = iter(range(len(segs)))
+    plan = listed_plan(
+        [
+            (t, [(kind, next(key)) for kind, _, _ in group])
+            for t, group in groups
+        ],
+        {i: points for i, (_, points, _) in enumerate(segs)},
+    )
+    return _filled(plan, lambda i: segs[i][2])
 
 
 def _compile(sources, params=None, *, targets=None, numerics=True):
@@ -456,26 +455,32 @@ class TestSharedSourceGather:
         assert all(0 <= lo <= hi <= rows for lo, hi in ranges)
         assert len(set(ranges)) < len(ranges)
 
-    def test_builder_reuse_skips_regather(self):
-        b = PlanBuilder(4, numerics=True)
+    def test_assembler_gathers_a_repeated_key_once(self):
         pts = np.arange(6.0).reshape(2, 3)
-        b.add_group(targets=np.zeros((2, 3)), out_index=np.array([0, 1]))
-        assert not b.has_shared(("direct", 7))
-        b.add_segment("direct", points=pts, share_key=("direct", 7))
-        b.add_group(targets=np.zeros((2, 3)), out_index=np.array([2, 3]))
-        assert b.has_shared(("direct", 7))
-        b.add_segment("direct", share_key=("direct", 7))
-        plan = b.build()
+        asked = []
+
+        def key_points(codes):
+            asked.append(codes.tolist())
+            return np.concatenate([pts for _ in codes])
+
+        plan = assemble_plan(
+            4, [2, 2], [0, 1], [0, 0], ("direct",), [7, 7], np.full(8, 2),
+            targets=np.zeros((4, 3)), out_index=np.arange(4),
+            key_points=key_points,
+        )
+        assert asked == [[7]]
+        assert plan.weight_slots == ((7, 0, 2),)
         assert plan.n_segments == 2
         assert plan.n_source_rows == 4          # logical: 2 rows x 2 aliases
         assert plan.source_buffer_rows == 2     # physical: stored once
         assert np.array_equal(plan.segment_points(0), plan.segment_points(1))
 
-    def test_builder_requires_arrays_for_new_key(self):
-        b = PlanBuilder(2, numerics=True)
-        b.add_group(targets=np.zeros((2, 3)), out_index=np.array([0, 1]))
-        with pytest.raises(ValueError, match="points"):
-            b.add_segment("direct", share_key=("direct", 0))
+    def test_assembler_requires_key_points(self):
+        with pytest.raises(ValueError, match="key_points"):
+            assemble_plan(
+                2, [2], [0], [0], ("direct",), [0], [2],
+                targets=np.zeros((2, 3)), out_index=np.arange(2),
+            )
 
 
 class TestMultiprocessingBackend:
@@ -1377,15 +1382,20 @@ class TestPlanStructure:
             device.counters.interactions
         )
 
-    def test_builder_validation(self):
-        b = PlanBuilder(10, numerics=True)
-        with pytest.raises(ValueError, match="add_group"):
-            b.add_segment("approx", points=np.zeros((2, 3)), share_key=0)
-        with pytest.raises(ValueError, match="targets"):
-            b.add_group(size=4)
-        m = PlanBuilder(10, numerics=False)
-        with pytest.raises(ValueError, match="size"):
-            m.add_group()
+    def test_assembler_validation(self):
+        structure = (4, [2, 2], [0, 1], [0, 0], ("direct",), [0, 1], [2, 3])
+        good = dict(
+            targets=np.zeros((4, 3)), out_index=np.arange(4),
+            key_points=lambda codes: np.zeros((5, 3)),
+        )
+        assert assemble_plan(*structure, **good).source_buffer_rows == 5
+        for name, bad in (
+            ("key_points", lambda codes: np.zeros((4, 3))),
+            ("targets", np.zeros((3, 3))),
+            ("out_index", np.arange(5)),
+        ):
+            with pytest.raises(ValueError, match="disagree"):
+                assemble_plan(*structure, **{**good, name: bad})
 
     def test_batches_max_level_public(self, cube):
         batches = TargetBatches(cube.positions, 200)

@@ -7,8 +7,8 @@ later applies.  The contract: a warm apply is **bitwise** the first
 apply and bitwise a fresh cold session's -- on both paths, both
 dtypes, with and without forces, for vectors and blocks -- the scan
 really is skipped (also when it found nothing), and every way a
-geometry can change (`refresh_geometry`, `patch_groups`, full rebuild,
-pickle) drops what was found.
+geometry can change (an update onto a leaf mate, a structural update,
+a full rebuild, pickle) drops what was found.
 """
 
 import pickle
@@ -302,10 +302,11 @@ def _leaf_mates(sess):
     return int(members[0]), int(members[1]), int(other[0])
 
 
-#: tier -> (rebuild_threshold, move onto a leaf mate?)
+#: former update tier -> (rebuild_threshold, move onto a leaf mate?):
+#: a move onto a leaf mate changes no group's segments or row counts.
 TIERS = {
-    "refresh_geometry": (1.0, True),
-    "patch_groups": (1.0, False),
+    "leaf-mate": (1.0, True),
+    "structural": (1.0, False),
     "rebuild": (0.0, False),
 }
 
@@ -331,7 +332,7 @@ class TestInvalidation:
 
         def check(result, positions):
             assert result.rebuilt == (tier == "rebuild")
-            assert (result.n_patched_groups > 0) == (tier == "patch_groups")
+            assert (result.n_patched_groups > 0) == (tier == "structural")
             assert sess.memory_stats()["coincident_cache_bytes"] == 0
             warm = sess.apply(q, compute_forces=forces)
             cold = drv.prepare(ParticleSet(positions, q)).apply(
@@ -350,24 +351,3 @@ class TestInvalidation:
         check(sess.update_geometry(apart), apart)
         pairs_apart = sess.memory_stats()["coincident_cache_bytes"]
         assert pairs_together > pairs_apart
-
-    @pytest.mark.parametrize("backend", CACHING)
-    def test_plan_methods_clear_on_their_own(
-        self, backend, cube, use_backend
-    ):
-        # update_geometry always ends in refresh_geometry; each of the
-        # two plan methods must drop the cache without the other.
-        sess = _driver(use_backend(backend)).prepare(cube)
-        plan = sess.plan
-        sess.apply(cube.charges)
-        assert plan.coincident_nbytes() > 0
-        plan.refresh_geometry(targets=plan.targets.copy())
-        assert plan.coincident_nbytes() == 0
-        assert not plan.coincident_cache
-
-        sess.apply(cube.charges)
-        assert plan.coincident_nbytes() > 0
-        rows = {key: hi - lo for key, lo, hi in plan.weight_slots}
-        plan.patch_groups({}, rows.__getitem__)
-        assert plan.coincident_nbytes() == 0
-        assert not plan.coincident_cache

@@ -4,7 +4,7 @@ The contract under test: after ``session.update_geometry(new_positions)``
 every ``apply()`` is **bitwise equal** to a cold ``prepare()`` at the new
 positions -- on every executing backend, both dtypes, and for whole
 ``(N, n_rhs)`` charge blocks -- whether the update took the incremental
-path (re-bin + list verify + group patch) or fell back to a full
+path (re-bin + list verify + plan recompile) or fell back to a full
 rebuild.  Plus the control surface around it: the zero-motion no-op, the
 ``rebuild_threshold`` trigger, geometry-key staleness and the
 ``update_scratch`` memory category.
@@ -279,7 +279,7 @@ class TestMultiStepStress:
             result = sess.update_geometry(pos)
             seen_incremental |= not result.rebuilt and not result.noop
             seen_rebuild |= result.rebuilt
-            # A patched plan keeps its layout; a rebuilt one gets it here.
+            # Every update compiles a fresh plan; its layout builds here.
             layout = sess.plan.ensure_batched_layout()
             assert any(
                 b.kind == "direct" for b in layout.buckets

@@ -6,11 +6,11 @@ over its entries.  This module pins the build three ways:
 
 * byte for byte against a reference kept here -- the per-group run walk
   and the per-segment bucket loops the array passes replaced -- on the
-  end-to-end workload recipes and on generated ``PlanBuilder`` plans;
+  end-to-end workload recipes and on generated hand-listed plans;
 * against invariants any correct layout satisfies, whatever code built
   it;
-* on the patch path: after an incremental ``update_geometry`` the
-  session's layout is byte-equal to a cold ``prepare()``'s.
+* after an incremental ``update_geometry``: the session's layout is
+  byte-equal to a cold ``prepare()``'s.
 """
 
 import os
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro import BarycentricTreecode, CoulombKernel, TreecodeParams
 from repro import random_cube
 from repro.core import plan as plan_module
-from repro.core.plan import BatchedBucket, PlanBuilder, build_batched_layout
+from repro.core.plan import BatchedBucket, build_batched_layout
 from repro.workloads import ParticleSet
 
 _E2E = os.path.join(
@@ -37,6 +37,7 @@ if _E2E not in sys.path:
     sys.path.insert(0, _E2E)
 
 from e2e_workloads import WORKLOADS, Inputs  # noqa: E402
+from plan_factory import listed_plan  # noqa: E402
 
 BUCKET_ARRAYS = (
     "groups", "tgt_index", "src_index", "out_slots", "scatter_pos",
@@ -159,25 +160,19 @@ def assert_matches_reference(plan):
 
 # -- plans ----------------------------------------------------------------
 def _plan(groups, key_rows, n_rhs, seed):
-    """A ``PlanBuilder`` plan from ``[(m, [(kind, key), ...]), ...]``.
+    """A plan from ``[(m, [(kind, key), ...]), ...]``.
 
     Share key ``i`` names ``key_rows[i]`` source rows; output slots are a
     permutation; weights are random with ``n_rhs`` columns (None: 1-D).
     """
     rng = np.random.default_rng(seed)
     points = [rng.random((r, 3)) for r in key_rows]
-    total = sum(m for m, _ in groups)
-    out = rng.permutation(total)
-    builder = PlanBuilder(total)
-    row = 0
-    for m, segs in groups:
-        builder.add_group(
-            targets=rng.random((m, 3)), out_index=out[row:row + m]
-        )
-        row += m
-        for kind, key in segs:
-            builder.add_segment(kind, points=points[key], share_key=key)
-    plan = builder.build()
+    out = rng.permutation(sum(m for m, _ in groups))
+    plan = listed_plan(
+        [(rng.random((m, 3)), segs) for m, segs in groups],
+        dict(enumerate(points)),
+        out_index=out,
+    )
     _refresh(plan, key_rows, n_rhs, rng)
     return plan
 
@@ -414,11 +409,9 @@ class TestPatchPath:
             result = session.update_geometry(pos)
             assert not result.rebuilt
             patched += result.n_patched_groups
-            # patch_groups drops the layout; the next stacked execute
-            # rebuilds it.
-            assert (session.plan.batched_layout is None) == (
-                result.n_patched_groups > 0
-            )
+            # The update compiles a fresh plan; the next stacked
+            # execute builds its layout.
+            assert session.plan.batched_layout is None
             session.apply(cube.charges)
             assert session.plan.batched_layout is not None
             cold = drv.prepare(ParticleSet(pos, cube.charges))

@@ -8,12 +8,14 @@ that path, whatever the plan's group sizes.  The contract:
 * roundoff-equal to the ``numpy`` reference (rtol 1e-9 on potentials,
   1e-8 on forces in float64), identical device counters;
 * bitwise within fused: apply == compute, column j == solo apply,
-  pickle round-trip, and update == cold prepare through every
-  ``update_geometry`` tier;
+  pickle round-trip, and update == cold prepare through every former
+  ``update_geometry`` tier (a move onto a leaf mate, a structural
+  drift, a rebuild);
 * a plan whose schedule pairs nothing (disjoint targets) evaluates
   bitwise as the per-group arithmetic (``eval_group_range``);
-* the schedule is geometry: ``refresh_geometry`` and ``patch_groups``
-  each drop it on their own, and pickling does not carry it.
+* the schedule is geometry: an updated session derives it afresh on
+  the plan its update compiled (checked through every former tier),
+  and pickling does not carry it.
 """
 
 import pickle
@@ -192,10 +194,11 @@ def _leaf_mates(sess):
     return int(members[0]), int(members[1]), int(other[0])
 
 
-#: tier -> (rebuild_threshold, move within the leaf?)
+#: former update tier -> (rebuild_threshold, move within the leaf?):
+#: a move onto a leaf mate changes no group's segments or row counts.
 TIERS = {
-    "refresh_geometry": (1.0, True),
-    "patch_groups": (1.0, False),
+    "leaf-mate": (1.0, True),
+    "structural": (1.0, False),
     "rebuild": (0.0, False),
 }
 
@@ -213,7 +216,7 @@ class TestUpdateEqualsColdPrepare:
         moved[i] = moved[mate if same_leaf else stranger]
         result = sess.update_geometry(moved)
         assert result.rebuilt == (tier == "rebuild")
-        assert (result.n_patched_groups > 0) == (tier == "patch_groups")
+        assert (result.n_patched_groups > 0) == (tier == "structural")
         warm = sess.apply(q, compute_forces=True)
         assert sess.plan.mirror_schedule().n_pairs > 0
         cold = drv.prepare(ParticleSet(moved, q)).apply(
@@ -266,62 +269,3 @@ class TestDuplicatesAcrossMirroredLeaves:
             particles
         ).apply(cube.charges, compute_forces=True)
         _assert_roundoff_equal(out.potential, ref.potential, out.forces, ref.forces)
-
-
-class TestScheduleLifecycle:
-    """Each plan method drops the schedule on its own; a stale one
-    pairs blocks that are no longer mirrors, which shows in the values."""
-
-    def test_refresh_geometry_drops_it(self, cube):
-        plan = _plan(cube)
-        kernel = YukawaKernel(0.5)
-        _execute("fused", plan, kernel)
-        assert plan.mirror_schedule().n_pairs > 0
-        # Targets no longer sit on their slots: nothing is mirrored.
-        plan.refresh_geometry(targets=plan.targets * 1.001)
-        phi, f, _ = _execute("fused", plan, kernel)
-        phi_ref, f_ref = _per_group(plan, kernel)
-        assert np.array_equal(phi, phi_ref)
-        assert np.array_equal(f, f_ref)
-        assert plan.mirror_schedule().n_pairs == 0
-
-    def test_patch_groups_drops_it(self, cube):
-        plan = _plan(cube)
-        kernel = YukawaKernel(0.5)
-        _execute("fused", plan, kernel)
-        sched = plan.mirror_schedule()
-        n_pairs = sched.n_pairs
-        seg_group = np.repeat(
-            np.arange(plan.n_groups), np.diff(plan.seg_group_ptr)
-        )
-        # A group that only receives mirrored blocks, re-described with
-        # its segments reversed: same work, new segment order and
-        # first-use physical rows.
-        g = int(max(
-            set(seg_group[sched.partner == MIRROR_SKIP])
-            - set(seg_group[sched.partner >= 0])
-        ))
-        slots = {key: (lo, hi) for key, lo, hi in plan.weight_slots}
-        key_at = {lo: key for key, (lo, _) in slots.items()}
-        points = {k: plan.src_points[lo:hi].copy() for k, (lo, hi) in slots.items()}
-        weights = {k: plan.src_weights[lo:hi].copy() for k, (lo, hi) in slots.items()}
-        targets = plan.targets.copy()
-        t_lo, t_hi = int(plan.group_ptr[g]), int(plan.group_ptr[g + 1])
-        s_lo, s_hi = int(plan.seg_group_ptr[g]), int(plan.seg_group_ptr[g + 1])
-        segs = [
-            (plan.kind_names[plan.seg_kind[s]], key_at[int(plan.seg_src_lo[s])])
-            for s in range(s_lo, s_hi)
-        ]
-        plan.patch_groups(
-            {g: (plan.out_index[t_lo:t_hi].copy(), segs[::-1])},
-            lambda key: slots[key][1] - slots[key][0],
-        )
-        # Refill the zeroed buffers without refresh_geometry.
-        plan.targets[...] = targets
-        for key, lo, hi in plan.weight_slots:
-            plan.src_points[lo:hi] = points[key]
-        plan.refresh_weights(weights.__getitem__)
-        phi, f, _ = _execute("fused", plan, kernel)
-        assert plan.mirror_schedule().n_pairs == n_pairs
-        phi_ref, f_ref = _per_group(plan, kernel)
-        _assert_roundoff_equal(phi, phi_ref, f, f_ref)

@@ -7,7 +7,8 @@ of ``DistributedBLTC.prepare`` must be byte for byte the plan of
 array, the kind vocabulary, the output size, every weight slot's rows
 and, after one apply, the weights.  A second compiler that drifts from
 the first fails here.  With more ranks, each batch's segments keep the
-merge order of :func:`repro.core.bltc_keys.batch_keys`.
+merge order of ``batch_keys`` (kept in ``tests/test_plan_assembly.py``
+as the reference).
 """
 
 import numpy as np

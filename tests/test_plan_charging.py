@@ -25,9 +25,10 @@ from repro.core.backends.base import (
     charge_plan_launches,
     launch_cost_multiplier,
 )
-from repro.core.plan import PlanBuilder
 from repro.gpu.device import CpuDevice, GpuDevice
 from repro.perf.machine import CPU_XEON_X5650, GPU_TITAN_V
+
+from plan_factory import listed_plan
 
 DEVICES = {
     "gpu-async": lambda: GpuDevice(GPU_TITAN_V, async_streams=True),
@@ -84,12 +85,13 @@ def _state(device):
 
 def _model_plan(groups):
     """A model-only plan from ``[(rows, [(kind, size), ...]), ...]``."""
-    builder = PlanBuilder(sum(m for m, _ in groups), numerics=False)
-    for m, segs in groups:
-        builder.add_group(size=m)
-        for kind, size in segs:
-            builder.add_segment(kind, size=size)
-    return builder.build()
+    sizes = [size for _, segs in groups for _, size in segs]
+    key = iter(range(len(sizes)))
+    return listed_plan(
+        [(m, [(kind, next(key)) for kind, _ in segs]) for m, segs in groups],
+        dict(enumerate(sizes)),
+        numerics=False,
+    )
 
 
 @st.composite

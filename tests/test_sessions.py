@@ -35,7 +35,9 @@ from repro import (
     random_cube,
 )
 from repro.core.backends import multiproc
-from repro.core.plan import PlanBuilder
+from repro.core.plan import assemble_plan
+
+from plan_factory import listed_plan
 
 EXEC_BACKENDS = ["numpy", "per-group", "stacked", "multiprocessing"]
 
@@ -295,15 +297,16 @@ class TestWeightRefresh:
     """The plan-level geometry/weight split."""
 
     def _plan(self):
-        b = PlanBuilder(4, numerics=True)
-        pts_a = np.arange(6.0).reshape(2, 3)
-        pts_b = np.arange(6.0, 15.0).reshape(3, 3)
-        b.add_group(targets=np.zeros((2, 3)), out_index=np.array([0, 1]))
-        b.add_segment("direct", points=pts_a, share_key="a")
-        b.add_group(targets=np.zeros((2, 3)), out_index=np.array([2, 3]))
-        b.add_segment("direct", share_key="a")
-        b.add_segment("approx", points=pts_b, share_key="b")
-        return b.build()
+        return listed_plan(
+            [
+                (np.zeros((2, 3)), [("direct", "a")]),
+                (np.zeros((2, 3)), [("direct", "a"), ("approx", "b")]),
+            ],
+            {
+                "a": np.arange(6.0).reshape(2, 3),
+                "b": np.arange(6.0, 15.0).reshape(3, 3),
+            },
+        )
 
     def test_refresh_overwrites_every_alias(self):
         plan = self._plan()
@@ -329,11 +332,16 @@ class TestWeightRefresh:
         )
         assert np.all(plan.src_weights == 1.0)
 
-    def test_numerics_segment_needs_share_key(self):
-        b = PlanBuilder(2, numerics=True)
-        b.add_group(targets=np.zeros((2, 3)), out_index=np.array([0, 1]))
-        with pytest.raises(ValueError, match="share_key"):
-            b.add_segment("direct", points=np.zeros((2, 3)))
+    def test_share_keys_default_to_key_codes(self):
+        # Every segment names its rows by a key code; without a
+        # share_keys decoder the codes themselves key the weight slots.
+        plan = assemble_plan(
+            2, [2], [0, 0], [0, 0], ("direct",), [5, 3], np.full(6, 2),
+            targets=np.zeros((2, 3)), out_index=np.arange(2),
+            key_points=lambda codes: np.zeros((4, 3)),
+        )
+        assert plan.weight_slots == ((5, 0, 2), (3, 2, 4))
+        assert all(type(key) is int for key, _, _ in plan.weight_slots)
 
     def test_refresh_validates_row_count(self):
         plan = self._plan()
@@ -341,10 +349,7 @@ class TestWeightRefresh:
             plan.refresh_weights(lambda k: np.zeros(7))
 
     def test_model_plan_has_no_weights(self):
-        b = PlanBuilder(4, numerics=False)
-        b.add_group(size=2)
-        b.add_segment("direct", size=2)
-        plan = b.build()
+        plan = listed_plan([(2, [("direct", 0)])], {0: 2}, numerics=False)
         with pytest.raises(ValueError, match="model-only"):
             plan.refresh_weights(lambda k: np.zeros(2))
 
