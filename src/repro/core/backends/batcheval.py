@@ -35,10 +35,12 @@ before the first, so each buffer is allocated once.  Bitwise the same
 results.
 
 Padded (near-field) buckets need no special casing here: their pad
-columns are real repeated coordinates, so the per-chunk coincidence
-scan patches any zero-distance pair (self-target groups, coincident
-pads) to a zero kernel value (and zero force) exactly as it does for
-true coincidences, and the zero weight stored for every pad makes the
+rows and columns repeat real rows, so the plan's candidate coincident
+entries of a bucket cover its pads too (a pad pairs the same two rows
+as the real entry it repeats), and each chunk's coincidence rule
+patches any zero-distance pair (self-target groups, coincident pads)
+to a zero kernel value (and zero force) exactly as it does for true
+coincidences; the zero weight stored for every pad makes the
 non-coincident pads contribute an exact ``0.0`` to the GEMV.  Direct
 kinds therefore run through the same stacked passes as the far field.
 
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...kernels.base import JOINT_LIVE_ARRAYS, block_rows
+from ...kernels.base import JOINT_LIVE_ARRAYS, block_rows, candidate_rows
 from ...util import chunk_ranges
 from .groupeval import RunOperands
 
@@ -113,6 +115,7 @@ def eval_bucket(
     *,
     block_elements: int = BUCKET_BLOCK_ELEMENTS,
     workspace=None,
+    candidates: np.ndarray | None = None,
 ) -> None:
     """Evaluate one bucket and accumulate into ``out`` (and ``forces``).
 
@@ -131,10 +134,12 @@ def eval_bucket(
     derives from the chunk), so column ``j`` is bitwise the
     single-vector result on weight column ``j``.
 
-    Each chunk's coincident pairs are geometry too: the bucket keeps
-    them beside its stacks, so only the first execution on a geometry
-    scans for them.  ``workspace`` holds each chunk's kernel stacks
-    (see the module docstring).
+    ``candidates`` holds the candidate coincident entries of the
+    bucket's whole ``(G, m_max, k)`` stack (from
+    :meth:`~repro.core.plan.ExecutionPlan.layout_candidates`); each
+    chunk tests its own share, and without them each chunk is scanned,
+    to the same indices.  ``workspace`` holds each chunk's kernel
+    stacks (see the module docstring).
     """
     tgt, src = bucket.stacks(targets, src_points, dtype)
     w = bucket.weights
@@ -152,10 +157,11 @@ def eval_bucket(
             (n, m_max, 3, n_rhs) if multi else (n, m_max, 3), dtype=tgt.dtype
         )
     chunk = bucket_chunk(bucket, compute_forces, block_elements)
+    entry_size = m_max * bucket.k
     for lo, hi in chunk_ranges(n, chunk):
         phi[lo:hi] = kernel.potential_batched(
             tgt[lo:hi], src[lo:hi], w[lo:hi],
-            bucket.coincident_slot(dtype, lo, hi),
+            candidate_rows(candidates, lo, hi, n, entry_size),
             forces=None if f_stack is None else f_stack[lo:hi],
             workspace=workspace,
         )
@@ -180,6 +186,7 @@ def eval_ragged_runs(
     forces: np.ndarray | None,
     *,
     workspace=None,
+    candidates=None,
 ) -> None:
     """Per-group fallback for the runs the bucketing could not batch.
 
@@ -190,17 +197,19 @@ def eval_ragged_runs(
     approximation half went through a bucket is not double-counted.
     Pass pre-cast ``targets``/``src_points`` in ``arrays`` to keep the
     per-run casts zero-copy; ``workspace`` goes to every kernel call.
+    ``candidates[r]``, when given, holds the candidate coincident
+    entries of run ``r``'s ``(m, k)`` matrix.
     """
     if runs.size == 0:
         return
     group_ptr = arrays["group_ptr"]
     out_index = arrays["out_index"]
     operands = RunOperands(arrays, dtype)
-    for g, s_lo, s_hi in runs.tolist():
+    for r, (g, s_lo, s_hi) in enumerate(runs.tolist()):
         ops = operands(g, s_lo, s_hi)
         if ops is None:
             continue
-        tgt, src, q, coincident = ops
+        tgt, src, q = ops
         idx = out_index[int(group_ptr[g]):int(group_ptr[g + 1])]
         frc = (
             None if forces is None
@@ -208,7 +217,8 @@ def eval_ragged_runs(
         )
         out[idx] += kernel.potential(
             tgt, src, q, forces=frc, fused=operands.fused,
-            coincident=coincident, workspace=workspace,
+            coincident=None if candidates is None else candidates[r],
+            workspace=workspace,
         )
         if frc is not None:
             forces[idx] += frc

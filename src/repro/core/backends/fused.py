@@ -117,14 +117,20 @@ class FusedBackend(Backend):
                 backend=self.name,
             ) from exc
         workspace.reserve(layout_block_elements(layout, arrays, compute_forces))
-        for bucket in layout.buckets:
+        candidates = plan.layout_candidates(dtype)
+        for b, bucket in enumerate(layout.buckets):
             eval_bucket(
                 bucket, arrays["targets"], arrays["src_points"],
                 kernel, dtype, compute_forces, out, forces,
-                workspace=workspace,
+                workspace=workspace, candidates=candidates[b],
             )
+        n_buckets = len(layout.buckets)
         eval_ragged_runs(
             arrays, layout.ragged_runs, kernel, dtype, compute_forces,
             out, forces, workspace=workspace,
+            candidates=[
+                candidates[n_buckets + r]
+                for r in range(len(layout.ragged_runs))
+            ],
         )
         return out, forces

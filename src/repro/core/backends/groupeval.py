@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...kernels.base import block_rows
+from ...kernels.base import RadialKernel, block_rows
 from ..plan import MIRROR_SKIP
 
 __all__ = [
@@ -65,12 +65,10 @@ def plan_arrays(plan, *, cast_geometry=None) -> dict:
     ``cast_geometry`` is the evaluation dtype of an in-process
     execution: it swaps in the plan's dtype-keyed cast caches for the
     geometry-constant buffers (targets / source points), so
-    mixed-precision executions cast once per plan instead of per call,
-    and adds the plan's coincident-pair cache under ``"coincident"``,
-    so each block's noise-floor scan runs once per geometry instead of
-    once per apply.  Leave it None when shipping buffers elsewhere (the
-    multiprocessing backend's shard tasks): workers cast their own
-    shard slices and scan every block, which is elementwise-identical.
+    mixed-precision executions cast once per plan instead of per call.
+    Leave it None when shipping buffers elsewhere (the multiprocessing
+    backend's shard tasks): workers cast their own shard slices, which
+    is elementwise-identical.
     """
     arrays = {
         f: getattr(plan, f)
@@ -80,7 +78,6 @@ def plan_arrays(plan, *, cast_geometry=None) -> dict:
     if cast_geometry is not None:
         arrays["targets"] = plan.targets_as(cast_geometry)
         arrays["src_points"] = plan.src_points_as(cast_geometry)
-        arrays["coincident"] = plan.coincident_cache
     return arrays
 
 
@@ -90,8 +87,7 @@ class RunOperands:
     What :func:`eval_group_range` (whole groups) and the batched
     backend's ragged remainder (explicit segment runs) share: which r^2
     arithmetic the dtype gets, the once-per-execution cast of the source
-    buffers, and per (group, segments) the gathered rows plus the slot
-    the kernel keeps that block's coincident pairs in.
+    buffers, and per (group, segments) the gathered rows.
     """
 
     def __init__(self, arrays, dtype):
@@ -114,14 +110,11 @@ class RunOperands:
 
     def __call__(self, g: int, s_lo: int, s_hi: int):
         """Operands of group ``g`` against its segments ``[s_lo, s_hi)``."""
-        return self.gather(g, range(s_lo, s_hi), (s_lo, s_hi))
+        return self.gather(g, range(s_lo, s_hi))
 
-    def gather(self, g: int, segments, tag):
-        """``(targets, sources, weights, coincident)`` of group ``g``
-        against ``segments`` in that order; None when either side is
-        empty.  ``coincident`` is the dict ``Kernel.potential`` takes
-        (None without a plan-side cache, i.e. in pool workers), keyed by
-        ``tag``, which names the source set."""
+    def gather(self, g: int, segments):
+        """``(targets, sources, weights)`` of group ``g`` against
+        ``segments`` in that order; None when either side is empty."""
         arrays = self.arrays
         group_ptr = arrays["group_ptr"]
         t_lo, t_hi = int(group_ptr[g]), int(group_ptr[g + 1])
@@ -147,12 +140,7 @@ class RunOperands:
         tgt = np.ascontiguousarray(
             arrays["targets"][t_lo:t_hi], dtype=self.dtype
         )
-        cache = arrays.get("coincident")
-        coincident = (
-            None if cache is None
-            else cache.setdefault((self.dtype.str, self.fused, g) + tag, {})
-        )
-        return tgt, src, q, coincident
+        return tgt, src, q
 
 
 def group_block_elements(arrays, g_lo, g_hi) -> int:
@@ -202,6 +190,12 @@ def eval_group_range(
     pairwise matrix / radial factors once and contracts all columns
     against them -- this is where the per-group GEMV grows into a GEMM.
 
+    ``arrays["candidates"]``, when present, holds the candidate
+    coincident entries of every group's block
+    (:meth:`~repro.core.plan.ExecutionPlan.group_candidates`, in the
+    order this call gathers the group's sources); without it every
+    block is scanned, to the same indices.
+
     With a mirror schedule under ``arrays["mirrors"]`` (whole plans
     only: a mirrored block writes its partner's rows) a touched group
     evaluates its unmirrored segments in plan order and then its
@@ -218,6 +212,7 @@ def eval_group_range(
     seg_group_ptr = arrays["seg_group_ptr"]
     seg_ptr = arrays["seg_ptr"]
     mirrors = arrays.get("mirrors")
+    candidates = arrays.get("candidates")
     t_lo_all = int(group_ptr[g_lo])
     t_hi_all = int(group_ptr[g_hi])
     rows = t_hi_all - t_lo_all
@@ -240,10 +235,10 @@ def eval_group_range(
             ops, forward = operands(g, s_lo, s_hi), []
         else:
             own, forward = split
-            ops = operands.gather(g, own + forward, ("mutual",))
+            ops = operands.gather(g, own + forward)
         if ops is None:
             continue
-        tgt, src, q, coincident = ops
+        tgt, src, q = ops
         sizes = [int(seg_ptr[s + 1] - seg_ptr[s]) for s in forward]
         n_fwd = sum(sizes)
         mirror = None
@@ -257,7 +252,9 @@ def eval_group_range(
         kernel.potential(
             tgt, src, q, out=phi[rows_of(g)],
             forces=None if f_out is None else f_out[rows_of(g)],
-            fused=operands.fused, coincident=coincident, mirror=mirror,
+            fused=operands.fused,
+            coincident=None if candidates is None else candidates[g],
+            mirror=mirror,
             workspace=workspace,
         )
         c = 0
@@ -270,18 +267,24 @@ def eval_group_range(
     return t_lo_all, t_hi_all, phi, f_out
 
 
-def eval_plan(plan, kernel, dtype, compute_forces, workspace=None):
+def eval_plan(
+    plan, kernel, dtype, compute_forces, workspace=None, *, mirror=True
+):
     """In-process fused evaluation of a whole plan.
 
-    :func:`eval_group_range` over every group with the plan's cast and
-    coincidence caches, the execute's ``workspace`` and, for symmetric
-    kernels (``Kernel.symmetric``), its mirror schedule, so each
-    mirrored direct block is formed once.  Returns what
-    :func:`eval_group_range` does.
+    :func:`eval_group_range` over every group with the plan's cast
+    cache, the execute's ``workspace``, for symmetric kernels
+    (``Kernel.symmetric``) unless ``mirror`` is False its mirror
+    schedule, so each mirrored direct block is formed once, and for
+    radial kernels (the ones with a coincidence rule) its candidate
+    coincident entries.  Returns what :func:`eval_group_range` does.
     """
     arrays = plan_arrays(plan, cast_geometry=dtype)
-    if getattr(kernel, "symmetric", False):
-        arrays["mirrors"] = plan.mirror_schedule()
+    mirrors = None
+    if mirror and getattr(kernel, "symmetric", False):
+        mirrors = arrays["mirrors"] = plan.mirror_schedule()
+    if isinstance(kernel, RadialKernel):
+        arrays["candidates"] = plan.group_candidates(dtype, mirrors)
     return eval_group_range(
         arrays, kernel, dtype, compute_forces, 0, plan.n_groups, workspace
     )

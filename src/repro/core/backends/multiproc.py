@@ -64,7 +64,7 @@ import numpy as np
 
 from ...errors import WorkerCrashError
 from .base import Backend, accumulate_rows, start_execute
-from .groupeval import eval_group_range, plan_arrays
+from .groupeval import eval_group_range, eval_plan, plan_arrays
 
 __all__ = ["MultiprocessingBackend", "MIN_PARALLEL_ROWS"]
 
@@ -179,15 +179,16 @@ class MultiprocessingBackend(Backend):
                 plan, kernel, dtype, compute_forces, shards
             )
         else:
-            # cast_geometry: the plan's dtype-keyed cast caches
-            # (elementwise-identical values, so the bitwise contract
-            # with the sharded path holds either way); no mirror
-            # schedule, so the arithmetic is the shards'.  The workspace
-            # changes no bits, so the workers need none.
+            # The plan's cast caches and coincidence candidates
+            # (elementwise-identical values and the scan's indices, so
+            # the bitwise contract with the sharded path holds either
+            # way); no mirror schedule, so the arithmetic is the
+            # shards'.  The workspace changes no bits, so the workers
+            # need none.
             results = [
-                eval_group_range(
-                    plan_arrays(plan, cast_geometry=dtype), kernel, dtype,
-                    compute_forces, 0, plan.n_groups, workspace,
+                eval_plan(
+                    plan, kernel, dtype, compute_forces, workspace,
+                    mirror=False,
                 )
             ]
         for rows in results:

@@ -35,8 +35,8 @@ previous update failed midway and left the session stale.  Updaters
 are picklable session state; the traversal record they cache is
 dropped on pickle and rebuilt lazily at the next update.
 
-The fresh plan carries no batched layout, cast cache, coincident pairs
-or mirror schedule: the stacked path builds its
+The fresh plan carries no batched layout, cast cache, coincidence
+candidates or mirror schedule: the stacked path builds its
 :class:`~repro.core.plan.BatchedLayout` on the next execute
 (zero-weight-padded near-field buckets included, whose shapes may
 change when cluster populations shift), and the rest is derived on

@@ -186,9 +186,9 @@ patches the interaction lists incrementally, then compiles a fresh
 plan from them (:class:`~repro.core.dynamic.TreecodeGeometryUpdater`)
 -- so an updated plan is a cold compile of the session's state by
 construction.  Everything derived from a plan's geometry (the batched
-layout, the cast cache, the coincident pairs, the
-:class:`MirrorSchedule`) is built lazily on the new plan and dies with
-the old one.
+layout, the cast cache, the coincidence candidates of
+:mod:`repro.core.coincidence`, the :class:`MirrorSchedule`) is built
+lazily on the new plan and dies with the old one.
 
 Mirrored segments
 -----------------
@@ -204,12 +204,12 @@ built lazily on the first fused execution and is never pickled.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
+from ..util import concat_ranges
 from .bltc_keys import LOCAL, BLTCSources
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -271,6 +271,8 @@ class BatchedBucket:
     m_max: int
     #: (G,) plan group index of each entry (diagnostics/tests).
     groups: np.ndarray
+    #: (G, 2) ``[seg_lo, seg_hi)`` plan segments of each entry's run.
+    segments: np.ndarray
     #: (G, m_max) target-row gather matrix; padding repeats the entry's
     #: first row (excluded from the scatter, so never accumulated).
     tgt_index: np.ndarray
@@ -291,20 +293,15 @@ class BatchedBucket:
     src_valid: np.ndarray | None = None
     #: dtype-keyed cache of the gathered (targets, sources) stacks.
     _stacks: dict = field(default_factory=dict, repr=False)
-    #: (dtype, chunk)-keyed coincident pairs of the stacks, as the
-    #: kernel recorded them; see :meth:`coincident_slot`.
-    _coincident: dict = field(default_factory=dict, repr=False)
     #: cached flat source rows of the valid positions (padded buckets).
     _valid_rows: np.ndarray | None = field(default=None, repr=False)
 
     def __getstate__(self):
-        # The stack cache, the coincident pairs found on it and the
-        # valid-row gather are process-local (rebuilt on demand from
-        # the index matrices); shipping them would duplicate the
-        # geometry buffers in every pickle.
+        # The stack cache and the valid-row gather are process-local
+        # (rebuilt on demand from the index matrices); shipping them
+        # would duplicate the geometry buffers in every pickle.
         state = self.__dict__.copy()
         state["_stacks"] = {}
-        state["_coincident"] = {}
         state["_valid_rows"] = None
         return state
 
@@ -392,16 +389,6 @@ class BatchedBucket:
             )
             self._stacks[key] = cached
         return cached
-
-    def coincident_slot(self, dtype, lo: int, hi: int) -> dict:
-        """Where the kernel keeps the coincident pairs of stack entries
-        ``[lo, hi)`` (the ``coincident`` dict of ``potential_batched``,
-        with forces on or off).  The chunk is part of the key
-        because it sets the noise floor (potential and force chunks
-        differ in size, so they keep separate slots); it lives as long
-        as the stacks do.
-        """
-        return self._coincident.setdefault((np.dtype(dtype).str, lo, hi), {})
 
     def refresh_weights(self, src_weights: np.ndarray) -> None:
         """Re-gather this bucket's weight matrix from the flat buffer.
@@ -575,19 +562,16 @@ class ExecutionPlan:
     #: dtype-keyed cache of cast copies of the geometry-constant buffers
     #: (targets / src_points); see :meth:`targets_as`.
     _cast_cache: dict = field(default_factory=dict, repr=False)
-    #: Coincident target/source pairs of the blocks the in-process
-    #: per-group evaluation has met at the current geometry: ``(dtype,
-    #: fused r^2?, group, seg_lo, seg_hi)`` -- or ``(dtype, fused r^2?,
-    #: group, "mutual")`` for a group reordered by its mirror schedule --
-    #: -> the ``coincident`` dict of ``Kernel.potential`` / ``force``.
-    #: Filled by the first execution on a geometry (the scan costs ten
-    #: times a ``prepare()`` of the paper's test case, so not at compile
-    #: time) and emptied with the cast cache; the buckets hold their
-    #: own (see :meth:`coincident_nbytes`).
-    coincident_cache: dict = field(default_factory=dict, repr=False)
+    #: Candidate coincident entries of the blocks the plan evaluator
+    #: forms, per evaluation dtype: one
+    #: :class:`~repro.core.coincidence.BlockCandidates` for the
+    #: per-group path (see :meth:`group_candidates`) and one for the
+    #: batched layout (:meth:`layout_candidates`).  Derived by the first
+    #: execution on a geometry and dropped by pickling.
+    _candidates: dict = field(default_factory=dict, repr=False)
     #: The plan's :class:`MirrorSchedule`, or None until
     #: :meth:`mirror_schedule` derives it (first fused execution on a
-    #: geometry); dropped with the coincident pairs.
+    #: geometry); dropped with the candidates.
     _mirrors: "MirrorSchedule | None" = field(default=None, repr=False)
 
     def __getstate__(self):
@@ -595,11 +579,11 @@ class ExecutionPlan:
         # they would be stale-by-identity (no longer views of anything
         # shared) and they double the pickle size for no benefit.  They
         # repopulate lazily on the first mixed-precision execution, as
-        # the coincident pairs and the mirror schedule do on the first
+        # the candidates and the mirror schedule do on the first
         # execution of any kind.
         state = self.__dict__.copy()
         state["_cast_cache"] = {}
-        state["coincident_cache"] = {}
+        state["_candidates"] = {}
         state["_mirrors"] = None
         return state
 
@@ -679,19 +663,44 @@ class ExecutionPlan:
         return self._cast_geometry("src_points", self.src_points, dtype)
 
     def coincident_nbytes(self) -> int:
-        """Bytes of coincident-pair indices held for this geometry, the
-        plan's own and its buckets'."""
-        slots = list(self.coincident_cache.values())
-        if self.batched_layout is not None:
-            for bucket in self.batched_layout.buckets:
-                slots.extend(bucket._coincident.values())
-        return int(sum(idx.nbytes for slot in slots for idx in slot.values()))
+        """Bytes of candidate coincident entries held for this
+        geometry (:meth:`group_candidates`, :meth:`layout_candidates`)."""
+        return int(sum(c.nbytes for c in self._candidates.values()))
+
+    def group_candidates(self, dtype, mirrors: "MirrorSchedule | None"):
+        """Candidate coincident entries of every group's block on the
+        per-group path at ``dtype``, in plan order or, given the plan's
+        ``mirrors``, in its mirror order; derived on first use
+        (:func:`~repro.core.coincidence.group_candidates`)."""
+        from .coincidence import group_candidates
+
+        key = ("groups", np.dtype(dtype).str, mirrors is not None)
+        found = self._candidates.get(key)
+        if found is None:
+            found = group_candidates(self, dtype, mirrors)
+            self._candidates[key] = found
+        return found
+
+    def layout_candidates(self, dtype):
+        """Candidate coincident entries of every bucket stack and ragged
+        run of the batched layout at ``dtype``; derived on first use
+        (:func:`~repro.core.coincidence.layout_candidates`)."""
+        from .coincidence import layout_candidates
+
+        key = ("layout", np.dtype(dtype).str)
+        found = self._candidates.get(key)
+        if found is None:
+            found = layout_candidates(
+                self, self.ensure_batched_layout(), dtype
+            )
+            self._candidates[key] = found
+        return found
 
     def mirror_schedule(self) -> "MirrorSchedule":
         """The plan's :class:`MirrorSchedule`, deriving and caching it.
 
-        Geometry, like the coincident pairs: it is read off the
-        buffers on first use and dropped by pickling.
+        Geometry, like the candidates: it is read off the buffers on
+        first use and dropped by pickling.
         """
         if not self.has_numerics:
             raise ValueError("model-only plan has no mirror schedule")
@@ -836,13 +845,6 @@ def _kind_run_starts(seg_kind, seg_group_ptr) -> np.ndarray:
     return np.flatnonzero(opens)
 
 
-def _concat_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(l, l + c) for l, c in zip(lo, counts)])``
-    as one array pass."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(lo - offsets, counts) + np.arange(counts.sum())
-
-
 def _build_bucket(
     plan: ExecutionPlan, kind: str, entries, n_segments=0, rows_per_segment=0
 ) -> BatchedBucket:
@@ -872,9 +874,9 @@ def _build_bucket(
         flat_rows = tgt_index.reshape(-1)[scatter_pos]
     # Each entry's segments, then each segment's physical rows: the
     # valid source columns of the bucket in row-major order.
-    segs = _concat_ranges(s_lo, s_hi - s_lo)
+    segs = concat_ranges(s_lo, s_hi - s_lo)
     sizes = plan.seg_ptr[segs + 1] - plan.seg_ptr[segs]
-    src_rows = _concat_ranges(plan.seg_src_lo[segs], sizes)
+    src_rows = concat_ranges(plan.seg_src_lo[segs], sizes)
     if int(k_sizes.min()) == k_max:
         src_index = src_rows.reshape(n, k_max)
         src_valid = None
@@ -894,6 +896,7 @@ def _build_bucket(
         rows_per_segment=rows_per_segment,
         m_max=m_max,
         groups=np.ascontiguousarray(e[:, 2]),
+        segments=np.ascontiguousarray(e[:, 4:6]),
         tgt_index=tgt_index,
         src_index=src_index,
         out_slots=plan.out_index[flat_rows],
@@ -1080,41 +1083,71 @@ def build_mirror_schedule(plan: ExecutionPlan) -> MirrorSchedule:
     per direction.  No tree or driver knowledge enters: a plan whose
     targets are not its sources (disjoint targets, most LET and
     extension plans) gets an empty schedule.
+
+    Array passes: per distinct group size, the groups' target blocks
+    and the same-size source slots are matched by one ``np.unique`` over
+    the blocks' bytes; segment uses are counted by one ``np.unique``
+    over ``(group, slot)`` keys.
     """
-    n_groups = plan.n_groups
-    group_ptr = plan.group_ptr.tolist()
-    seg_lo = plan.seg_src_lo.tolist()
-    seg_rows = np.diff(plan.seg_ptr).tolist()
+    group_ptr, seg_lo = plan.group_ptr, plan.seg_src_lo
+    group_rows = np.diff(group_ptr)
+    seg_rows = np.diff(plan.seg_ptr)
     partner = np.full(plan.n_segments, MIRROR_NONE, dtype=np.intp)
-    self_lo = np.full(n_groups, -1, dtype=np.intp)
-    sizes = {group_ptr[g + 1] - group_ptr[g] for g in range(n_groups)}
-    sizes.discard(0)
-    slots: dict[bytes, list[int]] = {}
-    for lo, rows in set(zip(seg_lo, seg_rows)):
-        if rows in sizes:
-            key = plan.src_points[lo:lo + rows].tobytes()
-            slots.setdefault(key, []).append(lo)
-    groups: dict[bytes, list[int]] = {}
-    for g in range(n_groups):
-        if group_ptr[g + 1] > group_ptr[g]:
-            key = plan.targets[group_ptr[g]:group_ptr[g + 1]].tobytes()
-            if key in slots:
-                groups.setdefault(key, []).append(g)
-    for key, gs in groups.items():
-        if len(gs) == 1 and len(slots[key]) == 1:
-            self_lo[gs[0]] = slots[key][0]
-    sits_on = self_lo.tolist()
-    group_on = {lo: g for g, lo in enumerate(sits_on) if lo >= 0}
+    self_lo = np.full(plan.n_groups, -1, dtype=np.intp)
+    sized = np.flatnonzero(group_rows > 0)
+    live = np.isin(seg_rows, group_rows[sized])
+    stride = plan.source_buffer_rows + 1
+    slots = np.unique(seg_rows[live] * stride + seg_lo[live])
+    slot_rows = slots // stride
+    for rows in np.unique(slot_rows).tolist():
+        groups = sized[group_rows[sized] == rows]
+        slot_lo = slots[slot_rows == rows] - rows * stride
+        blocks = np.concatenate((
+            plan.targets[group_ptr[groups][:, None] + np.arange(rows)],
+            plan.src_points[slot_lo[:, None] + np.arange(rows)],
+        )).reshape(len(groups) + len(slot_lo), -1)
+        block_bytes = blocks.view(
+            np.dtype((np.void, blocks.shape[1] * blocks.itemsize))
+        )
+        _, key = np.unique(block_bytes.ravel(), return_inverse=True)
+        g_key, s_key = key[:len(groups)], key[len(groups):]
+        n_groups = np.bincount(g_key, minlength=key.max() + 1)
+        n_slots = np.bincount(s_key, minlength=key.max() + 1)
+        slot_of = np.full(n_groups.size, -1, dtype=np.intp)
+        slot_of[s_key] = slot_lo
+        one = (n_groups[g_key] == 1) & (n_slots[g_key] == 1)
+        self_lo[groups[one]] = slot_of[g_key[one]]
+    # The group sitting on each slot: one at most, since a slot's rows
+    # have one size and one byte string.
+    sitting = np.flatnonzero(self_lo >= 0)
+    if sitting.size == 0:
+        return MirrorSchedule(partner=partner, self_lo=self_lo)
+    by_lo = np.argsort(self_lo[sitting])
+    on_lo, on_group = self_lo[sitting][by_lo], sitting[by_lo]
     seg_group = np.repeat(
-        np.arange(n_groups), np.diff(plan.seg_group_ptr)
-    ).tolist()
-    uses = Counter(zip(seg_group, seg_lo))
-    for s, (a, lo) in enumerate(zip(seg_group, seg_lo)):
-        b = group_on.get(lo)
-        if b is None or b == a or sits_on[a] < 0:
-            continue
-        if uses[a, lo] == 1 and uses[b, sits_on[a]] == 1:
-            partner[s] = b if a < b else MIRROR_SKIP
+        np.arange(plan.n_groups), np.diff(plan.seg_group_ptr)
+    )
+    mirror_group = np.full(plan.n_segments, -1, dtype=np.intp)
+    at = np.minimum(np.searchsorted(on_lo, seg_lo), on_lo.size - 1)
+    found = on_lo[at] == seg_lo
+    mirror_group[found] = on_group[at[found]]
+    # Uses of each (group, slot) key, and of each segment's mirror key.
+    uses_keys, uses_of, uses = np.unique(
+        seg_group * stride + seg_lo, return_inverse=True, return_counts=True
+    )
+    mirror_key = mirror_group * stride + self_lo[seg_group]
+    at = np.minimum(np.searchsorted(uses_keys, mirror_key), uses_keys.size - 1)
+    mirror_uses = np.where(uses_keys[at] == mirror_key, uses[at], 0)
+    paired = (
+        (mirror_group >= 0)
+        & (mirror_group != seg_group)
+        & (self_lo[seg_group] >= 0)
+        & (uses[uses_of] == 1)
+        & (mirror_uses == 1)
+    )
+    partner[paired] = np.where(
+        seg_group < mirror_group, mirror_group, MIRROR_SKIP
+    )[paired]
     return MirrorSchedule(partner=partner, self_lo=self_lo)
 
 
@@ -1341,8 +1374,8 @@ def compile_plan(
         gather = block == local_direct
         sel = np.flatnonzero(gather)
         starts = tree.view().starts[nodes[sel]]
-        points[_concat_ranges(at[sel], rows[sel])] = tree.positions[
-            tree.perm[_concat_ranges(starts, rows[sel])]
+        points[concat_ranges(at[sel], rows[sel])] = tree.positions[
+            tree.perm[concat_ranges(starts, rows[sel])]
         ]
         for s in np.flatnonzero(~gather).tolist():
             j = int(block[s])
@@ -1353,7 +1386,7 @@ def compile_plan(
 
     batch_tree = batches.tree
     out_index = batch_tree.perm[
-        _concat_ranges(batch_tree.view().starts[batches.node_ids], sizes)
+        concat_ranges(batch_tree.view().starts[batches.node_ids], sizes)
     ]
     return assemble_plan(
         batches.n_targets, sizes, seg_group, seg_kind, ("approx", "direct"),

@@ -38,7 +38,8 @@ the pickle never ships worker pools or locks; the first post-unpickle
 apply re-resolves through the process-wide shared store in
 :mod:`repro.registry` (two restored sessions selecting
 ``"multiprocessing"`` therefore share one pool), and dropped caches
-(plan cast caches, bucket stacks, coincident pairs) repopulate lazily.
+(plan cast caches, bucket stacks, coincidence candidates) repopulate
+lazily.
 
 Fault tolerance: this fallback chain is the package's only recovery
 path.  A backend failure inside an apply -- a pool worker that died
@@ -629,12 +630,14 @@ class SessionCore:
         ``update_geometry``); ``batched_pad_bytes`` the padding
         overhead of the batched layout's zero-weight-padded buckets
         (pad index/weight slots, validity masks, scatter maps; 0 when
-        no layout is attached); ``coincident_cache_bytes`` the
-        coincident-pair indices the plan evaluator keeps
-        from its first apply on a geometry so later ones skip the
-        noise-floor scan (0 before that apply and again after
-        ``update_geometry``).  Read-only: accounting never resolves
-        the backend, so it cannot trigger a fallback.
+        no layout is attached); ``coincident_cache_bytes`` the candidate
+        coincident entries the plan evaluator derives by one neighbour
+        pass on its first apply on a geometry, one index array per
+        evaluated path and dtype, which each block's noise-floor test
+        is limited to (0 before that apply and again after
+        ``update_geometry``; see :mod:`repro.core.coincidence`).
+        Read-only: accounting never resolves the backend, so it cannot
+        trigger a fallback.
 
         The evaluation workspace of the plan evaluator is
         transient and not counted in ``total_bytes``: its buffers live

@@ -286,7 +286,9 @@ class DistributedBLTC:
                 dev = devices[r]
                 handle = comm.rank_handle(r)
                 comm_before = float(comm.clocks[r])
-                let, mac_evals = build_let(handle, batch_sets[r], params)
+                let, mac_evals = build_let(
+                    handle, batch_sets[r], params, numerics=numerics
+                )
                 comm_delta = float(comm.clocks[r]) - comm_before
                 lists = build_interaction_lists(
                     batch_sets[r], trees[r], params

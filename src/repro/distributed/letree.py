@@ -107,20 +107,22 @@ def build_let(
     pos_window: str = "srcpos",
     charge_window: str = "srcq",
     moments_window: str = "moments",
+    numerics: bool = True,
 ) -> tuple[LocallyEssentialTree, int]:
     """Construct this rank's LET over the simulated RMA windows.
 
     Returns ``(let, mac_evals)`` where ``mac_evals`` counts the host-side
     traversal work (for the setup-phase cost model).  Communication costs
     are charged to the origin's clock by the communicator.  Composed of
-    the geometry half (:func:`build_let_geometry`) plus one charge
-    re-ship (:func:`refresh_let_charges`): the per-get costs are
-    additive, so the composition charges exactly the bytes and ops of
-    the original interleaved construction.
+    the geometry half (:func:`build_let_geometry`, which skips the
+    Chebyshev grids with ``numerics=False``) plus one charge re-ship
+    (:func:`refresh_let_charges`): the per-get costs are additive, so
+    the composition charges exactly the bytes and ops of the original
+    interleaved construction.
     """
     let, mac_evals = build_let_geometry(
         handle, batches, params,
-        tree_window=tree_window, pos_window=pos_window,
+        tree_window=tree_window, pos_window=pos_window, numerics=numerics,
     )
     refresh_let_charges(
         handle, let,

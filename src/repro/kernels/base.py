@@ -48,7 +48,7 @@ import numpy as np
 from ..util import chunk_ranges
 from .workspace import take
 
-__all__ = ["Kernel", "RadialKernel", "block_rows"]
+__all__ = ["Kernel", "RadialKernel", "block_rows", "candidate_rows"]
 
 #: Default cap on the elements of one row block of :meth:`Kernel.potential`:
 #: 32 MB per ``(m, k)`` float64 array.  Live per block: r^2 (``r`` after
@@ -66,6 +66,17 @@ DEFAULT_BLOCK_ELEMENTS = 4_000_000
 #: Stacked chunks with forces divide their element budget by it, so the
 #: working set stays within the budget.
 JOINT_LIVE_ARRAYS = 4
+
+#: The coincidence rule, as one constant pair.  An entry of an r^2 block
+#: is coincident when it is at most ``NOISE_FLOOR_EPS * eps`` times the
+#: block's squared coordinate scale (:func:`_scan_coincident`).  A plan
+#: finds its candidates for such entries ahead of time, by one neighbour
+#: pass over pairs whose exact squared distance is at most
+#: ``CANDIDATE_EPS * eps`` times the plan's scale
+#: (:mod:`repro.core.coincidence`): the floor plus the expanded r^2's
+#: roundoff (about ``10 eps`` times the scale) stays well inside it.
+NOISE_FLOOR_EPS = 16.0
+CANDIDATE_EPS = 4.0 * NOISE_FLOOR_EPS
 
 
 def block_rows(k: int, block_elements: int = DEFAULT_BLOCK_ELEMENTS) -> int:
@@ -141,7 +152,7 @@ class Kernel(abc.ABC):
         out: np.ndarray | None = None,
         forces: np.ndarray | None = None,
         fused: bool = False,
-        coincident: dict | None = None,
+        coincident: np.ndarray | None = None,
         mirror: tuple | None = None,
         workspace=None,
     ) -> np.ndarray:
@@ -177,13 +188,15 @@ class Kernel(abc.ABC):
         bitwise what a single-vector call on ``charges[:, j]`` produces.
         Block boundaries never depend on ``n_rhs``.
 
-        ``coincident`` is for callers that evaluate the same
-        ``(targets, sources)`` geometry repeatedly: a dict the kernel
-        owns the contents of, mapping each row block ``(lo, hi)`` to the
-        flat indices of its coincident entries.  A block found there
-        skips the noise-floor scan, a block that is not is scanned and
-        recorded -- same values either way.  Kernels without a
-        coincidence scan ignore it.
+        ``coincident`` is for callers that know where coincident pairs
+        can be: the ascending flat (C-order) indices into the whole
+        ``(M, K)`` matrix of every entry that may lie at the noise
+        floor, a superset of those that do (a plan's candidates, see
+        :mod:`repro.core.coincidence`).  Each row block then tests only
+        its own candidates against its floor instead of scanning every
+        entry; the entries kept are exactly the scan's, so the values
+        are the same either way.  None scans.  Kernels without a
+        coincidence rule ignore it.
 
         ``mirror=(col0, charges_t, out_t, forces_t)`` (:attr:`symmetric`
         kernels) applies the trailing columns ``sources[col0:]`` back
@@ -227,8 +240,8 @@ class Kernel(abc.ABC):
         for lo, hi in chunk_ranges(m, block_rows(k, block_elements)):
             tgt = targets[lo:hi]
             g, f, scratch = self._block(
-                tgt, sources, fused, coincident, (lo, hi), workspace,
-                want_grad,
+                tgt, sources, fused, candidate_rows(coincident, lo, hi, m, k),
+                workspace, want_grad,
             )
             for q, phi, frc in cols:
                 phi[lo:hi] += g @ q
@@ -291,13 +304,13 @@ class Kernel(abc.ABC):
         return out
 
     def _block(
-        self, targets, sources, fused, coincident, key, workspace, want_grad
+        self, targets, sources, fused, candidates, workspace, want_grad
     ):
         """``(G, grad, scratch)`` of one block of :meth:`potential`.
 
-        The generic kernel has no fused arithmetic, coincidence scan or
-        workspace hooks, so ``fused`` / ``coincident`` / ``key`` /
-        ``workspace`` go unused; ``grad`` is the :meth:`pairwise_gradient`
+        The generic kernel has no fused arithmetic, coincidence rule or
+        workspace hooks, so ``fused`` / ``candidates`` / ``workspace``
+        go unused; ``grad`` is the :meth:`pairwise_gradient`
         tensor (None without ``want_grad``) and there is no scratch.
         :class:`RadialKernel` overrides the block routine and the two
         force contractions below.
@@ -355,8 +368,9 @@ class RadialKernel(Kernel):
     ``numpy`` backend runs.
 
     Every evaluation path classifies coincident pairs through one rule,
-    :func:`_scan_coincident`: ``r^2`` at or below ``16 eps`` times the
-    block's squared coordinate scale counts as ``r == 0``.
+    :func:`_scan_coincident`: ``r^2`` at or below
+    :data:`NOISE_FLOOR_EPS` ``* eps`` times the block's squared
+    coordinate scale counts as ``r == 0``.
 
     Domain: any pair above that floor is evaluated as it stands.  For
     the singular kernels the force factor ``g'(r)/r ~ r^-3`` leaves the
@@ -437,7 +451,7 @@ class RadialKernel(Kernel):
         # same values, several fewer O(M K) passes.
         return self._block(
             np.atleast_2d(targets), np.atleast_2d(sources),
-            False, None, None, None, False,
+            False, None, None, False,
         )[0]
 
     def pairwise_fused(
@@ -454,14 +468,14 @@ class RadialKernel(Kernel):
         """
         return self._block(
             np.atleast_2d(targets), np.atleast_2d(sources),
-            True, None, None, None, False,
+            True, None, None, False,
         )[0]
 
     def pairwise_batched(
         self,
         targets: np.ndarray,
         sources: np.ndarray,
-        coincident: dict | None = None,
+        coincident: np.ndarray | None = None,
         *,
         workspace=None,
     ) -> np.ndarray:
@@ -475,8 +489,7 @@ class RadialKernel(Kernel):
         one of its views, valid until the next call on that workspace.
         """
         return self._block(
-            targets, sources, True, coincident, (0, len(targets)),
-            workspace, False,
+            targets, sources, True, coincident, workspace, False
         )[0]
 
     def potential_batched(
@@ -484,7 +497,7 @@ class RadialKernel(Kernel):
         targets: np.ndarray,
         sources: np.ndarray,
         weights: np.ndarray,
-        coincident: dict | None = None,
+        coincident: np.ndarray | None = None,
         *,
         forces: np.ndarray | None = None,
         workspace=None,
@@ -497,7 +510,8 @@ class RadialKernel(Kernel):
         :meth:`evaluate_radial`) followed by one batched GEMV, instead
         of ``G`` Python-level kernel calls; values agree with the
         per-block reference to roundoff.  ``coincident`` is
-        :meth:`potential`'s, the whole stack being the block ``(0, G)``.
+        :meth:`potential`'s, its flat indices running over the whole
+        ``(G, m, k)`` stack.
 
         ``forces``, a ``(G, m, 3)`` / ``(G, m, 3, n_rhs)`` accumulator,
         switches on the stacked forces from the same factors.  With
@@ -522,8 +536,7 @@ class RadialKernel(Kernel):
         way.
         """
         g, f, scratch = self._block(
-            targets, sources, True, coincident, (0, len(targets)),
-            workspace, forces is not None,
+            targets, sources, True, coincident, workspace, forces is not None
         )
         phi = _gemv_stack(g, weights)
         if forces is not None:
@@ -557,18 +570,18 @@ class RadialKernel(Kernel):
         """:meth:`pairwise_gradient` from the fused block routine."""
         targets = np.atleast_2d(targets)
         sources = np.atleast_2d(sources)
-        f = self._block(targets, sources, True, None, None, None, True)[1]
+        f = self._block(targets, sources, True, None, None, True)[1]
         return f[..., None] * (targets[:, None, :] - sources[None, :, :])
 
     def _block(
-        self, targets, sources, fused, coincident, key, workspace, want_grad
+        self, targets, sources, fused, candidates, workspace, want_grad
     ):
         """``(g, g'/r, scratch)`` of one ``(..., m, k)`` block.
 
         One r^2 pass (``fused`` picks :meth:`_pairwise_r2_fused` or the
-        reference :meth:`_pairwise_r2`), its coincident entries scanned
-        at most once per ``coincident`` dict (under ``key``; every time
-        when there is none), one sqrt in place, one
+        reference :meth:`_pairwise_r2`), its coincident entries found by
+        :func:`_scan_coincident` (among ``candidates``, the block's
+        candidate flat indices, when given), one sqrt in place, one
         :meth:`evaluate_radial` (into the workspace's ``"g"`` / ``"f"``
         slots when there is one) and one coincidence patch of each
         factor (``evaluate_r0`` and zero force).  Without ``want_grad``
@@ -577,13 +590,7 @@ class RadialKernel(Kernel):
         contraction's scratch -- None if a factor aliases it.
         """
         r2_of = self._pairwise_r2_fused if fused else self._pairwise_r2
-        if coincident is None:
-            r, zero_idx = r2_of(targets, sources, None, workspace)
-        else:
-            r, zero_idx = r2_of(
-                targets, sources, coincident.get(key), workspace
-            )
-            coincident[key] = zero_idx
+        r, zero_idx = r2_of(targets, sources, candidates, workspace)
         r.put(zero_idx, 1.0)
         np.sqrt(r, out=r)
         g, f = self.evaluate_radial(
@@ -616,15 +623,14 @@ class RadialKernel(Kernel):
         self,
         targets: np.ndarray,
         sources: np.ndarray,
-        zero_idx=None,
+        candidates=None,
         workspace=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Squared distances and the coincident entries' flat indices.
 
-        The indices come from the noise-floor scan unless the caller
-        already holds them (``zero_idx``, from an earlier call on the
-        same coordinates), in which case they pass straight through.
-        With a ``workspace``, r^2 and its GEMM term live in its slots.
+        The indices are :func:`_scan_coincident`'s, tested among
+        ``candidates`` when the caller holds them.  With a
+        ``workspace``, r^2 and its GEMM term live in its slots.
         """
         t2 = np.einsum("md,md->m", targets, targets)
         s2 = np.einsum("kd,kd->k", sources, sources)
@@ -637,15 +643,13 @@ class RadialKernel(Kernel):
             targets, sources.T, out=take(workspace, "cross", shape, dtype)
         )
         r2 -= np.multiply(2.0, cross, out=cross)
-        if zero_idx is None:
-            zero_idx = _scan_coincident(r2, t2, s2)
-        return r2, zero_idx
+        return r2, _scan_coincident(r2, t2, s2, candidates)
 
     def _pairwise_r2_fused(
         self,
         targets: np.ndarray,
         sources: np.ndarray,
-        zero_idx=None,
+        candidates=None,
         workspace=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_pairwise_r2` without the O(M K) temporaries.
@@ -677,9 +681,7 @@ class RadialKernel(Kernel):
         )
         r2 += t2[..., :, None]
         r2 += s2[..., None, :]
-        if zero_idx is None:
-            zero_idx = _scan_coincident(r2, t2, s2)
-        return r2, zero_idx
+        return r2, _scan_coincident(r2, t2, s2, candidates)
 
 
 def _columns(charges, multi, *accumulators):
@@ -698,25 +700,34 @@ def _columns(charges, multi, *accumulators):
 
 
 def _scan_coincident(
-    r2: np.ndarray, t2: np.ndarray, s2: np.ndarray
+    r2: np.ndarray, t2: np.ndarray, s2: np.ndarray, candidates=None
 ) -> np.ndarray:
     """Flat (C-order) indices of the entries of ``r2`` at the noise floor.
 
-    ``t2`` / ``s2`` are the squared norms ``r2`` was expanded from; they
-    set the scale of its cancellation error.
+    The one coincidence rule.  ``t2`` / ``s2`` are the squared norms
+    ``r2`` was expanded from; they set the scale of its cancellation
+    error, and the floor is :data:`NOISE_FLOOR_EPS` ``* eps`` times it.
+    ``candidates``, ascending flat indices of a superset of the entries
+    at the floor, limits the test to them: same entries, same floor,
+    same comparison, so the same indices as the full scan.
     """
+    if candidates is not None and candidates.size == 0:
+        return candidates
     scale = float(t2.max(initial=0.0) + s2.max(initial=0.0))
-    noise_floor = 16.0 * np.finfo(r2.dtype).eps * max(scale, 1e-300)
-    if r2.ndim >= 3 and float(r2.min(initial=np.inf)) > noise_floor:
-        # Far-field stacked (batched) chunks have no pair at the
-        # coincidence floor: one min-reduce then replaces the bool
-        # materialization + index scan with an identical outcome
-        # (nothing found).  Near-field (direct) stacked chunks --
-        # self-target groups, coincident zero-weight pad rows -- fail
-        # the min test and take the full scan below, exactly like the
-        # 2-D blocks, whose groups routinely contain their own targets.
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(r2 <= noise_floor)
+    noise_floor = NOISE_FLOOR_EPS * np.finfo(r2.dtype).eps * max(scale, 1e-300)
+    if candidates is None:
+        return np.flatnonzero(r2 <= noise_floor)
+    return candidates[r2.take(candidates) <= noise_floor]
+
+
+def candidate_rows(candidates, lo, hi, m, k):
+    """The candidates of rows ``[lo, hi)`` of an ``(m, k)`` matrix,
+    re-based to that row block (None stays None).  A stack's entries
+    are its rows, ``m k`` elements long."""
+    if candidates is None or (lo == 0 and hi == m):
+        return candidates
+    a, b = np.searchsorted(candidates, (lo * k, hi * k))
+    return candidates[a:b] - lo * k
 
 
 def _gemv_stack(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:

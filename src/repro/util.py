@@ -15,6 +15,7 @@ __all__ = [
     "as_charge_block",
     "default_rng",
     "chunk_ranges",
+    "concat_ranges",
     "TINY",
 ]
 
@@ -92,3 +93,10 @@ def chunk_ranges(n: int, chunk: int):
         raise ValueError(f"chunk must be positive, got {chunk}")
     for start in range(0, n, chunk):
         yield start, min(start + chunk, n)
+
+
+def concat_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(l, l + c) for l, c in zip(lo, counts)])``
+    as one array pass."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(lo - offsets, counts) + np.arange(counts.sum())

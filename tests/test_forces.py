@@ -283,7 +283,8 @@ class TestJointPassMemory:
         peak = self._traced_peak(
             lambda: kernel.potential(
                 t, s, q, out=out, forces=forces, fused=True,
-                block_elements=budget, coincident={},
+                block_elements=budget,
+                coincident=np.arange(len(t)) * (len(s) + 1),
                 workspace=Workspace() if workspace else None,
             )
         )

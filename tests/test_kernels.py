@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.coincidence import neighbour_pairs
 from repro.kernels import (
     CoulombKernel,
     GaussianKernel,
@@ -611,37 +612,40 @@ class TestProperties:
             kernel.potential(t, s, q, fused=fused, **blocks),
             *_with_forces(kernel, t, s, q, fused=fused, **blocks),
         )
-        found: dict = {}
-        for _ in range(2):  # the first call records, the second is handed
-            recorded = {key: idx.copy() for key, idx in found.items()}
+        # A plan's candidates (the neighbour pass) and the trivial
+        # superset, every entry: each row block keeps the scan's entries.
+        ti, si = neighbour_pairs(t, s, np.float64)
+        on_top = np.argwhere((t[:, None] == s[None]).all(axis=-1))
+        assert set(map(tuple, on_top.tolist())) <= set(zip(ti, si))
+        for candidates in (ti * len(s) + si, np.arange(t.shape[0] * len(s))):
             supplied = (
                 kernel.potential(
-                    t, s, q, fused=fused, coincident=found, **blocks
+                    t, s, q, fused=fused, coincident=candidates, **blocks
                 ),
                 *_with_forces(
-                    kernel, t, s, q, fused=fused, coincident=found, **blocks
+                    kernel, t, s, q, fused=fused, coincident=candidates,
+                    **blocks,
                 ),
             )
             for got, want in zip(supplied, scanned):
                 np.testing.assert_array_equal(got, want)
-        assert recorded.keys() == found.keys()
-        assert all(np.array_equal(recorded[k], found[k]) for k in found)
-        # every moved target row coincides with at least one source
-        assert sum(idx.size for idx in found.values()) >= len(
-            {i for i, _ in dup}
-        )
 
-        # the stacked driver: one stack, one entry, shared
+        # the stacked driver: candidates over the whole stack
         ts, ss = np.stack([t, t[::-1]]), np.stack([s, s])
         w = np.stack([q, -q])
         mat = kernel.pairwise_batched(ts, ss)
         phi, frc = _stacked_with_forces(kernel, ts, ss, w)
-        slot: dict = {}
-        for _ in range(2):
+        entry = len(t) * len(s)
+        flipped = (len(t) - 1 - ti) * len(s) + si
+        for candidates in (
+            np.concatenate([ti * len(s) + si, entry + np.sort(flipped)]),
+            np.arange(2 * entry),
+        ):
             np.testing.assert_array_equal(
-                kernel.pairwise_batched(ts, ss, slot), mat
+                kernel.pairwise_batched(ts, ss, candidates), mat
             )
-            got_phi, got_frc = _stacked_with_forces(kernel, ts, ss, w, slot)
+            got_phi, got_frc = _stacked_with_forces(
+                kernel, ts, ss, w, candidates
+            )
             np.testing.assert_array_equal(got_phi, phi)
             np.testing.assert_array_equal(got_frc, frc)
-        assert list(slot) == [(0, 2)]

@@ -40,7 +40,7 @@ from e2e_workloads import WORKLOADS, Inputs  # noqa: E402
 from plan_factory import listed_plan  # noqa: E402
 
 BUCKET_ARRAYS = (
-    "groups", "tgt_index", "src_index", "out_slots", "scatter_pos",
+    "groups", "segments", "tgt_index", "src_index", "out_slots", "scatter_pos",
     "src_valid", "weights",
 )
 
@@ -111,6 +111,7 @@ def reference_bucket(plan, kind, entries, n_segments=0, rows_per_segment=0):
         rows_per_segment=rows_per_segment,
         m_max=m_max,
         groups=np.array([e[2] for e in entries], dtype=np.intp),
+        segments=np.array([e[4:6] for e in entries], dtype=np.intp),
         tgt_index=tgt_index,
         src_index=src_index,
         out_slots=np.ascontiguousarray(plan.out_index[flat_rows]),

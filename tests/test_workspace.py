@@ -33,6 +33,9 @@ from test_kernels import ALL_KERNELS, _stacked_with_forces, _with_forces
 M, K = 60, 90
 #: Six rows per block of a (M, K) evaluation: ten row blocks.
 BLOCK = 6 * K
+#: Every entry of a (M, K) block as a coincidence candidate: the
+#: candidate path through each row block, testing the whole block.
+EVERY_ENTRY = np.arange(M * K)
 
 
 def _same(a, b):
@@ -100,7 +103,8 @@ class TestEntryPointsBitwise:
             f_t = _zeros_if(forces, (K - col0, 3) + rhs, dtype)
             frc = _zeros_if(forces, (M, 3) + rhs, dtype)
             phi = kernel.potential(
-                t, s, q, block_elements=BLOCK, fused=fused, coincident={},
+                t, s, q, block_elements=BLOCK, fused=fused,
+                coincident=EVERY_ENTRY,
                 forces=frc,
                 mirror=(col0, q_t, out_t, f_t) if mirror else None,
                 workspace=ws,
@@ -120,7 +124,8 @@ class TestEntryPointsBitwise:
         def call(ws):
             frc = _zeros_if(forces, (4, 15, 3) + rhs, dtype)
             phi = kernel.potential_batched(
-                ts, ss, w, {}, forces=frc, workspace=ws
+                ts, ss, w, np.arange(4 * 15 * 20), forces=frc,
+                workspace=ws,
             )
             return _present(phi, frc)
 
