@@ -14,7 +14,11 @@ than a leaf, disjoint targets, a cloud far from the origin and pairs at
 0.5, 1, 2 and 4 times the floor distance; a theta = 1 case puts a
 target within the floor of an approximated cluster's Chebyshev point.
 The candidates are derived once per geometry, counted by
-``memory_stats()`` and dropped by pickling and by ``update_geometry``.
+``memory_stats()`` and dropped by pickling and by every tier of
+``update_geometry`` (a move onto a leaf mate, a structural update, a
+full rebuild); a warm apply is bitwise the first apply and a cold
+session's, on both paths and dtypes, with and without forces, for
+vectors and blocks, and on degenerate clouds.
 """
 
 import contextlib
@@ -36,8 +40,9 @@ from repro import (
     YukawaKernel,
     random_cube,
 )
-from repro.core.backends import batcheval, multiproc
+from repro.core.backends import batcheval, get_backend, multiproc
 from repro.core.session import format_memory_stats
+from repro.perf.timer import PhaseTimes
 from repro.workloads import ParticleSet
 
 PATHS = ("per-group", "stacked")
@@ -60,6 +65,31 @@ def _same(a, b) -> bool:
     if a.forces is None:
         return b.forces is None
     return np.array_equal(a.forces, b.forces)
+
+
+@pytest.fixture(scope="module")
+def cube():
+    return random_cube(600, seed=31)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts neighbour passes; ``passes()`` reads and resets."""
+    calls = []
+    real = coincidence.neighbour_pairs
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(coincidence, "neighbour_pairs", counting)
+
+    def take() -> int:
+        n = len(calls)
+        calls.clear()
+        return n
+
+    return take
 
 
 @contextlib.contextmanager
@@ -223,6 +253,199 @@ class TestKeptIsTheScan:
         assert np.isfinite(result.forces).all()
 
 
+class TestWarmEqualsFirstEqualsCold:
+    @pytest.mark.parametrize("n_rhs", (1, 4))
+    @pytest.mark.parametrize("forces", (False, True))
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    @pytest.mark.parametrize("backend", PATHS)
+    def test_bitwise(
+        self, backend, dtype, forces, n_rhs, cube, passes, use_backend
+    ):
+        rng = np.random.default_rng(5)
+        q = rng.uniform(-1.0, 1.0, (cube.n, n_rhs) if n_rhs > 1 else cube.n)
+        drv = _driver(use_backend(backend), dtype=dtype)
+        sess = drv.prepare(cube)
+        first = sess.apply(q, compute_forces=forces)
+        assert passes() == 1
+        with checked_blocks() as tally:
+            warm = sess.apply(q, compute_forces=forces)
+        assert passes() == 0
+        assert tally["scanned"] == 0
+        cold = drv.prepare(cube).apply(q, compute_forces=forces)
+        assert _same(warm, first)
+        assert _same(warm, cold)
+
+    @pytest.mark.parametrize("backend", PATHS)
+    def test_force_pass_shares_the_potential_pass_entries(
+        self, backend, cube, passes, use_backend
+    ):
+        # Candidates are keyed by dtype alone: the force kernels meet
+        # the blocks the potential pass derived candidates for.
+        drv = _driver(use_backend(backend))
+        sess = drv.prepare(cube)
+        sess.apply(cube.charges)
+        assert passes() == 1
+        held = sess.memory_stats()["coincident_cache_bytes"]
+        first = sess.apply(cube.charges, compute_forces=True)
+        assert passes() == 0
+        warm = sess.apply(cube.charges, compute_forces=True)
+        assert passes() == 0
+        assert sess.memory_stats()["coincident_cache_bytes"] == held
+        cold = drv.prepare(cube).apply(cube.charges, compute_forces=True)
+        assert _same(warm, first) and _same(warm, cold)
+
+    @pytest.mark.parametrize("reference", ("numpy",))
+    @pytest.mark.parametrize("backend", PATHS)
+    def test_scanning_backends_agree_to_roundoff(
+        self, backend, reference, cube, use_backend
+    ):
+        # numpy (reference order) scans every block on every apply; it
+        # classifies the same pairs the candidates keep.
+        sess = _driver(use_backend(backend)).prepare(cube)
+        sess.apply(cube.charges, compute_forces=True)
+        warm = sess.apply(cube.charges, compute_forces=True)
+        ref = _driver(reference).prepare(cube).apply(
+            cube.charges, compute_forces=True
+        )
+        assert np.allclose(
+            warm.potential, ref.potential, rtol=1e-9, atol=1e-12
+        )
+        assert np.allclose(warm.forces, ref.forces, rtol=1e-8, atol=1e-10)
+
+
+def _with_duplicates(rng):
+    pos = rng.uniform(-1.0, 1.0, (300, 3))
+    pos[10] = pos[200]
+    pos[11] = pos[12]
+    return pos, None
+
+
+def _identical_cluster(rng):
+    pos = rng.uniform(-1.0, 1.0, (300, 3))
+    pos[40:100] = pos[40]  # more than one leaf's worth of one point
+    return pos, None
+
+
+def _fewer_than_a_leaf(rng):
+    return rng.uniform(-1.0, 1.0, (20, 3)), None
+
+
+def _disjoint_targets(rng):
+    # Targets offset from every source: not one coincident pair.
+    pos = rng.uniform(-1.0, 1.0, (300, 3))
+    return pos, rng.uniform(-1.0, 1.0, (150, 3)) + 0.25
+
+
+class TestDegenerateClouds:
+    @pytest.mark.parametrize(
+        "cloud",
+        (
+            _with_duplicates,
+            _identical_cluster,
+            _fewer_than_a_leaf,
+            _disjoint_targets,
+        ),
+    )
+    @pytest.mark.parametrize("backend", PATHS)
+    def test_second_apply_never_scans(
+        self, backend, cloud, passes, use_backend
+    ):
+        rng = np.random.default_rng(8)
+        pos, targets = cloud(rng)
+        q = rng.uniform(-1.0, 1.0, len(pos))
+        particles = ParticleSet(pos, q)
+        drv = _driver(use_backend(backend))
+        sess = drv.prepare(particles, targets)
+        with checked_blocks() as tally:
+            first = sess.apply(q, compute_forces=True)
+            assert passes() == 1
+            warm = sess.apply(q, compute_forces=True)
+            assert passes() == 0  # an empty result is a result
+        assert tally["scanned"] == 0
+        cold = drv.prepare(particles, targets).apply(q, compute_forces=True)
+        assert np.isfinite(warm.potential).all()
+        assert _same(warm, first) and _same(warm, cold)
+
+    def test_pair_count(self, use_backend):
+        # The per-group path evaluates each target against its direct
+        # range once, and the pass finds only the exact duplicates in a
+        # random cloud: one candidate per coincident (target, source).
+        rng = np.random.default_rng(9)
+        pos, _ = _with_duplicates(rng)
+        sess = _driver(use_backend("per-group")).prepare(
+            ParticleSet(pos, np.zeros(len(pos)))
+        )
+        with checked_blocks() as tally:
+            sess.apply(np.ones(len(pos)))
+        (held,) = sess.plan._candidates.values()
+        assert held.flat.size == len(pos) + 2 * 2
+        assert tally["found"] == len(pos) + 2 * 2
+
+    def test_no_pairs_costs_no_bytes(self, use_backend):
+        # No candidate index is held; only each block's (empty) range.
+        rng = np.random.default_rng(10)
+        pos, targets = _disjoint_targets(rng)
+        sess = _driver(use_backend("per-group")).prepare(
+            ParticleSet(pos, np.zeros(len(pos))), targets
+        )
+        sess.apply(np.ones(len(pos)))
+        (held,) = sess.plan._candidates.values()  # the empty find is held
+        assert held.flat.nbytes == 0
+        assert sess.memory_stats()["coincident_cache_bytes"] == (
+            held.ptr.nbytes
+        )
+
+
+class TestOneSessionManyEvaluations:
+    def test_path_switch_per_group_stacked_per_group(
+        self, cube, passes, use_backend
+    ):
+        q = cube.charges
+        sess = _driver(use_backend("per-group")).prepare(cube)
+        first = sess.apply(q)
+        assert passes() == 1
+        held = sess.memory_stats()["coincident_cache_bytes"]
+        # The per-apply override on the same plan, the other path: the
+        # layout keeps its own candidates beside the per-group ones.
+        stacked = get_backend(use_backend("stacked"))
+        overridden, _ = sess.core.execute_plan(
+            q, PhaseTimes(), backend=stacked
+        )
+        assert passes() == 1  # the layout had no candidates yet
+        both = sess.memory_stats()["coincident_cache_bytes"]
+        again, _ = sess.core.execute_plan(q, PhaseTimes(), backend=stacked)
+        assert passes() == 0
+        use_backend("per-group")
+        back = sess.apply(q)
+        assert passes() == 0
+        assert both > held > 0
+        assert sess.memory_stats()["coincident_cache_bytes"] == both
+        use_backend("stacked")
+        cold_stacked = _driver("fused").prepare(cube).apply(q)
+        assert np.array_equal(overridden, cold_stacked.potential)
+        assert np.array_equal(again, cold_stacked.potential)
+        assert np.array_equal(back.potential, first.potential)
+
+    @pytest.mark.parametrize("backend", PATHS)
+    def test_pickle_drops_and_repopulates(
+        self, backend, cube, passes, use_backend
+    ):
+        live = _driver(use_backend(backend)).prepare(cube)
+        first = live.apply(cube.charges)
+        held = live.memory_stats()["coincident_cache_bytes"]
+        assert held > 0
+        restored = pickle.loads(pickle.dumps(live))
+        assert restored.memory_stats()["coincident_cache_bytes"] == 0
+        assert live.memory_stats()["coincident_cache_bytes"] == held
+        passes()
+        again = restored.apply(cube.charges)
+        assert passes() == 1
+        assert restored.memory_stats()["coincident_cache_bytes"] == held
+        assert _same(again, first)
+        assert _same(restored.apply(cube.charges), first)
+        assert passes() == 0
+
+
 class TestOncePerGeometry:
     @pytest.mark.parametrize("path", PATHS)
     def test_derived_by_the_first_apply_only(
@@ -249,22 +472,6 @@ class TestOncePerGeometry:
             cold = drv.prepare(cube).apply(cube.charges, compute_forces=True)
         assert _same(warm, first) and _same(warm, cold)
 
-    def test_path_switch_keeps_one_set_per_path(self, evaluator_path):
-        cube = random_cube(400, seed=5)
-        with evaluator_path("per-group") as backend:
-            sess = _driver(backend).prepare(cube)
-            first = sess.apply(cube.charges)
-            held = sess.memory_stats()["coincident_cache_bytes"]
-        with evaluator_path("stacked"):
-            stacked = sess.apply(cube.charges)
-            both = sess.memory_stats()["coincident_cache_bytes"]
-            cold = _driver("fused").prepare(cube).apply(cube.charges)
-        with evaluator_path("per-group"):
-            back = sess.apply(cube.charges)
-        assert both > held > 0
-        assert sess.memory_stats()["coincident_cache_bytes"] == both
-        assert _same(stacked, cold) and _same(back, first)
-
 
 class TestMemoryStats:
     @pytest.mark.parametrize("path", PATHS)
@@ -290,19 +497,6 @@ class TestMemoryStats:
             sess.update_geometry(moved)
             assert sess.memory_stats()["coincident_cache_bytes"] == 0
 
-    @pytest.mark.parametrize("path", PATHS)
-    def test_pickle_drops_and_repopulates(self, path, evaluator_path):
-        cube = random_cube(400, seed=5)
-        with evaluator_path(path) as backend:
-            live = _driver(backend).prepare(cube)
-            first = live.apply(cube.charges)
-            held = live.memory_stats()["coincident_cache_bytes"]
-            restored = pickle.loads(pickle.dumps(live))
-            assert restored.memory_stats()["coincident_cache_bytes"] == 0
-            assert live.memory_stats()["coincident_cache_bytes"] == held
-            assert _same(restored.apply(cube.charges), first)
-            assert restored.memory_stats()["coincident_cache_bytes"] == held
-
     def test_scanning_backends_hold_nothing(self, monkeypatch):
         # The numpy reference, and pool workers (a plan this size is
         # sharded once its cut is lowered), scan every block.
@@ -316,35 +510,66 @@ class TestMemoryStats:
             assert tally["matrix"] + tally["stacked"] == 0
 
 
+def _leaf_mates(sess):
+    """``(i, j, k)``: particles i, j share a leaf, k sits in another."""
+    leaf_map = sess.tree.leaf_map()
+    members = np.nonzero(leaf_map == leaf_map[0])[0]
+    other = np.nonzero(leaf_map != leaf_map[0])[0]
+    return int(members[0]), int(members[1]), int(other[0])
+
+
+#: update tier -> (rebuild_threshold, move onto a leaf mate?): a move
+#: onto a leaf mate changes no group's segments or row counts.
+TIERS = {
+    "leaf-mate": (1.0, True),
+    "structural": (1.0, False),
+    "rebuild": (0.0, False),
+}
+
+
 class TestInvalidation:
     """A pair that appears or vanishes under ``update_geometry`` must be
     found on the new geometry: stale candidates would leave a 1/0 in,
     or a real neighbour out, and either breaks bitwise equality with a
     cold prepare."""
 
-    @pytest.mark.parametrize("rebuild", (False, True))
-    @pytest.mark.parametrize("path", PATHS)
-    def test_pair_appears_then_vanishes(self, path, rebuild, evaluator_path):
+    @pytest.mark.parametrize("forces", (False, True))
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("backend", PATHS)
+    def test_pair_appears_then_vanishes(
+        self, backend, tier, forces, use_backend
+    ):
         cube = random_cube(400, seed=5)
+        threshold, same_leaf = TIERS[tier]
+        drv = _driver(use_backend(backend), rebuild_threshold=threshold)
         q = cube.charges
-        with evaluator_path(path) as backend:
-            drv = _driver(backend, rebuild_threshold=0.0 if rebuild else 1.0)
-            sess = drv.prepare(cube)
-            sess.apply(q, compute_forces=True)
-            found = []
-            for moved in (0, 1):
-                positions = cube.positions.copy()
-                if not moved:
-                    positions[3] = positions[250]
-                result = sess.update_geometry(positions)
-                assert result.rebuilt == rebuild
-                assert sess.memory_stats()["coincident_cache_bytes"] == 0
-                with checked_blocks() as tally:
-                    warm = sess.apply(q, compute_forces=True)
-                found.append(tally["found"])
-                cold = drv.prepare(ParticleSet(positions, q)).apply(
-                    q, compute_forces=True
-                )
-                assert np.isfinite(warm.potential).all()
-                assert _same(warm, cold)
-        assert found[0] > found[1]
+        sess = drv.prepare(cube)
+        sess.apply(q, compute_forces=forces)
+        i, mate, stranger = _leaf_mates(sess)
+        onto = mate if same_leaf else stranger
+
+        def check(result, positions):
+            assert result.rebuilt == (tier == "rebuild")
+            assert (result.n_patched_groups > 0) == (tier == "structural")
+            assert sess.memory_stats()["coincident_cache_bytes"] == 0
+            with checked_blocks() as tally:
+                warm = sess.apply(q, compute_forces=forces)
+            assert tally["scanned"] == 0
+            cold = drv.prepare(ParticleSet(positions, q)).apply(
+                q, compute_forces=forces
+            )
+            assert np.isfinite(warm.potential).all()
+            assert _same(warm, cold)
+            assert _same(sess.apply(q, compute_forces=forces), cold)
+            return tally["found"]
+
+        together = cube.positions.copy()
+        together[i] = together[onto]
+        found_together = check(sess.update_geometry(together), together)
+        pairs_together = sess.memory_stats()["coincident_cache_bytes"]
+        apart = together.copy()
+        apart[i] = cube.positions[i]
+        found_apart = check(sess.update_geometry(apart), apart)
+        pairs_apart = sess.memory_stats()["coincident_cache_bytes"]
+        assert found_together > found_apart
+        assert pairs_together > pairs_apart
