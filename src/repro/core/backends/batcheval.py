@@ -129,7 +129,8 @@ def eval_bucket(
     Multi-RHS: a ``(G, k, n_rhs)`` bucket weight matrix hoists each
     chunk's kernel-matrix stack (and, with forces, its radial factors)
     once and re-contracts it per column with the identical
-    single-column contractions on a contiguous column copy.  Chunk
+    single-column contractions on a contiguous column (the matrix is
+    RHS-major, so no copy).  Chunk
     boundaries never depend on ``n_rhs`` (the coincidence noise floor
     derives from the chunk), so column ``j`` is bitwise the
     single-vector result on weight column ``j``.

@@ -105,8 +105,10 @@ class RunOperands:
         # layout's physical rows are scattered through ``seg_src_lo``
         # aliases (and already de-duplicated), so the cast covers the
         # full -- compact -- buffers.
+        # Weights stay RHS-major (see ``weight_buffer``): every column
+        # of ``q_all`` and of its gathers is contiguous.
         self.src_all = np.ascontiguousarray(arrays["src_points"], dtype=dtype)
-        self.q_all = np.ascontiguousarray(arrays["src_weights"], dtype=dtype)
+        self.q_all = np.asarray(arrays["src_weights"], dtype=dtype, order="F")
 
     def __call__(self, g: int, s_lo: int, s_hi: int):
         """Operands of group ``g`` against its segments ``[s_lo, s_hi)``."""
@@ -136,7 +138,9 @@ class RunOperands:
             src, q = self.src_all[lo:hi], self.q_all[lo:hi]
         else:
             src = np.concatenate([self.src_all[lo:hi] for lo, hi in slices])
-            q = np.concatenate([self.q_all[lo:hi] for lo, hi in slices])
+            q = np.concatenate(
+                [self.q_all[lo:hi].T for lo, hi in slices], axis=-1
+            ).T
         tgt = np.ascontiguousarray(
             arrays["targets"][t_lo:t_hi], dtype=self.dtype
         )
@@ -187,8 +191,11 @@ def eval_group_range(
 
     A 2-D weight buffer widens ``phi`` to ``(rows, n_rhs)`` and
     ``forces`` to ``(rows, 3, n_rhs)``: the kernel hoists each group's
-    pairwise matrix / radial factors once and contracts all columns
-    against them -- this is where the per-group GEMV grows into a GEMM.
+    pairwise matrix / radial factors once and then runs one GEMV per
+    column, on purpose -- a GEMM over the columns could change the
+    summation order with ``n_rhs`` and so break column ``j`` ≡ a solo
+    apply.  The weights are RHS-major, so each GEMV reads its column
+    without a copy.
 
     ``arrays["candidates"]``, when present, holds the candidate
     coincident entries of every group's block

@@ -87,7 +87,10 @@ would store.  Only the weight state (plus the batched buckets' gathered
 ``weights``) widens; geometry stays single-copy, so memory grows by
 ``n_rhs - 1`` extra weight buffers while one traversal's gather serves
 every column.  :meth:`ExecutionPlan.refresh_weights` re-allocates on a
-width change and rewrites in place otherwise.
+width change and rewrites in place otherwise.  Multi-RHS weight buffers
+are RHS-major (:func:`weight_buffer`): each column ``[..., j]`` is
+contiguous, so the per-column GEMVs that keep column ``j`` bitwise a
+solo apply's read it without a copy.
 
 Batched (shape-bucketed) execution layout
 -----------------------------------------
@@ -228,6 +231,7 @@ __all__ = [
     "build_batched_layout",
     "build_mirror_schedule",
     "compile_plan",
+    "weight_buffer",
 ]
 
 #: Maximum fraction of a bucket's padded target rows allowed to be
@@ -243,6 +247,19 @@ BATCHED_MIN_GROUPS = 2
 #: combined); the greedy slab partition of the ragged pool closes a
 #: bucket rather than exceed it.  Mirrors the 25% target-padding rule.
 BATCHED_MAX_SOURCE_PADDING_WASTE = 0.25
+
+
+def weight_buffer(rows_shape: tuple, like: np.ndarray) -> np.ndarray:
+    """Zeros of shape ``rows_shape`` plus ``like``'s RHS axis, if any.
+
+    With an RHS axis the buffer is RHS-major: every column ``[..., j]``
+    is one contiguous block, so the per-column GEMVs read it without a
+    copy.  The values written are those of a row-major buffer.
+    """
+    if like.ndim == 1:
+        return np.zeros(rows_shape, dtype=np.float64)
+    buf = np.zeros((like.shape[-1],) + tuple(rows_shape), dtype=np.float64)
+    return np.moveaxis(buf, 0, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,18 +421,14 @@ class BatchedBucket:
         repeated source points contribute exactly ``0.0`` to every
         stacked GEMM, across any sequence of refreshes.
         """
-        if self.src_valid is None:
-            gathered = src_weights[self.src_index]
-            if gathered.shape == self.weights.shape:
-                self.weights[...] = gathered
-            else:
-                object.__setattr__(self, "weights", gathered)
-            return
         shape = self.src_index.shape + src_weights.shape[1:]
         if self.weights.shape != shape:
             object.__setattr__(
-                self, "weights", np.zeros(shape, dtype=np.float64)
+                self, "weights", weight_buffer(self.src_index.shape, src_weights)
             )
+        if self.src_valid is None:
+            self.weights[...] = src_weights[self.src_index]
+            return
         rows = self._valid_rows
         if rows is None:
             rows = self.src_index[self.src_valid]
@@ -783,7 +796,7 @@ class ExecutionPlan:
                 rows = w.shape[0]
                 shape = (rows,) if width is None else (rows, width)
                 if w.shape != shape:
-                    w = np.zeros(shape, dtype=np.float64)
+                    w = weight_buffer((rows,), arr)
                     object.__setattr__(self, "src_weights", w)
             elif slot_width != width:
                 raise ValueError(
@@ -880,15 +893,14 @@ def _build_bucket(
     if int(k_sizes.min()) == k_max:
         src_index = src_rows.reshape(n, k_max)
         src_valid = None
-        weights = plan.src_weights[src_index]
+        weights = weight_buffer(src_index.shape, plan.src_weights)
+        weights[...] = plan.src_weights[src_index]
     else:
         src_valid = np.arange(k_max) < k_sizes[:, None]
         src_index = np.empty((n, k_max), dtype=np.intp)
         src_index[src_valid] = src_rows
         src_index[~src_valid] = np.repeat(src_index[:, 0], k_max - k_sizes)
-        weights = np.zeros(
-            src_index.shape + plan.src_weights.shape[1:], dtype=np.float64
-        )
+        weights = weight_buffer(src_index.shape, plan.src_weights)
         weights[src_valid] = plan.src_weights[src_rows]
     return BatchedBucket(
         kind=kind,

@@ -184,8 +184,9 @@ class Kernel(abc.ABC):
         potentials (and ``(M, 3, n_rhs)`` forces).  Each block's factors
         -- the expensive part -- are formed once and re-contracted
         against every column with the exact single-vector contractions
-        on a contiguous column copy, so column ``j`` of the result is
-        bitwise what a single-vector call on ``charges[:, j]`` produces.
+        on a contiguous column (:func:`_columns`), so column ``j`` of
+        the result is bitwise what a single-vector call on
+        ``charges[:, j]`` produces.
         Block boundaries never depend on ``n_rhs``.
 
         ``coincident`` is for callers that know where coincident pairs
@@ -529,7 +530,7 @@ class RadialKernel(Kernel):
 
         Multi-RHS (``weights`` shaped ``(G, k, n_rhs)``): the factors are
         formed once and every column runs the identical single-vector
-        contractions on a contiguous column copy, so column ``j`` is
+        contractions on a contiguous column, so column ``j`` is
         bitwise the single-vector result on ``weights[..., j]``.
         ``workspace`` holds the block's stacks (see the module
         docstring); the returned potentials are a fresh array either
@@ -686,8 +687,9 @@ class RadialKernel(Kernel):
 
 def _columns(charges, multi, *accumulators):
     """``(charges, *accumulators)`` per RHS column: the arrays themselves
-    for one column, else a contiguous copy of each charge column (the
-    last axis) with the accumulators' matching strided views."""
+    for one column, else each charge column (the last axis) as a
+    contiguous array -- a view of RHS-major charges, a copy otherwise --
+    with the accumulators' matching strided views."""
     if not multi:
         return ((charges, *accumulators),)
     return [
@@ -732,7 +734,8 @@ def candidate_rows(candidates, lo, hi, m, k):
 
 def _gemv_stack(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``mat[b] @ weights[b]`` over a ``(G, m, k)`` stack; a trailing RHS
-    axis on ``weights`` runs the same GEMV per contiguous column."""
+    axis on ``weights`` runs the same GEMV per contiguous column (a view
+    of RHS-major weights, a copy otherwise)."""
     if weights.ndim == mat.ndim:
         return np.stack(
             [
