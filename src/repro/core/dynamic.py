@@ -245,8 +245,9 @@ class TreecodeGeometryUpdater:
                 n_rebinned=n_rebinned, rebinned_fraction=frac,
             )
 
-        # -- moments: rebuild grids/basis only where the cluster's box,
-        # membership or any member coordinate changed.
+        # -- moments: rebuild grids only where the cluster's box,
+        # membership or any member coordinate changed (the upward pass's
+        # state is rebuilt whole).
         dirty_nodes = res_s.box_changed | res_s.members_dirty
         moved = np.any(old_src != new_src, axis=1)
         # Prefix sum over the permuted moved mask: a node is dirty iff
@@ -315,14 +316,12 @@ class TreecodeGeometryUpdater:
         n_rebinned=0, rebinned_fraction=0.0,
     ) -> GeometryUpdateResult:
         geometry = core.geometry
-        moments = geometry.moments
-        cache_basis = bool(moments.basis) or not moments.grids
         target_pos = (
             geometry.batches.positions if new_tgt is None else new_tgt
         )
         core.geometry = self.driver._build_geometry_state(
             new_src, target_pos, core.device, phases,
-            numerics=geometry.plan.has_numerics, cache_basis=cache_basis,
+            numerics=geometry.plan.has_numerics,
         )
         core.device.upload(new_src.nbytes, label="source data")
         phases.setup += core.device.take_phase()

@@ -8,32 +8,67 @@ charge at Chebyshev grid point ``s_k`` (k a 3D multi-index) is
 Each ``qhat_k`` is independent of the targets, so it is computed once per
 cluster and reused by every batch that approximates the cluster.
 
+Upward pass
+-----------
+Running eq. 12 from scratch for every cluster contracts each particle
+once per qualifying ancestor.  The numerics run the exact upward (M2M)
+step of the black-box FMM instead (Fong & Darve 2009, J. Comput. Phys.
+228:8712): a parent's degree-n Lagrange basis is a degree-n polynomial
+in each dimension, so a child's degree-n interpolant reproduces it and
+
+    qhat^P = sum_C (A_x (x) A_y (x) A_z) qhat^C,   A_d[k, i] = L^P_k(s^C_d,i)
+
+over the children C that *transfer*: those that carry moments
+themselves, under a parent that does, with neither box degenerate (a
+dimension whose 1-D Chebyshev nodes coincide, e.g. a planar set, where
+the child's interpolant cannot reproduce the parent's basis).
+
+* Particle stage.  Every cluster contracts eq. 12 over the particles no
+  transferring child holds: all of a leaf's, and those of its
+  non-qualifying or degenerate children.  Without degenerate boxes each
+  particle is contracted once, onto the lowest cluster holding it.  The
+  cached state is those clusters' 1-D bases at their particles; per
+  charge column the contraction is one GEMM, ``(lx * q) @ (ly . lz)^T``,
+  with the Khatri-Rao product ``ly . lz`` formed per apply.
+* Transfer stage.  One step per tree level, bottom-up, over all of the
+  level's child -> parent edges at once, as fixed-order elementwise sums
+  with the ``(n+1) x (n+1)`` matrices ``A_d``; each parent's children
+  are summed in edge order and the sum added in.
+
+No operation mixes charge columns, so column ``j`` of a block is bitwise
+a single-column pass.  Against eq. 12 evaluated per cluster
+(:func:`modified_charges`) the result agrees to roundoff -- a few 1e-15
+relative on the benchmark workloads.  The agreement loosens as
+``n^2 eps |c| / w`` on clusters of width ``w`` at distance ``|c|`` from
+the origin: the barycentric weights belong to the exact Chebyshev
+points, not to their rounded coordinates, so on such thin boxes
+neither form is exactly polynomial.
+
 GPU kernel correspondence
 -------------------------
-The paper computes eq. 12 with two kernels (Sec. 3.2): kernel 1 forms the
+The simulated device does not model this pass.  The paper computes eq.
+12 per cluster with two kernels (Sec. 3.2): kernel 1 forms the
 intermediate quantities ``qtilde_j`` (eq. 14, the product of the three
 barycentric denominator sums, O((n+1) N_C) work), kernel 2 assembles
-``qhat_k`` from them (eq. 15, O((n+1)^3 N_C) work).  That factorization is
-exactly the barycentric quotient of eq. 4 split into denominator and
-numerator passes; here the numerics evaluate the per-dimension basis
-matrices (which handle the removable singularities the way Sec. 2.3
-prescribes -- the factored form would divide by zero when a source
-coordinate coincides with a Chebyshev coordinate) and contract them with a
-single ``einsum``, which is algebraically identical.  The simulated device
-is still charged for both kernels with the paper's operation counts.
+``qhat_k`` from them (eq. 15, O((n+1)^3 N_C) work); every qualifying
+cluster is charged for both with the paper's operation counts.  The
+simulated ``PhaseTimes`` are the paper's model, not this
+implementation's arithmetic.
 """
 
 from __future__ import annotations
 
-import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import TreecodeParams
 from ..gpu.device import Device
 from ..interpolation.barycentric import lagrange_basis
+from ..interpolation.chebyshev import barycentric_weights
 from ..interpolation.grid import ChebyshevGrid3D
 from ..tree.octree import ClusterTree
+from ..util import TINY, concat_ranges
 
 __all__ = [
     "modified_charges",
@@ -43,61 +78,8 @@ __all__ = [
     "refresh_moments",
     "refresh_moment_geometry",
     "ClusterMoments",
+    "UpwardPass",
 ]
-
-
-#: Eq. 12 as one contraction over the cluster's particles ``j``.
-_EQ12 = "aj,bj,cj,j->abc"
-#: The contraction path ``optimize=True`` picks for every non-tiny
-#: cluster: scale ``lx`` by the charges, then one three-operand sum.
-_TWO_STEP = ("einsum_path", (0, 3), (0, 1, 2))
-
-
-@functools.lru_cache(maxsize=4096)
-def _contraction_path(*shapes) -> tuple:
-    """The path ``np.einsum(_EQ12, ..., optimize=True)`` takes for
-    operands of these shapes; the search reads nothing but the shapes."""
-    operands = [np.empty(shape) for shape in shapes]
-    return tuple(np.einsum_path(_EQ12, *operands, optimize=True)[0])
-
-
-def _contract_column(lx, ly, lz, q, path) -> np.ndarray:
-    """Eq. 12 for one charge vector along ``path``, flattened."""
-    if path == _TWO_STEP:
-        # The two steps numpy's path executor runs for this path, with
-        # its exact strings and operand order: the same bits as
-        # ``optimize=True``, without the per-call path bookkeeping.
-        tmp = np.einsum("j,aj->aj", q, lx)
-        return np.einsum("aj,cj,bj->abc", tmp, lz, ly).ravel()
-    return np.einsum(_EQ12, lx, ly, lz, q, optimize=path).ravel()
-
-
-def _contract_basis(lx, ly, lz, charges: np.ndarray) -> np.ndarray:
-    """Contract eq. 12's basis matrices with one or many charge columns.
-
-    1-D charges return the flattened ``((n+1)^3,)`` moments.  A
-    ``(N_C, n_rhs)`` block returns ``((n+1)^3, n_rhs)``: the basis (the
-    expensive part) is shared and each column runs the identical
-    single-vector contraction on a contiguous copy, so column ``j`` is
-    bitwise what a single-vector pass on ``charges[:, j]`` yields.
-    Either way the result is bitwise ``np.einsum(..., optimize=True)``'s:
-    the contraction path it would search for is looked up by operand
-    shapes instead.
-    """
-    path = _contraction_path(
-        lx.shape, ly.shape, lz.shape, charges.shape[:1]
-    )
-    if charges.ndim == 1:
-        return _contract_column(lx, ly, lz, charges, path)
-    return np.stack(
-        [
-            _contract_column(
-                lx, ly, lz, np.ascontiguousarray(charges[:, r]), path
-            )
-            for r in range(charges.shape[1])
-        ],
-        axis=1,
-    )
 
 
 def _as_moment_charges(charges, n: int, what: str) -> np.ndarray:
@@ -111,6 +93,18 @@ def _as_moment_charges(charges, n: int, what: str) -> np.ndarray:
     return charges
 
 
+def _contract(lx, ly, lz, cols) -> np.ndarray:
+    """Eq. 12 on 1-D bases ``(n+1, M)`` for charge columns ``(R, M)``.
+
+    Returns ``(R, (n+1)^3)``, C-order over ``(k1, k2, k3)``.  Each
+    column is one GEMM of fixed shape, ``(lx * q_r) @ (ly . lz)^T``, so
+    its bits do not depend on the other columns.
+    """
+    n1 = lx.shape[0]
+    kr = (ly[:, None, :] * lz[None, :, :]).reshape(n1 * n1, -1)
+    return np.matmul(lx * cols[:, None, :], kr.T).reshape(len(cols), -1)
+
+
 def modified_charges(
     points: np.ndarray,
     charges: np.ndarray,
@@ -121,14 +115,19 @@ def modified_charges(
     Flattening is C-order over ``(k1, k2, k3)``, matching
     :func:`repro.interpolation.grid.tensor_grid_points`.  A
     ``(N_C, n_rhs)`` charge block yields ``((n+1)^3, n_rhs)`` moments,
-    every column re-momented on the one shared basis evaluation.
+    every column contracted on the one shared basis evaluation.  This is
+    the definition the upward pass reproduces; the treecode itself never
+    calls it.
     """
     points = np.atleast_2d(points)
     charges = _as_moment_charges(charges, points.shape[0], "points")
-    lx = lagrange_basis(points[:, 0], grid.points_1d[0], grid.weights)
-    ly = lagrange_basis(points[:, 1], grid.points_1d[1], grid.weights)
-    lz = lagrange_basis(points[:, 2], grid.points_1d[2], grid.weights)
-    return _contract_basis(lx, ly, lz, charges)
+    lx, ly, lz = (
+        lagrange_basis(points[:, d], grid.points_1d[d], grid.weights)
+        for d in range(3)
+    )
+    if charges.ndim == 1:
+        return _contract(lx, ly, lz, charges[None])[0]
+    return _contract(lx, ly, lz, charges.T).T
 
 
 def moment_flop_counts(n_cluster: int, degree: int) -> tuple[float, float]:
@@ -143,38 +142,68 @@ def moment_flop_counts(n_cluster: int, degree: int) -> tuple[float, float]:
     return 3.0 * np1 * n_cluster, float(np1**3) * n_cluster
 
 
-class ClusterMoments:
-    """Grids and modified charges for the clusters of one source tree.
+@dataclass
+class UpwardPass:
+    """Charge-independent state of the upward pass over one tree."""
 
-    Under a model-only backend (``numerics=False``) the set of
-    qualifying clusters (``node_ids``) is tracked without computing any
-    numerical moments.
+    #: (N_owned,) particle indices the particle stage contracts, grouped
+    #: by the cluster they are contracted onto (their *owner*).
+    owned: np.ndarray
+    #: (n_owners + 1,) offsets of each owner's particles in ``owned``.
+    owner_ptr: np.ndarray
+    #: (n_owners,) ``qhat`` row of each owner.
+    owner_rows: np.ndarray
+    #: ``(lx, ly, lz)``, each ``(n+1, N_owned)``: every owner's 1-D
+    #: Lagrange bases at its particles.
+    basis: tuple
+    #: Per tree level, deepest first: ``(parent_rows, child_rows, A)``
+    #: over the level's transferring edges, ``A`` shaped
+    #: ``(3, E, n+1, n+1)`` with ``A[d, e] = L^P(s^C_d)``.
+    levels: list
+
+    def nbytes(self) -> int:
+        arrays = [self.owned, self.owner_ptr, self.owner_rows, *self.basis]
+        for level in self.levels:
+            arrays.extend(level)
+        return int(sum(a.nbytes for a in arrays))
+
+
+class ClusterMoments:
+    """Grids, upward-pass state and modified charges of one source tree.
+
+    ``ids`` are the qualifying clusters (ascending node indices) and
+    ``row`` maps every node to its row of the packed ``qhat`` (-1 for a
+    node without moments).  ``grids`` holds each qualifying cluster's
+    Chebyshev grid and ``upward`` the charge-independent state of the
+    upward pass.  ``qhat`` is None until the first
+    :func:`refresh_moments`, then ``(n_clusters, (n+1)^3)`` -- or
+    ``(n_clusters, (n+1)^3, n_rhs)`` for a block of charge columns, each
+    column contiguous.  Under a model-only backend (``numerics=False``)
+    only ``ids`` / ``row`` are tracked.
     """
 
     def __init__(self, degree: int) -> None:
         self.degree = degree
-        self.node_ids: set[int] = set()
+        self.ids = np.zeros(0, dtype=np.intp)
+        self.row = np.zeros(0, dtype=np.intp)
         self.grids: dict[int, ChebyshevGrid3D] = {}
-        self.qhat: dict[int, np.ndarray] = {}
-        #: Cached per-cluster Lagrange basis matrices ``(lx, ly, lz)``
-        #: (charge-independent; filled by :func:`prepare_moment_grids`
-        #: so :func:`refresh_moments` re-moments without re-evaluating
-        #: the basis).
-        self.basis: dict[int, tuple] = {}
+        self.upward: UpwardPass | None = None
+        self.qhat: np.ndarray | None = None
 
     def __contains__(self, node_index: int) -> bool:
-        return node_index in self.node_ids
+        return 0 <= node_index < len(self.row) and self.row[node_index] >= 0
 
     @property
     def n_clusters(self) -> int:
         """Number of clusters carrying moments."""
-        return len(self.node_ids)
+        return len(self.ids)
 
     def grid(self, node_index: int) -> ChebyshevGrid3D:
         return self.grids[node_index]
 
     def charges(self, node_index: int) -> np.ndarray:
-        return self.qhat[node_index]
+        """Node ``node_index``'s modified charges (a view of ``qhat``)."""
+        return self.qhat[self.row[node_index]]
 
     def packed(self, n_nodes: int) -> np.ndarray:
         """Dense ``(n_nodes, (n+1)^3)`` array (rows of absent nodes zero).
@@ -185,44 +214,161 @@ class ClusterMoments:
         ``(n_nodes, (n+1)^3, n_rhs)``.
         """
         np3 = (self.degree + 1) ** 3
-        width = None
-        for q in self.qhat.values():
-            if q.ndim == 2:
-                width = q.shape[1]
-            break
-        shape = (n_nodes, np3) if width is None else (n_nodes, np3, width)
-        out = np.zeros(shape)
-        for i, q in self.qhat.items():
-            out[i] = q
+        q = self.qhat
+        if q is None or q.ndim == 2 or len(q) == 0:
+            out = np.zeros((n_nodes, np3))
+        else:
+            out = np.zeros((n_nodes, np3, q.shape[2]))
+        if q is not None and len(q):
+            out[self.ids] = q
         return out
 
+    def nbytes(self) -> int:
+        """Resident bytes: packed ``qhat``, grids, upward-pass state."""
+        nbytes = 0 if self.qhat is None else self.qhat.nbytes
+        nbytes += sum(g.points.nbytes for g in self.grids.values())
+        if self.upward is not None:
+            nbytes += self.upward.nbytes()
+        return int(nbytes)
 
-def _qualifying_nodes(tree: ClusterTree, params: TreecodeParams) -> list:
+
+def _qualifying_nodes(tree: ClusterTree, params: TreecodeParams) -> np.ndarray:
     """Indices of the clusters that carry moments: those passing the size
     condition ``(n+1)^3 < N_C`` (all of them when ``size_check`` is off).
     The criterion is parameter-only, so every rank makes the same
-    decision.
+    decision.  Counts never grow towards the leaves, so a qualifying
+    cluster's ancestors all qualify.
     """
     counts = tree.node_counts
     if not params.size_check:
-        return list(range(len(counts)))
-    return np.flatnonzero(params.n_interpolation_points < counts).tolist()
+        return np.arange(len(counts), dtype=np.intp)
+    return np.flatnonzero(params.n_interpolation_points < counts)
 
 
-def _build_cluster_grid(moments, tree, i, params, cache_basis) -> None:
-    """Build node ``i``'s Chebyshev grid (spanning its box) and, with
-    ``cache_basis``, the Lagrange basis of eq. 12 at the cluster's own
-    source coordinates."""
+def _set_ids(moments: ClusterMoments, ids: np.ndarray, n_nodes: int) -> None:
+    moments.ids = ids
+    moments.row = np.full(n_nodes, -1, dtype=np.intp)
+    moments.row[ids] = np.arange(len(ids))
+    moments.qhat = None
+
+
+def _node_depths(view) -> np.ndarray:
+    """Depth of every node: breadth-first numbering puts level ``L + 1``
+    right after level ``L``."""
+    depth = np.zeros(len(view), dtype=np.intp)
+    lo, hi, level = 0, 1, 0
+    while lo < hi:
+        depth[lo:hi] = level
+        lo, hi = hi, hi + int(view.n_children[lo:hi].sum())
+        level += 1
+    return depth
+
+
+def _build_upward(
+    moments: ClusterMoments, tree: ClusterTree, params: TreecodeParams
+) -> UpwardPass:
+    """The upward pass's charge-independent state on ``moments.grids``:
+    which children transfer, every owner's particles and 1-D bases, and
+    each level's transfer matrices."""
     view = tree.view()
-    grid = ChebyshevGrid3D.for_box(view.lo[i], view.hi[i], params.degree)
-    moments.grids[i] = grid
-    if cache_basis:
-        pts = tree.node_points(i)
-        moments.basis[i] = (
-            lagrange_basis(pts[:, 0], grid.points_1d[0], grid.weights),
-            lagrange_basis(pts[:, 1], grid.points_1d[1], grid.weights),
-            lagrange_basis(pts[:, 2], grid.points_1d[2], grid.weights),
+    n_nodes = len(view)
+    ids, row = moments.ids, moments.row
+    n1 = params.degree + 1
+    nodes_1d = np.empty((3, len(ids), n1))
+    for r, i in enumerate(ids.tolist()):
+        nodes_1d[:, r] = moments.grids[i].points_1d
+    weights = barycentric_weights(params.degree)
+    # A box is degenerate where two of its 1-D nodes coincide (the test
+    # lagrange_basis applies to a coordinate and a node).
+    degenerate = np.any(np.abs(np.diff(nodes_1d, axis=2)) <= TINY, axis=(0, 2))
+    regular = np.zeros(n_nodes, dtype=bool)
+    regular[ids] = ~degenerate
+    child = np.arange(1, n_nodes)
+    parent = np.repeat(np.arange(n_nodes), view.n_children)
+    sends = regular[child] & regular[parent]
+
+    # Particle stage: a qualifying leaf contracts its own slice, a
+    # qualifying parent the slice of every child that does not send.
+    leaves = ids[view.is_leaf[ids]]
+    keep = (row[parent] >= 0) & ~sends
+    entry_node = np.concatenate((leaves, child[keep]))
+    entry_row = row[np.concatenate((leaves, parent[keep]))]
+    order = np.lexsort((view.starts[entry_node], entry_row))
+    entry_node, entry_row = entry_node[order], entry_row[order]
+    counts = view.counts[entry_node]
+    owned = tree.perm[concat_ranges(view.starts[entry_node], counts)]
+    owner_rows, first = np.unique(entry_row, return_index=True)
+    owner_ptr = np.zeros(len(owner_rows) + 1, dtype=np.intp)
+    if len(counts):
+        np.cumsum(np.add.reduceat(counts, first), out=owner_ptr[1:])
+    pts = tree.positions[owned]
+    ptr = owner_ptr.tolist()
+    basis = tuple(
+        np.concatenate(
+            [np.zeros((n1, 0))] + [
+                lagrange_basis(pts[ptr[o]:ptr[o + 1], d], nodes_1d[d, r], weights)
+                for o, r in enumerate(owner_rows.tolist())
+            ],
+            axis=1,
         )
+        for d in range(3)
+    )
+
+    # Transfer stage: one step per child level, deepest first.
+    depth = _node_depths(view)
+    e_child, e_parent = child[sends], parent[sends]
+    levels = []
+    for level in range(int(depth.max(initial=0)), 0, -1):
+        at_level = depth[e_child] == level
+        if not at_level.any():
+            continue
+        c_rows = row[e_child[at_level]]
+        p_rows = row[e_parent[at_level]]
+        a = lagrange_basis(nodes_1d[:, c_rows], nodes_1d[:, p_rows], weights)
+        levels.append((p_rows, c_rows, a))
+    return UpwardPass(owned, owner_ptr, owner_rows, basis, levels)
+
+
+def _transfer_leading(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``sum_i a[e, k, i] t[e, i, :]`` for ``t`` shaped ``(E, n+1, M)``.
+
+    The sum over ``i`` runs as elementwise products added in index
+    order: every entry of the trailing axis -- charge columns included
+    -- sees the same arithmetic, whatever the others hold.
+    """
+    out = a[:, :, 0, None] * t[:, None, 0]
+    term = np.empty_like(out)
+    for i in range(1, a.shape[2]):
+        out += np.multiply(a[:, :, i, None], t[:, None, i], out=term)
+    return out
+
+
+def _upward_pass(moments: ClusterMoments, charges: np.ndarray) -> np.ndarray:
+    """``qhat`` of every qualifying cluster for ``(N, R)`` charges;
+    returns ``(n_clusters, (n+1)^3, R)``."""
+    up = moments.upward
+    n1 = moments.degree + 1
+    n_rhs = charges.shape[1]
+    q = np.zeros((len(moments.ids), n1**3, n_rhs))
+    owned = charges[up.owned]
+    lx, ly, lz = up.basis
+    ptr = up.owner_ptr.tolist()
+    for o, r in enumerate(up.owner_rows.tolist()):
+        s = slice(ptr[o], ptr[o + 1])
+        q[r] = _contract(lx[:, s], ly[:, s], lz[:, s], owned[s].T).T
+    for p_rows, c_rows, a in up.levels:
+        # (E, x, y, z, R): contract the leading grid axis, then rotate it
+        # to the back, once per dimension -> (E, R, x, y, z).
+        t = q[c_rows]
+        for d in range(3):
+            t = _transfer_leading(a[d], t.reshape(len(c_rows), n1, -1))
+            t = np.moveaxis(t, 1, -1)
+        t = np.moveaxis(t.reshape(len(c_rows), n_rhs, -1), 1, -1)
+        # Each level's edges are ordered by parent: sum every parent's
+        # children in edge order, then add the sums in.
+        parents, first = np.unique(p_rows, return_index=True)
+        q[parents] += np.add.reduceat(t, first, axis=0)
+    return q
 
 
 def precompute_moments(
@@ -241,16 +387,13 @@ def precompute_moments(
     can never be approximated under the size condition
     (``(n+1)^3 >= N_C``) are skipped.
 
-    This is :func:`prepare_moment_grids` (without the basis cache: a
-    one-shot run uses each cluster's basis once) followed by
+    This is :func:`prepare_moment_grids` followed by
     :func:`refresh_moments`, which charges ``device`` (optional) for the
     paper's two preprocessing kernels per cluster and honours
     ``numerics=False`` (model-only runs: qualifying clusters recorded,
-    kernels charged, no tensor contractions).
+    kernels charged, no arithmetic).
     """
-    moments = prepare_moment_grids(
-        tree, params, numerics=numerics, cache_basis=False
-    )
+    moments = prepare_moment_grids(tree, params, numerics=numerics)
     return refresh_moments(
         moments, tree, charges, params, device=device, numerics=numerics
     )
@@ -278,25 +421,20 @@ def prepare_moment_grids(
     params: TreecodeParams,
     *,
     numerics: bool = True,
-    cache_basis: bool = True,
 ) -> ClusterMoments:
     """The charge-independent half of :func:`precompute_moments`.
 
-    Records the qualifying clusters and builds their Chebyshev grids --
-    plus, with ``cache_basis``, the per-cluster Lagrange basis matrices
-    of eq. 12 evaluated at the cluster's own source coordinates -- but
-    computes no modified charges and charges no device (grids and basis
-    depend only on geometry; the paper's two moment kernels are
+    Records the qualifying clusters, builds their Chebyshev grids and
+    the upward pass's state (owner bases, transfer matrices), but
+    computes no modified charges and charges no device (all of it
+    depends only on geometry; the paper's two moment kernels are
     charge-dependent work charged per :func:`refresh_moments` call).
     Pair with :func:`refresh_moments` for the prepare/apply session
     seam; ``numerics=False`` tracks only the qualifying ids, as in the
     model-only pipeline.
     """
     moments = ClusterMoments(params.degree)
-    for i in _qualifying_nodes(tree, params):
-        moments.node_ids.add(i)
-        if numerics:
-            _build_cluster_grid(moments, tree, i, params, cache_basis)
+    refresh_moment_geometry(moments, tree, params, numerics=numerics)
     return moments
 
 
@@ -311,33 +449,32 @@ def refresh_moment_geometry(
     """Update the charge-independent moment state after particles moved.
 
     Re-qualifies every node under the size condition (counts may have
-    changed), drops state for clusters that no longer qualify, and
-    rebuilds the Chebyshev grid -- plus the cached Lagrange basis, when
-    the session caches one -- for every *dirty* qualifying cluster
-    (``dirty`` is a per-node bool mask; ``None`` refreshes all).  Newly
-    qualifying clusters are always built.  Grids and basis are rebuilt
-    by the helper :func:`prepare_moment_grids` uses, so a
-    refreshed session's next :func:`refresh_moments` produces bitwise
-    what a cold prepare at the new positions would.  Stale ``qhat``
-    entries are left in place -- every apply overwrites them.  Returns
-    the number of clusters rebuilt.
+    changed), drops the grids of clusters that no longer qualify,
+    rebuilds the Chebyshev grid of every *dirty* qualifying cluster
+    (``dirty`` is a per-node bool mask; ``None`` rebuilds all) and of
+    every newly qualifying one, then rebuilds the upward pass's state
+    for the whole tree.  Clean grids are those a cold build would make,
+    so a refreshed session's next :func:`refresh_moments` produces
+    bitwise what a cold prepare at the new positions would.  ``qhat``
+    is dropped until that refresh.  Returns the number of grids rebuilt.
     """
-    new_ids = set(_qualifying_nodes(tree, params))
-    for i in moments.node_ids - new_ids:
-        moments.grids.pop(i, None)
-        moments.qhat.pop(i, None)
-        moments.basis.pop(i, None)
-    cache_basis = bool(moments.basis) or not moments.grids
-    added = new_ids - moments.node_ids
-    moments.node_ids = new_ids
+    old = set(moments.ids.tolist())
+    ids = _qualifying_nodes(tree, params)
+    _set_ids(moments, ids, len(tree))
     if not numerics:
         return 0
+    for i in old.difference(ids.tolist()):
+        del moments.grids[i]
+    view = tree.view()
     rebuilt = 0
-    for i in sorted(new_ids):
-        if i not in added and dirty is not None and not dirty[i]:
+    for i in ids.tolist():
+        if i in old and dirty is not None and not dirty[i]:
             continue
-        _build_cluster_grid(moments, tree, i, params, cache_basis)
+        moments.grids[i] = ChebyshevGrid3D.for_box(
+            view.lo[i], view.hi[i], params.degree
+        )
         rebuilt += 1
+    moments.upward = _build_upward(moments, tree, params)
     return rebuilt
 
 
@@ -352,34 +489,22 @@ def refresh_moments(
 ) -> ClusterMoments:
     """Recompute every cluster's modified charges for new ``charges``.
 
-    Re-runs eq. 12 on the grids cached by :func:`prepare_moment_grids`
-    (contracting the cached basis matrices when present -- the same
-    einsum on the same operands as evaluating the basis afresh, so the
-    resulting ``qhat`` is bitwise identical with or without the cache),
-    charging ``device`` (optional) for the paper's two moment kernels
-    per cluster -- kernel 1 with one thread block per source particle,
-    kernel 2 with one block per grid point (Sec. 3.2): re-momenting is
-    real per-step device work, only the geometry bookkeeping is
-    amortized.  ``numerics=False`` charges the kernels without
-    computing values (model-only applies).
-    A ``(N, n_rhs)`` charge block re-moments every column in this one
-    pass, reusing each cluster's cached basis for all columns.
+    Runs the upward pass on the state :func:`prepare_moment_grids`
+    cached and charges ``device`` (optional) for the paper's two moment
+    kernels per cluster -- kernel 1 with one thread block per source
+    particle, kernel 2 with one block per grid point (Sec. 3.2):
+    re-momenting is real per-step device work, only the geometry
+    bookkeeping is amortized.  ``numerics=False`` charges the kernels
+    without computing values (model-only applies).  A ``(N, n_rhs)``
+    charge block re-moments every column in this one pass.
     """
     charges = _as_moment_charges(charges, tree.n_particles, "particles")
-    n_ip = params.n_interpolation_points
-    counts = tree.node_counts
-    for i in sorted(moments.node_ids):
-        if numerics:
-            idx = tree.node_indices(i)
-            basis = moments.basis.get(i)
-            if basis is None:
-                qhat = modified_charges(
-                    tree.positions[idx], charges[idx], moments.grids[i]
-                )
-            else:
-                lx, ly, lz = basis
-                qhat = _contract_basis(lx, ly, lz, charges[idx])
-            moments.qhat[i] = qhat
-        if device is not None:
+    if numerics:
+        qhat = _upward_pass(moments, charges.reshape(len(charges), -1))
+        moments.qhat = qhat[:, :, 0] if charges.ndim == 1 else qhat
+    if device is not None:
+        n_ip = params.n_interpolation_points
+        counts = tree.node_counts
+        for i in moments.ids.tolist():
             _charge_moment_kernels(device, int(counts[i]), params, n_ip)
     return moments

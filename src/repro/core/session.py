@@ -624,7 +624,8 @@ class SessionCore:
         ``plan_bytes`` covers the plan's charge-independent index and
         coordinate arrays; ``weight_slot_bytes`` the weight buffer
         (scales with the current RHS width); ``moment_bytes`` the
-        cached cluster grids, basis matrices and modified charges;
+        packed modified charges ``qhat``, the cluster grids and the
+        upward pass's owner bases and transfer matrices;
         ``update_scratch_bytes`` the incremental-update working state
         (traversal decision record + re-bin scratch; 0 until the first
         ``update_geometry``); ``batched_pad_bytes`` the padding
@@ -652,15 +653,8 @@ class SessionCore:
         weight_bytes = (
             0 if plan.src_weights is None else int(plan.src_weights.nbytes)
         )
-        moment_bytes = 0
         moments = self.geometry.moments
-        if moments is not None:
-            for q in moments.qhat.values():
-                moment_bytes += int(q.nbytes)
-            for grid in moments.grids.values():
-                moment_bytes += int(grid.points.nbytes)
-            for basis in moments.basis.values():
-                moment_bytes += int(sum(b.nbytes for b in basis))
+        moment_bytes = 0 if moments is None else moments.nbytes()
         update_bytes = int(getattr(self, "update_scratch_bytes", 0))
         pad_bytes = (
             0 if plan.batched_layout is None

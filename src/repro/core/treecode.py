@@ -162,12 +162,7 @@ class BarycentricTreecode:
         two-stage form directly for repeated evaluation on fixed
         geometry.
         """
-        # cache_basis=False: a one-shot run uses each cluster's basis
-        # matrices once, so holding them all simultaneously would only
-        # regress peak memory vs. the monolithic pipeline.
-        prepared = self.prepare(
-            sources, targets, dry_run=dry_run, cache_basis=False
-        )
+        prepared = self.prepare(sources, targets, dry_run=dry_run)
         result = prepared.apply(
             sources.charges if charges is None else charges,
             compute_forces=compute_forces, dry_run=dry_run,
@@ -187,14 +182,14 @@ class BarycentricTreecode:
         targets: np.ndarray | ParticleSet | None = None,
         *,
         dry_run: bool = False,
-        cache_basis: bool = True,
     ) -> "PreparedTreecode":
         """Capture all charge-independent state for repeated evaluation.
 
         Builds the source tree, the target batches, the interaction
-        lists, the per-cluster Chebyshev grids (with cached Lagrange
-        basis matrices) and the geometry-only execution-plan skeleton,
-        charging the device for the setup phase once.  The returned
+        lists, the per-cluster Chebyshev grids with the upward pass's
+        owner bases and transfer matrices, and the geometry-only
+        execution-plan skeleton, charging the device for the setup phase
+        once.  The returned
         :class:`PreparedTreecode` evaluates any number of charge
         vectors on this geometry via
         :meth:`PreparedTreecode.apply`; the initial
@@ -203,11 +198,6 @@ class BarycentricTreecode:
         ``dry_run=True`` prepares a model-only session (structure-only
         plan, no coordinate gathering): every ``apply`` then runs the
         timing model at paper scale.
-
-        ``cache_basis=False`` skips caching the per-cluster Lagrange
-        basis matrices: applies then re-evaluate the basis per step
-        (bitwise-identical, ~3(n+1)N fewer resident floats).  Sessions
-        keep the cache by default; one-shot ``compute()`` turns it off.
         """
         params = self.params
         backend_spec = "model" if dry_run else params.backend
@@ -225,7 +215,7 @@ class BarycentricTreecode:
         with watch:
             geometry = self._build_geometry_state(
                 sources.positions, target_pos, device, phases,
-                numerics=backend.needs_numerics, cache_basis=cache_basis,
+                numerics=backend.needs_numerics,
             )
 
         core = SessionCore(
@@ -255,7 +245,6 @@ class BarycentricTreecode:
         phases: PhaseTimes,
         *,
         numerics: bool,
-        cache_basis: bool,
     ) -> GeometryState:
         """Build the full charge-independent geometry on ``device``.
 
@@ -285,11 +274,10 @@ class BarycentricTreecode:
         phases.setup += device.take_phase()
 
         # -- charge-independent moment state: qualifying clusters,
-        # Chebyshev grids, cached basis matrices (no device time --
-        # the paper's moment kernels are charged per apply()).
-        moments = prepare_moment_grids(
-            tree, params, numerics=numerics, cache_basis=cache_basis,
-        )
+        # Chebyshev grids, the upward pass's bases and transfer matrices
+        # (no device time -- the paper's moment kernels are charged per
+        # apply()).
+        moments = prepare_moment_grids(tree, params, numerics=numerics)
 
         # -- setup: interaction lists + HtD of targets and LET data
         lists = build_interaction_lists(batches, tree, params)

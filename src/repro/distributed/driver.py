@@ -392,7 +392,7 @@ class DistributedBLTC:
             # -- phase A: partition, local trees and batches (setup) ----
             (comm, rank_idx, rank_particles, devices, phases, split, trees,
              batch_sets) = self._setup_local(particles)
-            # Charge-independent moment state (grids + cached basis;
+            # Charge-independent moment state (grids + upward pass;
             # the moment kernels themselves are charged per apply).
             moment_sets = [
                 prepare_moment_grids(tree, params, numerics=numerics)

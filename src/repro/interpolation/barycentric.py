@@ -41,37 +41,44 @@ def lagrange_basis(
     -------
     (n+1, M) array ``L[k, j] = L_k(x_j)``.  Every column sums to 1
     (partition of unity), exactly for coincident columns.
+
+    Batched form: ``points`` of shape ``(..., n+1)`` with ``x`` of shape
+    ``(..., M)`` (broadcast against each other) evaluates one basis per
+    leading index, ``(..., n+1, M)``, by the same elementwise arithmetic.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    points = np.asarray(points, dtype=np.float64).ravel()
+    points = np.asarray(points, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if points.ndim <= 1:
+        points, x = points.ravel(), x.ravel()
     weights = np.asarray(weights, dtype=np.float64).ravel()
-    if points.shape != weights.shape:
+    if points.shape[-1] != weights.shape[0]:
         raise ValueError(
             f"points and weights must have equal length; got "
-            f"{points.shape[0]} and {weights.shape[0]}"
+            f"{points.shape[-1]} and {weights.shape[0]}"
         )
-    diff = x[None, :] - points[:, None]  # (n+1, M)
-    coincident = np.abs(diff) <= tol  # (n+1, M)
-    hit_cols = coincident.any(axis=0)  # (M,)
+    diff = x[..., None, :] - points[..., :, None]  # (..., n+1, M)
+    coincident = np.abs(diff) <= tol
+    hit_cols = coincident.any(axis=-2)  # (..., M)
     # Regular barycentric evaluation, with coincident entries masked so no
     # division by (near-)zero occurs.  Overwritten below for hit columns.
     safe = np.where(coincident, 1.0, diff)
     ratio = weights[:, None] / safe
-    denom = ratio.sum(axis=0)
+    denom = ratio.sum(axis=-2)
     # Columns flagged coincident are overwritten below; their quotient may
     # legitimately be 0/0 or x/0 (e.g. degenerate boxes where all
     # interpolation points coincide and the weights cancel), so silence
     # the intermediate arithmetic.
     with np.errstate(divide="ignore", invalid="ignore"):
-        basis = ratio / denom
+        basis = ratio / denom[..., None, :]
     if np.any(hit_cols):
         # Enforce L_k(s_k') = delta_{kk'} (paper eq. 5 / Sec. 2.3).  A
         # column can only hit one interpolation point when the points are
         # distinct; take the first hit defensively.
-        cols = np.nonzero(hit_cols)[0]
-        basis[:, cols] = 0.0
-        rows = np.argmax(coincident[:, cols], axis=0)
-        basis[rows, cols] = 1.0
+        hits = np.nonzero(hit_cols)
+        rows = np.argmax(np.moveaxis(coincident, -2, -1)[hits], axis=-1)
+        by_column = np.moveaxis(basis, -2, -1)  # a view of ``basis``
+        by_column[hits] = 0.0
+        by_column[hits + (rows,)] = 1.0
     return basis
 
 

@@ -5,8 +5,6 @@ import pytest
 
 from repro.config import TreecodeParams
 from repro.core.moments import (
-    _contract_basis,
-    _contraction_path,
     modified_charges,
     moment_flop_counts,
     precompute_moments,
@@ -98,48 +96,6 @@ class TestModifiedCharges:
             modified_charges(np.zeros((3, 3)), np.zeros(4), grid)
 
 
-class TestContractionPath:
-    """Eq. 12 looks its contraction path up by operand shapes; the bits
-    stay those of ``np.einsum(..., optimize=True)``, which searches the
-    path on every call."""
-
-    @pytest.mark.parametrize("degree", range(1, 9))
-    def test_bitwise_optimize_true(self, degree):
-        rng = np.random.default_rng(degree)
-        n_ip = (degree + 1) ** 3
-        paths = set()
-        for n_c in (1, 2, 3, 5, 9, 40, n_ip - 1, n_ip, n_ip + 7):
-            lx, ly, lz = (rng.normal(size=(degree + 1, n_c)) for _ in "xyz")
-            q = rng.normal(size=n_c)
-            block = rng.normal(size=(n_c, 4))
-            paths.add(str(_contraction_path(
-                lx.shape, ly.shape, lz.shape, (n_c,)
-            )))
-
-            def ref(col):
-                return np.einsum(
-                    "aj,bj,cj,j->abc", lx, ly, lz, col, optimize=True
-                ).ravel()
-
-            assert _contract_basis(lx, ly, lz, q).tobytes() == ref(q).tobytes()
-            got = _contract_basis(lx, ly, lz, block)
-            assert got.shape == (n_ip, 4)
-            for r in range(4):
-                assert got[:, r].tobytes() == ref(block[:, r]).tobytes()
-        # Both branches run: the two-step path of every non-tiny cluster
-        # and the other path numpy picks for the tiniest ones.
-        assert len(paths) == 2
-
-    def test_path_is_searched_once_per_shape(self):
-        rng = np.random.default_rng(0)
-        lx, ly, lz = (rng.normal(size=(4, 70)) for _ in "xyz")
-        _contract_basis(lx, ly, lz, rng.normal(size=70))
-        hits = _contraction_path.cache_info().hits
-        _contract_basis(lx, ly, lz, rng.normal(size=(70, 3)))
-        _contract_basis(lx, ly, lz, rng.normal(size=70))
-        assert _contraction_path.cache_info().hits == hits + 2
-
-
 class TestFlopCounts:
     def test_formulas(self):
         ops1, ops2 = moment_flop_counts(n_cluster=100, degree=8)
@@ -156,7 +112,8 @@ class TestPrecomputeMoments:
         )
         moments = precompute_moments(tree, p.charges, params)
         # (n+1)^3 = 729 > 400 >= every cluster -> nothing qualifies.
-        assert len(moments.qhat) == 0
+        assert moments.n_clusters == 0
+        assert moments.qhat.shape == (0, 729)
 
     def test_computes_for_qualifying_clusters(self):
         p = random_cube(1200, seed=5)
@@ -167,9 +124,10 @@ class TestPrecomputeMoments:
         moments = precompute_moments(tree, p.charges, params)
         n_ip = params.n_interpolation_points
         expected = set(np.flatnonzero(tree.node_counts > n_ip).tolist())
-        assert set(moments.qhat) == expected
+        assert set(moments.ids.tolist()) == expected
+        assert moments.qhat.shape == (len(expected), n_ip)
         for i in expected:
-            assert moments.qhat[i].shape == (n_ip,)
+            assert moments.charges(i).shape == (n_ip,)
             assert i in moments
 
     def test_all_clusters_without_size_check(self):
@@ -180,7 +138,7 @@ class TestPrecomputeMoments:
             size_check=False,
         )
         moments = precompute_moments(tree, p.charges, params)
-        assert set(moments.qhat) == set(range(len(tree)))
+        assert moments.ids.tolist() == list(range(len(tree)))
 
     def test_device_charged_two_kernels_per_cluster(self):
         p = random_cube(1000, seed=7)
@@ -190,9 +148,9 @@ class TestPrecomputeMoments:
         )
         dev = GpuDevice(GPU_TITAN_V)
         moments = precompute_moments(tree, p.charges, params, device=dev)
-        assert dev.counters.launches == 2 * len(moments.qhat)
-        assert dev.counters.by_kind["moments-1"][0] == len(moments.qhat)
-        assert dev.counters.by_kind["moments-2"][0] == len(moments.qhat)
+        assert dev.counters.launches == 2 * moments.n_clusters
+        assert dev.counters.by_kind["moments-1"][0] == moments.n_clusters
+        assert dev.counters.by_kind["moments-2"][0] == moments.n_clusters
 
     def test_packed_layout(self):
         p = random_cube(900, seed=8)
@@ -203,8 +161,9 @@ class TestPrecomputeMoments:
         moments = precompute_moments(tree, p.charges, params)
         packed = moments.packed(len(tree))
         assert packed.shape == (len(tree), 27)
-        for i, q in moments.qhat.items():
-            assert np.array_equal(packed[i], q)
+        for i in range(len(tree)):
+            expected = moments.charges(i) if i in moments else np.zeros(27)
+            assert np.array_equal(packed[i], expected)
 
     def test_charge_count_mismatch(self):
         p = random_cube(100, seed=9)

@@ -337,13 +337,16 @@ class TestInnerLayers:
                 device=prep.device, numerics=True,
             )
             solo_qhat.append(
-                {c: prep.moments.charges(c).copy() for c in prep.moments.qhat}
+                {
+                    c: prep.moments.charges(c).copy()
+                    for c in prep.moments.ids.tolist()
+                }
             )
         refresh_moments(
             prep.moments, prep.tree, charge_block, params,
             device=prep.device, numerics=True,
         )
-        for c in prep.moments.qhat:
+        for c in prep.moments.ids.tolist():
             blocked = prep.moments.charges(c)
             assert blocked.shape[1] == N_RHS
             for j in range(N_RHS):
