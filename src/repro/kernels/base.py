@@ -692,13 +692,14 @@ def _columns(charges, multi, *accumulators):
     with the accumulators' matching strided views."""
     if not multi:
         return ((charges, *accumulators),)
-    return [
-        (
-            np.ascontiguousarray(charges[..., r]),
-            *(None if a is None else a[..., r] for a in accumulators),
-        )
-        for r in range(charges.shape[-1])
-    ]
+    n_rhs = charges.shape[-1]
+    return list(zip(
+        [np.ascontiguousarray(charges[..., r]) for r in range(n_rhs)],
+        *(
+            [None] * n_rhs if a is None else list(np.moveaxis(a, -1, 0))
+            for a in accumulators
+        ),
+    ))
 
 
 def _scan_coincident(
