@@ -153,16 +153,16 @@ class UpwardPass:
     owner_ptr: np.ndarray
     #: (n_owners,) ``qhat`` row of each owner.
     owner_rows: np.ndarray
-    #: ``(lx, ly, lz)``, each ``(n+1, N_owned)``: every owner's 1-D
-    #: Lagrange bases at its particles.
-    basis: tuple
+    #: ``(3, n+1, N_owned)``: every owner's 1-D Lagrange bases
+    #: ``(lx, ly, lz)`` at its particles.
+    basis: np.ndarray
     #: Per tree level, deepest first: ``(parent_rows, child_rows, A)``
     #: over the level's transferring edges, ``A`` shaped
     #: ``(3, E, n+1, n+1)`` with ``A[d, e] = L^P(s^C_d)``.
     levels: list
 
     def nbytes(self) -> int:
-        arrays = [self.owned, self.owner_ptr, self.owner_rows, *self.basis]
+        arrays = [self.owned, self.owner_ptr, self.owner_rows, self.basis]
         for level in self.levels:
             arrays.extend(level)
         return int(sum(a.nbytes for a in arrays))
@@ -301,18 +301,13 @@ def _build_upward(
     owner_ptr = np.zeros(len(owner_rows) + 1, dtype=np.intp)
     if len(counts):
         np.cumsum(np.add.reduceat(counts, first), out=owner_ptr[1:])
-    pts = tree.positions[owned]
+    pts = tree.positions[owned].T
     ptr = owner_ptr.tolist()
-    basis = tuple(
-        np.concatenate(
-            [np.zeros((n1, 0))] + [
-                lagrange_basis(pts[ptr[o]:ptr[o + 1], d], nodes_1d[d, r], weights)
-                for o, r in enumerate(owner_rows.tolist())
-            ],
-            axis=1,
-        )
-        for d in range(3)
-    )
+    basis = np.empty((3, n1, len(owned)))
+    for o, r in enumerate(owner_rows.tolist()):
+        s = slice(ptr[o], ptr[o + 1])
+        for d in range(3):
+            basis[d, :, s] = lagrange_basis(pts[d, s], nodes_1d[d, r], weights)
 
     # Transfer stage: one step per child level, deepest first.
     depth = _node_depths(view)

@@ -75,8 +75,8 @@ def lagrange_basis(
         # column can only hit one interpolation point when the points are
         # distinct; take the first hit defensively.
         hits = np.nonzero(hit_cols)
-        rows = np.argmax(np.moveaxis(coincident, -2, -1)[hits], axis=-1)
-        by_column = np.moveaxis(basis, -2, -1)  # a view of ``basis``
+        rows = np.argmax(coincident.swapaxes(-2, -1)[hits], axis=-1)
+        by_column = basis.swapaxes(-2, -1)  # a view of ``basis``
         by_column[hits] = 0.0
         by_column[hits + (rows,)] = 1.0
     return basis

@@ -693,10 +693,13 @@ def _columns(charges, multi, *accumulators):
     if not multi:
         return ((charges, *accumulators),)
     n_rhs = charges.shape[-1]
+    columns = np.moveaxis(charges, -1, 0)
+    if not columns[0].flags.c_contiguous:
+        columns = np.ascontiguousarray(columns)
     return list(zip(
-        [np.ascontiguousarray(charges[..., r]) for r in range(n_rhs)],
+        columns,
         *(
-            [None] * n_rhs if a is None else list(np.moveaxis(a, -1, 0))
+            [None] * n_rhs if a is None else np.moveaxis(a, -1, 0)
             for a in accumulators
         ),
     ))
