@@ -245,13 +245,6 @@ def _qualifying_nodes(tree: ClusterTree, params: TreecodeParams) -> np.ndarray:
     return np.flatnonzero(params.n_interpolation_points < counts)
 
 
-def _set_ids(moments: ClusterMoments, ids: np.ndarray, n_nodes: int) -> None:
-    moments.ids = ids
-    moments.row = np.full(n_nodes, -1, dtype=np.intp)
-    moments.row[ids] = np.arange(len(ids))
-    moments.qhat = None
-
-
 def _node_depths(view) -> np.ndarray:
     """Depth of every node: breadth-first numbering puts level ``L + 1``
     right after level ``L``."""
@@ -454,8 +447,10 @@ def refresh_moment_geometry(
     is dropped until that refresh.  Returns the number of grids rebuilt.
     """
     old = set(moments.ids.tolist())
-    ids = _qualifying_nodes(tree, params)
-    _set_ids(moments, ids, len(tree))
+    moments.ids = ids = _qualifying_nodes(tree, params)
+    moments.row = np.full(len(tree), -1, dtype=np.intp)
+    moments.row[ids] = np.arange(len(ids))
+    moments.qhat = None
     if not numerics:
         return 0
     for i in old.difference(ids.tolist()):
