@@ -78,7 +78,6 @@ __all__ = [
     "refresh_moments",
     "refresh_moment_geometry",
     "ClusterMoments",
-    "UpwardPass",
 ]
 
 

@@ -231,7 +231,6 @@ __all__ = [
     "build_batched_layout",
     "build_mirror_schedule",
     "compile_plan",
-    "weight_buffer",
 ]
 
 #: Maximum fraction of a bucket's padded target rows allowed to be
@@ -254,7 +253,7 @@ def weight_buffer(rows_shape: tuple, like: np.ndarray) -> np.ndarray:
 
     With an RHS axis the buffer is RHS-major: every column ``[..., j]``
     is one contiguous block, so the per-column GEMVs read it without a
-    copy.  The values written are those of a row-major buffer.
+    copy.  Only the memory order differs from a row-major buffer.
     """
     if like.ndim == 1:
         return np.zeros(rows_shape, dtype=np.float64)
@@ -423,9 +422,8 @@ class BatchedBucket:
         """
         shape = self.src_index.shape + src_weights.shape[1:]
         if self.weights.shape != shape:
-            object.__setattr__(
-                self, "weights", weight_buffer(self.src_index.shape, src_weights)
-            )
+            buf = weight_buffer(self.src_index.shape, src_weights)
+            object.__setattr__(self, "weights", buf)
         if self.src_valid is None:
             self.weights[...] = src_weights[self.src_index]
             return

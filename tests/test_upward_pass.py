@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import BarycentricTreecode, CoulombKernel, ParticleSet, TreecodeParams
+from repro import (
+    BarycentricTreecode,
+    CoulombKernel,
+    ParticleSet,
+    TreecodeParams,
+)
 from repro.core.moments import (
     modified_charges,
     precompute_moments,
