@@ -56,8 +56,11 @@ class TreecodeParams:
     #: to False applies a per-target MAC, which is the classical treecode
     #: behaviour the paper argues against for GPUs (thread divergence).
     batch_mac: bool = True
-    #: Floating-point dtype for the computation.  ``float32`` implements the
-    #: paper's "mixed-precision arithmetic" future-work item.
+    #: Precision the simulated device is charged at.  The arithmetic is
+    #: always float64 (as in the paper); ``float32`` models the device's
+    #: single-precision throughput for the paper's "mixed-precision
+    #: arithmetic" future-work item
+    #: (:meth:`~repro.perf.machine.MachineSpec.precision_multiplier`).
     dtype: type = np.float64
     #: Shrink every cluster to the minimal bounding box of its particles
     #: (paper Sec. 2.3); guarantees some source coordinates coincide with

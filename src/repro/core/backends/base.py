@@ -201,7 +201,8 @@ class Backend(abc.ABC):
         ``out`` has length ``plan.out_size`` (accumulated through
         ``plan.out_index``); ``forces`` is ``(out_size, 3)`` when
         requested.  Implementations must charge the device exclusively
-        via :func:`charge_plan_launches`.
+        via :func:`charge_plan_launches`.  ``dtype`` is the precision
+        the simulated device is charged at; the numerics are float64.
 
         Multi-RHS: numerics backends detect a widened weight buffer
         through ``plan.rhs_width`` and return ``(out_size, n_rhs)`` /

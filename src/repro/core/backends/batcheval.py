@@ -108,7 +108,6 @@ def eval_bucket(
     targets: np.ndarray,
     src_points: np.ndarray,
     kernel,
-    dtype,
     compute_forces: bool,
     out: np.ndarray,
     forces: np.ndarray | None,
@@ -119,12 +118,12 @@ def eval_bucket(
 ) -> None:
     """Evaluate one bucket and accumulate into ``out`` (and ``forces``).
 
-    ``targets`` / ``src_points`` are the plan's (pre-cast) coordinate
-    buffers; the bucket gathers and caches its stacks from them.  The
-    weight matrix is the bucket's own (refreshed in place by
-    ``ExecutionPlan.refresh_weights``), cast per call for mixed
-    precision.  The scatter uses the bucket's precomputed valid
-    positions, so padded rows are computed but never accumulated.
+    ``targets`` / ``src_points`` are the plan's coordinate buffers; the
+    bucket gathers and caches its stacks from them.  The weight matrix
+    is the bucket's own (refreshed in place by
+    ``ExecutionPlan.refresh_weights``).  The scatter uses the bucket's
+    precomputed valid positions, so padded rows are computed but never
+    accumulated.
 
     Multi-RHS: a ``(G, k, n_rhs)`` bucket weight matrix hoists each
     chunk's kernel-matrix stack (and, with forces, its radial factors)
@@ -142,21 +141,15 @@ def eval_bucket(
     to the same indices.  ``workspace`` holds each chunk's kernel
     stacks (see the module docstring).
     """
-    tgt, src = bucket.stacks(targets, src_points, dtype)
+    tgt, src = bucket.stacks(targets, src_points)
     w = bucket.weights
-    if w.dtype != tgt.dtype:
-        w = w.astype(tgt.dtype)
     multi = w.ndim == 3
     n_rhs = w.shape[2] if multi else 1
     n, m_max, _ = tgt.shape
-    phi = np.empty(
-        (n, m_max, n_rhs) if multi else (n, m_max), dtype=tgt.dtype
-    )
+    phi = np.empty((n, m_max, n_rhs) if multi else (n, m_max))
     f_stack = None
     if compute_forces:
-        f_stack = np.zeros(
-            (n, m_max, 3, n_rhs) if multi else (n, m_max, 3), dtype=tgt.dtype
-        )
+        f_stack = np.zeros((n, m_max, 3, n_rhs) if multi else (n, m_max, 3))
     chunk = bucket_chunk(bucket, compute_forces, block_elements)
     entry_size = m_max * bucket.k
     for lo, hi in chunk_ranges(n, chunk):
@@ -181,7 +174,6 @@ def eval_ragged_runs(
     arrays: dict,
     runs: np.ndarray,
     kernel,
-    dtype,
     compute_forces: bool,
     out: np.ndarray,
     forces: np.ndarray | None,
@@ -192,12 +184,11 @@ def eval_ragged_runs(
     """Per-group fallback for the runs the bucketing could not batch.
 
     Same fused per-group arithmetic as :func:`.groupeval.eval_group_range`
-    (one ``Kernel.potential`` call per run, with a forces accumulator
-    when forces are on; float64 opts into the temporary-free r^2
-    primitive), but scoped to explicit segment runs so a group whose
-    approximation half went through a bucket is not double-counted.
-    Pass pre-cast ``targets``/``src_points`` in ``arrays`` to keep the
-    per-run casts zero-copy; ``workspace`` goes to every kernel call.
+    (one ``Kernel.potential`` call per run on the temporary-free r^2
+    primitive, with a forces accumulator when forces are on), but
+    scoped to explicit segment runs so a group whose approximation half
+    went through a bucket is not double-counted.  ``workspace`` goes to
+    every kernel call.
     ``candidates[r]``, when given, holds the candidate coincident
     entries of run ``r``'s ``(m, k)`` matrix.
     """
@@ -205,7 +196,7 @@ def eval_ragged_runs(
         return
     group_ptr = arrays["group_ptr"]
     out_index = arrays["out_index"]
-    operands = RunOperands(arrays, dtype)
+    operands = RunOperands(arrays)
     for r, (g, s_lo, s_hi) in enumerate(runs.tolist()):
         ops = operands(g, s_lo, s_hi)
         if ops is None:
@@ -213,11 +204,10 @@ def eval_ragged_runs(
         tgt, src, q = ops
         idx = out_index[int(group_ptr[g]):int(group_ptr[g + 1])]
         frc = (
-            None if forces is None
-            else np.zeros((len(tgt), 3) + q.shape[1:], dtype=operands.dtype)
+            None if forces is None else np.zeros((len(tgt), 3) + q.shape[1:])
         )
         out[idx] += kernel.potential(
-            tgt, src, q, forces=frc, fused=operands.fused,
+            tgt, src, q, forces=frc, fused=True,
             coincident=None if candidates is None else candidates[r],
             workspace=workspace,
         )

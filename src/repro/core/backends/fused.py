@@ -6,7 +6,7 @@ group fall below :data:`STACKED_MAX_MEAN_ROWS` runs the **stacked**
 path under a :class:`~repro.kernels.base.RadialKernel`; every other
 plan runs the **per-group** path.  The choice reads only
 ``plan.n_target_rows``, ``plan.n_groups`` and the kernel's type --
-never the charge width, dtype, forces or call history -- so column
+never the charge width, forces or call history -- so column
 ``j`` of a block apply is bitwise a solo apply, potentials are bitwise
 the same with forces on or off, and an updated session picks what a
 cold prepare at the new positions picks.  As in the paper, the target
@@ -14,11 +14,10 @@ batches' size decides how their direct sums are launched.
 
 **Per-group.**  Every group is one call of the per-block kernel driver,
 ``Kernel.potential``, over its whole pre-gathered source range (the
-plan's ``seg_src_lo`` offsets into de-duplicated buffers; at most one
-dtype cast of the buffers per run).  Forces are the same call with a
-``forces`` accumulator: a radial kernel forms r^2, ``g`` and
-``g'(r)/r`` once per row block and contracts the force as ``(f q) S -
-t * rowsum(f q)``.  Where the targets are the sources, a direct block
+plan's ``seg_src_lo`` offsets into de-duplicated buffers).  Forces are
+the same call with a ``forces`` accumulator: a radial kernel forms r^2,
+``g`` and ``g'(r)/r`` once per row block and contracts the force as
+``(f q) S - t * rowsum(f q)``.  Where the targets are the sources, a direct block
 ``(A, B)`` usually has its mirror ``(B, A)`` in the plan; for symmetric
 kernels each such kernel matrix is formed once and applied both ways
 (``G q_B`` to ``A``, ``G^T q_A`` to ``B``; Newton's third law at cell
@@ -47,6 +46,12 @@ execute opens one evaluation :class:`~repro.kernels.workspace.Workspace`
 (:func:`~.base.start_execute`) sized for its largest row block or
 bucket chunk, into which every block writes its r^2, ``g`` and
 ``g'(r)/r``; results are bitwise those without one.
+
+Both paths compute in float64 whatever ``dtype`` the execute is handed:
+that argument only prices the device's launches
+(:meth:`~repro.perf.machine.MachineSpec.precision_multiplier`), so a
+``float32`` session returns the float64 bytes at the modelled
+single-precision cost.
 """
 
 from __future__ import annotations
@@ -101,12 +106,10 @@ class FusedBackend(Backend):
         if not uses_stacked_path(plan, kernel):
             accumulate_rows(
                 plan, out, forces,
-                *eval_plan(plan, kernel, dtype, compute_forces, workspace),
+                *eval_plan(plan, kernel, compute_forces, workspace),
             )
             return out, forces
-        # cast_geometry: repeated applies of a prepared session stop
-        # re-casting targets/points every step.
-        arrays = plan_arrays(plan, cast_geometry=dtype)
+        arrays = plan_arrays(plan)
         try:
             layout = plan.ensure_batched_layout()
         except Exception as exc:
@@ -117,16 +120,16 @@ class FusedBackend(Backend):
                 backend=self.name,
             ) from exc
         workspace.reserve(layout_block_elements(layout, arrays, compute_forces))
-        candidates = plan.layout_candidates(dtype)
+        candidates = plan.layout_candidates()
         for b, bucket in enumerate(layout.buckets):
             eval_bucket(
                 bucket, arrays["targets"], arrays["src_points"],
-                kernel, dtype, compute_forces, out, forces,
+                kernel, compute_forces, out, forces,
                 workspace=workspace, candidates=candidates[b],
             )
         n_buckets = len(layout.buckets)
         eval_ragged_runs(
-            arrays, layout.ragged_runs, kernel, dtype, compute_forces,
+            arrays, layout.ragged_runs, kernel, compute_forces,
             out, forces, workspace=workspace,
             candidates=[
                 candidates[n_buckets + r]

@@ -7,7 +7,10 @@ multiprocessing backend's inline path) and inside pool workers (which
 unpickle the dict from their shard task).  The driver,
 :meth:`~repro.kernels.base.Kernel.potential`, is the same call with
 forces on or off (a ``forces`` accumulator switches them on), so no
-step here chooses between kernel methods.
+step here chooses between kernel methods.  The arithmetic is float64
+throughout, on the temporary-free r^2 primitive (``fused=True``); the
+evaluation dtype a backend is handed only prices the simulated device's
+launches.
 
 Mutual blocks: given the plan's :class:`~repro.core.plan.MirrorSchedule`
 (``arrays["mirrors"]``, in-process fused evaluation only), a group
@@ -59,56 +62,30 @@ PLAN_ARRAY_FIELDS = (
 )
 
 
-def plan_arrays(plan, *, cast_geometry=None) -> dict:
-    """The plan's non-None flat arrays keyed by field name.
-
-    ``cast_geometry`` is the evaluation dtype of an in-process
-    execution: it swaps in the plan's dtype-keyed cast caches for the
-    geometry-constant buffers (targets / source points), so
-    mixed-precision executions cast once per plan instead of per call.
-    Leave it None when shipping buffers elsewhere (the multiprocessing
-    backend's shard tasks): workers cast their own shard slices, which
-    is elementwise-identical.
-    """
-    arrays = {
+def plan_arrays(plan) -> dict:
+    """The plan's non-None flat arrays keyed by field name."""
+    return {
         f: getattr(plan, f)
         for f in PLAN_ARRAY_FIELDS
         if getattr(plan, f) is not None
     }
-    if cast_geometry is not None:
-        arrays["targets"] = plan.targets_as(cast_geometry)
-        arrays["src_points"] = plan.src_points_as(cast_geometry)
-    return arrays
 
 
 class RunOperands:
     """Kernel operands of the fused per-group arithmetic.
 
     What :func:`eval_group_range` (whole groups) and the batched
-    backend's ragged remainder (explicit segment runs) share: which r^2
-    arithmetic the dtype gets, the once-per-execution cast of the source
-    buffers, and per (group, segments) the gathered rows.
+    backend's ragged remainder (explicit segment runs) share: per
+    (group, segments) the gathered rows.
     """
 
-    def __init__(self, arrays, dtype):
+    def __init__(self, arrays):
         self.arrays = arrays
-        self.dtype = np.dtype(dtype)
-        # The temporary-free r^2 primitive reorders the three-term sum;
-        # at double precision the difference sits at the coincidence
-        # noise floor, but at single precision that cancellation
-        # dominates the mixed-precision error budget -- so float32 keeps
-        # the reference operation order and only the float64 path opts
-        # in (on kernels that provide the primitive; the reference numpy
-        # backend never asks, keeping the byte-stable path untouched).
-        self.fused = self.dtype == np.float64
-        # Cast once; float64 passes through as views.  The shared
-        # layout's physical rows are scattered through ``seg_src_lo``
-        # aliases (and already de-duplicated), so the cast covers the
-        # full -- compact -- buffers.
-        # Weights stay RHS-major (see ``weight_buffer``): every column
-        # of ``q_all`` and of its gathers is contiguous.
-        self.src_all = np.ascontiguousarray(arrays["src_points"], dtype=dtype)
-        self.q_all = np.asarray(arrays["src_weights"], dtype=dtype, order="F")
+        self.src_all = arrays["src_points"]
+        # Weights stay RHS-major (see ``weight_buffer``; a shard task's
+        # C-order copy is put back): every column of ``q_all`` and of
+        # its gathers is contiguous.
+        self.q_all = np.asarray(arrays["src_weights"], order="F")
 
     def __call__(self, g: int, s_lo: int, s_hi: int):
         """Operands of group ``g`` against its segments ``[s_lo, s_hi)``."""
@@ -141,10 +118,7 @@ class RunOperands:
             q = np.concatenate(
                 [self.q_all[lo:hi].T for lo, hi in slices], axis=-1
             ).T
-        tgt = np.ascontiguousarray(
-            arrays["targets"][t_lo:t_hi], dtype=self.dtype
-        )
-        return tgt, src, q
+        return arrays["targets"][t_lo:t_hi], src, q
 
 
 def group_block_elements(arrays, g_lo, g_hi) -> int:
@@ -172,7 +146,7 @@ def group_block_elements(arrays, g_lo, g_hi) -> int:
 
 
 def eval_group_range(
-    arrays, kernel, dtype, compute_forces, g_lo, g_hi, workspace=None
+    arrays, kernel, compute_forces, g_lo, g_hi, workspace=None
 ):
     """Fused per-group accumulation over groups ``[g_lo, g_hi)``.
 
@@ -228,7 +202,7 @@ def eval_group_range(
     f_out = (
         np.zeros((rows, 3) + rhs, dtype=np.float64) if compute_forces else None
     )
-    operands = RunOperands(arrays, dtype)
+    operands = RunOperands(arrays)
 
     def rows_of(g):
         return slice(
@@ -259,7 +233,7 @@ def eval_group_range(
         kernel.potential(
             tgt, src, q, out=phi[rows_of(g)],
             forces=None if f_out is None else f_out[rows_of(g)],
-            fused=operands.fused,
+            fused=True,
             coincident=None if candidates is None else candidates[g],
             mirror=mirror,
             workspace=workspace,
@@ -274,24 +248,22 @@ def eval_group_range(
     return t_lo_all, t_hi_all, phi, f_out
 
 
-def eval_plan(
-    plan, kernel, dtype, compute_forces, workspace=None, *, mirror=True
-):
+def eval_plan(plan, kernel, compute_forces, workspace=None, *, mirror=True):
     """In-process fused evaluation of a whole plan.
 
-    :func:`eval_group_range` over every group with the plan's cast
-    cache, the execute's ``workspace``, for symmetric kernels
+    :func:`eval_group_range` over every group with the execute's
+    ``workspace``, for symmetric kernels
     (``Kernel.symmetric``) unless ``mirror`` is False its mirror
     schedule, so each mirrored direct block is formed once, and for
     radial kernels (the ones with a coincidence rule) its candidate
     coincident entries.  Returns what :func:`eval_group_range` does.
     """
-    arrays = plan_arrays(plan, cast_geometry=dtype)
+    arrays = plan_arrays(plan)
     mirrors = None
     if mirror and getattr(kernel, "symmetric", False):
         mirrors = arrays["mirrors"] = plan.mirror_schedule()
     if isinstance(kernel, RadialKernel):
-        arrays["candidates"] = plan.group_candidates(dtype, mirrors)
+        arrays["candidates"] = plan.group_candidates(mirrors)
     return eval_group_range(
-        arrays, kernel, dtype, compute_forces, 0, plan.n_groups, workspace
+        arrays, kernel, compute_forces, 0, plan.n_groups, workspace
     )

@@ -21,9 +21,8 @@ Execution model
 * Groups are split into contiguous shards balanced by the modeled
   interaction count (``group_size x seg_size`` summed per group).
   Shard boundaries never affect values: every target row is written by
-  exactly one shard (``out_index`` is injective over groups), and the
-  per-shard casts are elementwise, so any split produces
-  bitwise-identical output.  Each worker -- and the inline path -- runs
+  exactly one shard (``out_index`` is injective over groups), so any
+  split produces bitwise-identical output.  Each worker -- and the inline path -- runs
   the per-group accumulation of
   :func:`~repro.core.backends.groupeval.eval_group_range` (one call of
   the per-block kernel driver ``Kernel.potential`` per group, with a
@@ -74,7 +73,7 @@ __all__ = ["MultiprocessingBackend", "MIN_PARALLEL_ROWS"]
 MIN_PARALLEL_ROWS = 8_192
 
 
-def _worker_run(payload, kernel, dtype, compute_forces, g_lo, g_hi):
+def _worker_run(payload, kernel, compute_forces, g_lo, g_hi):
     """Pool entry point: unpickle the plan arrays, run one shard.
 
     The shard arithmetic is :func:`.groupeval.eval_group_range` -- the
@@ -82,7 +81,7 @@ def _worker_run(payload, kernel, dtype, compute_forces, g_lo, g_hi):
     bitwise identical at any split by construction.
     """
     return eval_group_range(
-        pickle.loads(payload), kernel, dtype, compute_forces, g_lo, g_hi
+        pickle.loads(payload), kernel, compute_forces, g_lo, g_hi
     )
 
 
@@ -175,27 +174,23 @@ class MultiprocessingBackend(Backend):
         )
         shards = self._shards(plan)
         if len(shards) > 1 and plan.n_source_rows >= MIN_PARALLEL_ROWS:
-            results = self._run_sharded(
-                plan, kernel, dtype, compute_forces, shards
-            )
+            results = self._run_sharded(plan, kernel, compute_forces, shards)
         else:
-            # The plan's cast caches and coincidence candidates
-            # (elementwise-identical values and the scan's indices, so
+            # The plan's coincidence candidates (the scan's indices, so
             # the bitwise contract with the sharded path holds either
             # way); no mirror schedule, so the arithmetic is the
             # shards'.  The workspace changes no bits, so the workers
             # need none.
             results = [
                 eval_plan(
-                    plan, kernel, dtype, compute_forces, workspace,
-                    mirror=False,
+                    plan, kernel, compute_forces, workspace, mirror=False
                 )
             ]
         for rows in results:
             accumulate_rows(plan, out, forces, *rows)
         return out, forces
 
-    def _run_sharded(self, plan, kernel, dtype, compute_forces, shards):
+    def _run_sharded(self, plan, kernel, compute_forces, shards):
         """Run every shard on the pool; a broken pool is discarded and
         surfaces as :class:`~repro.errors.WorkerCrashError`.
 
@@ -210,8 +205,7 @@ class MultiprocessingBackend(Backend):
             pool = self._ensure_pool()
             futures = [
                 pool.submit(
-                    _worker_run, payload, kernel, dtype, compute_forces,
-                    g_lo, g_hi,
+                    _worker_run, payload, kernel, compute_forces, g_lo, g_hi
                 )
                 for g_lo, g_hi in shards
             ]

@@ -1,7 +1,7 @@
 """Reference NumPy backend: the seed implementation's blocked semantics.
 
-Per group, per kind: concatenate the segment sources, cast once, one
-blocked :meth:`~repro.kernels.base.Kernel.potential` accumulation --
+Per group, per kind: concatenate the segment sources, one blocked
+:meth:`~repro.kernels.base.Kernel.potential` accumulation --
 exactly the arithmetic (and the same floating-point summation order) as
 the original per-batch executor loop, so results are byte-for-byte
 stable across the refactor.  This backend is the correctness reference
@@ -49,7 +49,7 @@ class NumpyBackend(Backend):
             m = t_hi - t_lo
             if m == 0:
                 continue
-            tgt = np.ascontiguousarray(plan.targets[t_lo:t_hi], dtype=dtype)
+            tgt = plan.targets[t_lo:t_hi]
             idx = plan.out_index[t_lo:t_hi]
             phi = np.zeros(
                 m if width is None else (m, width), dtype=np.float64
@@ -77,8 +77,6 @@ class NumpyBackend(Backend):
                 q = np.concatenate(
                     [plan.src_weights[lo:hi] for lo, hi in ranges]
                 )
-                src = np.ascontiguousarray(src, dtype=dtype)
-                q = np.ascontiguousarray(q, dtype=dtype)
                 kernel.potential(tgt, src, q, out=phi)
                 if f_acc is not None:
                     kernel.force(tgt, src, q, out=f_acc)

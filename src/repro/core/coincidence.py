@@ -6,7 +6,7 @@ The kernels classify an entry of an r^2 block as coincident (``r ==
 :data:`~repro.kernels.base.NOISE_FLOOR_EPS` ``* eps`` times the block's
 squared coordinate scale.  A plan can say ahead of time which entries
 may pass that test.  Let ``S = max|t|^2 + max|s|^2`` over its target
-and source buffers, cast to the evaluation dtype.  ``S`` bounds every
+and source buffers.  ``S`` bounds every
 block's own scale, so every block's floor is at most ``16 eps S``, and
 the GEMM-expanded r^2 of a block is within about ``10 eps S`` of the
 exact squared distance.  An entry at its block's floor is therefore a
@@ -30,7 +30,7 @@ same entries, floor and comparison as the full scan, so the same
 indices, and bitwise the same potentials and forces.
 
 A plan derives its candidates on its first execution, once per
-geometry and evaluation dtype (:meth:`ExecutionPlan.group_candidates`,
+geometry (:meth:`ExecutionPlan.group_candidates`,
 :meth:`ExecutionPlan.layout_candidates`), as it derives its mirror
 schedule and batched layout.  Physical source rows are located through
 the plan's source slots: segments of one share key alias one physical
@@ -80,26 +80,24 @@ class BlockCandidates:
         return int(self.ptr.nbytes + self.flat.nbytes)
 
 
-def neighbour_pairs(targets, sources, dtype) -> tuple[np.ndarray, np.ndarray]:
+def neighbour_pairs(targets, sources) -> tuple[np.ndarray, np.ndarray]:
     """``(t, s)``: every (target row, source row) pair whose exact
-    squared distance is at most ``CANDIDATE_EPS * eps(dtype) * S``,
-    sorted by target row, then source row.
+    squared distance is at most ``CANDIDATE_EPS * eps * S`` (float64's
+    eps), sorted by target row, then source row.
 
-    Both point sets are cast to ``dtype`` (the coordinates the kernels
-    see) and compared in float64.  The grid's cells are at least twice
-    the radius, so the sources within it of a target lie in the 2 x 2 x
-    2 cells nearest that target: two sorted key ranges (z pairs of
-    cells) in each of two x and two y columns.
+    The grid's cells are at least twice the radius, so the sources
+    within it of a target lie in the 2 x 2 x 2 cells nearest that
+    target: two sorted key ranges (z pairs of cells) in each of two x
+    and two y columns.
     """
-    dt = np.dtype(dtype)
-    t = np.asarray(targets, dtype=dt).astype(np.float64, copy=False)
-    s = np.asarray(sources, dtype=dt).astype(np.float64, copy=False)
+    t = np.asarray(targets, dtype=np.float64)
+    s = np.asarray(sources, dtype=np.float64)
     if len(t) == 0 or len(s) == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     scale = float(
         np.einsum("ij,ij->i", t, t).max() + np.einsum("ij,ij->i", s, s).max()
     )
-    radius2 = CANDIDATE_EPS * np.finfo(dt).eps * max(scale, 1e-300)
+    radius2 = CANDIDATE_EPS * np.finfo(np.float64).eps * max(scale, 1e-300)
     lo = min(t.min(), s.min())
     extent = max(t.max(), s.max()) - lo
     # A 0.1% margin keeps a pair at exactly the radius inside the cells
@@ -185,7 +183,7 @@ def _csr(block, flat, block_sizes) -> BlockCandidates:
     return BlockCandidates(ptr=ptr.astype(index), flat=flat.astype(index))
 
 
-def group_candidates(plan, dtype, mirrors=None) -> BlockCandidates:
+def group_candidates(plan, mirrors=None) -> BlockCandidates:
     """Candidates of every group's ``(m, k)`` matrix on the per-group
     path: its segments in plan order, or with ``mirrors`` (a
     :class:`~repro.core.plan.MirrorSchedule`) its unmirrored segments
@@ -207,7 +205,7 @@ def group_candidates(plan, dtype, mirrors=None) -> BlockCandidates:
     col0[order] = before - before[plan.seg_group_ptr[seg_group]]
     total = np.concatenate(([0], np.cumsum(used)))
     k = total[plan.seg_group_ptr[1:]] - total[plan.seg_group_ptr[:-1]]
-    t, p = neighbour_pairs(plan.targets, plan.src_points, dtype)
+    t, p = neighbour_pairs(plan.targets, plan.src_points)
     pair, seg = _segment_hits(plan, t, p)
     pair, seg = pair[live[seg]], seg[live[seg]]
     g = seg_group[seg]
@@ -216,7 +214,7 @@ def group_candidates(plan, dtype, mirrors=None) -> BlockCandidates:
     return _csr(g, row * k[g] + col, np.diff(plan.group_ptr) * k)
 
 
-def layout_candidates(plan, layout, dtype) -> BlockCandidates:
+def layout_candidates(plan, layout) -> BlockCandidates:
     """Candidates of every block of a
     :class:`~repro.core.plan.BatchedLayout`: each bucket's whole ``(G,
     m_max, k)`` stack, then each ragged run's ``(m, k)`` matrix.
@@ -254,7 +252,7 @@ def layout_candidates(plan, layout, dtype) -> BlockCandidates:
             run_k[sum(n_entries):],
         ], axis=1),
     ))
-    t, p = neighbour_pairs(plan.targets, plan.src_points, dtype)
+    t, p = neighbour_pairs(plan.targets, plan.src_points)
     pair, seg = _segment_hits(plan, t, p)
     # The run holding each segment, if any: runs are disjoint.
     at = np.searchsorted(s_lo[runs_by_lo], seg, side="right") - 1

@@ -35,18 +35,21 @@ def direct_sum(
     """Direct O(M N) summation of all target-source interactions.
 
     Self-interactions (coincident target/source) contribute zero for
-    singular kernels -- see :class:`repro.kernels.base.Kernel`.
+    singular kernels -- see :class:`repro.kernels.base.Kernel`.  The
+    sum runs in float64; ``dtype`` is the precision the ``device`` is
+    charged at, as for the treecode's backends.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=dtype))
-    sources = np.atleast_2d(np.asarray(sources, dtype=dtype))
-    charges = np.asarray(charges, dtype=dtype).ravel()
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    sources = np.atleast_2d(np.asarray(sources, dtype=np.float64))
+    charges = np.asarray(charges, dtype=np.float64).ravel()
     if sources.shape[0] != charges.shape[0]:
         raise ValueError(
             f"{sources.shape[0]} sources but {charges.shape[0]} charges"
         )
     if device is not None:
         m, k = targets.shape[0], sources.shape[0]
-        device.upload(targets.nbytes + sources.nbytes + charges.nbytes)
+        itemsize = np.dtype(dtype).itemsize
+        device.upload(itemsize * (targets.size + sources.size + charges.size))
         device.launch(
             float(m) * float(k),
             blocks=m,
@@ -54,7 +57,7 @@ def direct_sum(
             flops_per_interaction=kernel.flops_per_interaction,
             cost_multiplier=launch_cost_multiplier(kernel, device, dtype),
         )
-        device.download(m * np.dtype(dtype).itemsize)
+        device.download(m * itemsize)
     return kernel.potential(targets, sources, charges)
 
 

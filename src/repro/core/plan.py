@@ -189,7 +189,7 @@ patches the interaction lists incrementally, then compiles a fresh
 plan from them (:class:`~repro.core.dynamic.TreecodeGeometryUpdater`)
 -- so an updated plan is a cold compile of the session's state by
 construction.  Everything derived from a plan's geometry (the batched
-layout, the cast cache, the coincidence candidates of
+layout, the bucket stacks, the coincidence candidates of
 :mod:`repro.core.coincidence`, the :class:`MirrorSchedule`) is built
 lazily on the new plan and dies with the old one.
 
@@ -307,8 +307,8 @@ class BatchedBucket:
     #: Pad columns repeat the entry's first source row and hold weight
     #: exactly 0.0 forever.
     src_valid: np.ndarray | None = None
-    #: dtype-keyed cache of the gathered (targets, sources) stacks.
-    _stacks: dict = field(default_factory=dict, repr=False)
+    #: cached gathered ``(targets, sources)`` stacks, or None.
+    _stacks: tuple | None = field(default=None, repr=False)
     #: cached flat source rows of the valid positions (padded buckets).
     _valid_rows: np.ndarray | None = field(default=None, repr=False)
 
@@ -317,7 +317,7 @@ class BatchedBucket:
         # (rebuilt on demand from the index matrices); shipping them
         # would duplicate the geometry buffers in every pickle.
         state = self.__dict__.copy()
-        state["_stacks"] = {}
+        state["_stacks"] = None
         state["_valid_rows"] = None
         return state
 
@@ -387,24 +387,19 @@ class BatchedBucket:
         return int(nbytes)
 
     def stacks(
-        self, targets: np.ndarray, src_points: np.ndarray, dtype
+        self, targets: np.ndarray, src_points: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Gathered ``(G, m_max, 3)`` target / ``(G, k, 3)`` source stacks.
 
-        Cached per dtype: the gather indices and coordinates are
-        geometry, so repeated executions (prepared sessions) reuse the
-        stacks untouched.  Pass pre-cast buffers (see
-        :meth:`ExecutionPlan.targets_as`) to avoid a second cast pass.
+        Cached: the gather indices and coordinates are geometry, so
+        repeated executions (prepared sessions) reuse the stacks
+        untouched.
         """
-        key = np.dtype(dtype).str
-        cached = self._stacks.get(key)
-        if cached is None:
-            cached = (
-                np.ascontiguousarray(targets[self.tgt_index], dtype=dtype),
-                np.ascontiguousarray(src_points[self.src_index], dtype=dtype),
-            )
-            self._stacks[key] = cached
-        return cached
+        if self._stacks is None:
+            object.__setattr__(self, "_stacks", (
+                targets[self.tgt_index], src_points[self.src_index]
+            ))
+        return self._stacks
 
     def refresh_weights(self, src_weights: np.ndarray) -> None:
         """Re-gather this bucket's weight matrix from the flat buffer.
@@ -570,11 +565,8 @@ class ExecutionPlan:
     #: Shape-bucketed execution layout, or None until
     #: :meth:`ensure_batched_layout` builds (and caches) it.
     batched_layout: "BatchedLayout | None" = None
-    #: dtype-keyed cache of cast copies of the geometry-constant buffers
-    #: (targets / src_points); see :meth:`targets_as`.
-    _cast_cache: dict = field(default_factory=dict, repr=False)
     #: Candidate coincident entries of the blocks the plan evaluator
-    #: forms, per evaluation dtype: one
+    #: forms: one
     #: :class:`~repro.core.coincidence.BlockCandidates` for the
     #: per-group path (see :meth:`group_candidates`) and one for the
     #: batched layout (:meth:`layout_candidates`).  Derived by the first
@@ -586,14 +578,10 @@ class ExecutionPlan:
     _mirrors: "MirrorSchedule | None" = field(default=None, repr=False)
 
     def __getstate__(self):
-        # Cast caches are process-local: unpickled in another process
-        # they would be stale-by-identity (no longer views of anything
-        # shared) and they double the pickle size for no benefit.  They
-        # repopulate lazily on the first mixed-precision execution, as
-        # the candidates and the mirror schedule do on the first
-        # execution of any kind.
+        # The candidates and the mirror schedule are geometry derived
+        # from the buffers; they repopulate lazily on the first
+        # execution after unpickling.
         state = self.__dict__.copy()
-        state["_cast_cache"] = {}
         state["_candidates"] = {}
         state["_mirrors"] = None
         return state
@@ -647,64 +635,36 @@ class ExecutionPlan:
         lo, hi = self.segment_source_range(s)
         return self.src_weights[lo:hi]
 
-    # -- geometry-constant dtype casts ----------------------------------
-    def _cast_geometry(self, name: str, arr: np.ndarray, dtype) -> np.ndarray:
-        dt = np.dtype(dtype)
-        if arr.dtype == dt and arr.flags.c_contiguous:
-            return arr
-        key = (name, dt.str)
-        cached = self._cast_cache.get(key)
-        if cached is None:
-            cached = np.ascontiguousarray(arr, dtype=dt)
-            self._cast_cache[key] = cached
-        return cached
-
-    def targets_as(self, dtype) -> np.ndarray:
-        """The target buffer cast to ``dtype``, cached on the plan.
-
-        Targets are geometry (charge-independent), so prepared sessions
-        evaluating in mixed precision pay the cast once instead of
-        re-running ``np.ascontiguousarray`` per group on every apply;
-        float64 requests return the stored buffer itself.
-        """
-        return self._cast_geometry("targets", self.targets, dtype)
-
-    def src_points_as(self, dtype) -> np.ndarray:
-        """The source-point buffer cast to ``dtype`` (cached; geometry)."""
-        return self._cast_geometry("src_points", self.src_points, dtype)
-
+    # -- geometry-derived caches ----------------------------------------
     def coincident_nbytes(self) -> int:
         """Bytes of candidate coincident entries held for this
         geometry (:meth:`group_candidates`, :meth:`layout_candidates`)."""
         return int(sum(c.nbytes for c in self._candidates.values()))
 
-    def group_candidates(self, dtype, mirrors: "MirrorSchedule | None"):
+    def group_candidates(self, mirrors: "MirrorSchedule | None"):
         """Candidate coincident entries of every group's block on the
-        per-group path at ``dtype``, in plan order or, given the plan's
-        ``mirrors``, in its mirror order; derived on first use
+        per-group path, in plan order or, given the plan's ``mirrors``,
+        in its mirror order; derived on first use
         (:func:`~repro.core.coincidence.group_candidates`)."""
         from .coincidence import group_candidates
 
-        key = ("groups", np.dtype(dtype).str, mirrors is not None)
+        key = ("groups", mirrors is not None)
         found = self._candidates.get(key)
         if found is None:
-            found = group_candidates(self, dtype, mirrors)
+            found = group_candidates(self, mirrors)
             self._candidates[key] = found
         return found
 
-    def layout_candidates(self, dtype):
+    def layout_candidates(self):
         """Candidate coincident entries of every bucket stack and ragged
-        run of the batched layout at ``dtype``; derived on first use
+        run of the batched layout; derived on first use
         (:func:`~repro.core.coincidence.layout_candidates`)."""
         from .coincidence import layout_candidates
 
-        key = ("layout", np.dtype(dtype).str)
-        found = self._candidates.get(key)
+        found = self._candidates.get("layout")
         if found is None:
-            found = layout_candidates(
-                self, self.ensure_batched_layout(), dtype
-            )
-            self._candidates[key] = found
+            found = layout_candidates(self, self.ensure_batched_layout())
+            self._candidates["layout"] = found
         return found
 
     def mirror_schedule(self) -> "MirrorSchedule":

@@ -38,8 +38,8 @@ the pickle never ships worker pools or locks; the first post-unpickle
 apply re-resolves through the process-wide shared store in
 :mod:`repro.registry` (two restored sessions selecting
 ``"multiprocessing"`` therefore share one pool), and dropped caches
-(plan cast caches, bucket stacks, coincidence candidates) repopulate
-lazily.
+(bucket stacks, coincidence candidates, the mirror schedule)
+repopulate lazily.
 
 Fault tolerance: this fallback chain is the package's only recovery
 path.  A backend failure inside an apply -- a pool worker that died
@@ -634,7 +634,7 @@ class SessionCore:
         no layout is attached); ``coincident_cache_bytes`` the candidate
         coincident entries the plan evaluator derives by one neighbour
         pass on its first apply on a geometry, one index array per
-        evaluated path and dtype, which each block's noise-floor test
+        evaluated path, which each block's noise-floor test
         is limited to (0 before that apply and again after
         ``update_geometry``; see :mod:`repro.core.coincidence`).
         Read-only: accounting never resolves the backend, so it cannot
@@ -734,7 +734,7 @@ class PreparedSession:
         particles re-binned; the extension sessions always rebuild
         wholesale (the result says which happened and why).  Either way
         every subsequent ``apply()`` is bitwise equal to a cold
-        ``prepare()`` at the new positions, on every backend and dtype.
+        ``prepare()`` at the new positions, on every backend.
         Sessions prepared with targets defaulted to the sources move
         both sets together; pass ``targets`` to move a disjoint target
         set explicitly (omitting it leaves disjoint targets where they

@@ -1,8 +1,9 @@
 """Extensions implementing the paper's Sec. 5 future-work items.
 
-* Mixed-precision arithmetic -- built into the core via
-  ``TreecodeParams(dtype=numpy.float32)`` (kernels evaluate in single
-  precision, accumulation stays double).
+* Mixed-precision arithmetic -- modelled only:
+  ``TreecodeParams(dtype=numpy.float32)`` charges the simulated device
+  at its single-precision throughput while the numerics stay float64
+  (a float32 evaluation lost the near pairs under its noise floor).
 * Overlapping communication and computation -- built into the
   distributed driver via ``DistributedBLTC(overlap_comm=True)``.
 * :class:`~repro.extensions.cluster_particle.ClusterParticleTreecode` --

@@ -53,8 +53,8 @@ __all__ = ["Kernel", "RadialKernel", "block_rows", "candidate_rows"]
 #: Default cap on the elements of one row block of :meth:`Kernel.potential`:
 #: 32 MB per ``(m, k)`` float64 array.  Live per block: r^2 (``r`` after
 #: the in-place sqrt) and ``g``; with forces ``g'(r)/r`` too, ``r`` then
-#: serving as the contraction scratch; float32's reference r^2 adds its
-#: GEMM term, and radial kernels without an ``out``-aware
+#: serving as the contraction scratch; the reference r^2 (``fused=False``)
+#: adds its GEMM term, and radial kernels without an ``out``-aware
 #: :meth:`RadialKernel.evaluate_radial` their own temporaries.
 DEFAULT_BLOCK_ELEMENTS = 4_000_000
 

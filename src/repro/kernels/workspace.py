@@ -14,8 +14,8 @@ and fault back in on the next block.
 A :class:`Workspace` holds one flat buffer per ``(slot, dtype)`` and
 hands out C-contiguous views of its leading elements, so consecutive
 blocks reuse the same memory.  A driver handed a workspace takes its
-arrays from the slots ``"r2"``, ``"g"`` and ``"f"`` (the float32
-reference r^2 adds ``"cross"``) and passes the factor buffers to
+arrays from the slots ``"r2"``, ``"g"`` and ``"f"`` (the reference
+r^2, ``fused=False``, adds ``"cross"``) and passes the factor buffers to
 ``RadialKernel.evaluate_radial`` as its ``out``.  One workspace lives
 for one execute and is freed when it returns.  Before the first block,
 the evaluator :meth:`~Workspace.reserve` s the element count of the

@@ -108,8 +108,7 @@ def _per_group(plan, kernel, *, forces=False):
     """``eval_group_range`` over every group, scattered to the output:
     the multiprocessing backend's arithmetic at any shard split."""
     t_lo, t_hi, phi_rows, f_rows = eval_group_range(
-        plan_arrays(plan, cast_geometry=np.float64), kernel, np.float64,
-        forces, 0, plan.n_groups,
+        plan_arrays(plan), kernel, forces, 0, plan.n_groups
     )
     idx = plan.out_index[t_lo:t_hi]
     phi = np.zeros(plan.out_size)
@@ -406,22 +405,23 @@ class TestNumpyBackendHandBuiltPlan:
         assert np.array_equal(phi, np.zeros(4))
         assert dev.counters.launches == 0
 
-    def test_float32_mode_close_to_float64(self):
+    def test_float32_mode_is_the_float64_arithmetic(self):
+        # dtype prices the launches; the numerics are float64.
         rng = np.random.default_rng(0)
         plan = _hand_plan(
             rng.uniform(-1, 1, (30, 3)), [],
             [(rng.uniform(2, 4, (40, 3)), rng.normal(size=40))],
         )
-        dev = CpuDevice(CPU_XEON_X5650)
+        d64, d32 = CpuDevice(CPU_XEON_X5650), CpuDevice(CPU_XEON_X5650)
         full, _ = NumpyBackend().execute(
-            plan, CoulombKernel(), dev, dtype=np.float64
+            plan, CoulombKernel(), d64, dtype=np.float64
         )
         single, _ = NumpyBackend().execute(
-            plan, CoulombKernel(), dev, dtype=np.float32
+            plan, CoulombKernel(), d32, dtype=np.float32
         )
-        assert np.allclose(full, single, rtol=1e-4)
-        assert not np.array_equal(full, single)
-        assert single.dtype == np.float64  # accumulator stays double
+        assert single.dtype == np.float64
+        assert np.array_equal(full, single)
+        assert d32.elapsed() < d64.elapsed()
 
     def test_yukawa_cost_multiplier_charged(self):
         rng = np.random.default_rng(0)
@@ -656,8 +656,8 @@ class TestMultiprocessingBackend:
         finally:
             backend.close()
         t_lo, t_hi, rows, _ = eval_group_range(
-            plan_arrays(shared_plan, cast_geometry=np.float32),
-            CoulombKernel(), np.float32, False, 0, shared_plan.n_groups,
+            plan_arrays(shared_plan), CoulombKernel(), False,
+            0, shared_plan.n_groups,
         )
         ref = np.zeros(shared_plan.out_size)
         ref[shared_plan.out_index[t_lo:t_hi]] += rows
@@ -682,8 +682,7 @@ class TestMultiprocessingBackend:
         plan = sess.plan
         assert plan.rhs_width == 3
         t_lo, t_hi, rows, f_rows = eval_group_range(
-            plan_arrays(plan, cast_geometry=np.float64), CoulombKernel(),
-            np.float64, True, 0, plan.n_groups,
+            plan_arrays(plan), CoulombKernel(), True, 0, plan.n_groups
         )
         idx = plan.out_index[t_lo:t_hi]
         phi = np.zeros((plan.out_size, 3))
@@ -967,18 +966,6 @@ class TestBatchedLayout:
         with pytest.raises(ValueError, match="model-only"):
             plan.ensure_batched_layout()
 
-    def test_geometry_cast_caches(self, shared_plan):
-        assert shared_plan.targets_as(np.float64) is shared_plan.targets
-        assert (
-            shared_plan.src_points_as(np.float64) is shared_plan.src_points
-        )
-        t32 = shared_plan.targets_as(np.float32)
-        assert t32.dtype == np.float32
-        assert shared_plan.targets_as(np.float32) is t32  # cached
-        assert np.array_equal(
-            t32, shared_plan.targets.astype(np.float32)
-        )
-
 
 class TestStackedPath:
     """The plan evaluator's stacked bucket path against its per-group
@@ -1007,27 +994,17 @@ class TestStackedPath:
         assert dev_b.counters.interactions == dev_f.counters.interactions
         assert dev_b.elapsed() == pytest.approx(dev_f.elapsed())
 
-    def test_float32_matches_per_group(self, shared_plan):
-        # The near field is bucketed too, so float32 stacked and
-        # per-group do not share one summation order; both must sit at
-        # single-precision accuracy against the float64 reference, and
-        # stacked must not be the less accurate one (beyond ordering
-        # noise).
-        phi64, f64, _ = self._run("per-group", shared_plan, dtype=np.float64)
-        phi_f, f_f, _ = self._run("per-group", shared_plan, dtype=np.float32)
-        phi_b, f_b, _ = self._run("stacked", shared_plan, dtype=np.float32)
-        assert relative_l2_error(phi_f, phi_b) < 1e-4
-        assert relative_l2_error(f_f, f_b) < 1e-3
-        assert relative_l2_error(phi64, phi_b) < 2 * relative_l2_error(
-            phi64, phi_f
-        )
-        assert relative_l2_error(f64, f_b) < 2 * relative_l2_error(f64, f_f)
+    @pytest.mark.parametrize("path", ["per-group", "stacked"])
+    def test_float32_mode_is_the_float64_arithmetic(self, shared_plan, path):
+        phi64, f64, dev64 = self._run(path, shared_plan)
+        phi32, f32, dev32 = self._run(path, shared_plan, dtype=np.float32)
+        assert np.array_equal(phi64, phi32)
+        assert np.array_equal(f64, f32)
+        assert dev32.elapsed() < dev64.elapsed()
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
-                             ids=["f64", "f32"])
-    def test_bitwise_run_to_run_determinism(self, shared_plan, dtype):
-        phi_a, f_a, _ = self._run("stacked", shared_plan, dtype=dtype)
-        phi_b, f_b, _ = self._run("stacked", shared_plan, dtype=dtype)
+    def test_bitwise_run_to_run_determinism(self, shared_plan):
+        phi_a, f_a, _ = self._run("stacked", shared_plan)
+        phi_b, f_b, _ = self._run("stacked", shared_plan)
         assert np.array_equal(phi_a, phi_b)
         assert np.array_equal(f_a, f_b)
 
@@ -1071,23 +1048,6 @@ class TestStackedPath:
         assert np.allclose(phi_f, phi_b, rtol=1e-8, atol=1e-10)
         if forces:
             assert np.allclose(f_f, f_b, rtol=1e-7, atol=1e-8)
-
-    def test_layout_regime_float32_tracks_per_group(self, layout_regime_plan):
-        # The f32 error itself is regime-dependent (the overlapping
-        # clouds cancel heavily, so any f32 evaluation sits near 3e-2
-        # relative there); padded buckets must stay finite and as
-        # accurate against the f64 result as per-group f32, within 2x.
-        _, plan = layout_regime_plan
-        kernel = CoulombKernel()
-        phi64, _, _ = self._run("per-group", plan, forces=False, kernel=kernel)
-        rel = {}
-        for name in ("per-group", "stacked"):
-            phi32, _, _ = self._run(
-                name, plan, forces=False, dtype=np.float32, kernel=kernel
-            )
-            assert np.isfinite(phi32).all(), name
-            rel[name] = relative_l2_error(phi64, phi32)
-        assert rel["stacked"] < 2 * rel["per-group"] + 1e-7, rel
 
     def test_pipeline_compute(self, cube):
         params = _params(backend=self._use_backend("stacked"))
@@ -1202,30 +1162,25 @@ class TestPaddedBucketNaNSafety:
             ]))
         return _keyed_plan(groups)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
-                             ids=["f64", "f32"])
     def test_coincident_self_targets_finite_and_per_group_close(
-        self, dtype, use_backend
+        self, use_backend
     ):
         plan = self._coincident_plan()
         layout = plan.ensure_batched_layout()
         assert any(b.is_padded for b in layout.buckets)
         device = GpuDevice(GPU_TITAN_V)
         phi_b, f_b = get_backend(use_backend("stacked")).execute(
-            plan, CoulombKernel(), device, dtype=dtype, compute_forces=True
+            plan, CoulombKernel(), device, compute_forces=True
         )
         phi_f, f_f = get_backend(use_backend("per-group")).execute(
-            plan, CoulombKernel(), GpuDevice(GPU_TITAN_V), dtype=dtype,
+            plan, CoulombKernel(), GpuDevice(GPU_TITAN_V),
             compute_forces=True,
         )
         assert np.isfinite(phi_b).all() and np.isfinite(f_b).all()
-        tol = 1e-12 if dtype == np.float64 else 1e-5
-        assert relative_l2_error(phi_f, phi_b) < tol
-        assert relative_l2_error(f_f, f_b) < tol * 10
+        assert relative_l2_error(phi_f, phi_b) < 1e-12
+        assert relative_l2_error(f_f, f_b) < 1e-11
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
-                             ids=["f64", "f32"])
-    def test_duplicate_particles_near_field_cube(self, dtype, use_backend):
+    def test_duplicate_particles_near_field_cube(self, use_backend):
         # End to end: exact duplicate particle positions in a
         # near-field-heavy self-target run exercise coincidences inside
         # padded direct buckets on the whole treecode pipeline.
@@ -1236,10 +1191,7 @@ class TestPaddedBucketNaNSafety:
         pos[1] = pos[0]
         pos[101] = pos[100]
         ps = ParticleSet(pos, cube.charges)
-        kw = dict(
-            theta=0.6, degree=2, max_leaf_size=40, max_batch_size=40,
-            dtype=dtype,
-        )
+        kw = dict(theta=0.6, degree=2, max_leaf_size=40, max_batch_size=40)
         prep = BarycentricTreecode(
             CoulombKernel(),
             TreecodeParams(backend=use_backend("stacked"), **kw),
@@ -1255,9 +1207,8 @@ class TestPaddedBucketNaNSafety:
         ).compute(ps, compute_forces=True)
         assert np.isfinite(res.potential).all()
         assert np.isfinite(res.forces).all()
-        tol = 1e-12 if dtype == np.float64 else 1e-4
-        assert relative_l2_error(ref.potential, res.potential) < tol
-        assert relative_l2_error(ref.forces, res.forces) < tol * 10
+        assert relative_l2_error(ref.potential, res.potential) < 1e-12
+        assert relative_l2_error(ref.forces, res.forces) < 1e-11
 
 
 class TestPipelineEquivalence:

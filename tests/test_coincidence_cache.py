@@ -1,13 +1,13 @@
 """Coincident pairs are plan geometry: each block keeps the scan's pairs.
 
 The plan evaluator does not scan its blocks for entries at the
-coincidence noise floor.  One neighbour pass per plan and evaluation
-dtype (:mod:`repro.core.coincidence`) lists every block's candidate
+coincidence noise floor.  One neighbour pass per plan
+(:mod:`repro.core.coincidence`) lists every block's candidate
 entries, and each block keeps the candidates its r^2 puts at its floor.
 The contract, checked on every block the evaluator forms -- per group
 in plan and mirror order, in row blocks, bucket stacks with their pads,
-ragged runs, forces on and off, one and three charge columns, both
-dtypes: the kept indices are exactly
+ragged runs, forces on and off, one and three charge columns: the kept
+indices are exactly
 :func:`~repro.kernels.base._scan_coincident`'s on that block.
 Generated clouds hold duplicated points, planar sets, fewer particles
 than a leaf, disjoint targets, a cloud far from the origin and pairs at
@@ -17,7 +17,7 @@ The candidates are derived once per geometry, counted by
 ``memory_stats()`` and dropped by pickling and by every tier of
 ``update_geometry`` (a move onto a leaf mate, a structural update, a
 full rebuild); a warm apply is bitwise the first apply and a cold
-session's, on both paths and dtypes, with and without forces, for
+session's, on both paths, with and without forces, for
 vectors and blocks, and on degenerate clouds.
 """
 
@@ -79,7 +79,7 @@ def passes(monkeypatch):
     real = coincidence.neighbour_pairs
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(coincidence, "neighbour_pairs", counting)
@@ -131,13 +131,13 @@ def checked_blocks(row_block=None, bucket_entries=None):
         yield tally
 
 
-def _floor_distance(dtype, scale):
-    return np.sqrt(kernels_base.NOISE_FLOOR_EPS * np.finfo(dtype).eps * scale)
+def _floor_distance(scale):
+    return np.sqrt(kernels_base.NOISE_FLOOR_EPS * np.finfo(float).eps * scale)
 
 
 @st.composite
 def clouds(draw):
-    """``(positions, targets or None, dtype, leaf size)``."""
+    """``(positions, targets or None, leaf size)``."""
     kind = draw(st.sampled_from(
         ("cube", "planar", "duplicates", "offset", "disjoint")
     ))
@@ -155,16 +155,15 @@ def clouds(draw):
         pos += 1e3
     elif kind == "disjoint":
         targets = rng.uniform(-1.0, 1.0, (n // 2 + 1, 3)) + 0.25
-    dtype = draw(st.sampled_from((np.float64, np.float32)))
     factor = draw(st.sampled_from((None, 0.5, 1.0, 2.0, 4.0)))
     if factor is not None:
         # Particle 1 at ``factor`` floor distances of the cloud's scale.
         scale = 2.0 * float(np.max(np.einsum("ij,ij->i", pos, pos)))
         step = rng.normal(size=3)
-        step *= factor * _floor_distance(dtype, scale) / np.linalg.norm(step)
+        step *= factor * _floor_distance(scale) / np.linalg.norm(step)
         pos[1] = pos[0] + step
     leaf = draw(st.sampled_from((8, 24, 200)))
-    return pos, targets, dtype, leaf
+    return pos, targets, leaf
 
 
 class TestKeptIsTheScan:
@@ -181,15 +180,14 @@ class TestKeptIsTheScan:
     def test_generated_clouds(
         self, cloud, path, kernel, row_block, bucket_entries, evaluator_path
     ):
-        pos, targets, dtype, leaf = cloud
+        pos, targets, leaf = cloud
         q = np.linspace(-1.0, 1.0, len(pos))
         block = np.stack([q, -q, 2.0 * q], axis=1)
         with evaluator_path(path) as backend, checked_blocks(
             row_block, bucket_entries
         ) as tally:
             sess = _driver(
-                backend, kernel, dtype=dtype,
-                max_leaf_size=leaf, max_batch_size=leaf,
+                backend, kernel, max_leaf_size=leaf, max_batch_size=leaf,
             ).prepare(ParticleSet(pos, q), targets)
             vector = sess.apply(q)
             columns = sess.apply(block, compute_forces=True)
@@ -198,15 +196,14 @@ class TestKeptIsTheScan:
         assert np.isfinite(vector.potential).all()
         assert np.isfinite(columns.forces).all()
 
-    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
     @pytest.mark.parametrize("path", PATHS)
-    def test_every_block_kind(self, path, dtype, evaluator_path):
+    def test_every_block_kind(self, path, evaluator_path):
         # Self-targets: per-group blocks in mirror order, and stacks
         # with padded buckets next to ragged runs; then row blocks and
         # chunked stacks.
         cube = random_cube(600, seed=31)
         with evaluator_path(path) as backend:
-            sess = _driver(backend, dtype=dtype).prepare(cube)
+            sess = _driver(backend).prepare(cube)
             for cut in ((None, None), (5, 3)):
                 with checked_blocks(*cut) as tally:
                     sess.apply(cube.charges)
@@ -231,7 +228,7 @@ class TestKeptIsTheScan:
         n = 30
         low = rng.uniform(0.0, 1.0, (n, 3))
         low[0], low[1] = 0.0, 1.0
-        floor = _floor_distance(np.float64, 2.0 * 3.0 * 2.0**2)
+        floor = _floor_distance(2.0 * 3.0 * 2.0**2)
         d = 0.3 * floor / np.sqrt(3.0)
         high = 1.0 + d + rng.uniform(0.0, 1.0, (n, 3))
         high[0], high[1] = 1.0 + d, 2.0 + d
@@ -256,14 +253,11 @@ class TestKeptIsTheScan:
 class TestWarmEqualsFirstEqualsCold:
     @pytest.mark.parametrize("n_rhs", (1, 4))
     @pytest.mark.parametrize("forces", (False, True))
-    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
     @pytest.mark.parametrize("backend", PATHS)
-    def test_bitwise(
-        self, backend, dtype, forces, n_rhs, cube, passes, use_backend
-    ):
+    def test_bitwise(self, backend, forces, n_rhs, cube, passes, use_backend):
         rng = np.random.default_rng(5)
         q = rng.uniform(-1.0, 1.0, (cube.n, n_rhs) if n_rhs > 1 else cube.n)
-        drv = _driver(use_backend(backend), dtype=dtype)
+        drv = _driver(use_backend(backend))
         sess = drv.prepare(cube)
         first = sess.apply(q, compute_forces=forces)
         assert passes() == 1
@@ -279,7 +273,7 @@ class TestWarmEqualsFirstEqualsCold:
     def test_force_pass_shares_the_potential_pass_entries(
         self, backend, cube, passes, use_backend
     ):
-        # Candidates are keyed by dtype alone: the force kernels meet
+        # Candidates are geometry alone: the force kernels meet
         # the blocks the potential pass derived candidates for.
         drv = _driver(use_backend(backend))
         sess = drv.prepare(cube)
@@ -455,7 +449,7 @@ class TestOncePerGeometry:
         real = coincidence.neighbour_pairs
 
         def counting(*args):
-            passes.append(args[2])
+            passes.append(args)
             return real(*args)
 
         monkeypatch.setattr(coincidence, "neighbour_pairs", counting)

@@ -2,7 +2,7 @@
 
 The contract under test: after ``session.update_geometry(new_positions)``
 every ``apply()`` is **bitwise equal** to a cold ``prepare()`` at the new
-positions -- on every executing backend, both dtypes, and for whole
+positions -- on every executing backend and for whole
 ``(N, n_rhs)`` charge blocks -- whether the update took the incremental
 path (re-bin + list verify + plan recompile) or fell back to a full
 rebuild.  Plus the control surface around it: the zero-motion no-op, the
@@ -67,20 +67,6 @@ class TestWarmColdParity:
                 cube.charges
             )
             assert np.array_equal(warm.potential, cold.potential)
-
-    def test_float32(self, cube):
-        rng = np.random.default_rng(12)
-        drv = BarycentricTreecode(
-            CoulombKernel(), _params(dtype=np.float32)
-        )
-        sess = drv.prepare(cube)
-        pos = _drift(rng, cube.positions, 0.004)
-        sess.update_geometry(pos)
-        warm = sess.apply(cube.charges)
-        cold = drv.prepare(ParticleSet(pos, cube.charges)).apply(
-            cube.charges
-        )
-        assert np.array_equal(warm.potential, cold.potential)
 
     def test_multi_rhs_block(self, cube, use_backend):
         rng = np.random.default_rng(13)

@@ -5,8 +5,8 @@ plan's mean target rows per group fall below
 :data:`~repro.core.backends.fused.STACKED_MAX_MEAN_ROWS`, the per-group
 path otherwise.  The contract:
 
-* on one plan the path does not depend on the charge width, the dtype
-  or forces -- each apply is bitwise the pinned path's;
+* on one plan the path does not depend on the charge width or forces
+  -- each apply is bitwise the pinned path's;
 * a session updated onto new positions picks what a cold prepare there
   picks, also with the cut placed exactly at the plan's mean;
 * the benchmark recipes land on their measured sides, and a
@@ -58,19 +58,14 @@ def cube():
 
 class TestInvariantPath:
     @pytest.mark.parametrize("forces", [False, True], ids=["pot", "forces"])
-    @pytest.mark.parametrize(
-        "dtype", [np.float64, np.float32], ids=["f64", "f32"]
-    )
     @pytest.mark.parametrize("n_rhs", [1, 4])
     @pytest.mark.parametrize("path", list(PLANS))
     def test_apply_is_the_pinned_path(
-        self, cube, path, n_rhs, dtype, forces, use_backend
+        self, cube, path, n_rhs, forces, use_backend
     ):
         rng = np.random.default_rng(4)
         q = rng.uniform(-1.0, 1.0, (cube.n, n_rhs) if n_rhs > 1 else cube.n)
-        drv = BarycentricTreecode(
-            CoulombKernel(), _params(PLANS[path], dtype=dtype)
-        )
+        drv = BarycentricTreecode(CoulombKernel(), _params(PLANS[path]))
         sess = drv.prepare(cube)
         mean = _mean_rows(sess.plan)
         cut = plan_evaluator.STACKED_MAX_MEAN_ROWS

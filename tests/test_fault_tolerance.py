@@ -118,8 +118,7 @@ def _kill_one_worker(backend):
 def _per_group(plan):
     """``eval_group_range`` over every group, scattered to the output."""
     t_lo, t_hi, phi, _ = eval_group_range(
-        plan_arrays(plan, cast_geometry=np.float64), CoulombKernel(),
-        np.float64, False, 0, plan.n_groups,
+        plan_arrays(plan), CoulombKernel(), False, 0, plan.n_groups
     )
     out = np.zeros(plan.out_size)
     out[plan.out_index[t_lo:t_hi]] += phi

@@ -263,8 +263,7 @@ class TestJointPassMemory:
         forces = np.zeros((plan.out_size, 3))
         peak = self._traced_peak(
             lambda: eval_bucket(
-                bucket, plan.targets_as(np.float64),
-                plan.src_points_as(np.float64), kernel, np.float64, True,
+                bucket, plan.targets, plan.src_points, kernel, True,
                 out, forces, block_elements=budget,
                 workspace=Workspace() if workspace else None,
             )

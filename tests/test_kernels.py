@@ -614,7 +614,7 @@ class TestProperties:
         )
         # A plan's candidates (the neighbour pass) and the trivial
         # superset, every entry: each row block keeps the scan's entries.
-        ti, si = neighbour_pairs(t, s, np.float64)
+        ti, si = neighbour_pairs(t, s)
         on_top = np.argwhere((t[:, None] == s[None]).all(axis=-1))
         assert set(map(tuple, on_top.tolist())) <= set(zip(ti, si))
         for candidates in (ti * len(s) + si, np.arange(t.shape[0] * len(s))):

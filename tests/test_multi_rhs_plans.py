@@ -4,8 +4,8 @@ Contracts under test:
 
 * column ``j`` of a blocked ``apply(charges)`` with ``charges`` of
   shape ``(N, n_rhs)`` is **bitwise equal** to a solo
-  ``apply(charges[:, j])`` -- on every executing backend, both dtypes,
-  potentials and forces, for the single-device session, the distributed
+  ``apply(charges[:, j])`` -- on every executing backend, potentials
+  and forces, for the single-device session, the distributed
   session and both extension schemes;
 * the plan's weight slots widen to ``(k, n_rhs)`` and narrow back,
   rebinding the batched layout's bucket weights, and the
@@ -69,11 +69,10 @@ def _columns(block):
 
 class TestSingleDeviceBitwise:
     @pytest.mark.parametrize("backend", EXEC_BACKENDS)
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_blocked_apply_matches_solo_columns(
-        self, cube, charge_block, backend, dtype, use_backend
+        self, cube, charge_block, backend, use_backend
     ):
-        params = _params(backend=use_backend(backend), dtype=dtype)
+        params = _params(backend=use_backend(backend))
         tc = BarycentricTreecode(CoulombKernel(), params)
         solo = [
             tc.prepare(cube).apply(col, compute_forces=True)
@@ -273,11 +272,17 @@ class TestDtypePromotion:
             )
 
     def test_float32_session_with_block(self, cube, charge_block):
-        params = _params(backend="fused", dtype=np.float32)
-        tc = BarycentricTreecode(CoulombKernel(), params)
-        blocked = tc.prepare(cube).apply(charge_block)
-        assert blocked.potential.shape == (cube.n, N_RHS)
-        assert np.isfinite(blocked.potential).all()
+        # float32 prices the device; the block is float64's bytes.
+        params = _params(backend="fused")
+        single = BarycentricTreecode(
+            CoulombKernel(), params.with_(dtype=np.float32)
+        ).prepare(cube).apply(charge_block)
+        double = BarycentricTreecode(CoulombKernel(), params).prepare(
+            cube
+        ).apply(charge_block)
+        assert single.potential.shape == (cube.n, N_RHS)
+        assert np.array_equal(single.potential, double.potential)
+        assert single.phases.compute < double.phases.compute
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ plan's :class:`~repro.core.plan.MirrorSchedule`.  Every test here pins
 that path, whatever the plan's group sizes.  The contract:
 
 * roundoff-equal to the ``numpy`` reference (rtol 1e-9 on potentials,
-  1e-8 on forces in float64), identical device counters;
+  1e-8 on forces), identical device counters;
 * bitwise within fused: apply == compute, column j == solo apply,
   pickle round-trip, and update == cold prepare through every former
   ``update_geometry`` tier (a move onto a leaf mate, a structural
@@ -61,19 +61,18 @@ def _same(a, b) -> bool:
     return np.array_equal(a.forces, b.forces)
 
 
-def _execute(name, plan, kernel, *, dtype=np.float64, forces=True):
+def _execute(name, plan, kernel, *, forces=True):
     device = GpuDevice(GPU_TITAN_V)
     phi, f = get_backend(name).execute(
-        plan, kernel, device, dtype=dtype, compute_forces=forces
+        plan, kernel, device, compute_forces=forces
     )
     return phi, f, device
 
 
-def _per_group(plan, kernel, *, dtype=np.float64, forces=True):
+def _per_group(plan, kernel, *, forces=True):
     """The per-group arithmetic over the whole plan, scattered."""
     t_lo, t_hi, phi_rows, f_rows = eval_group_range(
-        plan_arrays(plan, cast_geometry=dtype), kernel, dtype, forces,
-        0, plan.n_groups,
+        plan_arrays(plan), kernel, forces, 0, plan.n_groups
     )
     idx = plan.out_index[t_lo:t_hi]
     phi = np.zeros((plan.out_size,) + phi_rows.shape[1:])
@@ -114,21 +113,15 @@ def _plan(cube, **kw):
 
 
 class TestAgainstNumpy:
-    @pytest.mark.parametrize(
-        "dtype, rtol_phi, rtol_f",
-        ((np.float64, 1e-9, 1e-8), (np.float32, 1e-5, 1e-4)),
-        ids=("f64", "f32"),
-    )
-    def test_roundoff_equal(self, cube, dtype, rtol_phi, rtol_f):
-        fused = _driver("fused", dtype=dtype).prepare(cube)
+    def test_roundoff_equal(self, cube):
+        fused = _driver("fused").prepare(cube)
         out = fused.apply(cube.charges, compute_forces=True)
         assert fused.plan.mirror_schedule().n_pairs > 0
-        ref = _driver("numpy", dtype=dtype).prepare(cube).apply(
+        ref = _driver("numpy").prepare(cube).apply(
             cube.charges, compute_forces=True
         )
         _assert_roundoff_equal(
-            out.potential, ref.potential, out.forces, ref.forces,
-            rtol_phi, rtol_f,
+            out.potential, ref.potential, out.forces, ref.forces
         )
 
     def test_differs_from_the_per_group_arithmetic(self, cube):
@@ -163,11 +156,10 @@ class TestBitwiseWithinFused:
         computed = drv.compute(cube, compute_forces=True)
         assert _same(applied, computed)
 
-    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
-    def test_column_equals_solo(self, cube, dtype):
+    def test_column_equals_solo(self, cube):
         rng = np.random.default_rng(3)
         block = rng.uniform(-1.0, 1.0, (cube.n, 16))
-        sess = _driver(dtype=dtype).prepare(cube)
+        sess = _driver().prepare(cube)
         wide = sess.apply(block, compute_forces=True)
         for j in (0, 7, 15):
             solo = sess.apply(block[:, j].copy(), compute_forces=True)
@@ -226,16 +218,15 @@ class TestUpdateEqualsColdPrepare:
 
 
 class TestEmptySchedule:
-    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
-    def test_disjoint_targets_are_the_per_group_arithmetic(self, cube, dtype):
+    def test_disjoint_targets_are_the_per_group_arithmetic(self, cube):
         rng = np.random.default_rng(12)
         targets = rng.uniform(0.0, 1.0, (700, 3)) + 0.05
-        sess = _driver(dtype=dtype).prepare(cube, targets)
+        sess = _driver().prepare(cube, targets)
         out = sess.apply(cube.charges, compute_forces=True)
         plan = sess.plan
         assert plan.mirror_schedule().n_pairs == 0
         assert not np.any(plan.mirror_schedule().partner == MIRROR_SKIP)
-        phi, f = _per_group(plan, YukawaKernel(0.5), dtype=dtype)
+        phi, f = _per_group(plan, YukawaKernel(0.5))
         assert np.array_equal(out.potential, phi)
         assert np.array_equal(out.forces, f)
 

@@ -1,7 +1,7 @@
 """Pickle round-trips for prepared sessions (all four drivers).
 
 A prepared session is plain data plus transient process-local caches:
-the pickle must drop the worker pools and dtype cast caches, and a
+the pickle must drop the worker pools and bucket stacks, and a
 restored session's first apply must rebuild them lazily and reproduce
 the live session's results bitwise.  Backends
 selected by name re-resolve through the process-wide shared store in
@@ -114,30 +114,26 @@ class TestRoundTrip:
 class TestDroppedState:
     """Process-local caches leave the pickle and repopulate lazily."""
 
-    def test_cast_cache_dropped_and_repopulated(self, cube, new_charges):
-        live = _prepare("treecode", "fused", cube, dtype=np.float32)
-        live.apply(cube.charges)
-        assert live.plan._cast_cache  # float32 run populated it
-        restored = pickle.loads(pickle.dumps(live))
-        assert restored.plan._cast_cache == {}
-        a = live.apply(new_charges)
-        b = restored.apply(new_charges)
-        assert np.array_equal(a.potential, b.potential)
-        assert restored.plan._cast_cache  # repopulated by the apply
-
     def test_batched_bucket_stacks_dropped(
         self, cube, new_charges, use_backend
     ):
         live = _prepare("treecode", use_backend("stacked"), cube)
         live.apply(cube.charges)
+        assert all(
+            b._stacks is not None for b in live.plan.batched_layout.buckets
+        )
         restored = pickle.loads(pickle.dumps(live))
         layout = restored.plan.batched_layout
         assert layout is not None
         for bucket in layout.buckets:
-            assert bucket._stacks == {}
+            assert bucket._stacks is None
         a = live.apply(new_charges)
         b = restored.apply(new_charges)
         assert np.array_equal(a.potential, b.potential)
+        for bucket in layout.buckets:  # repopulated by the apply
+            tgt, src = bucket._stacks
+            assert tgt.shape == (bucket.n_entries, bucket.m_max, 3)
+            assert src.shape == (bucket.n_entries, bucket.k, 3)
 
     def test_multiprocessing_pickle_carries_no_pool(self, cube):
         live = _prepare("treecode", "multiprocessing", cube)

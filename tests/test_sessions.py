@@ -84,29 +84,23 @@ def new_charges(cube):
 
 class TestSingleDeviceSession:
     @pytest.mark.parametrize("backend", EXEC_BACKENDS)
-    @pytest.mark.parametrize(
-        "dtype", [np.float64, np.float32], ids=["f64", "f32"]
-    )
     def test_apply_matches_fresh_compute_bitwise(
-        self, cube, new_charges, backend, dtype, use_backend
+        self, cube, new_charges, backend, use_backend
     ):
-        params = _params(backend=use_backend(backend), dtype=dtype)
+        params = _params(backend=use_backend(backend))
         tc = BarycentricTreecode(YukawaKernel(0.5), params)
         prepared = tc.prepare(cube)
-        forces = dtype is np.float64  # one force pass is enough
-        first = prepared.apply(cube.charges, compute_forces=forces)
-        ref = tc.compute(cube, compute_forces=forces)
+        first = prepared.apply(cube.charges, compute_forces=True)
+        ref = tc.compute(cube, compute_forces=True)
         assert np.array_equal(first.potential, ref.potential)
-        if forces:
-            assert np.array_equal(first.forces, ref.forces)
+        assert np.array_equal(first.forces, ref.forces)
         # Charge refresh: same geometry, new charges.
-        second = prepared.apply(new_charges, compute_forces=forces)
+        second = prepared.apply(new_charges, compute_forces=True)
         ref2 = tc.compute(
-            ParticleSet(cube.positions, new_charges), compute_forces=forces
+            ParticleSet(cube.positions, new_charges), compute_forces=True
         )
         assert np.array_equal(second.potential, ref2.potential)
-        if forces:
-            assert np.array_equal(second.forces, ref2.forces)
+        assert np.array_equal(second.forces, ref2.forces)
 
     @pytest.mark.parametrize("case", list(COMPUTE_CASES))
     def test_compute_is_prepare_plus_apply(self, case):

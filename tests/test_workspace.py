@@ -208,9 +208,8 @@ class _Recording(Workspace):
     "backend", ["per-group", "stacked", "multiprocessing"]
 )
 @pytest.mark.parametrize("forces", [False, True])
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_every_execute_allocates_each_slot_once(
-    backend, forces, dtype, monkeypatch, use_backend
+    backend, forces, monkeypatch, use_backend
 ):
     """The evaluators reserve exactly their largest block before the
     first one, so a cold execute allocates each slot once, at its final
@@ -220,7 +219,7 @@ def test_every_execute_allocates_each_slot_once(
     cube = random_cube(3000, seed=5)
     params = TreecodeParams(
         theta=0.7, degree=4, max_leaf_size=150, max_batch_size=150,
-        backend=use_backend(backend), dtype=dtype,
+        backend=use_backend(backend),
     )
     if backend == "multiprocessing":
         params = params.with_(backend=MultiprocessingBackend(n_workers=1))
@@ -231,8 +230,6 @@ def test_every_execute_allocates_each_slot_once(
     slots = {"r2", "g"}
     if forces:
         slots.add("f")
-    if dtype == np.float32:
-        slots.add("cross")  # float32 keeps the reference r^2
     for ws in _Recording.opened:
         assert {slot for slot, _ in ws.allocations} == slots
         assert all(n == 1 for n in ws.allocations.values())
