@@ -30,14 +30,11 @@ def direct_sum(
     kernel: Kernel,
     *,
     device: Device | None = None,
-    dtype=np.float64,
 ) -> np.ndarray:
     """Direct O(M N) summation of all target-source interactions.
 
     Self-interactions (coincident target/source) contribute zero for
-    singular kernels -- see :class:`repro.kernels.base.Kernel`.  The
-    sum runs in float64; ``dtype`` is the precision the ``device`` is
-    charged at, as for the treecode's backends.
+    singular kernels -- see :class:`repro.kernels.base.Kernel`.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     sources = np.atleast_2d(np.asarray(sources, dtype=np.float64))
@@ -48,16 +45,15 @@ def direct_sum(
         )
     if device is not None:
         m, k = targets.shape[0], sources.shape[0]
-        itemsize = np.dtype(dtype).itemsize
-        device.upload(itemsize * (targets.size + sources.size + charges.size))
+        device.upload(targets.nbytes + sources.nbytes + charges.nbytes)
         device.launch(
             float(m) * float(k),
             blocks=m,
             kind="direct",
             flops_per_interaction=kernel.flops_per_interaction,
-            cost_multiplier=launch_cost_multiplier(kernel, device, dtype),
+            cost_multiplier=launch_cost_multiplier(kernel, device, np.float64),
         )
-        device.download(m * itemsize)
+        device.download(m * targets.itemsize)
     return kernel.potential(targets, sources, charges)
 
 

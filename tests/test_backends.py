@@ -405,24 +405,6 @@ class TestNumpyBackendHandBuiltPlan:
         assert np.array_equal(phi, np.zeros(4))
         assert dev.counters.launches == 0
 
-    def test_float32_mode_is_the_float64_arithmetic(self):
-        # dtype prices the launches; the numerics are float64.
-        rng = np.random.default_rng(0)
-        plan = _hand_plan(
-            rng.uniform(-1, 1, (30, 3)), [],
-            [(rng.uniform(2, 4, (40, 3)), rng.normal(size=40))],
-        )
-        d64, d32 = CpuDevice(CPU_XEON_X5650), CpuDevice(CPU_XEON_X5650)
-        full, _ = NumpyBackend().execute(
-            plan, CoulombKernel(), d64, dtype=np.float64
-        )
-        single, _ = NumpyBackend().execute(
-            plan, CoulombKernel(), d32, dtype=np.float32
-        )
-        assert single.dtype == np.float64
-        assert np.array_equal(full, single)
-        assert d32.elapsed() < d64.elapsed()
-
     def test_yukawa_cost_multiplier_charged(self):
         rng = np.random.default_rng(0)
         plan = _hand_plan(
@@ -976,11 +958,10 @@ class TestStackedPath:
     def _pins(self, use_backend):
         self._use_backend = use_backend
 
-    def _run(self, name, plan, *, forces=True, dtype=np.float64, kernel=None):
+    def _run(self, name, plan, *, forces=True, kernel=None):
         device = GpuDevice(GPU_TITAN_V)
         out, f = get_backend(self._use_backend(name)).execute(
-            plan, kernel or YukawaKernel(0.5), device,
-            dtype=dtype, compute_forces=forces,
+            plan, kernel or YukawaKernel(0.5), device, compute_forces=forces
         )
         return out, f, device
 
@@ -993,14 +974,6 @@ class TestStackedPath:
         assert dev_b.counters.launches == dev_f.counters.launches
         assert dev_b.counters.interactions == dev_f.counters.interactions
         assert dev_b.elapsed() == pytest.approx(dev_f.elapsed())
-
-    @pytest.mark.parametrize("path", ["per-group", "stacked"])
-    def test_float32_mode_is_the_float64_arithmetic(self, shared_plan, path):
-        phi64, f64, dev64 = self._run(path, shared_plan)
-        phi32, f32, dev32 = self._run(path, shared_plan, dtype=np.float32)
-        assert np.array_equal(phi64, phi32)
-        assert np.array_equal(f64, f32)
-        assert dev32.elapsed() < dev64.elapsed()
 
     def test_bitwise_run_to_run_determinism(self, shared_plan):
         phi_a, f_a, _ = self._run("stacked", shared_plan)

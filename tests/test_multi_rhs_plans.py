@@ -271,19 +271,6 @@ class TestDtypePromotion:
                 frc[:, :, j], k.force(tgt, src, np.ascontiguousarray(q[:, j]))
             )
 
-    def test_float32_session_with_block(self, cube, charge_block):
-        # float32 prices the device; the block is float64's bytes.
-        params = _params(backend="fused")
-        single = BarycentricTreecode(
-            CoulombKernel(), params.with_(dtype=np.float32)
-        ).prepare(cube).apply(charge_block)
-        double = BarycentricTreecode(CoulombKernel(), params).prepare(
-            cube
-        ).apply(charge_block)
-        assert single.potential.shape == (cube.n, N_RHS)
-        assert np.array_equal(single.potential, double.potential)
-        assert single.phases.compute < double.phases.compute
-
 
 # ---------------------------------------------------------------------------
 # Early validation (satellite: clear errors instead of deep failures)

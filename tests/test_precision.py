@@ -8,8 +8,9 @@ Sec. 5 mixed-precision idea, modelled); every evaluation runs in
 float64.  The contract, on every backend and every driver:
 
 * a float32 run returns bitwise the float64 run's potentials and
-  forces -- one execute, a session apply (vectors and blocks), an apply
-  after ``update_geometry``, a restored pickle and the direct sum;
+  forces -- one execute (of a compiled plan, a charge block's plan and a
+  hand-built plan), a session apply (vectors and blocks), an apply
+  after ``update_geometry`` and a restored pickle;
 * the device records the same launches and interactions, the kernels'
   busy time is the float64 time divided by ``sp_dp_ratio``, and the
   compute phase is below the float64 one.
@@ -33,13 +34,14 @@ from repro import (
     ParticleSet,
     TreecodeParams,
     YukawaKernel,
-    direct_sum,
     get_backend,
     random_cube,
 )
 from repro.core.backends import multiproc
 from repro.gpu.device import GpuDevice
 from repro.perf.machine import GPU_TITAN_V
+
+from plan_factory import listed_plan
 
 BACKENDS = ["numpy", "per-group", "stacked", "multiprocessing"]
 
@@ -69,6 +71,53 @@ def shard_small_plans(monkeypatch):
     monkeypatch.setattr(multiproc, "MIN_PARALLEL_ROWS", 1)
 
 
+def _assert_execute_prices_only(plan, kernel, backend):
+    """Both precisions of one execute: the float64 bytes, the same
+    launches and the busy time divided by ``sp_dp_ratio``."""
+    runs = {}
+    for dtype in (np.float64, np.float32):
+        device = GpuDevice(GPU_TITAN_V)
+        phi, forces = get_backend(backend).execute(
+            plan, kernel, device, dtype=dtype, compute_forces=True
+        )
+        runs[dtype] = phi, forces, device.counters
+    (phi64, f64, c64), (phi32, f32, c32) = runs.values()
+    assert phi32.dtype == np.float64
+    assert phi32.tobytes() == phi64.tobytes()
+    assert f32.tobytes() == f64.tobytes()
+    assert c32.launches == c64.launches
+    assert c32.interactions == c64.interactions
+    ratio = GPU_TITAN_V.sp_dp_ratio
+    assert sum(c32.busy_by_kind.values()) == pytest.approx(
+        sum(c64.busy_by_kind.values()) / ratio
+    )
+
+
+def _hand_built_plan():
+    """Two groups over three share keys, approximated and direct; one
+    target sits on a source and one at 1e-3 from another."""
+    rng = np.random.default_rng(5)
+    near = rng.uniform(-1.0, 1.0, (40, 3))
+    far = rng.uniform(3.0, 4.0, (30, 3))
+    targets = rng.uniform(-1.0, 1.0, (25, 3))
+    targets[0] = near[0]
+    targets[1] = near[1] + 1e-3
+    sources = {"near": near, "far": far, "cheb": rng.uniform(2, 3, (27, 3))}
+    plan = listed_plan(
+        [
+            (targets[:12], [("direct", "near"), ("approx", "cheb")]),
+            (targets[12:], [("direct", "near"), ("direct", "far")]),
+        ],
+        sources,
+    )
+    plan.refresh_weights(
+        lambda key: np.random.default_rng(len(key)).normal(
+            size=len(sources[key])
+        )
+    )
+    return plan
+
+
 class TestEveryBackend:
     @pytest.mark.parametrize(
         "kernel",
@@ -81,22 +130,26 @@ class TestEveryBackend:
     ):
         sess = BarycentricTreecode(kernel, _params()).prepare(cube)
         sess.apply(cube.charges)  # fills the plan's weights
-        runs = {}
-        for dtype in (np.float64, np.float32):
-            device = GpuDevice(GPU_TITAN_V)
-            phi, forces = get_backend(use_backend(backend)).execute(
-                sess.plan, kernel, device, dtype=dtype, compute_forces=True
-            )
-            runs[dtype] = phi, forces, device.counters
-        (phi64, f64, c64), (phi32, f32, c32) = runs.values()
-        assert phi32.dtype == np.float64
-        assert phi32.tobytes() == phi64.tobytes()
-        assert f32.tobytes() == f64.tobytes()
-        assert c32.launches == c64.launches
-        assert c32.interactions == c64.interactions
-        ratio = GPU_TITAN_V.sp_dp_ratio
-        assert sum(c32.busy_by_kind.values()) == pytest.approx(
-            sum(c64.busy_by_kind.values()) / ratio
+        _assert_execute_prices_only(sess.plan, kernel, use_backend(backend))
+
+    @pytest.mark.parametrize("backend", BACKENDS + ["model"])
+    def test_block_execute_prices_only(
+        self, cube, backend, use_backend, shard_small_plans
+    ):
+        sess = BarycentricTreecode(CoulombKernel(), _params()).prepare(cube)
+        block = np.random.default_rng(8).uniform(-1.0, 1.0, (cube.n, 3))
+        sess.apply(block)  # widens the plan's weights to 3 columns
+        assert sess.plan.rhs_width == 3
+        _assert_execute_prices_only(
+            sess.plan, CoulombKernel(), use_backend(backend)
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS + ["model"])
+    def test_hand_built_plan_prices_only(
+        self, backend, use_backend, shard_small_plans
+    ):
+        _assert_execute_prices_only(
+            _hand_built_plan(), CoulombKernel(), use_backend(backend)
         )
 
 
@@ -188,25 +241,3 @@ class TestUpdateGeometry:
         ).apply(cube.charges, compute_forces=True)
         assert _same(warm[np.float32], warm[np.float64])
         assert _same(warm[np.float32], cold)
-
-
-@pytest.mark.parametrize(
-    "kernel", [CoulombKernel(), YukawaKernel(0.5)], ids=lambda k: k.name
-)
-def test_direct_sum_prices_only(cube, kernel):
-    devices = {}
-    phi = {}
-    for dtype in (np.float64, np.float32):
-        devices[dtype] = GpuDevice(GPU_TITAN_V)
-        phi[dtype] = direct_sum(
-            cube.positions, cube.positions, cube.charges, kernel,
-            device=devices[dtype], dtype=dtype,
-        )
-    assert phi[np.float32].dtype == np.float64
-    assert phi[np.float32].tobytes() == phi[np.float64].tobytes()
-    c32, c64 = devices[np.float32].counters, devices[np.float64].counters
-    assert c32.launches == c64.launches == 1
-    assert c32.bytes_h2d == c64.bytes_h2d // 2
-    assert sum(c32.busy_by_kind.values()) == pytest.approx(
-        sum(c64.busy_by_kind.values()) / GPU_TITAN_V.sp_dp_ratio
-    )

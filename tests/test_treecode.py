@@ -119,10 +119,15 @@ class TestAccuracy:
     def test_mixed_precision_mode(self, cube2000, coulomb_ref):
         """float32 mode (Sec. 5): the float64 arithmetic, priced at the
         device's single-precision throughput."""
-        tc = BarycentricTreecode(
-            CoulombKernel(), _params(degree=6, dtype=np.float32)
+        single, double = (
+            BarycentricTreecode(
+                CoulombKernel(), _params(degree=6, dtype=dtype)
+            ).compute(cube2000)
+            for dtype in (np.float32, np.float64)
         )
-        err = relative_l2_error(coulomb_ref, tc.compute(cube2000).potential)
+        assert single.potential.tobytes() == double.potential.tobytes()
+        assert single.phases.compute < double.phases.compute
+        err = relative_l2_error(coulomb_ref, single.potential)
         assert err < 1e-4
 
 
