@@ -17,11 +17,11 @@ batches' size decides how their direct sums are launched.
 plan's ``seg_src_lo`` offsets into de-duplicated buffers).  Forces are
 the same call with a ``forces`` accumulator: a radial kernel forms r^2,
 ``g`` and ``g'(r)/r`` once per row block and contracts the force as
-``(f q) S - t * rowsum(f q)``.  Where the targets are the sources, a direct block
-``(A, B)`` usually has its mirror ``(B, A)`` in the plan; for symmetric
-kernels each such kernel matrix is formed once and applied both ways
-(``G q_B`` to ``A``, ``G^T q_A`` to ``B``; Newton's third law at cell
-level, as in Dehnen's falcON), following the plan's
+``(f q) S - t * rowsum(f q)``.  Where the targets are the sources, a
+direct block ``(A, B)`` usually has its mirror ``(B, A)`` in the plan;
+for symmetric kernels each such kernel matrix is formed once and
+applied both ways (``G q_B`` to ``A``, ``G^T q_A`` to ``B``; Newton's
+third law at cell level, as in Dehnen's falcON), following the plan's
 :class:`~repro.core.plan.MirrorSchedule`.  The arithmetic lives in
 :mod:`.groupeval`; a plan whose schedule pairs nothing evaluates
 bitwise as the per-group arithmetic the multiprocessing backend runs.

@@ -22,8 +22,8 @@ Execution model
   interaction count (``group_size x seg_size`` summed per group).
   Shard boundaries never affect values: every target row is written by
   exactly one shard (``out_index`` is injective over groups), so any
-  split produces bitwise-identical output.  Each worker -- and the inline path -- runs
-  the per-group accumulation of
+  split produces bitwise-identical output.  Each worker -- and the
+  inline path -- runs the per-group accumulation of
   :func:`~repro.core.backends.groupeval.eval_group_range` (one call of
   the per-block kernel driver ``Kernel.potential`` per group, with a
   forces accumulator when forces are on) with no mirror schedule (a
