@@ -61,6 +61,9 @@ class TreecodeParams:
     #: single-precision throughput for the paper's "mixed-precision
     #: arithmetic" future-work item
     #: (:meth:`~repro.perf.machine.MachineSpec.precision_multiplier`).
+    #: Only the plan's batch-cluster kernel launches are charged at this
+    #: precision: host-device transfers, the moment kernels and
+    #: ``direct_sum`` stay priced in float64.
     dtype: type = np.float64
     #: Shrink every cluster to the minimal bounding box of its particles
     #: (paper Sec. 2.3); guarantees some source coordinates coincide with

@@ -198,7 +198,7 @@ def eval_ragged_runs(
     out_index = arrays["out_index"]
     operands = RunOperands(arrays)
     for r, (g, s_lo, s_hi) in enumerate(runs.tolist()):
-        ops = operands(g, s_lo, s_hi)
+        ops = operands.gather(g, np.arange(s_lo, s_hi))
         if ops is None:
             continue
         tgt, src, q = ops

@@ -12,25 +12,38 @@ throughout, on the temporary-free r^2 primitive (``fused=True``); the
 evaluation dtype a backend is handed only prices the simulated device's
 launches.
 
+Evaluation order: a group gathers its segments in the order
+:func:`~repro.core.plan.evaluation_order` gives, stored once per
+geometry -- plan order, or with a mirror schedule the schedule's own
+CSR ``order`` / ``order_ptr`` -- so no step per apply walks a group's
+segments in Python: the gather drops empty segments in one mask, takes
+one slice when the rows follow one another and one ``np.take``
+otherwise.
+
 Mutual blocks: given the plan's :class:`~repro.core.plan.MirrorSchedule`
 (``arrays["mirrors"]``, in-process fused evaluation only), a group
 forms each mirrored block once and applies it both ways -- its own
 potential (and force) from the block, its partner's from the transpose
-through the driver's ``mirror`` tuple -- and
-skips the blocks its lower-numbered partners already applied to it.
-The summation order then differs from the per-group arithmetic, so the
-two agree to roundoff.  Without a schedule, or where the schedule
-pairs nothing, every group evaluates exactly as compiled: that
-per-group arithmetic is what the multiprocessing backend runs in both
-its inline and sharded paths, so its results are bitwise invariant
-under any shard split.
+through the driver's ``mirror`` tuple -- and skips the blocks its
+lower-numbered partners already applied to it (the schedule's order
+leaves them out).  Its forward segments close its order, so they are
+one trailing column block; their transposed product lands in the
+partners' rows in one fancy-indexed add per group (one for forces),
+bitwise a per-segment add because the schedule gives every partner row
+exactly one source.  The summation order differs from the per-group
+arithmetic, so the two agree to roundoff.  Without a schedule, or
+where the schedule pairs nothing, every group evaluates exactly as
+compiled: that per-group arithmetic is what the multiprocessing backend
+runs in both its inline and sharded paths, so its results are bitwise
+invariant under any shard split.
 
 Workspace: :func:`eval_plan` / :func:`eval_group_range` take the
 execute's :class:`~repro.kernels.workspace.Workspace`, reserve the
-largest row block of the run in it (:func:`group_block_elements`) and
-hand it to every group's kernel call, so all row blocks write their
-r^2, ``g`` and ``g'(r)/r`` into the same few buffers, each allocated
-once.  Results are bitwise those without one (pool workers pass none).
+largest row block of the run in it (:func:`group_block_elements`, over
+the same evaluation order) and hand it to every group's kernel call, so
+all row blocks write their r^2, ``g`` and ``g'(r)/r`` into the same few
+buffers, each allocated once.  Results are bitwise those without one
+(pool workers pass none).
 """
 
 from __future__ import annotations
@@ -38,7 +51,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...kernels.base import RadialKernel, block_rows
-from ..plan import MIRROR_SKIP
+from ...util import concat_ranges
+from ..plan import evaluation_order
 
 __all__ = [
     "PLAN_ARRAY_FIELDS",
@@ -86,38 +100,37 @@ class RunOperands:
         # C-order copy is put back): every column of ``q_all`` and of
         # its gathers is contiguous.
         self.q_all = np.asarray(arrays["src_weights"], order="F")
+        self.seg_rows = np.diff(arrays["seg_ptr"])
 
-    def __call__(self, g: int, s_lo: int, s_hi: int):
-        """Operands of group ``g`` against its segments ``[s_lo, s_hi)``."""
-        return self.gather(g, range(s_lo, s_hi))
+    def gather(self, g: int, segments: np.ndarray):
+        """``(targets, sources, weights)`` of group ``g`` against the
+        segment ids ``segments`` in that order; None when either side
+        is empty.
 
-    def gather(self, g: int, segments):
-        """``(targets, sources, weights)`` of group ``g`` against
-        ``segments`` in that order; None when either side is empty."""
+        Empty segments drop out; segments whose physical rows follow
+        one another are one slice of the buffers (no copy), any others
+        one gather of their rows.
+        """
         arrays = self.arrays
         group_ptr = arrays["group_ptr"]
         t_lo, t_hi = int(group_ptr[g]), int(group_ptr[g + 1])
         if t_hi == t_lo:
             return None
-        seg_ptr = arrays["seg_ptr"]
-        seg_src_lo = arrays["seg_src_lo"]
-        slices = []
-        for s in segments:
-            lo = int(seg_src_lo[s])
-            hi = lo + int(seg_ptr[s + 1] - seg_ptr[s])
-            if hi > lo:
-                slices.append((lo, hi))
-        if not slices:
+        n = self.seg_rows[segments]
+        lo = arrays["seg_src_lo"][segments]
+        live = n > 0
+        lo, n = lo[live], n[live]
+        if lo.size == 0:
             return None
-        # Contiguity fast path: one run of rows needs no gather at all.
-        if all(a[1] == b[0] for a, b in zip(slices, slices[1:])):
-            lo, hi = slices[0][0], slices[-1][1]
-            src, q = self.src_all[lo:hi], self.q_all[lo:hi]
+        if np.array_equal(lo[1:], lo[:-1] + n[:-1]):
+            a, b = int(lo[0]), int(lo[-1] + n[-1])
+            src, q = self.src_all[a:b], self.q_all[a:b]
         else:
-            src = np.concatenate([self.src_all[lo:hi] for lo, hi in slices])
-            q = np.concatenate(
-                [self.q_all[lo:hi].T for lo, hi in slices], axis=-1
-            ).T
+            rows = concat_ranges(lo, n)
+            src = np.take(self.src_all, rows, axis=0)
+            # Taken along the last axis of the RHS-major transpose, so
+            # the gathered columns stay contiguous too.
+            q = np.take(self.q_all.T, rows, axis=-1).T
         return arrays["targets"][t_lo:t_hi], src, q
 
 
@@ -125,20 +138,20 @@ def group_block_elements(arrays, g_lo, g_hi) -> int:
     """Elements of the largest row block :func:`eval_group_range` forms
     over groups ``[g_lo, g_hi)``.
 
-    A group's kernel call runs on its gathered sources -- every segment,
-    or with a mirror schedule all but the skipped ones -- and its first
-    row block, ``min(m, block_rows(k)) * k``, is its largest.
+    A group's kernel call runs on the sources of its segments in
+    evaluation order (:func:`~repro.core.plan.evaluation_order`: every
+    segment, or with a mirror schedule all but the skipped ones), and
+    its first row block, ``min(m, block_rows(k)) * k``, is its largest.
     """
-    group_ptr = arrays["group_ptr"]
-    seg_group_ptr = arrays["seg_group_ptr"]
-    sizes = np.diff(arrays["seg_ptr"])
-    mirrors = arrays.get("mirrors")
-    if mirrors is not None:
-        sizes = np.where(mirrors.partner == MIRROR_SKIP, 0, sizes)
-    rows_before = np.concatenate(([0], np.cumsum(sizes)))
-    seg = seg_group_ptr[g_lo:g_hi + 1]
-    ks = (rows_before[seg[1:]] - rows_before[seg[:-1]]).tolist()
-    ms = np.diff(group_ptr[g_lo:g_hi + 1]).tolist()
+    order, order_ptr = evaluation_order(
+        arrays["seg_group_ptr"], arrays.get("mirrors")
+    )
+    lo, hi = order_ptr[g_lo], order_ptr[g_hi]
+    rows_before = np.concatenate(
+        ([0], np.cumsum(np.diff(arrays["seg_ptr"])[order[lo:hi]]))
+    )
+    ks = np.diff(rows_before[order_ptr[g_lo:g_hi + 1] - lo]).tolist()
+    ms = np.diff(arrays["group_ptr"][g_lo:g_hi + 1]).tolist()
     return max(
         (min(m, block_rows(k)) * k for m, k in zip(ms, ks) if m),
         default=0,
@@ -171,29 +184,27 @@ def eval_group_range(
     apply.  The weights are RHS-major, so each GEMV reads its column
     without a copy.
 
+    A group gathers its segments in evaluation order (see the module
+    docstring).  With a mirror schedule under ``arrays["mirrors"]``
+    (whole plans only: a mirrored block writes its partner's rows) its
+    trailing forward block goes to the driver's ``mirror`` tuple
+    ``(col0, charges_t, out_t, forces_t)``, ``forces_t`` None with
+    forces off.
+
     ``arrays["candidates"]``, when present, holds the candidate
     coincident entries of every group's block
     (:meth:`~repro.core.plan.ExecutionPlan.group_candidates`, in the
-    order this call gathers the group's sources); without it every
-    block is scanned, to the same indices.
-
-    With a mirror schedule under ``arrays["mirrors"]`` (whole plans
-    only: a mirrored block writes its partner's rows) a touched group
-    evaluates its unmirrored segments in plan order and then its
-    forward mirrors, so those form one trailing column block of the
-    kernel matrix; the transposed product of that block lands in the
-    partners' rows through the driver's ``mirror`` tuple ``(col0,
-    charges_t, out_t, forces_t)``, ``forces_t`` None with forces off.
+    same order); without it every block is scanned, to the same
+    indices.
 
     ``workspace`` goes to every kernel call (see the module docstring).
     """
     if workspace is not None:
         workspace.reserve(group_block_elements(arrays, g_lo, g_hi))
     group_ptr = arrays["group_ptr"]
-    seg_group_ptr = arrays["seg_group_ptr"]
-    seg_ptr = arrays["seg_ptr"]
     mirrors = arrays.get("mirrors")
     candidates = arrays.get("candidates")
+    order, order_ptr = evaluation_order(arrays["seg_group_ptr"], mirrors)
     t_lo_all = int(group_ptr[g_lo])
     t_hi_all = int(group_ptr[g_hi])
     rows = t_hi_all - t_lo_all
@@ -203,27 +214,31 @@ def eval_group_range(
         np.zeros((rows, 3) + rhs, dtype=np.float64) if compute_forces else None
     )
     operands = RunOperands(arrays)
-
-    def rows_of(g):
-        return slice(
-            int(group_ptr[g]) - t_lo_all, int(group_ptr[g + 1]) - t_lo_all
+    seg_rows = operands.seg_rows
+    bounds = (group_ptr[g_lo:g_hi + 1] - t_lo_all).tolist()
+    ptr = order_ptr[g_lo:g_hi + 1].tolist()
+    # Forward segments per group: the tail of its order.
+    n_forward = [0] * (g_hi - g_lo)
+    if mirrors is not None:
+        forward = np.concatenate(
+            ([0], np.cumsum(mirrors.partner[order[ptr[0]:ptr[-1]]] >= 0))
         )
-
-    for g in range(g_lo, g_hi):
-        s_lo, s_hi = int(seg_group_ptr[g]), int(seg_group_ptr[g + 1])
-        split = None if mirrors is None else mirrors.split(s_lo, s_hi)
-        if split is None:
-            ops, forward = operands(g, s_lo, s_hi), []
-        else:
-            own, forward = split
-            ops = operands.gather(g, own + forward)
+        n_forward = np.diff(forward[np.subtract(ptr, ptr[0])]).tolist()
+    for i, g in enumerate(range(g_lo, g_hi)):
+        segs = order[ptr[i]:ptr[i + 1]]
+        ops = operands.gather(g, segs)
         if ops is None:
             continue
         tgt, src, q = ops
-        sizes = [int(seg_ptr[s + 1] - seg_ptr[s]) for s in forward]
-        n_fwd = sum(sizes)
+        t_lo, t_hi = bounds[i], bounds[i + 1]
         mirror = None
-        if forward:
+        if n_forward[i]:
+            fwd = segs[len(segs) - n_forward[i]:]
+            # The partners' rows, each once (see MirrorSchedule).
+            mirror_rows = concat_ranges(
+                group_ptr[mirrors.partner[fwd]] - t_lo_all, seg_rows[fwd]
+            )
+            n_fwd = len(mirror_rows)
             lo = int(mirrors.self_lo[g])
             phi_t = np.zeros((n_fwd,) + rhs)
             f_t = None if f_out is None else np.zeros((n_fwd, 3) + rhs)
@@ -231,20 +246,17 @@ def eval_group_range(
                 len(src) - n_fwd, operands.q_all[lo:lo + len(tgt)], phi_t, f_t
             )
         kernel.potential(
-            tgt, src, q, out=phi[rows_of(g)],
-            forces=None if f_out is None else f_out[rows_of(g)],
+            tgt, src, q, out=phi[t_lo:t_hi],
+            forces=None if f_out is None else f_out[t_lo:t_hi],
             fused=True,
             coincident=None if candidates is None else candidates[g],
             mirror=mirror,
             workspace=workspace,
         )
-        c = 0
-        for s, n in zip(forward, sizes):
-            b = rows_of(int(mirrors.partner[s]))
-            phi[b] += phi_t[c:c + n]
+        if mirror is not None:
+            phi[mirror_rows] += phi_t
             if f_out is not None:
-                f_out[b] += f_t[c:c + n]
-            c += n
+                f_out[mirror_rows] += f_t
     return t_lo_all, t_hi_all, phi, f_out
 
 

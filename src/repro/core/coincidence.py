@@ -46,7 +46,7 @@ import numpy as np
 
 from ..kernels.base import CANDIDATE_EPS
 from ..util import concat_ranges
-from .plan import MIRROR_SKIP
+from .plan import evaluation_order
 
 __all__ = [
     "BlockCandidates",
@@ -185,26 +185,27 @@ def _csr(block, flat, block_sizes) -> BlockCandidates:
 
 def group_candidates(plan, mirrors=None) -> BlockCandidates:
     """Candidates of every group's ``(m, k)`` matrix on the per-group
-    path: its segments in plan order, or with ``mirrors`` (a
-    :class:`~repro.core.plan.MirrorSchedule`) its unmirrored segments
-    then its forward ones, the skipped ones left out."""
+    path: its segments in the evaluation order the per-group evaluator
+    gathers them in (:func:`~repro.core.plan.evaluation_order`) -- plan
+    order, or with ``mirrors`` (a
+    :class:`~repro.core.plan.MirrorSchedule`) the schedule's stored
+    order, which leaves the skipped segments out."""
+    order, order_ptr = evaluation_order(plan.seg_group_ptr, mirrors)
     n_seg = plan.n_segments
     sizes = np.diff(plan.seg_ptr)
     seg_group = np.repeat(
         np.arange(plan.n_groups), np.diff(plan.seg_group_ptr)
     )
-    if mirrors is None:
-        live = np.ones(n_seg, dtype=bool)
-        order = np.arange(n_seg)
-    else:
-        live = mirrors.partner != MIRROR_SKIP
-        order = np.lexsort((mirrors.partner >= 0, seg_group))
-    used = np.where(live, sizes, 0)
-    before = np.cumsum(used[order]) - used[order]
+    live = np.zeros(n_seg, dtype=bool)
+    live[order] = True
+    # Columns before each segment of the order, counted from its
+    # group's first column.
+    before = np.concatenate(([0], np.cumsum(sizes[order])))
     col0 = np.empty(n_seg, dtype=np.intp)
-    col0[order] = before - before[plan.seg_group_ptr[seg_group]]
-    total = np.concatenate(([0], np.cumsum(used)))
-    k = total[plan.seg_group_ptr[1:]] - total[plan.seg_group_ptr[:-1]]
+    col0[order] = before[:-1] - np.repeat(
+        before[order_ptr[:-1]], np.diff(order_ptr)
+    )
+    k = before[order_ptr[1:]] - before[order_ptr[:-1]]
     t, p = neighbour_pairs(plan.targets, plan.src_points)
     pair, seg = _segment_hits(plan, t, p)
     pair, seg = pair[live[seg]], seg[live[seg]]

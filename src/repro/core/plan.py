@@ -201,8 +201,11 @@ bitwise the rows of one physical source slot, and a direct segment
 plan: the same kernel matrix, transposed.
 :meth:`ExecutionPlan.mirror_schedule` pairs such segments from the
 plan's bytes alone -- no tree or driver knowledge -- so an updated
-plan and a cold compile of the same geometry pair identically.  It is
-built lazily on the first fused execution and is never pickled.
+plan and a cold compile of the same geometry pair identically.  It
+also stores the order each group evaluates its segments in
+(:func:`evaluation_order`), which the per-group evaluator and the
+group candidates read.  It is built lazily on the first fused
+execution and is never pickled.
 """
 
 from __future__ import annotations
@@ -231,6 +234,7 @@ __all__ = [
     "build_batched_layout",
     "build_mirror_schedule",
     "compile_plan",
+    "evaluation_order",
 ]
 
 #: Maximum fraction of a bucket's padded target rows allowed to be
@@ -500,27 +504,38 @@ class MirrorSchedule:
     ``partner = B`` and ``B``'s records :data:`MIRROR_SKIP`; every other
     segment records :data:`MIRROR_NONE`.  Derived from the plan's
     buffers alone (see :func:`build_mirror_schedule`).
+
+    The schedule also stores the order a group evaluates its segments
+    in, once per geometry: its unmirrored segments in plan order, then
+    its forward ones, the skipped ones left out -- group ``g``'s are
+    ``order[order_ptr[g]:order_ptr[g + 1]]``.  The forward segments so
+    form one trailing column block of the group's kernel matrix.  A
+    group's forward partners are distinct and differ from the group,
+    and each forward segment's rows are its partner's target rows, so
+    the block's transpose lands on every partner row exactly once.
     """
 
     #: (S,) receiving group of each forward segment, else a MIRROR_ code.
     partner: np.ndarray
     #: (G,) first physical row of the slot each group sits on, or -1.
     self_lo: np.ndarray
+    #: (L,) the live segments, group by group in evaluation order.
+    order: np.ndarray
+    #: (G+1,) offsets of each group's segments in :attr:`order`.
+    order_ptr: np.ndarray
 
     @property
     def n_pairs(self) -> int:
         return int(np.count_nonzero(self.partner >= 0))
 
-    def split(self, s_lo: int, s_hi: int):
-        """``(own, forward)`` segment lists of a group's segments
-        ``[s_lo, s_hi)``, skipped segments left out; None when none of
-        them is mirrored (the group then evaluates as compiled)."""
-        partner = self.partner[s_lo:s_hi]
-        if not np.any(partner != MIRROR_NONE):
-            return None
-        own = np.flatnonzero(partner == MIRROR_NONE) + s_lo
-        forward = np.flatnonzero(partner >= 0) + s_lo
-        return own.tolist(), forward.tolist()
+
+def evaluation_order(seg_group_ptr, mirrors=None):
+    """``(order, order_ptr)``: each group's segments in the order the
+    per-group evaluator forms them -- ``mirrors``' stored order, or
+    without a schedule every segment in plan order."""
+    if mirrors is None:
+        return np.arange(seg_group_ptr[-1]), seg_group_ptr
+    return mirrors.order, mirrors.order_ptr
 
 
 @dataclass(frozen=True, eq=False)
@@ -1087,23 +1102,26 @@ def build_mirror_schedule(plan: ExecutionPlan) -> MirrorSchedule:
         slot_of[s_key] = slot_lo
         one = (n_groups[g_key] == 1) & (n_slots[g_key] == 1)
         self_lo[groups[one]] = slot_of[g_key[one]]
+    seg_group = np.repeat(
+        np.arange(plan.n_groups), np.diff(plan.seg_group_ptr)
+    )
     # The group sitting on each slot: one at most, since a slot's rows
     # have one size and one byte string.
     sitting = np.flatnonzero(self_lo >= 0)
     if sitting.size == 0:
-        return MirrorSchedule(partner=partner, self_lo=self_lo)
+        return _schedule(partner, self_lo, seg_group, plan.n_groups)
     by_lo = np.argsort(self_lo[sitting])
     on_lo, on_group = self_lo[sitting][by_lo], sitting[by_lo]
-    seg_group = np.repeat(
-        np.arange(plan.n_groups), np.diff(plan.seg_group_ptr)
-    )
     mirror_group = np.full(plan.n_segments, -1, dtype=np.intp)
     at = np.minimum(np.searchsorted(on_lo, seg_lo), on_lo.size - 1)
-    found = on_lo[at] == seg_lo
+    # An empty segment sits on no slot, even at a slot's first row: it
+    # neither pairs nor counts as a use.
+    found = (on_lo[at] == seg_lo) & (seg_rows > 0)
     mirror_group[found] = on_group[at[found]]
     # Uses of each (group, slot) key, and of each segment's mirror key.
     uses_keys, uses_of, uses = np.unique(
-        seg_group * stride + seg_lo, return_inverse=True, return_counts=True
+        np.where(seg_rows > 0, seg_group * stride + seg_lo, -1),
+        return_inverse=True, return_counts=True,
     )
     mirror_key = mirror_group * stride + self_lo[seg_group]
     at = np.minimum(np.searchsorted(uses_keys, mirror_key), uses_keys.size - 1)
@@ -1118,7 +1136,20 @@ def build_mirror_schedule(plan: ExecutionPlan) -> MirrorSchedule:
     partner[paired] = np.where(
         seg_group < mirror_group, mirror_group, MIRROR_SKIP
     )[paired]
-    return MirrorSchedule(partner=partner, self_lo=self_lo)
+    return _schedule(partner, self_lo, seg_group, plan.n_groups)
+
+
+def _schedule(partner, self_lo, seg_group, n_groups) -> MirrorSchedule:
+    """The schedule of ``partner`` and ``self_lo`` with its evaluation
+    order: per group the unmirrored segments, then the forward ones
+    (one stable sort), the skipped ones dropped."""
+    order = np.lexsort((partner >= 0, seg_group))
+    order = order[partner[order] != MIRROR_SKIP]
+    counts = np.bincount(seg_group[order], minlength=n_groups)
+    return MirrorSchedule(
+        partner=partner, self_lo=self_lo, order=order,
+        order_ptr=_offsets(counts),
+    )
 
 
 def _offsets(sizes) -> np.ndarray:

@@ -53,9 +53,10 @@ __all__ = ["Kernel", "RadialKernel", "block_rows", "candidate_rows"]
 #: Default cap on the elements of one row block of :meth:`Kernel.potential`:
 #: 32 MB per ``(m, k)`` float64 array.  Live per block: r^2 (``r`` after
 #: the in-place sqrt) and ``g``; with forces ``g'(r)/r`` too, ``r`` then
-#: serving as the contraction scratch; the reference r^2 (``fused=False``)
-#: adds its GEMM term, and radial kernels without an ``out``-aware
-#: :meth:`RadialKernel.evaluate_radial` their own temporaries.
+#: serving as the contraction scratch.  The reference r^2 (``fused=False``)
+#: allocates its r^2 and GEMM term outside any workspace, and radial
+#: kernels without an ``out``-aware :meth:`RadialKernel.evaluate_radial`
+#: their own temporaries.
 DEFAULT_BLOCK_ELEMENTS = 4_000_000
 
 #: ``(m, k)`` arrays live at once in a :class:`RadialKernel` block with
@@ -590,8 +591,12 @@ class RadialKernel(Kernel):
         is free after the patch and comes back as the force
         contraction's scratch -- None if a factor aliases it.
         """
-        r2_of = self._pairwise_r2_fused if fused else self._pairwise_r2
-        r, zero_idx = r2_of(targets, sources, candidates, workspace)
+        if fused:
+            r, zero_idx = self._pairwise_r2_fused(
+                targets, sources, candidates, workspace
+            )
+        else:
+            r, zero_idx = self._pairwise_r2(targets, sources, candidates)
         r.put(zero_idx, 1.0)
         np.sqrt(r, out=r)
         g, f = self.evaluate_radial(
@@ -625,24 +630,17 @@ class RadialKernel(Kernel):
         targets: np.ndarray,
         sources: np.ndarray,
         candidates=None,
-        workspace=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Squared distances and the coincident entries' flat indices.
 
         The indices are :func:`_scan_coincident`'s, tested among
-        ``candidates`` when the caller holds them.  With a
-        ``workspace``, r^2 and its GEMM term live in its slots.
+        ``candidates`` when the caller holds them.  The byte-stable
+        reference: it allocates its r^2 and GEMM term afresh.
         """
         t2 = np.einsum("md,md->m", targets, targets)
         s2 = np.einsum("kd,kd->k", sources, sources)
-        shape = (len(targets), len(sources))
-        dtype = np.result_type(targets, sources)
-        r2 = np.add(
-            t2[:, None], s2[None, :], out=take(workspace, "r2", shape, dtype)
-        )
-        cross = np.matmul(
-            targets, sources.T, out=take(workspace, "cross", shape, dtype)
-        )
+        r2 = t2[:, None] + s2[None, :]
+        cross = targets @ sources.T
         r2 -= np.multiply(2.0, cross, out=cross)
         return r2, _scan_coincident(r2, t2, s2, candidates)
 

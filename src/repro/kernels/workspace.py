@@ -14,14 +14,14 @@ and fault back in on the next block.
 A :class:`Workspace` holds one flat buffer per ``(slot, dtype)`` and
 hands out C-contiguous views of its leading elements, so consecutive
 blocks reuse the same memory.  A driver handed a workspace takes its
-arrays from the slots ``"r2"``, ``"g"`` and ``"f"`` (the reference
-r^2, ``fused=False``, adds ``"cross"``) and passes the factor buffers to
-``RadialKernel.evaluate_radial`` as its ``out``.  One workspace lives
-for one execute and is freed when it returns.  Before the first block,
-the evaluator :meth:`~Workspace.reserve` s the element count of the
-largest block the plan will form (every slot of a block has that
-block's shape), so each slot is allocated once, at its final size, on
-the first execute as on every later one.
+arrays from the slots ``"r2"`` (the fused r^2; the reference r^2,
+``fused=False``, allocates its own), ``"g"`` and ``"f"``, and passes the
+factor buffers to ``RadialKernel.evaluate_radial`` as its ``out``.  One
+workspace lives for one execute and is freed when it returns.  Before
+the first block, the evaluator :meth:`~Workspace.reserve` s the element
+count of the largest block the plan will form (every slot of a block
+has that block's shape), so each slot is allocated once, at its final
+size, on the first execute as on every later one.
 
 Writing into a view is elementwise the same arithmetic as writing into
 a fresh array (the ufuncs and GEMMs take ``out=``), so results are

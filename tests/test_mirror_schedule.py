@@ -3,7 +3,8 @@
 :func:`~repro.core.plan.build_mirror_schedule` pairs a plan's mirrored
 segments in array passes.  ``_reference_mirror_schedule`` below is the
 loop it replaced, one segment and one byte string at a time.  The two
-must agree byte for byte on ``partner`` and ``self_lo``: on the
+must agree byte for byte on ``partner``, ``self_lo`` and the stored
+evaluation order (``order``, ``order_ptr``): on the
 end-to-end benchmark recipes, on generated clouds (duplicated point
 sets, disjoint targets) on a single device and on 1-3 LET ranks, and on
 hand-written plans with repeated keys and zero-size segments.
@@ -73,20 +74,36 @@ def _reference_mirror_schedule(plan) -> MirrorSchedule:
     seg_group = np.repeat(
         np.arange(n_groups), np.diff(plan.seg_group_ptr)
     ).tolist()
-    uses = Counter(zip(seg_group, seg_lo))
+    # An empty segment sits on no slot: it neither pairs nor is a use.
+    uses = Counter(
+        (a, lo) for a, lo, n in zip(seg_group, seg_lo, seg_rows) if n
+    )
     for s, (a, lo) in enumerate(zip(seg_group, seg_lo)):
         b = group_on.get(lo)
-        if b is None or b == a or sits_on[a] < 0:
+        if not seg_rows[s] or b is None or b == a or sits_on[a] < 0:
             continue
         if uses[a, lo] == 1 and uses[b, sits_on[a]] == 1:
             partner[s] = b if a < b else MIRROR_SKIP
-    return MirrorSchedule(partner=partner, self_lo=self_lo)
+    # Each group's evaluation order: its unmirrored segments, then its
+    # forward ones, one list at a time.
+    order, order_ptr = [], [0]
+    for g in range(n_groups):
+        segs = range(plan.seg_group_ptr[g], plan.seg_group_ptr[g + 1])
+        order += [s for s in segs if partner[s] == MIRROR_NONE]
+        order += [s for s in segs if partner[s] >= 0]
+        order_ptr.append(len(order))
+    return MirrorSchedule(
+        partner=partner,
+        self_lo=self_lo,
+        order=np.array(order, dtype=np.intp),
+        order_ptr=np.array(order_ptr, dtype=np.intp),
+    )
 
 
 def assert_matches_reference(plan):
     got = build_mirror_schedule(plan)
     want = _reference_mirror_schedule(plan)
-    for name in ("partner", "self_lo"):
+    for name in ("partner", "self_lo", "order", "order_ptr"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
@@ -168,7 +185,14 @@ def test_hand_written_plans():
         ),
         # No groups sit anywhere.
         listed_plan([(rng.random((2, 3)), [("direct", "c")])], sources),
+        # An empty key starting where b's slot starts: not on that slot.
+        listed_plan(
+            [(a, [("direct", "a"), ("direct", "empty")]),
+             (b, [("direct", "b"), ("direct", "a")])],
+            sources,
+        ),
     ]
     for plan in plans:
         assert_matches_reference(plan)
     assert build_mirror_schedule(plans[0]).n_pairs > 0
+    assert build_mirror_schedule(plans[3]).n_pairs == 0
