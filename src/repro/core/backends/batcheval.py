@@ -11,10 +11,11 @@ Per bucket chunk the evaluation is one call of the stacked kernel
 driver (:meth:`~repro.kernels.base.RadialKernel.potential_batched`) --
 one batched GEMM for the r^2 cross term, elementwise kernel passes over
 the ``(G, m, k)`` stack, one batched GEMV against the bucket's weight
-matrix, and with forces the factored force ``(f w) S - t * rowsum(f
-w)`` from the same r^2, sqrt and radial factors -- followed by a single
-fancy-indexed scatter of the valid rows.  No per-group Python
-iteration, no per-group target-block materialization.  Buckets are
+matrix, and with forces one batched GEMM per weight column of ``f =
+g'(r)/r`` against ``[w S | w]`` from the same r^2, sqrt and radial
+factors -- followed by a single fancy-indexed scatter of the valid
+rows.  No per-group Python iteration, no per-group target-block
+materialization.  Buckets are
 chunked along the entry axis so the live ``(g, m, k)`` arrays stay
 bounded (the same role :data:`~repro.kernels.base.DEFAULT_BLOCK_ELEMENTS`
 plays in the blocked direct sum): a chunk's entry count divides

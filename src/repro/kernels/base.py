@@ -52,20 +52,24 @@ __all__ = ["Kernel", "RadialKernel", "block_rows", "candidate_rows"]
 
 #: Default cap on the elements of one row block of :meth:`Kernel.potential`:
 #: 32 MB per ``(m, k)`` float64 array.  Live per block: r^2 (``r`` after
-#: the in-place sqrt) and ``g``; with forces ``g'(r)/r`` too, ``r`` then
-#: serving as the contraction scratch.  The reference r^2 (``fused=False``)
-#: allocates its r^2 and GEMM term outside any workspace, and radial
-#: kernels without an ``out``-aware :meth:`RadialKernel.evaluate_radial`
-#: their own temporaries.
+#: the in-place sqrt) and ``g``; with forces ``g'(r)/r`` too, which the
+#: force contraction reads in place (one BLAS product per column, no
+#: ``(m, k)`` copy).  The reference r^2 (``fused=False``) allocates its
+#: r^2 and GEMM term outside any workspace, and radial kernels without
+#: an ``out``-aware :meth:`RadialKernel.evaluate_radial` their own
+#: temporaries.
 DEFAULT_BLOCK_ELEMENTS = 4_000_000
 
-#: ``(m, k)`` arrays live at once in a :class:`RadialKernel` block with
-#: forces: the r^2 buffer (``r`` after the in-place sqrt, then the
-#: contraction scratch), ``g``, ``g'/r`` and one temporary of the radial
-#: evaluation (the default :meth:`RadialKernel.evaluate_radial` of the
-#: inverse multiquadric needs it; the built-in overrides do not).
-#: Stacked chunks with forces divide their element budget by it, so the
-#: working set stays within the budget.
+#: Stacked chunks with forces divide their element budget by this
+#: count of ``(g, m, k)`` arrays, so the working set stays within the
+#: budget: the r^2 buffer (``r`` after the in-place sqrt), ``g``,
+#: ``g'/r`` and one temporary of the radial evaluation (the default
+#: :meth:`RadialKernel.evaluate_radial` of the inverse multiquadric
+#: needs it; the built-in overrides do not).  The force contraction
+#: adds only ``(g, 4, k)`` factors and ``(g, 4, m)`` products.  The
+#: count also fixes where a bucket's chunks end, and each chunk sets its
+#: own coincidence noise floor, so changing it changes potentials, not
+#: just memory.
 JOINT_LIVE_ARRAYS = 4
 
 #: The coincidence rule, as one constant pair.  An entry of an r^2 block
@@ -170,10 +174,10 @@ class Kernel(abc.ABC):
         are bitwise the same with forces on or off: BLAS rounds the r^2
         GEMM and the GEMV differently for different row counts, and the
         block also sets the coincidence noise floor.  Radial kernels
-        contract the force in the factored form of
-        :meth:`RadialKernel.potential_batched` on ``f = g'(r)/r``, with
-        no ``(M, K, 3)`` gradient tensor, agreeing with :meth:`force`
-        to roundoff; a generic kernel contracts its
+        contract ``f = g'(r)/r`` by one BLAS product per block and
+        charge column (see :meth:`RadialKernel.potential_batched`),
+        with no ``(M, K, 3)`` gradient tensor, agreeing with
+        :meth:`force` to roundoff; a generic kernel contracts its
         :meth:`pairwise_gradient` block.
 
         ``fused=True`` (:class:`RadialKernel` only) forms r^2 by the
@@ -241,25 +245,24 @@ class Kernel(abc.ABC):
             src_t = sources[col0:]
         for lo, hi in chunk_ranges(m, block_rows(k, block_elements)):
             tgt = targets[lo:hi]
-            g, f, scratch = self._block(
+            g, f = self._block(
                 tgt, sources, fused, candidate_rows(coincident, lo, hi, m, k),
                 workspace, want_grad,
             )
             for q, phi, frc in cols:
                 phi[lo:hi] += g @ q
                 if want_grad:
-                    frc[lo:hi] += self._force_rows(f, q, tgt, sources, scratch)
+                    frc[lo:hi] += self._force_rows(f, q, tgt, sources)
             if mirror is not None:
                 for q, phi, frc in cols_t:
                     phi += g[:, col0:].T @ q[lo:hi]
                     if want_grad:
                         frc += self._force_mirror(
-                            f[:, col0:], q[lo:hi], tgt, src_t,
-                            None if scratch is None else scratch[:, col0:],
+                            f[:, col0:], q[lo:hi], tgt, src_t
                         )
             # Release the block before the next one forms, so one
             # block's arrays are live at a time.
-            del g, f, scratch
+            del g, f
         return out
 
     def force(
@@ -308,25 +311,24 @@ class Kernel(abc.ABC):
     def _block(
         self, targets, sources, fused, candidates, workspace, want_grad
     ):
-        """``(G, grad, scratch)`` of one block of :meth:`potential`.
+        """``(G, grad)`` of one block of :meth:`potential`.
 
         The generic kernel has no fused arithmetic, coincidence rule or
         workspace hooks, so ``fused`` / ``candidates`` / ``workspace``
-        go unused; ``grad`` is the :meth:`pairwise_gradient`
-        tensor (None without ``want_grad``) and there is no scratch.
-        :class:`RadialKernel` overrides the block routine and the two
-        force contractions below.
+        go unused; ``grad`` is the :meth:`pairwise_gradient` tensor
+        (None without ``want_grad``).  :class:`RadialKernel` overrides
+        the block routine and the two force contractions below.
         """
         grad = self.pairwise_gradient(targets, sources) if want_grad else None
-        return self.pairwise(targets, sources), grad, None
+        return self.pairwise(targets, sources), grad
 
     @staticmethod
-    def _force_rows(grad, q, targets, sources, scratch):
+    def _force_rows(grad, q, targets, sources):
         """The block's force on its targets, ``-sum_j grad_ij q_j``."""
         return -np.einsum("mkd,k->md", grad, q)
 
     @staticmethod
-    def _force_mirror(grad, q, targets, sources, scratch):
+    def _force_mirror(grad, q, targets, sources):
         """The force on ``sources`` from the targets' charges ``q``:
         ``+sum_i grad_ij q_i`` (the gradient is antisymmetric)."""
         return np.einsum("mkd,m->kd", grad, q)
@@ -363,9 +365,10 @@ class RadialKernel(Kernel):
     and :meth:`pairwise` / :meth:`pairwise_fused` /
     :meth:`pairwise_batched` / :meth:`pairwise_gradient_fused` -- comes
     from one routine: one ``r^2``, one coincidence lookup, one ``sqrt``,
-    one :meth:`evaluate_radial`.  With forces the drivers contract them
-    in the factored form ``(f w) S - t * rowsum(f w)`` with ``f =
-    g'(r)/r``.  :meth:`pairwise_gradient`, :meth:`force` and
+    one :meth:`evaluate_radial`.  With forces the drivers contract ``f =
+    g'(r)/r`` by one BLAS product per column against the ``(k, 4)``
+    factor ``[w S | w]`` (:func:`_radial_force`).
+    :meth:`pairwise_gradient`, :meth:`force` and
     :meth:`evaluate_dr_over_r` stay the byte-stable reference the
     ``numpy`` backend runs.
 
@@ -519,15 +522,15 @@ class RadialKernel(Kernel):
         switches on the stacked forces from the same factors.  With
         ``grad G = f(r) (x - y)``, ``f = g'(r)/r``, they split as
 
-            F_i = -sum_j f_ij w_j (t_i - s_j)
-                = (f w) S  -  t_i * sum_j f_ij w_j,
+            F_i = -sum_j f_ij w_j (t_i - s_j) = R_i[:3] - t_i R_i[3],
+            R = f [w S | w],
 
-        one elementwise product, one row-sum and one batched GEMM
-        against the source coordinates, with no ``(G, m, k, 3)``
-        gradient tensor.  They agree with :meth:`force` to roundoff (the
-        sum over sources is reassociated); coincident pairs contribute
-        exactly zero.  The potentials are bitwise the same with forces
-        on or off.
+        one batched GEMM of ``f`` against the ``(G, k, 4)`` factor
+        ``[w S | w]`` (:func:`_radial_force`), with no ``(G, m, k, 3)``
+        gradient tensor and no scaled copy of ``f``.  They agree with
+        :meth:`force` to roundoff (the sum over sources is
+        reassociated); coincident pairs contribute exactly zero.  The
+        potentials are bitwise the same with forces on or off.
 
         Multi-RHS (``weights`` shaped ``(G, k, n_rhs)``): the factors are
         formed once and every column runs the identical single-vector
@@ -537,14 +540,14 @@ class RadialKernel(Kernel):
         docstring); the returned potentials are a fresh array either
         way.
         """
-        g, f, scratch = self._block(
+        g, f = self._block(
             targets, sources, True, coincident, workspace, forces is not None
         )
         phi = _gemv_stack(g, weights)
         if forces is not None:
             multi = weights.ndim == np.ndim(targets)
             for w, frc in _columns(weights, multi, forces):
-                frc += _radial_force(f, w, targets, sources, scratch)
+                frc += _radial_force(f, w, targets, sources)
         return phi
 
     def pairwise_gradient(
@@ -578,7 +581,7 @@ class RadialKernel(Kernel):
     def _block(
         self, targets, sources, fused, candidates, workspace, want_grad
     ):
-        """``(g, g'/r, scratch)`` of one ``(..., m, k)`` block.
+        """``(g, g'/r)`` of one ``(..., m, k)`` block.
 
         One r^2 pass (``fused`` picks :meth:`_pairwise_r2_fused` or the
         reference :meth:`_pairwise_r2`), its coincident entries found by
@@ -587,9 +590,7 @@ class RadialKernel(Kernel):
         :meth:`evaluate_radial` (into the workspace's ``"g"`` / ``"f"``
         slots when there is one) and one coincidence patch of each
         factor (``evaluate_r0`` and zero force).  Without ``want_grad``
-        the second factor and the scratch are None; with it the r buffer
-        is free after the patch and comes back as the force
-        contraction's scratch -- None if a factor aliases it.
+        the second factor is None.
         """
         if fused:
             r, zero_idx = self._pairwise_r2_fused(
@@ -608,22 +609,19 @@ class RadialKernel(Kernel):
             ),
         )
         g.put(zero_idx, self.evaluate_r0())
-        if not want_grad:
-            return g, None, None
-        f.put(zero_idx, 0.0)
-        if np.may_share_memory(r, g) or np.may_share_memory(r, f):
-            r = None
-        return g, f, r
+        if want_grad:
+            f.put(zero_idx, 0.0)
+        return g, f
 
     @staticmethod
-    def _force_rows(f, q, targets, sources, scratch):
-        return _radial_force(f, q, targets, sources, scratch)
+    def _force_rows(f, q, targets, sources):
+        return _radial_force(f, q, targets, sources)
 
     @staticmethod
-    def _force_mirror(f, q, targets, sources, scratch):
-        # sum_i f_ij q_i (t_i - s_j) = (f q)^T T - s_j * colsum(f q).
-        fq = _scaled(f, q[:, None], scratch)
-        return fq.T @ targets - sources * fq.sum(axis=0)[:, None]
+    def _force_mirror(f, q, targets, sources):
+        # sum_i f_ij q_i (t_i - s_j) = -sum_i f^T_ji q_i (s_j - t_i): the
+        # forward contraction of the transposed block, roles swapped.
+        return _radial_force(f.T, q, sources, targets)
 
     def _pairwise_r2(
         self,
@@ -751,19 +749,22 @@ def _gemv_stack(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.matmul(mat, weights[..., None])[..., 0]
 
 
-def _radial_force(f, w, targets, sources, scratch):
-    """``-sum_j f_ij w_j (t_i - s_j) = (f w) S - t * rowsum(f w)``.
+def _radial_force(f, w, targets, sources):
+    """``-sum_j f_ij w_j (t_i - s_j) = R[:, :3] - t * R[:, 3]`` with
+    ``R = f [w S | w]``.
 
-    Over the trailing ``(m, k)`` axes of ``f`` (2-D blocks or stacks);
-    ``scratch`` (``f``'s shape, or None) receives ``f w``.
+    Over the trailing ``(m, k)`` axes of ``f`` (2-D blocks, their
+    transposed views, or stacks): one BLAS product per call against
+    the ``(k, 4)`` factor, run as ``([w S | w]^T f^T)^T`` -- a ``(4, k)
+    x (k, m)`` GEMM, which reads ``f`` once and writes no ``(m, k)``
+    array (and under OpenBLAS runs faster than ``f [w S | w]``).
     """
-    fw = _scaled(f, w[..., None, :], scratch)
-    return fw @ sources - targets * fw.sum(axis=-1)[..., None]
-
-
-def _scaled(f, w, scratch):
-    """``f * w``, written into ``scratch`` when it holds the product's
-    dtype (mixed-precision operands promote into a fresh array)."""
-    if scratch is None or scratch.dtype != np.result_type(f, w):
-        return f * w
-    return np.multiply(f, w, out=scratch)
+    bt = np.empty(  # [w S | w]^T
+        sources.shape[:-2] + (4, sources.shape[-2]),
+        dtype=np.result_type(w, sources),
+    )
+    np.multiply(w[..., None, :], sources.swapaxes(-1, -2), out=bt[..., :3, :])
+    bt[..., 3, :] = w
+    rt = bt @ f.swapaxes(-1, -2)  # R^T
+    force_t = rt[..., :3, :] - targets.swapaxes(-1, -2) * rt[..., 3:, :]
+    return force_t.swapaxes(-1, -2)

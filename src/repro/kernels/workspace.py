@@ -4,12 +4,12 @@ The fused and batched evaluators call the two kernel drivers
 (``Kernel.potential`` per row block, ``RadialKernel.potential_batched``
 per bucket chunk) thousands of times per execute, and every block
 needs the same few ``(m, k)`` (or stacked ``(g, m, k)``) arrays:
-``r^2`` (``r`` after the in-place sqrt, then the force contraction's
-scratch), ``g`` and, with forces, ``g'(r)/r``.  Allocating them per
-block is what the GPU avoids by launching into device arrays allocated
-once; on the CPU a fresh multi-MB array costs about as much as a few
-elementwise passes over it, because the freed pages go back to the OS
-and fault back in on the next block.
+``r^2`` (``r`` after the in-place sqrt), ``g`` and, with forces,
+``g'(r)/r``, which the force contraction reads in place.  Allocating
+them per block is what the GPU avoids by launching into device arrays
+allocated once; on the CPU a fresh multi-MB array costs about as much
+as a few elementwise passes over it, because the freed pages go back
+to the OS and fault back in on the next block.
 
 A :class:`Workspace` holds one flat buffer per ``(slot, dtype)`` and
 hands out C-contiguous views of its leading elements, so consecutive

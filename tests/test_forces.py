@@ -92,44 +92,63 @@ class TestKernelGradients:
         )
 
 
+#: Approximating fixture of :class:`TestTreecodeForces`: the size
+#: condition ``(n+1)^3 < N_C`` needs clusters above 343 particles at
+#: degree 6, so leaves hold up to 400 sources, while 50-target batches
+#: keep the MAC passing.  Approximated share of the batch-cluster
+#: interactions: 1082 / 2521 at degree 2, 446 / 2521 at degrees 4 and 6.
+FORCE_PARAMS = dict(theta=0.7, max_leaf_size=400, max_batch_size=50)
+MIN_APPROX_SHARE = {2: 0.4, 4: 0.15, 6: 0.15}
+FORCE_KERNELS = [CoulombKernel(), YukawaKernel(kappa=0.5)]
+
+
 class TestTreecodeForces:
     @pytest.fixture(scope="class")
     def cube(self):
-        return random_cube(1500, seed=201)
+        return random_cube(3000, seed=201)
 
     @pytest.fixture(scope="class")
-    def direct_forces(self, cube):
-        return CoulombKernel().force(
-            cube.positions, cube.positions, cube.charges
-        )
+    def runs(self, cube):
+        """``{(kernel, degree): (forces, approximated share)}`` and each
+        kernel's direct forces under ``(kernel, None)``."""
+        out = {}
+        for kernel in FORCE_KERNELS:
+            out[kernel.name, None] = kernel.force(
+                cube.positions, cube.positions, cube.charges
+            )
+            for n in MIN_APPROX_SHARE:
+                params = TreecodeParams(degree=n, **FORCE_PARAMS)
+                res = BarycentricTreecode(kernel, params).compute(
+                    cube, compute_forces=True
+                )
+                st = res.stats
+                share = st["n_approx_interactions"] / (
+                    st["n_approx_interactions"] + st["n_direct_interactions"]
+                )
+                out[kernel.name, n] = res.forces, share
+        return out
 
-    def test_forces_converge_with_degree(self, cube, direct_forces):
+    @pytest.mark.parametrize("kernel", FORCE_KERNELS, ids=lambda k: k.name)
+    def test_forces_converge_with_degree(self, runs, kernel):
+        direct = runs[kernel.name, None]
         errs = []
-        for n in (2, 4, 6):
-            params = TreecodeParams(
-                theta=0.6, degree=n, max_leaf_size=150, max_batch_size=150
+        for n, min_share in MIN_APPROX_SHARE.items():
+            forces, share = runs[kernel.name, n]
+            assert share >= min_share, (n, share)
+            errs.append(
+                np.linalg.norm(forces - direct) / np.linalg.norm(direct)
             )
-            res = BarycentricTreecode(CoulombKernel(), params).compute(
-                cube, compute_forces=True
-            )
-            err = np.linalg.norm(res.forces - direct_forces) / np.linalg.norm(
-                direct_forces
-            )
-            errs.append(err)
         assert errs[1] < errs[0]
         assert errs[2] < 1e-5
 
-    def test_momentum_conservation(self, cube):
+    @pytest.mark.parametrize("kernel", FORCE_KERNELS, ids=lambda k: k.name)
+    def test_momentum_conservation(self, cube, runs, kernel):
         """Newton's third law: sum_i q_i F_i = 0 for the exact sum; the
         treecode approximation must respect it to within its accuracy."""
-        params = TreecodeParams(
-            theta=0.6, degree=6, max_leaf_size=150, max_batch_size=150
-        )
-        res = BarycentricTreecode(CoulombKernel(), params).compute(
-            cube, compute_forces=True
-        )
-        total = np.einsum("i,id->d", cube.charges, res.forces)
-        scale = np.abs(cube.charges[:, None] * res.forces).sum()
+        forces, share = runs[kernel.name, 6]
+        assert share >= MIN_APPROX_SHARE[6]
+        total = np.einsum("i,id->d", cube.charges, forces)
+        scale = np.abs(cube.charges[:, None] * forces).sum()
         assert np.linalg.norm(total) / scale < 1e-6
 
     def test_forces_none_by_default(self, cube):
@@ -165,6 +184,69 @@ class TestTreecodeForces:
         # y=(1,0,0): repulsive for like charges -> points in -x.
         assert res.forces[0][0] == pytest.approx(-1.0)
         assert res.forces[1][0] == pytest.approx(1.0)
+
+
+class TestForceContraction:
+    """The radial force contraction, one BLAS product per block and
+    charge column against ``[w S | w]``: every gradient kernel agrees
+    with the ``numpy`` reference on both evaluator paths, and a source
+    under a target adds nothing to that target's force.  Column ``j``
+    of a block apply against a solo apply is
+    ``tests/test_multi_rhs_plans.py``'s check."""
+
+    @pytest.fixture(scope="class")
+    def cube(self):
+        return random_cube(1500, seed=7)
+
+    @staticmethod
+    def _session(cube, kernel, backend):
+        params = TreecodeParams(
+            theta=0.7, degree=3, max_leaf_size=100, max_batch_size=100,
+            backend=backend,
+        )
+        return BarycentricTreecode(kernel, params).prepare(cube)
+
+    @pytest.mark.parametrize("path", ["per-group", "stacked"])
+    @pytest.mark.parametrize("kernel", GRAD_KERNELS, ids=lambda k: k.name)
+    def test_matches_numpy_reference(self, cube, kernel, path, use_backend):
+        ref = self._session(cube, kernel, "numpy").apply(
+            cube.charges, compute_forces=True
+        )
+        res = self._session(cube, kernel, use_backend(path)).apply(
+            cube.charges, compute_forces=True
+        )
+        assert np.allclose(res.forces, ref.forces, rtol=1e-8, atol=1e-11)
+
+    @pytest.mark.parametrize("kernel", GRAD_KERNELS, ids=lambda k: k.name)
+    def test_source_under_a_target_adds_nothing(self, kernel, rng):
+        t = rng.uniform(-1, 1, (6, 3))
+        s = rng.uniform(-1, 1, (9, 3))
+        # The shared point sits far out, where the others exert ~1e-6:
+        # an unpatched coincident term (the factor at the patched r = 1
+        # on 1e3 coordinates) would not cancel to within that.
+        t[2] = s[4] = (1e3, 0.5, -0.25)
+        q, q_t = rng.normal(size=9), rng.normal(size=6)
+        keep_s, keep_t = np.arange(9) != 4, np.arange(6) != 2
+
+        def row_forces(t, s, q, q_t):
+            frc, f_t = np.zeros((len(t), 3)), np.zeros((len(s), 3))
+            kernel.potential(
+                t, s, q, forces=frc, fused=True,
+                mirror=(0, q_t, np.zeros(len(s)), f_t),
+            )
+            stacked = np.zeros((1, len(t), 3))
+            kernel.potential_batched(
+                t[None], s[None], q[None], forces=stacked
+            )
+            return frc, f_t, stacked[0]
+
+        frc, f_t, stacked = row_forces(t, s, q, q_t)
+        # Target 2 without source 4, and source 4 without target 2.
+        want = row_forces(t, s[keep_s], q[keep_s], q_t)
+        want_t = row_forces(t[keep_t], s, q, q_t[keep_t])
+        np.testing.assert_allclose(frc[2], want[0][2], rtol=1e-12)
+        np.testing.assert_allclose(stacked[2], want[2][2], rtol=1e-12)
+        np.testing.assert_allclose(f_t[4], want_t[1][4], rtol=1e-12)
 
 
 class TestPotentialsIgnoreForces:

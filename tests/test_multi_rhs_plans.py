@@ -78,7 +78,14 @@ class TestSingleDeviceBitwise:
             tc.prepare(cube).apply(col, compute_forces=True)
             for col in _columns(charge_block)
         ]
-        blocked = tc.prepare(cube).apply(charge_block, compute_forces=True)
+        sess = tc.prepare(cube)
+        blocked = sess.apply(charge_block, compute_forces=True)
+        # Each evaluator path runs its own force contraction: mirrored
+        # blocks per group, or the stacked buckets.
+        if backend == "per-group":
+            assert sess.plan.mirror_schedule().n_pairs > 0
+        elif backend == "stacked":
+            assert sess.plan.batched_layout.buckets
         assert blocked.potential.shape == (cube.n, N_RHS)
         assert blocked.forces.shape == (cube.n, 3, N_RHS)
         for j in range(N_RHS):
