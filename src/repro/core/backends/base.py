@@ -11,10 +11,8 @@ records byte-identical :class:`~repro.gpu.device.DeviceCounters` on the
 same plan by construction.
 
 The numerics backends share one execute head, :func:`start_execute`:
-refuse a model-only plan, charge the device, zero the output
-accumulators and open the execute's evaluation
-:class:`~repro.kernels.workspace.Workspace` (which the evaluators size
-for the plan's largest block; freed when the execute returns).
+refuse a model-only plan, charge the device and zero the output
+accumulators.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import abc
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from ...kernels.workspace import Workspace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...gpu.device import Device
@@ -128,17 +124,13 @@ def start_execute(
     *,
     dtype,
     compute_forces: bool,
-) -> tuple[np.ndarray, np.ndarray | None, Workspace]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The common head of a numerics backend's ``execute``.
 
     Refuses a plan compiled without numerics, charges the device for
     every launch the plan describes, and returns the zeroed float64
     accumulators ``out`` (``(out_size,)`` or ``(out_size, n_rhs)``) and
-    ``forces`` (``(out_size, 3[, n_rhs])``, None without forces) plus the
-    execute's empty :class:`~repro.kernels.workspace.Workspace`.  The
-    evaluators reserve the plan's largest block in it, so every slot is
-    allocated once; it holds no memory until the first block takes a
-    slot and frees it when the caller drops it.
+    ``forces`` (``(out_size, 3[, n_rhs])``, None without forces).
     """
     if not plan.has_numerics:
         raise ValueError(
@@ -156,7 +148,7 @@ def start_execute(
         if compute_forces
         else None
     )
-    return out, forces, Workspace()
+    return out, forces
 
 
 def accumulate_rows(plan, out, forces, t_lo, t_hi, phi, f_rows) -> None:

@@ -23,9 +23,18 @@ mirror ``(B, A)`` in the plan; for symmetric kernels each such kernel
 matrix is formed once and applied both ways (``G q_B`` to ``A``,
 ``G^T q_A`` to ``B``; Newton's third law at cell level, as in Dehnen's
 falcON), following the plan's
-:class:`~repro.core.plan.MirrorSchedule`.  The arithmetic lives in
-:mod:`.groupeval`; a plan whose schedule pairs nothing evaluates
-bitwise as the per-group arithmetic the multiprocessing backend runs.
+:class:`~repro.core.plan.MirrorSchedule`.  The groups are shared among
+worker threads, one per CPU the process may run on
+(:func:`~repro.parallel.worker_count`), under single-threaded BLAS: as
+in the paper's GPU mapping, target batches are the outer level of
+parallelism.  Each group's own rows start from zero and take one
+kernel call; the mirrored products are added in group order into
+separate accumulators, which join the rows after the workers do.  So
+the bytes are the same for any worker count and any thread timing, and
+no longer depend on how many threads the machine's BLAS would use.
+The arithmetic lives in :mod:`.groupeval`; a plan whose schedule pairs
+nothing evaluates bitwise as the per-group arithmetic the
+multiprocessing backend runs.
 
 **Stacked.**  A per-group walk pays a Python iteration and a few small
 array calls per group, which dominates on small groups.  The stacked
@@ -43,10 +52,12 @@ Both paths agree with :class:`~.numpy_backend.NumpyBackend` to
 roundoff (``rtol=1e-9`` on potentials, ``1e-8`` on forces); repeated
 applies are bitwise equal, and device counters are every other
 backend's, since launch charging derives from the plan alone.  Each
-execute opens one evaluation :class:`~repro.kernels.workspace.Workspace`
-(:func:`~.base.start_execute`) sized for its largest row block or
-bucket chunk, into which every block writes its r^2, ``g`` and
-``g'(r)/r``; results are bitwise those without one.
+execute opens evaluation
+:class:`~repro.kernels.workspace.Workspace` s sized for its largest
+row block or bucket chunk -- one on the stacked path, one per worker
+on the per-group path -- into which every block writes its r^2, ``g``
+and ``g'(r)/r``; results are bitwise those without one.  The stacked
+path runs on the calling thread at the BLAS's own threading.
 
 Both paths compute in float64 whatever ``dtype`` the execute is handed:
 that argument only prices the device's launches
@@ -61,6 +72,7 @@ import numpy as np
 
 from ...errors import BackendExecutionError
 from ...kernels.base import RadialKernel
+from ...kernels.workspace import Workspace
 from .base import Backend, accumulate_rows, start_execute
 from .batcheval import eval_bucket, eval_ragged_runs, layout_block_elements
 from .groupeval import eval_plan, plan_arrays
@@ -71,7 +83,10 @@ __all__ = ["FusedBackend", "STACKED_MAX_MEAN_ROWS", "uses_stacked_path"]
 #: stacked path.  Warm executes, 2-core Xeon (stacked / per-group time):
 #: Plummer 4 000, Yukawa degree 5 with forces, 0.85 at 14.9 rows and
 #: 1.26 at 20.8; cube 6 400, Coulomb degree 2, 0.78 at 26 and 1.51 at
-#: 70.  The cut sits at the force-kernel crossover.
+#: 70.  The cut sits at the force-kernel crossover.  Measured with the
+#: per-group path on one thread and not re-tuned since it runs on every
+#: core: the crossover moved, but moving the cut would move the
+#: benchmark's ``cube_fine`` (12.5 rows) and ``plummer_md`` (31) across it.
 STACKED_MAX_MEAN_ROWS = 20
 
 
@@ -100,14 +115,13 @@ class FusedBackend(Backend):
         compute_forces: bool = False,
         n_rhs: int | None = None,
     ):
-        out, forces, workspace = start_execute(
+        out, forces = start_execute(
             self, plan, kernel, device,
             dtype=dtype, compute_forces=compute_forces,
         )
         if not uses_stacked_path(plan, kernel):
             accumulate_rows(
-                plan, out, forces,
-                *eval_plan(plan, kernel, compute_forces, workspace),
+                plan, out, forces, *eval_plan(plan, kernel, compute_forces)
             )
             return out, forces
         arrays = plan_arrays(plan)
@@ -120,6 +134,7 @@ class FusedBackend(Backend):
                 f"building the batched execution layout failed: {exc}",
                 backend=self.name,
             ) from exc
+        workspace = Workspace()
         workspace.reserve(layout_block_elements(layout, arrays, compute_forces))
         candidates = plan.layout_candidates()
         for b, bucket in enumerate(layout.buckets):

@@ -27,23 +27,45 @@ potential (and force) from the block, its partner's from the transpose
 through the driver's ``mirror`` tuple -- and skips the blocks its
 lower-numbered partners already applied to it (the schedule's order
 leaves them out).  Its forward segments close its order, so they are
-one trailing column block; their transposed product lands in the
-partners' rows in one fancy-indexed add per group (one for forces),
-bitwise a per-segment add because the schedule gives every partner row
-exactly one source.  The summation order differs from the per-group
-arithmetic, so the two agree to roundoff.  Without a schedule, or
-where the schedule pairs nothing, every group evaluates exactly as
-compiled: that per-group arithmetic is what the multiprocessing backend
-runs in both its inline and sharded paths, so its results are bitwise
-invariant under any shard split.
+one trailing column block, and their transposed product is one
+``(rows, ...)`` array per group (one more for forces), each partner row
+once because the schedule gives every partner row exactly one source.
+The summation order differs from the per-group arithmetic, so the two
+agree to roundoff.  Without a schedule, or where the schedule pairs
+nothing, every group evaluates exactly as compiled: that per-group
+arithmetic is what the multiprocessing backend runs in both its inline
+and sharded paths, so its results are bitwise invariant under any shard
+split.
 
-Workspace: :func:`eval_plan` / :func:`eval_group_range` take the
-execute's :class:`~repro.kernels.workspace.Workspace`, reserve the
-largest row block of the run in it (:func:`group_block_elements`, over
-the same evaluation order) and hand it to every group's kernel call, so
-all row blocks write their r^2, ``g`` and ``g'(r)/r`` into the same few
-buffers, each allocated once.  Results are bitwise those without one
-(pool workers pass none).
+Workers: :func:`eval_group_range` shares its groups among ``workers``
+threads (:func:`eval_plan` asks :func:`~repro.parallel.worker_count`:
+the CPUs the process may run on, capped at the group count; a pool
+shard runs one).  The calling thread is the first worker; all of them
+take groups from one counter in group order, and numpy's ufuncs and
+BLAS release the GIL, so the sqrt, exp and ``1/r`` passes of two
+groups overlap.  Four rules keep the bytes the same for any worker
+count and any thread timing:
+
+* **Single-threaded BLAS.**  The workers run under
+  :func:`~repro.parallel.single_threaded_blas`, so no GEMM or GEMV
+  rounds by how many BLAS threads split it.
+* **Disjoint target rows.**  A group's own rows of ``phi`` / ``forces``
+  start from zero and take one kernel call, from one worker.
+* **Ordered mirror sums.**  A group's mirrored products go into
+  separate ``(rows, ...)`` accumulators through an in-order reorder
+  buffer (:func:`~repro.parallel.run_ordered`): added in group order,
+  whichever worker finishes first.  After the join the accumulators
+  are added to the rows.
+* **Caller-owned scratch.**  Each worker has its own
+  :class:`~repro.kernels.workspace.Workspace`, reserved for the largest
+  row block of the run (:func:`group_block_elements`, over the same
+  evaluation order) and allocated by the calling thread before the
+  workers start, so every row block writes its r^2, ``g`` and
+  ``g'(r)/r`` into its worker's few buffers, each allocated once.
+  Results are bitwise those without one.
+
+A worker's exception stops the others from taking groups; every thread
+is joined and the exception is raised to the caller.
 """
 
 from __future__ import annotations
@@ -51,6 +73,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...kernels.base import RadialKernel, block_rows
+from ...kernels.workspace import Workspace
+from ...parallel import run_ordered, single_threaded_blas, worker_count
 from ...util import concat_ranges
 from ..plan import evaluation_order
 
@@ -159,7 +183,7 @@ def group_block_elements(arrays, g_lo, g_hi) -> int:
 
 
 def eval_group_range(
-    arrays, kernel, compute_forces, g_lo, g_hi, workspace=None
+    arrays, kernel, compute_forces, g_lo, g_hi, workers: int = 1
 ):
     """Fused per-group accumulation over groups ``[g_lo, g_hi)``.
 
@@ -189,7 +213,8 @@ def eval_group_range(
     (whole plans only: a mirrored block writes its partner's rows) its
     trailing forward block goes to the driver's ``mirror`` tuple
     ``(col0, charges_t, out_t, forces_t)``, ``forces_t`` None with
-    forces off.
+    forces off, and ``out_t`` / ``forces_t`` are added into the mirror
+    accumulators in group order.
 
     ``arrays["candidates"]``, when present, holds the candidate
     coincident entries of every group's block
@@ -197,10 +222,10 @@ def eval_group_range(
     same order); without it every block is scanned, to the same
     indices.
 
-    ``workspace`` goes to every kernel call (see the module docstring).
+    ``workers`` threads share the groups under single-threaded BLAS,
+    each with its own workspace (see the module docstring); the bytes
+    are the same for any count.
     """
-    if workspace is not None:
-        workspace.reserve(group_block_elements(arrays, g_lo, g_hi))
     group_ptr = arrays["group_ptr"]
     mirrors = arrays.get("mirrors")
     candidates = arrays.get("candidates")
@@ -224,11 +249,15 @@ def eval_group_range(
             ([0], np.cumsum(mirrors.partner[order[ptr[0]:ptr[-1]]] >= 0))
         )
         n_forward = np.diff(forward[np.subtract(ptr, ptr[0])]).tolist()
-    for i, g in enumerate(range(g_lo, g_hi)):
+
+    def evaluate(i, workspace):
+        """Group ``g_lo + i`` into its own rows of ``phi`` / ``f_out``;
+        returns its mirror products ``(rows, phi_t, f_t)`` or None."""
+        g = g_lo + i
         segs = order[ptr[i]:ptr[i + 1]]
         ops = operands.gather(g, segs)
         if ops is None:
-            continue
+            return None
         tgt, src, q = ops
         t_lo, t_hi = bounds[i], bounds[i + 1]
         mirror = None
@@ -253,18 +282,42 @@ def eval_group_range(
             mirror=mirror,
             workspace=workspace,
         )
-        if mirror is not None:
-            phi[mirror_rows] += phi_t
-            if f_out is not None:
-                f_out[mirror_rows] += f_t
+        return None if mirror is None else (mirror_rows, phi_t, f_t)
+
+    phi_m = f_m = None
+    if any(n_forward):
+        phi_m = np.zeros_like(phi)
+        f_m = None if f_out is None else np.zeros_like(f_out)
+
+    def add_mirror(products):
+        if products is not None:
+            mirror_rows, phi_t, f_t = products
+            phi_m[mirror_rows] += phi_t
+            if f_m is not None:
+                f_m[mirror_rows] += f_t
+
+    # Every worker's scratch, allocated here at its final size.
+    capacity = group_block_elements(arrays, g_lo, g_hi)
+    workspaces = []
+    for _ in range(workers):
+        workspace = Workspace()
+        workspace.reserve(capacity)
+        workspace.allocate(kernel.workspace_slots(compute_forces))
+        workspaces.append(workspace)
+    with single_threaded_blas():
+        run_ordered(evaluate, workspaces, g_hi - g_lo, add_mirror)
+    if phi_m is not None:
+        phi += phi_m
+        if f_m is not None:
+            f_out += f_m
     return t_lo_all, t_hi_all, phi, f_out
 
 
-def eval_plan(plan, kernel, compute_forces, workspace=None, *, mirror=True):
+def eval_plan(plan, kernel, compute_forces, *, mirror=True):
     """In-process fused evaluation of a whole plan.
 
-    :func:`eval_group_range` over every group with the execute's
-    ``workspace``, for symmetric kernels
+    :func:`eval_group_range` over every group on
+    :func:`~repro.parallel.worker_count` threads, for symmetric kernels
     (``Kernel.symmetric``) unless ``mirror`` is False its mirror
     schedule, so each mirrored direct block is formed once, and for
     radial kernels (the ones with a coincidence rule) its candidate
@@ -277,5 +330,6 @@ def eval_plan(plan, kernel, compute_forces, workspace=None, *, mirror=True):
     if isinstance(kernel, RadialKernel):
         arrays["candidates"] = plan.group_candidates(mirrors)
     return eval_group_range(
-        arrays, kernel, compute_forces, 0, plan.n_groups, workspace
+        arrays, kernel, compute_forces, 0, plan.n_groups,
+        worker_count(plan.n_groups),
     )

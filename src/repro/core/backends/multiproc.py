@@ -35,9 +35,11 @@ Execution model
   mirrored direct block once (or, on a plan of small groups, runs
   stacked buckets).
 * With one worker, or a plan below :data:`MIN_PARALLEL_ROWS` logical
-  source rows, the evaluation runs inline: same arithmetic, no pool.
-  Only the inline path writes its blocks into the execute's
-  :class:`~repro.kernels.workspace.Workspace`; that changes no bits.
+  source rows, the evaluation runs inline: same arithmetic, no pool,
+  its groups shared among threads as on the fused backend.  A shard
+  runs its groups on one thread.  Both run under single-threaded BLAS
+  and add every group into its own rows, so the thread count changes
+  no bits.
 
 Device accounting is unchanged: launches are charged from the
 plan structure before the numerics start, exactly as the fused backend
@@ -168,7 +170,7 @@ class MultiprocessingBackend(Backend):
         compute_forces: bool = False,
         n_rhs: int | None = None,
     ):
-        out, forces, workspace = start_execute(
+        out, forces = start_execute(
             self, plan, kernel, device,
             dtype=dtype, compute_forces=compute_forces,
         )
@@ -179,13 +181,8 @@ class MultiprocessingBackend(Backend):
             # The plan's coincidence candidates (the scan's indices, so
             # the bitwise contract with the sharded path holds either
             # way); no mirror schedule, so the arithmetic is the
-            # shards'.  The workspace changes no bits, so the workers
-            # need none.
-            results = [
-                eval_plan(
-                    plan, kernel, compute_forces, workspace, mirror=False
-                )
-            ]
+            # shards'.
+            results = [eval_plan(plan, kernel, compute_forces, mirror=False)]
         for rows in results:
             accumulate_rows(plan, out, forces, *rows)
         return out, forces

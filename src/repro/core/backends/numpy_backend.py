@@ -35,7 +35,7 @@ class NumpyBackend(Backend):
     ):
         # Multi-RHS is a property of the plan's weight state; the n_rhs
         # parameter is for buffer-free backends (see Backend.execute).
-        out, forces, _ = start_execute(
+        out, forces = start_execute(
             self, plan, kernel, device,
             dtype=dtype, compute_forces=compute_forces,
         )

@@ -308,6 +308,11 @@ class Kernel(abc.ABC):
                 frc[lo:hi] -= np.einsum("mkd,k->md", grad, q)
         return out
 
+    def workspace_slots(self, want_grad: bool) -> tuple[str, ...]:
+        """The workspace slots a block of the drivers takes: none for a
+        generic kernel, which has no workspace hooks."""
+        return ()
+
     def _block(
         self, targets, sources, fused, candidates, workspace, want_grad
     ):
@@ -613,6 +618,9 @@ class RadialKernel(Kernel):
             f.put(zero_idx, 0.0)
         return g, f
 
+    def workspace_slots(self, want_grad: bool) -> tuple[str, ...]:
+        return ("r2", "g", "f") if want_grad else ("r2", "g")
+
     @staticmethod
     def _force_rows(f, q, targets, sources):
         return _radial_force(f, q, targets, sources)
@@ -689,16 +697,22 @@ def _columns(charges, multi, *accumulators):
     if not multi:
         return ((charges, *accumulators),)
     n_rhs = charges.shape[-1]
-    columns = np.moveaxis(charges, -1, 0)
+    columns = _rhs_first(charges)
     if not columns[0].flags.c_contiguous:
         columns = np.ascontiguousarray(columns)
     return list(zip(
         columns,
         *(
-            [None] * n_rhs if a is None else np.moveaxis(a, -1, 0)
+            [None] * n_rhs if a is None else _rhs_first(a)
             for a in accumulators
         ),
     ))
+
+
+def _rhs_first(a):
+    """``a`` with its last (RHS) axis moved first: the view
+    ``np.moveaxis(a, -1, 0)`` returns, by one ``transpose``."""
+    return a.transpose((a.ndim - 1, *range(a.ndim - 1)))
 
 
 def _scan_coincident(

@@ -16,12 +16,20 @@ hands out C-contiguous views of its leading elements, so consecutive
 blocks reuse the same memory.  A driver handed a workspace takes its
 arrays from the slots ``"r2"`` (the fused r^2; the reference r^2,
 ``fused=False``, allocates its own), ``"g"`` and ``"f"``, and passes the
-factor buffers to ``RadialKernel.evaluate_radial`` as its ``out``.  One
+factor buffers to ``RadialKernel.evaluate_radial`` as its ``out``.  A
 workspace lives for one execute and is freed when it returns.  Before
 the first block, the evaluator :meth:`~Workspace.reserve` s the element
 count of the largest block the plan will form (every slot of a block
 has that block's shape), so each slot is allocated once, at its final
 size, on the first execute as on every later one.
+
+A workspace belongs to one thread at a time.  The per-group evaluator
+runs one per worker thread: the calling thread reserves each and
+:meth:`~Workspace.allocate` s the kernel's slots
+(``Kernel.workspace_slots``) before the workers start, so no worker
+allocates scratch, and each extra worker adds one set of slots at the
+plan's largest row block.  The stacked evaluator runs one, on the
+calling thread.
 
 Writing into a view is elementwise the same arithmetic as writing into
 a fresh array (the ufuncs and GEMMs take ``out=``), so results are
@@ -64,13 +72,25 @@ class Workspace:
         """
         dtype = np.dtype(dtype)
         n = math.prod(shape)
-        key = (slot, dtype.str)
-        buf = self._buffers.get(key)
+        buf = self._buffers.get((slot, dtype.str))
         if buf is None or buf.size < n:
-            buf = np.empty(max(n, self.capacity), dtype=dtype)
-            self._buffers[key] = buf
-            self.allocations[key] = self.allocations.get(key, 0) + 1
+            buf = self._allocate(slot, dtype, n)
         return buf[:n].reshape(shape)
+
+    def allocate(self, slots, dtype=np.float64) -> None:
+        """Allocate each of ``slots`` now, at the reserved capacity, so a
+        later :meth:`take` of at most that size allocates nothing."""
+        dtype = np.dtype(dtype)
+        for slot in slots:
+            buf = self._buffers.get((slot, dtype.str))
+            if self.capacity and (buf is None or buf.size < self.capacity):
+                self._allocate(slot, dtype, 0)
+
+    def _allocate(self, slot: str, dtype: np.dtype, n: int) -> np.ndarray:
+        key = (slot, dtype.str)
+        buf = self._buffers[key] = np.empty(max(n, self.capacity), dtype)
+        self.allocations[key] = self.allocations.get(key, 0) + 1
+        return buf
 
 
 def take(workspace: Workspace | None, slot: str, shape: tuple, dtype):

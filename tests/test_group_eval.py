@@ -6,7 +6,11 @@ group's segments in the evaluation order the mirror schedule stores
 mirrored products back in one add.  ``_reference_eval_group_range``
 below is the loop it replaced: it re-derives each group's order from
 ``partner`` one list at a time, gathers one segment at a time and adds
-each forward segment's rows back one slice at a time.  The two must
+each forward segment's rows back one slice at a time.  It keeps the
+evaluator's accumulation order -- each group's own rows from zero, the
+mirrored products into separate accumulators in group order, added at
+the end -- under the same single-threaded BLAS, while the evaluator
+shares the groups among two worker threads.  The two must
 return the same bytes -- potentials and forces -- on generated clouds
 (duplicated points, fewer points than a leaf, disjoint targets) and
 the end-to-end recipes, under Coulomb and Yukawa, forces on and off,
@@ -50,7 +54,7 @@ from repro.core.coincidence import (
 )
 from repro.core.plan import MIRROR_NONE, MIRROR_SKIP, evaluation_order
 from repro.kernels.base import block_rows
-from repro.kernels.workspace import Workspace
+from repro.parallel import single_threaded_blas
 from repro.workloads import ParticleSet
 
 from plan_factory import listed_plan
@@ -109,7 +113,18 @@ def _reference_gather(arrays, q_all, g, segments):
 
 
 def _reference_eval_group_range(arrays, kernel, compute_forces, g_lo, g_hi):
-    """The per-group evaluation, one segment at a time."""
+    """The per-group evaluation, one segment at a time.
+
+    Each group's own rows start from zero and take one kernel call; its
+    mirrored products go into separate accumulators, one forward
+    segment at a time in group order, which are added to the rows at
+    the end.  BLAS runs single-threaded, as in the evaluator.
+    """
+    with single_threaded_blas():
+        return _reference_groups(arrays, kernel, compute_forces, g_lo, g_hi)
+
+
+def _reference_groups(arrays, kernel, compute_forces, g_lo, g_hi):
     group_ptr = arrays["group_ptr"]
     seg_group_ptr = arrays["seg_group_ptr"]
     seg_ptr = arrays["seg_ptr"]
@@ -121,6 +136,8 @@ def _reference_eval_group_range(arrays, kernel, compute_forces, g_lo, g_hi):
     rhs = arrays["src_weights"].shape[1:]
     phi = np.zeros((rows,) + rhs)
     f_out = np.zeros((rows, 3) + rhs) if compute_forces else None
+    phi_m = np.zeros_like(phi)
+    f_m = None if f_out is None else np.zeros_like(f_out)
     q_all = np.asarray(arrays["src_weights"], order="F")
 
     def rows_of(g):
@@ -159,10 +176,13 @@ def _reference_eval_group_range(arrays, kernel, compute_forces, g_lo, g_hi):
         c = 0
         for s, n in zip(forward, sizes):
             b = rows_of(int(mirrors.partner[s]))
-            phi[b] += phi_t[c:c + n]
+            phi_m[b] += phi_t[c:c + n]
             if f_out is not None:
-                f_out[b] += f_t[c:c + n]
+                f_m[b] += f_t[c:c + n]
             c += n
+    phi += phi_m
+    if f_out is not None:
+        f_out += f_m
     return t_lo_all, t_hi_all, phi, f_out
 
 
@@ -239,9 +259,7 @@ def _arrays(plan, kernel, n_rhs, mirror, rng):
 
 
 def assert_matches_reference(arrays, kernel, forces, g_lo, g_hi):
-    got = eval_group_range(
-        arrays, kernel, forces, g_lo, g_hi, workspace=Workspace()
-    )
+    got = eval_group_range(arrays, kernel, forces, g_lo, g_hi, workers=2)
     want = _reference_eval_group_range(arrays, kernel, forces, g_lo, g_hi)
     assert got[:2] == want[:2]
     assert _same(got[2], want[2]), "potentials"

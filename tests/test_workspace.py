@@ -10,10 +10,12 @@
 * A multi-chunk execute on either path of the plan evaluator (and the
   multiprocessing backend's inline path), cold or warm, allocates each
   workspace slot once, sized exactly for the plan's largest block, and
-  leaves nothing behind on the session.
+  leaves nothing behind on the session.  The per-group path holds one
+  workspace per worker thread, each allocated by the calling thread.
 """
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from repro import (
     YukawaKernel,
     random_cube,
 )
-from repro.core.backends import base as backend_base
+from repro import parallel
+from repro.core.backends import fused, groupeval
 from repro.kernels.workspace import Workspace
 
 from test_kernels import ALL_KERNELS, _stacked_with_forces, _with_forces
@@ -188,7 +191,8 @@ def test_take_views_are_contiguous_and_sized_by_the_reservation():
 
 
 class _Recording(Workspace):
-    """A workspace that remembers itself and its largest take."""
+    """A workspace that remembers itself, its largest take and the
+    threads that allocated its buffers."""
 
     opened: list = []
 
@@ -196,12 +200,17 @@ class _Recording(Workspace):
         super().__init__()
         self.takes = {}
         self.largest = 0
+        self.allocating_threads = set()
         _Recording.opened.append(self)
 
     def take(self, slot, shape, dtype):
         self.takes[slot] = self.takes.get(slot, 0) + 1
         self.largest = max(self.largest, int(np.prod(shape)))
         return super().take(slot, shape, dtype)
+
+    def _allocate(self, slot, dtype, n):
+        self.allocating_threads.add(threading.get_ident())
+        return super()._allocate(slot, dtype, n)
 
 
 @pytest.mark.parametrize(
@@ -213,8 +222,12 @@ def test_every_execute_allocates_each_slot_once(
 ):
     """The evaluators reserve exactly their largest block before the
     first one, so a cold execute allocates each slot once, at its final
-    size, as a warm one does (multiprocessing: its inline path)."""
-    monkeypatch.setattr(backend_base, "Workspace", _Recording)
+    size, as a warm one does (multiprocessing: its inline path).  The
+    per-group path opens one workspace per worker thread, all allocated
+    by the calling thread before the workers start."""
+    monkeypatch.setattr(fused, "Workspace", _Recording)
+    monkeypatch.setattr(groupeval, "Workspace", _Recording)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     _Recording.opened = []
     cube = random_cube(3000, seed=5)
     params = TreecodeParams(
@@ -226,15 +239,25 @@ def test_every_execute_allocates_each_slot_once(
     sess = BarycentricTreecode(YukawaKernel(kappa=0.5), params).prepare(cube)
     cold = sess.apply(cube.charges, compute_forces=forces)
     warm = sess.apply(cube.charges, compute_forces=forces)
-    assert len(_Recording.opened) == 2
+    workers = 1
+    if backend != "stacked":
+        workers = parallel.worker_count(sess.plan.n_groups)
+        assert workers == (2 if parallel.blas_threads() else 1)
+    assert len(_Recording.opened) == 2 * workers
     slots = {"r2", "g"}
     if forces:
         slots.add("f")
+    caller = threading.get_ident()
     for ws in _Recording.opened:
         assert {slot for slot, _ in ws.allocations} == slots
         assert all(n == 1 for n in ws.allocations.values())
-        assert ws.capacity == ws.largest  # exact, not an upper bound
-        assert ws.takes["r2"] >= 5  # many blocks, one buffer each
+        assert ws.allocating_threads == {caller}
+    for i in (0, workers):  # the workers of each execute
+        execute = _Recording.opened[i:i + workers]
+        assert {ws.capacity for ws in execute} == {
+            max(ws.largest for ws in execute)  # exact, not an upper bound
+        }
+        assert sum(ws.takes.get("r2", 0) for ws in execute) >= 5  # blocks
     assert np.array_equal(cold.potential, warm.potential)
 
 
