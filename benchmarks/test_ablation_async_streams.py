@@ -1,7 +1,7 @@
 """Ablation: asynchronous streams (paper Sec. 3.2).
 
 "Asynchronous streams reduce the computation time in a typical case by
-about 25%" for the 1M-particle test.  We run the paper-scale dry run with
+about 25%" for the 1M-particle test.  We run the paper-scale model run with
 async queueing on and off and check the improvement band.
 """
 
@@ -25,7 +25,8 @@ def ablation():
     # NL = 2000 exactly would fragment ~half the leaves and double the
     # launch count, overstating the async-stream gain.
     params = TreecodeParams(
-        theta=0.8, degree=8, max_leaf_size=2187, max_batch_size=2187
+        theta=0.8, degree=8, max_leaf_size=2187, max_batch_size=2187,
+        backend="model",
     )
     p = random_cube(1_000_000, seed=21)
     out = {}
@@ -33,7 +34,7 @@ def ablation():
         res = BarycentricTreecode(
             CoulombKernel(), params, machine=GPU_TITAN_V,
             async_streams=async_streams,
-        ).compute(p, dry_run=True)
+        ).compute(p)
         out[mode] = res
     return out
 

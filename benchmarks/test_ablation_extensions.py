@@ -45,13 +45,14 @@ def precision_runs():
 def overlap_runs():
     p = random_cube(60_000, seed=62)
     params = TreecodeParams(
-        theta=0.8, degree=8, max_leaf_size=1000, max_batch_size=1000
+        theta=0.8, degree=8, max_leaf_size=1000, max_batch_size=1000,
+        backend="model",
     )
     out = {}
     for label, overlap in (("no overlap", False), ("comm/compute overlap", True)):
         res = DistributedBLTC(
             CoulombKernel(), params, n_ranks=8, overlap_comm=overlap
-        ).compute(p, dry_run=True)
+        ).compute(p)
         out[label] = res
     return out
 

@@ -33,14 +33,13 @@ def _direct_times(n: int) -> tuple[float, float]:
 def crossover():
     """Model treecode vs direct times over an N sweep."""
     params = TreecodeParams(
-        theta=0.8, degree=8, max_leaf_size=2000, max_batch_size=2000
+        theta=0.8, degree=8, max_leaf_size=2000, max_batch_size=2000,
+        backend="model",
     )
     rows = []
     for n in (10_000, 50_000, 200_000, 1_000_000):
         p = random_cube(n, seed=9)
-        tc = BarycentricTreecode(CoulombKernel(), params).compute(
-            p, dry_run=True
-        )
+        tc = BarycentricTreecode(CoulombKernel(), params).compute(p)
         d_gpu, d_cpu = _direct_times(n)
         rows.append((n, tc.phases.total, d_gpu, d_cpu))
     return rows

@@ -14,8 +14,10 @@ Lagrange treecode exactly as the paper presents them in the BLTC algorithm
   target batch.
 
 plus implementation switches that the paper discusses in the text
-(cluster-size MAC condition, aspect-ratio-aware splitting, batch-level MAC)
-so that every design decision can be ablated.
+(cluster-size MAC condition, aspect-ratio-aware splitting, shrink-to-fit
+boxes) so that those design decisions can be ablated.  The MAC is always
+applied per target batch (Sec. 3.2); ``max_batch_size=1`` recovers the
+classical per-target MAC.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ class TreecodeParams:
     #: (paper Sec. 3.1): only bisect dimensions long enough that children
     #: do not become more elongated than sqrt(2).
     aspect_ratio_splitting: bool = True
-    #: Apply the MAC to the batch as a whole (paper Sec. 3.2).  Setting this
-    #: to False applies a per-target MAC, which is the classical treecode
-    #: behaviour the paper argues against for GPUs (thread divergence).
-    batch_mac: bool = True
     #: Precision the simulated device is charged at.  The arithmetic is
     #: always float64 (as in the paper); ``float32`` models the device's
     #: single-precision throughput for the paper's "mixed-precision

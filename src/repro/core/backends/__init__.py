@@ -17,8 +17,8 @@ backends:
   plan's groups across a persistent worker pool, pickling the flat
   buffers into each shard's task; the paper's outer (multi-rank)
   parallelism on one host.
-* :class:`ModelBackend` (``"model"``) -- launch accounting only (the
-  old ``dry_run`` mode); runs the timing model at paper scale.
+* :class:`ModelBackend` (``"model"``) -- launch accounting only, no
+  numerics; runs the timing model at paper scale.
 
 Select one with ``TreecodeParams(backend="fused")`` or register your own
 (a real GPU, ...) via :func:`register_backend`.  The name -> class store

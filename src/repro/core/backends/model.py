@@ -1,9 +1,10 @@
 """Model-only backend: simulated time and counters, no numerics.
 
-Subsumes the seed's ``dry_run`` branches: the device is charged for
-exactly the launches a real run would make (same interaction counts,
-same block counts, same kinds -- all derived from the plan structure),
-but no potential is evaluated and the returned arrays are zeros.  This
+Selected with ``TreecodeParams(backend="model")``: the device is
+charged for exactly the launches a real run would make (same
+interaction counts, same block counts, same kinds -- all derived from
+the plan structure), but no potential is evaluated and the returned
+arrays are zeros.  This
 lets the timing model run at paper scale (10^6-10^9 particles) where
 python numerics would be prohibitive; it works on plans compiled with
 ``numerics=False``, which carry only index arrays and sizes.
@@ -34,9 +35,8 @@ class ModelBackend(Backend):
         compute_forces: bool = False,
         n_rhs: int | None = None,
     ):
-        # Model-only plans carry no weight buffers (and dry runs of a
-        # prepared numerics session skip the weight refresh), so the
-        # session tells us the RHS width explicitly; None keeps the
+        # Model-only plans carry no weight buffers, so the session
+        # tells us the RHS width explicitly; None keeps the
         # single-vector shapes and charging.
         charge_plan_launches(
             plan, kernel, device,

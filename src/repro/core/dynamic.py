@@ -201,7 +201,7 @@ class TreecodeGeometryUpdater:
                 reason="previous update failed",
             )
         if not geometry.plan.has_numerics:
-            # Model-only (dry-run) sessions: a rebuild reproduces the
+            # Model-only sessions: a rebuild reproduces the
             # cold timing model exactly.
             return self._full_rebuild(
                 core, new_src, new_tgt, phases, reason="model-only plan"

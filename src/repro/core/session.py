@@ -394,7 +394,7 @@ class SessionCore:
         return charges, multi, n_rhs
 
     def precompute(
-        self, charges: np.ndarray, phases, *, numerics: bool, n_rhs: int = 1
+        self, charges: np.ndarray, phases, *, n_rhs: int = 1
     ) -> None:
         """Charge upload + moment kernels; closes the precompute phase.
 
@@ -417,7 +417,7 @@ class SessionCore:
         if moments is not None:
             refresh_moments(
                 moments, self.geometry.tree, charges, self.params,
-                device=device, numerics=numerics,
+                device=device, numerics=self.plan.has_numerics,
             )
             if self.moments_download:
                 mbytes = (
@@ -429,11 +429,9 @@ class SessionCore:
                 device.download(mbytes, label="modified charges")
         phases.precompute += device.take_phase()
 
-    def refresh_weights(
-        self, charges: np.ndarray, *, numerics: bool = True
-    ) -> None:
+    def refresh_weights(self, charges: np.ndarray) -> None:
         """Rewrite the plan's weight buffer for this charge block."""
-        if numerics:
+        if self.plan.has_numerics:
             self.plan.refresh_weights(
                 self.weight_source.provider(self.geometry, charges)
             )
@@ -443,8 +441,6 @@ class SessionCore:
         charges: np.ndarray,
         phases,
         *,
-        backend: Backend | None = None,
-        numerics: bool = True,
         compute_forces: bool = False,
         multi: bool = False,
         n_rhs: int = 1,
@@ -452,12 +448,11 @@ class SessionCore:
     ):
         """Weight refresh + backend execution; closes the compute phase.
 
-        ``backend`` overrides the session backend for this call
-        (``dry_run`` applies pass the model backend); explicit
-        overrides never degrade -- the caller asked for that backend
-        specifically.  The ``n_rhs`` kwarg reaches the backend only on
-        the multi path, so user-registered backends with the
-        single-vector signature keep working unchanged.
+        The plan runs on the session backend, the one its geometry was
+        compiled for (a model session's plan carries no numerics).  The
+        ``n_rhs`` kwarg reaches the backend only on the multi path, so
+        user-registered backends with the single-vector signature keep
+        working unchanged.
         ``download_potentials=False`` skips the DtH copies (extension
         shells download after their downward pass instead); the
         compute phase closes either way.
@@ -474,10 +469,8 @@ class SessionCore:
         fresh output buffers, and the multiprocessing backend merges
         shard results only after every future resolves).
         """
-        explicit = backend is not None
-        if not explicit:
-            backend = self._degraded or self.backend
-        self.refresh_weights(charges, numerics=numerics)
+        backend = self._degraded or self.backend
+        self.refresh_weights(charges)
         extra = {"n_rhs": n_rhs} if multi else {}
         device = self.device
         try:
@@ -490,7 +483,7 @@ class SessionCore:
                 **extra,
             )
         except BackendExecutionError as exc:
-            if explicit or self._strict:
+            if self._strict:
                 raise
             potential, forces = self._degrade_and_execute(
                 backend, exc,

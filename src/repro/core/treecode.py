@@ -25,10 +25,10 @@ charge-dependence boundary:
    ``"fused"`` evaluates straight from the shared buffers,
    ``"multiprocessing"`` shards groups over a worker pool (pickling the
    plan's flat buffers into each execute's shard tasks), and
-   ``"model"`` charges launches without numerics (the old ``dry_run``
-   path).  All backends charge the device through one code path, so
-   launches, interaction counts, bytes and phase times are
-   backend-independent.
+   ``"model"`` charges launches without numerics, so the timing model
+   runs at paper scale.  All backends charge the device through one
+   code path, so launches, interaction counts, bytes and phase times
+   are backend-independent.
 
 :meth:`BarycentricTreecode.compute` is exactly ``prepare()`` followed
 by one ``apply()`` -- byte-identical results, counters and phase times
@@ -37,12 +37,12 @@ BEM-style multi-RHS solves call ``prepare()`` once and ``apply()`` per
 charge vector, amortizing every charge-independent phase.  An apply
 also accepts an ``(N, n_rhs)`` charge *block*: the plan's weight slots
 widen to ``(k, n_rhs)`` and every backend evaluates all columns in one
-traversal (per-group GEMVs grow into GEMMs), column ``j`` bitwise equal
-to a solo apply of ``charges[:, j]``.  Select a
-backend with ``TreecodeParams(backend="fused")``;
-``compute(dry_run=True)`` / ``apply(dry_run=True)`` force the model
-backend.  Phase attribution follows the paper's setup / precompute /
-compute definition (Sec. 4).  The distributed driver in
+traversal (the tree walk and the pairwise distance work are shared;
+the kernels contract one charge column at a time), column ``j``
+bitwise equal to a solo apply of ``charges[:, j]``.  Select a backend
+with ``TreecodeParams(backend="fused")``; ``backend="model"`` runs the
+timing model alone.  Phase attribution follows the paper's setup /
+precompute / compute definition (Sec. 4).  The distributed driver in
 :mod:`repro.distributed` wraps the same building blocks with RCB
 partitioning and locally essential trees.
 """
@@ -127,7 +127,6 @@ class BarycentricTreecode:
         targets: np.ndarray | ParticleSet | None = None,
         *,
         charges: np.ndarray | None = None,
-        dry_run: bool = False,
         compute_forces: bool = False,
     ) -> TreecodeResult:
         """Compute the potential at every target due to all sources.
@@ -147,13 +146,12 @@ class BarycentricTreecode:
         tree, interaction lists and modified charges; requires a kernel
         with an analytic gradient.
 
-        ``dry_run=True`` forces the model backend regardless of
-        ``params.backend``: tree, batches, moments bookkeeping,
-        interaction lists, the compiled plan and every simulated device
-        event are produced exactly as in a real run, but the
-        floating-point evaluation is skipped and the returned potential
-        is all zeros.  This lets the timing model run at paper scale
-        (10^6-10^9 particles) where Python numerics would be
+        Under ``params.backend == "model"`` the tree, batches, moments
+        bookkeeping, interaction lists, the compiled plan and every
+        simulated device event are produced exactly as in a real run,
+        but the floating-point evaluation is skipped and the returned
+        potential is all zeros.  This lets the timing model run at paper
+        scale (10^6-10^9 particles) where Python numerics would be
         prohibitive.
 
         Implemented as :meth:`prepare` + one
@@ -162,10 +160,10 @@ class BarycentricTreecode:
         two-stage form directly for repeated evaluation on fixed
         geometry.
         """
-        prepared = self.prepare(sources, targets, dry_run=dry_run)
+        prepared = self.prepare(sources, targets)
         result = prepared.apply(
             sources.charges if charges is None else charges,
-            compute_forces=compute_forces, dry_run=dry_run,
+            compute_forces=compute_forces,
         )
         return TreecodeResult(
             potential=result.potential,
@@ -180,8 +178,6 @@ class BarycentricTreecode:
         self,
         sources: ParticleSet,
         targets: np.ndarray | ParticleSet | None = None,
-        *,
-        dry_run: bool = False,
     ) -> "PreparedTreecode":
         """Capture all charge-independent state for repeated evaluation.
 
@@ -195,13 +191,12 @@ class BarycentricTreecode:
         :meth:`PreparedTreecode.apply`; the initial
         ``sources.charges`` are *not* baked in.
 
-        ``dry_run=True`` prepares a model-only session (structure-only
-        plan, no coordinate gathering): every ``apply`` then runs the
-        timing model at paper scale.
+        Under ``params.backend == "model"`` the session is model-only
+        (structure-only plan, no coordinate gathering): every ``apply``
+        then runs the timing model at paper scale.
         """
         params = self.params
-        backend_spec = "model" if dry_run else params.backend
-        backend = get_backend(backend_spec)
+        backend = get_backend(params.backend)
         if targets is None:
             target_pos = sources.positions
         elif isinstance(targets, ParticleSet):
@@ -221,7 +216,7 @@ class BarycentricTreecode:
         core = SessionCore(
             kernel=self.kernel,
             params=params,
-            backend=backend_spec,
+            backend=params.backend,
             device=device,
             geometry=geometry,
             weight_source=BLTCWeightSource(),
@@ -416,7 +411,6 @@ class PreparedTreecode(PreparedSession):
         charges: np.ndarray,
         *,
         compute_forces: bool = False,
-        dry_run: bool = False,
     ) -> TreecodeResult:
         """Evaluate the prepared geometry for one or many charge vectors.
 
@@ -432,27 +426,18 @@ class PreparedTreecode(PreparedSession):
         block.  A block evaluates every column in one traversal -- the
         potential comes back ``(M, n_rhs)`` and forces ``(M, 3, n_rhs)``
         with column ``j`` bitwise equal to a solo apply of
-        ``charges[:, j]`` -- amortizing the tree walk, the pairwise
-        distance work and (on the stacked path) growing every
-        per-group GEMV into a GEMM.  The plan's weight buffer widens to
-        ``(k, n_rhs)`` for the step, so resident weight memory scales
-        with the block width.
+        ``charges[:, j]`` -- amortizing the tree walk and the pairwise
+        distance work; the kernels contract one charge column at a time,
+        which keeps every column's bytes those of a solo apply.  The
+        plan's weight buffer widens to ``(k, n_rhs)`` for the step, so
+        resident weight memory scales with the block width.
 
-        ``dry_run=True`` runs this apply through the model backend
-        (launch accounting only, zero potentials) regardless of the
-        session backend; the moment kernels and uploads are still
-        charged, so the timing model sees a faithful step.
+        A model session (``params.backend == "model"``) charges the
+        moment kernels, uploads and launches of a real step and returns
+        zero potentials.
         """
         core = self.core
         charges, multi, n_rhs = core.charge_block(charges)
-        # dry_run passes the model backend as an explicit override
-        # (overrides never degrade); normal applies let the session
-        # resolve so the fallback chain can serve when the configured
-        # backend fails (see SessionCore.execute_plan).  All fallback
-        # backends need numerics, so the flag computed here stays valid
-        # across a degradation.
-        backend = get_backend("model") if dry_run else core.backend
-        numerics = self.plan.has_numerics and backend.needs_numerics
         phases = PhaseTimes()
         watch = Stopwatch()
 
@@ -460,10 +445,9 @@ class PreparedTreecode(PreparedSession):
             # -- precompute: HtD charges, moment kernels, DtH moments;
             # then the weight refresh + compute phase (backend executes
             # the plan, DtH potentials) -- all through the session core.
-            core.precompute(charges, phases, numerics=numerics, n_rhs=n_rhs)
+            core.precompute(charges, phases, n_rhs=n_rhs)
             potential, forces = core.execute_plan(
                 charges, phases,
-                backend=backend if dry_run else None, numerics=numerics,
                 compute_forces=compute_forces, multi=multi, n_rhs=n_rhs,
             )
 

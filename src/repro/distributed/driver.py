@@ -13,7 +13,7 @@ substrates, one simulated GPU per rank:
     into an execution plan by the single-device ``compile_plan``
     (given the rank's LET), its weights filled by the session's
     weight provider, and run by the configured backend
-    (``params.backend``; ``dry_run`` forces the model backend);
+    (``params.backend``; ``"model"`` charges launches only);
     DtH potentials                                              [compute]
 
 Rank programs are executed sequentially but deterministically; passive-
@@ -223,7 +223,6 @@ class DistributedBLTC:
         self,
         particles: ParticleSet,
         *,
-        dry_run: bool = False,
         compute_forces: bool = False,
     ) -> DistributedResult:
         """Potential at every particle (targets == sources, as in Sec. 4).
@@ -231,15 +230,15 @@ class DistributedBLTC:
         ``compute_forces=True`` additionally evaluates forces at every
         particle, reusing the LETs and modified charges.
 
-        ``dry_run=True`` forces the model backend on every rank:
-        partitioning, tree builds, RMA traffic (real bytes through the
-        simulated windows) and device launch accounting all happen, but
-        the floating-point kernels are skipped -- used by the weak/strong
-        scaling benchmarks at paper scale.  Otherwise the backend named
-        by ``params.backend`` executes each rank's compiled plan.
+        The backend named by ``params.backend`` executes each rank's
+        compiled plan.  Under ``"model"`` partitioning, tree builds, RMA
+        traffic (real bytes through the simulated windows) and device
+        launch accounting all happen, but the floating-point kernels are
+        skipped -- used by the weak/strong scaling benchmarks at paper
+        scale.
         """
         params = self.params
-        backend = get_backend("model" if dry_run else params.backend)
+        backend = get_backend(params.backend)
         numerics = backend.needs_numerics
         n = particles.n
         watch = Stopwatch()
@@ -367,8 +366,6 @@ class DistributedBLTC:
     def prepare(
         self,
         particles: ParticleSet,
-        *,
-        dry_run: bool = False,
     ) -> "PreparedDistributedBLTC":
         """Capture the charge-independent distributed state once.
 
@@ -380,13 +377,12 @@ class DistributedBLTC:
         decomposition via :meth:`PreparedDistributedBLTC.apply`,
         re-shipping only the charge-dependent payload per step.
 
-        ``dry_run=True`` prepares a model-only session (every apply runs
-        the timing model; structure-only plans, no coordinate gathers).
+        Under ``params.backend == "model"`` the session is model-only
+        (every apply runs the timing model; structure-only plans, no
+        coordinate gathers).
         """
         params = self.params
-        backend_spec = "model" if dry_run else params.backend
-        backend = get_backend(backend_spec)
-        numerics = backend.needs_numerics
+        numerics = get_backend(params.backend).needs_numerics
         watch = Stopwatch()
         with watch:
             # -- phase A: partition, local trees and batches (setup) ----
@@ -447,7 +443,7 @@ class DistributedBLTC:
             SessionCore(
                 kernel=self.kernel,
                 params=params,
-                backend=backend_spec,
+                backend=params.backend,
                 device=devices[r],
                 geometry=GeometryState(
                     plan=plans[r], tree=trees[r], batches=batch_sets[r],
@@ -552,30 +548,6 @@ class PreparedDistributedBLTC:
         return self.cores[0].backend
 
     @property
-    def devices(self):
-        return [core.device for core in self.cores]
-
-    @property
-    def trees(self):
-        return [core.geometry.tree for core in self.cores]
-
-    @property
-    def batch_sets(self):
-        return [core.geometry.batches for core in self.cores]
-
-    @property
-    def moment_sets(self):
-        return [core.geometry.moments for core in self.cores]
-
-    @property
-    def local_lists(self):
-        return [core.geometry.lists for core in self.cores]
-
-    @property
-    def lets(self):
-        return [core.geometry.aux for core in self.cores]
-
-    @property
     def plans(self):
         return [core.geometry.plan for core in self.cores]
 
@@ -636,7 +608,6 @@ class PreparedDistributedBLTC:
         charges: np.ndarray,
         *,
         compute_forces: bool = False,
-        dry_run: bool = False,
     ) -> DistributedResult:
         """Evaluate the prepared decomposition for one or many charge
         vectors.
@@ -665,18 +636,7 @@ class PreparedDistributedBLTC:
         charges = as_charge_block(charges, self._n)
         multi = charges.ndim == 2
         n_rhs = int(charges.shape[1]) if multi else 1
-        # dry_run forces the model backend as an explicit override on
-        # every rank core (overrides never degrade); normal applies let
-        # each core resolve through its session so the fallback chain
-        # can serve when the configured backend fails.  All fallback
-        # backends need numerics, so the flag stays valid across a
-        # degradation.
-        backend = get_backend("model") if dry_run else self.backend
         cores = self.cores
-        numerics = (
-            backend.needs_numerics
-            and all(core.plan.has_numerics for core in cores)
-        )
         comm = self.comm
         n_ranks = self.n_ranks
         watch = Stopwatch()
@@ -688,9 +648,7 @@ class PreparedDistributedBLTC:
             # through each rank's session core (the first apply ships
             # the full local particle data, later ones the charges).
             for r in range(n_ranks):
-                cores[r].precompute(
-                    local_qs[r], phases[r], numerics=numerics, n_rhs=n_rhs
-                )
+                cores[r].precompute(local_qs[r], phases[r], n_rhs=n_rhs)
 
             # -- re-expose the charge-dependent windows -----------------
             for r in range(n_ranks):
@@ -738,7 +696,6 @@ class PreparedDistributedBLTC:
 
                 phi_local, f_local = core.execute_plan(
                     local_qs[r], phases[r],
-                    backend=backend if dry_run else None, numerics=numerics,
                     compute_forces=compute_forces, multi=multi, n_rhs=n_rhs,
                 )
                 potential[self.rank_idx[r]] = phi_local
@@ -747,8 +704,12 @@ class PreparedDistributedBLTC:
                 comm_totals.append(float(comm.clocks[r]))
 
             stats = driver._stats(
-                comm, self.trees, self.batch_sets, self.local_lists,
-                self.lets, self.devices,
+                comm,
+                [core.geometry.tree for core in cores],
+                [core.geometry.batches for core in cores],
+                [core.geometry.lists for core in cores],
+                [core.geometry.aux for core in cores],
+                [core.device for core in cores],
             )
             # Per-apply there is no setup half: total_seconds reduces to
             # max(precompute) + max(compute).  The prepare-time split is

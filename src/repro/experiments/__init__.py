@@ -11,7 +11,7 @@ Each module produces the rows/series of one figure:
 The harnesses separate *measured accuracy* (real numerics at a reduced
 particle count -- errors are genuinely computed against direct summation)
 from *modeled run time* (the calibrated device model driven by the exact
-operation counts of a model-scale dry run).  See DESIGN.md for the
+operation counts of a model-scale run).  See DESIGN.md for the
 substitution rationale; EXPERIMENTS.md records paper-vs-measured.
 """
 

@@ -29,12 +29,12 @@ KIND_FLOPS = {"moments-1": 8.0, "moments-2": 7.0}
 def cpu_time_from_stats(
     stats: dict, kernel: Kernel, cpu: MachineSpec
 ) -> float:
-    """Derive the CPU-model run time from a GPU dry run's statistics.
+    """Derive the CPU-model run time from a GPU model run's statistics.
 
     The CPU executes the identical interaction counts with no launch
     latency, no transfers and no occupancy effects, so its time is fully
     determined by the per-kind interaction totals plus the host-side
-    bookkeeping -- both recorded in the run stats.  A direct CPU dry run
+    bookkeeping -- both recorded in the run stats.  A direct CPU model run
     gives the same number (tested); this avoids running the pipeline
     twice per configuration.
     """
@@ -80,7 +80,7 @@ def kernel_time_delta(
     BLTC run are kernel-independent; only the potential-evaluation busy
     time (kinds ``approx`` and ``direct``) scales with the kernel's cost.
     This lets a harness derive e.g. the Yukawa run time from a Coulomb
-    dry run instead of re-running the whole pipeline.
+    model run instead of re-running the whole pipeline.
     """
     ratio = _mult_ratio(old, new, machine)
     busy = busy_by_kind.get("approx", 0.0) + busy_by_kind.get("direct", 0.0)
@@ -90,7 +90,7 @@ def kernel_time_delta(
 def retime_distributed(
     result, old: Kernel, new: Kernel, machine: MachineSpec
 ) -> tuple[float, PhaseTimes]:
-    """Re-time a distributed dry run for a different kernel.
+    """Re-time a distributed model run for a different kernel.
 
     Returns ``(total_seconds, aggregate_phases)`` with each rank's
     compute phase rescaled by the kernel cost ratio and the run total

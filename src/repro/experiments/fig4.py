@@ -11,11 +11,11 @@ Reproduction strategy (DESIGN.md):
   against direct summation -- eq. 16 exactly.  Leaf/batch caps scale with
   N to keep the paper's N/NL ratio, so the MAC/size-condition interplay
   matches.
-* *Run times* come from the device model driven by a dry run at the
+* *Run times* come from the device model (``backend="model"``) at the
   paper's true scale (``n_model`` = 1M, NL = NB = 2000): the launch
   counts, interaction counts and occupancy are those of the real data
   structures at the real size.  The CPU-model time is derived from the
-  identical dry-run statistics (no launch latency, no transfers).
+  identical model-run statistics (no launch latency, no transfers).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class Fig4Config:
     n_error: int = 8_000
     #: Leaf/batch cap for the error runs (keeps N/NL near the paper's 500).
     nl_error: int = 200
-    #: Particle count for the model-scale dry runs (the paper's 1M).
+    #: Particle count for the model-scale runs (the paper's 1M).
     n_model: int = 1_000_000
     #: Leaf/batch cap for the model runs: the paper's 2000 with headroom
     #: so the octree lands as theirs did (1M / 8^3 = 1953-particle
@@ -109,8 +109,8 @@ def run_fig4(
     error_particles = random_cube(cfg.n_error, seed=cfg.seed)
     model_particles = random_cube(cfg.n_model, seed=cfg.seed + 1)
 
-    # Model-scale dry runs: the tree, interaction lists and launch
-    # structure are kernel-independent, so one dry run per (theta, n)
+    # Model-scale runs: the tree, interaction lists and launch
+    # structure are kernel-independent, so one model run per (theta, n)
     # serves every kernel -- times for other kernels are derived from the
     # recorded per-kind busy seconds (see experiments.common).
     base_kernel = CoulombKernel()
@@ -124,10 +124,11 @@ def run_fig4(
                 degree=degree,
                 max_leaf_size=cfg.nl_model,
                 max_batch_size=cfg.nl_model,
+                backend="model",
             )
             model_runs[(theta, degree)] = BarycentricTreecode(
                 base_kernel, model_params, machine=cfg.gpu
-            ).compute(model_particles, dry_run=True)
+            ).compute(model_particles)
 
     rows: list[Fig4Row] = []
     direct_times: dict[str, dict[str, float]] = {}

@@ -9,9 +9,9 @@ the O(N log N) signature.
 Reproduction strategy: per-GPU particle counts are scaled down by
 ``scale_divisor`` (default 128: 62.5k/125k/250k per rank) and the leaf
 cap is scaled to keep the paper's N-per-rank/NL ratio of 2000; the runs
-are model-only (dry) through the full distributed pipeline -- RCB, local
-trees, real RMA traffic through the simulated windows, LET construction,
-per-rank device accounting.  A separate small real-numerics run verifies
+are model-only (``backend="model"``) through the full distributed
+pipeline -- RCB, local trees, real RMA traffic through the simulated
+windows, LET construction, per-rank device accounting.  A separate small real-numerics run verifies
 the 5-6 digit accuracy claim at the same (theta, n).
 """
 
@@ -109,7 +109,7 @@ def run_fig5(
     if kernels is None:
         kernels = (CoulombKernel(), YukawaKernel(kappa=0.5))
 
-    # One dry run per configuration with the structure-defining kernel
+    # One model run per configuration with the structure-defining kernel
     # (Coulomb); other kernels' times are derived from the recorded
     # per-kind busy seconds -- the tree, lists and communication are
     # kernel-independent.
@@ -125,6 +125,7 @@ def run_fig5(
             degree=scaled_degree(nl, paper_degree=cfg.degree),
             max_leaf_size=nl,
             max_batch_size=nl,
+            backend="model",
         )
         machine = scaled_machine(cfg.machine, nl)
         for n_gpus in cfg.gpu_counts:
@@ -138,7 +139,7 @@ def run_fig5(
                 n_ranks=n_gpus,
                 machine=machine,
             )
-            res = driver.compute(particles, dry_run=True)
+            res = driver.compute(particles)
             for kernel in kernels:
                 total, agg = retime_distributed(
                     res, base_kernel, kernel, machine

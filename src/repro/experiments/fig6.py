@@ -89,7 +89,7 @@ def run_fig6(
     if kernels is None:
         kernels = (CoulombKernel(), YukawaKernel(kappa=0.5))
 
-    # One dry run per configuration; other kernels' rows are derived by
+    # One model run per configuration; other kernels' rows are derived by
     # re-timing (the run structure is kernel-independent).
     base_kernel = kernels[0]
     rows: list[Fig6Row] = []
@@ -103,6 +103,7 @@ def run_fig6(
             degree=scaled_degree(nl, paper_degree=cfg.degree),
             max_leaf_size=nl,
             max_batch_size=nl,
+            backend="model",
         )
         machine = scaled_machine(cfg.machine, nl)
         particles = random_cube(n_total, seed=cfg.seed)
@@ -115,7 +116,7 @@ def run_fig6(
                 params,
                 n_ranks=n_gpus,
                 machine=machine,
-            ).compute(particles, dry_run=True)
+            ).compute(particles)
             for kernel in kernels:
                 t, agg = retime_distributed(res, base_kernel, kernel, machine)
                 if kernel.name not in base_times:

@@ -184,20 +184,19 @@ class PreparedExtension(PreparedSession):
         g = self.geometry
         charges, multi, n_rhs = core.charge_block(charges)
         device = core.device
-        numerics = core.plan.has_numerics
         phases = PhaseTimes()
         watch = Stopwatch()
 
         with watch:
-            core.precompute(charges, phases, numerics=numerics, n_rhs=n_rhs)
+            core.precompute(charges, phases, n_rhs=n_rhs)
             out_flat, _ = core.execute_plan(
-                charges, phases, numerics=numerics,
+                charges, phases,
                 multi=multi, n_rhs=n_rhs, download_potentials=False,
             )
             out = out_flat[:g.n_targets].copy()
 
             driver._downward_pass(
-                g, out_flat, out, device, numerics=numerics
+                g, out_flat, out, device, numerics=core.plan.has_numerics
             )
             device.download(out.nbytes)
             phases.compute += device.take_phase()

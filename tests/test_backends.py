@@ -1229,10 +1229,9 @@ class TestPipelineEquivalence:
     def test_model_zeroes_potential(self, runs):
         assert np.all(runs["model"].potential == 0.0)
 
-    def test_dry_run_forces_model_backend(self, cube):
-        res = BarycentricTreecode(
-            CoulombKernel(), _params(backend="fused")
-        ).compute(cube, dry_run=True)
+    def test_with_backend_model_runs_model(self, cube):
+        params = _params(backend="fused").with_(backend="model")
+        res = BarycentricTreecode(CoulombKernel(), params).compute(cube)
         assert np.all(res.potential == 0.0)
 
     def test_distributed_backend_param(self, cube):

@@ -40,9 +40,8 @@ from repro import (
     YukawaKernel,
     random_cube,
 )
-from repro.core.backends import batcheval, get_backend, multiproc
+from repro.core.backends import batcheval, multiproc
 from repro.core.session import format_memory_stats
-from repro.perf.timer import PhaseTimes
 from repro.workloads import ParticleSet
 
 PATHS = ("per-group", "stacked")
@@ -399,15 +398,13 @@ class TestOneSessionManyEvaluations:
         first = sess.apply(q)
         assert passes() == 1
         held = sess.memory_stats()["coincident_cache_bytes"]
-        # The per-apply override on the same plan, the other path: the
-        # layout keeps its own candidates beside the per-group ones.
-        stacked = get_backend(use_backend("stacked"))
-        overridden, _ = sess.core.execute_plan(
-            q, PhaseTimes(), backend=stacked
-        )
+        # The other path on the same plan: the layout keeps its own
+        # candidates beside the per-group ones.
+        use_backend("stacked")
+        switched = sess.apply(q).potential
         assert passes() == 1  # the layout had no candidates yet
         both = sess.memory_stats()["coincident_cache_bytes"]
-        again, _ = sess.core.execute_plan(q, PhaseTimes(), backend=stacked)
+        again = sess.apply(q).potential
         assert passes() == 0
         use_backend("per-group")
         back = sess.apply(q)
@@ -416,7 +413,7 @@ class TestOneSessionManyEvaluations:
         assert sess.memory_stats()["coincident_cache_bytes"] == both
         use_backend("stacked")
         cold_stacked = _driver("fused").prepare(cube).apply(q)
-        assert np.array_equal(overridden, cold_stacked.potential)
+        assert np.array_equal(switched, cold_stacked.potential)
         assert np.array_equal(again, cold_stacked.potential)
         assert np.array_equal(back.potential, first.potential)
 

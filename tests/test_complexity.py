@@ -2,7 +2,7 @@
 
 "The BLTC algorithm requires O(N log N) operations compared to the
 O(N^2) operations for direct summation" (paper Sec. 2.4).  We measure
-kernel-evaluation counts over an N sweep (dry runs -- exact counts, no
+kernel-evaluation counts over an N sweep (model runs -- exact counts, no
 numerics) and check the growth exponent sits near 1, far from 2.
 Also: distributed force evaluation correctness.
 """
@@ -28,12 +28,11 @@ class TestComplexity:
         for n in (10_000, 40_000, 160_000, 640_000):
             nl = clean_leaf_size(n, target=500)
             params = TreecodeParams(
-                theta=0.8, degree=4, max_leaf_size=nl, max_batch_size=nl
+                theta=0.8, degree=4, max_leaf_size=nl, max_batch_size=nl,
+                backend="model",
             )
             p = random_cube(n, seed=131)
-            res = BarycentricTreecode(CoulombKernel(), params).compute(
-                p, dry_run=True
-            )
+            res = BarycentricTreecode(CoulombKernel(), params).compute(p)
             counts[n] = res.stats["kernel_evaluations"]
         return counts
 

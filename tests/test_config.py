@@ -66,6 +66,12 @@ class TestValidation:
         p = TreecodeParams(dtype=np.float32)
         assert p.dtype is np.float32
 
+    def test_no_batch_mac_switch(self):
+        # The MAC is always applied per batch; max_batch_size=1 is the
+        # per-target MAC.  A switch that nothing read is not accepted.
+        with pytest.raises(TypeError, match="batch_mac"):
+            TreecodeParams(batch_mac=False)
+
 
 class TestProperties:
     def test_n_interpolation_points(self):

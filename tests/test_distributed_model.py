@@ -1,8 +1,8 @@
-"""Dry-run consistency for the distributed driver.
+"""Model-backend consistency for the distributed driver.
 
-Model-only mode must reproduce the real run's launch counts, interaction
-counts, RMA traffic and simulated times exactly -- it is the basis of the
-scaling benchmarks.
+A ``backend="model"`` run must reproduce the numerics run's launch
+counts, interaction counts, RMA traffic and simulated times exactly --
+it is the basis of the scaling benchmarks.
 """
 
 import numpy as np
@@ -24,37 +24,39 @@ def pair():
     )
     driver = DistributedBLTC(CoulombKernel(), params, n_ranks=3)
     real = driver.compute(p)
-    dry = driver.compute(p, dry_run=True)
-    return real, dry
+    model = DistributedBLTC(
+        CoulombKernel(), params.with_(backend="model"), n_ranks=3
+    ).compute(p)
+    return real, model
 
 
-class TestDryRunConsistency:
+class TestModelConsistency:
     def test_same_total_time(self, pair):
-        real, dry = pair
-        assert dry.total_seconds == pytest.approx(real.total_seconds)
+        real, model = pair
+        assert model.total_seconds == pytest.approx(real.total_seconds)
 
     def test_same_phase_times(self, pair):
-        real, dry = pair
-        for pr, pd in zip(real.rank_phases, dry.rank_phases):
+        real, model = pair
+        for pr, pd in zip(real.rank_phases, model.rank_phases):
             assert pd.setup == pytest.approx(pr.setup)
             assert pd.precompute == pytest.approx(pr.precompute)
             assert pd.compute == pytest.approx(pr.compute)
 
     def test_same_rma_traffic(self, pair):
-        real, dry = pair
+        real, model = pair
         assert (
-            dry.stats["total_rma_bytes"] == real.stats["total_rma_bytes"]
+            model.stats["total_rma_bytes"] == real.stats["total_rma_bytes"]
         )
 
     def test_same_launch_counts(self, pair):
-        real, dry = pair
-        for sr, sd in zip(real.stats["per_rank"], dry.stats["per_rank"]):
+        real, model = pair
+        for sr, sd in zip(real.stats["per_rank"], model.stats["per_rank"]):
             assert sd["launches"] == sr["launches"]
             assert sd["kernel_evaluations"] == pytest.approx(
                 sr["kernel_evaluations"]
             )
 
-    def test_dry_potential_zero(self, pair):
-        real, dry = pair
-        assert np.all(dry.potential == 0.0)
+    def test_model_potential_zero(self, pair):
+        real, model = pair
+        assert np.all(model.potential == 0.0)
         assert np.any(real.potential != 0.0)

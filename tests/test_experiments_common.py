@@ -29,42 +29,43 @@ from repro.experiments.common import (
 
 
 @pytest.fixture(scope="module")
-def dry_pair():
-    """GPU dry run + matching CPU dry run of the same configuration."""
+def model_runs():
+    """GPU model run + matching CPU model run of the same configuration."""
     p = random_cube(30_000, seed=71)
     params = TreecodeParams(
-        theta=0.8, degree=6, max_leaf_size=1000, max_batch_size=1000
+        theta=0.8, degree=6, max_leaf_size=1000, max_batch_size=1000,
+        backend="model",
     )
     gpu = BarycentricTreecode(
         CoulombKernel(), params, machine=GPU_TITAN_V
-    ).compute(p, dry_run=True)
+    ).compute(p)
     cpu = BarycentricTreecode(
         CoulombKernel(), params, machine=CPU_XEON_X5650
-    ).compute(p, dry_run=True)
+    ).compute(p)
     yuk = BarycentricTreecode(
         YukawaKernel(0.5), params, machine=GPU_TITAN_V
-    ).compute(p, dry_run=True)
+    ).compute(p)
     return gpu, cpu, yuk
 
 
 class TestCpuTimeFromStats:
-    def test_matches_real_cpu_dry_run(self, dry_pair):
-        gpu, cpu, _ = dry_pair
+    def test_matches_real_cpu_model_run(self, model_runs):
+        gpu, cpu, _ = model_runs
         derived = cpu_time_from_stats(gpu.stats, CoulombKernel(), CPU_XEON_X5650)
         assert derived == pytest.approx(cpu.phases.total, rel=0.02)
 
 
 class TestKernelTimeDelta:
-    def test_matches_real_yukawa_dry_run(self, dry_pair):
-        gpu, _, yuk = dry_pair
+    def test_matches_real_yukawa_model_run(self, model_runs):
+        gpu, _, yuk = model_runs
         derived = gpu.phases.total + kernel_time_delta(
             gpu.stats["busy_by_kind"], CoulombKernel(), YukawaKernel(0.5),
             GPU_TITAN_V,
         )
         assert derived == pytest.approx(yuk.phases.total, rel=0.01)
 
-    def test_same_kernel_zero_delta(self, dry_pair):
-        gpu, _, _ = dry_pair
+    def test_same_kernel_zero_delta(self, model_runs):
+        gpu, _, _ = model_runs
         delta = kernel_time_delta(
             gpu.stats["busy_by_kind"], CoulombKernel(), CoulombKernel(),
             GPU_TITAN_V,
@@ -76,14 +77,15 @@ class TestRetimeDistributed:
     def test_matches_real_distributed_yukawa(self):
         p = random_cube(12_000, seed=72)
         params = TreecodeParams(
-            theta=0.8, degree=5, max_leaf_size=500, max_batch_size=500
+            theta=0.8, degree=5, max_leaf_size=500, max_batch_size=500,
+            backend="model",
         )
         base = DistributedBLTC(
             CoulombKernel(), params, n_ranks=3, machine=GPU_P100
-        ).compute(p, dry_run=True)
+        ).compute(p)
         real = DistributedBLTC(
             YukawaKernel(0.5), params, n_ranks=3, machine=GPU_P100
-        ).compute(p, dry_run=True)
+        ).compute(p)
         derived_total, derived_agg = retime_distributed(
             base, CoulombKernel(), YukawaKernel(0.5), GPU_P100
         )
@@ -95,11 +97,12 @@ class TestRetimeDistributed:
     def test_identity_retiming(self):
         p = random_cube(6_000, seed=73)
         params = TreecodeParams(
-            theta=0.8, degree=4, max_leaf_size=400, max_batch_size=400
+            theta=0.8, degree=4, max_leaf_size=400, max_batch_size=400,
+            backend="model",
         )
         res = DistributedBLTC(
             CoulombKernel(), params, n_ranks=2, machine=GPU_P100
-        ).compute(p, dry_run=True)
+        ).compute(p)
         total, _ = retime_distributed(
             res, CoulombKernel(), CoulombKernel(), GPU_P100
         )

@@ -49,7 +49,6 @@ from repro.errors import (
 from repro.gpu.device import GpuDevice
 from repro.kernels.coulomb import CoulombKernel
 from repro.perf.machine import GPU_TITAN_V
-from repro.perf.timer import PhaseTimes
 from repro.workloads import random_cube
 
 
@@ -376,21 +375,6 @@ class TestFallbackChain:
         assert "layout build failed" in health["last_error"]
         ref = _prepare(cube, "numpy").apply(cube.charges).potential
         assert np.array_equal(out, ref)
-
-    def test_explicit_override_never_degrades(self, cube):
-        sess = _prepare(cube, "fused")
-
-        class FailingBackend:
-            name = "batched"
-            needs_numerics = True
-
-            def execute(self, *a, **kw):
-                raise BackendExecutionError("boom", backend=self.name)
-
-        with pytest.raises(BackendExecutionError, match="boom"):
-            sess.core.execute_plan(
-                cube.charges, PhaseTimes(), backend=FailingBackend()
-            )
 
     def test_fallback_param_validation(self):
         with pytest.raises(ValueError, match="fallback"):

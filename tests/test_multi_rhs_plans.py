@@ -14,8 +14,8 @@ Contracts under test:
   path (float32 geometry x float64 charge columns -> float64 output);
 * malformed charge blocks fail fast with a clear ``ValueError`` instead
   of deep inside ``refresh_weights``;
-* moments and the model backend (``dry_run``) honor the trailing RHS
-  axis.
+* moments and the model backend (``backend="model"``) honor the
+  trailing RHS axis.
 """
 
 import numpy as np
@@ -320,7 +320,7 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
-# Moments, dry runs
+# Moments, model runs
 # ---------------------------------------------------------------------------
 
 
@@ -351,15 +351,12 @@ class TestInnerLayers:
             for j in range(N_RHS):
                 np.testing.assert_array_equal(blocked[:, j], solo_qhat[j][c])
 
-    def test_dry_run_block_shapes_and_charging(self, cube, charge_block):
-        tc = BarycentricTreecode(CoulombKernel(), _params(backend="fused"))
+    def test_model_block_shapes_and_charging(self, cube, charge_block):
+        tc = BarycentricTreecode(CoulombKernel(), _params(backend="model"))
         vec = tc.prepare(cube).apply(
-            np.ascontiguousarray(charge_block[:, 0]),
-            compute_forces=True, dry_run=True,
+            np.ascontiguousarray(charge_block[:, 0]), compute_forces=True,
         )
-        blk = tc.prepare(cube).apply(
-            charge_block, compute_forces=True, dry_run=True
-        )
+        blk = tc.prepare(cube).apply(charge_block, compute_forces=True)
         assert blk.potential.shape == (cube.n, N_RHS)
         assert blk.forces.shape == (cube.n, 3, N_RHS)
         assert not blk.potential.any()

@@ -38,19 +38,19 @@ def _slot_rows(plan):
     return [(lo, hi) for _key, lo, hi in plan.weight_slots]
 
 
-@pytest.mark.parametrize("dry_run", [False, True], ids=["numerics", "dry-run"])
-def test_one_rank_plan_is_the_single_device_plan(dry_run):
+@pytest.mark.parametrize(
+    "backend", ["numpy", "model"], ids=["numerics", "model"]
+)
+def test_one_rank_plan_is_the_single_device_plan(backend):
     cube = random_cube(3000, seed=23)
     params = TreecodeParams(
-        theta=0.7, degree=4, max_leaf_size=150, max_batch_size=150
+        theta=0.7, degree=4, max_leaf_size=150, max_batch_size=150,
+        backend=backend,
     )
+    model = backend == "model"
     kernel = CoulombKernel()
-    rank_session = DistributedBLTC(kernel, params, n_ranks=1).prepare(
-        cube, dry_run=dry_run
-    )
-    session = BarycentricTreecode(kernel, params).prepare(
-        cube, dry_run=dry_run
-    )
+    rank_session = DistributedBLTC(kernel, params, n_ranks=1).prepare(cube)
+    session = BarycentricTreecode(kernel, params).prepare(cube)
     (rank_plan,) = rank_session.plans
     plan = session.plan
     assert set(plan.kind_names) == {"approx", "direct"}
@@ -59,13 +59,13 @@ def test_one_rank_plan_is_the_single_device_plan(dry_run):
     for name in _PLAN_GEOMETRY_FIELDS:
         _assert_same_bytes(getattr(rank_plan, name), getattr(plan, name), name)
     assert _slot_rows(rank_plan) == _slot_rows(plan)
-    assert (_slot_rows(plan) is None) == dry_run
+    assert (_slot_rows(plan) is None) == model
 
-    rank_res = rank_session.apply(cube.charges, dry_run=dry_run)
-    res = session.apply(cube.charges, dry_run=dry_run)
+    rank_res = rank_session.apply(cube.charges)
+    res = session.apply(cube.charges)
     _assert_same_bytes(rank_plan.src_weights, plan.src_weights, "weights")
     assert np.array_equal(rank_res.potential, res.potential)
-    if not dry_run:
+    if not model:
         assert np.any(plan.src_weights != 0.0)
 
 

@@ -300,16 +300,20 @@ class TestBLTC:
         targets = None
         if shape == "disjoint":
             targets = np.random.default_rng(seed).random((n // 2, 3)) + 0.6
-        drv = BarycentricTreecode(CoulombKernel(), params)
-        for dry_run in (False, True):
-            session = drv.prepare(particles, targets, dry_run=dry_run)
-            plan, ref = _compile_both(session.core.geometry, not dry_run)
+        for numerics in (True, False):
+            session = BarycentricTreecode(
+                CoulombKernel(),
+                params.with_(backend="numpy" if numerics else "model"),
+            ).prepare(particles, targets)
+            plan, ref = _compile_both(session.core.geometry, numerics)
             assert_same_plan(plan, ref)
             assert_same_plan(session.plan, ref)
         if targets is None:
             ranks = DistributedBLTC(
-                CoulombKernel(), params, n_ranks=n_ranks
-            ).prepare(particles, dry_run=n_ranks == 2)
+                CoulombKernel(),
+                params.with_(backend="model" if n_ranks == 2 else "numpy"),
+                n_ranks=n_ranks,
+            ).prepare(particles)
             for core in ranks.cores:
                 assert_same_plan(*_compile_both(core.geometry, n_ranks != 2))
 
@@ -328,32 +332,32 @@ class TestBLTC:
         assert_same_plan(plan, _compile_both(session.core.geometry, True)[1])
 
 
-@pytest.mark.parametrize("dry_run", (False, True), ids=("numerics", "model"))
+@pytest.mark.parametrize("model", (False, True), ids=("numerics", "model"))
 @pytest.mark.parametrize("seed,n", ((3, 500), (4, 260)))
 class TestExtensions:
     params = TreecodeParams(
         theta=0.7, degree=3, max_leaf_size=40, max_batch_size=40
     )
 
-    def _session(self, make, dry_run, seed, n):
+    def _session(self, make, model, seed, n):
         params = dataclasses.replace(
-            self.params, backend="model" if dry_run else "fused"
+            self.params, backend="model" if model else "fused"
         )
         return make(CoulombKernel(), params).prepare(random_cube(n, seed=seed))
 
-    def test_cluster_particle(self, dry_run, seed, n):
-        session = self._session(ClusterParticleTreecode, dry_run, seed, n)
+    def test_cluster_particle(self, model, seed, n):
+        session = self._session(ClusterParticleTreecode, model, seed, n)
         ref = _reference_cluster_particle(
             session.core.geometry.aux, self.params.n_interpolation_points,
-            not dry_run,
+            not model,
         )
         assert_same_plan(session.plan, ref)
 
-    def test_dual_tree(self, dry_run, seed, n):
-        session = self._session(DualTreeTreecode, dry_run, seed, n)
+    def test_dual_tree(self, model, seed, n):
+        session = self._session(DualTreeTreecode, model, seed, n)
         geometry = session.core.geometry
         ref = _reference_dual_tree(
             geometry.aux, geometry.moments,
-            self.params.n_interpolation_points, not dry_run,
+            self.params.n_interpolation_points, not model,
         )
         assert_same_plan(session.plan, ref)

@@ -12,7 +12,7 @@ Contracts under test:
 * ``refresh_weights`` rewrites the plan's weight buffer in place, and
   the multiprocessing backend's next execute of the same plan object
   sees the new weights.
-* dry-run applies run the model backend on a prepared session.
+* a ``backend="model"`` session runs the timing model alone.
 * the distributed session reuses the RCB partition and LET geometry and
   re-ships only charges.
 * both extension schemes expose the same session seam.
@@ -154,26 +154,32 @@ class TestSingleDeviceSession:
         b = prepared.apply(new_charges)
         assert b.stats["launches"] > a.stats["launches"]
 
-    def test_dry_run_apply_on_prepared_session(self, cube):
-        prepared = BarycentricTreecode(
+    def test_model_apply_on_prepared_session(self, cube):
+        model = BarycentricTreecode(
+            CoulombKernel(), _params(backend="model")
+        ).prepare(cube)
+        res = model.apply(cube.charges)
+        assert np.all(res.potential == 0.0)
+        assert res.phases.setup == 0.0
+        assert res.phases.compute > 0.0
+        # Each apply is charged as a numerics session's apply, and the
+        # numerics session's potentials are exact.
+        fused = BarycentricTreecode(
             CoulombKernel(), _params(backend="fused")
         ).prepare(cube)
-        dry = prepared.apply(cube.charges, dry_run=True)
-        assert np.all(dry.potential == 0.0)
-        assert dry.phases.setup == 0.0
-        assert dry.phases.compute > 0.0
-        # A later real apply on the same session is still exact.
-        real = prepared.apply(cube.charges)
+        real = fused.apply(cube.charges)
+        assert res.phases.precompute == pytest.approx(real.phases.precompute)
+        assert res.phases.compute == pytest.approx(real.phases.compute)
         ref = BarycentricTreecode(
             CoulombKernel(), _params(backend="fused")
         ).compute(cube)
         assert np.array_equal(real.potential, ref.potential)
 
-    def test_dry_prepared_session_runs_model(self, cube):
-        tc = BarycentricTreecode(CoulombKernel(), _params())
-        prepared = tc.prepare(cube, dry_run=True)
-        res = prepared.apply(cube.charges, dry_run=True)
-        ref = tc.compute(cube, dry_run=True)
+    def test_model_prepared_session_runs_model(self, cube):
+        tc = BarycentricTreecode(CoulombKernel(), _params(backend="model"))
+        prepared = tc.prepare(cube)
+        res = prepared.apply(cube.charges)
+        ref = tc.compute(cube)
         assert np.all(res.potential == 0.0)
         assert res.stats["launches"] == ref.stats["launches"]
         assert res.stats["kernel_evaluations"] == pytest.approx(
@@ -506,11 +512,13 @@ class TestDistributedSession:
         res = d.prepare(big).apply(big.charges)
         assert np.array_equal(ref.potential, res.potential)
 
-    def test_dry_run_session(self, big):
-        d = DistributedBLTC(CoulombKernel(), _params(), n_ranks=2)
-        sess = d.prepare(big, dry_run=True)
-        res = sess.apply(big.charges, dry_run=True)
-        ref = d.compute(big, dry_run=True)
+    def test_model_session(self, big):
+        d = DistributedBLTC(
+            CoulombKernel(), _params(backend="model"), n_ranks=2
+        )
+        sess = d.prepare(big)
+        res = sess.apply(big.charges)
+        ref = d.compute(big)
         assert np.all(res.potential == 0.0)
         launches = lambda r: [  # noqa: E731
             p["launches"] for p in r.stats["per_rank"]

@@ -45,6 +45,26 @@ def _params(**kw):
     return TreecodeParams(**base)
 
 
+#: Approximating fixture of the accuracy tests that name a share: the
+#: size condition ``(n+1)^3 < N_C`` needs clusters above 343 particles
+#: at degree 6 (512 at degree 7), so leaves hold up to 600 sources,
+#: while 50-target batches keep the MAC passing.  Approximated share of
+#: the batch-cluster interactions on ``approx_cube``: 1281 / 3928 at
+#: degree 6, 472 / 3928 at degree 7, 83 / 512 for the 500 disjoint
+#: targets at degree 6.
+APPROX_PARAMS = dict(theta=0.7, max_leaf_size=600, max_batch_size=50)
+
+
+def _approx_share(stats) -> float:
+    approx = stats["n_approx_interactions"]
+    return approx / (approx + stats["n_direct_interactions"])
+
+
+@pytest.fixture(scope="module")
+def approx_cube():
+    return random_cube(4000, seed=0)
+
+
 class TestAccuracy:
     def test_error_decreases_with_degree(self, cube2000, coulomb_ref):
         """Fig. 4: error falls with n until machine precision."""
@@ -75,13 +95,18 @@ class TestAccuracy:
             )
         assert errs[0.5] <= errs[0.9]
 
-    def test_yukawa_accuracy(self, cube2000):
+    def test_yukawa_accuracy(self, approx_cube):
+        # Degree 7: at degree 6 this fixture reads 1.7-3.7e-6 over seeds
+        # 0-4, above the ceiling (Coulomb reads 1.2-2.7e-6 there).
         kernel = YukawaKernel(kappa=0.5)
-        ref = direct_sum(
-            cube2000.positions, cube2000.positions, cube2000.charges, kernel
+        p = approx_cube
+        ref = direct_sum(p.positions, p.positions, p.charges, kernel)
+        tc = BarycentricTreecode(
+            kernel, TreecodeParams(degree=7, **APPROX_PARAMS)
         )
-        tc = BarycentricTreecode(kernel, _params(degree=6))
-        err = relative_l2_error(ref, tc.compute(cube2000).potential)
+        res = tc.compute(p)
+        assert _approx_share(res.stats) >= 0.1
+        err = relative_l2_error(ref, res.potential)
         assert err < 1e-6
 
     @pytest.mark.parametrize(
@@ -89,13 +114,16 @@ class TestAccuracy:
         [GaussianKernel(sigma=0.8), InverseMultiquadricKernel(c=0.4)],
         ids=["gaussian", "imq"],
     )
-    def test_kernel_independence(self, cube2000, kernel):
+    def test_kernel_independence(self, approx_cube, kernel):
         """Any smooth kernel plugs in with only kernel evaluations."""
-        ref = direct_sum(
-            cube2000.positions, cube2000.positions, cube2000.charges, kernel
+        p = approx_cube
+        ref = direct_sum(p.positions, p.positions, p.charges, kernel)
+        tc = BarycentricTreecode(
+            kernel, TreecodeParams(degree=6, **APPROX_PARAMS)
         )
-        tc = BarycentricTreecode(kernel, _params(degree=6))
-        err = relative_l2_error(ref, tc.compute(cube2000).potential)
+        res = tc.compute(p)
+        assert _approx_share(res.stats) >= 0.3
+        err = relative_l2_error(ref, res.potential)
         assert err < 1e-5
 
     def test_nonuniform_distribution(self):
@@ -106,28 +134,36 @@ class TestAccuracy:
         err = relative_l2_error(ref, tc.compute(p).potential)
         assert err < 1e-4
 
-    def test_disjoint_targets_and_sources(self, cube2000):
+    def test_disjoint_targets_and_sources(self, approx_cube):
         """BEM-style usage: targets != sources (paper Sec. 2.4)."""
         rng = np.random.default_rng(2)
         targets = rng.uniform(-1, 1, size=(500, 3))
         kernel = CoulombKernel()
-        ref = kernel.potential(targets, cube2000.positions, cube2000.charges)
-        tc = BarycentricTreecode(kernel, _params(degree=6))
-        res = tc.compute(cube2000, targets=targets)
+        p = approx_cube
+        ref = kernel.potential(targets, p.positions, p.charges)
+        tc = BarycentricTreecode(
+            kernel, TreecodeParams(degree=6, **APPROX_PARAMS)
+        )
+        res = tc.compute(p, targets=targets)
+        assert _approx_share(res.stats) >= 0.15
         assert relative_l2_error(ref, res.potential) < 1e-6
 
-    def test_mixed_precision_mode(self, cube2000, coulomb_ref):
+    def test_mixed_precision_mode(self, approx_cube):
         """float32 mode (Sec. 5): the float64 arithmetic, priced at the
         device's single-precision throughput."""
+        p = approx_cube
         single, double = (
             BarycentricTreecode(
-                CoulombKernel(), _params(degree=6, dtype=dtype)
-            ).compute(cube2000)
+                CoulombKernel(),
+                TreecodeParams(degree=6, dtype=dtype, **APPROX_PARAMS),
+            ).compute(p)
             for dtype in (np.float32, np.float64)
         )
+        assert _approx_share(single.stats) >= 0.3
         assert single.potential.tobytes() == double.potential.tobytes()
         assert single.phases.compute < double.phases.compute
-        err = relative_l2_error(coulomb_ref, single.potential)
+        ref = direct_sum(p.positions, p.positions, p.charges, CoulombKernel())
+        err = relative_l2_error(ref, single.potential)
         assert err < 1e-4
 
 
@@ -276,17 +312,16 @@ class TestTimingModel:
     def test_treecode_beats_direct_sum_model(self):
         """O(N log N) vs O(N^2): at a few hundred thousand particles the
         treecode's simulated time undercuts the single-launch GPU direct
-        sum (Fig. 4 red line).  Model-only (dry-run) mode keeps the real
+        sum (Fig. 4 red line).  The model backend keeps the real
         tree/lists but skips Python numerics."""
         from repro.perf.machine import GPU_TITAN_V as spec
 
         p = random_cube(300_000, seed=3)
         params = TreecodeParams(
-            theta=0.8, degree=8, max_leaf_size=2000, max_batch_size=2000
+            theta=0.8, degree=8, max_leaf_size=2000, max_batch_size=2000,
+            backend="model",
         )
-        tc_res = BarycentricTreecode(CoulombKernel(), params).compute(
-            p, dry_run=True
-        )
+        tc_res = BarycentricTreecode(CoulombKernel(), params).compute(p)
         direct_interactions = 300_000.0**2
         direct_time = spec.interaction_time(
             direct_interactions, blocks=300_000
@@ -295,17 +330,17 @@ class TestTimingModel:
         # And the treecode actually used approximations to get there.
         assert tc_res.stats["n_approx_interactions"] > 0
 
-    def test_dry_run_matches_real_run_accounting(self, cube2000):
-        """Dry-run produces identical simulated times and launch counts to
-        the real run; only the potential differs (zeros)."""
+    def test_model_matches_real_run_accounting(self, cube2000):
+        """The model backend produces identical simulated times and launch
+        counts to the real run; only the potential differs (zeros)."""
         params = _params(degree=4)
         real = BarycentricTreecode(CoulombKernel(), params).compute(cube2000)
-        dry = BarycentricTreecode(CoulombKernel(), params).compute(
-            cube2000, dry_run=True
-        )
-        assert dry.stats["launches"] == real.stats["launches"]
-        assert dry.stats["kernel_evaluations"] == pytest.approx(
+        model = BarycentricTreecode(
+            CoulombKernel(), params.with_(backend="model")
+        ).compute(cube2000)
+        assert model.stats["launches"] == real.stats["launches"]
+        assert model.stats["kernel_evaluations"] == pytest.approx(
             real.stats["kernel_evaluations"]
         )
-        assert dry.phases.total == pytest.approx(real.phases.total)
-        assert np.all(dry.potential == 0.0)
+        assert model.phases.total == pytest.approx(real.phases.total)
+        assert np.all(model.potential == 0.0)
