@@ -33,6 +33,7 @@ __all__ = [
     "charge_plan_launches",
     "start_execute",
     "accumulate_rows",
+    "scatter_rows",
 ]
 
 #: Gradient kernels cost roughly 2x the potential kernel (three
@@ -151,13 +152,18 @@ def start_execute(
     return out, forces
 
 
+def scatter_rows(out, forces, rows, vals, f_vals) -> None:
+    """Add ``vals`` (and ``f_vals``, None without forces) into ``out``
+    (and ``forces``) at the output rows ``rows``, which repeat none."""
+    out[rows] += vals
+    if forces is not None and f_vals is not None:
+        forces[rows] += f_vals
+
+
 def accumulate_rows(plan, out, forces, t_lo, t_hi, phi, f_rows) -> None:
     """Scatter the contiguous target rows ``[t_lo, t_hi)`` of a per-group
     evaluation into ``out`` / ``forces`` through ``plan.out_index``."""
-    idx = plan.out_index[t_lo:t_hi]
-    out[idx] += phi
-    if forces is not None and f_rows is not None:
-        forces[idx] += f_rows
+    scatter_rows(out, forces, plan.out_index[t_lo:t_hi], phi, f_rows)
 
 
 class Backend(abc.ABC):

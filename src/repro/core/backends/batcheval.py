@@ -1,11 +1,13 @@
-"""Shape-bucketed batched evaluation shared across backends.
+"""Shape-bucketed batched evaluation: the stacked path's numerics.
 
-The numerics of the plan evaluator's stacked path, kept free-standing
-(plain arrays + :class:`~repro.core.plan.BatchedBucket` objects in,
-accumulations out) so the same functions run in-process for
-:class:`~.fused.FusedBackend` and are usable inside multiprocessing
-shards: a pool worker holding the flat buffers and a pickled bucket
-calls :func:`eval_bucket` exactly as the parent would.
+One task of the plan evaluator's stacked path
+(:class:`~.fused.FusedBackend`) is one bucket (:func:`eval_bucket`) or
+one ragged run (:func:`eval_ragged_run`).  Each function evaluates its
+task into arrays of its own and returns the output rows with their
+values, touching neither the output nor any other task's state, so
+worker threads can run tasks side by side; the backend adds the
+results into the output in task order
+(:func:`~.base.scatter_rows`).
 
 Per bucket chunk the evaluation is one call of the stacked kernel
 driver (:meth:`~repro.kernels.base.RadialKernel.potential_batched`) --
@@ -25,15 +27,15 @@ with forces.
 Chunk boundaries depend only on the bucket shape, so repeated
 executions are bitwise identical.
 
-Workspace: given the execute's
-:class:`~repro.kernels.workspace.Workspace`, every chunk of every
-bucket (and every ragged run) writes its r^2, ``g`` and ``g'(r)/r``
-stacks into the same few buffers -- views of the leading elements, so a
+Workspace: given its worker's
+:class:`~repro.kernels.workspace.Workspace`, every chunk of a bucket
+(and every ragged run) writes its r^2, ``g`` and ``g'(r)/r`` stacks
+into the same few buffers -- views of the leading elements, so a
 smaller chunk after a larger one reuses the buffer -- instead of
 allocating them per chunk.  :func:`layout_block_elements` is the
-largest chunk or row block of a layout, which the backend reserves
-before the first, so each buffer is allocated once.  Bitwise the same
-results.
+largest chunk or row block of a layout, which the backend reserves in
+every worker's workspace before the workers start, so each buffer is
+allocated once.  Bitwise the same results.
 
 Padded (near-field) buckets need no special casing here: their pad
 rows and columns repeat real rows, so the plan's candidate coincident
@@ -46,7 +48,7 @@ non-coincident pads contribute an exact ``0.0`` to the GEMV.  Direct
 kinds therefore run through the same stacked passes as the far field.
 
 The runs the layout could not bucket profitably (pool slabs below the
-minimum entry count) are evaluated by :func:`eval_ragged_runs` through
+minimum entry count) are evaluated by :func:`eval_ragged_run` through
 the same per-group fused arithmetic as :mod:`.groupeval`, one call of
 the per-block driver (:meth:`~repro.kernels.base.Kernel.potential`) per
 run -- a thin remainder, not the near-field path.
@@ -65,7 +67,7 @@ __all__ = [
     "bucket_chunk",
     "layout_block_elements",
     "eval_bucket",
-    "eval_ragged_runs",
+    "eval_ragged_run",
 ]
 
 #: Cap on the number of (g, m, k) stack elements live per bucket chunk.
@@ -110,21 +112,20 @@ def eval_bucket(
     src_points: np.ndarray,
     kernel,
     compute_forces: bool,
-    out: np.ndarray,
-    forces: np.ndarray | None,
     *,
     block_elements: int = BUCKET_BLOCK_ELEMENTS,
     workspace=None,
     candidates: np.ndarray | None = None,
-) -> None:
-    """Evaluate one bucket and accumulate into ``out`` (and ``forces``).
+):
+    """Evaluate one bucket: ``(out_slots, vals, f_vals)`` to scatter.
 
     ``targets`` / ``src_points`` are the plan's coordinate buffers; the
     bucket gathers and caches its stacks from them.  The weight matrix
     is the bucket's own (refreshed in place by
-    ``ExecutionPlan.refresh_weights``).  The scatter uses the bucket's
+    ``ExecutionPlan.refresh_weights``).  ``vals`` (and ``f_vals``, None
+    without forces) hold the valid rows only, through the bucket's
     precomputed valid positions, so padded rows are computed but never
-    accumulated.
+    accumulated; :func:`~.base.scatter_rows` adds them at ``out_slots``.
 
     Multi-RHS: a ``(G, k, n_rhs)`` bucket weight matrix hoists each
     chunk's kernel-matrix stack (and, with forces, its radial factors)
@@ -161,56 +162,48 @@ def eval_bucket(
             workspace=workspace,
         )
     vals = phi.reshape((-1, n_rhs) if multi else -1)
+    f_vals = None
+    if f_stack is not None:
+        f_vals = f_stack.reshape((-1, 3, n_rhs) if multi else (-1, 3))
     if bucket.scatter_pos is not None:
         vals = vals[bucket.scatter_pos]
-    out[bucket.out_slots] += vals
-    if forces is not None and f_stack is not None:
-        f_vals = f_stack.reshape((-1, 3, n_rhs) if multi else (-1, 3))
-        if bucket.scatter_pos is not None:
+        if f_vals is not None:
             f_vals = f_vals[bucket.scatter_pos]
-        forces[bucket.out_slots] += f_vals
+    return bucket.out_slots, vals, f_vals
 
 
-def eval_ragged_runs(
-    arrays: dict,
-    runs: np.ndarray,
+def eval_ragged_run(
+    operands: RunOperands,
+    g: int,
+    s_lo: int,
+    s_hi: int,
     kernel,
     compute_forces: bool,
-    out: np.ndarray,
-    forces: np.ndarray | None,
     *,
     workspace=None,
-    candidates=None,
-) -> None:
-    """Per-group fallback for the runs the bucketing could not batch.
+    candidates: np.ndarray | None = None,
+):
+    """Evaluate one run the bucketing could not batch: group ``g``
+    against segments ``[s_lo, s_hi)``.  ``(rows, phi, forces)`` to
+    scatter, or None when either side is empty.
 
     Same fused per-group arithmetic as :func:`.groupeval.eval_group_range`
-    (one ``Kernel.potential`` call per run on the temporary-free r^2
-    primitive, with a forces accumulator when forces are on), but
-    scoped to explicit segment runs so a group whose approximation half
-    went through a bucket is not double-counted.  ``workspace`` goes to
-    every kernel call.
-    ``candidates[r]``, when given, holds the candidate coincident
-    entries of run ``r``'s ``(m, k)`` matrix.
+    (one ``Kernel.potential`` call on the temporary-free r^2 primitive,
+    with a forces accumulator when forces are on), but scoped to an
+    explicit segment run so a group whose approximation half went
+    through a bucket is not double-counted.  ``candidates``, when
+    given, holds the candidate coincident entries of the run's
+    ``(m, k)`` matrix; ``workspace`` goes to the kernel call.
     """
-    if runs.size == 0:
-        return
-    group_ptr = arrays["group_ptr"]
-    out_index = arrays["out_index"]
-    operands = RunOperands(arrays)
-    for r, (g, s_lo, s_hi) in enumerate(runs.tolist()):
-        ops = operands.gather(g, np.arange(s_lo, s_hi))
-        if ops is None:
-            continue
-        tgt, src, q = ops
-        idx = out_index[int(group_ptr[g]):int(group_ptr[g + 1])]
-        frc = (
-            None if forces is None else np.zeros((len(tgt), 3) + q.shape[1:])
-        )
-        out[idx] += kernel.potential(
-            tgt, src, q, forces=frc, fused=True,
-            coincident=None if candidates is None else candidates[r],
-            workspace=workspace,
-        )
-        if frc is not None:
-            forces[idx] += frc
+    ops = operands.gather(g, np.arange(s_lo, s_hi))
+    if ops is None:
+        return None
+    tgt, src, q = ops
+    group_ptr = operands.arrays["group_ptr"]
+    t_lo, t_hi = int(group_ptr[g]), int(group_ptr[g + 1])
+    frc = np.zeros((len(tgt), 3) + q.shape[1:]) if compute_forces else None
+    phi = kernel.potential(
+        tgt, src, q, forces=frc, fused=True, coincident=candidates,
+        workspace=workspace,
+    )
+    return operands.arrays["out_index"][t_lo:t_hi], phi, frc

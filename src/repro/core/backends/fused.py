@@ -43,21 +43,27 @@ instead (built on its first stacked execute): equal-shape segment runs,
 the near field padded with zero-weight repeats of real points, are
 evaluated per *bucket* with
 :meth:`~repro.kernels.base.RadialKernel.potential_batched` and one
-output scatter per bucket; only sub-minimum leftovers run per group
-inside the same execute (:mod:`.batcheval`).  A failed layout build
-raises :class:`~repro.errors.BackendExecutionError`, which a degrading
-session answers by moving to ``"numpy"``.
+output scatter per bucket; only sub-minimum leftovers (*ragged runs*)
+run per group inside the same execute (:mod:`.batcheval`).  The
+buckets, then the ragged runs, are the tasks of one loop on the same
+worker threads and single-threaded BLAS as the per-group path: a
+worker evaluates a task into its own arrays, and the scatters into the
+output run in task order through the in-order reorder buffer, whatever
+the thread timing.  So these bytes too are the same for any worker
+count.  The layout, its coincidence candidates and every worker's
+workspace are made on the calling thread before the workers start.  A
+failed layout build raises
+:class:`~repro.errors.BackendExecutionError`, which a degrading session
+answers by moving to ``"numpy"``.
 
 Both paths agree with :class:`~.numpy_backend.NumpyBackend` to
 roundoff (``rtol=1e-9`` on potentials, ``1e-8`` on forces); repeated
 applies are bitwise equal, and device counters are every other
 backend's, since launch charging derives from the plan alone.  Each
-execute opens evaluation
-:class:`~repro.kernels.workspace.Workspace` s sized for its largest
-row block or bucket chunk -- one on the stacked path, one per worker
-on the per-group path -- into which every block writes its r^2, ``g``
-and ``g'(r)/r``; results are bitwise those without one.  The stacked
-path runs on the calling thread at the BLAS's own threading.
+execute opens one evaluation
+:class:`~repro.kernels.workspace.Workspace` per worker, sized for its
+largest row block or bucket chunk, into which every block writes its
+r^2, ``g`` and ``g'(r)/r``; results are bitwise those without one.
 
 Both paths compute in float64 whatever ``dtype`` the execute is handed:
 that argument only prices the device's launches
@@ -72,10 +78,10 @@ import numpy as np
 
 from ...errors import BackendExecutionError
 from ...kernels.base import RadialKernel
-from ...kernels.workspace import Workspace
-from .base import Backend, accumulate_rows, start_execute
-from .batcheval import eval_bucket, eval_ragged_runs, layout_block_elements
-from .groupeval import eval_plan, plan_arrays
+from ...parallel import run_ordered, single_threaded_blas, worker_count
+from .base import Backend, accumulate_rows, scatter_rows, start_execute
+from .batcheval import eval_bucket, eval_ragged_run, layout_block_elements
+from .groupeval import RunOperands, eval_plan, plan_arrays, worker_workspaces
 
 __all__ = ["FusedBackend", "STACKED_MAX_MEAN_ROWS", "uses_stacked_path"]
 
@@ -83,10 +89,10 @@ __all__ = ["FusedBackend", "STACKED_MAX_MEAN_ROWS", "uses_stacked_path"]
 #: stacked path.  Warm executes, 2-core Xeon (stacked / per-group time):
 #: Plummer 4 000, Yukawa degree 5 with forces, 0.85 at 14.9 rows and
 #: 1.26 at 20.8; cube 6 400, Coulomb degree 2, 0.78 at 26 and 1.51 at
-#: 70.  The cut sits at the force-kernel crossover.  Measured with the
-#: per-group path on one thread and not re-tuned since it runs on every
-#: core: the crossover moved, but moving the cut would move the
-#: benchmark's ``cube_fine`` (12.5 rows) and ``plummer_md`` (31) across it.
+#: 70.  The cut sits at the force-kernel crossover.  Measured with both
+#: paths on one thread and not re-tuned since both run on every core:
+#: the crossover may have moved, but moving the cut may move the
+#: benchmark's ``cube_fine`` (12.5 rows) or ``plummer_md`` (31) across it.
 STACKED_MAX_MEAN_ROWS = 20
 
 
@@ -134,22 +140,35 @@ class FusedBackend(Backend):
                 f"building the batched execution layout failed: {exc}",
                 backend=self.name,
             ) from exc
-        workspace = Workspace()
-        workspace.reserve(layout_block_elements(layout, arrays, compute_forces))
         candidates = plan.layout_candidates()
-        for b, bucket in enumerate(layout.buckets):
-            eval_bucket(
-                bucket, arrays["targets"], arrays["src_points"],
-                kernel, compute_forces, out, forces,
-                workspace=workspace, candidates=candidates[b],
+        buckets = layout.buckets
+        runs = layout.ragged_runs.tolist()
+        operands = RunOperands(arrays)
+
+        def evaluate(i, workspace):
+            """Bucket ``i``, then ragged run ``i - len(buckets)``."""
+            if i < len(buckets):
+                return eval_bucket(
+                    buckets[i], arrays["targets"], arrays["src_points"],
+                    kernel, compute_forces,
+                    workspace=workspace, candidates=candidates[i],
+                )
+            return eval_ragged_run(
+                operands, *runs[i - len(buckets)], kernel, compute_forces,
+                workspace=workspace, candidates=candidates[i],
             )
-        n_buckets = len(layout.buckets)
-        eval_ragged_runs(
-            arrays, layout.ragged_runs, kernel, compute_forces,
-            out, forces, workspace=workspace,
-            candidates=[
-                candidates[n_buckets + r]
-                for r in range(len(layout.ragged_runs))
-            ],
+
+        def scatter(result):
+            """Task results in task order, whatever the thread timing."""
+            if result is not None:
+                scatter_rows(out, forces, *result)
+
+        n_tasks = len(buckets) + len(runs)
+        workspaces = worker_workspaces(
+            kernel, compute_forces,
+            layout_block_elements(layout, arrays, compute_forces),
+            worker_count(n_tasks),
         )
+        with single_threaded_blas():
+            run_ordered(evaluate, workspaces, n_tasks, scatter)
         return out, forces

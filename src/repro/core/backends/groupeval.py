@@ -60,7 +60,8 @@ count and any thread timing:
   :class:`~repro.kernels.workspace.Workspace`, reserved for the largest
   row block of the run (:func:`group_block_elements`, over the same
   evaluation order) and allocated by the calling thread before the
-  workers start, so every row block writes its r^2, ``g`` and
+  workers start (:func:`worker_workspaces`, which the stacked path
+  shares), so every row block writes its r^2, ``g`` and
   ``g'(r)/r`` into its worker's few buffers, each allocated once.
   Results are bitwise those without one.
 
@@ -85,6 +86,7 @@ __all__ = [
     "eval_group_range",
     "eval_plan",
     "group_block_elements",
+    "worker_workspaces",
 ]
 
 #: The ExecutionPlan fields a group evaluation needs.
@@ -112,8 +114,8 @@ def plan_arrays(plan) -> dict:
 class RunOperands:
     """Kernel operands of the fused per-group arithmetic.
 
-    What :func:`eval_group_range` (whole groups) and the batched
-    backend's ragged remainder (explicit segment runs) share: per
+    What :func:`eval_group_range` (whole groups) and the stacked
+    path's ragged runs (explicit segment runs) share: per
     (group, segments) the gathered rows.
     """
 
@@ -180,6 +182,21 @@ def group_block_elements(arrays, g_lo, g_hi) -> int:
         (min(m, block_rows(k)) * k for m, k in zip(ms, ks) if m),
         default=0,
     )
+
+
+def worker_workspaces(kernel, compute_forces, capacity, workers) -> list:
+    """One :class:`~repro.kernels.workspace.Workspace` per worker
+    thread, reserved for ``capacity`` elements (the largest block the
+    run forms) with the kernel's slots allocated: every worker's
+    scratch at its final size, made by the calling thread before the
+    workers start."""
+    workspaces = []
+    for _ in range(workers):
+        workspace = Workspace()
+        workspace.reserve(capacity)
+        workspace.allocate(kernel.workspace_slots(compute_forces))
+        workspaces.append(workspace)
+    return workspaces
 
 
 def eval_group_range(
@@ -296,14 +313,10 @@ def eval_group_range(
             if f_m is not None:
                 f_m[mirror_rows] += f_t
 
-    # Every worker's scratch, allocated here at its final size.
-    capacity = group_block_elements(arrays, g_lo, g_hi)
-    workspaces = []
-    for _ in range(workers):
-        workspace = Workspace()
-        workspace.reserve(capacity)
-        workspace.allocate(kernel.workspace_slots(compute_forces))
-        workspaces.append(workspace)
+    workspaces = worker_workspaces(
+        kernel, compute_forces, group_block_elements(arrays, g_lo, g_hi),
+        workers,
+    )
     with single_threaded_blas():
         run_ordered(evaluate, workspaces, g_hi - g_lo, add_mirror)
     if phi_m is not None:

@@ -23,13 +23,13 @@ count of the largest block the plan will form (every slot of a block
 has that block's shape), so each slot is allocated once, at its final
 size, on the first execute as on every later one.
 
-A workspace belongs to one thread at a time.  The per-group evaluator
-runs one per worker thread: the calling thread reserves each and
-:meth:`~Workspace.allocate` s the kernel's slots
-(``Kernel.workspace_slots``) before the workers start, so no worker
-allocates scratch, and each extra worker adds one set of slots at the
-plan's largest row block.  The stacked evaluator runs one, on the
-calling thread.
+A workspace belongs to one thread at a time.  Both paths of the plan
+evaluator run one per worker thread: the calling thread reserves each
+and :meth:`~Workspace.allocate` s the kernel's slots
+(``Kernel.workspace_slots``) before the workers start
+(:func:`~repro.core.backends.groupeval.worker_workspaces`), so no
+worker allocates scratch, and each extra worker adds one set of slots
+at the plan's largest row block or bucket chunk.
 
 Writing into a view is elementwise the same arithmetic as writing into
 a fresh array (the ufuncs and GEMMs take ``out=``), so results are

@@ -1,12 +1,14 @@
-"""Worker threads for the per-group evaluator, under single-threaded BLAS.
+"""Worker threads for the plan evaluator, under single-threaded BLAS.
 
-The per-group evaluator (:mod:`repro.core.backends.groupeval`) shares
-its groups among threads of one process: numpy's ufuncs and its BLAS
-release the GIL, so the sqrt, exp and ``1/r`` passes of two groups
-overlap.  Three pieces live here.
+Both paths of the plan evaluator share their work among threads of
+one process: the per-group path (:mod:`repro.core.backends.groupeval`)
+its groups, the stacked path (:mod:`repro.core.backends.fused`) its
+buckets and ragged runs.  numpy's ufuncs and its BLAS release the GIL,
+so the sqrt, exp and ``1/r`` passes of two tasks overlap.  Three
+pieces live here.
 
 * :func:`worker_count` -- how many threads an evaluation of ``n``
-  groups runs on: the CPUs this process may run on
+  tasks runs on: the CPUs this process may run on
   (:func:`available_cpus`), capped at ``n``; 1 where no OpenBLAS
   thread setter is found, since the bytes would then depend on the
   BLAS threading.
@@ -94,7 +96,7 @@ def available_cpus() -> int:
 
 
 def worker_count(n_tasks: int) -> int:
-    """Threads to evaluate ``n_tasks`` groups on: :func:`available_cpus`
+    """Threads to evaluate ``n_tasks`` tasks on: :func:`available_cpus`
     capped at ``n_tasks``, and 1 when the BLAS cannot be pinned."""
     if _openblas() is None:
         return 1

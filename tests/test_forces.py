@@ -341,12 +341,10 @@ class TestJointPassMemory:
         entry = bucket.m_max * bucket.k
         budget = 3 * JOINT_LIVE_ARRAYS * entry  # three entries per chunk
         assert bucket.n_entries > 3  # so the budget splits the bucket
-        out = np.zeros(plan.out_size)
-        forces = np.zeros((plan.out_size, 3))
         peak = self._traced_peak(
             lambda: eval_bucket(
                 bucket, plan.targets, plan.src_points, kernel, True,
-                out, forces, block_elements=budget,
+                block_elements=budget,
                 workspace=Workspace() if workspace else None,
             )
         )

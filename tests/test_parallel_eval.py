@@ -1,22 +1,29 @@
-"""The per-group evaluator on worker threads: the same bytes for any count.
+"""The plan evaluator on worker threads: the same bytes for any count.
 
-:func:`~repro.core.backends.groupeval.eval_group_range` shares its
-groups among threads (:func:`repro.parallel.worker_count`: the CPUs the
-process may run on, capped at the group count) under single-threaded
-OpenBLAS, adding the mirrored products in group order.  Checked here:
+Both paths of :class:`~repro.core.backends.fused.FusedBackend` share
+their work among threads (:func:`repro.parallel.worker_count`: the CPUs
+the process may run on, capped at the task count) under single-threaded
+OpenBLAS.  The per-group path
+(:func:`~repro.core.backends.groupeval.eval_group_range`) takes groups
+and adds the mirrored products in group order; the stacked path takes
+its layout's buckets, then its ragged runs, and scatters each result in
+that order.  Checked here:
 
 * Forcing 1, 2 and 3 workers (by patching the CPU count) gives bitwise
   the same potentials and forces on the ``cube_default``, ``plummer_md``
-  (forces) and ``sphere_rhs16`` (16 charge columns) recipes, and on a
-  hand-written plan with mirrored blocks and empty groups; potentials
-  are the same bytes with forces on or off.
+  (forces) and ``sphere_rhs16`` (16 charge columns) recipes, on the
+  stacked ``cube_fine`` recipe, also with 16 columns and forces there,
+  and on a hand-written plan with mirrored blocks and empty groups;
+  potentials are the same bytes with forces on or off, and a column of
+  the 16-column stacked apply is the same bytes as a solo apply.
 * The BLAS thread count is 1 inside an execute and comes back to the
   caller's value after it, after a kernel that raises inside the second
-  worker (the exception surfaces from ``apply`` with every thread
-  joined), and after nested or concurrent scopes.
-* Two sessions applied at once from two user threads return their
+  worker on either path (the exception surfaces from ``apply`` with
+  every thread joined), and after nested or concurrent scopes.
+* Sessions applied at once from several user threads return their
   serial bytes.
-* Results reach ``consume`` in task order however the workers finish.
+* Results reach ``consume`` in task order however the workers finish,
+  and the stacked path's scatters follow its layout order.
 
 The recipes run at full size: at smoke size ``cube_default`` is one
 group, which leaves nothing to share.
@@ -31,7 +38,7 @@ import numpy as np
 import pytest
 
 from repro import BarycentricTreecode, CoulombKernel, TreecodeParams, parallel
-from repro.core.backends import groupeval
+from repro.core.backends import fused, groupeval
 from repro.core.backends.fused import uses_stacked_path
 from repro.core.backends.groupeval import eval_group_range, plan_arrays
 
@@ -47,7 +54,8 @@ if _E2E not in sys.path:
 
 from e2e_workloads import WORKLOADS, Inputs  # noqa: E402
 
-RECIPES = ("cube_default", "plummer_md", "sphere_rhs16")
+PER_GROUP_RECIPES = ("cube_default", "plummer_md", "sphere_rhs16")
+RECIPES = PER_GROUP_RECIPES + ("cube_fine",)
 
 needs_openblas = pytest.mark.skipif(
     parallel.blas_threads() is None,
@@ -77,15 +85,17 @@ def blas_at_two():
 @pytest.fixture
 def workers(monkeypatch):
     """``workers(n)``: the evaluator runs on ``n`` threads from now on;
-    every worker count it used is recorded in ``workers.used``."""
+    every worker count either path used is recorded in
+    ``workers.used``."""
     used = []
-    real = groupeval.run_ordered
+    real = parallel.run_ordered
 
     def recording(body, states, n_tasks, consume):
         used.append(len(states))
         return real(body, states, n_tasks, consume)
 
     monkeypatch.setattr(groupeval, "run_ordered", recording)
+    monkeypatch.setattr(fused, "run_ordered", recording)
 
     def force(n):
         monkeypatch.setattr(parallel, "available_cpus", lambda: n)
@@ -101,8 +111,13 @@ def recipe_sessions():
         spec = WORKLOADS[name]
         inputs = Inputs(spec, 0, "full")
         sess = spec.driver().prepare(inputs.particles())
-        assert not uses_stacked_path(sess.plan, sess.kernel)
-        assert sess.plan.mirror_schedule().n_pairs > 0
+        stacked = name not in PER_GROUP_RECIPES
+        assert uses_stacked_path(sess.plan, sess.kernel) == stacked
+        if stacked:
+            layout = sess.plan.ensure_batched_layout()
+            assert len(layout.buckets) > 3 and len(layout.ragged_runs) > 0
+        else:
+            assert sess.plan.mirror_schedule().n_pairs > 0
         out[name] = (spec, sess, inputs.charges())
     return out
 
@@ -126,6 +141,35 @@ def test_recipes_bitwise_for_any_worker_count(name, recipe_sessions, workers):
         assert first.forces is not None
         bare = sess.apply(charges, compute_forces=False)
         assert _same(bare.potential, first.potential)
+
+
+@needs_openblas
+def test_stacked_columns_and_forces_bitwise_for_any_worker_count(
+    recipe_sessions, workers
+):
+    _, sess, _ = recipe_sessions["cube_fine"]
+    q = np.random.default_rng(16).uniform(-1.0, 1.0, (sess.n_sources, 16))
+    results = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # thread switches inside every scatter
+    try:
+        for n in (1, 2, 3):  # 3: more workers than the CI's cores
+            workers(n)
+            results.append(sess.apply(q, compute_forces=True))
+    finally:
+        sys.setswitchinterval(switch)
+    assert workers.used == [1, 2, 3]
+    first = results[0]
+    assert first.potential.shape[1] == 16 and first.forces.shape[2] == 16
+    for res in results[1:]:
+        assert _same(res.potential, first.potential)
+        assert _same(res.forces, first.forces)
+    bare = sess.apply(q, compute_forces=False)
+    assert _same(bare.potential, first.potential)
+    for j in (0, 9):
+        solo = sess.apply(q[:, j].copy(), compute_forces=True)
+        assert _same(solo.potential, first.potential[:, j].copy())
+        assert _same(solo.forces, first.forces[:, :, j].copy())
 
 
 def _mirrored_plan_with_empty_groups():
@@ -178,46 +222,67 @@ class _WorkerError(RuntimeError):
 
 
 class _Probe(CoulombKernel):
-    """Coulomb that records the BLAS thread count each block sees."""
+    """Coulomb that records the BLAS thread count each block (per-group
+    path) or stack (stacked path) sees."""
 
     def __init__(self):
         super().__init__()
         self.blas_inside = set()
 
-    def potential(self, *args, **kwargs):
+    def _enter(self, method):
         self.blas_inside.add(parallel.blas_threads())
+
+    def potential(self, *args, **kwargs):
+        self._enter("potential")
         return super().potential(*args, **kwargs)
+
+    def potential_batched(self, *args, **kwargs):
+        self._enter("potential_batched")
+        return super().potential_batched(*args, **kwargs)
 
 
 class _FailsOnSecondWorker(_Probe):
-    """Raises in the first group a thread other than the caller's
-    evaluates; the caller's first group waits (once) for that."""
+    """Raises in the first block or stack a thread other than the
+    caller's evaluates, and records the driver it raised in; the
+    caller's first one waits (once) for that.  The BLAS count is
+    recorded before the raise: a started worker may take the first
+    task before the caller does, and the caller then evaluates none."""
 
     def __init__(self):
         super().__init__()
         self.caller = threading.get_ident()
         self.raised = threading.Event()
+        self.raised_in = None
         self.waited = False
 
-    def potential(self, *args, **kwargs):
+    def _enter(self, method):
+        super()._enter(method)
         if threading.get_ident() != self.caller:
+            self.raised_in = method
             self.raised.set()
             raise _WorkerError("raised inside worker 2")
         if not self.waited:
             self.waited = True
             self.raised.wait(timeout=60)
-        return super().potential(*args, **kwargs)
 
 
 @needs_openblas
+@pytest.mark.parametrize(
+    "name, driver",
+    [("cube_default", "potential"), ("cube_fine", "potential_batched")],
+    ids=["per-group", "stacked"],
+)
 @pytest.mark.parametrize("kernel_type", [_Probe, _FailsOnSecondWorker])
-def test_blas_count_restored_after_execute(kernel_type, blas_at_two, workers):
-    spec = WORKLOADS["cube_default"]
+def test_blas_count_restored_after_execute(
+    kernel_type, name, driver, blas_at_two, workers
+):
+    spec = WORKLOADS[name]
     inputs = Inputs(spec, 0, "full")
     kernel = kernel_type()
     sess = BarycentricTreecode(
         kernel, TreecodeParams(**spec.params)
     ).prepare(inputs.particles())
+    assert uses_stacked_path(sess.plan, kernel) == (name == "cube_fine")
     workers(2)
     threads = set(threading.enumerate())
     if kernel_type is _Probe:
@@ -226,10 +291,58 @@ def test_blas_count_restored_after_execute(kernel_type, blas_at_two, workers):
         with pytest.raises(_WorkerError, match="worker 2"):
             sess.apply(inputs.charges())
         assert kernel.raised.is_set()
+        assert kernel.raised_in == driver
     assert workers.used == [2]
     assert kernel.blas_inside == {1}
     assert set(threading.enumerate()) == threads  # every worker joined
     assert parallel.blas_threads() == blas_at_two
+
+
+class _SlowFirstStack(CoulombKernel):
+    """Coulomb whose first stack on the calling thread waits, so the
+    other worker finishes later tasks first."""
+
+    def __init__(self):
+        super().__init__()
+        self.caller = threading.get_ident()
+        self.waited = False
+
+    def potential_batched(self, *args, **kwargs):
+        if threading.get_ident() == self.caller and not self.waited:
+            self.waited = True
+            time.sleep(0.2)
+        return super().potential_batched(*args, **kwargs)
+
+
+@needs_openblas
+def test_stacked_scatters_in_layout_order(monkeypatch, workers):
+    """Bucket and ragged-run results reach the output in layout order
+    however the workers finish.  (On the recipes no row takes more than
+    two tasks' values, so the bytes alone would not show the order.)"""
+    spec = WORKLOADS["cube_fine"]
+    inputs = Inputs(spec, 0, "full")
+    sess = BarycentricTreecode(
+        _SlowFirstStack(), TreecodeParams(**spec.params)
+    ).prepare(inputs.particles())
+    plan = sess.plan
+    layout = plan.ensure_batched_layout()
+    want = [bucket.out_slots for bucket in layout.buckets] + [
+        plan.out_index[plan.group_ptr[g]:plan.group_ptr[g + 1]]
+        for g, _, _ in layout.ragged_runs.tolist()
+    ]
+    scattered = []
+    real = fused.scatter_rows
+
+    def recording(out, forces, rows, vals, f_vals):
+        scattered.append(rows)
+        real(out, forces, rows, vals, f_vals)
+
+    monkeypatch.setattr(fused, "scatter_rows", recording)
+    workers(2)
+    sess.apply(inputs.charges())
+    assert workers.used == [2]
+    assert len(scattered) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(scattered, want))
 
 
 @needs_openblas
@@ -246,10 +359,11 @@ def test_scopes_nest_and_restore_once(blas_at_two):
 
 
 @needs_openblas
-def test_two_sessions_applied_at_once(blas_at_two, recipe_sessions, workers):
+def test_sessions_applied_at_once(blas_at_two, recipe_sessions, workers):
     workers(2)
     jobs = [
-        recipe_sessions[name] for name in ("cube_default", "plummer_md")
+        recipe_sessions[name]
+        for name in ("cube_default", "plummer_md", "cube_fine")
     ]
     serial = [
         sess.apply(q, compute_forces=spec.compute_forces)
@@ -270,11 +384,14 @@ def test_two_sessions_applied_at_once(blas_at_two, recipe_sessions, workers):
         except BaseException as exc:  # reported below
             errors.append(exc)
 
-    users = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    users = [
+        threading.Thread(target=run, args=(i,)) for i in range(len(jobs))
+    ]
     for user in users:
         user.start()
     for user in users:
-        user.join()
+        user.join(timeout=300)
+    assert not any(user.is_alive() for user in users)
     assert not errors
     for want, got in zip(serial, results):
         assert len(got) == 3

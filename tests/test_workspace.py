@@ -10,8 +10,8 @@
 * A multi-chunk execute on either path of the plan evaluator (and the
   multiprocessing backend's inline path), cold or warm, allocates each
   workspace slot once, sized exactly for the plan's largest block, and
-  leaves nothing behind on the session.  The per-group path holds one
-  workspace per worker thread, each allocated by the calling thread.
+  leaves nothing behind on the session.  Both paths hold one workspace
+  per worker thread, each allocated by the calling thread.
 """
 
 import pickle
@@ -28,7 +28,7 @@ from repro import (
     random_cube,
 )
 from repro import parallel
-from repro.core.backends import fused, groupeval
+from repro.core.backends import groupeval
 from repro.kernels.workspace import Workspace
 
 from test_kernels import ALL_KERNELS, _stacked_with_forces, _with_forces
@@ -222,10 +222,9 @@ def test_every_execute_allocates_each_slot_once(
 ):
     """The evaluators reserve exactly their largest block before the
     first one, so a cold execute allocates each slot once, at its final
-    size, as a warm one does (multiprocessing: its inline path).  The
-    per-group path opens one workspace per worker thread, all allocated
-    by the calling thread before the workers start."""
-    monkeypatch.setattr(fused, "Workspace", _Recording)
+    size, as a warm one does (multiprocessing: its inline path).  Both
+    paths open one workspace per worker thread, all allocated by the
+    calling thread before the workers start."""
     monkeypatch.setattr(groupeval, "Workspace", _Recording)
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     _Recording.opened = []
@@ -239,10 +238,14 @@ def test_every_execute_allocates_each_slot_once(
     sess = BarycentricTreecode(YukawaKernel(kappa=0.5), params).prepare(cube)
     cold = sess.apply(cube.charges, compute_forces=forces)
     warm = sess.apply(cube.charges, compute_forces=forces)
-    workers = 1
-    if backend != "stacked":
+    if backend == "stacked":
+        layout = sess.plan.ensure_batched_layout()
+        workers = parallel.worker_count(
+            len(layout.buckets) + len(layout.ragged_runs)
+        )
+    else:
         workers = parallel.worker_count(sess.plan.n_groups)
-        assert workers == (2 if parallel.blas_threads() else 1)
+    assert workers == (2 if parallel.blas_threads() else 1)
     assert len(_Recording.opened) == 2 * workers
     slots = {"r2", "g"}
     if forces:
